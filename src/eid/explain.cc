@@ -81,36 +81,38 @@ Result<std::string> ExplainDecision(const IdentificationResult& result,
       break;
     }
     case MatchDecision::kNonMatch: {
-      for (const NegativePairEvidence& e : result.negative.evidence) {
-        if (!(e.pair == pair)) continue;
-        // Reconstruct the rule list the identifier used: explicit rules
-        // first, then Proposition-1 induced ones in ILFD order.
-        size_t explicit_count = config.distinctness_rules.size();
-        if (e.rule_index < explicit_count) {
-          out += "  certified distinct by rule '" +
-                 config.distinctness_rules[e.rule_index].name() + "': " +
-                 config.distinctness_rules[e.rule_index].ToString() + "\n";
-        } else {
-          size_t ilfd_pos = e.rule_index - explicit_count;
-          // Map back through the decomposed consequents.
-          size_t seen = 0;
-          for (size_t fi = 0; fi < config.ilfds.size(); ++fi) {
-            size_t heads = config.ilfds.ilfd(fi).consequent().size();
-            if (ilfd_pos < seen + heads) {
-              out += "  certified distinct by the Proposition-1 rule of I" +
-                     std::to_string(fi + 1) + ": " +
-                     config.ilfds.ilfd(fi).ToString() + "\n";
-              break;
-            }
-            seen += heads;
-          }
-        }
-        out += std::string("  orientation: ") +
-               (e.flipped ? "e1 := S tuple, e2 := R tuple"
-                          : "e1 := R tuple, e2 := S tuple") +
-               "\n";
+      std::optional<NegativePairEvidence> e =
+          result.negative.EvidenceFor(pair);
+      if (!e.has_value()) {
+        out += "  (no certificate recorded for this pair)\n";
         break;
       }
+      // Reconstruct the rule list the identifier used: explicit rules
+      // first, then Proposition-1 induced ones in ILFD order.
+      size_t explicit_count = config.distinctness_rules.size();
+      if (e->rule_index < explicit_count) {
+        out += "  certified distinct by rule '" +
+               config.distinctness_rules[e->rule_index].name() + "': " +
+               config.distinctness_rules[e->rule_index].ToString() + "\n";
+      } else {
+        size_t ilfd_pos = e->rule_index - explicit_count;
+        // Map back through the decomposed consequents.
+        size_t seen = 0;
+        for (size_t fi = 0; fi < config.ilfds.size(); ++fi) {
+          size_t heads = config.ilfds.ilfd(fi).consequent().size();
+          if (ilfd_pos < seen + heads) {
+            out += "  certified distinct by the Proposition-1 rule of I" +
+                   std::to_string(fi + 1) + ": " +
+                   config.ilfds.ilfd(fi).ToString() + "\n";
+            break;
+          }
+          seen += heads;
+        }
+      }
+      out += std::string("  orientation: ") +
+             (e->flipped ? "e1 := S tuple, e2 := R tuple"
+                         : "e1 := R tuple, e2 := S tuple") +
+             "\n";
       break;
     }
     case MatchDecision::kUndetermined: {

@@ -37,6 +37,22 @@ Result<Relation> IdentificationResult::NegativeRelation(
   return negative.table.ToRelation(r_extended, s_extended, name);
 }
 
+Result<std::vector<DistinctnessRule>> EffectiveDistinctnessRules(
+    const IdentifierConfig& config) {
+  std::vector<DistinctnessRule> rules = config.distinctness_rules;
+  if (config.distinctness_from_ilfds) {
+    for (const Ilfd& f : config.ilfds.ilfds()) {
+      for (const Atom& c : f.consequent()) {
+        EID_ASSIGN_OR_RETURN(
+            DistinctnessRule rule,
+            DistinctnessRuleFromIlfd(Ilfd::Implies(f.antecedent(), c)));
+        rules.push_back(std::move(rule));
+      }
+    }
+  }
+  return rules;
+}
+
 Result<IdentificationResult> EntityIdentifier::Identify(
     const Relation& r, const Relation& s) const {
   IdentificationResult out;
@@ -191,7 +207,7 @@ Result<IdentificationResult> EntityIdentifier::Identify(
         gen.AddRule(plans[i], evaluators[i].get());
       }
       exec::StagedScanStats scan;
-      std::vector<exec::FiredPair> staged_fired = gen.Run(pool_ptr, &scan);
+      exec::FiredColumns staged_fired = gen.Run(pool_ptr, &scan);
       identity.candidate_pairs = scan.candidate_pairs;
       identity.rule_evals = scan.rule_evals;
       identity.amq_rejects = scan.amq_rejects;
@@ -205,8 +221,7 @@ Result<IdentificationResult> EntityIdentifier::Identify(
         identity.interner_reuse_hits =
             world_ptr->reuse_hits() - reuse_before;
       }
-      fired.reserve(staged_fired.size());
-      for (const exec::FiredPair& f : staged_fired) fired.push_back(f.pair);
+      fired = std::move(staged_fired.pairs);
     } else {
       std::vector<compile::CompiledConjunction> programs;
       if (compile) {
@@ -253,22 +268,8 @@ Result<IdentificationResult> EntityIdentifier::Identify(
   }
 
   // --- Distinctness rules (explicit + Proposition 1 from ILFDs) ---------
-  std::vector<DistinctnessRule> rules = config_.distinctness_rules;
-  if (config_.distinctness_from_ilfds) {
-    for (const Ilfd& f : config_.ilfds.ilfds()) {
-      for (const Ilfd& single : [&] {
-             std::vector<Ilfd> singles;
-             for (const Atom& c : f.consequent()) {
-               singles.push_back(Ilfd::Implies(f.antecedent(), c));
-             }
-             return singles;
-           }()) {
-        EID_ASSIGN_OR_RETURN(DistinctnessRule rule,
-                             DistinctnessRuleFromIlfd(single));
-        rules.push_back(std::move(rule));
-      }
-    }
-  }
+  EID_ASSIGN_OR_RETURN(std::vector<DistinctnessRule> rules,
+                       EffectiveDistinctnessRules(config_));
   EID_ASSIGN_OR_RETURN(
       out.negative,
       BuildNegativeMatchingTable(out.r_extended, out.s_extended, rules,

@@ -58,6 +58,13 @@ struct IdentifierConfig {
   MatcherOptions matcher_options;
 };
 
+/// The distinctness rules an identification run evaluates, in priority
+/// order: the explicit rules, then — with distinctness_from_ilfds — the
+/// Proposition 1 rule of every ILFD consequent atom, ILFDs in order. An
+/// NMT certificate's rule_index indexes this list.
+Result<std::vector<DistinctnessRule>> EffectiveDistinctnessRules(
+    const IdentifierConfig& config);
+
 /// Outcome of one identification run.
 struct IdentificationResult {
   Relation r_extended;  // R' in world naming

@@ -68,20 +68,11 @@ Result<IncrementalIdentifier> IncrementalIdentifier::Create(
   out.s_added_ = sx.added_attributes;
 
   // Distinctness rules: explicit + Proposition 1 induced.
-  out.all_distinctness_ = config.distinctness_rules;
-  for (const DistinctnessRule& rule : out.all_distinctness_) {
+  for (const DistinctnessRule& rule : config.distinctness_rules) {
     EID_RETURN_IF_ERROR(rule.Validate());
   }
-  if (config.distinctness_from_ilfds) {
-    for (const Ilfd& f : config.ilfds.ilfds()) {
-      for (const Atom& c : f.consequent()) {
-        EID_ASSIGN_OR_RETURN(
-            DistinctnessRule rule,
-            DistinctnessRuleFromIlfd(Ilfd::Implies(f.antecedent(), c)));
-        out.all_distinctness_.push_back(std::move(rule));
-      }
-    }
-  }
+  EID_ASSIGN_OR_RETURN(out.all_distinctness_,
+                       EffectiveDistinctnessRules(config));
 
   out.r_proto_ = std::move(empty_r);
   out.s_proto_ = std::move(empty_s);
@@ -89,8 +80,8 @@ Result<IncrementalIdentifier> IncrementalIdentifier::Create(
 
   // Staged per-insert acceleration: blocking plans per (rule,
   // orientation) against the extended schemas, and the union of columns
-  // those plans bucket on (maintained by the dynamic value indexes and
-  // AMQ filters on every insert/delete).
+  // those plans bucket on (maintained by the dynamic value indexes on
+  // every insert/delete).
   if (out.config_.matcher_options.staged) {
     out.identity_plans_.reserve(out.config_.identity_rules.size() * 2);
     for (const IdentityRule& rule : out.config_.identity_rules) {
@@ -267,19 +258,15 @@ Result<size_t> IncrementalIdentifier::Insert(Side side, Row row) {
     index[stored.ext_key_fingerprint].push_back(id);
   }
 
-  // Dynamic value indexes + AMQ fingerprints over the columns the
-  // blocking plans bucket on — one AMQ copy per row occurrence so Delete
-  // can erase exactly this row's copies.
+  // Dynamic value indexes over the columns the blocking plans bucket on.
   const std::vector<size_t>& tracked =
       is_r ? r_tracked_cols_ : s_tracked_cols_;
   {
     auto& value_index = is_r ? r_value_index_ : s_value_index_;
-    exec::AmqFilter& value_amq = is_r ? r_value_amq_ : s_value_amq_;
     for (size_t col : tracked) {
       const Value& v = stored.extended[col];
       if (v.is_null()) continue;
       value_index[col][v].push_back(id);
-      value_amq.Insert(exec::FingerprintKey(col, ValueHash{}(v)));
     }
   }
 
@@ -308,18 +295,17 @@ Result<size_t> IncrementalIdentifier::Insert(Side side, Row row) {
 
   // Staged sweep over one rule family: per (rule, orientation), kill the
   // orientation via the inserted row's own-side const conjuncts, then
-  // pull candidates from the other side's join/const bucket (AMQ probe
-  // first) instead of every live tuple. `fires` evaluates the *full*
-  // antecedent for that orientation, so over-approximate buckets stay
-  // harmless; the fired bitmap, appended ascending, reproduces the
-  // exhaustive other-major break loop's content and order (each other id
-  // contributes at most one entry per family).
+  // pull candidates from the other side's join/const bucket instead of
+  // every live tuple. `fires` evaluates the *full* antecedent for that
+  // orientation, so over-approximate buckets stay harmless; the fired
+  // bitmap, appended ascending, reproduces the exhaustive other-major
+  // break loop's content and order (each other id contributes at most
+  // one entry per family).
   auto staged_sweep = [&](const std::vector<exec::BlockingPlan>& plans,
                           size_t rule_count, const auto& fires,
                           std::vector<char>* fired_bitmap) {
     fired_bitmap->assign(others.size(), 0);
     auto& other_value_index = is_r ? s_value_index_ : r_value_index_;
-    exec::AmqFilter& other_amq = is_r ? s_value_amq_ : r_value_amq_;
     for (size_t k = 0; k < rule_count; ++k) {
       for (bool flipped : {false, true}) {
         const exec::BlockingPlan& plan = plans[k * 2 + (flipped ? 1 : 0)];
@@ -352,10 +338,6 @@ Result<size_t> IncrementalIdentifier::Insert(Side side, Row row) {
           if (!own_col.has_value() || !other_col.has_value()) continue;
           const Value& v = stored.extended[*own_col];
           if (v.is_null()) continue;  // non_null_eq: never joins
-          if (!other_amq.Contains(
-                  exec::FingerprintKey(*other_col, ValueHash{}(v)))) {
-            continue;
-          }
           auto ci = other_value_index.find(*other_col);
           if (ci == other_value_index.end()) continue;
           auto bi = ci->second.find(v);
@@ -367,10 +349,6 @@ Result<size_t> IncrementalIdentifier::Insert(Side side, Row row) {
           const auto& [attr, constant] = other_consts.front();
           std::optional<size_t> col = other_schema.IndexOf(attr);
           if (!col.has_value()) continue;
-          if (!other_amq.Contains(
-                  exec::FingerprintKey(*col, ValueHash{}(constant)))) {
-            continue;
-          }
           auto ci = other_value_index.find(*col);
           if (ci == other_value_index.end()) continue;
           auto bi = ci->second.find(constant);
@@ -501,13 +479,11 @@ Status IncrementalIdentifier::Delete(Side side, size_t id) {
     }
   }
 
-  // Retract this row's value-index entries and its AMQ fingerprint
-  // copies (one copy was inserted per tracked non-NULL cell).
+  // Retract this row's value-index entries.
   {
     const std::vector<size_t>& tracked =
         is_r ? r_tracked_cols_ : s_tracked_cols_;
     auto& value_index = is_r ? r_value_index_ : s_value_index_;
-    exec::AmqFilter& value_amq = is_r ? r_value_amq_ : s_value_amq_;
     for (size_t col : tracked) {
       const Value& v = entries[id].extended[col];
       if (v.is_null()) continue;
@@ -520,7 +496,6 @@ Status IncrementalIdentifier::Delete(Side side, size_t id) {
           if (ids.empty()) ci->second.erase(bi);
         }
       }
-      value_amq.Erase(exec::FingerprintKey(col, ValueHash{}(v)));
     }
   }
 

@@ -34,7 +34,6 @@
 #include "compile/derivation_program.h"
 #include "compile/pair_program.h"
 #include "eid/identifier.h"
-#include "exec/amq_filter.h"
 #include "exec/blocking_index.h"
 
 namespace eid {
@@ -131,18 +130,17 @@ class IncrementalIdentifier {
   // Staged per-insert acceleration (matcher_options.staged), built in
   // Create: one BlockingPlan per (rule, orientation) against the
   // extended schemas, the union of columns those plans bucket on, and —
-  // maintained per live tuple — dynamic per-column value indexes plus an
-  // AMQ filter per side (one fingerprint copy per row so Delete can
-  // erase its copy). An insert then consults only the other side's
-  // join/const bucket per orientation instead of every live tuple; the
-  // full antecedent is still evaluated on every candidate, so the fired
-  // sets are identical to the exhaustive sweep.
+  // maintained per live tuple — dynamic per-column value indexes. An
+  // insert then consults only the other side's join/const bucket per
+  // orientation instead of every live tuple; the full antecedent is
+  // still evaluated on every candidate, so the fired sets are identical
+  // to the exhaustive sweep. There is no AMQ pre-filter here: every
+  // probe it could guard is one exact hash lookup anyway.
   std::vector<exec::BlockingPlan> identity_plans_, distinct_plans_;
   std::vector<size_t> r_tracked_cols_, s_tracked_cols_;
   std::unordered_map<size_t,
                      std::unordered_map<Value, std::vector<size_t>, ValueHash>>
       r_value_index_, s_value_index_;
-  exec::AmqFilter r_value_amq_, s_value_amq_;
 
   std::vector<Entry> r_entries_, s_entries_;
   size_t r_live_ = 0, s_live_ = 0;

@@ -114,21 +114,16 @@ Status MatchTable::Add(TuplePair pair) {
   return Status::Ok();
 }
 
-Status MatchTable::AddNegativeBatch(const TuplePair* first, size_t n,
-                                    size_t stride) {
+void MatchTable::AddNegativeBatch(std::span<const TuplePair> pairs) {
   EID_CHECK(negative_);
-  pairs_.reserve(pairs_.size() + n);
-  const char* base = reinterpret_cast<const char*>(first);
-  auto pair_at = [&](size_t i) {
-    return *reinterpret_cast<const TuplePair*>(base + i * stride);
-  };
+  pairs_.reserve(pairs_.size() + pairs.size());
   // Far enough ahead to cover DRAM latency, close enough that the lines
   // are still resident when the insert reaches them. Only the hash
   // regime touches DRAM-resident slots; the sorted fast path is a pure
   // append and needs no warming.
   constexpr size_t kPrefetchAhead = 16;
-  for (size_t i = 0; i < n; ++i) {
-    const TuplePair pair = pair_at(i);
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const TuplePair pair = pairs[i];
     if (sorted_) {
       if (!pairs_.empty()) {
         if (pair == pairs_.back()) continue;  // idempotent
@@ -136,9 +131,8 @@ Status MatchTable::AddNegativeBatch(const TuplePair* first, size_t n,
       }
     }
     if (!sorted_) {
-      if (i + kPrefetchAhead < n) {
-        members_.PrefetchSlot(
-            PackedPairSet::Pack(pair_at(i + kPrefetchAhead)));
+      if (i + kPrefetchAhead < pairs.size()) {
+        members_.PrefetchSlot(PackedPairSet::Pack(pairs[i + kPrefetchAhead]));
       }
       if (!members_.Insert(PackedPairSet::Pack(pair))) continue;
     }
@@ -147,17 +141,33 @@ Status MatchTable::AddNegativeBatch(const TuplePair* first, size_t n,
     RecordFirst(&by_r_, pair.r_index, idx, kNoPair);
     RecordFirst(&by_s_, pair.s_index, idx, kNoPair);
   }
-  return Status::Ok();
+}
+
+bool MatchTable::AdoptSorted(std::vector<TuplePair>* pairs) {
+  EID_CHECK(negative_ && pairs_.empty());
+  const std::vector<TuplePair>& in = *pairs;
+  for (size_t i = 0; i < in.size(); ++i) {
+    if (i > 0 && !(in[i - 1] < in[i])) {
+      by_r_.clear();
+      by_s_.clear();
+      return false;
+    }
+    RecordFirst(&by_r_, in[i].r_index, i, kNoPair);
+    RecordFirst(&by_s_, in[i].s_index, i, kNoPair);
+  }
+  pairs_ = std::move(*pairs);
+  pairs->clear();
+  return true;
 }
 
 Result<MatchTable> MatchTable::FromPairs(bool negative,
-                                         const std::vector<TuplePair>& pairs) {
+                                         std::vector<TuplePair> pairs) {
   MatchTable table(negative);
   if (negative) {
-    // The Add loop has no constraint to report for negative tables, and
-    // snapshots serialize pairs in sorted row-major order — the batch
-    // path keeps the rebuild a pure append.
-    EID_RETURN_IF_ERROR(table.AddNegativeBatch(pairs.data(), pairs.size()));
+    // Negative tables have no constraint for the Add loop to report.
+    // Snapshots serialize pairs in sorted row-major order, so the list
+    // is normally adopted as is; anything else is folded pair by pair.
+    if (!table.AdoptSorted(&pairs)) table.AddNegativeBatch(pairs);
     return table;
   }
   table.Reserve(pairs.size());

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -111,9 +112,11 @@ class MatchTable {
   /// Rebuilds a table from a serialized pair list (snapshot load),
   /// re-running the Add-path constraint checks — a corrupted pair list
   /// that violates uniqueness fails here instead of resurfacing later as
-  /// an inconsistent table.
+  /// an inconsistent table. A strictly increasing negative list is
+  /// adopted by move (AdoptSorted); any other one takes the checked
+  /// batch fold, which skips duplicates.
   static Result<MatchTable> FromPairs(bool negative,
-                                      const std::vector<TuplePair>& pairs);
+                                      std::vector<TuplePair> pairs);
 
   bool negative() const { return negative_; }
   size_t size() const { return pairs_.size(); }
@@ -125,15 +128,13 @@ class MatchTable {
   /// table unchanged; re-adding an existing pair is idempotent OK.
   Status Add(TuplePair pair);
 
-  /// Bulk form of Add for negative tables: `n` pairs read `stride` bytes
-  /// apart starting at `first` (the NMT fold consumes fired-pair records
-  /// that embed the TuplePair as their first member). Same semantics as
-  /// n calls to Add — duplicates are skipped idempotently — but the
-  /// membership probes are issued with a prefetch pipeline: a dense NMT's
-  /// probe table far exceeds cache, and the serial Add loop stalled on
-  /// one dependent DRAM access per pair.
-  Status AddNegativeBatch(const TuplePair* first, size_t n,
-                          size_t stride = sizeof(TuplePair));
+  /// Adopts `*pairs` as this (empty, negative) table's storage by move,
+  /// leaving `*pairs` empty. Requires a strictly increasing row-major
+  /// list — what the staged sweep emits and snapshots serialize; the
+  /// one pass that checks the order also records the per-side first
+  /// indexes, so no pair is copied. Returns false, with the table and
+  /// `*pairs` unchanged, when the list is not strictly increasing.
+  bool AdoptSorted(std::vector<TuplePair>* pairs);
 
   /// Pre-sizes the pair store and lookup structures for `n` pairs (NMT
   /// construction knows the fired-pair count up front).
@@ -170,6 +171,13 @@ class MatchTable {
   /// One-time switch from sorted-order membership to the hash set, built
   /// from the pairs already stored; called on the first out-of-order Add.
   void MigrateToHash();
+
+  /// Bulk form of Add for negative tables. Same semantics as one Add per
+  /// pair — duplicates are skipped idempotently — but the membership
+  /// probes are issued with a prefetch pipeline: a dense NMT's probe
+  /// table far exceeds cache, and the serial Add loop stalled on one
+  /// dependent DRAM access per pair.
+  void AddNegativeBatch(std::span<const TuplePair> pairs);
 
   bool negative_ = false;
   // True while every added pair has been strictly greater (row-major)

@@ -1,5 +1,6 @@
 #include "eid/negative.h"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <utility>
@@ -9,6 +10,35 @@
 #include "exec/candidate_generator.h"
 
 namespace eid {
+
+namespace {
+
+/// Moves a sweep's pair and certificate columns into `out`. Both sweeps
+/// emit strictly increasing row-major pairs. Anything else is an engine
+/// defect, and folding it through the table's checked path would drop
+/// duplicates and misalign the certificates, so it fails instead.
+Status AdoptColumns(std::vector<TuplePair> pairs,
+                    std::vector<uint32_t> certificates, NegativeResult* out) {
+  EID_CHECK(pairs.size() == certificates.size());
+  if (!out->table.AdoptSorted(&pairs)) {
+    return Status::Internal(
+        "distinctness sweep emitted pairs out of row-major order");
+  }
+  out->evidence = std::move(certificates);
+  return Status::Ok();
+}
+
+}  // namespace
+
+std::optional<NegativePairEvidence> NegativeResult::EvidenceFor(
+    const TuplePair& pair) const {
+  const std::vector<TuplePair>& pairs = table.pairs();
+  if (evidence.size() != pairs.size()) return std::nullopt;
+  auto it = std::lower_bound(pairs.begin(), pairs.end(), pair);
+  if (it == pairs.end() || !(*it == pair)) return std::nullopt;
+  return NegativePairEvidence::FromCertificate(
+      evidence[static_cast<size_t>(it - pairs.begin())]);
+}
 
 Result<NegativeResult> BuildNegativeMatchingTable(
     const Relation& r_extended, const Relation& s_extended,
@@ -99,7 +129,7 @@ Result<NegativeResult> BuildNegativeMatchingTable(
       gen.AddRule(plans[i], evaluators[i].get());
     }
     exec::StagedScanStats scan;
-    std::vector<exec::FiredPair> fired = gen.Run(pool, &scan);
+    exec::FiredColumns fired = gen.Run(pool, &scan);
     out.stats.candidate_pairs = scan.candidate_pairs;
     out.stats.rule_evals = scan.rule_evals;
     out.stats.amq_rejects = scan.amq_rejects;
@@ -111,19 +141,13 @@ Result<NegativeResult> BuildNegativeMatchingTable(
       out.stats.columnar_encode_ms = world->encode_ms() - encode_ms_before;
       out.stats.interner_reuse_hits = world->reuse_hits() - reuse_before;
     }
-    // The generator emits unique pairs in sorted row-major order, so the
-    // batch fold stays on the table's sorted fast path: a pure append
-    // with no membership hashing — building a probe table over a dense
-    // NMT's tens of millions of pairs dominated dense `identify` runs.
-    if (!fired.empty()) {
-      EID_RETURN_IF_ERROR(out.table.AddNegativeBatch(
-          &fired.front().pair, fired.size(), sizeof(exec::FiredPair)));
-    }
-    out.evidence.reserve(fired.size());
-    for (const exec::FiredPair& f : fired) {
-      out.evidence.push_back(NegativePairEvidence{
-          f.pair, f.priority / 2, (f.priority & 1) != 0});
-    }
+    // The generator emits unique pairs in strictly increasing row-major
+    // order and registered (rule, flipped) at priority rule * 2 + flipped,
+    // so its pair column becomes the table's storage and its priority
+    // column the certificates, both by move: each fired pair is written
+    // once, by the sweep.
+    EID_RETURN_IF_ERROR(AdoptColumns(std::move(fired.pairs),
+                                     std::move(fired.priorities), &out));
     out.stats.items = out.table.size();
     out.stats.wall_ms = timer.ElapsedMs();
     return out;
@@ -145,7 +169,7 @@ Result<NegativeResult> BuildNegativeMatchingTable(
     out.stats.compile_ms = compile_timer.ElapsedMs();
   }
 
-  std::map<TuplePair, std::pair<size_t, bool>> best;  // pair -> (rule, flipped)
+  std::map<TuplePair, uint32_t> best;  // pair -> certificate
   for (size_t k = 0; k < rules.size(); ++k) {
     const std::vector<Predicate>& preds = rules[k].predicates();
     for (bool flipped : {false, true}) {
@@ -157,16 +181,23 @@ Result<NegativeResult> BuildNegativeMatchingTable(
                                  r_index, s_index, pool, &scan, evaluator);
       out.stats.candidate_pairs += scan.candidate_pairs;
       out.stats.rule_evals += scan.rule_evals;
+      const uint32_t certificate =
+          static_cast<uint32_t>(k * 2 + (flipped ? 1 : 0));
       for (const TuplePair& p : fired) {
-        best.emplace(p, std::make_pair(k, flipped));  // first wins
+        best.emplace(p, certificate);  // first wins
       }
     }
   }
+  std::vector<TuplePair> pairs;
+  std::vector<uint32_t> certificates;
+  pairs.reserve(best.size());
+  certificates.reserve(best.size());
   for (const auto& [pair, certificate] : best) {
-    EID_RETURN_IF_ERROR(out.table.Add(pair));
-    out.evidence.push_back(
-        NegativePairEvidence{pair, certificate.first, certificate.second});
+    pairs.push_back(pair);
+    certificates.push_back(certificate);
   }
+  EID_RETURN_IF_ERROR(
+      AdoptColumns(std::move(pairs), std::move(certificates), &out));
   out.stats.items = out.table.size();
   out.stats.wall_ms = timer.ElapsedMs();
   return out;

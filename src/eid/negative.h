@@ -10,12 +10,15 @@
 //
 // Evaluation is index-accelerated (src/exec/blocking_index.h): each
 // rule's equality conjuncts bound its candidate pairs, and candidates
-// are swept in parallel. The resulting table, evidence list and ordering
-// are identical to the serial nested-loop sweep for any thread count.
+// are swept in parallel. The resulting table, certificate column and
+// ordering are identical to the serial nested-loop sweep for any thread
+// count.
 
 #ifndef EID_EID_NEGATIVE_H_
 #define EID_EID_NEGATIVE_H_
 
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "eid/match_tables.h"
@@ -33,19 +36,33 @@ class ColumnarWorld;
 /// Provenance of one negative pair: which rule certified it, and in which
 /// orientation. Rules quantify over all entity pairs (∀e1,e2), so both
 /// instantiations (e1:=r-tuple, e2:=s-tuple) and (e1:=s-tuple, e2:=r-tuple)
-/// are checked; `flipped` records that the second one fired.
+/// are checked; `flipped` records that the second one fired. Stored as a
+/// 4-byte certificate, rule_index * 2 + (flipped ? 1 : 0) — the
+/// candidate generator's priority of that (rule, orientation).
 struct NegativePairEvidence {
-  TuplePair pair;
   size_t rule_index = 0;
   bool flipped = false;
+
+  static NegativePairEvidence FromCertificate(uint32_t certificate) {
+    return NegativePairEvidence{certificate / 2, (certificate & 1) != 0};
+  }
 };
 
 /// Result of negative-table construction.
 struct NegativeResult {
+  /// The NMT, sorted row-major.
   MatchTable table{/*negative=*/true};
-  std::vector<NegativePairEvidence> evidence;
+  /// evidence[i] certifies table.pairs()[i]: the first (rule,
+  /// orientation) whose antecedent is true on it, as a certificate (see
+  /// NegativePairEvidence). The two columns are the NMT's only copy of
+  /// each pair: 16 B of pair plus 4 B of certificate.
+  std::vector<uint32_t> evidence;
   /// Counters of the sweep ("distinctness_rules" stage).
   exec::StageStats stats;
+
+  /// The certificate of `pair`, by binary search over the sorted table;
+  /// nullopt when the table does not hold the pair.
+  std::optional<NegativePairEvidence> EvidenceFor(const TuplePair& pair) const;
 };
 
 /// Evaluates every rule over every pair of rows of the two (extended,
@@ -62,7 +79,7 @@ Result<NegativeResult> BuildNegativeMatchingTable(
 /// the staged candidate generator (exec/candidate_generator.h: blocking
 /// intersection, AMQ pre-filters, hoisted row features); off is the
 /// exhaustive per-rule sweep kept as a differential oracle. The fired
-/// pairs, evidence and ordering are identical on every path. `amq_seeds`
+/// pairs, certificates and ordering are identical on every path. `amq_seeds`
 /// (optional, staged path only) pre-seeds the candidate generator's AMQ
 /// filters from snapshot fingerprint arrays instead of row scans.
 /// `world` (optional, compiled staged path only) is the session's

@@ -154,27 +154,5 @@ bool AmqFilter::Contains(uint64_t key) const {
   return false;
 }
 
-bool AmqFilter::Erase(uint64_t key) {
-  uint16_t fp = FingerprintOf(key);
-  uint32_t index = IndexHash(key);
-  for (Level& level : levels_) {
-    if (level.occupied == 0) continue;
-    uint32_t i1 = index & level.bucket_mask;
-    uint32_t i2 = AltIndex(i1, fp, level.bucket_mask);
-    for (uint32_t bucket : {i1, i2}) {
-      uint16_t* b = &level.slots[static_cast<size_t>(bucket) * kBucketWidth];
-      for (int s = 0; s < kBucketWidth; ++s) {
-        if (b[s] == fp) {
-          b[s] = 0;
-          --level.occupied;
-          --size_;
-          return true;
-        }
-      }
-    }
-  }
-  return false;
-}
-
 }  // namespace exec
 }  // namespace eid

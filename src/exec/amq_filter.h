@@ -4,18 +4,19 @@
 // constant-time "could this attribute-value fingerprint possibly occur in
 // that relation?" check that is cheaper than probing a hash index — one
 // multiply and two cache lines instead of a bucket chain with Value
-// equality compares — and that a long-lived incremental session can keep
-// growing without ever rebuilding. This is a partial-key cuckoo filter in
-// the dynamic-flat-filter style: fixed-size cuckoo sub-tables chained into
+// equality compares — and that can keep growing without ever
+// rebuilding. This is a partial-key cuckoo filter in the
+// dynamic-flat-filter style: fixed-size cuckoo sub-tables chained into
 // levels, a full level admitting a fresh one instead of rehashing, so
-// Insert/Query/Delete stay O(levels) with no stop-the-world growth.
+// Insert/Query stay O(levels) with no stop-the-world growth.
 //
 // Contract (what correctness rests on): Contains() may return true for a
 // key never inserted (false positive — the exact rule evaluation behind
-// the filter absorbs those), but never returns false for a key currently
-// inserted (no false negatives). Duplicate inserts are kept as copies —
-// possibly spilling into later levels — so Erase() of one copy cannot
-// erase the evidence of another row carrying the same fingerprint.
+// the filter absorbs those), but never returns false for a key that was
+// inserted (no false negatives). The filter is insert-only. It has no
+// delete: levels use different bucket masks, so two keys sharing a
+// fingerprint can share a bucket in one level and not in another, and
+// removing "a copy of key B" could clear key A's only copy.
 //
 // Determinism: the structure is built serially and probed read-only from
 // the parallel sweep, so every reject count derived from it is identical
@@ -52,9 +53,8 @@ struct AmqOptions {
 
 /// A growable cuckoo filter over 64-bit keys (callers pre-hash whatever
 /// they store; see FingerprintKey below for the attribute-value form).
-/// EID_SHARED_IMMUTABLE: Insert/Erase run only serially (AddRule time in
-/// the batch sweep; the single-threaded incremental session); Contains
-/// (const) is what the parallel sweep probes.
+/// EID_SHARED_IMMUTABLE: Insert runs only serially (AddRule time in the
+/// batch sweep); Contains (const) is what the parallel sweep probes.
 class EID_SHARED_IMMUTABLE AmqFilter {
  public:
   explicit AmqFilter(AmqOptions options = {});
@@ -64,15 +64,9 @@ class EID_SHARED_IMMUTABLE AmqFilter {
   /// into a fresh level.
   void Insert(uint64_t key);
 
-  /// True when some copy of `key` *may* be present (false positives
-  /// possible); false only when no copy was ever inserted-and-kept.
+  /// True when `key` *may* have been inserted (false positives
+  /// possible); false only when it never was.
   [[nodiscard]] bool Contains(uint64_t key) const;
-
-  /// Removes one copy of `key` if present; returns whether a copy was
-  /// found. Only call for keys actually inserted (the usual cuckoo-filter
-  /// deletion contract; erasing a colliding never-inserted key could
-  /// remove another key's copy — callers here only erase what they add).
-  bool Erase(uint64_t key);
 
   size_t size() const { return size_; }
   size_t levels() const { return levels_.size(); }

@@ -90,9 +90,9 @@ void CandidateGenerator::EnsureAmqColumn(bool r_side, size_t column) {
     }
     return;
   }
-  // One copy per *distinct* value: the batch sweep never erases, so
-  // duplicate copies would only inflate the filter (a 16-value column
-  // over 64k rows must not become 64k fingerprints).
+  // One copy per *distinct* value: duplicate copies would only inflate
+  // the filter (a 16-value column over 64k rows must not become 64k
+  // fingerprints).
   std::unordered_set<uint64_t> seen;
   for (size_t i = 0; i < rel.size(); ++i) {
     const Value& v = rel.row(i)[column];
@@ -200,13 +200,13 @@ void CandidateGenerator::AddRule(const BlockingPlan& plan,
   }
 }
 
-std::vector<FiredPair> CandidateGenerator::Run(ThreadPool* pool,
-                                               StagedScanStats* stats) {
+FiredColumns CandidateGenerator::Run(ThreadPool* pool,
+                                     StagedScanStats* stats) {
   EID_CHECK(!ran_);
   ran_ = true;
   StagedScanStats local;
   local.amq_rejects = amq_rejects_;
-  std::vector<FiredPair> out;
+  FiredColumns out;
   const size_t n = r_->size();
   const size_t s_n = s_->size();
   if (entries_.empty() || n == 0 || s_n == 0) {
@@ -243,7 +243,7 @@ std::vector<FiredPair> CandidateGenerator::Run(ThreadPool* pool,
   const size_t num_chunks = (n + grain - 1) / grain;
   // Per-chunk output and counters, merged in chunk order: deterministic
   // row-major output and thread-count-invariant counts.
-  std::vector<std::vector<FiredPair>> found(num_chunks);
+  std::vector<FiredColumns> found(num_chunks);
   struct ChunkCounts {
     size_t candidate_pairs = 0;
     size_t rule_evals = 0;
@@ -388,27 +388,49 @@ std::vector<FiredPair> CandidateGenerator::Run(ThreadPool* pool,
       // branch-predictable; sorting ~|S| indices per row was the second
       // hottest site in dense `identify` profiles. Sparse rows keep the
       // sort: a full stamp scan would dwarf their few touches.
+      FiredColumns& f = found[chunk];
       if (sc.touched.size() * 8 >= s_n) {
         for (size_t s = 0; s < s_n; ++s) {
           if (sc.stamp[s] == r) {
-            found[chunk].push_back(FiredPair{TuplePair{r, s}, sc.best[s]});
+            f.pairs.push_back(TuplePair{r, s});
+            f.priorities.push_back(sc.best[s]);
           }
         }
       } else {
         std::sort(sc.touched.begin(), sc.touched.end());
         for (size_t s : sc.touched) {
-          found[chunk].push_back(FiredPair{TuplePair{r, s}, sc.best[s]});
+          f.pairs.push_back(TuplePair{r, s});
+          f.priorities.push_back(sc.best[s]);
         }
       }
       sc.touched.clear();
     }
   });
 
+  // Chunks hold ascending row ranges, so their concatenation is the
+  // row-major order. A lone non-empty chunk — the whole output of an
+  // inline sweep — is moved out: a dense NMT is tens of MB of pairs.
   size_t total = 0;
-  for (const std::vector<FiredPair>& f : found) total += f.size();
-  out.reserve(total);
-  for (std::vector<FiredPair>& f : found) {
-    out.insert(out.end(), f.begin(), f.end());
+  size_t non_empty = 0;
+  for (const FiredColumns& f : found) {
+    total += f.pairs.size();
+    if (!f.pairs.empty()) ++non_empty;
+  }
+  if (non_empty == 1) {
+    for (FiredColumns& f : found) {
+      if (!f.pairs.empty()) {
+        out = std::move(f);
+        break;
+      }
+    }
+  } else if (non_empty > 1) {
+    out.pairs.reserve(total);
+    out.priorities.reserve(total);
+    for (const FiredColumns& f : found) {
+      out.pairs.insert(out.pairs.end(), f.pairs.begin(), f.pairs.end());
+      out.priorities.insert(out.priorities.end(), f.priorities.begin(),
+                            f.priorities.end());
+    }
   }
   for (const ChunkCounts& cc : counts) {
     local.candidate_pairs += cc.candidate_pairs;

@@ -157,11 +157,14 @@ struct StagedScanStats {
   bool indexed = false;            // some live entry probes a join index
 };
 
-/// One fired pair with the lowest (rule, orientation) priority that
-/// certified it: priority = rule_index * 2 + (flipped ? 1 : 0).
-struct FiredPair {
-  TuplePair pair;
-  uint32_t priority = 0;
+/// Output of one sweep as two aligned columns: the fired pairs in
+/// strictly increasing row-major order, and per pair the lowest
+/// (rule, orientation) priority that certified it:
+/// priority = rule_index * 2 + (flipped ? 1 : 0). Callers move the
+/// columns into their result tables; nothing re-packs them.
+struct FiredColumns {
+  std::vector<TuplePair> pairs;
+  std::vector<uint32_t> priorities;
 };
 
 /// One sweep over an (R, S) pair space for a set of rule orientations.
@@ -198,9 +201,11 @@ class CandidateGenerator {
   /// so callers can always recover (rule, orientation) from a priority.
   void AddRule(const BlockingPlan& plan, const StagedEvaluator* residual);
 
-  /// Sweeps all registered rules. Returns fired pairs row-major sorted
-  /// with min-priority evidence; identical for any pool size.
-  std::vector<FiredPair> Run(ThreadPool* pool, StagedScanStats* stats);
+  /// Sweeps all registered rules. Returns the fired pairs row-major
+  /// sorted with their min-priority column; identical for any pool size.
+  /// When one chunk produced every pair (always so inline, threads=1)
+  /// its buffers are returned by move, not copied.
+  FiredColumns Run(ThreadPool* pool, StagedScanStats* stats);
 
   /// Total distinct (column, value) fingerprints inserted into the two
   /// AMQ pre-filters (diagnostics).

@@ -939,14 +939,18 @@ Result<LoadedWorld> LoadSnapshot(const std::string& path) {
     std::vector<TuplePair> pairs;
     EID_RETURN_IF_ERROR(
         ParsePairs(&in, world.r_extended, world.s_extended, &pairs));
-    Result<MatchTable> mt = MatchTable::FromPairs(/*negative=*/false, pairs);
+    Result<MatchTable> mt =
+        MatchTable::FromPairs(/*negative=*/false, std::move(pairs));
     if (!mt.ok()) {
       return CorruptError("matching table invalid: " + mt.status().message());
     }
     world.matching = std::move(mt).value();
+    // ParsePairs clears the moved-from vector before refilling it; the
+    // sorted NMT list is then adopted by the table, not copied.
     EID_RETURN_IF_ERROR(
         ParsePairs(&in, world.r_extended, world.s_extended, &pairs));
-    Result<MatchTable> nmt = MatchTable::FromPairs(/*negative=*/true, pairs);
+    Result<MatchTable> nmt =
+        MatchTable::FromPairs(/*negative=*/true, std::move(pairs));
     if (!nmt.ok()) {
       return CorruptError("negative table invalid: " + nmt.status().message());
     }

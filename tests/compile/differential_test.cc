@@ -85,6 +85,19 @@ void ExpectDerivationsEqual(const std::vector<Derivation>& a,
   }
 }
 
+/// NMT pairs in order, and every pair's (rule, orientation) certificate:
+/// the certificate column must stay aligned with the pair column and
+/// agree entry for entry.
+void ExpectSameNegative(const NegativeResult& a, const NegativeResult& b) {
+  EXPECT_EQ(a.table.pairs(), b.table.pairs());
+  ASSERT_EQ(a.evidence.size(), a.table.size());
+  ASSERT_EQ(b.evidence.size(), b.table.size());
+  ASSERT_EQ(a.evidence.size(), b.evidence.size());
+  for (size_t i = 0; i < a.evidence.size(); ++i) {
+    EXPECT_EQ(a.evidence[i], b.evidence[i]) << "NMT pair " << i;
+  }
+}
+
 /// `a` is the interpreter run, `b` the compiled run.
 void ExpectIdentical(const IdentificationResult& a,
                      const IdentificationResult& b) {
@@ -93,14 +106,7 @@ void ExpectIdentical(const IdentificationResult& a,
   ExpectDerivationsEqual(a.r_traces, b.r_traces);
   ExpectDerivationsEqual(a.s_traces, b.s_traces);
   EXPECT_EQ(a.matching.pairs(), b.matching.pairs());
-  EXPECT_EQ(a.negative.table.pairs(), b.negative.table.pairs());
-  ASSERT_EQ(a.negative.evidence.size(), b.negative.evidence.size());
-  for (size_t i = 0; i < a.negative.evidence.size(); ++i) {
-    EXPECT_EQ(a.negative.evidence[i].pair, b.negative.evidence[i].pair);
-    EXPECT_EQ(a.negative.evidence[i].rule_index,
-              b.negative.evidence[i].rule_index);
-    EXPECT_EQ(a.negative.evidence[i].flipped, b.negative.evidence[i].flipped);
-  }
+  ExpectSameNegative(a.negative, b.negative);
   EXPECT_EQ(a.uniqueness, b.uniqueness);
   EXPECT_EQ(a.consistency, b.consistency);
   EXPECT_EQ(a.partition.matched, b.partition.matched);
@@ -134,14 +140,7 @@ void ExpectSameOutcome(const IdentificationResult& a,
   ExpectDerivationsEqual(a.r_traces, b.r_traces);
   ExpectDerivationsEqual(a.s_traces, b.s_traces);
   EXPECT_EQ(a.matching.pairs(), b.matching.pairs());
-  EXPECT_EQ(a.negative.table.pairs(), b.negative.table.pairs());
-  ASSERT_EQ(a.negative.evidence.size(), b.negative.evidence.size());
-  for (size_t i = 0; i < a.negative.evidence.size(); ++i) {
-    EXPECT_EQ(a.negative.evidence[i].pair, b.negative.evidence[i].pair);
-    EXPECT_EQ(a.negative.evidence[i].rule_index,
-              b.negative.evidence[i].rule_index);
-    EXPECT_EQ(a.negative.evidence[i].flipped, b.negative.evidence[i].flipped);
-  }
+  ExpectSameNegative(a.negative, b.negative);
   EXPECT_EQ(a.uniqueness, b.uniqueness);
   EXPECT_EQ(a.consistency, b.consistency);
   EXPECT_EQ(a.partition.matched, b.partition.matched);

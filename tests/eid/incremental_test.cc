@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "../test_util.h"
+#include "exec/amq_filter.h"
 #include "workload/fixtures.h"
 #include "workload/generator.h"
 
@@ -228,6 +231,103 @@ TEST(IncrementalTest, RandomReplayEquivalentToBatch) {
   EXPECT_TRUE(inc_mt.RowsEqualUnordered(ref_mt))
       << "incremental MT (" << inc_mt.size() << ") != batch MT ("
       << ref_mt.size() << ")";
+  EXPECT_EQ(inc.Partition().non_matched, reference.partition.non_matched);
+}
+
+TEST(IncrementalTest, DeletingACollidingNameKeepsDistinctnessPairs) {
+  // Regression: the session once guarded its bucket probes with a
+  // cuckoo AMQ filter per side whose delete scanned levels oldest first.
+  // Names A and B sharing a fingerprint and a bucket pair under level 0's
+  // small mask, but not under the larger masks of later levels, break
+  // it: A's copy sits in level 0, B's lands in a later level, and
+  // deleting B cleared A's copy instead, so the S-side insert of A below
+  // skipped the live R row holding A and lost its distinctness pair.
+  Relation r_model = MakeRelation("R", {"name", "city"}, {}, {});
+  Relation s_model = MakeRelation("S", {"name", "city"}, {}, {});
+  IdentifierConfig config;
+  config.correspondence = AttributeCorrespondence::Identity(r_model, s_model);
+  EID_ASSERT_OK_AND_ASSIGN(
+      DistinctnessRule rule,
+      ParseDistinctnessRule("same_name_other_city",
+                            "e1.name = e2.name & e1.city != e2.city"));
+  config.distinctness_rules.push_back(rule);
+  EID_ASSERT_OK_AND_ASSIGN(
+      IncrementalIdentifier inc,
+      IncrementalIdentifier::Create(config, EmptyLike(r_model),
+                                    EmptyLike(s_model)));
+
+  // 1. A and B: a default filter holding only A reports B present, and a
+  // filter with any later level's geometry holding only B reports A
+  // absent.
+  std::optional<size_t> name_col = inc.LiveR().schema().IndexOf("name");
+  ASSERT_TRUE(name_col.has_value());
+  auto key = [&](const std::string& name) {
+    return exec::FingerprintKey(*name_col, ValueHash{}(Value::String(name)));
+  };
+  const exec::AmqOptions defaults;
+  auto later_levels_separate = [&](const std::string& a,
+                                   const std::string& b) {
+    for (int log2 = defaults.initial_buckets_log2 + 1;
+         log2 <= defaults.max_level_buckets_log2; ++log2) {
+      exec::AmqOptions level = defaults;
+      level.initial_buckets_log2 = log2;
+      level.max_level_buckets_log2 = log2;
+      exec::AmqFilter holding_b(level);
+      holding_b.Insert(key(b));
+      if (holding_b.Contains(key(a))) return false;
+    }
+    return true;
+  };
+  const std::string a = "anna";
+  exec::AmqFilter holding_a;
+  holding_a.Insert(key(a));
+  std::string b;
+  for (size_t i = 0; i < 8000000 && b.empty(); ++i) {
+    std::string candidate = "b" + std::to_string(i);
+    if (holding_a.Contains(key(candidate)) &&
+        later_levels_separate(a, candidate)) {
+      b = candidate;
+    }
+  }
+  ASSERT_FALSE(b.empty()) << "no fingerprint collision found";
+
+  Relation live_r = EmptyLike(r_model);
+  Relation live_s = EmptyLike(s_model);
+  auto insert_r = [&](const std::string& name) -> size_t {
+    Row row{Value::String(name), Value::Str("Oslo")};
+    Result<size_t> id = inc.InsertR(row);
+    EXPECT_TRUE(id.ok()) << id.status().ToString();
+    return id.ok() ? *id : SIZE_MAX;
+  };
+  // 2. A, then 3. enough other names to overflow level 0 (256 slots).
+  EID_ASSERT_OK(live_r.Insert(Row{Value::String(a), Value::Str("Oslo")}));
+  const size_t a_id = insert_r(a);
+  for (size_t i = 0; i < 300; ++i) {
+    const std::string name = "filler" + std::to_string(i);
+    EID_ASSERT_OK(live_r.Insert(Row{Value::String(name), Value::Str("Oslo")}));
+    insert_r(name);
+  }
+  // 4. B in, B out.
+  const size_t b_id = insert_r(b);
+  EID_ASSERT_OK(inc.DeleteR(b_id));
+  // 5. A on the S side, in another city: distinct from R's A.
+  Row s_row{Value::String(a), Value::Str("Lima")};
+  EID_ASSERT_OK(live_s.Insert(s_row));
+  EID_ASSERT_OK_AND_ASSIGN(size_t s_id, inc.InsertS(s_row));
+
+  // 6. MT and NMT equal a batch Identify over the live rows (R ids
+  // 0..300 are live rows 0..300 in order; B's id 301 is deleted).
+  EID_ASSERT_OK_AND_ASSIGN(IdentificationResult reference,
+                           EntityIdentifier(config).Identify(live_r, live_s));
+  EXPECT_EQ(reference.Decide(a_id, 0), MatchDecision::kNonMatch);
+  EXPECT_EQ(inc.Decide(a_id, s_id), MatchDecision::kNonMatch);
+  for (size_t r = 0; r < live_r.size(); ++r) {
+    EXPECT_EQ(inc.Decide(r, s_id), reference.Decide(r, 0)) << "R" << r;
+  }
+  EID_ASSERT_OK_AND_ASSIGN(Relation inc_mt, inc.MatchingRelation());
+  EID_ASSERT_OK_AND_ASSIGN(Relation ref_mt, reference.MatchingRelation("MT"));
+  EXPECT_TRUE(inc_mt.RowsEqualUnordered(ref_mt));
+  EXPECT_EQ(inc.Partition().matched, reference.partition.matched);
   EXPECT_EQ(inc.Partition().non_matched, reference.partition.non_matched);
 }
 

@@ -26,8 +26,13 @@ TEST(NegativeTest, PaperTable4FromProposition1Rule) {
                            BuildNegativeMatchingTable(r, s, {induced}));
   ASSERT_EQ(out.table.size(), 1u);
   EXPECT_EQ(out.table.pairs()[0], (TuplePair{0, 0}));
-  EXPECT_EQ(out.evidence[0].rule_index, 0u);
-  EXPECT_TRUE(out.evidence[0].flipped);
+  std::optional<NegativePairEvidence> evidence =
+      out.EvidenceFor(TuplePair{0, 0});
+  ASSERT_TRUE(evidence.has_value());
+  EXPECT_EQ(evidence->rule_index, 0u);
+  EXPECT_TRUE(evidence->flipped);
+  EXPECT_EQ(out.evidence, std::vector<uint32_t>{1u});  // rule 0, flipped
+  EXPECT_FALSE(out.EvidenceFor(TuplePair{0, 1}).has_value());
 }
 
 TEST(NegativeTest, InvalidRuleFailsBuild) {
@@ -66,7 +71,8 @@ TEST(NegativeTest, FirstRuleGetsCredit) {
                            BuildNegativeMatchingTable(r, s, {rule1, rule2}));
   ASSERT_EQ(out.table.size(), 1u);
   ASSERT_EQ(out.evidence.size(), 1u);
-  EXPECT_EQ(out.evidence[0].rule_index, 0u);
+  EXPECT_EQ(NegativePairEvidence::FromCertificate(out.evidence[0]).rule_index,
+            0u);
 }
 
 TEST(NegativeTest, UnknownPredicatesDoNotCertify) {
@@ -79,6 +85,52 @@ TEST(NegativeTest, UnknownPredicatesDoNotCertify) {
   EID_ASSERT_OK_AND_ASSIGN(NegativeResult out,
                            BuildNegativeMatchingTable(r, s, {rule}));
   EXPECT_EQ(out.table.size(), 0u);  // NULL → unknown → no certificate
+}
+
+// The NMT adopt contract (DESIGN.md §4d): a strictly increasing list is
+// taken by move with its per-side first indexes; anything else leaves
+// table and list untouched, and FromPairs folds it through the checked
+// batch path instead.
+TEST(MatchTableTest, AdoptSortedTakesStrictlyIncreasingPairs) {
+  std::vector<TuplePair> pairs = {{0, 1}, {0, 3}, {2, 0}, {2, 1}};
+  MatchTable table(/*negative=*/true);
+  ASSERT_TRUE(table.AdoptSorted(&pairs));
+  EXPECT_TRUE(pairs.empty());
+  ASSERT_EQ(table.size(), 4u);
+  EXPECT_TRUE(table.Contains(TuplePair{2, 0}));
+  EXPECT_FALSE(table.Contains(TuplePair{1, 0}));
+  EXPECT_EQ(table.MatchOfR(2), std::optional<size_t>(0));
+  EXPECT_EQ(table.MatchOfS(1), std::optional<size_t>(0));
+  EXPECT_FALSE(table.HasR(1));
+  EXPECT_FALSE(table.HasS(2));
+}
+
+TEST(MatchTableTest, AdoptSortedRejectsUnsortedOrDuplicatePairs) {
+  for (std::vector<TuplePair> pairs :
+       {std::vector<TuplePair>{{0, 1}, {0, 1}},
+        std::vector<TuplePair>{{1, 0}, {0, 5}}}) {
+    const std::vector<TuplePair> before = pairs;
+    MatchTable table(/*negative=*/true);
+    EXPECT_FALSE(table.AdoptSorted(&pairs));
+    EXPECT_EQ(pairs, before);
+    EXPECT_TRUE(table.empty());
+    EXPECT_FALSE(table.HasR(0));
+    EXPECT_FALSE(table.HasS(1));
+  }
+}
+
+TEST(MatchTableTest, FromPairsFoldsUnsortedNegativeLists) {
+  EID_ASSERT_OK_AND_ASSIGN(
+      MatchTable table,
+      MatchTable::FromPairs(/*negative=*/true,
+                            {{3, 1}, {0, 2}, {3, 1}, {1, 1}, {0, 2}}));
+  EXPECT_EQ(table.size(), 3u);  // duplicates skipped
+  for (const TuplePair& p :
+       {TuplePair{3, 1}, TuplePair{0, 2}, TuplePair{1, 1}}) {
+    EXPECT_TRUE(table.Contains(p));
+  }
+  EXPECT_FALSE(table.Contains(TuplePair{1, 2}));
+  EXPECT_EQ(table.MatchOfR(3), std::optional<size_t>(1));
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // The AMQ pre-filter carries one load-bearing guarantee: no false
-// negatives — a key currently inserted is always reported as possibly
-// present, through level growth, eviction dead-ends and deletions of
-// other copies. These tests shrink the levels and kick budget far below
-// the defaults to force the chained-level growth path on every few
-// inserts, where a lost fingerprint (e.g. an unwound eviction chain bug)
-// would surface immediately.
+// negatives — an inserted key is always reported as possibly present,
+// through level growth and eviction dead-ends. These tests shrink the
+// levels and kick budget far below the defaults to force the
+// chained-level growth path on every few inserts, where a lost
+// fingerprint (e.g. an unwound eviction chain bug) would surface
+// immediately.
 
 #include "exec/amq_filter.h"
 
@@ -23,17 +23,12 @@ uint64_t Key(size_t i) {
   return FingerprintKey(i % 13, i * 0x9E3779B97F4A7C15ull + 1);
 }
 
-TEST(AmqFilterTest, InsertContainsErase) {
+TEST(AmqFilterTest, InsertContains) {
   AmqFilter filter;
   EXPECT_FALSE(filter.Contains(Key(1)));
   filter.Insert(Key(1));
   EXPECT_TRUE(filter.Contains(Key(1)));
   EXPECT_EQ(filter.size(), 1u);
-  EXPECT_TRUE(filter.Erase(Key(1)));
-  EXPECT_EQ(filter.size(), 0u);
-  // The filter is empty again, so even "may be present" must say no.
-  EXPECT_FALSE(filter.Contains(Key(1)));
-  EXPECT_FALSE(filter.Erase(Key(1)));
 }
 
 TEST(AmqFilterTest, NoFalseNegativesUnderGrowth) {
@@ -76,41 +71,6 @@ TEST(AmqFilterTest, EvictionDeadEndsNeverLoseKeys) {
           << "insert " << i << " lost key " << k;
     }
   }
-}
-
-TEST(AmqFilterTest, DuplicateCopiesSurviveOneErase) {
-  AmqFilter filter;
-  filter.Insert(Key(7));
-  filter.Insert(Key(7));
-  EXPECT_EQ(filter.size(), 2u);
-  // Erasing one copy must not erase the evidence of the other — this is
-  // what lets the incremental engine delete one row's fingerprint while
-  // another row carries the same value.
-  EXPECT_TRUE(filter.Erase(Key(7)));
-  EXPECT_TRUE(filter.Contains(Key(7)));
-  EXPECT_TRUE(filter.Erase(Key(7)));
-  EXPECT_EQ(filter.size(), 0u);
-  EXPECT_FALSE(filter.Contains(Key(7)));
-}
-
-TEST(AmqFilterTest, EraseAfterGrowthFindsSpilledCopies) {
-  // Duplicates of one hot key spill across levels; erasing them one by
-  // one must find every copy wherever it landed.
-  AmqOptions tiny;
-  tiny.fingerprint_bits = 8;
-  tiny.initial_buckets_log2 = 1;
-  tiny.max_level_buckets_log2 = 1;
-  tiny.max_kicks = 1;
-  AmqFilter filter(tiny);
-  const size_t copies = 64;
-  for (size_t i = 0; i < copies; ++i) filter.Insert(Key(3));
-  EXPECT_GT(filter.levels(), 1u);
-  for (size_t i = 0; i < copies; ++i) {
-    EXPECT_TRUE(filter.Contains(Key(3)));
-    EXPECT_TRUE(filter.Erase(Key(3))) << "copy " << i;
-  }
-  EXPECT_EQ(filter.size(), 0u);
-  EXPECT_FALSE(filter.Contains(Key(3)));
 }
 
 TEST(AmqFilterTest, CapacityGrowsWithoutInvalidatingOldKeys) {

@@ -33,13 +33,20 @@ std::vector<Predicate> Preds(const std::string& text) {
   return *parsed;
 }
 
+/// One oracle-fired pair with the lowest (rule, orientation) priority
+/// that fired it: priority = rule_index * 2 + (flipped ? 1 : 0).
+struct OracleFired {
+  TuplePair pair;
+  uint32_t priority = 0;
+};
+
 /// Reference fold: row-major pairs, each recording the lowest
 /// (rule, orientation) priority whose full antecedent is kTrue. Absent
 /// attributes resolve to NULL (kUnknown), so dead orientations simply
 /// never fire here.
-std::vector<FiredPair> OracleFold(const Relation& r, const Relation& s,
-                                  const RuleSet& rules) {
-  std::vector<FiredPair> out;
+std::vector<OracleFired> OracleFold(const Relation& r, const Relation& s,
+                                    const RuleSet& rules) {
+  std::vector<OracleFired> out;
   for (size_t i = 0; i < r.size(); ++i) {
     for (size_t j = 0; j < s.size(); ++j) {
       for (uint32_t p = 0; p < rules.size() * 2; ++p) {
@@ -50,7 +57,7 @@ std::vector<FiredPair> OracleFold(const Relation& r, const Relation& s,
         Truth t = flipped ? EvaluateConjunction(preds, sv, rv)
                           : EvaluateConjunction(preds, rv, sv);
         if (t == Truth::kTrue) {
-          out.push_back(FiredPair{TuplePair{i, j}, p});
+          out.push_back(OracleFired{TuplePair{i, j}, p});
           break;
         }
       }
@@ -60,7 +67,7 @@ std::vector<FiredPair> OracleFold(const Relation& r, const Relation& s,
 }
 
 struct StagedRun {
-  std::vector<FiredPair> fired;
+  FiredColumns fired;
   StagedScanStats stats;
 };
 
@@ -107,12 +114,13 @@ StagedRun RunStaged(const Relation& r, const Relation& s, const RuleSet& rules,
   return out;
 }
 
-void ExpectSameFired(const std::vector<FiredPair>& got,
-                     const std::vector<FiredPair>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].pair, want[i].pair) << "fired pair " << i;
-    EXPECT_EQ(got[i].priority, want[i].priority) << "fired pair " << i;
+void ExpectSameFired(const FiredColumns& got,
+                     const std::vector<OracleFired>& want) {
+  ASSERT_EQ(got.pairs.size(), want.size());
+  ASSERT_EQ(got.priorities.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got.pairs[i], want[i].pair) << "fired pair " << i;
+    EXPECT_EQ(got.priorities[i], want[i].priority) << "fired pair " << i;
   }
 }
 
@@ -121,7 +129,7 @@ void ExpectSameFired(const std::vector<FiredPair>& got,
 /// Returns the invariant stats.
 StagedScanStats ExpectMatchesOracle(const Relation& r, const Relation& s,
                                     const RuleSet& rules) {
-  std::vector<FiredPair> expected = OracleFold(r, s, rules);
+  std::vector<OracleFired> expected = OracleFold(r, s, rules);
   StagedScanStats first;
   bool have_first = false;
   for (bool compiled : {false, true}) {
@@ -191,11 +199,11 @@ TEST(CandidateGeneratorTest, UnindexableRuleScansEveryPair) {
 
 TEST(CandidateGeneratorTest, OverlappingRulesRecordLowestPriority) {
   RuleSet rules = {Preds("e1.name = e2.name"), Preds("e1.city = e2.town")};
-  std::vector<FiredPair> expected = OracleFold(TestR(), TestS(), rules);
+  std::vector<OracleFired> expected = OracleFold(TestR(), TestS(), rules);
   // The fixture makes priorities interesting: some pairs fire under both
   // rules (rule 0 must win), some only under the city/town rule.
   bool saw_rule0 = false, saw_rule1 = false;
-  for (const FiredPair& f : expected) {
+  for (const OracleFired& f : expected) {
     if (f.priority == 0) saw_rule0 = true;
     if (f.priority == 2) saw_rule1 = true;
   }
@@ -259,7 +267,7 @@ TEST(CandidateGeneratorTest, AdversarialCollisionsNeverChangeResults) {
   RuleSet rules = {Preds("e1.name = e2.name & e1.city = e2.town"),
                    Preds("e1.city = \"Lima\" & e2.rank != \"3\""),
                    Preds("e1.score < e2.rank")};
-  std::vector<FiredPair> expected = OracleFold(r, s, rules);
+  std::vector<OracleFired> expected = OracleFold(r, s, rules);
   ASSERT_FALSE(expected.empty());
   for (bool compiled : {false, true}) {
     for (int threads : {1, 8}) {
