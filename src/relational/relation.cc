@@ -81,8 +81,7 @@ void Relation::EnsureKeySets() {
   }
 }
 
-Status Relation::Insert(Row row) {
-  EnsureKeySets();
+Status Relation::CheckRow(const Row& row) const {
   if (row.size() != schema_.size()) {
     return Status::InvalidArgument(
         "row arity " + std::to_string(row.size()) + " != schema arity " +
@@ -106,6 +105,14 @@ Status Relation::Insert(Row row) {
       }
     }
   }
+  return Status::Ok();
+}
+
+Status Relation::Insert(Row row) {
+  EnsureKeySets();
+  EID_RETURN_IF_ERROR(CheckRow(row));
+  std::vector<std::string> fingerprints;
+  fingerprints.reserve(keys_.size());
   for (size_t k = 0; k < keys_.size(); ++k) {
     std::string fp = KeyFingerprint(row, keys_[k]);
     if (key_sets_[k].count(fp) > 0) {
@@ -113,9 +120,10 @@ Status Relation::Insert(Row row) {
           "candidate-key violation in relation '" + name_ +
           "': duplicate key " + TupleView(&schema_, &row).ToString());
     }
+    fingerprints.push_back(std::move(fp));
   }
   for (size_t k = 0; k < keys_.size(); ++k) {
-    key_sets_[k].insert(KeyFingerprint(row, keys_[k]));
+    key_sets_[k].insert(std::move(fingerprints[k]));
   }
   rows_.push_back(std::move(row));
   return Status::Ok();

@@ -65,6 +65,11 @@ class Relation {
   /// or candidate-key uniqueness violation.
   Status Insert(Row row);
 
+  /// Insert's per-row checks without inserting: arity/type mismatch and
+  /// NULL in a key attribute, with Insert's codes and messages. Does not
+  /// check candidate-key uniqueness.
+  Status CheckRow(const Row& row) const;
+
   /// Bulk-installs rows from a trusted source (snapshot load: the rows
   /// were validated on the Insert path before being saved, and the file
   /// is checksummed). Skips per-row type and key checks; key fingerprint

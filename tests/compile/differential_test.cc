@@ -440,7 +440,7 @@ TEST(DifferentialIncrementalTest, CompiledMatchesInterpreterUnderUpdates) {
 }
 
 TEST(DifferentialIncrementalTest, StagedMatchesExhaustiveUnderUpdates) {
-  // The staged per-insert sweep (value indexes + AMQ over the other
+  // The staged per-insert sweep (value-index buckets over the other
   // side) against the scan-everything oracle, under both residual
   // engines, through inserts and deletes.
   GeneratedWorld world = MakeWorld(/*coverage=*/0.6, /*seed=*/37);

@@ -48,6 +48,38 @@ TEST(RelationTest, NullRejectedInKeyAttribute) {
   EXPECT_EQ(st.code(), StatusCode::kConstraintViolation);
 }
 
+TEST(RelationTest, CheckRowReportsInsertsRowErrors) {
+  Relation r("R", Schema({Attribute{"k", ValueType::kString},
+                          Attribute{"n", ValueType::kInt}}));
+  EID_EXPECT_OK(r.DeclareKey({"k"}));
+  const std::pair<Row, std::string> cases[] = {
+      {Row{Value::Str("x")}, "row arity 1 != schema arity 2 for relation 'R'"},
+      {Row{Value::Str("x"), Value::Str("3")},
+       "type mismatch at attribute 'n': expected int, got string"},
+      {Row{Value::Null(), Value::Int(3)},
+       "NULL in key attribute 'k' of relation 'R'"},
+  };
+  for (const auto& [row, message] : cases) {
+    const Status checked = r.CheckRow(row);
+    EXPECT_EQ(checked.message(), message);
+    EXPECT_EQ(checked, r.Insert(row));
+  }
+  EXPECT_EQ(r.CheckRow(Row{Value::Str("x")}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(r.CheckRow(Row{Value::Null(), Value::Int(3)}).code(),
+            StatusCode::kConstraintViolation);
+  EXPECT_TRUE(r.empty());
+}
+
+TEST(RelationTest, CheckRowDoesNotCheckKeyUniqueness) {
+  Relation r = Restaurants();
+  const Row dup{Value::Str("VillageWok"), Value::Str("Wash.Ave."),
+                Value::Str("Szechuan")};
+  EID_EXPECT_OK(r.CheckRow(dup));
+  EXPECT_EQ(r.Insert(dup).code(), StatusCode::kConstraintViolation);
+  EXPECT_EQ(r.size(), 2u);
+}
+
 TEST(RelationTest, CandidateKeyUniquenessEnforced) {
   Relation r = Restaurants();
   Status dup = r.InsertText({"VillageWok", "Wash.Ave.", "Szechuan"});
