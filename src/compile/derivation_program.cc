@@ -52,10 +52,9 @@ DerivationProgram DerivationProgram::CompileImpl(
       SeedColumn sc;
       sc.column = c;
       if (borrow_kb) {
-        sc.atoms = &attr->by_value;
+        sc.atoms = attr;
       } else {
-        sc.owned = std::make_shared<
-            std::unordered_map<Value, AtomId, ValueHash>>(attr->by_value);
+        sc.owned = std::make_shared<AtomTable::AttributeAtoms>(*attr);
         sc.atoms = sc.owned.get();
       }
       p.seed_columns_.push_back(std::move(sc));
@@ -64,26 +63,26 @@ DerivationProgram DerivationProgram::CompileImpl(
       // memo key projection.
       p.memo_columns_.push_back(c);
     }
-    // One slot per clause-head attribute, first-appearance order.
-    std::unordered_map<std::string, uint32_t> slot_of_attr;
-    for (const Implication& clause : p.kb().clauses()) {
-      for (AtomId h : clause.head.ids()) {
-        const Atom& atom = atoms.atom(h);
-        auto [it, inserted] = slot_of_attr.emplace(
-            atom.attribute, static_cast<uint32_t>(p.cons_slots_.size()));
-        if (inserted) {
-          ConsSlot slot;
-          slot.attribute = atom.attribute;
-          slot.column = schema.IndexOf(atom.attribute);
-          slot.wanted =
-              options.target_attributes.empty() ||
-              std::find(options.target_attributes.begin(),
-                        options.target_attributes.end(),
-                        atom.attribute) != options.target_attributes.end();
-          p.cons_slots_.push_back(std::move(slot));
-        }
-        p.slot_of_atom_[h] = it->second;
+    // One slot per clause-head attribute, first-appearance order over the
+    // clause-major head array. Attributes are keyed by their atom-table
+    // ordinal, so only a new slot ever touches an attribute string.
+    std::vector<uint32_t> slot_of_ordinal(atoms.attribute_count(), kNoSlot);
+    for (AtomId h : p.kb().head_atoms()) {
+      uint32_t& slot_index = slot_of_ordinal[atoms.attribute_ordinal(h)];
+      if (slot_index == kNoSlot) {
+        const std::string& attribute = atoms.atom(h).attribute;
+        slot_index = static_cast<uint32_t>(p.cons_slots_.size());
+        ConsSlot slot;
+        slot.attribute = attribute;
+        slot.column = schema.IndexOf(attribute);
+        slot.wanted =
+            options.target_attributes.empty() ||
+            std::find(options.target_attributes.begin(),
+                      options.target_attributes.end(),
+                      attribute) != options.target_attributes.end();
+        p.cons_slots_.push_back(std::move(slot));
       }
+      p.slot_of_atom_[h] = slot_index;
     }
     return p;
   }
@@ -214,24 +213,25 @@ ColumnarBinding DerivationProgram::BindColumns(exec::ColumnarWorld* world,
   // at it belong to ids that never occur in this column, which the sweep
   // never reads (it only indexes by the column's own ids).
   constexpr AtomId kUnprobed = ColumnarBinding::kNoAtom - 1;
-  const exec::ValueDictionary& dict = world->dict();
+  const ValueDictionary& dict = world->dict();
   for (size_t i = 0; i < seed_columns_.size(); ++i) {
     const uint32_t* ids = binding.seed_ids[i];
     if (ids == nullptr) continue;
     std::vector<AtomId>& table = binding.atom_of_id[i];
     table.assign(dict.size(), kUnprobed);
-    // Probe the atoms map once per distinct id occurring in the column —
-    // atom pools are a superset of a column's values, so walking the map
-    // and re-hashing every atom (the old direction) does strictly more
-    // Value hashing than the column has distinct cells.
-    const auto& atoms = *seed_columns_[i].atoms;
+    // Probe the attribute's atoms once per distinct id occurring in the
+    // column, with the session dictionary's cached hash — no seed value
+    // is hashed twice. Atom pools are a superset of a column's values, so
+    // walking the atoms instead would probe more than the column holds.
+    const AtomTable::AttributeAtoms& atoms = *seed_columns_[i].atoms;
     for (size_t r = 0; r < binding.rows; ++r) {
       const uint32_t id = ids[r];
       if (id == exec::ColumnarWorld::kNullId || table[id] != kUnprobed) {
         continue;
       }
-      auto it = atoms.find(dict.value(id));
-      table[id] = it == atoms.end() ? ColumnarBinding::kNoAtom : it->second;
+      const uint32_t k = atoms.values.Find(dict.value(id), dict.hash(id));
+      table[id] = k == ValueDictionary::kNotInterned ? ColumnarBinding::kNoAtom
+                                                      : atoms.ids[k];
     }
   }
   return binding;
@@ -338,8 +338,8 @@ Result<Derivation> DerivationProgram::RunExhaustive(
   for (const SeedColumn& sc : seed_columns_) {
     const Value& v = row[sc.column];
     if (v.is_null()) continue;
-    auto it = sc.atoms->find(v);
-    if (it != sc.atoms->end()) seed.push_back(it->second);
+    std::optional<AtomId> atom = sc.atoms->Find(v);
+    if (atom.has_value()) seed.push_back(*atom);
   }
   return RunExhaustiveSeeded(row, AtomSet(std::move(seed)), evaluator, writes);
 }

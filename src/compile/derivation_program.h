@@ -6,8 +6,8 @@
 // options) triple — once per Identify / IncrementalIdentifier session:
 //
 //   * seed columns — the schema positions whose attribute has interned
-//     atoms, each with a Value -> AtomId map, so seeding the forward
-//     closure is one hash probe per non-NULL cell;
+//     atoms, each with the attribute's value -> atom index, so seeding
+//     the forward closure is one hash probe per non-NULL cell;
 //   * consequent slots — every clause-head attribute resolved to a dense
 //     slot carrying its (optional) schema column and target-filter flag,
 //     so the firing loop and base-conflict checks are array accesses;
@@ -193,14 +193,14 @@ class EID_SHARED_IMMUTABLE DerivationProgram {
 
  private:
   /// A schema column whose attribute has interned atoms, with the
-  /// value -> atom map used to seed the closure. CompileBorrowed points
+  /// value -> atom index used to seed the closure. CompileBorrowed points
   /// `atoms` straight at the AtomTable's per-attribute index; Compile
   /// keeps a private copy alive via `owned` (shared_ptr so the program
   /// stays copyable and the pointer survives moves).
   struct SeedColumn {
     size_t column = 0;
-    const std::unordered_map<Value, AtomId, ValueHash>* atoms = nullptr;
-    std::shared_ptr<const std::unordered_map<Value, AtomId, ValueHash>> owned;
+    const AtomTable::AttributeAtoms* atoms = nullptr;
+    std::shared_ptr<const AtomTable::AttributeAtoms> owned;
   };
   /// One consequent attribute (kExhaustive).
   struct ConsSlot {

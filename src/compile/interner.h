@@ -8,7 +8,7 @@
 // vectors instead of re-serialised strings.
 //
 // Since the columnar world landed (DESIGN.md §4g) the interner IS the
-// session dictionary: ValueInterner is an alias for exec::ValueDictionary,
+// session dictionary: ValueInterner is an alias for ValueDictionary,
 // so derivation memos, pair-feature columns, the extended-key join and
 // the snapshot handoff all draw ids from one id-space instead of three
 // private encodings.
@@ -19,16 +19,16 @@
 #include <cstdint>
 #include <vector>
 
-#include "exec/columnar_world.h"
+#include "relational/value_dictionary.h"
 
 namespace eid {
 namespace compile {
 
-/// One id-space for every compiled consumer (see exec::ValueDictionary).
+/// One id-space for every compiled consumer (see ValueDictionary).
 /// GetOrIntern mutates; Find does not, so a fully built interner may be
 /// probed from many threads concurrently (the pattern the interned key
 /// join uses: serial build side, parallel probe side).
-using ValueInterner = exec::ValueDictionary;
+using ValueInterner = ValueDictionary;
 
 /// FNV-1a over a dense-id vector — the hash for interned composite keys
 /// (extended keys, derivation memo keys).

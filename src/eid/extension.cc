@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <set>
-#include <unordered_set>
 
 #include "compile/derivation_program.h"
 #include "relational/algebra.h"
@@ -54,14 +52,9 @@ Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
     if (!world.schema().Contains(a)) added.push_back(a);
   }
   if (options.derive_all) {
-    std::set<std::string> extra;
-    for (const Ilfd& f : ilfds.ilfds()) {
-      for (const std::string& a : f.ConsequentAttributes()) {
-        if (!world.schema().Contains(a)) extra.insert(a);
-      }
-    }
-    for (const std::string& a : extra) {
-      if (std::find(added.begin(), added.end(), a) == added.end()) {
+    for (const std::string& a : ilfds.ConsequentAttributes()) {
+      if (!world.schema().Contains(a) &&
+          std::find(added.begin(), added.end(), a) == added.end()) {
         added.push_back(a);
       }
     }
@@ -71,16 +64,7 @@ Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
   //    unless some ILFD consequent suggests otherwise.
   std::vector<Attribute> attrs = world.schema().attributes();
   for (const std::string& name : added) {
-    ValueType type = ValueType::kString;
-    for (const Ilfd& f : ilfds.ilfds()) {
-      for (const Atom& c : f.consequent()) {
-        if (c.attribute == name && !c.value.is_null()) {
-          type = c.value.type();
-          break;
-        }
-      }
-    }
-    attrs.push_back(Attribute{name, type});
+    attrs.push_back(Attribute{name, ilfds.ConsequentType(name)});
   }
   Relation extended(world.name() + "'", Schema(std::move(attrs)));
   // The original candidate keys remain keys of the extension.
@@ -248,8 +232,10 @@ Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
     }
   }
   if (fast) {
-    // Key uniqueness over packed id keys: equal ids are equal values, so
-    // this accepts exactly the rows the string-fingerprint sets accept.
+    // Key uniqueness over id keys: equal ids are equal values, so this
+    // accepts exactly the rows the string-fingerprint sets accept. A NULL
+    // key cell, or two rows with equal keys (adjacent once sorted), sends
+    // the merge to the per-row replay.
     for (const KeyDef& key : extended.keys()) {
       if (!fast) break;
       std::vector<const uint32_t*> cols;
@@ -257,37 +243,31 @@ Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
       for (size_t c : key.attribute_indices) {
         cols.push_back(columnar->Column(base_slot, relation, c).data());
       }
-      if (cols.size() <= 2) {
-        std::unordered_set<uint64_t> seen;
-        seen.reserve(n * 2);
-        for (size_t r = 0; r < n; ++r) {
-          uint64_t packed = 0;
-          bool has_null = false;
-          for (const uint32_t* col : cols) {
-            const uint32_t id = col[r];
-            has_null |= (id == exec::ColumnarWorld::kNullId);
-            packed = (packed << 32) | id;
-          }
-          if (has_null || !seen.insert(packed).second) {
-            fast = false;
-            break;
-          }
+      for (size_t r = 0; r < n && fast; ++r) {
+        for (const uint32_t* col : cols) {
+          if (col[r] == exec::ColumnarWorld::kNullId) fast = false;
         }
+      }
+      if (!fast) break;
+      if (cols.size() <= 2) {
+        std::vector<uint64_t> packed(n, 0);
+        for (const uint32_t* col : cols) {
+          for (size_t r = 0; r < n; ++r) packed[r] = (packed[r] << 32) | col[r];
+        }
+        std::sort(packed.begin(), packed.end());
+        fast = std::adjacent_find(packed.begin(), packed.end()) == packed.end();
       } else {
-        std::unordered_set<std::vector<uint32_t>, compile::InternedKeyHash>
-            seen;
-        seen.reserve(n * 2);
-        std::vector<uint32_t> packed(cols.size());
-        for (size_t r = 0; r < n; ++r) {
-          bool has_null = false;
-          for (size_t i = 0; i < cols.size(); ++i) {
-            packed[i] = cols[i][r];
-            has_null |= (packed[i] == exec::ColumnarWorld::kNullId);
+        std::vector<uint32_t> order(n);
+        for (size_t r = 0; r < n; ++r) order[r] = static_cast<uint32_t>(r);
+        auto less = [&](uint32_t a, uint32_t b) {
+          for (const uint32_t* col : cols) {
+            if (col[a] != col[b]) return col[a] < col[b];
           }
-          if (has_null || !seen.insert(packed).second) {
-            fast = false;
-            break;
-          }
+          return false;
+        };
+        std::sort(order.begin(), order.end(), less);
+        for (size_t i = 1; i < n && fast; ++i) {
+          fast = less(order[i - 1], order[i]);
         }
       }
     }

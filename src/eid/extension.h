@@ -74,7 +74,7 @@ Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
 /// renaming into world naming is schema-only (no row copy), and on the
 /// clean path the extended relation is assembled by AdoptRows after an
 /// id-level re-validation (write types, key NULLs, key uniqueness over
-/// packed id keys) — falling back to the exact per-row Insert replay the
+/// sorted id keys) — falling back to the exact per-row Insert replay the
 /// moment anything looks off, so diagnostics and error precedence stay
 /// bit-identical to the serial engine. The extended relation's id
 /// columns are adopted into the side's extended slot for the join and

@@ -273,7 +273,8 @@ Result<IdentificationResult> EntityIdentifier::Identify(
   EID_ASSIGN_OR_RETURN(
       out.negative,
       BuildNegativeMatchingTable(out.r_extended, out.s_extended, rules,
-                                 pool_ptr, config_.matcher_options.compile,
+                                 pool_ptr, &r_index, &s_index,
+                                 config_.matcher_options.compile,
                                  config_.matcher_options.staged,
                                  config_.matcher_options.amq_seeds.get(),
                                  world_ptr,

@@ -1,6 +1,7 @@
 #include "eid/incremental.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "eid/extension.h"
 #include "exec/blocking_index.h"
@@ -351,23 +352,36 @@ Result<size_t> IncrementalIdentifier::Insert(Side side, Row row) {
     fired->erase(std::unique(fired->begin(), fired->end()), fired->end());
   };
 
-  // Candidate matches: extended-key hash probe + identity rules.
-  std::vector<size_t> candidates;
+  // Candidate matches: the extended-key hash probe, then identity rules.
+  // Batch Identify adds every key-join pair before any identity-rule
+  // pair, so the two kinds go to separate lists for RebuildMatching; a
+  // pair both certify is a key-join pair.
+  std::vector<size_t> key_ids;
   if (!stored.ext_key_fingerprint.empty()) {
     auto it = other.ext_index.find(stored.ext_key_fingerprint);
-    if (it != other.ext_index.end()) candidates = it->second;
+    if (it != other.ext_index.end()) key_ids = it->second;  // ascending
   }
+  std::vector<size_t> rule_ids;
   if (!config_.identity_rules.empty()) {
+    std::vector<size_t> fired;
     sweep(identity_plans_, config_.identity_rules.size() * 2, identity_fires,
-          &candidates);
+          &fired);
+    std::set_difference(fired.begin(), fired.end(), key_ids.begin(),
+                        key_ids.end(), std::back_inserter(rule_ids));
   }
-  for (size_t other_id : candidates) {
-    const CandidatePair c{is_r ? id : other_id, is_r ? other_id : id};
-    candidates_.insert(
-        std::lower_bound(candidates_.begin(), candidates_.end(), c), c);
-    other.entries[other_id].candidates.push_back(id);
-  }
-  own.entries[id].candidates = std::move(candidates);
+  auto link = [&](const std::vector<size_t>& ids,
+                  std::vector<CandidatePair>* list) {
+    for (size_t other_id : ids) {
+      const CandidatePair c{is_r ? id : other_id, is_r ? other_id : id};
+      list->insert(std::lower_bound(list->begin(), list->end(), c), c);
+      other.entries[other_id].candidates.push_back(id);
+    }
+  };
+  link(key_ids, &key_candidates_);
+  link(rule_ids, &rule_candidates_);
+  std::vector<size_t>& candidates = own.entries[id].candidates;
+  std::merge(key_ids.begin(), key_ids.end(), rule_ids.begin(), rule_ids.end(),
+             std::back_inserter(candidates));
 
   // Negative pairs via distinctness rules (both orientations).
   std::vector<size_t> negatives;
@@ -419,8 +433,14 @@ Status IncrementalIdentifier::Delete(Side side, size_t id) {
   for (size_t other_id : entry.candidates) {
     EraseSorted(&other.entries[other_id].candidates, id);
     const CandidatePair c{is_r ? id : other_id, is_r ? other_id : id};
-    candidates_.erase(
-        std::lower_bound(candidates_.begin(), candidates_.end(), c));
+    auto it = std::lower_bound(key_candidates_.begin(),
+                               key_candidates_.end(), c);
+    if (it != key_candidates_.end() && !(c < *it)) {
+      key_candidates_.erase(it);
+    } else {
+      rule_candidates_.erase(std::lower_bound(rule_candidates_.begin(),
+                                              rule_candidates_.end(), c));
+    }
   }
   for (size_t other_id : entry.negatives) {
     EraseSorted(&other.entries[other_id].negatives, id);
@@ -453,19 +473,22 @@ void IncrementalIdentifier::RebuildMatching() const {
   s_match.resize(sides_[1].entries.size(), kNoMatch);
   matching_.clear();
   uniqueness_ = Status::Ok();
-  for (const CandidatePair& c : candidates_) {
-    if (r_match[c.r_id] != kNoMatch || s_match[c.s_id] != kNoMatch) {
-      if (uniqueness_.ok()) {
-        uniqueness_ = Status::ConstraintViolation(
-            "uniqueness constraint: tuple matched more than once "
-            "(candidate R" + std::to_string(c.r_id) + "/S" +
-            std::to_string(c.s_id) + " shadowed)");
+  for (const std::vector<CandidatePair>* list :
+       {&key_candidates_, &rule_candidates_}) {
+    for (const CandidatePair& c : *list) {
+      if (r_match[c.r_id] != kNoMatch || s_match[c.s_id] != kNoMatch) {
+        if (uniqueness_.ok()) {
+          uniqueness_ = Status::ConstraintViolation(
+              "uniqueness constraint: tuple matched more than once "
+              "(candidate R" + std::to_string(c.r_id) + "/S" +
+              std::to_string(c.s_id) + " shadowed)");
+        }
+        continue;
       }
-      continue;
+      r_match[c.r_id] = c.s_id;
+      s_match[c.s_id] = c.r_id;
+      matching_.push_back(c);
     }
-    r_match[c.r_id] = c.s_id;
-    s_match[c.s_id] = c.r_id;
-    matching_.push_back(c);
   }
 }
 

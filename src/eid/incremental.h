@@ -173,8 +173,10 @@ class IncrementalIdentifier {
 
   Result<size_t> Insert(Side side, Row row);
   Status Delete(Side side, size_t id);
-  /// Recomputes matching_ and the per-id match arrays from candidates_
-  /// (greedy in (r_id, s_id) order).
+  /// Recomputes matching_ and the per-id match arrays from the candidate
+  /// lists: greedy over the key-join candidates, then over the
+  /// identity-only ones, each in (r_id, s_id) order — batch Identify's
+  /// insertion order.
   void RebuildMatching() const;
 
   IdentifierConfig config_;
@@ -195,7 +197,10 @@ class IncrementalIdentifier {
   // candidate, so the fired sets are identical to the exhaustive sweep.
   std::vector<StagedPlan> identity_plans_, distinct_plans_;
 
-  std::vector<CandidatePair> candidates_;  // live candidates, sorted
+  // Live candidates, sorted: pairs the extended-key join certifies, and
+  // pairs only an identity rule certifies.
+  std::vector<CandidatePair> key_candidates_;
+  std::vector<CandidatePair> rule_candidates_;
   size_t negative_count_ = 0;              // live negative pairs
   // Lazily rebuilt matching (uniqueness-filtered candidates).
   mutable bool matching_dirty_ = true;

@@ -52,6 +52,19 @@ Result<NegativeResult> BuildNegativeMatchingTable(
     const std::vector<DistinctnessRule>& rules, exec::ThreadPool* pool,
     bool compile, bool staged, const exec::AmqSeeds* amq_seeds,
     exec::ColumnarWorld* world, bool block_eval) {
+  exec::ColumnIndexCache r_index(&r_extended);
+  exec::ColumnIndexCache s_index(&s_extended);
+  return BuildNegativeMatchingTable(r_extended, s_extended, rules, pool,
+                                    &r_index, &s_index, compile, staged,
+                                    amq_seeds, world, block_eval);
+}
+
+Result<NegativeResult> BuildNegativeMatchingTable(
+    const Relation& r_extended, const Relation& s_extended,
+    const std::vector<DistinctnessRule>& rules, exec::ThreadPool* pool,
+    exec::ColumnIndexCache* r_index, exec::ColumnIndexCache* s_index,
+    bool compile, bool staged, const exec::AmqSeeds* amq_seeds,
+    exec::ColumnarWorld* world, bool block_eval) {
   exec::StageTimer timer;
   for (const DistinctnessRule& rule : rules) {
     EID_RETURN_IF_ERROR(rule.Validate());
@@ -66,8 +79,6 @@ Result<NegativeResult> BuildNegativeMatchingTable(
   // Reproduce that exactly: collect each rule/orientation's true pairs
   // (index-bounded, parallel), then fold them in (rule, orientation)
   // priority order with first-insert-wins, and emit sorted row-major.
-  exec::ColumnIndexCache r_index(&r_extended);
-  exec::ColumnIndexCache s_index(&s_extended);
 
   if (staged) {
     // Staged candidate generation: one r-major sweep over all rule
@@ -122,8 +133,8 @@ Result<NegativeResult> BuildNegativeMatchingTable(
       }
     }
 
-    exec::CandidateGenerator gen(&r_extended, &s_extended, &r_index,
-                                 &s_index, amq_seeds, exec::AmqOptions{},
+    exec::CandidateGenerator gen(&r_extended, &s_extended, r_index,
+                                 s_index, amq_seeds, exec::AmqOptions{},
                                  compile ? world : nullptr, block_eval);
     for (size_t i = 0; i < plans.size(); ++i) {
       gen.AddRule(plans[i], evaluators[i].get());
@@ -178,7 +189,7 @@ Result<NegativeResult> BuildNegativeMatchingTable(
           compile ? &programs[k * 2 + (flipped ? 1 : 0)] : nullptr;
       std::vector<TuplePair> fired =
           exec::CollectTruePairs(r_extended, s_extended, preds, flipped,
-                                 r_index, s_index, pool, &scan, evaluator);
+                                 *r_index, *s_index, pool, &scan, evaluator);
       out.stats.candidate_pairs += scan.candidate_pairs;
       out.stats.rule_evals += scan.rule_evals;
       const uint32_t certificate =

@@ -30,6 +30,7 @@ namespace eid {
 
 namespace exec {
 struct AmqSeeds;
+class ColumnIndexCache;
 class ColumnarWorld;
 }  // namespace exec
 
@@ -95,6 +96,18 @@ Result<NegativeResult> BuildNegativeMatchingTable(
     bool compile = true, bool staged = true,
     const exec::AmqSeeds* amq_seeds = nullptr,
     exec::ColumnarWorld* world = nullptr, bool block_eval = true);
+
+/// Cache-sharing form: `r_index` / `s_index` are column-index caches over
+/// `r_extended` / `s_extended` that may already hold indexes an earlier
+/// stage of the same run built (Identify passes its identity-rule caches),
+/// so each column is indexed once per run. Otherwise identical to the
+/// pool form, which builds private caches.
+Result<NegativeResult> BuildNegativeMatchingTable(
+    const Relation& r_extended, const Relation& s_extended,
+    const std::vector<DistinctnessRule>& rules, exec::ThreadPool* pool,
+    exec::ColumnIndexCache* r_index, exec::ColumnIndexCache* s_index,
+    bool compile, bool staged, const exec::AmqSeeds* amq_seeds,
+    exec::ColumnarWorld* world, bool block_eval);
 
 }  // namespace eid
 

@@ -24,6 +24,9 @@ const std::vector<uint32_t>& ColumnarWorld::Column(WorldRel slot_id,
   const std::vector<Row>& rows = rel.rows();
   std::vector<uint32_t>& ids = slot.columns[c];
   ids.resize(rows.size());
+  // At most one new value per row: reserving for that bound means the
+  // encode below never grows the table mid-column.
+  dict_.Reserve(dict_.size() + rows.size());
   for (size_t r = 0; r < rows.size(); ++r) {
     const Value& v = rows[r][c];
     ids[r] = v.is_null() ? kNullId : dict_.GetOrIntern(v);

@@ -22,76 +22,16 @@
 
 #include <array>
 #include <cstdint>
-#include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "base/thread_annotations.h"
 #include "relational/relation.h"
 #include "relational/tuple.h"
 #include "relational/value.h"
+#include "relational/value_dictionary.h"
 
 namespace eid {
 namespace exec {
-
-/// Append-only Value -> dense id map with id -> Value and id -> hash
-/// reverse lookups. GetOrIntern mutates; Find/value/hash do not, so a
-/// fully built dictionary may be probed from many threads concurrently
-/// (serial build side, parallel probe side). Ids are assigned in
-/// first-seen order, so preloading a snapshot dictionary (saved in
-/// first-intern order) reproduces the ids a fresh build would assign.
-///
-/// NULL is a regular internable value (storage equality); consumers that
-/// need non_null_eq semantics keep NULL out of the dictionary and use
-/// kNotInterned as their NULL sentinel instead (ColumnarWorld::kNullId).
-class ValueDictionary {
- public:
-  /// Returned by Find for values never interned. A probe-side value that
-  /// was never interned cannot equal any build-side value.
-  static constexpr uint32_t kNotInterned =
-      std::numeric_limits<uint32_t>::max();
-
-  /// Id of `v`, interning it on first use. try_emplace, not emplace: the
-  /// common case is a hit, and emplace would allocate a node and copy the
-  /// Value before discovering the key exists.
-  uint32_t GetOrIntern(const Value& v) {
-    auto [it, inserted] =
-        ids_.try_emplace(v, static_cast<uint32_t>(ids_.size()));
-    if (inserted) {
-      values_.push_back(&it->first);
-      hashes_.push_back(ValueHash{}(it->first));
-    }
-    return it->second;
-  }
-
-  /// Id of `v` if already interned, else kNotInterned.
-  uint32_t Find(const Value& v) const {
-    auto it = ids_.find(v);
-    return it == ids_.end() ? kNotInterned : it->second;
-  }
-
-  /// Interns `values` in order (the id-stable snapshot handoff).
-  void Preload(const std::vector<Value>& values) {
-    ids_.reserve(ids_.size() + values.size());
-    for (const Value& v : values) GetOrIntern(v);
-  }
-
-  /// The value behind an interned id. `id` must be < size().
-  const Value& value(uint32_t id) const { return *values_[id]; }
-
-  /// ValueHash of value(id), cached at intern time — id columns can be
-  /// turned into fingerprint streams without touching string payloads.
-  uint64_t hash(uint32_t id) const { return hashes_[id]; }
-
-  /// Number of distinct values interned.
-  size_t size() const { return ids_.size(); }
-
- private:
-  std::unordered_map<Value, uint32_t, ValueHash> ids_;
-  // Pointers into ids_ keys — stable across rehash (node-based map).
-  std::vector<const Value*> values_;
-  std::vector<uint64_t> hashes_;
-};
 
 /// Borrowed contiguous view of one encoded id column — the gather
 /// source for block-vectorized evaluation: a lane load is data[row]

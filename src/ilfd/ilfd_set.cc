@@ -15,10 +15,41 @@ IlfdSet::IlfdSet(std::vector<Ilfd> ilfds) {
 }
 
 size_t IlfdSet::Add(Ilfd ilfd) {
-  Implication imp = ToImplication(ilfd, &atoms_);
-  kb_.Add(std::move(imp));
+  std::vector<AtomId> body, head;
+  for (const Atom& a : ilfd.antecedent()) body.push_back(atoms_.Intern(a));
+  for (const Atom& a : ilfd.consequent()) head.push_back(atoms_.Intern(a));
+  // An ILFD binds each consequent attribute once, so a later ILFD's
+  // non-NULL value overrides the type an earlier one recorded.
+  for (size_t i = 0; i < head.size(); ++i) {
+    const uint32_t ordinal = atoms_.attribute_ordinal(head[i]);
+    if (ordinal >= consequents_.size()) consequents_.resize(ordinal + 1);
+    Consequent& consequent = consequents_[ordinal];
+    consequent.concluded = true;
+    const Value& v = ilfd.consequent()[i].value;
+    if (!v.is_null()) consequent.type = v.type();
+  }
+  kb_.Add(Implication{AtomSet(std::move(body)), AtomSet(std::move(head))});
   ilfds_.push_back(std::move(ilfd));
   return ilfds_.size() - 1;
+}
+
+std::vector<std::string> IlfdSet::ConsequentAttributes() const {
+  std::vector<std::string> out;
+  for (uint32_t ordinal = 0; ordinal < consequents_.size(); ++ordinal) {
+    if (consequents_[ordinal].concluded) {
+      out.push_back(atoms_.attribute_name(ordinal));
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+ValueType IlfdSet::ConsequentType(const std::string& attribute) const {
+  std::optional<uint32_t> ordinal = atoms_.FindAttribute(attribute);
+  if (!ordinal.has_value() || *ordinal >= consequents_.size()) {
+    return ValueType::kString;
+  }
+  return consequents_[*ordinal].type.value_or(ValueType::kString);
 }
 
 Result<size_t> IlfdSet::AddText(const std::string& text) {

@@ -21,6 +21,7 @@
 #ifndef EID_ILFD_ILFD_SET_H_
 #define EID_ILFD_ILFD_SET_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,15 @@ class IlfdSet {
 
   const AtomTable& atoms() const { return atoms_; }
   const KnowledgeBase& kb() const { return kb_; }
+
+  /// Every attribute some ILFD concludes, ascending.
+  std::vector<std::string> ConsequentAttributes() const;
+
+  /// The type of a column appended for `attribute` when extending a
+  /// relation (eid/extension.h): the type of the value the *last* ILFD
+  /// concluding a non-NULL `attribute` gives it, or kString when no ILFD
+  /// does. Kept up to date by Add.
+  ValueType ConsequentType(const std::string& attribute) const;
 
   /// Closure of the given conditions under this set: every condition
   /// derivable from them. Input conditions are included in the output.
@@ -87,9 +97,17 @@ class IlfdSet {
   std::string ToString() const;
 
  private:
+  /// What the ILFDs conclude about one attribute (by atom-table
+  /// attribute ordinal).
+  struct Consequent {
+    bool concluded = false;
+    std::optional<ValueType> type;  // see ConsequentType
+  };
+
   std::vector<Ilfd> ilfds_;
   AtomTable atoms_;
   KnowledgeBase kb_;
+  std::vector<Consequent> consequents_;  // by attribute ordinal
 };
 
 }  // namespace eid

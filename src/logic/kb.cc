@@ -13,8 +13,72 @@ size_t KnowledgeBase::Add(Implication implication) {
   for (AtomId id : implication.body.ids()) {
     body_index_[id].push_back(index);
   }
+  body_size_.push_back(static_cast<uint32_t>(implication.body.size()));
+  body_atoms_.insert(body_atoms_.end(), implication.body.ids().begin(),
+                     implication.body.ids().end());
+  head_atoms_.insert(head_atoms_.end(), implication.head.ids().begin(),
+                     implication.head.ids().end());
+  head_begin_.push_back(static_cast<uint32_t>(head_atoms_.size()));
   clauses_.push_back(std::move(implication));
+  index_.Drop();
   return index;
+}
+
+std::shared_ptr<const ClosureIndex> KnowledgeBase::closure_index() const {
+  return index_.GetOrBuild(*this);
+}
+
+std::shared_ptr<const ClosureIndex> KnowledgeBase::BuildClosureIndex() const {
+  // A counting sort over the flat body array. It lists (clause, atom) in
+  // ascending clause order, which is body_index_'s per-atom insertion
+  // order, so the probe order (and with it every firing order) is
+  // identical to the map's.
+  auto index = std::make_shared<ClosureIndex>();
+  index->num_clauses = clauses_.size();
+  if (body_atoms_.empty()) return index;
+  const AtomId max_atom =
+      *std::max_element(body_atoms_.begin(), body_atoms_.end());
+  std::vector<uint32_t>& begin = index->begin;
+  begin.assign(size_t{max_atom} + 2, 0);
+  for (AtomId a : body_atoms_) ++begin[a + 1];
+  for (size_t i = 1; i < begin.size(); ++i) begin[i] += begin[i - 1];
+  index->clauses.resize(body_atoms_.size());
+  std::vector<uint32_t> fill(begin.begin(), begin.end() - 1);
+  size_t next = 0;
+  for (uint32_t c = 0; c < body_size_.size(); ++c) {
+    for (uint32_t k = 0; k < body_size_[c]; ++k) {
+      index->clauses[fill[body_atoms_[next++]]++] = c;
+    }
+  }
+  return index;
+}
+
+KnowledgeBase::SharedIndex& KnowledgeBase::SharedIndex::operator=(
+    const SharedIndex& other) {
+  if (this == &other) return *this;
+  std::shared_ptr<const ClosureIndex> index = other.Get();
+  base::MutexLock lock(&mu_);
+  index_ = std::move(index);
+  return *this;
+}
+
+std::shared_ptr<const ClosureIndex> KnowledgeBase::SharedIndex::Get() const {
+  base::MutexLock lock(&mu_);
+  return index_;
+}
+
+std::shared_ptr<const ClosureIndex> KnowledgeBase::SharedIndex::GetOrBuild(
+    const KnowledgeBase& kb) const {
+  // Built under the lock: concurrent first users wait for the one build
+  // instead of each building their own.
+  base::MutexLock lock(&mu_);
+  if (index_ == nullptr) index_ = kb.BuildClosureIndex();
+  return index_;
+}
+
+void KnowledgeBase::SharedIndex::Drop() {
+  base::MutexLock lock(&mu_);
+  index_ = nullptr;
 }
 
 ClosureResult KnowledgeBase::ForwardClosure(const AtomSet& seed) const {
@@ -65,14 +129,19 @@ bool KnowledgeBase::Entails(const AtomSet& seed, const AtomSet& goal) const {
   return ForwardClosure(seed).atoms.ContainsAll(goal);
 }
 
+void ClosureEvaluator::BeginRun() {
+  const size_t num_clauses = kb_->size();
+  ++epoch_;
+  if (missing_.size() < num_clauses) {
+    missing_.resize(num_clauses, 0);
+    missing_epoch_.resize(num_clauses, 0);
+    fired_epoch_.resize(num_clauses, 0);
+  }
+}
+
 ClosureResult ClosureEvaluator::Run(const AtomSet& seed) {
   const KnowledgeBase& kb = *kb_;
-  ++epoch_;
-  if (missing_.size() < kb.clauses_.size()) {
-    missing_.resize(kb.clauses_.size(), 0);
-    missing_epoch_.resize(kb.clauses_.size(), 0);
-    fired_epoch_.resize(kb.clauses_.size(), 0);
-  }
+  BeginRun();
 
   ClosureResult result;
   result.atoms = seed;
@@ -112,52 +181,17 @@ ClosureResult ClosureEvaluator::Run(const AtomSet& seed) {
   return result;
 }
 
-void ClosureEvaluator::RebuildBodyIndex() {
-  // One pass over the clause list — the only pass that chases the
-  // per-clause heap vectors — collecting flat (atom, clause) pairs; a
-  // counting sort then lays out the CSR rows. Pairs arrive in ascending
-  // clause order, which is body_index_'s per-atom insertion order, so the
-  // probe order (and with it every firing order) is identical to the map.
-  const KnowledgeBase& kb = *kb_;
-  const size_t num_clauses = kb.clauses_.size();
-  body_size_.resize(num_clauses);
-  head_begin_.assign(num_clauses + 1, 0);
-  head_atoms_.clear();
-  std::vector<std::pair<uint32_t, uint32_t>> pairs;  // (atom, clause)
-  uint32_t max_atom = 0;
-  for (size_t c = 0; c < num_clauses; ++c) {
-    const Implication& clause = kb.clauses_[c];
-    body_size_[c] = static_cast<uint32_t>(clause.body.size());
-    for (AtomId a : clause.body.ids()) {
-      max_atom = std::max(max_atom, a);
-      pairs.emplace_back(a, static_cast<uint32_t>(c));
-    }
-    for (AtomId h : clause.head.ids()) head_atoms_.push_back(h);
-    head_begin_[c + 1] = static_cast<uint32_t>(head_atoms_.size());
-  }
-  body_begin_.assign(pairs.empty() ? 0 : max_atom + 2, 0);
-  if (!pairs.empty()) {
-    for (const auto& [a, c] : pairs) ++body_begin_[a + 1];
-    for (size_t i = 1; i < body_begin_.size(); ++i) {
-      body_begin_[i] += body_begin_[i - 1];
-    }
-    body_clauses_.resize(pairs.size());
-    std::vector<uint32_t> fill(body_begin_.begin(), body_begin_.end() - 1);
-    for (const auto& [a, c] : pairs) body_clauses_[fill[a]++] = c;
-  }
-  indexed_clauses_ = num_clauses;
-}
-
 const std::vector<DerivedAtom>& ClosureEvaluator::RunDerived(
     const AtomId* seed, size_t count) {
   const KnowledgeBase& kb = *kb_;
-  ++epoch_;
-  if (missing_.size() < kb.clauses_.size()) {
-    missing_.resize(kb.clauses_.size(), 0);
-    missing_epoch_.resize(kb.clauses_.size(), 0);
-    fired_epoch_.resize(kb.clauses_.size(), 0);
+  BeginRun();
+  if (index_ == nullptr || index_->num_clauses != kb.size()) {
+    index_ = kb.closure_index();
   }
-  if (indexed_clauses_ != kb.clauses_.size()) RebuildBodyIndex();
+  const ClosureIndex& index = *index_;
+  const uint32_t* body_size = kb.body_size_.data();
+  const uint32_t* head_begin = kb.head_begin_.data();
+  const AtomId* head_atoms = kb.head_atoms_.data();
   derived_.clear();
   queue_.clear();
 
@@ -177,9 +211,9 @@ const std::vector<DerivedAtom>& ClosureEvaluator::RunDerived(
   auto fire = [&](size_t clause_index) {
     if (fired_epoch_[clause_index] == epoch_) return;
     fired_epoch_[clause_index] = epoch_;
-    const uint32_t head_end = head_begin_[clause_index + 1];
-    for (uint32_t i = head_begin_[clause_index]; i < head_end; ++i) {
-      const AtomId h = head_atoms_[i];
+    const uint32_t head_end = head_begin[clause_index + 1];
+    for (uint32_t i = head_begin[clause_index]; i < head_end; ++i) {
+      const AtomId h = head_atoms[i];
       if (!present(h)) {
         mark(h);
         derived_.push_back(DerivedAtom{clause_index, h});
@@ -194,16 +228,16 @@ const std::vector<DerivedAtom>& ClosureEvaluator::RunDerived(
   // order the deque would, and the CSR rows preserve body_index_'s
   // per-atom clause order, so firing order — and thus derived_ order —
   // matches ForwardClosure exactly.
-  const size_t atom_limit = body_begin_.empty() ? 0 : body_begin_.size() - 1;
+  const size_t atom_limit = index.begin.empty() ? 0 : index.begin.size() - 1;
   for (size_t head = 0; head < queue_.size(); ++head) {
     AtomId a = queue_[head];
     if (a >= atom_limit) continue;
-    const uint32_t end = body_begin_[a + 1];
-    for (uint32_t i = body_begin_[a]; i < end; ++i) {
-      const size_t clause_index = body_clauses_[i];
+    const uint32_t end = index.begin[a + 1];
+    for (uint32_t i = index.begin[a]; i < end; ++i) {
+      const size_t clause_index = index.clauses[i];
       size_t remaining = (missing_epoch_[clause_index] == epoch_)
                              ? missing_[clause_index]
-                             : body_size_[clause_index];
+                             : body_size[clause_index];
       if (remaining == 0) continue;
       --remaining;
       missing_[clause_index] = remaining;

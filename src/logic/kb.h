@@ -14,10 +14,12 @@
 #ifndef EID_LOGIC_KB_H_
 #define EID_LOGIC_KB_H_
 
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "base/mutex.h"
 #include "base/thread_annotations.h"
 #include "logic/implication.h"
 
@@ -34,7 +36,25 @@ struct ClosureResult {
   std::vector<size_t> firing_order;
 };
 
+/// The atom -> clause index of a knowledge base in CSR form: the clauses
+/// whose body contains atom a are clauses[begin[a] .. begin[a+1]), in
+/// ascending clause order. Immutable once built; indexes the first
+/// `num_clauses` clauses of the knowledge base it came from.
+struct EID_SHARED_IMMUTABLE ClosureIndex {
+  size_t num_clauses = 0;
+  std::vector<uint32_t> begin;    // atom -> row start; size max_atom + 2
+  std::vector<uint32_t> clauses;  // clause indices, row by row
+};
+
 /// An indexed set of implications supporting saturation queries.
+///
+/// Besides the clause list, Add maintains flat per-clause arrays — body
+/// sizes, body atoms and a head CSR — so the amortised closure
+/// (ClosureEvaluator) never chases an Implication's heap vectors. The
+/// atom -> clause CSR it probes is built lazily, at most once per version
+/// (clause count) of the knowledge base, and handed out as a shared
+/// immutable snapshot: every evaluator, worker and copy of the knowledge
+/// base reads the same one until Add drops it.
 class KnowledgeBase {
  public:
   KnowledgeBase() = default;
@@ -45,6 +65,15 @@ class KnowledgeBase {
   size_t size() const { return clauses_.size(); }
   const Implication& clause(size_t i) const { return clauses_[i]; }
   const std::vector<Implication>& clauses() const { return clauses_; }
+
+  /// Every clause's head atoms, clause-major, each clause's in AtomSet
+  /// (ascending id) order.
+  const std::vector<AtomId>& head_atoms() const { return head_atoms_; }
+
+  /// The atom -> clause CSR of the current version, built on first
+  /// request. Thread-safe: concurrent first requests build it once and
+  /// share it. Must not race with Add.
+  std::shared_ptr<const ClosureIndex> closure_index() const;
 
   /// Computes the closure of `seed` under all implications, O(total clause
   /// size). Firing order follows clause insertion order among enabled
@@ -67,11 +96,40 @@ class KnowledgeBase {
  private:
   friend class ClosureEvaluator;
 
+  /// The lazily built closure index. Copying shares the snapshot — a
+  /// copied knowledge base has the same clauses, so the same index.
+  class SharedIndex {
+   public:
+    SharedIndex() = default;
+    SharedIndex(const SharedIndex& other) : index_(other.Get()) {}
+    SharedIndex& operator=(const SharedIndex& other);
+
+    std::shared_ptr<const ClosureIndex> Get() const EID_EXCLUDES(mu_);
+    std::shared_ptr<const ClosureIndex> GetOrBuild(const KnowledgeBase& kb)
+        const EID_EXCLUDES(mu_);
+    void Drop() EID_EXCLUDES(mu_);
+
+   private:
+    mutable base::Mutex mu_;
+    mutable std::shared_ptr<const ClosureIndex> index_ EID_GUARDED_BY(mu_);
+  };
+
+  std::shared_ptr<const ClosureIndex> BuildClosureIndex() const;
+
   std::vector<Implication> clauses_;
-  // body-atom -> indices of clauses containing it (for counting algorithm).
+  // body-atom -> indices of clauses containing it (ForwardClosure / Run,
+  // the reference closures).
   std::unordered_map<AtomId, std::vector<size_t>> body_index_;
   // clauses with empty bodies (unconditional facts).
   std::vector<size_t> facts_;
+  // Flat clause arrays, appended by Add: clause c's body atoms follow
+  // those of clauses 0..c-1 in body_atoms_ (body_size_[c] of them), and
+  // its head atoms are head_atoms_[head_begin_[c] .. head_begin_[c+1]).
+  std::vector<uint32_t> body_size_;
+  std::vector<AtomId> body_atoms_;
+  std::vector<uint32_t> head_begin_ = {0};
+  std::vector<AtomId> head_atoms_;
+  SharedIndex index_;
 };
 
 /// One newly derived atom of a closure run: the clause that fired and the
@@ -111,7 +169,9 @@ class EID_PER_WORKER ClosureEvaluator {
   }
 
  private:
-  void RebuildBodyIndex();
+  /// Sizes the per-clause workspace to the knowledge base and starts a
+  /// new epoch.
+  void BeginRun();
 
   const KnowledgeBase* kb_;
   std::vector<size_t> missing_;
@@ -122,21 +182,11 @@ class EID_PER_WORKER ClosureEvaluator {
   std::vector<uint64_t> atom_epoch_;
   std::vector<AtomId> queue_;
   std::vector<DerivedAtom> derived_;
-  // Dense CSR mirror of kb_->body_index_ for RunDerived: atom id a maps
-  // to body_clauses_[body_begin_[a] .. body_begin_[a+1]), in the map's
-  // per-atom insertion order. Per-tuple sweeps probe an atom's clause
-  // list once per derived atom, and the hash find was the hottest
-  // instruction stream of the whole matcher — an array load is not.
-  // body_size_ and the head CSR flatten the per-clause AtomSets the same
-  // way, so the hot loop reads only these contiguous arrays and never
-  // chases an Implication's heap vectors.
-  // Rebuilt whenever the kb has grown (clause count is the version).
-  std::vector<uint32_t> body_begin_;
-  std::vector<uint32_t> body_clauses_;
-  std::vector<uint32_t> body_size_;   // clause -> body atom count
-  std::vector<uint32_t> head_begin_;  // clause -> head CSR row
-  std::vector<AtomId> head_atoms_;
-  size_t indexed_clauses_ = 0;
+  // The knowledge base's atom -> clause CSR, taken once per knowledge-base
+  // version. Per-tuple sweeps probe an atom's clause list once per
+  // derived atom, and a hash find there was the hottest instruction
+  // stream of the whole matcher — an array load is not.
+  std::shared_ptr<const ClosureIndex> index_;
   uint64_t epoch_ = 0;
 };
 

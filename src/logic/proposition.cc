@@ -5,13 +5,17 @@
 namespace eid {
 
 AtomId AtomTable::Intern(const std::string& attribute, const Value& value) {
-  AttributeAtoms& attr = by_attribute_[attribute];
-  auto it = attr.by_value.find(value);
-  if (it != attr.by_value.end()) return it->second;
+  auto [it, inserted] = by_attribute_.try_emplace(
+      attribute, static_cast<uint32_t>(attributes_.size()));
+  if (inserted) attributes_.emplace_back();
+  const uint32_t ordinal = it->second;
+  AttributeAtoms& attr = attributes_[ordinal];
+  const uint32_t i = attr.values.GetOrIntern(value);
+  if (i < attr.ids.size()) return attr.ids[i];
   AtomId id = static_cast<AtomId>(atoms_.size());
   atoms_.push_back(Atom{attribute, value});
+  attribute_of_.push_back(ordinal);
   attr.ids.push_back(id);
-  attr.by_value.emplace(value, id);
   return id;
 }
 
@@ -19,8 +23,13 @@ std::optional<AtomId> AtomTable::Find(const std::string& attribute,
                                       const Value& value) const {
   const AttributeAtoms* attr = AttributeIndex(attribute);
   if (attr == nullptr) return std::nullopt;
-  auto it = attr->by_value.find(value);
-  if (it == attr->by_value.end()) return std::nullopt;
+  return attr->Find(value);
+}
+
+std::optional<uint32_t> AtomTable::FindAttribute(
+    const std::string& attribute) const {
+  auto it = by_attribute_.find(attribute);
+  if (it == by_attribute_.end()) return std::nullopt;
   return it->second;
 }
 
@@ -33,7 +42,7 @@ std::vector<AtomId> AtomTable::AtomsForAttribute(
 const AtomTable::AttributeAtoms* AtomTable::AttributeIndex(
     const std::string& attribute) const {
   auto it = by_attribute_.find(attribute);
-  return it != by_attribute_.end() ? &it->second : nullptr;
+  return it != by_attribute_.end() ? &attributes_[it->second] : nullptr;
 }
 
 AtomSet::AtomSet(std::vector<AtomId> ids) : ids_(std::move(ids)) {

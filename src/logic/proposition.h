@@ -9,12 +9,15 @@
 #define EID_LOGIC_PROPOSITION_H_
 
 #include <cstdint>
+#include <deque>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "relational/status.h"
 #include "relational/value.h"
+#include "relational/value_dictionary.h"
 
 namespace eid {
 
@@ -39,11 +42,19 @@ struct Atom {
 class AtomTable {
  public:
   /// The atoms of one attribute, maintained incrementally by Intern: ids in
-  /// ascending order, plus the value -> id map that seeds forward closures.
-  /// References stay valid until the table is destroyed (append-only).
+  /// ascending order, plus the attribute's values interned in the same
+  /// order, so ids[values.Find(v)] is the atom `attribute = v`. References
+  /// stay valid until the table is destroyed (append-only).
   struct AttributeAtoms {
     std::vector<AtomId> ids;
-    std::unordered_map<Value, AtomId, ValueHash> by_value;
+    ValueDictionary values;
+
+    /// The atom `attribute = v`, or nullopt.
+    std::optional<AtomId> Find(const Value& v) const {
+      const uint32_t i = values.Find(v);
+      if (i == ValueDictionary::kNotInterned) return std::nullopt;
+      return ids[i];
+    }
   };
 
   AtomTable() = default;
@@ -63,21 +74,42 @@ class AtomTable {
   }
   std::string ToString(AtomId id) const { return atom(id).ToString(); }
 
+  /// Dense ordinal of the atom's attribute: attributes are numbered in
+  /// the order their first atom was interned. Lets compiled programs key
+  /// per-attribute state by array index instead of by attribute string.
+  uint32_t attribute_ordinal(AtomId id) const {
+    EID_CHECK(id < attribute_of_.size());
+    return attribute_of_[id];
+  }
+  /// Number of distinct attributes (one past the largest ordinal).
+  size_t attribute_count() const { return attributes_.size(); }
+  /// Ordinal of `attribute`, or nullopt if no atom uses it.
+  std::optional<uint32_t> FindAttribute(const std::string& attribute) const;
+  /// Name of the attribute numbered `ordinal` (< attribute_count()).
+  const std::string& attribute_name(uint32_t ordinal) const {
+    EID_CHECK(ordinal < attributes_.size());
+    return atoms_[attributes_[ordinal].ids.front()].attribute;
+  }
+
   /// All interned atoms whose attribute equals `attribute`.
   std::vector<AtomId> AtomsForAttribute(const std::string& attribute) const;
 
   /// The attribute's atom index, or nullptr if no atom uses it. Lets
-  /// compiled programs borrow the per-attribute seed maps instead of
+  /// compiled programs borrow the per-attribute seed indexes instead of
   /// rebuilding them per session (compile/derivation_program.cc).
   const AttributeAtoms* AttributeIndex(const std::string& attribute) const;
 
  private:
   // Lookup goes through by_attribute_: an attribute-string probe, then a
-  // ValueHash probe — no composite key is materialised per Intern (the
-  // IlfdSet construction behind snapshot loads interns hundreds of
-  // thousands of atoms; a string build per probe dominated that path).
+  // flat ValueDictionary probe — no composite key is materialised per
+  // Intern (the IlfdSet construction behind snapshot loads interns
+  // hundreds of thousands of atoms; a string build per probe dominated
+  // that path).
   std::vector<Atom> atoms_;
-  std::unordered_map<std::string, AttributeAtoms> by_attribute_;
+  std::vector<uint32_t> attribute_of_;  // AtomId -> attribute ordinal
+  // By ordinal; a deque so AttributeIndex pointers survive growth.
+  std::deque<AttributeAtoms> attributes_;
+  std::unordered_map<std::string, uint32_t> by_attribute_;  // -> ordinal
 };
 
 /// A sorted, duplicate-free set of atom ids (conjunction of symbols).

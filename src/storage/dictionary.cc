@@ -21,9 +21,10 @@ double BitsToDouble(uint64_t bits) {
 
 }  // namespace
 
-void DictionaryBuilder::AppendTo(ByteWriter* out) const {
-  out->PutU32(static_cast<uint32_t>(values_.size()));
-  for (const Value& v : values_) {
+void AppendDictionary(const ValueDictionary& dict, ByteWriter* out) {
+  out->PutU32(static_cast<uint32_t>(dict.size()));
+  for (uint32_t id = 0; id < dict.size(); ++id) {
+    const Value& v = dict.value(id);
     out->PutU8(static_cast<uint8_t>(v.type()));
     switch (v.type()) {
       case ValueType::kNull:

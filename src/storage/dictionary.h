@@ -1,57 +1,31 @@
-// Append-only interned-value dictionary (DESIGN.md §4e).
+// Snapshot dictionary section (DESIGN.md §4e).
 //
 // The snapshot stores every distinct Value once and every relation row as
-// a vector of dense uint32_t value ids — the same id discipline as
-// compile::ValueInterner (first-intern order, storage equality, NULL is a
-// regular internable value). Because ids are assigned in first-seen
-// order, a ValueInterner preloaded from the decoded dictionary reproduces
-// byte-identical ids, so compiled programs over a loaded world join on
-// the same dense keys a fresh build would (the interner handoff).
+// a vector of dense uint32_t value ids. The writer interns through the
+// engine's one ValueDictionary (first-seen order, storage equality, NULL
+// is a regular internable value) and serializes it in id order. Because
+// ids are assigned in first-seen order, a dictionary preloaded from the
+// decoded section reproduces byte-identical ids, so compiled programs
+// over a loaded world join on the same dense keys a fresh build would
+// (the interner handoff).
 
 #ifndef EID_STORAGE_DICTIONARY_H_
 #define EID_STORAGE_DICTIONARY_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "relational/value.h"
+#include "relational/value_dictionary.h"
 #include "storage/format.h"
 
 namespace eid {
 namespace storage {
 
-/// Builds the dictionary at save time: interns Values to dense ids in
-/// first-seen order (ValueInterner semantics) and serializes the table.
-class DictionaryBuilder {
- public:
-  /// Id of `v`, interning on first use. Ids are dense from 0.
-  uint32_t Intern(const Value& v) {
-    auto [it, inserted] =
-        ids_.emplace(v, static_cast<uint32_t>(values_.size()));
-    if (inserted) values_.push_back(v);
-    return it->second;
-  }
-
-  /// Pre-sizes the intern table; the save path passes a bound derived
-  /// from the relation cell counts so interning never rehashes mid-save.
-  void Reserve(size_t n) {
-    ids_.reserve(n);
-    values_.reserve(n);
-  }
-
-  size_t size() const { return values_.size(); }
-  const std::vector<Value>& values() const { return values_; }
-
-  /// Section payload: count u32; per value a type tag byte + payload
-  /// (bool 1 B; int/double 8 B little-endian; string u32 len + bytes;
-  /// null none).
-  void AppendTo(ByteWriter* out) const;
-
- private:
-  std::unordered_map<Value, uint32_t, ValueHash> ids_;
-  std::vector<Value> values_;
-};
+/// Appends `dict` as a section payload: count u32; per value, in id
+/// order, a type tag byte + payload (bool 1 B; int/double 8 B
+/// little-endian; string u32 len + bytes; null none).
+void AppendDictionary(const ValueDictionary& dict, ByteWriter* out);
 
 /// Decodes a dictionary section into id -> Value. Errors on unknown type
 /// tags or truncation.

@@ -26,7 +26,7 @@ namespace {
 // NULL under a regular id, but those encoders skip NULL cells).
 constexpr uint32_t kNoCell = 0xFFFFFFFFu;
 
-void AppendRelation(const Relation& rel, DictionaryBuilder* dict,
+void AppendRelation(const Relation& rel, ValueDictionary* dict,
                     ByteWriter* out,
                     std::vector<uint32_t>* ids_out = nullptr) {
   out->PutString(rel.name());
@@ -46,7 +46,7 @@ void AppendRelation(const Relation& rel, DictionaryBuilder* dict,
   if (ids_out != nullptr) ids_out->reserve(rel.size() * rel.schema().size());
   for (const Row& row : rel.rows()) {
     for (const Value& v : row) {
-      const uint32_t id = dict->Intern(v);
+      const uint32_t id = dict->GetOrIntern(v);
       out->PutU32(id);
       if (ids_out != nullptr) ids_out->push_back(v.is_null() ? kNoCell : id);
     }
@@ -106,7 +106,7 @@ void AppendPairs(const MatchTable* table, ByteWriter* out) {
 }
 
 void AppendTraces(const std::vector<Derivation>* traces,
-                  DictionaryBuilder* dict, ByteWriter* out) {
+                  ValueDictionary* dict, ByteWriter* out) {
   if (traces == nullptr) {
     out->PutU32(0);
     return;
@@ -116,19 +116,19 @@ void AppendTraces(const std::vector<Derivation>* traces,
     out->PutU32(static_cast<uint32_t>(d.derived.size()));
     for (const auto& [attribute, value] : d.derived) {
       out->PutString(attribute);
-      out->PutU32(dict->Intern(value));
+      out->PutU32(dict->GetOrIntern(value));
     }
     out->PutU32(static_cast<uint32_t>(d.steps.size()));
     for (const DerivationStep& step : d.steps) {
       out->PutString(step.attribute);
-      out->PutU32(dict->Intern(step.value));
+      out->PutU32(dict->GetOrIntern(step.value));
       out->PutU64(static_cast<uint64_t>(step.ilfd_index));
     }
     out->PutU32(static_cast<uint32_t>(d.conflicts.size()));
     for (const DerivationConflict& c : d.conflicts) {
       out->PutString(c.attribute);
-      out->PutU32(dict->Intern(c.first_value));
-      out->PutU32(dict->Intern(c.second_value));
+      out->PutU32(dict->GetOrIntern(c.first_value));
+      out->PutU32(dict->GetOrIntern(c.second_value));
       // kDerivationBaseProvenance == size_t(-1) survives as u64.
       out->PutU64(static_cast<uint64_t>(c.first_ilfd));
       out->PutU64(static_cast<uint64_t>(c.second_ilfd));
@@ -136,16 +136,16 @@ void AppendTraces(const std::vector<Derivation>* traces,
   }
 }
 
-void AppendAtoms(const std::vector<Atom>& atoms, DictionaryBuilder* dict,
+void AppendAtoms(const std::vector<Atom>& atoms, ValueDictionary* dict,
                  ByteWriter* out) {
   out->PutU32(static_cast<uint32_t>(atoms.size()));
   for (const Atom& a : atoms) {
     out->PutString(a.attribute);
-    out->PutU32(dict->Intern(a.value));
+    out->PutU32(dict->GetOrIntern(a.value));
   }
 }
 
-void AppendRuleProgram(const WorldImage& image, DictionaryBuilder* dict,
+void AppendRuleProgram(const WorldImage& image, ValueDictionary* dict,
                        ByteWriter* out) {
   // ILFDs are stored structurally (atoms over dictionary value ids), not
   // as display text — Value::ToString round-trips are lossy for strings
@@ -594,7 +594,7 @@ Status WriteSnapshot(const WorldImage& image, const std::string& path) {
   // Interning order — R, S, R', S' rows, then provenance, then rule
   // program — fixes the dictionary ids; a reader preloading the decoded
   // dictionary reproduces them exactly.
-  DictionaryBuilder dict;
+  ValueDictionary dict;
   struct Pending {
     SectionKind kind;
     uint32_t role;
@@ -674,7 +674,7 @@ Status WriteSnapshot(const WorldImage& image, const std::string& path) {
   // The dictionary is interned by now; emit it as the first section.
   {
     ByteWriter w;
-    dict.AppendTo(&w);
+    AppendDictionary(dict, &w);
     pending.insert(pending.begin(),
                    Pending{SectionKind::kDictionary, 0, std::move(w).Take()});
   }

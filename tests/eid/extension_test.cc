@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
+#include "exec/columnar_world.h"
 #include "workload/fixtures.h"
 
 namespace eid {
@@ -123,6 +124,125 @@ TEST(ExtensionTest, DirtyDataSurfacesAsConflictError) {
                      fixtures::Example2Ilfds());
   ASSERT_FALSE(sx.ok());
   EXPECT_EQ(sx.status().code(), StatusCode::kConstraintViolation);
+}
+
+TEST(ExtensionTest, ColumnarKeyRecheckRejectsWhatInsertRejects) {
+  // Rows installed without per-row checks (AdoptRows, the snapshot-load
+  // path) can break a key. The columnar sweep re-checks keys at the id
+  // level and must hand such rows to the per-row Insert replay, which
+  // rejects them — for a NULL key cell and for duplicate keys of width 1,
+  // 2 (packed) and 3. (The world-free paths reject them earlier, when
+  // renaming copies R row by row, so only the status code is compared.)
+  const std::vector<std::string> attrs = {"a", "b", "c", "d"};
+  struct Case {
+    std::vector<std::string> key;
+    std::vector<Row> rows;
+  };
+  auto row = [](const char* a, const char* b, const char* c) {
+    return Row{Value::Str(a), Value::Str(b), Value::Str(c), Value::Str("d")};
+  };
+  const std::vector<Case> cases = {
+      {{"a"}, {row("x", "1", "p"), row("x", "2", "q")}},
+      {{"a", "b"}, {row("x", "1", "p"), row("y", "1", "q"),
+                    row("x", "1", "r")}},
+      {{"a", "b", "c"}, {row("x", "1", "p"), row("x", "1", "q"),
+                         row("x", "1", "p")}},
+      {{"a"}, {row("x", "1", "p"),
+               Row{Value::Null(), Value::Str("2"), Value::Str("q"),
+                   Value::Str("d")}}},
+      {{"a", "b", "c"}, {row("x", "1", "p"), row("x", "2", "p"),
+                         row("y", "1", "p")}},  // valid: no error
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    Relation r("R", Schema::OfStrings(attrs));
+    EID_ASSERT_OK(r.DeclareKey(cases[i].key));
+    r.AdoptRows(cases[i].rows);
+    AttributeCorrespondence corr = AttributeCorrespondence::Identity(r, r);
+    ExtendedKey key({"a", "e"});
+    ExtensionOptions options;
+    options.compile = false;
+    Result<ExtensionResult> oracle =
+        ExtendRelation(r, Side::kR, corr, key, IlfdSet(), options);
+    options.compile = true;
+    exec::ColumnarWorld world;
+    Result<ExtensionResult> columnar =
+        ExtendRelation(r, Side::kR, corr, key, IlfdSet(), options,
+                       /*pool=*/nullptr, /*stats=*/nullptr, &world);
+    const bool valid = i + 1 == cases.size();
+    EXPECT_EQ(oracle.ok(), valid) << "case " << i;
+    EXPECT_EQ(columnar.ok(), valid) << "case " << i;
+    EXPECT_EQ(columnar.status().code(), oracle.status().code())
+        << "case " << i;
+    if (oracle.ok() && columnar.ok()) {
+      EXPECT_EQ(columnar->extended.rows(), oracle->extended.rows());
+    }
+  }
+}
+
+/// The appended column's type as a scan of every ILFD decides it: the
+/// scan's `break` leaves only the consequent loop, so the last ILFD with
+/// a non-NULL consequent for the attribute wins; kString when none has.
+ValueType ScannedColumnType(const IlfdSet& ilfds, const std::string& name) {
+  ValueType type = ValueType::kString;
+  for (const Ilfd& f : ilfds.ilfds()) {
+    for (const Atom& c : f.consequent()) {
+      if (c.attribute == name && !c.value.is_null()) {
+        type = c.value.type();
+        break;
+      }
+    }
+  }
+  return type;
+}
+
+TEST(ExtensionTest, AppendedColumnTypeFollowsLastNonNullConsequent) {
+  Relation r = ::eid::testing::MakeRelation("R", {"name"}, {"name"},
+                                            {{"a"}, {"b"}});
+  AttributeCorrespondence corr = AttributeCorrespondence::Identity(r, r);
+  ExtendedKey key({"name", "x"});
+  // Antecedents no row satisfies: only the schema is under test.
+  auto rule = [](const std::string& cond, std::vector<Atom> consequent) {
+    return Ilfd({Atom{"name", Value::String(cond)}}, std::move(consequent));
+  };
+  const Atom x_int{"x", Value::Int(1)};
+  const Atom x_str{"x", Value::Str("s")};
+  const Atom x_dbl{"x", Value::Double(2.5)};
+  const Atom x_null{"x", Value::Null()};
+  const Atom y_int{"y", Value::Int(3)};
+  struct Case {
+    std::vector<Ilfd> ilfds;
+    ValueType want;
+  };
+  const std::vector<Case> cases = {
+      {{}, ValueType::kString},
+      {{rule("p", {y_int})}, ValueType::kString},
+      {{rule("p", {x_null})}, ValueType::kString},
+      {{rule("p", {x_int})}, ValueType::kInt},
+      {{rule("p", {x_int}), rule("q", {x_str})}, ValueType::kString},
+      {{rule("p", {x_str}), rule("q", {x_int})}, ValueType::kInt},
+      {{rule("p", {x_dbl}), rule("q", {x_null})}, ValueType::kDouble},
+      {{rule("p", {x_int}), rule("q", {x_dbl, y_int}), rule("r", {y_int})},
+       ValueType::kDouble},
+      {{rule("p", {x_dbl}), rule("q", {x_null, y_int}),
+        rule("r", {x_str}), rule("s", {x_null})},
+       ValueType::kString},
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const IlfdSet ilfds(cases[i].ilfds);
+    ASSERT_EQ(ScannedColumnType(ilfds, "x"), cases[i].want) << "case " << i;
+    EXPECT_EQ(ilfds.ConsequentType("x"), cases[i].want) << "case " << i;
+    for (bool compile : {false, true}) {
+      ExtensionOptions options;
+      options.compile = compile;
+      EID_ASSERT_OK_AND_ASSIGN(
+          ExtensionResult rx,
+          ExtendRelation(r, Side::kR, corr, key, ilfds, options));
+      const std::optional<size_t> x = rx.extended.schema().IndexOf("x");
+      ASSERT_TRUE(x.has_value()) << "case " << i;
+      EXPECT_EQ(rx.extended.schema().attribute(*x).type, cases[i].want)
+          << "case " << i << (compile ? " compiled" : " interpreted");
+    }
+  }
 }
 
 }  // namespace

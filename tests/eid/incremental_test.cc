@@ -146,6 +146,59 @@ TEST(IncrementalTest, UniquenessViolationAndRecoveryOnDelete) {
   EXPECT_EQ(inc.MatchOfR(r0), s1);  // shadowed candidate surfaced
 }
 
+TEST(IncrementalTest, KeyJoinCandidatesMatchBeforeIdentityRules) {
+  // Batch Identify adds every extended-key join pair before any identity
+  // rule pair. R0 joins S1 on the key {name, a}, while the identity rule
+  // links R0 to S0: both runs must keep R0-S1 and report S0's loss.
+  Relation r_proto = MakeRelation("R", {"name", "a", "b"}, {"name", "a"}, {});
+  Relation s_proto = MakeRelation("S", {"name", "a", "b"}, {"name", "a"}, {});
+  IdentifierConfig config;
+  config.correspondence = AttributeCorrespondence::Identity(r_proto, s_proto);
+  config.extended_key = ExtendedKey({"name", "a"});
+  EID_ASSERT_OK_AND_ASSIGN(
+      IdentityRule same_b,
+      ParseIdentityRule("same_b", "e1.name = e2.name & e1.b = e2.b"));
+  config.identity_rules.push_back(same_b);
+  const Row r0_row{Value::Str("N"), Value::Str("x"), Value::Str("p")};
+  const Row s0_row{Value::Str("N"), Value::Str("y"), Value::Str("p")};
+  const Row s1_row{Value::Str("N"), Value::Str("x"), Value::Str("q")};
+
+  for (bool staged : {false, true}) {
+    for (bool compile : {false, true}) {
+      config.matcher_options.staged = staged;
+      config.matcher_options.compile = compile;
+      EID_ASSERT_OK_AND_ASSIGN(
+          IncrementalIdentifier inc,
+          IncrementalIdentifier::Create(config, r_proto, s_proto));
+      EID_ASSERT_OK_AND_ASSIGN(size_t r0, inc.InsertR(r0_row));
+      EID_ASSERT_OK_AND_ASSIGN(size_t s0, inc.InsertS(s0_row));
+      EID_ASSERT_OK_AND_ASSIGN(size_t s1, inc.InsertS(s1_row));
+      EXPECT_EQ(inc.MatchOfR(r0), s1);
+      EXPECT_EQ(inc.MatchOfS(s0), std::nullopt);
+      EXPECT_EQ(inc.Uniqueness().code(), StatusCode::kConstraintViolation);
+
+      Relation r = r_proto;
+      Relation s = s_proto;
+      EID_ASSERT_OK(r.Insert(r0_row));
+      EID_ASSERT_OK(s.Insert(s0_row));
+      EID_ASSERT_OK(s.Insert(s1_row));
+      EID_ASSERT_OK_AND_ASSIGN(IdentificationResult batch,
+                               EntityIdentifier(config).Identify(r, s));
+      EXPECT_EQ(batch.Decide(0, 1), MatchDecision::kMatch);
+      EXPECT_FALSE(batch.uniqueness.ok());
+      EID_ASSERT_OK_AND_ASSIGN(Relation inc_mt, inc.MatchingRelation());
+      EID_ASSERT_OK_AND_ASSIGN(Relation batch_mt,
+                               batch.MatchingRelation("MT"));
+      EXPECT_TRUE(inc_mt.RowsEqualUnordered(batch_mt));
+
+      // Deleting the key-join partner lets the identity candidate match.
+      EID_ASSERT_OK(inc.DeleteS(s1));
+      EXPECT_EQ(inc.MatchOfR(r0), s0);
+      EID_EXPECT_OK(inc.Uniqueness());
+    }
+  }
+}
+
 TEST(IncrementalTest, KeyViolationsRejectedWithoutStateChange) {
   EID_ASSERT_OK_AND_ASSIGN(IncrementalIdentifier inc,
                            MakeExample3Incremental());
@@ -437,9 +490,8 @@ GeneratedWorld HomonymWorld(size_t per_side, uint64_t seed) {
 /// the key, so the cuisine and city rules have no column on one side and
 /// only the speciality rules fire; unkeyed, every derivable attribute is
 /// derived and all six rules fire across homonyms. Neither lets an
-/// identity rule compete with a different key-join candidate: there the
-/// session's one greedy (r_id, s_id) order and batch's key-join-first
-/// order pick different matches (an open ROADMAP item).
+/// identity rule compete with a different key-join candidate;
+/// CompetingKeyedConfig below does.
 IdentifierConfig HomonymConfig(const GeneratedWorld& world, bool keyed,
                                bool staged, bool compile) {
   IdentifierConfig config;
@@ -692,6 +744,38 @@ TEST(IncrementalPropertyTest, RandomInterleavingsEqualBatch) {
               << (staged ? " staged" : " exhaustive")
               << (compile ? " compiled" : " interpreted");
         }
+      }
+    }
+  }
+}
+
+/// HomonymConfig keyed on {name, speciality}, plus an identity rule on
+/// the name alone. Homonyms make it fire on pairs the key join does not
+/// certify, so it competes with key-join candidates for the same tuples —
+/// the case where the session must take key-join candidates first, as
+/// batch Identify does.
+IdentifierConfig CompetingKeyedConfig(const GeneratedWorld& world,
+                                      bool staged, bool compile) {
+  IdentifierConfig config =
+      HomonymConfig(world, /*keyed=*/true, staged, compile);
+  Result<IdentityRule> same_name =
+      ParseIdentityRule("name_eq", "e1.name = e2.name");
+  EID_CHECK(same_name.ok());
+  config.identity_rules.push_back(*same_name);
+  return config;
+}
+
+TEST(IncrementalPropertyTest, KeyedSessionsWithCompetingRulesEqualBatch) {
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    const GeneratedWorld world = HomonymWorld(/*per_side=*/40, seed);
+    for (bool staged : {false, true}) {
+      for (bool compile : {false, true}) {
+        const std::string failure =
+            RunStream(world, CompetingKeyedConfig(world, staged, compile),
+                      seed, /*steps=*/240, /*every=*/12);
+        EXPECT_EQ(failure, "")
+            << "seed " << seed << (staged ? " staged" : " exhaustive")
+            << (compile ? " compiled" : " interpreted");
       }
     }
   }

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
 #include <unordered_set>
+#include <vector>
+
+#include "relational/value_dictionary.h"
 
 #include "../test_util.h"
 
@@ -134,6 +139,159 @@ TEST(ValueTest, ParseStringTreatsNullLiteral) {
 TEST(ValueTest, AsNumericPromotesInt) {
   EXPECT_EQ(Value::Int(3).AsNumeric(), 3.0);
   EXPECT_EQ(Value::Double(3.5).AsNumeric(), 3.5);
+}
+
+// --- ValueDictionary ------------------------------------------------------
+
+std::vector<Value> ManyValues(size_t n) {
+  std::vector<Value> out;
+  out.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    switch (i % 3) {
+      case 0:
+        out.push_back(Value::Int(static_cast<int64_t>(i)));
+        break;
+      case 1:
+        out.push_back(Value::Double(static_cast<double>(i) + 0.5));
+        break;
+      default:
+        out.push_back(Value::String("v" + std::to_string(i)));
+        break;
+    }
+  }
+  return out;
+}
+
+TEST(ValueDictionaryTest, DenseFirstSeenIdsAcrossGrowth) {
+  ValueDictionary dict;
+  const std::vector<Value> values = ManyValues(5000);
+  size_t growths = 0;
+  size_t capacity = dict.capacity();
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(dict.GetOrIntern(values[i]), i);
+    // Re-interning an earlier value returns its id, never a new one.
+    EXPECT_EQ(dict.GetOrIntern(values[i / 2]), i / 2);
+    if (dict.capacity() != capacity) ++growths;
+    capacity = dict.capacity();
+  }
+  EXPECT_EQ(dict.size(), values.size());
+  EXPECT_GE(growths, 8u);
+  EXPECT_LE(dict.size() * 4, dict.capacity() * 3);  // load <= 3/4
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(dict.Find(values[i]), i);
+    EXPECT_EQ(dict.value(static_cast<uint32_t>(i)), values[i]);
+  }
+}
+
+TEST(ValueDictionaryTest, HashIsValueHash) {
+  ValueDictionary dict;
+  for (const Value& v : ManyValues(300)) dict.GetOrIntern(v);
+  dict.GetOrIntern(Value::Null());
+  dict.GetOrIntern(Value::Bool(true));
+  for (uint32_t id = 0; id < dict.size(); ++id) {
+    EXPECT_EQ(dict.hash(id), ValueHash{}(dict.value(id))) << "id " << id;
+  }
+}
+
+TEST(ValueDictionaryTest, ValueReferencesSurviveGrowth) {
+  ValueDictionary dict;
+  dict.GetOrIntern(Value::Str("first"));
+  dict.GetOrIntern(Value::Int(2));
+  const Value* first = &dict.value(0);
+  const Value* second = &dict.value(1);
+  for (const Value& v : ManyValues(10000)) dict.GetOrIntern(v);
+  EXPECT_EQ(first, &dict.value(0));
+  EXPECT_EQ(second, &dict.value(1));
+  EXPECT_EQ(*first, Value::Str("first"));
+  EXPECT_EQ(*second, Value::Int(2));
+}
+
+TEST(ValueDictionaryTest, FindAndPrehashedFindAgree) {
+  ValueDictionary dict;
+  const std::vector<Value> values = ManyValues(1000);
+  for (size_t i = 0; i < values.size(); i += 2) dict.GetOrIntern(values[i]);
+  for (size_t i = 0; i < values.size(); ++i) {
+    const uint32_t plain = dict.Find(values[i]);
+    EXPECT_EQ(plain, dict.Find(values[i], ValueHash{}(values[i])));
+    EXPECT_EQ(plain, i % 2 == 0 ? i / 2 : ValueDictionary::kNotInterned);
+  }
+  ValueDictionary empty;
+  EXPECT_EQ(empty.Find(Value::Int(1)), ValueDictionary::kNotInterned);
+  EXPECT_EQ(empty.Find(Value::Int(1), ValueHash{}(Value::Int(1))),
+            ValueDictionary::kNotInterned);
+}
+
+TEST(ValueDictionaryTest, StorageEquality) {
+  ValueDictionary dict;
+  const uint32_t null_id = dict.GetOrIntern(Value::Null());
+  EXPECT_EQ(dict.GetOrIntern(Value::Null()), null_id);
+  EXPECT_TRUE(dict.value(null_id).is_null());
+  const uint32_t int_id = dict.GetOrIntern(Value::Int(1));
+  const uint32_t double_id = dict.GetOrIntern(Value::Double(1.0));
+  EXPECT_NE(int_id, double_id);
+  const std::string text = "Kababish";
+  EXPECT_EQ(dict.GetOrIntern(Value::String(text)),
+            dict.GetOrIntern(Value::String(std::string(text))));
+  EXPECT_EQ(dict.size(), 4u);
+}
+
+TEST(ValueDictionaryTest, ReserveChangesNoId) {
+  const std::vector<Value> values = ManyValues(2000);
+  ValueDictionary dict;
+  for (size_t i = 0; i < 100; ++i) dict.GetOrIntern(values[i]);
+  dict.Reserve(50000);
+  EXPECT_GE(dict.capacity() * 3, 50000u * 4);
+  EXPECT_EQ(dict.size(), 100u);
+  for (size_t i = 0; i < 100; ++i) EXPECT_EQ(dict.Find(values[i]), i);
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(dict.GetOrIntern(values[i]), i);
+  }
+  const size_t capacity = dict.capacity();
+  dict.Reserve(10);  // never shrinks
+  EXPECT_EQ(dict.capacity(), capacity);
+}
+
+TEST(ValueDictionaryTest, SmallTableWithCollisions) {
+  // The minimum table holds 12 values in 16 slots, so probes collide and
+  // wrap; every prefix must stay fully findable, before and after the
+  // first growth, and absent values must still miss.
+  ValueDictionary dict;
+  const std::vector<Value> values = ManyValues(40);
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(dict.GetOrIntern(values[i]), i);
+    if (i < 12) {
+      EXPECT_EQ(dict.capacity(), 16u);
+    }
+    for (size_t j = 0; j <= i; ++j) ASSERT_EQ(dict.Find(values[j]), j);
+    for (size_t j = i + 1; j < values.size(); ++j) {
+      ASSERT_EQ(dict.Find(values[j]), ValueDictionary::kNotInterned);
+    }
+  }
+}
+
+TEST(ValueDictionaryTest, ConcurrentFindReadsCorrectly) {
+  ValueDictionary dict;
+  const std::vector<Value> values = ManyValues(20000);
+  for (size_t i = 0; i < values.size(); i += 2) dict.GetOrIntern(values[i]);
+  const ValueDictionary& frozen = dict;
+  std::vector<size_t> errors(4, 0);
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      for (size_t i = t; i < values.size(); i += 3) {
+        const uint32_t want =
+            i % 2 == 0 ? static_cast<uint32_t>(i / 2)
+                       : ValueDictionary::kNotInterned;
+        if (frozen.Find(values[i]) != want) ++errors[t];
+        if (want != ValueDictionary::kNotInterned &&
+            !(frozen.value(want) == values[i])) {
+          ++errors[t];
+        }
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  for (size_t t = 0; t < 4; ++t) EXPECT_EQ(errors[t], 0u) << "thread " << t;
 }
 
 }  // namespace

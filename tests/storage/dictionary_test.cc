@@ -1,7 +1,7 @@
-// Interned-value dictionary: dense first-seen ids, exact round-trips of
+// Snapshot dictionary section: dense first-seen ids, exact round-trips of
 // every value type, clean rejection of malformed payloads, and the
 // contract the snapshot loader relies on — preloading a ValueInterner
-// with the decoded dictionary reproduces the ids the builder assigned.
+// with the decoded section reproduces the ids the writer assigned.
 
 #include "storage/dictionary.h"
 
@@ -34,20 +34,20 @@ std::vector<Value> SampleValues() {
 }
 
 TEST(DictionaryTest, FirstSeenDenseIds) {
-  DictionaryBuilder dict;
-  EXPECT_EQ(dict.Intern(Value::String("a")), 0u);
-  EXPECT_EQ(dict.Intern(Value::String("b")), 1u);
-  EXPECT_EQ(dict.Intern(Value::String("a")), 0u);
-  EXPECT_EQ(dict.Intern(Value::Int(7)), 2u);
+  ValueDictionary dict;
+  EXPECT_EQ(dict.GetOrIntern(Value::String("a")), 0u);
+  EXPECT_EQ(dict.GetOrIntern(Value::String("b")), 1u);
+  EXPECT_EQ(dict.GetOrIntern(Value::String("a")), 0u);
+  EXPECT_EQ(dict.GetOrIntern(Value::Int(7)), 2u);
   EXPECT_EQ(dict.size(), 3u);
 }
 
 TEST(DictionaryTest, RoundTripAllValueTypes) {
-  DictionaryBuilder dict;
+  ValueDictionary dict;
   std::vector<Value> values = SampleValues();
-  for (const Value& v : values) dict.Intern(v);
+  for (const Value& v : values) dict.GetOrIntern(v);
   ByteWriter w;
-  dict.AppendTo(&w);
+  AppendDictionary(dict, &w);
   std::string bytes = std::move(w).Take();
 
   ByteReader in(bytes.data(), bytes.size());
@@ -62,10 +62,10 @@ TEST(DictionaryTest, RoundTripAllValueTypes) {
 }
 
 TEST(DictionaryTest, ParseRejectsTruncationAtEveryPrefix) {
-  DictionaryBuilder dict;
-  for (const Value& v : SampleValues()) dict.Intern(v);
+  ValueDictionary dict;
+  for (const Value& v : SampleValues()) dict.GetOrIntern(v);
   ByteWriter w;
-  dict.AppendTo(&w);
+  AppendDictionary(dict, &w);
   std::string bytes = std::move(w).Take();
   for (size_t len = 0; len < bytes.size(); ++len) {
     ByteReader in(bytes.data(), len);
@@ -96,16 +96,22 @@ TEST(DictionaryTest, ParseRejectsOverstatedCount) {
 }
 
 TEST(DictionaryTest, InternerPreloadReproducesIds) {
-  // The snapshot loader hands the decoded dictionary to a ValueInterner;
-  // GetOrIntern afterwards must return exactly the builder's ids, so
+  // The snapshot loader hands the decoded section to a ValueInterner;
+  // GetOrIntern afterwards must return exactly the writer's ids, so
   // compiled programs over a loaded world agree with the saved one.
-  DictionaryBuilder dict;
+  ValueDictionary dict;
   std::vector<Value> values = SampleValues();
   std::vector<uint32_t> ids;
-  for (const Value& v : values) ids.push_back(dict.Intern(v));
+  for (const Value& v : values) ids.push_back(dict.GetOrIntern(v));
+  ByteWriter w;
+  AppendDictionary(dict, &w);
+  std::string bytes = std::move(w).Take();
+  ByteReader in(bytes.data(), bytes.size());
+  std::vector<Value> decoded;
+  ASSERT_TRUE(ParseDictionary(&in, &decoded).ok());
 
   compile::ValueInterner interner;
-  interner.Preload(dict.values());
+  interner.Preload(decoded);
   for (size_t i = 0; i < values.size(); ++i) {
     EXPECT_EQ(interner.GetOrIntern(values[i]), ids[i]) << "value " << i;
   }
