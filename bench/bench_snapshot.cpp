@@ -3,8 +3,7 @@
 // For each world size the harness identifies once, then measures:
 //   * save_ms     — WriteSnapshot of the full world image;
 //   * load_ms     — LoadSnapshot: map, checksum, decode dictionary +
-//                   relations + Elias-Fano postings + fingerprints +
-//                   MT/NMT + provenance + rule program;
+//                   relations + MT/NMT + provenance + rule program;
 //   * rebuild_ms  — the path a process without a snapshot must take to
 //                   reach the same state, starting from durable bytes
 //                   only: read the source relations from disk (CSV), parse
@@ -20,8 +19,8 @@
 //
 // The speedup column (rebuild_ms / load_ms) is the cold-start win the
 // snapshot subsystem exists for; EXPERIMENTS.md S7 records the --full
-// n=65536 row. file_bytes vs ram_bytes shows what the Elias-Fano and
-// dictionary encodings buy over the in-memory representation.
+// n=65536 row. file_bytes vs ram_bytes shows what the dictionary
+// encoding buys over the in-memory representation.
 //
 // Output: BENCH_snapshot.json ($EID_BENCH_JSON overrides), merged per
 // (name, n) so smoke runs refresh small-n records without disturbing

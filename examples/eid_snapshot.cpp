@@ -125,11 +125,7 @@ int Inspect(const std::string& path) {
     std::printf("  %-14s %-10s %10llu %10llu  %016llx\n",
                 storage::SectionKindName(
                     static_cast<storage::SectionKind>(e.kind)),
-                e.kind == static_cast<uint32_t>(storage::SectionKind::kRelation) ||
-                        e.kind ==
-                            static_cast<uint32_t>(storage::SectionKind::kPostings) ||
-                        e.kind == static_cast<uint32_t>(
-                                      storage::SectionKind::kFingerprints)
+                e.kind == static_cast<uint32_t>(storage::SectionKind::kRelation)
                     ? storage::RelationRoleName(
                           static_cast<storage::RelationRole>(e.role))
                     : "-",

@@ -35,7 +35,7 @@
 //                             ParallelFor and read-only inside it
 //                             (const access from every worker).
 //                             Examples: CompiledConjunction,
-//                             ColumnIndexCache contents, AMQ filters.
+//                             ColumnIndex posting indexes.
 //
 // Both expand to nothing on every compiler; they are declarations of
 // intent that reviews and TSan hold the code to, exactly like the

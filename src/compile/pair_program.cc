@@ -436,8 +436,8 @@ void StagedConjunction::PairTruthBlock(const size_t* r_rows,
 
 namespace {
 
-// Rows per vectorized probe block: the pack/mask pass streams this many
-// contiguous lanes per key column before any hash-table access.
+// Rows per probe block: the NULL-mask pass streams this many contiguous
+// lanes per key column before any posting range is read.
 constexpr size_t kProbeBatch = 256;
 
 }  // namespace
@@ -451,33 +451,41 @@ std::vector<TuplePair> InternedKeyJoin(const Relation& r_ext,
                                        KeyJoinStats* stats) {
   const size_t k = r_idx.size();
   EID_CHECK(s_idx.size() == k);
-  const double encode_ms_before = world != nullptr ? world->encode_ms() : 0.0;
-  const size_t reuse_before = world != nullptr ? world->reuse_hits() : 0;
-  PairFeatureCache features(&r_ext, &s_ext);
-  // Columnar id projections, built serially: per-row NULL checks and
-  // Value hashing happen at most once — and not at all when the world
-  // already encoded the column for the extension stage — never in the
-  // probe loop.
+  exec::ColumnarWorld private_world;
+  exec::ColumnarWorld& w = world != nullptr ? *world : private_world;
+  const double encode_ms_before = w.encode_ms();
+  const size_t reuse_before = w.reuse_hits();
+  // Id columns, encoded serially — at most once per session, and not at
+  // all when the extension stage already handed them over.
   std::vector<const uint32_t*> r_cols, s_cols;
   r_cols.reserve(k);
   s_cols.reserve(k);
   for (size_t i : r_idx) {
-    r_cols.push_back(
-        world != nullptr
-            ? world->Column(exec::WorldRel::kRExtended, r_ext, i).data()
-            : features.RColumn(i).data());
+    r_cols.push_back(w.Column(exec::WorldRel::kRExtended, r_ext, i).data());
   }
   for (size_t i : s_idx) {
-    s_cols.push_back(
-        world != nullptr
-            ? world->Column(exec::WorldRel::kSExtended, s_ext, i).data()
-            : features.SColumn(i).data());
+    s_cols.push_back(w.Column(exec::WorldRel::kSExtended, s_ext, i).data());
+  }
+  // Probe through the S key column with the most distinct non-NULL ids
+  // (the first on ties): its posting ranges are the shortest, so a
+  // leading attribute with few values (a 32-city column) never turns
+  // each probe into a city-sized scan. The other key columns are
+  // verified by id on each candidate.
+  size_t probe = 0;
+  const exec::ColumnIndex* index = nullptr;
+  for (size_t c = 0; c < k; ++c) {
+    const exec::ColumnIndex& candidate =
+        w.Index(exec::WorldRel::kSExtended, s_ext, s_idx[c]);
+    if (index == nullptr || candidate.distinct() > index->distinct()) {
+      probe = c;
+      index = &candidate;
+    }
   }
 
   const size_t n = r_ext.size();
   const int threads = pool != nullptr ? pool->threads() : 1;
   // Adaptive serial cutoff (same rationale as ParallelFor's): a chunk
-  // below a few probe batches fragments the 256-lane packing into
+  // below a few probe batches fragments the 256-lane mask pass into
   // partial blocks and pays per-chunk buffer overhead that exceeds the
   // probes themselves. Clamping the grain makes small joins run as a
   // handful of full-batch chunks — n <= 4·kProbeBatch is one serial
@@ -488,114 +496,44 @@ std::vector<TuplePair> InternedKeyJoin(const Relation& r_ext,
   std::vector<std::vector<TuplePair>> found(num_chunks);
   std::vector<size_t> batches(num_chunks, 0);
 
-  if (k <= 2) {
-    // Narrow keys (the common case: extended keys of one or two
-    // attributes) pack into one uint64_t — a probe is a single integer
-    // hash, no vector hashing, no per-column map lookups.
-    std::unordered_map<uint64_t, std::vector<size_t>> build;
-    build.reserve(s_ext.size() * 2);
-    for (size_t s = 0; s < s_ext.size(); ++s) {
-      uint64_t key = 0;
-      bool valid = true;
+  // Pairs come out r-major and, within an r row, in the posting range's
+  // ascending s order — the order the uniqueness verdict depends on.
+  exec::ParallelFor(pool, n, grain, [&](size_t begin, size_t end, int) {
+    const size_t chunk = begin / grain;
+    uint8_t valid[kProbeBatch];
+    for (size_t b = begin; b < end; b += kProbeBatch) {
+      const size_t m = std::min(kProbeBatch, end - b);
+      ++batches[chunk];
+      // Pass 1: a row with any NULL key cell never joins (non_null_eq);
+      // accumulate that mask branch-free over each contiguous id lane.
+      for (size_t i = 0; i < m; ++i) valid[i] = 1;
       for (size_t c = 0; c < k; ++c) {
-        const uint32_t id = s_cols[c][s];
-        valid &= id != PairFeatureCache::kNullId;  // non_null_eq
-        key = (key << 32) | id;
+        const uint32_t* ids = r_cols[c];
+        for (size_t i = 0; i < m; ++i) {
+          valid[i] &= static_cast<uint8_t>(ids[b + i] !=
+                                           PairFeatureCache::kNullId);
+        }
       }
-      if (valid) build[key].push_back(s);
+      // Pass 2: probe the valid lanes, row-major. A key with no column
+      // pairs every valid row with every s row, as the empty tuple
+      // agrees with itself.
+      for (size_t i = 0; i < m; ++i) {
+        if (valid[i] == 0) continue;
+        const size_t r = b + i;
+        auto verify = [&](size_t s) {
+          for (size_t c = 0; c < k; ++c) {
+            if (c != probe && r_cols[c][r] != s_cols[c][s]) return;
+          }
+          found[chunk].push_back(TuplePair{r, s});
+        };
+        if (k == 0) {
+          for (size_t s = 0; s < s_ext.size(); ++s) verify(s);
+        } else {
+          for (uint32_t s : index->Find(r_cols[probe][r])) verify(s);
+        }
+      }
     }
-    exec::ParallelFor(pool, n, grain, [&](size_t begin, size_t end, int) {
-      const size_t chunk = begin / grain;
-      uint64_t keys[kProbeBatch];
-      uint8_t valid[kProbeBatch];
-      for (size_t b = begin; b < end; b += kProbeBatch) {
-        const size_t m = std::min(kProbeBatch, end - b);
-        ++batches[chunk];
-        // Pass 1: pack keys column-major and accumulate the NULL mask
-        // branch-free over each contiguous id lane.
-        for (size_t i = 0; i < m; ++i) {
-          keys[i] = 0;
-          valid[i] = 1;
-        }
-        for (size_t c = 0; c < k; ++c) {
-          const uint32_t* ids = r_cols[c];
-          for (size_t i = 0; i < m; ++i) {
-            const uint32_t id = ids[b + i];
-            valid[i] &=
-                static_cast<uint8_t>(id != PairFeatureCache::kNullId);
-            keys[i] = (keys[i] << 32) | id;
-          }
-        }
-        // Pass 2: probe only the valid lanes, row-major.
-        for (size_t i = 0; i < m; ++i) {
-          if (valid[i] == 0) continue;
-          auto it = build.find(keys[i]);
-          if (it == build.end()) continue;
-          for (size_t s : it->second) {
-            found[chunk].push_back(TuplePair{b + i, s});
-          }
-        }
-      }
-    });
-  } else {
-    // Wide keys: FNV-combine the per-column ids columnar into a 64-bit
-    // bucket hash; candidates in the bucket are verified id-exactly per
-    // column, so hash collisions never produce a false pair.
-    constexpr uint64_t kFnvBasis = 1469598103934665603ull;
-    constexpr uint64_t kFnvPrime = 1099511628211ull;
-    std::unordered_map<uint64_t, std::vector<size_t>> build;
-    build.reserve(s_ext.size() * 2);
-    for (size_t s = 0; s < s_ext.size(); ++s) {
-      uint64_t h = kFnvBasis;
-      bool valid = true;
-      for (size_t c = 0; c < k; ++c) {
-        const uint32_t id = s_cols[c][s];
-        valid &= id != PairFeatureCache::kNullId;
-        h ^= id;
-        h *= kFnvPrime;
-      }
-      if (valid) build[h].push_back(s);
-    }
-    exec::ParallelFor(pool, n, grain, [&](size_t begin, size_t end, int) {
-      const size_t chunk = begin / grain;
-      uint64_t hashes[kProbeBatch];
-      uint8_t valid[kProbeBatch];
-      for (size_t b = begin; b < end; b += kProbeBatch) {
-        const size_t m = std::min(kProbeBatch, end - b);
-        ++batches[chunk];
-        for (size_t i = 0; i < m; ++i) {
-          hashes[i] = kFnvBasis;
-          valid[i] = 1;
-        }
-        for (size_t c = 0; c < k; ++c) {
-          const uint32_t* ids = r_cols[c];
-          for (size_t i = 0; i < m; ++i) {
-            const uint32_t id = ids[b + i];
-            valid[i] &=
-                static_cast<uint8_t>(id != PairFeatureCache::kNullId);
-            hashes[i] ^= id;
-            hashes[i] *= kFnvPrime;
-          }
-        }
-        for (size_t i = 0; i < m; ++i) {
-          if (valid[i] == 0) continue;
-          auto it = build.find(hashes[i]);
-          if (it == build.end()) continue;
-          const size_t r = b + i;
-          for (size_t s : it->second) {
-            bool match = true;
-            for (size_t c = 0; c < k; ++c) {
-              if (r_cols[c][r] != s_cols[c][s]) {
-                match = false;
-                break;
-              }
-            }
-            if (match) found[chunk].push_back(TuplePair{r, s});
-          }
-        }
-      }
-    });
-  }
+  });
 
   std::vector<TuplePair> pairs;
   size_t total = 0;
@@ -607,10 +545,10 @@ std::vector<TuplePair> InternedKeyJoin(const Relation& r_ext,
   if (stats != nullptr) {
     for (size_t b : batches) stats->probe_batches += b;
     if (world != nullptr) {
-      stats->encode_ms = world->encode_ms() - encode_ms_before;
-      stats->reuse_hits = world->reuse_hits() - reuse_before;
+      stats->encode_ms = w.encode_ms() - encode_ms_before;
+      stats->reuse_hits = w.reuse_hits() - reuse_before;
     } else {
-      stats->interner_values = features.distinct_values();
+      stats->interner_values = w.dict().size();
     }
   }
   return pairs;

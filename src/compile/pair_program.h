@@ -227,24 +227,22 @@ class EID_SHARED_IMMUTABLE StagedConjunction final
 /// Counters of one InternedKeyJoin call.
 struct KeyJoinStats {
   size_t interner_values = 0;  // distinct values privately encoded
-  size_t probe_batches = 0;    // vectorized probe blocks executed
+  size_t probe_batches = 0;    // 256-row R' probe blocks executed
   size_t reuse_hits = 0;       // ids served from the world, not encoded
   double encode_ms = 0.0;      // world-path column encode time
 };
 
-/// Hash-joins two extended relations on parallel key-column lists using
-/// columnar interned ids. With a non-null `world`, the key columns are
-/// the session's shared id slices (encoded at most once across extension
-/// / join / rule stages); otherwise a private per-call cache encodes
-/// them. Probes run in batches over the contiguous id columns: a first
-/// pass packs keys and accumulates the branch-free NULL mask
-/// (`valid &= id != kNullId`), a second pass probes only the valid lanes.
-/// Build keys of width <= 2 pack into one uint64_t so a probe is a
-/// single integer-hash lookup; wider keys combine per-column id hashes
-/// columnar (FNV over the id lanes) and verify candidates id-exactly.
-/// Returns pairs in the serial probe's row-major order for any pool
-/// size. Pair semantics are identical to the fingerprint join: rows
-/// agree non-NULL on every key column.
+/// Joins two extended relations on parallel key-column lists through
+/// session value ids. With a non-null `world`, the key columns are the
+/// session's shared id slices under the kRExtended/kSExtended slots
+/// (encoded at most once across extension / join / rule stages) and the
+/// probe reads the world's posting index; otherwise a private world
+/// encodes them. S' is indexed on the key column with the most distinct
+/// non-NULL ids; each R' row with no NULL key cell takes that column's
+/// posting range for its id and verifies the other key columns by id.
+/// Returns pairs in the serial probe's order — r-major, s ascending —
+/// for any pool size. Pair semantics are identical to the fingerprint
+/// join: rows agree non-NULL on every key column.
 std::vector<TuplePair> InternedKeyJoin(const Relation& r_ext,
                                        const Relation& s_ext,
                                        const std::vector<size_t>& r_idx,

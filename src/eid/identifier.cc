@@ -66,11 +66,12 @@ Result<IdentificationResult> EntityIdentifier::Identify(
   exec::ThreadPool pool(threads);
   exec::ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
 
-  // Session columnar world (exec/columnar_world.h): one dictionary and
-  // one set of id columns shared by the extension, join and rule stages
-  // below. Seeded from the snapshot when available, so a loaded world
-  // starts with zero re-interning. Compiled path only; the interpreter
-  // stays a world-free differential oracle.
+  // Session columnar world (exec/columnar_world.h): one dictionary, one
+  // set of id columns and their posting indexes shared by the extension,
+  // join and rule stages below. Seeded from the snapshot when available,
+  // so a loaded world starts with zero re-interning. The interpreter
+  // path (compile = false) uses it for blocking only: its extension,
+  // key join and residuals stay a world-free differential oracle.
   exec::ColumnarWorld columnar_world;
   exec::ColumnarWorld* world_ptr =
       config_.matcher_options.compile ? &columnar_world : nullptr;
@@ -128,8 +129,6 @@ Result<IdentificationResult> EntityIdentifier::Identify(
   for (const IdentityRule& rule : config_.identity_rules) {
     EID_RETURN_IF_ERROR(rule.Validate());
   }
-  exec::ColumnIndexCache r_index(&out.r_extended);
-  exec::ColumnIndexCache s_index(&out.s_extended);
   if (!config_.identity_rules.empty()) {
     exec::StageTimer timer;
     exec::StageStats identity;
@@ -167,13 +166,9 @@ Result<IdentificationResult> EntityIdentifier::Identify(
           world_ptr != nullptr ? world_ptr->reuse_hits() : 0;
       if (compile) {
         exec::StageTimer compile_timer;
-        features =
-            world_ptr != nullptr
-                ? std::make_unique<compile::PairFeatureCache>(
-                      &out.r_extended, &out.s_extended, world_ptr,
-                      exec::WorldRel::kRExtended, exec::WorldRel::kSExtended)
-                : std::make_unique<compile::PairFeatureCache>(
-                      &out.r_extended, &out.s_extended);
+        features = std::make_unique<compile::PairFeatureCache>(
+            &out.r_extended, &out.s_extended, &columnar_world,
+            exec::WorldRel::kRExtended, exec::WorldRel::kSExtended);
         for (size_t k = 0; k < config_.identity_rules.size(); ++k) {
           for (bool flipped : {false, true}) {
             const size_t i = k * 2 + (flipped ? 1 : 0);
@@ -186,7 +181,6 @@ Result<IdentificationResult> EntityIdentifier::Identify(
           }
         }
         identity.compile_ms = compile_timer.ElapsedMs();
-        identity.interner_values = features->distinct_values();
       } else {
         for (size_t k = 0; k < config_.identity_rules.size(); ++k) {
           for (bool flipped : {false, true}) {
@@ -199,9 +193,7 @@ Result<IdentificationResult> EntityIdentifier::Identify(
         }
       }
       exec::CandidateGenerator gen(&out.r_extended, &out.s_extended,
-                                   &r_index, &s_index,
-                                   config_.matcher_options.amq_seeds.get(),
-                                   exec::AmqOptions{}, world_ptr,
+                                   &columnar_world,
                                    config_.matcher_options.block_eval);
       for (size_t i = 0; i < plans.size(); ++i) {
         gen.AddRule(plans[i], evaluators[i].get());
@@ -210,7 +202,6 @@ Result<IdentificationResult> EntityIdentifier::Identify(
       exec::FiredColumns staged_fired = gen.Run(pool_ptr, &scan);
       identity.candidate_pairs = scan.candidate_pairs;
       identity.rule_evals = scan.rule_evals;
-      identity.amq_rejects = scan.amq_rejects;
       identity.feature_cache_hits = scan.feature_cache_hits;
       identity.pair_blocks = scan.pair_blocks;
       identity.block_early_exits = scan.block_early_exits;
@@ -244,7 +235,7 @@ Result<IdentificationResult> EntityIdentifier::Identify(
               compile ? &programs[k * 2 + (flipped ? 1 : 0)] : nullptr;
           std::vector<TuplePair> pairs = exec::CollectTruePairs(
               out.r_extended, out.s_extended, rule.predicates(), flipped,
-              r_index, s_index, pool_ptr, &scan, evaluator);
+              &columnar_world, pool_ptr, &scan, evaluator);
           identity.candidate_pairs += scan.candidate_pairs;
           identity.rule_evals += scan.rule_evals;
           fired.insert(fired.end(), pairs.begin(), pairs.end());
@@ -273,11 +264,9 @@ Result<IdentificationResult> EntityIdentifier::Identify(
   EID_ASSIGN_OR_RETURN(
       out.negative,
       BuildNegativeMatchingTable(out.r_extended, out.s_extended, rules,
-                                 pool_ptr, &r_index, &s_index,
-                                 config_.matcher_options.compile,
+                                 pool_ptr, config_.matcher_options.compile,
                                  config_.matcher_options.staged,
-                                 config_.matcher_options.amq_seeds.get(),
-                                 world_ptr,
+                                 &columnar_world,
                                  config_.matcher_options.block_eval));
   out.stats.Add(out.negative.stats);
 

@@ -68,11 +68,10 @@ Result<std::vector<TuplePair>> JoinOnExtendedKey(const Relation& r_extended,
 
   std::vector<TuplePair> pairs;
   if (compiled) {
-    // Columnar interned join (compile/pair_program.h): the key columns
-    // come from the session world (encoded at most once across stages)
-    // or a private batch encode, probes run in vectorized blocks, and
-    // keys of width <= 2 pack into one uint64_t so each probe is a
-    // single integer-hash lookup.
+    // Id-keyed join (compile/pair_program.h): the key columns come from
+    // the session world (encoded at most once across stages) or a
+    // private one, and each probe reads one posting range of the S'
+    // key column's CSR index.
     pairs = compile::InternedKeyJoin(r_extended, s_extended, r_idx, s_idx,
                                      pool, world, &join_stats);
   } else {

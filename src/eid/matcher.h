@@ -25,10 +25,6 @@
 
 namespace eid {
 
-namespace exec {
-struct AmqSeeds;
-}  // namespace exec
-
 /// Outcome of matching-table construction.
 struct MatcherResult {
   /// The extended relations R' and S' (world naming). Row order matches
@@ -79,11 +75,12 @@ struct MatcherOptions {
   bool compile = true;
   /// Master switch for staged candidate generation (see
   /// exec/candidate_generator.h): the identity and distinctness sweeps
-  /// enumerate candidates through blocking-index intersection and AMQ
-  /// pre-filters instead of the all-pairs scan. Off runs the exhaustive
-  /// sweep, kept as a differential-testing oracle; results are
-  /// bit-identical (the staged filters over-approximate, never
-  /// under-approximate, and emission order is preserved).
+  /// enumerate candidates through one r-major sweep over the posting
+  /// indexes of the session's columnar world instead of one scan per
+  /// rule. Off runs the exhaustive sweep, kept as a differential-testing
+  /// oracle; results are bit-identical (the staged filters
+  /// over-approximate, never under-approximate, and emission order is
+  /// preserved).
   bool staged = true;
   /// Master switch for block-vectorized residual evaluation (see
   /// StagedEvaluator::PairTruthBlock, DESIGN.md §4h): the staged sweeps
@@ -94,12 +91,6 @@ struct MatcherOptions {
   /// engine-invariant counters are bit-identical either way. Only
   /// meaningful when `staged` is on.
   bool block_eval = true;
-  /// Precomputed AMQ filter contents for the staged sweeps, normally
-  /// from a loaded snapshot (storage::LoadedWorld::ToConfig wires them
-  /// up). Null builds the filters by scanning the extended relations.
-  /// Either way the filters hold the same fingerprint set, so identify
-  /// output is unchanged; only the seeding cost differs.
-  std::shared_ptr<const exec::AmqSeeds> amq_seeds;
   /// Precomputed columnar-world seed (exec/columnar_world.h): the
   /// snapshot's value dictionary plus dense per-column id matrices for
   /// the base relations, normally from storage::LoadedWorld::ToConfig.
@@ -140,12 +131,12 @@ Result<std::vector<TuplePair>> JoinOnExtendedKey(const Relation& r_extended,
 /// Pool-sharing form: the probe side is sharded over `pool` (null = serial)
 /// with per-chunk pair buffers merged in index order, so the pair sequence
 /// equals the serial probe's for any thread count. Stage counters land in
-/// `stats` when non-null. `compiled` selects the interned-id join (build
-/// side interns key values serially, probe side does read-only batched
-/// lookups); off hashes re-serialised string fingerprints per row.
-/// `world` (compiled path only) makes the join read the session's shared
-/// id columns under the kRExtended/kSExtended slots instead of encoding
-/// a private copy of the key columns.
+/// `stats` when non-null. `compiled` selects the id-keyed join (S' key
+/// column posting index built serially, read-only probes by R' row id);
+/// off hashes re-serialised string fingerprints per row, kept as the
+/// oracle. `world` (compiled path only) makes the join read the session's
+/// shared id columns and indexes under the kRExtended/kSExtended slots
+/// instead of encoding a private copy of the key columns.
 Result<std::vector<TuplePair>> JoinOnExtendedKey(const Relation& r_extended,
                                                  const Relation& s_extended,
                                                  const ExtendedKey& ext_key,

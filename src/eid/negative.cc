@@ -50,21 +50,7 @@ Result<NegativeResult> BuildNegativeMatchingTable(
 Result<NegativeResult> BuildNegativeMatchingTable(
     const Relation& r_extended, const Relation& s_extended,
     const std::vector<DistinctnessRule>& rules, exec::ThreadPool* pool,
-    bool compile, bool staged, const exec::AmqSeeds* amq_seeds,
-    exec::ColumnarWorld* world, bool block_eval) {
-  exec::ColumnIndexCache r_index(&r_extended);
-  exec::ColumnIndexCache s_index(&s_extended);
-  return BuildNegativeMatchingTable(r_extended, s_extended, rules, pool,
-                                    &r_index, &s_index, compile, staged,
-                                    amq_seeds, world, block_eval);
-}
-
-Result<NegativeResult> BuildNegativeMatchingTable(
-    const Relation& r_extended, const Relation& s_extended,
-    const std::vector<DistinctnessRule>& rules, exec::ThreadPool* pool,
-    exec::ColumnIndexCache* r_index, exec::ColumnIndexCache* s_index,
-    bool compile, bool staged, const exec::AmqSeeds* amq_seeds,
-    exec::ColumnarWorld* world, bool block_eval) {
+    bool compile, bool staged, exec::ColumnarWorld* world, bool block_eval) {
   exec::StageTimer timer;
   for (const DistinctnessRule& rule : rules) {
     EID_RETURN_IF_ERROR(rule.Validate());
@@ -73,6 +59,8 @@ Result<NegativeResult> BuildNegativeMatchingTable(
   out.stats.stage = "distinctness_rules";
   out.stats.threads = pool != nullptr ? pool->threads() : 1;
   out.stats.cross_product = r_extended.size() * s_extended.size();
+  exec::ColumnarWorld private_world;
+  exec::ColumnarWorld& columnar = world != nullptr ? *world : private_world;
 
   // The serial sweep visits pairs row-major and keeps, per pair, the
   // first rule that fires — direct orientation tried before flipped.
@@ -97,18 +85,13 @@ Result<NegativeResult> BuildNegativeMatchingTable(
     std::vector<std::unique_ptr<exec::StagedEvaluator>> evaluators(
         plans.size());
     EID_SHARED_IMMUTABLE std::unique_ptr<compile::PairFeatureCache> features;
-    const double encode_ms_before =
-        world != nullptr ? world->encode_ms() : 0.0;
-    const size_t reuse_before = world != nullptr ? world->reuse_hits() : 0;
+    const double encode_ms_before = columnar.encode_ms();
+    const size_t reuse_before = columnar.reuse_hits();
     if (compile) {
       exec::StageTimer compile_timer;
-      features =
-          world != nullptr
-              ? std::make_unique<compile::PairFeatureCache>(
-                    &r_extended, &s_extended, world,
-                    exec::WorldRel::kRExtended, exec::WorldRel::kSExtended)
-              : std::make_unique<compile::PairFeatureCache>(&r_extended,
-                                                            &s_extended);
+      features = std::make_unique<compile::PairFeatureCache>(
+          &r_extended, &s_extended, &columnar, exec::WorldRel::kRExtended,
+          exec::WorldRel::kSExtended);
       for (size_t k = 0; k < rules.size(); ++k) {
         for (bool flipped : {false, true}) {
           const size_t i = k * 2 + (flipped ? 1 : 0);
@@ -120,7 +103,6 @@ Result<NegativeResult> BuildNegativeMatchingTable(
         }
       }
       out.stats.compile_ms = compile_timer.ElapsedMs();
-      out.stats.interner_values = features->distinct_values();
     } else {
       for (size_t k = 0; k < rules.size(); ++k) {
         for (bool flipped : {false, true}) {
@@ -133,9 +115,8 @@ Result<NegativeResult> BuildNegativeMatchingTable(
       }
     }
 
-    exec::CandidateGenerator gen(&r_extended, &s_extended, r_index,
-                                 s_index, amq_seeds, exec::AmqOptions{},
-                                 compile ? world : nullptr, block_eval);
+    exec::CandidateGenerator gen(&r_extended, &s_extended, &columnar,
+                                 block_eval);
     for (size_t i = 0; i < plans.size(); ++i) {
       gen.AddRule(plans[i], evaluators[i].get());
     }
@@ -143,14 +124,13 @@ Result<NegativeResult> BuildNegativeMatchingTable(
     exec::FiredColumns fired = gen.Run(pool, &scan);
     out.stats.candidate_pairs = scan.candidate_pairs;
     out.stats.rule_evals = scan.rule_evals;
-    out.stats.amq_rejects = scan.amq_rejects;
     out.stats.feature_cache_hits = scan.feature_cache_hits;
     out.stats.pair_blocks = scan.pair_blocks;
     out.stats.block_early_exits = scan.block_early_exits;
     out.stats.block_scalar_fallbacks = scan.block_scalar_fallbacks;
-    if (compile && world != nullptr) {
-      out.stats.columnar_encode_ms = world->encode_ms() - encode_ms_before;
-      out.stats.interner_reuse_hits = world->reuse_hits() - reuse_before;
+    if (compile) {
+      out.stats.columnar_encode_ms = columnar.encode_ms() - encode_ms_before;
+      out.stats.interner_reuse_hits = columnar.reuse_hits() - reuse_before;
     }
     // The generator emits unique pairs in strictly increasing row-major
     // order and registered (rule, flipped) at priority rule * 2 + flipped,
@@ -189,7 +169,7 @@ Result<NegativeResult> BuildNegativeMatchingTable(
           compile ? &programs[k * 2 + (flipped ? 1 : 0)] : nullptr;
       std::vector<TuplePair> fired =
           exec::CollectTruePairs(r_extended, s_extended, preds, flipped,
-                                 *r_index, *s_index, pool, &scan, evaluator);
+                                 &columnar, pool, &scan, evaluator);
       out.stats.candidate_pairs += scan.candidate_pairs;
       out.stats.rule_evals += scan.rule_evals;
       const uint32_t certificate =

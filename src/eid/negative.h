@@ -29,8 +29,6 @@
 namespace eid {
 
 namespace exec {
-struct AmqSeeds;
-class ColumnIndexCache;
 class ColumnarWorld;
 }  // namespace exec
 
@@ -77,16 +75,15 @@ Result<NegativeResult> BuildNegativeMatchingTable(
 /// `compile` lowers each rule antecedent to a compiled program per
 /// orientation before the sweep (src/compile/pair_program.h); off
 /// re-resolves attribute names per pair. `staged` runs the sweep through
-/// the staged candidate generator (exec/candidate_generator.h: blocking
-/// intersection, AMQ pre-filters, hoisted row features); off is the
-/// exhaustive per-rule sweep kept as a differential oracle. The fired
-/// pairs, certificates and ordering are identical on every path. `amq_seeds`
-/// (optional, staged path only) pre-seeds the candidate generator's AMQ
-/// filters from snapshot fingerprint arrays instead of row scans.
-/// `world` (optional, compiled staged path only) is the session's
-/// columnar world with the extended relations under the kRExtended /
-/// kSExtended slots: the feature cache and the generator then read the
-/// shared id columns instead of re-encoding private copies. `block_eval`
+/// the staged candidate generator (exec/candidate_generator.h: one
+/// r-major sweep over posting-index blocking and hoisted row features);
+/// off is the exhaustive per-rule sweep kept as a differential oracle.
+/// The fired pairs, certificates and ordering are identical on every
+/// path. `world` (optional) is the session's columnar world with the
+/// extended relations under the kRExtended / kSExtended slots: every
+/// path blocks through its posting indexes, and the compiled residuals
+/// read its id columns, so no column an earlier stage encoded or indexed
+/// is rebuilt. Null uses a private world for this build. `block_eval`
 /// (staged path only) drains residual candidates in fixed-size
 /// PairTruthBlock batches; off evaluates one scalar PairTruth per pair —
 /// the block path's differential oracle, identical output either way.
@@ -94,20 +91,7 @@ Result<NegativeResult> BuildNegativeMatchingTable(
     const Relation& r_extended, const Relation& s_extended,
     const std::vector<DistinctnessRule>& rules, exec::ThreadPool* pool,
     bool compile = true, bool staged = true,
-    const exec::AmqSeeds* amq_seeds = nullptr,
     exec::ColumnarWorld* world = nullptr, bool block_eval = true);
-
-/// Cache-sharing form: `r_index` / `s_index` are column-index caches over
-/// `r_extended` / `s_extended` that may already hold indexes an earlier
-/// stage of the same run built (Identify passes its identity-rule caches),
-/// so each column is indexed once per run. Otherwise identical to the
-/// pool form, which builds private caches.
-Result<NegativeResult> BuildNegativeMatchingTable(
-    const Relation& r_extended, const Relation& s_extended,
-    const std::vector<DistinctnessRule>& rules, exec::ThreadPool* pool,
-    exec::ColumnIndexCache* r_index, exec::ColumnIndexCache* s_index,
-    bool compile, bool staged, const exec::AmqSeeds* amq_seeds,
-    exec::ColumnarWorld* world, bool block_eval);
 
 }  // namespace eid
 

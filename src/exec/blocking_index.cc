@@ -6,49 +6,6 @@
 namespace eid {
 namespace exec {
 
-ColumnIndex ColumnIndex::Build(const Relation& relation, size_t column) {
-  ColumnIndex index;
-  index.buckets_.reserve(relation.size());
-  for (size_t i = 0; i < relation.size(); ++i) {
-    const Value& v = relation.row(i)[column];
-    if (v.is_null()) continue;
-    index.buckets_[v].push_back(i);  // ascending: i is monotone
-  }
-  return index;
-}
-
-ColumnIndex ColumnIndex::FromBuckets(
-    std::unordered_map<Value, std::vector<size_t>, ValueHash> buckets) {
-  ColumnIndex index;
-  index.buckets_ = std::move(buckets);
-  return index;
-}
-
-const std::vector<size_t>* ColumnIndex::Find(const Value& v) const {
-  auto it = buckets_.find(v);
-  if (it == buckets_.end()) return nullptr;
-  return &it->second;
-}
-
-const ColumnIndex* ColumnIndexCache::ForAttribute(
-    const std::string& attribute) {
-  auto it = indexes_.find(attribute);
-  if (it != indexes_.end()) return it->second.get();
-  std::optional<size_t> col = relation_->schema().IndexOf(attribute);
-  std::unique_ptr<ColumnIndex> built;
-  if (col.has_value()) {
-    built = std::make_unique<ColumnIndex>(
-        ColumnIndex::Build(*relation_, *col));
-  }
-  return indexes_.emplace(attribute, std::move(built))
-      .first->second.get();
-}
-
-void ColumnIndexCache::Preload(const std::string& attribute,
-                               ColumnIndex index) {
-  indexes_[attribute] = std::make_unique<ColumnIndex>(std::move(index));
-}
-
 BlockingPlan PlanBlocking(const std::vector<Predicate>& predicates,
                           const Schema& r_schema, const Schema& s_schema,
                           bool flipped) {
@@ -153,30 +110,37 @@ BlockingPlan PlanBlocking(const std::vector<Predicate>& predicates,
 }
 
 std::vector<size_t> FilteredRows(
-    ColumnIndexCache& cache,
+    ColumnarWorld& world, WorldRel slot, const Relation& rel,
     const std::vector<std::pair<std::string, Value>>& filters) {
-  const Relation& rel = cache.relation();
   std::vector<size_t> rows;
   if (filters.empty()) {
     rows.resize(rel.size());
     std::iota(rows.begin(), rows.end(), size_t{0});
     return rows;
   }
-  const ColumnIndex* index = cache.ForAttribute(filters[0].first);
-  if (index == nullptr) return rows;  // attribute absent: nothing passes
-  const std::vector<size_t>* bucket = index->Find(filters[0].second);
-  if (bucket == nullptr) return rows;
-  std::vector<size_t> cols;
-  for (size_t f = 1; f < filters.size(); ++f) {
+  PostingRange seed;
+  std::vector<const uint32_t*> cols;  // filters 1.. : id column
+  std::vector<uint32_t> ids;          // filters 1.. : constant id
+  for (size_t f = 0; f < filters.size(); ++f) {
     std::optional<size_t> c = rel.schema().IndexOf(filters[f].first);
-    if (!c.has_value()) return rows;
-    cols.push_back(*c);
+    if (!c.has_value()) return rows;  // attribute absent: nothing passes
+    // Index encodes the column first, so the lookup below sees every
+    // value the column holds.
+    const ColumnIndex& index = world.Index(slot, rel, *c);
+    const uint32_t id = world.dict().Find(filters[f].second);
+    const PostingRange range = index.Find(id);
+    if (range.empty()) return rows;  // never interned, or not in the column
+    if (f == 0) {
+      seed = range;
+    } else {
+      cols.push_back(world.FindColumn(slot, *c)->data());
+      ids.push_back(id);
+    }
   }
-  for (size_t i : *bucket) {
+  for (uint32_t i : seed) {
     bool pass = true;
-    for (size_t f = 1; f < filters.size(); ++f) {
-      const Value& v = rel.row(i)[cols[f - 1]];
-      if (v.is_null() || !(v == filters[f].second)) {
+    for (size_t f = 0; f < cols.size(); ++f) {
+      if (cols[f][i] != ids[f]) {
         pass = false;
         break;
       }
@@ -189,8 +153,8 @@ std::vector<size_t> FilteredRows(
 std::vector<TuplePair> CollectTruePairs(
     const Relation& r_ext, const Relation& s_ext,
     const std::vector<Predicate>& predicates, bool flipped,
-    ColumnIndexCache& r_index, ColumnIndexCache& s_index, ThreadPool* pool,
-    PairScanStats* stats, const PairEvaluator* compiled) {
+    ColumnarWorld* world, ThreadPool* pool, PairScanStats* stats,
+    const PairEvaluator* compiled) {
   PairScanStats local;
   std::vector<TuplePair> out;
   BlockingPlan plan =
@@ -201,7 +165,10 @@ std::vector<TuplePair> CollectTruePairs(
   }
   local.indexed = plan.has_join;
 
-  std::vector<size_t> r_rows = FilteredRows(r_index, plan.r_const_eq);
+  ColumnarWorld private_world;
+  ColumnarWorld& blocking = world != nullptr ? *world : private_world;
+  std::vector<size_t> r_rows = FilteredRows(blocking, WorldRel::kRExtended,
+                                            r_ext, plan.r_const_eq);
 
   // Evaluate the *full* conjunction on a candidate — blocking only
   // bounds the candidate set, it never decides a pair. The compiled
@@ -231,19 +198,19 @@ std::vector<TuplePair> CollectTruePairs(
   std::vector<size_t> evals(num_chunks, 0);
 
   if (plan.has_join) {
-    const ColumnIndex* s_idx = s_index.ForAttribute(plan.s_attr);
-    EID_CHECK(s_idx != nullptr);  // schema checked in PlanBlocking
     std::optional<size_t> r_col = r_ext.schema().IndexOf(plan.r_attr);
-    EID_CHECK(r_col.has_value());
+    std::optional<size_t> s_col = s_ext.schema().IndexOf(plan.s_attr);
+    EID_CHECK(r_col.has_value() && s_col.has_value());  // PlanBlocking
+    const uint32_t* r_ids =
+        blocking.Column(WorldRel::kRExtended, r_ext, *r_col).data();
+    const ColumnIndex& s_idx =
+        blocking.Index(WorldRel::kSExtended, s_ext, *s_col);
     ParallelFor(pool, n, grain, [&](size_t begin, size_t end, int) {
       const size_t chunk = begin / grain;
       for (size_t k = begin; k < end; ++k) {
         size_t i = r_rows[k];
-        const Value& v = r_ext.row(i)[*r_col];
-        if (v.is_null()) continue;
-        const std::vector<size_t>* bucket = s_idx->Find(v);
-        if (bucket == nullptr) continue;
-        for (size_t j : *bucket) {
+        // A NULL cell (kNullId) is an empty range: non_null_eq.
+        for (size_t j : s_idx.Find(r_ids[i])) {
           ++evals[chunk];
           if (evaluate(i, j) == Truth::kTrue) {
             found[chunk].push_back(TuplePair{i, j});
@@ -252,7 +219,8 @@ std::vector<TuplePair> CollectTruePairs(
       }
     });
   } else {
-    std::vector<size_t> s_rows = FilteredRows(s_index, plan.s_const_eq);
+    std::vector<size_t> s_rows = FilteredRows(blocking, WorldRel::kSExtended,
+                                              s_ext, plan.s_const_eq);
     if (!s_rows.empty()) {
       ParallelFor(pool, n, grain, [&](size_t begin, size_t end, int) {
         const size_t chunk = begin / grain;

@@ -8,10 +8,12 @@
 //
 //   e1.A = e2.B   — a pair can only satisfy the rule when the r-side A
 //                   equals the s-side B, both non-NULL (Kleene kTrue
-//                   requires non-NULL operands). Hash-index the s-side
-//                   column and candidates come from bucket lookups.
-//   e_i.A = c     — the i-side row must carry exactly c; prune that
-//                   side's scan list before pairing.
+//                   requires non-NULL operands). The s-side column's
+//                   posting index (exec::ColumnIndex, owned by the
+//                   session's ColumnarWorld) gives the candidates: the r
+//                   row's id selects one ascending row range.
+//   e_i.A = c     — the i-side row must carry exactly c; the constant's
+//                   id selects that side's rows from the same index.
 //
 // Both reductions are *complete* for kTrue: a conjunction is kTrue only
 // if every conjunct is, so no qualifying pair can fall outside the
@@ -20,21 +22,19 @@
 // rules with no usable equality conjunct fall back to a tiled parallel
 // scan over the (filtered) cross product.
 //
-// Determinism: buckets store row indices in ascending order and the scan
+// Determinism: posting ranges hold row indices in ascending order and the scan
 // emits pairs r-major, so CollectTruePairs returns the same row-major
 // sequence the serial nested loop would visit, for any thread count.
 
 #ifndef EID_EXEC_BLOCKING_INDEX_H_
 #define EID_EXEC_BLOCKING_INDEX_H_
 
-#include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "base/thread_annotations.h"
 #include "eid/match_tables.h"
+#include "exec/columnar_world.h"
 #include "exec/pair_evaluator.h"
 #include "exec/thread_pool.h"
 #include "relational/relation.h"
@@ -42,58 +42,6 @@
 
 namespace eid {
 namespace exec {
-
-/// Hash index over one column of a relation. NULL cells are not indexed
-/// (non_null_eq semantics: NULL equals nothing). Buckets hold row
-/// indices in ascending order. EID_SHARED_IMMUTABLE: built serially,
-/// probed (Find, const) from every worker.
-class EID_SHARED_IMMUTABLE ColumnIndex {
- public:
-  static ColumnIndex Build(const Relation& relation, size_t column);
-
-  /// Wraps pre-built buckets — the snapshot cold-start path, which
-  /// reconstructs (value, ascending row list) pairs from decoded posting
-  /// lists instead of re-scanning and re-hashing the relation. Buckets
-  /// must follow the Build contract: no NULL keys, rows ascending.
-  static ColumnIndex FromBuckets(
-      std::unordered_map<Value, std::vector<size_t>, ValueHash> buckets);
-
-  /// Rows whose cell storage-equals `v`; nullptr when none.
-  const std::vector<size_t>* Find(const Value& v) const;
-
-  size_t bucket_count() const { return buckets_.size(); }
-
- private:
-  std::unordered_map<Value, std::vector<size_t>, ValueHash> buckets_;
-};
-
-/// Lazily-built per-relation collection of column indexes, shared across
-/// the rules of one engine run so each referenced column is indexed at
-/// most once. EID_SHARED_IMMUTABLE: ForAttribute/Preload (the mutating
-/// calls) run only serially, before the parallel probe of a rule starts;
-/// during the sweep workers only dereference the ColumnIndex pointers
-/// handed out earlier.
-class EID_SHARED_IMMUTABLE ColumnIndexCache {
- public:
-  explicit ColumnIndexCache(const Relation* relation)
-      : relation_(relation) {}
-
-  /// Index for the named attribute; nullptr when the relation has no
-  /// such attribute.
-  const ColumnIndex* ForAttribute(const std::string& attribute);
-
-  /// Installs a pre-built index for the named attribute (snapshot
-  /// cold-start: indexes rebuilt from posting lists). Later ForAttribute
-  /// calls return it instead of scanning the relation.
-  void Preload(const std::string& attribute, ColumnIndex index);
-
-  const Relation& relation() const { return *relation_; }
-
- private:
-  const Relation* relation_;
-  // nullptr entry = attribute absent (negative cache).
-  std::unordered_map<std::string, std::unique_ptr<ColumnIndex>> indexes_;
-};
 
 /// How the candidate enumeration of a blocking plan treats one conjunct
 /// of the rule antecedent. The split is exact for kTrue detection: a
@@ -138,13 +86,16 @@ BlockingPlan PlanBlocking(const std::vector<Predicate>& predicates,
                           const Schema& r_schema, const Schema& s_schema,
                           bool flipped);
 
-/// Rows of the cached relation passing every (attribute == constant)
-/// filter, ascending. Uses the column index of the first filter to seed
-/// the list; no filters means every row. Complete for kTrue: a row
-/// failing a filter (NULL or not storage-equal) cannot satisfy the
-/// corresponding equality conjunct.
+/// Rows of `rel`, bound to `slot` in `world`, passing every (attribute ==
+/// constant) filter, ascending; no filters means every row. Each filter
+/// encodes its column before looking its constant up in the dictionary
+/// (a constant the column holds is interned by that encode at the
+/// latest); a constant never interned passes no row. The first filter's
+/// posting range seeds the list, the rest compare ids. Complete for
+/// kTrue: a row failing a filter (NULL or not storage-equal) cannot
+/// satisfy the corresponding equality conjunct.
 std::vector<size_t> FilteredRows(
-    ColumnIndexCache& cache,
+    ColumnarWorld& world, WorldRel slot, const Relation& rel,
     const std::vector<std::pair<std::string, Value>>& filters);
 
 /// Counters from one CollectTruePairs call.
@@ -158,7 +109,9 @@ struct PairScanStats {
 /// conjunction evaluates to kTrue with (e1, e2) = (r_i, s_j), or
 /// (s_j, r_i) when `flipped`. Returned in row-major (i, then j) order —
 /// exactly the visit order of the serial nested loop — for any pool
-/// size. `r_index`/`s_index` must cache the respective relations.
+/// size. `world` blocks the scan: it must hold `r_ext`/`s_ext` under the
+/// kRExtended/kSExtended slots (or not yet hold those slots at all);
+/// null blocks through a private world.
 ///
 /// When `compiled` is non-null it must be `predicates` compiled for the
 /// same schemas/orientation; candidates are then evaluated through it
@@ -167,8 +120,8 @@ struct PairScanStats {
 std::vector<TuplePair> CollectTruePairs(
     const Relation& r_ext, const Relation& s_ext,
     const std::vector<Predicate>& predicates, bool flipped,
-    ColumnIndexCache& r_index, ColumnIndexCache& s_index, ThreadPool* pool,
-    PairScanStats* stats, const PairEvaluator* compiled = nullptr);
+    ColumnarWorld* world, ThreadPool* pool, PairScanStats* stats,
+    const PairEvaluator* compiled = nullptr);
 
 }  // namespace exec
 }  // namespace eid

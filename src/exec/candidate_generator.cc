@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_set>
 
 namespace eid {
 namespace exec {
@@ -43,88 +42,23 @@ Truth InterpretedResidual::PairTruth(size_t r_row, size_t s_row) const {
 
 CandidateGenerator::CandidateGenerator(const Relation* r_ext,
                                        const Relation* s_ext,
-                                       ColumnIndexCache* r_index,
-                                       ColumnIndexCache* s_index,
-                                       const AmqSeeds* seeds,
-                                       AmqOptions amq_options,
                                        ColumnarWorld* world, bool block_eval)
-    : r_(r_ext), s_(s_ext), r_index_(r_index), s_index_(s_index),
-      seeds_(seeds), world_(world), block_eval_(block_eval),
-      r_amq_(amq_options), s_amq_(amq_options),
-      r_amq_cols_(r_ext->schema().size(), false),
-      s_amq_cols_(s_ext->schema().size(), false) {}
-
-size_t CandidateGenerator::amq_size() const {
-  return r_amq_.size() + s_amq_.size();
+    : r_(r_ext), s_(s_ext), world_(world), block_eval_(block_eval),
+      r_encoded_(r_ext->schema().size(), nullptr),
+      s_encoded_(s_ext->schema().size(), nullptr) {
+  EID_CHECK(world != nullptr);
 }
 
-void CandidateGenerator::EnsureAmqColumn(bool r_side, size_t column) {
-  std::vector<bool>& done = r_side ? r_amq_cols_ : s_amq_cols_;
-  if (done[column]) return;
-  done[column] = true;
-  AmqFilter& amq = r_side ? r_amq_ : s_amq_;
-  if (seeds_ != nullptr) {
-    // Snapshot fast path: the precomputed distinct fingerprints of this
-    // column, no row scan and no Value re-hashing. Same fingerprint set
-    // as the scan below — contents are interchangeable.
-    const std::vector<std::vector<uint64_t>>& cols =
-        r_side ? seeds_->r_columns : seeds_->s_columns;
-    if (column < cols.size()) {
-      for (uint64_t key : cols[column]) amq.Insert(key);
-      return;
-    }
+const uint32_t* CandidateGenerator::Encoded(bool r_side, size_t column) {
+  std::vector<const uint32_t*>& cache = r_side ? r_encoded_ : s_encoded_;
+  if (cache[column] == nullptr) {
+    cache[column] =
+        world_
+            ->Column(r_side ? WorldRel::kRExtended : WorldRel::kSExtended,
+                     r_side ? *r_ : *s_, column)
+            .data();
   }
-  const Relation& rel = r_side ? *r_ : *s_;
-  if (world_ != nullptr) {
-    // Columnar path: the shared id column gives distinctness by id and
-    // the dictionary's cached hash — no Value is re-hashed here even
-    // when the column was not encoded yet (the encode hashes it once).
-    const WorldRel slot = r_side ? WorldRel::kRExtended : WorldRel::kSExtended;
-    const std::vector<uint32_t>& ids = world_->Column(slot, rel, column);
-    std::unordered_set<uint32_t> seen;
-    for (uint32_t id : ids) {
-      if (id == ColumnarWorld::kNullId) continue;
-      if (seen.insert(id).second) {
-        amq.Insert(FingerprintKey(column, world_->dict().hash(id)));
-      }
-    }
-    return;
-  }
-  // One copy per *distinct* value: duplicate copies would only inflate
-  // the filter (a 16-value column over 64k rows must not become 64k
-  // fingerprints).
-  std::unordered_set<uint64_t> seen;
-  for (size_t i = 0; i < rel.size(); ++i) {
-    const Value& v = rel.row(i)[column];
-    if (v.is_null()) continue;
-    uint64_t key = FingerprintKey(column, ValueHash{}(v));
-    if (seen.insert(key).second) amq.Insert(key);
-  }
-}
-
-const std::vector<uint64_t>& CandidateGenerator::RColumnHashes(
-    size_t column) {
-  auto it = r_col_hashes_.find(column);
-  if (it != r_col_hashes_.end()) return it->second;
-  std::vector<uint64_t> hashes(r_->size(), 0);
-  if (world_ != nullptr) {
-    // Gather from the dictionary's per-id hash cache over the shared id
-    // column; identical values to the scan below (the dictionary caches
-    // exactly ValueHash of each interned value).
-    const std::vector<uint32_t>& ids =
-        world_->Column(WorldRel::kRExtended, *r_, column);
-    for (size_t i = 0; i < ids.size(); ++i) {
-      if (ids[i] != ColumnarWorld::kNullId) {
-        hashes[i] = world_->dict().hash(ids[i]);
-      }
-    }
-  } else {
-    for (size_t i = 0; i < r_->size(); ++i) {
-      const Value& v = r_->row(i)[column];
-      if (!v.is_null()) hashes[i] = ValueHash{}(v);
-    }
-  }
-  return r_col_hashes_.emplace(column, std::move(hashes)).first->second;
+  return cache[column];
 }
 
 void CandidateGenerator::AddRule(const BlockingPlan& plan,
@@ -135,40 +69,39 @@ void CandidateGenerator::AddRule(const BlockingPlan& plan,
   if (plan.impossible || r_->empty() || s_->empty()) return;
   EID_CHECK(residual != nullptr);
 
-  // Stage 2 at rule granularity: a const-eq conjunct whose (column,
-  // constant) fingerprint misses the side's filter can never be kTrue on
-  // any row — the whole orientation dies in O(1). This covers s-side
-  // consts under a join too (they are pair residuals there, but a value
-  // absent from the whole column still kills every pair).
-  auto amq_dead = [&](bool r_side,
-                      const std::vector<std::pair<std::string, Value>>&
-                          filters) {
+  // A const-eq conjunct whose constant its column does not hold — never
+  // interned, or an empty posting range — can never be kTrue on any row:
+  // the whole orientation dies here. This covers s-side consts under a
+  // join too (they are pair residuals there, but a value absent from the
+  // whole column still kills every pair). The column is encoded before
+  // the constant is looked up: a value the column holds may enter the
+  // dictionary only with that encode.
+  auto dead = [&](bool r_side,
+                  const std::vector<std::pair<std::string, Value>>& filters) {
     const Relation& rel = r_side ? *r_ : *s_;
-    AmqFilter& amq = r_side ? r_amq_ : s_amq_;
+    const WorldRel slot = r_side ? WorldRel::kRExtended : WorldRel::kSExtended;
     for (const auto& [attribute, constant] : filters) {
       std::optional<size_t> col = rel.schema().IndexOf(attribute);
       if (!col.has_value()) return true;  // absent: nothing passes
-      EnsureAmqColumn(r_side, *col);
-      if (!amq.Contains(FingerprintKey(*col, ValueHash{}(constant)))) {
-        ++amq_rejects_;
-        return true;
-      }
+      Encoded(r_side, *col);
+      const uint32_t id = world_->dict().Find(constant);
+      if (world_->Index(slot, rel, *col).Find(id).empty()) return true;
     }
     return false;
   };
-  if (amq_dead(/*r_side=*/true, plan.r_const_eq)) return;
-  if (amq_dead(/*r_side=*/false, plan.s_const_eq)) return;
+  if (dead(/*r_side=*/true, plan.r_const_eq)) return;
+  if (dead(/*r_side=*/false, plan.s_const_eq)) return;
 
   Entry entry;
   entry.priority = priority;
   entry.residual = residual;
 
-  // Stage 1, r side: const filters prune the rows this entry is
-  // consulted for (exact: kEq is storage equality on non-NULL).
+  // r side: const filters prune the rows this entry is consulted for
+  // (exact: kEq is storage equality on non-NULL, which is id equality).
   const bool r_all = plan.r_const_eq.empty();
   std::vector<size_t> r_rows;
   if (!r_all) {
-    r_rows = FilteredRows(*r_index_, plan.r_const_eq);
+    r_rows = FilteredRows(*world_, WorldRel::kRExtended, *r_, plan.r_const_eq);
     if (r_rows.empty()) return;
   }
 
@@ -177,16 +110,14 @@ void CandidateGenerator::AddRule(const BlockingPlan& plan,
     std::optional<size_t> s_col = s_->schema().IndexOf(plan.s_attr);
     EID_CHECK(r_col.has_value() && s_col.has_value());
     entry.has_join = true;
-    entry.r_col = *r_col;
-    entry.s_col = *s_col;
-    entry.s_join = s_index_->ForAttribute(plan.s_attr);
-    EID_CHECK(entry.s_join != nullptr);
-    EnsureAmqColumn(/*r_side=*/false, *s_col);
-    entry.r_hashes = &RColumnHashes(*r_col);  // Run reads it per worker
+    entry.r_ids = Encoded(/*r_side=*/true, *r_col);  // Run reads it per row
+    Encoded(/*r_side=*/false, *s_col);  // the index is built from it
+    entry.s_join = &world_->Index(WorldRel::kSExtended, *s_, *s_col);
   } else if (plan.s_const_eq.empty()) {
     entry.s_all = true;
   } else {
-    entry.s_rows_storage = FilteredRows(*s_index_, plan.s_const_eq);
+    entry.s_rows_storage =
+        FilteredRows(*world_, WorldRel::kSExtended, *s_, plan.s_const_eq);
     if (entry.s_rows_storage.empty()) return;
   }
 
@@ -205,7 +136,6 @@ FiredColumns CandidateGenerator::Run(ThreadPool* pool,
   EID_CHECK(!ran_);
   ran_ = true;
   StagedScanStats local;
-  local.amq_rejects = amq_rejects_;
   FiredColumns out;
   const size_t n = r_->size();
   const size_t s_n = s_->size();
@@ -224,7 +154,7 @@ FiredColumns CandidateGenerator::Run(ThreadPool* pool,
     std::iota(all_s_rows_.begin(), all_s_rows_.end(), size_t{0});
   }
 
-  // Stage 3a vectorized: global entries are consulted for every r row,
+  // Stage 2a vectorized: global entries are consulted for every r row,
   // so their row parts evaluate once here, op-major over the cached id
   // slices, instead of per (row, entry) inside the sweep. Per-row
   // entries keep the lazy path — they are consulted for few rows, and a
@@ -247,7 +177,6 @@ FiredColumns CandidateGenerator::Run(ThreadPool* pool,
   struct ChunkCounts {
     size_t candidate_pairs = 0;
     size_t rule_evals = 0;
-    size_t amq_rejects = 0;
     size_t feature_cache_hits = 0;
     size_t pair_blocks = 0;
     size_t block_early_exits = 0;
@@ -293,7 +222,7 @@ FiredColumns CandidateGenerator::Run(ThreadPool* pool,
           ei = global_[b++];
         }
         const Entry& e = entries_[ei];
-        // Stage 3a: hoist the row-only conjuncts out of the pair loop
+        // Stage 2a: hoist the row-only conjuncts out of the pair loop
         // (already precomputed op-major for global entries).
         size_t pair_evals_here = 0;
         if (e.residual->has_row_part()) {
@@ -302,7 +231,7 @@ FiredColumns CandidateGenerator::Run(ThreadPool* pool,
           const Truth t = pre.empty() ? e.residual->RowTruth(r) : pre[r];
           if (t != Truth::kTrue) continue;
         }
-        auto probe = [&](const std::vector<size_t>& candidates) {
+        auto probe = [&](const auto& candidates) {
           // Small probes skip the lane buffering outright: with fewer
           // candidates than kMinVectorLanes even a full drain would take
           // the evaluator's scalar fallback, so staging lanes and reading
@@ -363,17 +292,9 @@ FiredColumns CandidateGenerator::Run(ThreadPool* pool,
           if (lanes > 0) drain();
         };
         if (e.has_join) {
-          const Value& v = r_->row(r)[e.r_col];
-          if (v.is_null()) continue;  // non_null_eq: never joins
-          const uint64_t h = (*e.r_hashes)[r];
-          // Stage 2: cheap integer-hash membership before the exact
-          // (Value-hashing) bucket probe.
-          if (!s_amq_.Contains(FingerprintKey(e.s_col, h))) {
-            ++cc.amq_rejects;
-            continue;
-          }
-          const std::vector<size_t>* bucket = e.s_join->Find(v);
-          if (bucket != nullptr) probe(*bucket);
+          // A NULL cell (kNullId) or a value the s column does not hold
+          // is an empty range: non_null_eq, no Value touched.
+          probe(e.s_join->Find(e.r_ids[r]));
         } else {
           probe(e.s_all ? all_s_rows_ : e.s_rows_storage);
         }
@@ -435,7 +356,6 @@ FiredColumns CandidateGenerator::Run(ThreadPool* pool,
   for (const ChunkCounts& cc : counts) {
     local.candidate_pairs += cc.candidate_pairs;
     local.rule_evals += cc.rule_evals;
-    local.amq_rejects += cc.amq_rejects;
     local.feature_cache_hits += cc.feature_cache_hits;
     local.pair_blocks += cc.pair_blocks;
     local.block_early_exits += cc.block_early_exits;

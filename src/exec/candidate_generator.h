@@ -4,22 +4,21 @@
 // (filtered) cross product per orientation — O(|R|·|S|) conjunction
 // evaluations even when blocking bounds one rule, because each rule scans
 // independently. CandidateGenerator replaces that with one r-major sweep
-// through three stages:
+// through two stages:
 //
 //   1. *Blocking intersection.* Each (rule, orientation) contributes a
 //      BlockingPlan (exec/blocking_index.h); its const-eq filters prune
 //      the r rows an entry is consulted for (the per-row entry lists
 //      below are that intersection), and its join conjunct turns the
-//      inner loop into an index-bucket probe. Rules with no indexable
-//      conjunct fall back to a scan list — principled, not silent:
-//      the analyzer flags them (EID-W009).
-//   2. *AMQ pre-filtering.* Before any bucket is probed, an
-//      (attribute column, value fingerprint) is checked against a
-//      dynamic cuckoo filter over the opposite side (exec/amq_filter.h).
-//      A miss kills the probe in O(1) without hashing the Value again.
-//      False positives fall through to the exact stages; false negatives
-//      cannot happen, so the filter never drops a qualifying pair.
-//   3. *Residual evaluation with feature hoisting.* The conjuncts the
+//      inner loop into one posting-range read: the r row's id in the
+//      shared id column selects the s rows from the column's CSR index
+//      (exec::ColumnIndex, owned by the session's ColumnarWorld). No
+//      Value is hashed inside the sweep. A const-eq conjunct whose
+//      constant its column does not hold — never interned, or an empty
+//      posting range — kills the whole orientation at registration.
+//      Rules with no indexable conjunct fall back to a scan list —
+//      principled, not silent: the analyzer flags them (EID-W009).
+//   2. *Residual evaluation with feature hoisting.* The conjuncts the
 //      enumeration already enforces (PredicateCoverage::kCovered) are
 //      skipped; conjuncts reading only the r-side row are evaluated once
 //      per row and reused across every candidate pair of that row
@@ -46,11 +45,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "base/thread_annotations.h"
-#include "exec/amq_filter.h"
 #include "exec/blocking_index.h"
 #include "exec/columnar_world.h"
 #include "exec/thread_pool.h"
@@ -149,7 +146,6 @@ class InterpretedResidual final : public StagedEvaluator {
 struct StagedScanStats {
   size_t candidate_pairs = 0;      // pairs a residual was evaluated on
   size_t rule_evals = 0;           // row-part + pair-part evaluations
-  size_t amq_rejects = 0;          // AMQ probe misses (killed in stage 2)
   size_t feature_cache_hits = 0;   // pair evals reusing a hoisted row part
   size_t pair_blocks = 0;          // PairTruthBlock drains (block path)
   size_t block_early_exits = 0;    // blocks whose op loop exited early
@@ -172,27 +168,18 @@ struct FiredColumns {
 /// order, then Run once. Not reusable.
 class CandidateGenerator {
  public:
-  /// The relations and index caches must outlive the generator; the
-  /// caches are consulted (and lazily extended) serially in AddRule.
-  /// `seeds`, when non-null (and outliving the generator), supplies
-  /// per-column fingerprint arrays — e.g. from a loaded snapshot — and
-  /// EnsureAmqColumn inserts those instead of scanning the relation.
-  /// `world`, when non-null (and outliving the generator), is the
-  /// session's columnar world with `r_ext`/`s_ext` under the
-  /// kRExtended/kSExtended slots: AMQ seeding and join-probe hashes are
-  /// then gathered from the shared id columns (dedup by id, hashes from
-  /// the dictionary's cache) instead of re-hashing Values row by row.
-  /// The world is mutated (lazy column encodes) only during serial
-  /// AddRule registration. `block_eval` drains residual candidates in
-  /// kPairBlockLanes-sized PairTruthBlock batches; off calls the scalar
-  /// PairTruth per pair (the differential oracle for the block path —
-  /// fired pairs, evidence and the engine-invariant counters are
-  /// identical either way).
+  /// The relations and `world` must outlive the generator. `world` is
+  /// the session's columnar world with `r_ext`/`s_ext` under the
+  /// kRExtended/kSExtended slots (or with those slots not yet encoded):
+  /// join probes and const-eq filters read its id columns and posting
+  /// indexes. It is mutated (lazy encodes and index builds) only during
+  /// serial AddRule registration. `block_eval` drains residual
+  /// candidates in kPairBlockLanes-sized PairTruthBlock batches; off
+  /// calls the scalar PairTruth per pair (the differential oracle for
+  /// the block path — fired pairs, evidence and the engine-invariant
+  /// counters are identical either way).
   CandidateGenerator(const Relation* r_ext, const Relation* s_ext,
-                     ColumnIndexCache* r_index, ColumnIndexCache* s_index,
-                     const AmqSeeds* seeds = nullptr,
-                     AmqOptions amq_options = {},
-                     ColumnarWorld* world = nullptr, bool block_eval = true);
+                     ColumnarWorld* world, bool block_eval = true);
 
   /// Registers the next (rule, orientation). `plan` must be the
   /// PlanBlocking result for the same predicates/orientation and
@@ -207,22 +194,16 @@ class CandidateGenerator {
   /// its buffers are returned by move, not copied.
   FiredColumns Run(ThreadPool* pool, StagedScanStats* stats);
 
-  /// Total distinct (column, value) fingerprints inserted into the two
-  /// AMQ pre-filters (diagnostics).
-  size_t amq_size() const;
-
  private:
   struct Entry {
     uint32_t priority = 0;
     const StagedEvaluator* residual = nullptr;
-    // Join probe (stage 1+2), when the plan has a cross-entity equality.
+    // Join probe, when the plan has a cross-entity equality: the r row's
+    // id in the r-side join column selects its posting range in the
+    // s-side join column's index.
     bool has_join = false;
-    size_t r_col = 0;                     // r-side join column
-    size_t s_col = 0;                     // s-side join column (schema pos)
-    const ColumnIndex* s_join = nullptr;  // bucket index over s_col
-    // Cached r-column value hashes (owned by r_col_hashes_, whose mapped
-    // vectors are pointer-stable under rehash).
-    const std::vector<uint64_t>* r_hashes = nullptr;
+    const uint32_t* r_ids = nullptr;      // r-side join column ids
+    const ColumnIndex* s_join = nullptr;  // posting index over the s column
     // Scan fallback: the s rows this entry pairs against — every s row
     // (s_all) or the const-filtered list below. Resolved to a pointer in
     // Run, after entries_ stops reallocating.
@@ -230,30 +211,22 @@ class CandidateGenerator {
     std::vector<size_t> s_rows_storage;
   };
 
-  /// Lazily inserts every non-NULL (column, value) of the given side's
-  /// column into that side's AMQ filter.
-  void EnsureAmqColumn(bool r_side, size_t column);
-  /// Lazily caches the 64-bit value hashes of an r column (join-probe
-  /// fingerprints are computed from these, not by re-hashing Values).
-  const std::vector<uint64_t>& RColumnHashes(size_t column);
+  /// Ids of column `column` of the given side, encoded once per sweep:
+  /// the world encodes it on first request and every later request of
+  /// this generator reads the cached pointer.
+  const uint32_t* Encoded(bool r_side, size_t column);
 
   // Everything below is written only during serial AddRule registration
   // and then EID_SHARED_IMMUTABLE for the parallel sweep in Run: workers
-  // read entries_/per_row_/global_/the filters const-only and write
-  // exclusively to their own chunk's output buffer (EID_PER_WORKER).
+  // read entries_/per_row_/global_ and the world's indexes const-only and
+  // write exclusively to their own chunk's output buffer
+  // (EID_PER_WORKER).
   const Relation* r_;
   const Relation* s_;
-  ColumnIndexCache* r_index_;
-  ColumnIndexCache* s_index_;
-  const AmqSeeds* seeds_;
   ColumnarWorld* world_;
   bool block_eval_;
-
-  EID_SHARED_IMMUTABLE AmqFilter r_amq_;
-  EID_SHARED_IMMUTABLE AmqFilter s_amq_;
-  std::vector<bool> r_amq_cols_;  // column -> already inserted
-  std::vector<bool> s_amq_cols_;
-  std::unordered_map<size_t, std::vector<uint64_t>> r_col_hashes_;
+  std::vector<const uint32_t*> r_encoded_;  // column -> ids, null = not yet
+  std::vector<const uint32_t*> s_encoded_;
 
   uint32_t next_priority_ = 0;
   EID_SHARED_IMMUTABLE std::vector<Entry> entries_;
@@ -263,7 +236,6 @@ class CandidateGenerator {
   EID_SHARED_IMMUTABLE std::vector<std::vector<uint32_t>> per_row_;
   EID_SHARED_IMMUTABLE std::vector<uint32_t> global_;
   std::vector<size_t> all_s_rows_;  // shared iota scan list
-  size_t amq_rejects_ = 0;          // rejects during AddRule (serial)
   bool ran_ = false;
 };
 

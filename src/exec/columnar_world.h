@@ -13,15 +13,22 @@
 // contiguous uint32_t columns, and 3-valued semantics are decided by the
 // caller from the precomputed mask, never by re-reading the Value.
 //
-// Threading contract: the dictionary and columns grow only during the
-// serial sections of a stage (compile/bind/build-side). Parallel workers
-// see a fully built structure and only read (EID_SHARED_IMMUTABLE).
+// The world also owns one CSR posting index per (slot, column), built on
+// first request from the column's ids (ColumnIndex below): every join
+// inside Identify — the extended-key join and each rule sweep's equality
+// probe and const-eq filter — reads these instead of hashing Values.
+//
+// Threading contract: the dictionary, columns and indexes grow only
+// during the serial sections of a stage (compile/bind/build-side).
+// Parallel workers see a fully built structure and only read
+// (EID_SHARED_IMMUTABLE).
 
 #ifndef EID_EXEC_COLUMNAR_WORLD_H_
 #define EID_EXEC_COLUMNAR_WORLD_H_
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "base/thread_annotations.h"
@@ -42,6 +49,52 @@ struct IdColumnView {
   const uint32_t* data = nullptr;
   size_t size = 0;
   uint32_t operator[](size_t row) const { return data[row]; }
+};
+
+/// Ascending row numbers of one posting list: a borrowed [begin, end)
+/// window into a ColumnIndex, empty for an id the column does not hold.
+struct PostingRange {
+  const uint32_t* first = nullptr;
+  const uint32_t* last = nullptr;
+
+  const uint32_t* begin() const { return first; }
+  const uint32_t* end() const { return last; }
+  size_t size() const { return static_cast<size_t>(last - first); }
+  bool empty() const { return first == last; }
+};
+
+/// CSR posting index over one id column (DESIGN.md §4a): `offsets` has
+/// one entry per id of the id space the index was built with, plus one,
+/// and the rows of id v are rows[offsets[v] .. offsets[v + 1]). Built in
+/// one counting pass. Contracts:
+///  * NULL cells (kNullId) are not indexed;
+///  * rows are ascending within each id;
+///  * an id at or beyond the build-time id space is an empty range — a
+///    value interned after the build cannot be in the column;
+///  * offsets cost 4 B per id of the id space.
+/// EID_SHARED_IMMUTABLE: built serially, probed (Find, const) from every
+/// worker.
+class EID_SHARED_IMMUTABLE ColumnIndex {
+ public:
+  /// Indexes `ids` (one per row; kNullId or < `id_space`).
+  static ColumnIndex Build(const std::vector<uint32_t>& ids, size_t id_space);
+
+  /// Rows holding `id`, ascending; empty for kNullId and ids the column
+  /// does not hold. Two array loads.
+  PostingRange Find(uint32_t id) const {
+    if (id >= id_space_) return {};
+    const uint32_t* base = rows_.data();
+    return PostingRange{base + offsets_[id], base + offsets_[id + 1]};
+  }
+
+  /// Ids with at least one row (distinct non-NULL values of the column).
+  size_t distinct() const { return distinct_; }
+
+ private:
+  std::vector<uint32_t> offsets_;  // id_space_ + 1 entries
+  std::vector<uint32_t> rows_;     // one per non-NULL cell
+  size_t id_space_ = 0;
+  size_t distinct_ = 0;
 };
 
 /// The four relation slots of one matcher session. Slots are fixed by
@@ -98,12 +151,20 @@ class ColumnarWorld {
   /// parallel readers once the serial build phase is over.
   const std::vector<uint32_t>* FindColumn(WorldRel slot, size_t c) const;
 
+  /// Posting index over Column(slot, rel, c), built on first request
+  /// (encoding the column first if needed) and served from the world
+  /// afterwards. Serial sections only; the reference stays valid until
+  /// Adopt or Reset drops the column. Building reads the column without
+  /// counting a reuse hit: an index is not an encode.
+  const ColumnIndex& Index(WorldRel slot, const Relation& rel, size_t c);
+
   /// Installs externally built ids for (slot, c) — how extension output
   /// hands its columns to the join without re-encoding. Replaces any
-  /// previous encoding of the column.
+  /// previous encoding of the column and drops its index.
   void Adopt(WorldRel slot, size_t c, std::vector<uint32_t> ids);
 
-  /// Drops every encoded column of `slot` (its relation was replaced).
+  /// Drops every encoded column and index of `slot` (its relation was
+  /// replaced).
   void Reset(WorldRel slot);
 
   /// Seeds the session from a snapshot: preloads the dictionary (ids
@@ -125,6 +186,8 @@ class ColumnarWorld {
     // means "not encoded yet".
     std::vector<std::vector<uint32_t>> columns;
     std::vector<bool> present;
+    // Posting index per column once built; null = not built yet.
+    std::vector<std::unique_ptr<ColumnIndex>> indexes;
   };
 
   // Grown only in serial sections; read-only for parallel workers.

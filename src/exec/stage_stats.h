@@ -45,7 +45,8 @@ struct EID_PER_WORKER StageStats {
 
   // Staged candidate-generation counters (exec/candidate_generator.h),
   // zero on exhaustive-oracle runs.
-  size_t amq_rejects = 0;         // probes killed by the AMQ pre-filter
+  size_t amq_rejects = 0;         // always 0: the AMQ pre-filter is gone
+                                  // (kept for reports that read it)
   size_t feature_cache_hits = 0;  // pair evals reusing a hoisted row part
 
   // Block-vectorized residual counters (StagedEvaluator::PairTruthBlock,

@@ -109,6 +109,36 @@ Result<std::vector<Atom>> ParseConjunction(const std::string& side) {
 
 }  // namespace
 
+Status ValidateIlfdAtoms(const std::vector<Atom>& antecedent,
+                         const std::vector<Atom>& consequent) {
+  if (consequent.empty()) {
+    return Status::InvalidArgument("ILFD without consequent");
+  }
+  auto consistent = [](const std::vector<Atom>& atoms) {
+    for (size_t i = 0; i < atoms.size(); ++i) {
+      for (size_t j = i + 1; j < atoms.size(); ++j) {
+        if (atoms[i].attribute == atoms[j].attribute &&
+            !(atoms[i].value == atoms[j].value)) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  if (!consistent(antecedent) || !consistent(consequent)) {
+    return Status::InvalidArgument("ILFD binds an attribute to two values");
+  }
+  for (const Atom& c : consequent) {
+    for (const Atom& a : antecedent) {
+      if (a.attribute == c.attribute && !(a.value == c.value)) {
+        return Status::InvalidArgument(
+            "ILFD consequent contradicts its antecedent");
+      }
+    }
+  }
+  return Status::Ok();
+}
+
 Ilfd::Ilfd(std::vector<Atom> antecedent, std::vector<Atom> consequent)
     : antecedent_(std::move(antecedent)), consequent_(std::move(consequent)) {
   EID_CHECK(!consequent_.empty() && "ILFD requires a consequent");
@@ -215,6 +245,10 @@ Result<Ilfd> ParseIlfd(const std::string& text) {
                        ParseConjunction(text.substr(arrow + 2)));
   if (consequent.empty()) {
     return Status::InvalidArgument("ILFD has empty consequent: '" + text + "'");
+  }
+  const Status valid = ValidateIlfdAtoms(antecedent, consequent);
+  if (!valid.ok()) {
+    return Status::InvalidArgument(valid.message() + ": '" + text + "'");
   }
   return Ilfd(std::move(antecedent), std::move(consequent));
 }

@@ -31,7 +31,8 @@ class Ilfd {
   /// Precondition (checked): consequent non-empty; no attribute appears
   /// twice in the antecedent with different values; the consequent does not
   /// re-bind an antecedent attribute to a different value (that would be an
-  /// unsatisfiable constraint the paper never allows).
+  /// unsatisfiable constraint the paper never allows). Callers holding
+  /// untrusted atoms (parsers, decoders) check with ValidateIlfdAtoms first.
   Ilfd(std::vector<Atom> antecedent, std::vector<Atom> consequent);
 
   /// Single-consequent convenience.
@@ -78,6 +79,15 @@ class Ilfd {
   std::vector<Atom> consequent_;  // sorted by attribute
 };
 
+/// The invariants the Ilfd constructor enforces: the consequent is
+/// non-empty; neither side binds one attribute to two values; no
+/// consequent atom re-binds an antecedent attribute to another value
+/// (an unsatisfiable constraint the paper never allows). Returns
+/// InvalidArgument naming the first violation. Repeating an atom, or
+/// restating an antecedent atom in the consequent, is allowed.
+Status ValidateIlfdAtoms(const std::vector<Atom>& antecedent,
+                         const std::vector<Atom>& consequent);
+
 /// Parses the textual ILFD format used throughout this library:
 ///
 ///     antecedent -> consequent
@@ -87,6 +97,8 @@ class Ilfd {
 ///                  string otherwise)
 ///
 /// Example: `name=TwinCities & street=Co.B2 -> speciality=Hunan`.
+/// Text that ValidateIlfdAtoms rejects (`a=1 -> a=2`) is
+/// InvalidArgument.
 Result<Ilfd> ParseIlfd(const std::string& text);
 
 /// Parses one ILFD per non-empty, non-`#`-comment line.

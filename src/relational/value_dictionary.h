@@ -31,8 +31,8 @@ namespace eid {
 ///  * ids are dense from 0 and assigned in first-seen order, so
 ///    preloading a saved dictionary (snapshot handoff) reproduces the ids
 ///    a fresh build would assign;
-///  * hash(id) == ValueHash{}(value(id)) (AMQ fingerprints, the
-///    snapshot's FingerprintIndex);
+///  * hash(id) == ValueHash{}(value(id)) (derivation programs probe
+///    another dictionary with it without re-hashing);
 ///  * references returned by value() stay valid as the dictionary grows;
 ///  * GetOrIntern/Reserve/Preload mutate; Find/value/hash do not, so a
 ///    fully built dictionary may be probed from many threads at once

@@ -15,8 +15,6 @@ const char* SectionKindName(SectionKind kind) {
   switch (kind) {
     case SectionKind::kDictionary: return "dictionary";
     case SectionKind::kRelation: return "relation";
-    case SectionKind::kPostings: return "postings";
-    case SectionKind::kFingerprints: return "fingerprints";
     case SectionKind::kMatchTables: return "match_tables";
     case SectionKind::kProvenance: return "provenance";
     case SectionKind::kRuleProgram: return "rule_program";

@@ -1,10 +1,9 @@
 // On-disk snapshot format primitives (DESIGN.md §4e).
 //
 // A snapshot is one file holding a whole integration world — interned
-// value dictionary, relations as dense value-id matrices, Elias-Fano
-// posting lists for blocking keys, a fingerprint index, MT/NMT and
-// derivation provenance — laid out so a reader can mmap it and hand out
-// views without parsing row text. Layout:
+// value dictionary, relations as dense value-id matrices, MT/NMT,
+// derivation provenance and the rule program — laid out so a reader can
+// mmap it and hand out views without parsing row text. Layout:
 //
 //   [header 48 B][section table][section payloads ...]
 //
@@ -36,7 +35,8 @@ namespace storage {
 
 inline constexpr char kSnapshotMagic[8] = {'E', 'I', 'D', 'S',
                                            'N', 'A', 'P', '\0'};
-inline constexpr uint32_t kSnapshotVersion = 1;
+/// Version 2 dropped version 1's posting-list and fingerprint sections.
+inline constexpr uint32_t kSnapshotVersion = 2;
 /// Written as the literal 0x01020304; a reader on a foreign-endian host
 /// sees the bytes reversed and rejects the file.
 inline constexpr uint32_t kEndianSentinel = 0x01020304u;
@@ -45,8 +45,8 @@ inline constexpr uint32_t kEndianSentinel = 0x01020304u;
 enum class SectionKind : uint32_t {
   kDictionary = 1,    // interned Value table (dense ids, append order)
   kRelation = 2,      // one relation: schema, keys, value-id row matrix
-  kPostings = 3,      // per-column Elias-Fano posting lists (one relation)
-  kFingerprints = 4,  // (column, value)-fingerprint -> row buckets
+  // 3 and 4 were version 1's posting lists and fingerprint index; the
+  // numbers stay retired.
   kMatchTables = 5,   // MT and NMT row-index pairs
   kProvenance = 6,    // per-row derivation traces for R' and S'
   kRuleProgram = 7,   // ILFDs, correspondence, extended key
@@ -55,8 +55,7 @@ enum class SectionKind : uint32_t {
 /// "dictionary", "relation", ... (diagnostics, `eid_snapshot inspect`).
 const char* SectionKindName(SectionKind kind);
 
-/// Which persisted relation a kRelation/kPostings/kFingerprints section
-/// describes.
+/// Which persisted relation a kRelation section describes.
 enum class RelationRole : uint32_t {
   kSourceR = 0,
   kSourceS = 1,

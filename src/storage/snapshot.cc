@@ -1,16 +1,13 @@
 #include "storage/snapshot.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "exec/stage_stats.h"
 #include "storage/dictionary.h"
-#include "storage/elias_fano.h"
 
 namespace eid {
 namespace storage {
@@ -21,14 +18,8 @@ namespace {
 // Section encoders (layouts documented in DESIGN.md §4e)
 // ---------------------------------------------------------------------------
 
-// Sentinel for NULL cells in the row-major id matrices AppendRelation
-// hands to the postings and fingerprint encoders (the dictionary interns
-// NULL under a regular id, but those encoders skip NULL cells).
-constexpr uint32_t kNoCell = 0xFFFFFFFFu;
-
 void AppendRelation(const Relation& rel, ValueDictionary* dict,
-                    ByteWriter* out,
-                    std::vector<uint32_t>* ids_out = nullptr) {
+                    ByteWriter* out) {
   out->PutString(rel.name());
   out->PutU32(static_cast<uint32_t>(rel.schema().size()));
   for (const Attribute& a : rel.schema().attributes()) {
@@ -43,53 +34,8 @@ void AppendRelation(const Relation& rel, ValueDictionary* dict,
     }
   }
   out->PutU32(static_cast<uint32_t>(rel.size()));
-  if (ids_out != nullptr) ids_out->reserve(rel.size() * rel.schema().size());
   for (const Row& row : rel.rows()) {
-    for (const Value& v : row) {
-      const uint32_t id = dict->GetOrIntern(v);
-      out->PutU32(id);
-      if (ids_out != nullptr) ids_out->push_back(v.is_null() ? kNoCell : id);
-    }
-  }
-}
-
-void AppendPostings(const Relation& rel, const std::vector<uint32_t>& ids,
-                    ByteWriter* out) {
-  const uint32_t universe = static_cast<uint32_t>(rel.size());
-  const size_t cols = rel.schema().size();
-  out->PutU32(static_cast<uint32_t>(cols));
-  out->PutU32(universe);
-  std::vector<uint64_t> cells;
-  std::vector<uint32_t> rows;
-  for (size_t c = 0; c < cols; ++c) {
-    // value id -> ascending row ids; NULL cells are not posted (mirrors
-    // ColumnIndex::Build, whose buckets these lists reconstruct). One
-    // flat (value id << 32 | row) array sorted once gives the same
-    // sorted-bucket walk as a std::map, without a node allocation and
-    // rebalance per cell — the map build dominated snapshot saves. Ids
-    // come from the matrix AppendRelation built, so no cell is hashed
-    // or interned a second time.
-    cells.clear();
-    for (size_t r = 0; r < rel.size(); ++r) {
-      const uint32_t id = ids[r * cols + c];
-      if (id == kNoCell) continue;
-      cells.push_back((static_cast<uint64_t>(id) << 32) | r);
-    }
-    std::sort(cells.begin(), cells.end());
-    size_t distinct = 0;
-    for (size_t i = 0; i < cells.size(); ++i) {
-      if (i == 0 || (cells[i] >> 32) != (cells[i - 1] >> 32)) ++distinct;
-    }
-    out->PutU32(static_cast<uint32_t>(distinct));
-    for (size_t i = 0; i < cells.size();) {
-      const uint32_t value_id = static_cast<uint32_t>(cells[i] >> 32);
-      rows.clear();
-      for (; i < cells.size() && (cells[i] >> 32) == value_id; ++i) {
-        rows.push_back(static_cast<uint32_t>(cells[i]));
-      }
-      out->PutU32(value_id);
-      EliasFanoAppend(EliasFanoEncode(rows, universe), out);
-    }
+    for (const Value& v : row) out->PutU32(dict->GetOrIntern(v));
   }
 }
 
@@ -299,63 +245,6 @@ Status ParseRelation(ByteReader* in, const std::vector<Value>& dict,
   return Status::Ok();
 }
 
-Status ParsePostings(ByteReader* in, const Relation& rel,
-                     const std::vector<Value>& dict, PostingColumns* out) {
-  uint32_t column_count = 0;
-  uint32_t universe = 0;
-  if (!in->GetU32(&column_count) || !in->GetU32(&universe)) {
-    return CorruptError("postings header truncated");
-  }
-  if (column_count != rel.schema().size()) {
-    return CorruptError("postings column count does not match relation");
-  }
-  if (universe != rel.size()) {
-    return CorruptError("postings universe does not match relation size");
-  }
-  out->columns.assign(column_count, {});
-  for (uint32_t c = 0; c < column_count; ++c) {
-    uint32_t bucket_count = 0;
-    if (!in->GetU32(&bucket_count)) {
-      return CorruptError("postings column truncated");
-    }
-    if (bucket_count > in->remaining()) {
-      return CorruptError("postings bucket count exceeds section");
-    }
-    PostingColumns::Column& column = out->columns[c];
-    column.buckets.reserve(bucket_count);
-    // Each row appears in at most one bucket per column, so the arena
-    // never exceeds the relation's row count.
-    column.rows.reserve(universe);
-    uint32_t prev_id = 0;
-    for (uint32_t b = 0; b < bucket_count; ++b) {
-      PostingColumns::Bucket bucket;
-      if (!in->GetU32(&bucket.value_id)) {
-        return CorruptError("posting list truncated");
-      }
-      if (bucket.value_id >= dict.size()) {
-        return CorruptError("posting list references value id beyond "
-                            "dictionary");
-      }
-      if (b > 0 && bucket.value_id <= prev_id) {
-        return CorruptError("posting value ids not strictly increasing");
-      }
-      prev_id = bucket.value_id;
-      EliasFano ef;
-      if (!EliasFanoParse(in, &ef)) {
-        return CorruptError("posting list truncated");
-      }
-      if (ef.universe != universe) {
-        return CorruptError("posting list universe mismatch");
-      }
-      bucket.begin = static_cast<uint32_t>(column.rows.size());
-      EID_RETURN_IF_ERROR(EliasFanoDecodeAppend(ef, &column.rows));
-      bucket.count = static_cast<uint32_t>(column.rows.size() - bucket.begin);
-      column.buckets.push_back(bucket);
-    }
-  }
-  return Status::Ok();
-}
-
 Status ParsePairs(ByteReader* in, const Relation& r_ext,
                   const Relation& s_ext, std::vector<TuplePair>* out) {
   uint32_t count = 0;
@@ -464,37 +353,6 @@ Status ParseAtoms(ByteReader* in, const std::vector<Value>& dict,
   return Status::Ok();
 }
 
-/// The Ilfd constructor enforces its invariants with EID_CHECK (abort);
-/// re-validate here so a forged-but-checksummed file yields a Status.
-Status ValidateIlfdAtoms(const std::vector<Atom>& antecedent,
-                         const std::vector<Atom>& consequent) {
-  if (consequent.empty()) {
-    return CorruptError("ILFD without consequent");
-  }
-  auto consistent = [](const std::vector<Atom>& atoms) {
-    for (size_t i = 0; i < atoms.size(); ++i) {
-      for (size_t j = i + 1; j < atoms.size(); ++j) {
-        if (atoms[i].attribute == atoms[j].attribute &&
-            !(atoms[i].value == atoms[j].value)) {
-          return false;
-        }
-      }
-    }
-    return true;
-  };
-  if (!consistent(antecedent) || !consistent(consequent)) {
-    return CorruptError("ILFD binds an attribute to two values");
-  }
-  for (const Atom& c : consequent) {
-    for (const Atom& a : antecedent) {
-      if (a.attribute == c.attribute && !(a.value == c.value)) {
-        return CorruptError("ILFD consequent contradicts its antecedent");
-      }
-    }
-  }
-  return Status::Ok();
-}
-
 Status ParseRuleProgram(ByteReader* in, const std::vector<Value>& dict,
                         LoadedWorld* world) {
   uint32_t ilfd_count = 0;
@@ -507,7 +365,10 @@ Status ParseRuleProgram(ByteReader* in, const std::vector<Value>& dict,
     std::vector<Atom> antecedent, consequent;
     EID_RETURN_IF_ERROR(ParseAtoms(in, dict, &antecedent));
     EID_RETURN_IF_ERROR(ParseAtoms(in, dict, &consequent));
-    EID_RETURN_IF_ERROR(ValidateIlfdAtoms(antecedent, consequent));
+    // The Ilfd constructor enforces its invariants with EID_CHECK (abort);
+    // re-validate so a forged-but-checksummed file yields a Status.
+    const Status valid = ValidateIlfdAtoms(antecedent, consequent);
+    if (!valid.ok()) return CorruptError(valid.message());
     ilfds.emplace_back(std::move(antecedent), std::move(consequent));
   }
   world->ilfds = IlfdSet(std::move(ilfds));
@@ -618,40 +479,10 @@ Status WriteSnapshot(const WorldImage& image, const std::string& path) {
       cell_estimate += rel->size() * rel->schema().size();
     }
     dict.Reserve(cell_estimate / 2);
-    // The extended relations' id matrices are captured once here and
-    // reused by the postings and fingerprint encoders below, so each
-    // R'/S' cell is hashed and interned exactly once per save.
-    std::vector<uint32_t> extended_ids[2];
     for (const auto& [role, rel] : relations) {
       ByteWriter w;
-      std::vector<uint32_t>* ids =
-          role == R::kExtendedR   ? &extended_ids[0]
-          : role == R::kExtendedS ? &extended_ids[1]
-                                  : nullptr;
-      AppendRelation(*rel, &dict, &w, ids);
+      AppendRelation(*rel, &dict, &w);
       add(SectionKind::kRelation, static_cast<uint32_t>(role), std::move(w));
-    }
-    // Blocking accelerators only for the extended relations: every pair
-    // sweep (key join, identity, distinctness) runs over R'/S'.
-    for (const auto& [i, role, rel] :
-         {std::tuple<size_t, R, const Relation*>{0, R::kExtendedR,
-                                                 image.r_extended},
-          std::tuple<size_t, R, const Relation*>{1, R::kExtendedS,
-                                                 image.s_extended}}) {
-      ByteWriter w;
-      AppendPostings(*rel, extended_ids[i], &w);
-      add(SectionKind::kPostings, static_cast<uint32_t>(role), std::move(w));
-    }
-    for (const auto& [i, role, rel] :
-         {std::tuple<size_t, R, const Relation*>{0, R::kExtendedR,
-                                                 image.r_extended},
-          std::tuple<size_t, R, const Relation*>{1, R::kExtendedS,
-                                                 image.s_extended}}) {
-      ByteWriter w;
-      FingerprintIndex::Build(*rel, extended_ids[i], dict.size())
-          .AppendTo(&w);
-      add(SectionKind::kFingerprints, static_cast<uint32_t>(role),
-          std::move(w));
     }
   }
   {
@@ -812,33 +643,8 @@ IdentifierConfig LoadedWorld::ToConfig() const {
   config.correspondence = correspondence;
   config.extended_key = extended_key;
   config.ilfds = ilfds;
-  config.matcher_options.amq_seeds = amq_seeds;
   config.matcher_options.columnar_seeds = columnar_seeds;
   return config;
-}
-
-exec::ColumnIndex IndexFromPostings(const PostingColumns::Column& column,
-                                    const std::vector<Value>& dictionary) {
-  std::unordered_map<Value, std::vector<size_t>, ValueHash> map;
-  map.reserve(column.buckets.size());
-  for (const PostingColumns::Bucket& b : column.buckets) {
-    const size_t* rows = column.rows_of(b);
-    map.emplace(dictionary[b.value_id],
-                std::vector<size_t>(rows, rows + b.count));
-  }
-  return exec::ColumnIndex::FromBuckets(std::move(map));
-}
-
-void LoadedWorld::PreloadIndexes(exec::ColumnIndexCache* r_cache,
-                                 exec::ColumnIndexCache* s_cache) const {
-  for (size_t c = 0; c < r_extended.schema().size(); ++c) {
-    r_cache->Preload(r_extended.schema().attribute(c).name,
-                     IndexFromPostings(r_postings.columns[c], dictionary));
-  }
-  for (size_t c = 0; c < s_extended.schema().size(); ++c) {
-    s_cache->Preload(s_extended.schema().attribute(c).name,
-                     IndexFromPostings(s_postings.columns[c], dictionary));
-  }
 }
 
 Result<LoadedWorld> LoadSnapshot(const std::string& path) {
@@ -888,51 +694,6 @@ Result<LoadedWorld> LoadSnapshot(const std::string& path) {
     world.columnar_seeds->dictionary = world.dictionary;
   }
   mark("relations");
-  {
-    EID_ASSIGN_OR_RETURN(
-        ByteReader in,
-        reader.Section(SectionKind::kPostings,
-                       static_cast<uint32_t>(RelationRole::kExtendedR)));
-    EID_RETURN_IF_ERROR(ParsePostings(&in, world.r_extended, world.dictionary,
-                                      &world.r_postings));
-  }
-  {
-    EID_ASSIGN_OR_RETURN(
-        ByteReader in,
-        reader.Section(SectionKind::kPostings,
-                       static_cast<uint32_t>(RelationRole::kExtendedS)));
-    EID_RETURN_IF_ERROR(ParsePostings(&in, world.s_extended, world.dictionary,
-                                      &world.s_postings));
-  }
-  mark("postings");
-  {
-    world.amq_seeds = std::make_shared<exec::AmqSeeds>();
-    const std::pair<uint32_t, std::vector<std::vector<uint64_t>>*> sides[] = {
-        {static_cast<uint32_t>(RelationRole::kExtendedR),
-         &world.amq_seeds->r_columns},
-        {static_cast<uint32_t>(RelationRole::kExtendedS),
-         &world.amq_seeds->s_columns},
-    };
-    for (const auto& [role, columns] : sides) {
-      EID_ASSIGN_OR_RETURN(
-          ByteReader in, reader.Section(SectionKind::kFingerprints, role));
-      FingerprintIndex index;
-      EID_RETURN_IF_ERROR(FingerprintIndex::Parse(&in, &index));
-      const Relation& rel =
-          role == static_cast<uint32_t>(RelationRole::kExtendedR)
-              ? world.r_extended
-              : world.s_extended;
-      if (index.column_count() != rel.schema().size()) {
-        return CorruptError(
-            "fingerprint index column count does not match relation");
-      }
-      columns->reserve(index.column_count());
-      for (size_t c = 0; c < index.column_count(); ++c) {
-        columns->push_back(index.ColumnFingerprints(c));
-      }
-    }
-  }
-  mark("fingerprints");
   {
     EID_ASSIGN_OR_RETURN(ByteReader in,
                          reader.Section(SectionKind::kMatchTables));

@@ -3,13 +3,13 @@
 // A snapshot persists everything an identification run consumed and
 // produced — source R and S, the extended R' and S', derivation
 // provenance, MT/NMT, and the rule program (ILFDs, correspondence,
-// extended key) — plus the cold-start accelerators: an interned-value
-// dictionary (storage/dictionary.h), per-attribute Elias-Fano posting
-// lists (storage/elias_fano.h), and a fingerprint index
-// (storage/fingerprint_index.h). Loading therefore rebuilds blocking
-// indexes from decoded posting lists and seeds AMQ filters and the value
-// interner straight from the file, instead of re-scanning, re-hashing
-// and re-interning every row.
+// extended key) — over one interned-value dictionary
+// (storage/dictionary.h) whose dense ids every relation section uses.
+// Loading seeds the session's columnar world straight from the file: the
+// dictionary and the source relations' id matrices, so a seeded Identify
+// re-interns nothing. Blocking indexes are not persisted — the world
+// builds the few an Identify probes with one counting pass over an id
+// column each (DESIGN.md §4e).
 //
 // File layout and integrity rules are in storage/format.h; every decode
 // failure (truncation, bit flip, wrong magic/version/endianness) is a
@@ -25,9 +25,6 @@
 
 #include "compile/interner.h"
 #include "eid/identifier.h"
-#include "exec/amq_filter.h"
-#include "exec/blocking_index.h"
-#include "storage/fingerprint_index.h"
 #include "storage/format.h"
 
 namespace eid {
@@ -83,28 +80,6 @@ class SnapshotReader {
   std::vector<SectionEntry> sections_;
 };
 
-/// Decoded posting lists of one relation: columns[c] holds ascending
-/// (value id, ascending row ids) buckets. Row ids live in one arena per
-/// column — a bucket is a [begin, begin+count) window into it — so a
-/// column decodes with two allocations regardless of how many distinct
-/// values it has (tens of thousands of per-bucket vectors was the
-/// dominant cost of the postings section at large n).
-struct PostingColumns {
-  struct Bucket {
-    uint32_t value_id = 0;
-    uint32_t begin = 0;
-    uint32_t count = 0;
-  };
-  struct Column {
-    std::vector<Bucket> buckets;
-    std::vector<size_t> rows;  // arena: bucket b owns rows[b.begin ..)
-
-    /// The row-id window of one bucket.
-    const size_t* rows_of(const Bucket& b) const { return rows.data() + b.begin; }
-  };
-  std::vector<Column> columns;
-};
-
 /// A fully decoded world plus the cold-start accelerators.
 struct LoadedWorld {
   Relation r, s, r_extended, s_extended;
@@ -117,37 +92,24 @@ struct LoadedWorld {
 
   /// Interned values in id order (dictionary section).
   std::vector<Value> dictionary;
-  /// Per-column distinct fingerprints of R'/S' (fingerprints section),
-  /// ready to hand to MatcherOptions::amq_seeds. EID_SHARED_IMMUTABLE:
-  /// decoded once at load, then read-only by every engine run seeded
-  /// from this world (the shared_ptr is aliased, never mutated through).
-  EID_SHARED_IMMUTABLE std::shared_ptr<exec::AmqSeeds> amq_seeds;
   /// Columnar-world seed (exec/columnar_world.h): the dictionary plus the
   /// source R/S id matrices captured during relation decode (NULL cells
   /// mapped to ColumnarWorld::kNullId), ready to hand to
   /// MatcherOptions::columnar_seeds — a snapshot-loaded session then
   /// starts with every base column encoded and re-interns nothing.
-  /// EID_SHARED_IMMUTABLE like amq_seeds: decoded once, then read-only.
+  /// EID_SHARED_IMMUTABLE: decoded once at load, then read-only by every
+  /// engine run seeded from this world (the shared_ptr is aliased, never
+  /// mutated through).
   EID_SHARED_IMMUTABLE std::shared_ptr<exec::ColumnarSeeds> columnar_seeds;
-  /// Decoded Elias-Fano postings of R'/S' (postings sections).
-  PostingColumns r_postings, s_postings;
   /// stage="snapshot_load": wall_ms/snapshot_load_ms = map + decode +
   /// checksum time, dict_values = dictionary size, items = rows decoded.
   exec::StageStats load_stats;
 
-  /// Identification config over the loaded rule program, with amq_seeds
-  /// wired into the matcher options. Identify on the loaded sources is
-  /// bit-identical to a fresh build (tests/storage/ enforce this).
+  /// Identification config over the loaded rule program, with
+  /// columnar_seeds wired into the matcher options. Identify on the
+  /// loaded sources is bit-identical to a fresh build (tests/storage/
+  /// enforce this).
   IdentifierConfig ToConfig() const;
-
-  /// Installs blocking indexes for every column of R' and S' into the
-  /// caches, rebuilt from the decoded posting lists — the cold-start
-  /// path that avoids re-scanning and re-hashing the relations.
-  /// Serial-only, like every ColumnIndexCache mutation: call before any
-  /// ParallelFor that probes the caches (EID_SHARED_IMMUTABLE from then
-  /// on — see exec/blocking_index.h).
-  void PreloadIndexes(exec::ColumnIndexCache* r_cache,
-                      exec::ColumnIndexCache* s_cache) const;
 
   /// Preloads `interner` with the dictionary in id order, reproducing
   /// the saved dense ids (compile::ValueInterner handoff).
@@ -158,11 +120,6 @@ struct LoadedWorld {
 
 /// Opens, validates and decodes a whole snapshot.
 Result<LoadedWorld> LoadSnapshot(const std::string& path);
-
-/// Rebuilds one column's blocking index from decoded postings.
-/// `dictionary` maps the bucket value ids back to Values.
-exec::ColumnIndex IndexFromPostings(const PostingColumns::Column& column,
-                                    const std::vector<Value>& dictionary);
 
 }  // namespace storage
 }  // namespace eid

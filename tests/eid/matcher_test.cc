@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "../test_util.h"
 #include "relational/printer.h"
@@ -153,6 +156,69 @@ TEST(MatcherTest, JoinOnExtendedKeyMatchesPairwiseReference) {
   std::sort(pairs.begin(), pairs.end());
   std::sort(reference.begin(), reference.end());
   EXPECT_EQ(pairs, reference);
+}
+
+/// A random extended relation over (city, name, num): 32 cities, few
+/// enough names that keys repeat, about one NULL cell in six. `num`
+/// holds Int values, or the equal-looking Double values when
+/// `num_type` is kDouble — storage-distinct, so they must never join.
+Relation RandomExtended(const std::string& name, ValueType num_type,
+                        size_t rows, std::mt19937* rng) {
+  Relation rel(name, Schema({Attribute{"city", ValueType::kString},
+                             Attribute{"name", ValueType::kString},
+                             Attribute{"num", num_type}}));
+  auto cell = [&](Value v) { return (*rng)() % 6 == 0 ? Value::Null() : v; };
+  for (size_t i = 0; i < rows; ++i) {
+    const int num = static_cast<int>((*rng)() % 3);
+    Row row{cell(Value::String("c" + std::to_string((*rng)() % 32))),
+            cell(Value::String("n" + std::to_string((*rng)() % 40))),
+            cell(num_type == ValueType::kInt ? Value::Int(num)
+                                             : Value::Double(num))};
+    EXPECT_TRUE(rel.Insert(std::move(row)).ok());
+  }
+  return rel;
+}
+
+TEST(MatcherTest, IdKeyedJoinMatchesFingerprintOracle) {
+  // The id-keyed join (compiled) against the string-fingerprint join
+  // (interpreted): identical pairs in identical order — r-major, s
+  // ascending — for widths 1, 2 and 3, NULL key cells, Int(1) vs
+  // Double(1.0), a low-cardinality leading attribute (city), with and
+  // without a session world, at every pool size.
+  std::mt19937 rng(11);
+  Relation r = RandomExtended("R'", ValueType::kInt, 400, &rng);
+  for (ValueType s_num : {ValueType::kInt, ValueType::kDouble}) {
+    Relation s = RandomExtended("S'", s_num, 300, &rng);
+    for (const ExtendedKey& key :
+         {ExtendedKey({"name"}), ExtendedKey({"city", "name"}),
+          ExtendedKey({"name", "city"}), ExtendedKey({"num"}),
+          ExtendedKey({"city", "name", "num"})}) {
+      const std::string label =
+          key.ToString() + (s_num == ValueType::kInt ? " int" : " double");
+      EID_ASSERT_OK_AND_ASSIGN(
+          std::vector<TuplePair> oracle,
+          JoinOnExtendedKey(r, s, key, /*pool=*/nullptr, /*stats=*/nullptr,
+                            /*compiled=*/false));
+      if (s_num == ValueType::kDouble && key.Contains("num")) {
+        EXPECT_TRUE(oracle.empty()) << label;  // Int(1) != Double(1.0)
+      } else {
+        EXPECT_FALSE(oracle.empty()) << label;
+      }
+      for (int threads : {1, 4}) {
+        exec::ThreadPool pool(threads);
+        exec::ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
+        EID_ASSERT_OK_AND_ASSIGN(
+            std::vector<TuplePair> private_world,
+            JoinOnExtendedKey(r, s, key, pool_ptr, nullptr, true));
+        EXPECT_EQ(private_world, oracle) << label << " threads=" << threads;
+        exec::ColumnarWorld world;
+        EID_ASSERT_OK_AND_ASSIGN(
+            std::vector<TuplePair> session_world,
+            JoinOnExtendedKey(r, s, key, pool_ptr, nullptr, true, &world));
+        EXPECT_EQ(session_world, oracle) << label << " threads=" << threads;
+      }
+    }
+  }
 }
 
 }  // namespace

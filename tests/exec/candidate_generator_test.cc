@@ -3,8 +3,9 @@
 // first-(rule,orientation)-wins fold it replaces: for join rules,
 // const-only rules, unindexable rules, NULL join keys, multi-rule
 // programs with overlapping fire sets, dead orientations, compiled and
-// interpreted residuals, and every thread count. An adversarial run with
-// one-bit fingerprints proves AMQ false positives never change results.
+// interpreted residuals, and every thread count. Const-eq conjuncts look
+// their constants up in the session dictionary only after encoding the
+// column; the constant-placement cases below pin that order.
 
 #include "exec/candidate_generator.h"
 
@@ -74,7 +75,7 @@ struct StagedRun {
 /// Builds plans and residual evaluators exactly the way the identifier
 /// does and sweeps once.
 StagedRun RunStaged(const Relation& r, const Relation& s, const RuleSet& rules,
-                    bool compiled, int threads, AmqOptions amq = {}) {
+                    bool compiled, int threads) {
   std::vector<BlockingPlan> plans;
   plans.reserve(rules.size() * 2);
   for (const std::vector<Predicate>& preds : rules) {
@@ -102,9 +103,8 @@ StagedRun RunStaged(const Relation& r, const Relation& s, const RuleSet& rules,
       }
     }
   }
-  ColumnIndexCache r_index(&r);
-  ColumnIndexCache s_index(&s);
-  CandidateGenerator gen(&r, &s, &r_index, &s_index, /*seeds=*/nullptr, amq);
+  ColumnarWorld world;
+  CandidateGenerator gen(&r, &s, &world);
   for (size_t i = 0; i < plans.size(); ++i) {
     gen.AddRule(plans[i], evaluators[i].get());
   }
@@ -145,7 +145,6 @@ StagedScanStats ExpectMatchesOracle(const Relation& r, const Relation& s,
       }
       EXPECT_EQ(run.stats.candidate_pairs, first.candidate_pairs);
       EXPECT_EQ(run.stats.rule_evals, first.rule_evals);
-      EXPECT_EQ(run.stats.amq_rejects, first.amq_rejects);
       EXPECT_EQ(run.stats.feature_cache_hits, first.feature_cache_hits);
       EXPECT_EQ(run.stats.indexed, first.indexed);
     }
@@ -232,51 +231,82 @@ TEST(CandidateGeneratorTest, NullJoinKeysNeverFire) {
 }
 
 TEST(CandidateGeneratorTest, AmqMissesKillProbesWithoutChangingResults) {
-  // Most r names are absent from s: the s-side filter must reject those
-  // probes before any bucket is touched, and the fired set is still
-  // exactly the oracle's.
+  // Most r names are absent from s. The membership miss that an
+  // approximate filter used to report is now exact: an absent value's
+  // posting range is empty, so no candidate is evaluated for it, and
+  // the fired set is still exactly the oracle's.
   Relation r = MakeRelation("R", {"name"}, {},
                             {{"anna"}, {"bob"}, {"carl"}, {"dana"}, {"erik"}});
   Relation s = MakeRelation("S", {"name"}, {}, {{"anna"}, {"xu"}, {"yi"}});
   RuleSet rules = {Preds("e1.name = e2.name")};
   StagedScanStats stats = ExpectMatchesOracle(r, s, rules);
-  EXPECT_GT(stats.amq_rejects, 0u);
-  EXPECT_LT(stats.candidate_pairs, r.size() * s.size());
+  // Only anna x anna reaches the residual, once: the flipped orientation
+  // skips the pair the direct one already fired.
+  EXPECT_EQ(stats.candidate_pairs, 1u);
 }
 
 TEST(CandidateGeneratorTest, DeadConstantKillsWholeOrientation) {
-  // No r row has city = "Atlantis": the orientation dies at AddRule time
-  // (rule-level AMQ kill or empty filter list) with zero candidates.
+  // No r row has city = "Atlantis" and no column interned it: the
+  // dictionary lookup misses and the orientation dies at AddRule time
+  // with zero candidates.
   RuleSet rules = {Preds("e1.city = \"Atlantis\" & e1.name = e2.name")};
   StagedScanStats stats = ExpectMatchesOracle(TestR(), TestS(), rules);
   EXPECT_EQ(stats.candidate_pairs, 0u);
 }
 
-TEST(CandidateGeneratorTest, AdversarialCollisionsNeverChangeResults) {
-  // One-bit fingerprints in tiny levels: nearly every probe collides, so
-  // the filters approach "always maybe". Results must be bit-identical
-  // to the oracle anyway — only amq_rejects may differ from a
-  // default-options run.
-  AmqOptions adversarial;
-  adversarial.fingerprint_bits = 1;
-  adversarial.initial_buckets_log2 = 1;
-  adversarial.max_level_buckets_log2 = 2;
-  adversarial.max_kicks = 2;
-  Relation r = TestR();
-  Relation s = TestS();
-  RuleSet rules = {Preds("e1.name = e2.name & e1.city = e2.town"),
-                   Preds("e1.city = \"Lima\" & e2.rank != \"3\""),
-                   Preds("e1.score < e2.rank")};
+TEST(CandidateGeneratorTest, ConstantOnlyInAnUnencodedColumnStillFires) {
+  // "Lima" occurs only in r.city, and no earlier stage encoded that
+  // column: the dictionary first sees "Lima" when the filter encodes
+  // it. Looking the constant up before that encode would read it as
+  // absent and kill an orientation that fires.
+  Relation r = MakeRelation("R", {"name", "city"}, {},
+                            {{"anna", "Oslo"}, {"bob", "Lima"}});
+  Relation s = MakeRelation("S", {"name", "rank"}, {},
+                            {{"anna", "1"}, {"bob", "2"}});
+  RuleSet rules = {Preds("e1.city = \"Lima\" & e1.name = e2.name")};
   std::vector<OracleFired> expected = OracleFold(r, s, rules);
-  ASSERT_FALSE(expected.empty());
-  for (bool compiled : {false, true}) {
-    for (int threads : {1, 8}) {
-      SCOPED_TRACE(std::string(compiled ? "compiled" : "interpreted") +
-                   " threads=" + std::to_string(threads));
-      StagedRun run = RunStaged(r, s, rules, compiled, threads, adversarial);
-      ExpectSameFired(run.fired, expected);
+  ASSERT_EQ(expected.size(), 1u);
+  EXPECT_EQ(expected[0].pair, (TuplePair{1, 1}));
+  StagedScanStats stats = ExpectMatchesOracle(r, s, rules);
+  EXPECT_EQ(stats.candidate_pairs, 1u);
+}
+
+TEST(CandidateGeneratorTest, ConstantInternedThroughAnotherColumnIsAbsent) {
+  // "Oslo" is in the dictionary — s.town holds it — but r.city does
+  // not: the filter's posting range is empty and the orientation dies,
+  // whichever column interned the value first.
+  Relation r = MakeRelation("R", {"name", "city"}, {},
+                            {{"anna", "Pune"}, {"bob", "Lima"}});
+  Relation s = MakeRelation("S", {"name", "town"}, {},
+                            {{"anna", "Oslo"}, {"bob", "Oslo"}});
+  RuleSet rules = {Preds("e2.town = \"Oslo\" & e1.city = \"Oslo\"")};
+  for (int threads : {1, 8}) {
+    ColumnarWorld world;
+    // Encode s.town first, so "Oslo" has an id before r.city is probed.
+    world.Column(WorldRel::kSExtended, s, 1);
+    ASSERT_NE(world.dict().Find(Value::Str("Oslo")),
+              ValueDictionary::kNotInterned);
+    CandidateGenerator gen(&r, &s, &world);
+    std::vector<BlockingPlan> plans;
+    std::vector<std::unique_ptr<StagedEvaluator>> evaluators;
+    for (bool flipped : {false, true}) {
+      plans.push_back(PlanBlocking(rules[0], r.schema(), s.schema(), flipped));
+      evaluators.push_back(
+          plans.back().impossible
+              ? nullptr
+              : std::make_unique<InterpretedResidual>(
+                    rules[0], plans.back().coverage, &r, &s, flipped));
     }
+    for (size_t i = 0; i < plans.size(); ++i) {
+      gen.AddRule(plans[i], evaluators[i].get());
+    }
+    ThreadPool pool(threads);
+    StagedScanStats stats;
+    FiredColumns fired = gen.Run(threads > 1 ? &pool : nullptr, &stats);
+    EXPECT_TRUE(fired.pairs.empty());
+    EXPECT_EQ(stats.candidate_pairs, 0u);
   }
+  ExpectMatchesOracle(r, s, rules);
 }
 
 TEST(CandidateGeneratorTest, RealRuleShapesAgree) {

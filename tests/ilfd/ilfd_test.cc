@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
+#include "ilfd/ilfd_set.h"
 
 namespace eid {
 namespace {
@@ -60,6 +61,46 @@ speciality=Hunan -> cuisine=Chinese
 speciality=Gyros -> cuisine=Greek
 )"));
   EXPECT_EQ(list.size(), 2u);
+}
+
+/// `text` must come back InvalidArgument naming `defect` — through the
+/// parser and through IlfdSet::AddText — instead of reaching the Ilfd
+/// constructor's abort; the set stays empty.
+void ExpectRejected(const std::string& text, const std::string& defect) {
+  Result<Ilfd> parsed = ParseIlfd(text);
+  ASSERT_FALSE(parsed.ok()) << text;
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find(defect), std::string::npos)
+      << parsed.status().message();
+  EXPECT_NE(parsed.status().message().find(text), std::string::npos)
+      << parsed.status().message();
+  IlfdSet set;
+  Result<size_t> added = set.AddText(text);
+  ASSERT_FALSE(added.ok()) << text;
+  EXPECT_EQ(added.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(set.size(), 0u);
+}
+
+TEST(IlfdParseTest, AntecedentBindingOneAttributeTwiceIsInvalid) {
+  ExpectRejected("a=1 & a=2 -> b=3", "binds an attribute to two values");
+}
+
+TEST(IlfdParseTest, ConsequentContradictingAntecedentIsInvalid) {
+  ExpectRejected("a=1 -> a=2", "contradicts its antecedent");
+}
+
+TEST(IlfdParseTest, ConsequentBindingOneAttributeTwiceIsInvalid) {
+  ExpectRejected("a=1 -> b=2 & b=3", "binds an attribute to two values");
+}
+
+TEST(IlfdParseTest, RestatingTheAntecedentStaysAccepted) {
+  // Trivial, not contradictory: the analyzer warns (EID-W003), the
+  // parser accepts.
+  EID_ASSERT_OK_AND_ASSIGN(Ilfd f, ParseIlfd("a=1 -> a=1"));
+  EXPECT_TRUE(f.IsTrivial());
+  IlfdSet set;
+  EID_EXPECT_OK(set.AddText("a=1 -> a=1").status());
+  EXPECT_EQ(set.size(), 1u);
 }
 
 TEST(IlfdTest, CanonicalFormSortsAndDeduplicates) {

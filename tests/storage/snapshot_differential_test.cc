@@ -1,17 +1,20 @@
 // Snapshot round-trip differential: build a generated world, identify,
 // save, load, and re-identify from the loaded sources with the loaded
 // rule program — across MatcherOptions::staged on/off and thread counts
-// {1, 8}, with and without the snapshot accelerators (AMQ seeds). Every
+// {1, 8}, with and without the snapshot's columnar seeds. Every
 // configuration must reproduce the saved MT/NMT pair lists and partition
 // counts bit-identically: the snapshot is a faithful world image, not an
-// approximation.
+// approximation. A world seeded from the snapshot indexes its source
+// columns from the saved ids, without re-encoding a row.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "eid.h"
+#include "exec/columnar_world.h"
 #include "storage/snapshot.h"
 #include "workload/generator.h"
 
@@ -87,12 +90,11 @@ TEST(SnapshotDifferentialTest, LoadedWorldIdentifiesBitIdentically) {
   for (bool staged : {true, false}) {
     for (int threads : {1, 8}) {
       for (bool seeded : {true, false}) {
-        if (seeded && !staged) continue;  // seeds only feed the staged path
         IdentifierConfig again_config = loaded->ToConfig();
         again_config.distinctness_from_ilfds = true;
         again_config.matcher_options.staged = staged;
         again_config.matcher_options.threads = threads;
-        if (!seeded) again_config.matcher_options.amq_seeds = nullptr;
+        if (!seeded) again_config.matcher_options.columnar_seeds = nullptr;
         Result<IdentificationResult> again =
             EntityIdentifier(again_config).Identify(loaded->r, loaded->s);
         const std::string label =
@@ -151,9 +153,10 @@ TEST(SnapshotDifferentialTest, SaveLoadSaveIsByteStable) {
 }
 
 TEST(SnapshotDifferentialTest, ColdStartUsesPostingsNotRowScans) {
-  // The preloaded indexes must be drop-in equivalent inside a staged
-  // sweep: run the negative-table build with preloaded caches and with
-  // scan-built caches; identical tables.
+  // A cold start seeds the session world with the snapshot's source id
+  // matrices. Its posting indexes are then counted from those ids: no
+  // row is re-encoded, no value is interned, and every index has as
+  // many distinct values as one built by encoding the rows.
   GeneratedWorld world = MakeWorld(64);
   IdentifierConfig config = ConfigOf(world);
   Result<IdentificationResult> fresh =
@@ -164,21 +167,24 @@ TEST(SnapshotDifferentialTest, ColdStartUsesPostingsNotRowScans) {
       WriteSnapshot(ImageOf(world.r, world.s, config, *fresh), path));
   Result<LoadedWorld> loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_NE(loaded->columnar_seeds, nullptr);
 
-  exec::ColumnIndexCache r_cache(&loaded->r_extended);
-  exec::ColumnIndexCache s_cache(&loaded->s_extended);
-  loaded->PreloadIndexes(&r_cache, &s_cache);
-
-  // Every attribute of both schemas is resolvable from the preloaded
-  // caches and bucket-count-identical to a scan build.
-  exec::ColumnIndexCache r_fresh(&loaded->r_extended);
-  for (const Attribute& a : loaded->r_extended.schema().attributes()) {
-    const exec::ColumnIndex* pre = r_cache.ForAttribute(a.name);
-    const exec::ColumnIndex* scan = r_fresh.ForAttribute(a.name);
-    ASSERT_NE(pre, nullptr) << a.name;
-    ASSERT_NE(scan, nullptr) << a.name;
-    EXPECT_EQ(pre->bucket_count(), scan->bucket_count()) << a.name;
+  exec::ColumnarWorld cold;
+  cold.Seed(*loaded->columnar_seeds);
+  const size_t seeded_hits = cold.reuse_hits();
+  exec::ColumnarWorld scanned;
+  const std::pair<exec::WorldRel, const Relation*> sources[] = {
+      {exec::WorldRel::kR, &loaded->r}, {exec::WorldRel::kS, &loaded->s}};
+  for (const auto& [slot, rel] : sources) {
+    for (size_t c = 0; c < rel->schema().size(); ++c) {
+      EXPECT_EQ(cold.Index(slot, *rel, c).distinct(),
+                scanned.Index(slot, *rel, c).distinct())
+          << rel->schema().attribute(c).name;
+    }
   }
+  EXPECT_EQ(cold.encode_ms(), 0.0);
+  EXPECT_EQ(cold.reuse_hits(), seeded_hits);
+  EXPECT_EQ(cold.dict().size(), loaded->dictionary.size());
 }
 
 }  // namespace

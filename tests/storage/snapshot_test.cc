@@ -2,7 +2,7 @@
 // — sources, extended relations, provenance, MT/NMT and the rule program
 // — and every corruption we can inject (wrong magic, wrong version,
 // foreign endianness, bit flips, truncation at any length, a forged
-// posting-list length) comes back as a "snapshot corrupt:" Status, never
+// contradictory ILFD) comes back as a "snapshot corrupt:" Status, never
 // a crash. The asan/ubsan presets run this suite to prove "never UB".
 
 #include "storage/snapshot.h"
@@ -12,9 +12,11 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "eid.h"
+#include "exec/columnar_world.h"
 #include "workload/fixtures.h"
 
 namespace eid {
@@ -172,11 +174,9 @@ TEST(SnapshotTest, RoundTripExample3) {
 
   // Accelerators and stats are populated.
   EXPECT_GT(loaded->dictionary.size(), 0u);
-  ASSERT_NE(loaded->amq_seeds, nullptr);
-  EXPECT_EQ(loaded->amq_seeds->r_columns.size(),
-            loaded->r_extended.schema().size());
-  EXPECT_EQ(loaded->r_postings.columns.size(),
-            loaded->r_extended.schema().size());
+  ASSERT_NE(loaded->columnar_seeds, nullptr);
+  EXPECT_EQ(loaded->columnar_seeds->r_columns.size(),
+            loaded->r.schema().size());
   EXPECT_EQ(loaded->load_stats.stage, "snapshot_load");
   EXPECT_EQ(loaded->load_stats.dict_values, loaded->dictionary.size());
   EXPECT_GT(loaded->load_stats.snapshot_load_ms, 0.0);
@@ -196,31 +196,50 @@ TEST(SnapshotTest, LoadedKeysStillEnforced) {
 }
 
 TEST(SnapshotTest, PreloadedIndexesMatchBuiltIndexes) {
+  // A world seeded from the snapshot indexes the preloaded source id
+  // columns; a world that encodes the same rows itself must list the
+  // same rows under every value. The two dictionaries need not agree on
+  // ids, so the probes go through each world's own dictionary.
   SavedWorld saved = SaveExample3("idx.eidsnap");
   Result<LoadedWorld> loaded = LoadSnapshot(saved.path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_NE(loaded->columnar_seeds, nullptr);
 
-  exec::ColumnIndexCache r_pre(&loaded->r_extended);
-  exec::ColumnIndexCache s_pre(&loaded->s_extended);
-  loaded->PreloadIndexes(&r_pre, &s_pre);
-  exec::ColumnIndexCache r_scan(&loaded->r_extended);
-
-  for (size_t c = 0; c < loaded->r_extended.schema().size(); ++c) {
-    const std::string& attr = loaded->r_extended.schema().attribute(c).name;
-    const exec::ColumnIndex* from_postings = r_pre.ForAttribute(attr);
-    const exec::ColumnIndex* from_scan = r_scan.ForAttribute(attr);
-    ASSERT_NE(from_postings, nullptr) << attr;
-    ASSERT_NE(from_scan, nullptr) << attr;
-    for (size_t r = 0; r < loaded->r_extended.size(); ++r) {
-      const Value& v = loaded->r_extended.row(r)[c];
-      if (v.is_null()) continue;
-      const std::vector<size_t>* a = from_postings->Find(v);
-      const std::vector<size_t>* b = from_scan->Find(v);
-      ASSERT_NE(a, nullptr) << attr << " value " << v.ToString();
-      ASSERT_NE(b, nullptr) << attr << " value " << v.ToString();
-      EXPECT_EQ(*a, *b) << attr << " value " << v.ToString();
+  exec::ColumnarWorld preloaded;
+  preloaded.Seed(*loaded->columnar_seeds);
+  exec::ColumnarWorld built;
+  const std::pair<exec::WorldRel, const Relation*> sources[] = {
+      {exec::WorldRel::kR, &loaded->r}, {exec::WorldRel::kS, &loaded->s}};
+  for (const auto& [slot, rel] : sources) {
+    for (size_t c = 0; c < rel->schema().size(); ++c) {
+      const std::string& attr = rel->schema().attribute(c).name;
+      const exec::ColumnIndex& from_seeds = preloaded.Index(slot, *rel, c);
+      const exec::ColumnIndex& from_rows = built.Index(slot, *rel, c);
+      EXPECT_EQ(from_seeds.distinct(), from_rows.distinct()) << attr;
+      for (size_t r = 0; r < rel->size(); ++r) {
+        const Value& v = rel->row(r)[c];
+        if (v.is_null()) continue;
+        exec::PostingRange a = from_seeds.Find(preloaded.dict().Find(v));
+        exec::PostingRange b = from_rows.Find(built.dict().Find(v));
+        ASSERT_FALSE(a.empty()) << attr << " value " << v.ToString();
+        EXPECT_EQ(std::vector<uint32_t>(a.begin(), a.end()),
+                  std::vector<uint32_t>(b.begin(), b.end()))
+            << attr << " value " << v.ToString();
+      }
     }
   }
+}
+
+TEST(SnapshotTest, WritesOnlyVersionTwoSections) {
+  // Version 2 persists no blocking accelerators: the dictionary, four
+  // relations, the match tables, provenance and the rule program — and
+  // none of version 1's retired section kinds 3 and 4.
+  SavedWorld saved = SaveExample3("sections.eidsnap");
+  Result<SnapshotReader> reader = SnapshotReader::Open(saved.path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  std::vector<uint32_t> kinds;
+  for (const SectionEntry& e : reader->sections()) kinds.push_back(e.kind);
+  EXPECT_EQ(kinds, (std::vector<uint32_t>{1, 2, 2, 2, 2, 5, 6, 7}));
 }
 
 TEST(SnapshotTest, MissingFileIsNotFound) {
@@ -252,6 +271,18 @@ TEST(SnapshotTest, WrongVersionIsCorrupt) {
   ResealHeader(&bytes);
   WriteFile(saved.path, bytes);
   ExpectCorrupt(saved.path, "version");
+}
+
+TEST(SnapshotTest, VersionOneFileIsRejected) {
+  // Version-1 files carried posting and fingerprint sections this build
+  // no longer reads; they are refused outright, not half-decoded.
+  ASSERT_EQ(kSnapshotVersion, 2u);
+  SavedWorld saved = SaveExample3("version1.eidsnap");
+  std::string bytes = ReadFile(saved.path);
+  PatchU32(&bytes, 8, 1);
+  ResealHeader(&bytes);
+  WriteFile(saved.path, bytes);
+  ExpectCorrupt(saved.path, "unsupported snapshot version 1");
 }
 
 TEST(SnapshotTest, ForeignEndiannessIsCorrupt) {
@@ -311,34 +342,41 @@ TEST(SnapshotTest, TruncationAtEveryLengthIsCorrupt) {
   }
 }
 
-TEST(SnapshotTest, TruncatedPostingListIsCorrupt) {
-  // Forge a snapshot whose postings section is cut short but whose
-  // checksums are all valid — the decoder itself must catch it.
-  SavedWorld saved = SaveExample3("postings.eidsnap");
+TEST(SnapshotTest, ContradictoryIlfdIsCorruptNotAbort) {
+  // The decoder validates ILFD atoms before constructing an Ilfd, whose
+  // constructor aborts on them. Forge a checksummed rule program (the
+  // last section) holding `a=<value 0> -> a=<value 1>`.
+  SavedWorld saved = SaveExample3("ilfd.eidsnap");
   std::string bytes = ReadFile(saved.path);
   const uint32_t section_count = ReadU32(bytes, 24);
-  bool patched = false;
-  for (uint32_t i = 0; i < section_count && !patched; ++i) {
-    const size_t entry = kHeaderSize + i * kSectionEntrySize;
-    if (ReadU32(bytes, entry) !=
-        static_cast<uint32_t>(SectionKind::kPostings)) {
-      continue;
-    }
-    const uint64_t offset = ReadU64(bytes, entry + 8);
-    const uint64_t length = ReadU64(bytes, entry + 16);
-    ASSERT_GT(length, 5u);
-    PatchU64(&bytes, entry + 16, length - 5);  // shorten the payload
-    PatchU64(&bytes, entry + 24,
-             Fnv64(bytes.data() + offset, length - 5));  // reseal section
-    PatchU64(&bytes, 32,
-             Fnv64(bytes.data() + kHeaderSize,
-                   static_cast<size_t>(section_count) * kSectionEntrySize));
-    ResealHeader(&bytes);
-    patched = true;
-  }
-  ASSERT_TRUE(patched);
+  const size_t entry =
+      kHeaderSize + static_cast<size_t>(section_count - 1) * kSectionEntrySize;
+  ASSERT_EQ(ReadU32(bytes, entry),
+            static_cast<uint32_t>(SectionKind::kRuleProgram));
+  const uint64_t offset = ReadU64(bytes, entry + 8);
+  ByteWriter w;
+  w.PutU32(1);  // one ILFD
+  w.PutU32(1);  // antecedent: a = value 0
+  w.PutString("a");
+  w.PutU32(0);
+  w.PutU32(1);  // consequent: a = value 1
+  w.PutString("a");
+  w.PutU32(1);
+  w.PutU32(0);  // no correspondence mappings
+  w.PutU8(0);   // no extended key
+  const std::string payload = std::move(w).Take();
+  bytes.resize(static_cast<size_t>(offset));
+  bytes += payload;
+  bytes.resize((bytes.size() + 7) / 8 * 8, '\0');
+  PatchU64(&bytes, entry + 16, payload.size());
+  PatchU64(&bytes, entry + 24, Fnv64(payload.data(), payload.size()));
+  PatchU64(&bytes, 16, bytes.size());  // file size
+  PatchU64(&bytes, 32,
+           Fnv64(bytes.data() + kHeaderSize,
+                 static_cast<size_t>(section_count) * kSectionEntrySize));
+  ResealHeader(&bytes);
   WriteFile(saved.path, bytes);
-  ExpectCorrupt(saved.path, "posting");
+  ExpectCorrupt(saved.path, "ILFD consequent contradicts its antecedent");
 }
 
 TEST(SnapshotTest, WriteRequiresRelations) {
