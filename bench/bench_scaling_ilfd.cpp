@@ -15,6 +15,7 @@
 #include "bench_util.h"
 #include "compile/derivation_program.h"
 #include "eid.h"
+#include "eid/reference.h"
 #include "workload/generator.h"
 #include "workload/rng.h"
 
@@ -301,7 +302,8 @@ BENCHMARK(BM_DerivationInterpreter)->RangeMultiplier(4)->Range(256, 4096);
 
 /// End-to-end extension on the generated world (per-entity ILFDs mention
 /// `name`, so memo projections are near-unique here: this isolates the
-/// gain from binding/compilation alone, without memo help).
+/// gain from binding/compilation alone, without memo help). The
+/// interpreter row is eid::reference::ExtendRelation.
 void RunExtensionEngine(benchmark::State& state, bool compile) {
   size_t per_side = static_cast<size_t>(state.range(0));
   GeneratorConfig gen;
@@ -320,14 +322,16 @@ void RunExtensionEngine(benchmark::State& state, bool compile) {
       "scaling_ilfd per_side=" + std::to_string(per_side), *world);
   ExtensionOptions options;
   options.threads = 1;
-  options.compile = compile;
   double total_ms = 0;
   size_t iterations = 0;
   for (auto _ : state) {
     bench::CpuTimer timer;
     Result<ExtensionResult> rx =
-        ExtendRelation(world->r, Side::kR, world->correspondence,
-                       world->extended_key, world->ilfds, options);
+        compile ? ExtendRelation(world->r, Side::kR, world->correspondence,
+                                 world->extended_key, world->ilfds, options)
+                : reference::ExtendRelation(
+                      world->r, Side::kR, world->correspondence,
+                      world->extended_key, world->ilfds, options);
     EID_CHECK(rx.ok());
     total_ms += timer.ElapsedMs();
     ++iterations;

@@ -13,13 +13,9 @@
 
 #include <benchmark/benchmark.h>
 
-#include <memory>
-
 #include "bench_util.h"
-#include "compile/pair_program.h"
 #include "eid.h"
-#include "exec/blocking_index.h"
-#include "exec/candidate_generator.h"
+#include "eid/reference.h"
 #include "workload/generator.h"
 
 namespace eid {
@@ -177,24 +173,16 @@ BENCHMARK(BM_ParallelMatcher)
     ->ArgsProduct({{1024, 4096}, {1, 2, 4, 8}});
 
 /// Sums the pair-sweep counters (identity + distinctness stages) of one
-/// identification run, including the block-evaluator pair when the block
-/// path ran (zero under MatcherOptions::block_eval = false).
+/// identification run.
 void SumPairSweep(const IdentificationResult& result, size_t* candidate_pairs,
-                  size_t* cross_product, size_t* pair_blocks = nullptr,
-                  size_t* block_early_exits = nullptr) {
+                  size_t* cross_product) {
   *candidate_pairs = 0;
   *cross_product = 0;
-  if (pair_blocks != nullptr) *pair_blocks = 0;
-  if (block_early_exits != nullptr) *block_early_exits = 0;
   for (const exec::StageStats& stage : result.stats.stages()) {
     if (stage.stage == "identity_rules" ||
         stage.stage == "distinctness_rules") {
       *candidate_pairs += stage.candidate_pairs;
       *cross_product += stage.cross_product;
-      if (pair_blocks != nullptr) *pair_blocks += stage.pair_blocks;
-      if (block_early_exits != nullptr) {
-        *block_early_exits += stage.block_early_exits;
-      }
     }
   }
 }
@@ -207,52 +195,6 @@ void BM_ParallelIdentify(benchmark::State& state) {
   config.ilfds = world.ilfds;
   config.distinctness_from_ilfds = true;
   config.matcher_options.threads = static_cast<int>(state.range(1));
-  EntityIdentifier identifier(config);
-  double total_ms = 0;
-  size_t iterations = 0;
-  size_t candidate_pairs = 0, cross_product = 0;
-  size_t pair_blocks = 0, block_early_exits = 0;
-  for (auto _ : state) {
-    bench::WallTimer timer;
-    Result<IdentificationResult> result = identifier.Identify(world.r,
-                                                              world.s);
-    EID_CHECK(result.ok());
-    total_ms += timer.ElapsedMs();
-    ++iterations;
-    SumPairSweep(*result, &candidate_pairs, &cross_product, &pair_blocks,
-                 &block_early_exits);
-    benchmark::DoNotOptimize(result->partition.undetermined);
-  }
-  state.counters["threads"] =
-      static_cast<double>(config.matcher_options.threads);
-  state.counters["candidate_pairs"] = static_cast<double>(candidate_pairs);
-  bench::GlobalJson().Record("identify", static_cast<size_t>(state.range(0)),
-                             config.matcher_options.threads,
-                             total_ms * 1e6 / static_cast<double>(iterations),
-                             candidate_pairs, cross_product, pair_blocks,
-                             block_early_exits);
-}
-// Identify sweeps the full Prop-1 distinctness rule set (one rule per
-// covered entity) and materialises the complete NMT — the NMT itself is
-// Θ(n²) output, which caps this fixture's n.
-BENCHMARK(BM_ParallelIdentify)
-    ->ArgsProduct({{1024, 4096}, {1, 2, 4, 8}})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ParallelIdentifyScalar(benchmark::State& state) {
-  // The same dense fixture with block_eval off: one scalar PairTruth
-  // call per surviving candidate. End-to-end price reference for the
-  // block path; dense identify is dominated by NMT materialisation, so
-  // the >= 1.5x evaluator gate in bench.sh reads the residual_* rows
-  // (BM_ResidualSweep*), where the evaluator is the whole measurement.
-  GeneratedWorld world = MakeWorld(static_cast<size_t>(state.range(0)));
-  IdentifierConfig config;
-  config.correspondence = world.correspondence;
-  config.extended_key = world.extended_key;
-  config.ilfds = world.ilfds;
-  config.distinctness_from_ilfds = true;
-  config.matcher_options.threads = static_cast<int>(state.range(1));
-  config.matcher_options.block_eval = false;
   EntityIdentifier identifier(config);
   double total_ms = 0;
   size_t iterations = 0;
@@ -270,140 +212,17 @@ void BM_ParallelIdentifyScalar(benchmark::State& state) {
   state.counters["threads"] =
       static_cast<double>(config.matcher_options.threads);
   state.counters["candidate_pairs"] = static_cast<double>(candidate_pairs);
-  bench::GlobalJson().Record("identify_scalar",
-                             static_cast<size_t>(state.range(0)),
+  bench::GlobalJson().Record("identify", static_cast<size_t>(state.range(0)),
                              config.matcher_options.threads,
                              total_ms * 1e6 / static_cast<double>(iterations),
                              candidate_pairs, cross_product);
 }
-BENCHMARK(BM_ParallelIdentifyScalar)
-    ->ArgsProduct({{4096}, {1}})
+// Identify sweeps the full Prop-1 distinctness rule set (one rule per
+// covered entity) and materialises the complete NMT — the NMT itself is
+// Θ(n²) output, which caps this fixture's n.
+BENCHMARK(BM_ParallelIdentify)
+    ->ArgsProduct({{1024, 4096}, {1, 2, 4, 8}})
     ->Unit(benchmark::kMillisecond);
-
-// --- Residual-evaluator comparison: block vs scalar ---------------------
-// Times the residual pair evaluators themselves — PairTruthBlock in
-// full 256-lane blocks vs the scalar virtual PairTruth per candidate —
-// over an identical dense candidate stream, outside the candidate
-// generator (whose probe/stamp/emission bookkeeping is common to both
-// paths and would dilute the ratio the gate protects). kNe conjuncts
-// are never blocking joins, so every conjunct of every rule stays in
-// the residual program. bench.sh gates residual_block vs
-// residual_scalar at >= 1.5x from these rows.
-/// A relation whose two payload columns draw from small pools, mixed by
-/// a fixed multiplicative hash — kNe conjuncts over them are residual
-/// (never blocking joins) and mostly true, so the sweep's cost is pair
-/// evaluation, not candidate discovery or NMT size.
-Relation ResidualSide(const char* name, size_t n, uint64_t salt) {
-  Relation rel(name, Schema::OfStrings({"a", "b", "c", "d"}));
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t h = (i + salt) * 0x9E3779B97F4A7C15ull;
-    Status st = rel.InsertText({"a" + std::to_string(h % 61),
-                                "b" + std::to_string((h >> 16) % 59),
-                                "c" + std::to_string((h >> 32) % 53),
-                                "d" + std::to_string((h >> 48) % 47)});
-    EID_CHECK(st.ok());
-  }
-  return rel;
-}
-
-void ResidualSweep(benchmark::State& state, bool block_eval,
-                   const char* record_name) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const Relation r = ResidualSide("R", n, 1);
-  const Relation s = ResidualSide("S", n, 2);
-  std::vector<std::vector<Predicate>> rules;
-  for (const char* text :
-       {"e1.a != e2.a & e1.b != e2.b & e1.c != e2.c & e1.d != e2.d",
-        "e1.d != e2.d & e1.c != e2.c & e1.b != e2.b & e1.a != e2.a"}) {
-    Result<std::vector<Predicate>> preds = ParsePredicateConjunction(text);
-    EID_CHECK(preds.ok());
-    rules.push_back(*preds);
-  }
-  std::vector<exec::BlockingPlan> plans;
-  for (const std::vector<Predicate>& preds : rules) {
-    for (bool flipped : {false, true}) {
-      plans.push_back(
-          exec::PlanBlocking(preds, r.schema(), s.schema(), flipped));
-    }
-  }
-  compile::PairFeatureCache features(&r, &s);
-  std::vector<std::unique_ptr<exec::StagedEvaluator>> evaluators(
-      plans.size());
-  for (size_t k = 0; k < rules.size(); ++k) {
-    for (bool flipped : {false, true}) {
-      const size_t i = k * 2 + (flipped ? 1 : 0);
-      if (plans[i].impossible) continue;
-      evaluators[i] = std::make_unique<compile::StagedConjunction>(
-          compile::StagedConjunction::Compile(rules[k], plans[i].coverage,
-                                              r, s, flipped, &features));
-    }
-  }
-  double total_ms = 0;
-  size_t iterations = 0;
-  size_t candidate_pairs = 0;
-  const size_t cross_product = r.size() * s.size();
-  size_t pair_blocks = 0, block_early_exits = 0;
-  for (auto _ : state) {
-    size_t true_lanes = 0;
-    size_t pairs = 0, blocks = 0, early_exits = 0;
-    bench::CpuTimer timer;
-    for (const std::unique_ptr<exec::StagedEvaluator>& ev : evaluators) {
-      if (ev == nullptr) continue;
-      if (block_eval) {
-        size_t r_blk[exec::kPairBlockLanes];
-        size_t s_blk[exec::kPairBlockLanes];
-        Truth out[exec::kPairBlockLanes];
-        size_t lanes = 0;
-        auto drain = [&] {
-          exec::PairBlockStats bs;
-          ev->PairTruthBlock(r_blk, s_blk, lanes, out, &bs);
-          for (size_t i = 0; i < lanes; ++i) {
-            true_lanes += out[i] == Truth::kTrue ? 1 : 0;
-          }
-          pairs += lanes;
-          ++blocks;
-          early_exits += bs.early_exits;
-          lanes = 0;
-        };
-        for (size_t i = 0; i < r.size(); ++i) {
-          for (size_t j = 0; j < s.size(); ++j) {
-            r_blk[lanes] = i;
-            s_blk[lanes] = j;
-            if (++lanes == exec::kPairBlockLanes) drain();
-          }
-        }
-        if (lanes > 0) drain();
-      } else {
-        for (size_t i = 0; i < r.size(); ++i) {
-          for (size_t j = 0; j < s.size(); ++j) {
-            true_lanes += ev->PairTruth(i, j) == Truth::kTrue ? 1 : 0;
-            ++pairs;
-          }
-        }
-      }
-    }
-    total_ms += timer.ElapsedMs();
-    ++iterations;
-    candidate_pairs = pairs;
-    pair_blocks = blocks;
-    block_early_exits = early_exits;
-    benchmark::DoNotOptimize(true_lanes);
-  }
-  state.counters["candidate_pairs"] = static_cast<double>(candidate_pairs);
-  bench::GlobalJson().Record(record_name, n, 1,
-                             total_ms * 1e6 / static_cast<double>(iterations),
-                             candidate_pairs, cross_product, pair_blocks,
-                             block_early_exits);
-}
-
-void BM_ResidualSweepBlock(benchmark::State& state) {
-  ResidualSweep(state, /*block_eval=*/true, "residual_block");
-}
-void BM_ResidualSweepScalar(benchmark::State& state) {
-  ResidualSweep(state, /*block_eval=*/false, "residual_scalar");
-}
-BENCHMARK(BM_ResidualSweepBlock)->Arg(1024)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ResidualSweepScalar)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 void BM_ParallelIdentifyBlocked(benchmark::State& state) {
   // Selective join rules instead of the Θ(n²)-output Prop-1 NMT: every
@@ -456,24 +275,28 @@ BENCHMARK(BM_ParallelIdentifyBlocked)
     ->ArgsProduct({{4096, 16384, 65536}, {1, 8}})
     ->Unit(benchmark::kMillisecond);
 
-// --- Engine comparison: compiled path vs per-tuple interpreter ----------
+// --- Engine comparison: production vs the paper-literal reference -------
 // Full matching-table build, single-threaded, CPU time (see README
 // "Performance"): derivation programs + memos in extension plus the
-// interned extended-key join, against the string-fingerprint interpreter.
+// id-keyed extended-key join, against eid::reference's per-tuple
+// interpreter extension and string-fingerprint join.
 
-void RunMatcherEngine(benchmark::State& state, bool compile) {
+void RunMatcherEngine(benchmark::State& state, bool reference) {
   GeneratedWorld world = MakeWorld(static_cast<size_t>(state.range(0)));
   MatcherOptions options;
   options.threads = 1;
-  options.compile = compile;
   double total_ms = 0;
   size_t iterations = 0;
   bench::ColumnarCounters columnar;
   for (auto _ : state) {
     bench::CpuTimer timer;
     Result<MatcherResult> result =
-        BuildMatchingTable(world.r, world.s, world.correspondence,
-                           world.extended_key, world.ilfds, options);
+        reference ? reference::BuildMatchingTable(
+                        world.r, world.s, world.correspondence,
+                        world.extended_key, world.ilfds, options)
+                  : BuildMatchingTable(world.r, world.s, world.correspondence,
+                                       world.extended_key, world.ilfds,
+                                       options);
     EID_CHECK(result.ok());
     total_ms += timer.ElapsedMs();
     ++iterations;
@@ -481,24 +304,24 @@ void RunMatcherEngine(benchmark::State& state, bool compile) {
     benchmark::DoNotOptimize(result->matching.size());
   }
   const double ns_op = total_ms * 1e6 / static_cast<double>(iterations);
-  const std::string name =
-      compile ? "matcher_compiled" : "matcher_interpreter";
-  if (compile) {
-    // The interpreter row stays in the plain form: its engine never
-    // touches the columnar world, so zero counters would only mislead.
-    bench::GlobalJson().Record(name, static_cast<size_t>(state.range(0)),
-                               /*threads=*/1, ns_op, columnar);
-  } else {
-    bench::GlobalJson().Record(name, static_cast<size_t>(state.range(0)),
+  if (reference) {
+    // The reference row stays in the plain form: the reference never
+    // touches a columnar world, so zero counters would only mislead.
+    bench::GlobalJson().Record("matcher_interpreter",
+                               static_cast<size_t>(state.range(0)),
                                /*threads=*/1, ns_op);
+  } else {
+    bench::GlobalJson().Record("matcher_compiled",
+                               static_cast<size_t>(state.range(0)),
+                               /*threads=*/1, ns_op, columnar);
   }
 }
 
 void BM_MatcherCompiled(benchmark::State& state) {
-  RunMatcherEngine(state, /*compile=*/true);
+  RunMatcherEngine(state, /*reference=*/false);
 }
 void BM_MatcherInterpreter(benchmark::State& state) {
-  RunMatcherEngine(state, /*compile=*/false);
+  RunMatcherEngine(state, /*reference=*/true);
 }
 BENCHMARK(BM_MatcherCompiled)->Arg(1024)->Arg(4096);
 BENCHMARK(BM_MatcherInterpreter)->Arg(1024)->Arg(4096);

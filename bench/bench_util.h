@@ -125,9 +125,6 @@ struct JsonRecord {
   bool has_pairs = false;
   size_t candidate_pairs = 0;
   size_t cross_product = 0;
-  bool has_blocks = false;
-  size_t pair_blocks = 0;
-  size_t block_early_exits = 0;
   bool has_columnar = false;
   size_t probe_batches = 0;
   size_t interner_reuse_hits = 0;
@@ -173,21 +170,6 @@ class JsonEmitter {
                                   candidate_pairs, cross_product});
   }
 
-  /// Block-evaluator form: pair-sweep counters plus how many 256-lane
-  /// residual blocks ran and how many stopped early once no lane could
-  /// still be kTrue (exec/stage_stats.h). Same merge-key rule: every
-  /// extra key lands after ns_op.
-  void Record(const std::string& name, size_t n, int threads, double ns_op,
-              size_t candidate_pairs, size_t cross_product,
-              size_t pair_blocks, size_t block_early_exits) {
-    JsonRecord r{name, n, threads, ns_op, /*has_pairs=*/true,
-                 candidate_pairs, cross_product};
-    r.has_blocks = true;
-    r.pair_blocks = pair_blocks;
-    r.block_early_exits = block_early_exits;
-    records_.push_back(std::move(r));
-  }
-
   /// Columnar-engine form: also emits probe_batches / interner_reuse_hits /
   /// columnar_encode_ms. Same merge-key rule: every extra key lands after
   /// ns_op.
@@ -208,10 +190,6 @@ class JsonEmitter {
     if (r.has_pairs) {
       out << ", \"candidate_pairs\": " << r.candidate_pairs
           << ", \"cross_product\": " << r.cross_product;
-    }
-    if (r.has_blocks) {
-      out << ", \"pair_blocks\": " << r.pair_blocks
-          << ", \"block_early_exits\": " << r.block_early_exits;
     }
     if (r.has_columnar) {
       out << ", \"probe_batches\": " << r.probe_batches

@@ -9,8 +9,9 @@
 //   eid_snapshot verify <path>       validate checksums and fully decode;
 //                                    exit 1 with the corruption message
 //   eid_snapshot roundtrip [n]       save to a temp file, load it back,
-//                                    re-identify, and require bit-identical
-//                                    MT/NMT/partition (staged on and off)
+//                                    re-identify through the engine and
+//                                    the reference, and require
+//                                    bit-identical MT/NMT and certificates
 //
 // Build & run:  ./build/examples/eid_snapshot roundtrip
 
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "eid.h"
+#include "eid/reference.h"
 #include "storage/snapshot.h"
 #include "workload/fixtures.h"
 #include "workload/generator.h"
@@ -168,24 +170,29 @@ int RoundTrip(size_t per_side) {
     return 1;
   }
   // Re-identify from the loaded sources, with the loaded rule program,
-  // under both engines: must reproduce the saved tables bit-identically.
-  for (bool staged : {true, false}) {
-    IdentifierConfig config = loaded->ToConfig();
-    config.distinctness_from_ilfds = true;
-    config.matcher_options.staged = staged;
-    Result<IdentificationResult> again =
-        EntityIdentifier(config).Identify(loaded->r, loaded->s);
-    if (!again.ok()) return Fail(again.status());
+  // through the engine and through the paper-literal reference: both
+  // must reproduce the saved tables bit-identically.
+  IdentifierConfig config = loaded->ToConfig();
+  config.distinctness_from_ilfds = true;
+  Result<IdentificationResult> engine =
+      EntityIdentifier(config).Identify(loaded->r, loaded->s);
+  if (!engine.ok()) return Fail(engine.status());
+  Result<IdentificationResult> oracle =
+      reference::Identify(config, loaded->r, loaded->s);
+  if (!oracle.ok()) return Fail(oracle.status());
+  for (const IdentificationResult* again : {&*engine, &*oracle}) {
     if (!SamePairs(again->matching, fresh->matching) ||
-        !SamePairs(again->negative.table, fresh->negative.table)) {
-      std::cerr << "FAIL: re-identify (staged=" << staged
+        !SamePairs(again->negative.table, fresh->negative.table) ||
+        again->negative.evidence != fresh->negative.evidence) {
+      std::cerr << "FAIL: re-identify ("
+                << (again == &*engine ? "engine" : "reference")
                 << ") diverged from the saved run\n";
       return 1;
     }
   }
   std::cout << "roundtrip ok: " << loaded->matching.size() << " MT / "
             << loaded->negative.size() << " NMT pairs reproduced "
-            << "bit-identically (staged on/off)\n"
+            << "bit-identically (engine and reference)\n"
             << "  " << loaded->load_stats.ToString() << "\n";
   std::remove(path.c_str());
   return 0;

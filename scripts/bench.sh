@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Engine-comparison benchmarks: compiled + memo vs per-tuple interpreter.
+# Engine-comparison benchmarks: the production engine (compiled + memo +
+# columnar) vs the paper-literal reference (eid/reference.h: per-tuple
+# interpreter extension and string-fingerprint join).
 #
 # Smoke mode (default) runs the comparison at small n so CI can prove the
 # benches still build, run, and emit JSON in a few seconds. --full sweeps
@@ -35,12 +37,12 @@ fi
 if [[ "$FULL" == "1" ]]; then
   DERIVATION_FILTER='BM_(Derivation|Extension)(Compiled|Interpreter)'
   MATCHER_FILTER='BM_Matcher(Compiled|Interpreter)'
-  SCALING_FILTER='BM_ParallelIdentify(Blocked|Scalar)?/|BM_ResidualSweep'
+  SCALING_FILTER='BM_ParallelIdentify(Blocked)?/'
   MIN_TIME=0.2
 else
   DERIVATION_FILTER='BM_Derivation(Compiled|Interpreter)/256$|BM_Extension(Compiled|Interpreter)/1024$'
   MATCHER_FILTER='BM_Matcher(Compiled|Interpreter)/1024$'
-  SCALING_FILTER='BM_ParallelIdentifyBlocked/4096/|BM_ResidualSweep'
+  SCALING_FILTER='BM_ParallelIdentifyBlocked/4096/'
   MIN_TIME=0.05
 fi
 
@@ -93,39 +95,13 @@ END {
   print "blocked fixtures stayed below the cross product"
 }' BENCH_scaling.json
 
-echo "=== block-evaluator speedup guard (BENCH_scaling.json) ==="
-# The 256-lane block evaluator must stay comfortably ahead of the scalar
-# PairTruth oracle on the residual-dominated sweep: at every n where both
-# records exist the ratio scalar/block must be >= 1.5 (EXPERIMENTS.md S9;
-# the op-major id pass amortises the per-candidate virtual call and
-# short-circuits whole blocks, so parity means the block path died).
-awk '/"name": "residual_(block|scalar)"/ {
-  name = $0; sub(/.*"name": "/, "", name); sub(/".*/, "", name)
-  n = $0; sub(/.*"n": /, "", n); sub(/[,}].*/, "", n)
-  ns = $0; sub(/.*"ns_op": /, "", ns); sub(/[,}].*/, "", ns)
-  if (name == "residual_block") block[n] = ns + 0
-  else scalar[n] = ns + 0
-}
-END {
-  for (n in block) {
-    if (!(n in scalar)) continue
-    seen = 1
-    ratio = scalar[n] / block[n]
-    printf "n=%s block=%.3fms scalar=%.3fms ratio=%.2fx\n", \
-           n, block[n] / 1e6, scalar[n] / 1e6, ratio
-    if (ratio < 1.5) { print "BLOCK EVALUATOR REGRESSION: ratio < 1.5x"; bad = 1 }
-  }
-  if (!seen) { print "no residual block/scalar pairs in BENCH_scaling.json"; exit 1 }
-  if (bad) exit 1
-  print "block evaluator holds >= 1.5x over the scalar oracle"
-}' BENCH_scaling.json
-
 echo "=== compiled-engine speedup guard (BENCH_matcher.json) ==="
 # The columnar compiled engine must stay comfortably ahead of the
-# per-tuple interpreter: at every n where both records exist the ratio
-# interpreter/compiled must be >= 1.5 (EXPERIMENTS.md S8 records ~2x at
-# n=4096; 1.5 leaves slack for noisy CI machines without letting a
-# regression to parity slip through).
+# reference's per-tuple interpreter (the matcher_interpreter records,
+# eid::reference::BuildMatchingTable): at every n where both records
+# exist the ratio interpreter/compiled must be >= 1.5 (EXPERIMENTS.md S8
+# records ~2x at n=4096; 1.5 leaves slack for noisy CI machines without
+# letting a regression to parity slip through).
 awk '/"name": "matcher_(compiled|interpreter)"/ {
   name = $0; sub(/.*"name": "/, "", name); sub(/".*/, "", name)
   n = $0; sub(/.*"n": /, "", n); sub(/[,}].*/, "", n)
@@ -144,7 +120,7 @@ END {
   }
   if (!seen) { print "no matcher engine pairs in BENCH_matcher.json"; exit 1 }
   if (bad) exit 1
-  print "compiled engine holds >= 1.5x over the interpreter"
+  print "compiled engine holds >= 1.5x over the reference interpreter"
 }' BENCH_matcher.json
 
 echo

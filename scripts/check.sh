@@ -43,12 +43,12 @@ FAST=0
 [[ "${1:-}" == "--fast" ]] && FAST=1
 
 # Sanitizer runs cover the suites exercising the parallel exec layer and
-# the indexed-vs-exhaustive equivalence; a full suite under three
+# the engine-vs-reference equivalence; a full suite under three
 # sanitizers is prohibitive on small machines. Override the filter (e.g.
 # '.' for everything) via EID_CHECK_SANITIZER_TESTS.
 # (gtest_discover_tests registers per-case names, so the filter matches
 # gtest suite names, not test binary names.)
-SANITIZER_TESTS="${EID_CHECK_SANITIZER_TESTS:-^(Coverage/|Staged/)?(Determinism|Differential|BlockEvaluator|DifferentialConflict|DifferentialIncremental|Incremental|IncrementalProperty|CompiledConjunction|DerivationProgram|DerivationMemo|Identifier|ExplainProperty|Analyzer.*|ThreadPool|ParallelForHelper|ResolveThreads|ColumnIndex|PlanBlocking|CollectTruePairs|CandidateGenerator|Matcher|ColumnarDifferential|ColumnarInterner|ValueDictionary|ClosureEvaluator|Dictionary|Snapshot|SnapshotDifferential)Test\.}"
+SANITIZER_TESTS="${EID_CHECK_SANITIZER_TESTS:-^(Coverage/)?(Determinism|Differential|DifferentialConflict|DifferentialIncremental|Incremental|IncrementalProperty|Reference|CompiledConjunction|DerivationProgram|DerivationMemo|Identifier|ExplainProperty|Analyzer.*|ThreadPool|ParallelForHelper|ResolveThreads|ColumnIndex|PlanBlocking|CandidateGenerator|Matcher|ColumnarDifferential|ColumnarInterner|ValueDictionary|ClosureEvaluator|Dictionary|Snapshot|SnapshotDifferential)Test\.}"
 
 step() { printf '\n=== %s ===\n' "$*"; }
 

@@ -188,7 +188,7 @@ Result<Derivation> DerivationProgram::Derive(
   return derived;
 }
 
-ColumnarBinding DerivationProgram::BindColumns(exec::ColumnarWorld* world,
+ColumnarBinding DerivationProgram::BindColumns(exec::ColumnarWorld& world,
                                                exec::WorldRel slot,
                                                const Relation& rel) const {
   ColumnarBinding binding;
@@ -197,7 +197,7 @@ ColumnarBinding DerivationProgram::BindColumns(exec::ColumnarWorld* world,
   binding.memo_ids.reserve(memo_columns_.size());
   for (size_t c : memo_columns_) {
     binding.memo_ids.push_back(
-        c < arity ? world->Column(slot, rel, c).data() : nullptr);
+        c < arity ? world.Column(slot, rel, c).data() : nullptr);
   }
   if (mode_ != DerivationMode::kExhaustive) return binding;
   binding.seed_ids.reserve(seed_columns_.size());
@@ -206,14 +206,14 @@ ColumnarBinding DerivationProgram::BindColumns(exec::ColumnarWorld* world,
   // binding once the atom tables are sized below.
   for (const SeedColumn& sc : seed_columns_) {
     binding.seed_ids.push_back(
-        sc.column < arity ? world->Column(slot, rel, sc.column).data()
+        sc.column < arity ? world.Column(slot, rel, sc.column).data()
                           : nullptr);
   }
   // A "not looked up yet" marker distinct from kNoAtom: table cells left
   // at it belong to ids that never occur in this column, which the sweep
   // never reads (it only indexes by the column's own ids).
   constexpr AtomId kUnprobed = ColumnarBinding::kNoAtom - 1;
-  const ValueDictionary& dict = world->dict();
+  const ValueDictionary& dict = world.dict();
   for (size_t i = 0; i < seed_columns_.size(); ++i) {
     const uint32_t* ids = binding.seed_ids[i];
     if (ids == nullptr) continue;

@@ -168,7 +168,7 @@ class EID_SHARED_IMMUTABLE DerivationProgram {
   /// at schema positions beyond `rel`'s arity (appended by extension,
   /// all-NULL at derive time) bind as nullptr slices. Serial — call once
   /// per sweep before the workers start.
-  ColumnarBinding BindColumns(exec::ColumnarWorld* world, exec::WorldRel slot,
+  ColumnarBinding BindColumns(exec::ColumnarWorld& world, exec::WorldRel slot,
                               const Relation& rel) const;
 
   /// Columnar Derive: identical results to Derive(row, ...) when

@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "compile/derivation_program.h"
-#include "relational/algebra.h"
 
 namespace eid {
 
@@ -13,14 +12,15 @@ Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
                                        const ExtendedKey& ext_key,
                                        const IlfdSet& ilfds,
                                        const ExtensionOptions& options) {
+  exec::ColumnarWorld world;
   int threads = exec::ResolveThreads(options.threads);
   if (threads <= 1) {
     return ExtendRelation(relation, side, corr, ext_key, ilfds, options,
-                          /*pool=*/nullptr, /*stats=*/nullptr);
+                          /*pool=*/nullptr, /*stats=*/nullptr, world);
   }
   exec::ThreadPool pool(threads);
   return ExtendRelation(relation, side, corr, ext_key, ilfds, options, &pool,
-                        /*stats=*/nullptr);
+                        /*stats=*/nullptr, world);
 }
 
 Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
@@ -30,21 +30,15 @@ Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
                                        const ExtensionOptions& options,
                                        exec::ThreadPool* pool,
                                        exec::StageStats* stats,
-                                       exec::ColumnarWorld* columnar) {
+                                       exec::ColumnarWorld& columnar) {
   exec::StageTimer timer;
-  const bool columnar_path = options.compile && columnar != nullptr;
-  const double encode_ms_before =
-      columnar_path ? columnar->encode_ms() : 0.0;
-  const size_t reuse_before = columnar_path ? columnar->reuse_hits() : 0;
+  const double encode_ms_before = columnar.encode_ms();
+  const size_t reuse_before = columnar.reuse_hits();
 
   // 1. Rename into world naming. Renaming never moves columns or changes
-  // values, so the columnar path renames the schema only and keeps
-  // reading the source rows positionally — no full-relation copy.
-  Result<Relation> world_result = columnar_path
-                                      ? corr.ToWorldSchema(relation, side)
-                                      : corr.ToWorldNaming(relation, side);
-  EID_RETURN_IF_ERROR(world_result.status());
-  Relation world = std::move(world_result).value();
+  // values, so only the schema is renamed and the source rows are read
+  // positionally — no full-relation copy.
+  EID_ASSIGN_OR_RETURN(Relation world, corr.ToWorldSchema(relation, side));
 
   // 2. Determine the columns to append.
   std::vector<std::string> added;
@@ -99,29 +93,21 @@ Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
   const int workers = (pool != nullptr ? pool->threads() : 1);
   const Schema& ext_schema = extended.schema();
   const size_t base_arity = relation.schema().size();
-  const std::vector<Row>& src_rows =
-      columnar_path ? relation.rows() : world.rows();
 
-  // Compiled path: lower the ILFD program once for this schema/options
-  // pair; each worker gets its own derivation memo alongside its closure
-  // evaluator. The interpreter path below stays as the oracle. Borrowing
-  // is safe: `ilfds` outlives this call, and the program does not escape.
-  EID_SHARED_IMMUTABLE std::optional<compile::DerivationProgram> program;
-  EID_PER_WORKER std::vector<compile::DerivationMemo> memos;  // by worker id
-  double compile_ms = 0.0;
-  if (options.compile) {
-    exec::StageTimer compile_timer;
-    program.emplace(compile::DerivationProgram::CompileBorrowed(
-        ext_schema, ilfds, derivation));
-    compile_ms = compile_timer.ElapsedMs();
-    memos.resize(static_cast<size_t>(workers));
-  }
+  // Lower the ILFD program once for this schema/options pair; each worker
+  // gets its own derivation memo alongside its closure evaluator.
+  // Borrowing is safe: `ilfds` outlives this call, and the program does
+  // not escape.
+  exec::StageTimer compile_timer;
+  EID_SHARED_IMMUTABLE const compile::DerivationProgram program =
+      compile::DerivationProgram::CompileBorrowed(ext_schema, ilfds,
+                                                  derivation);
+  const double compile_ms = compile_timer.ElapsedMs();
+  EID_PER_WORKER std::vector<compile::DerivationMemo> memos(
+      static_cast<size_t>(workers));  // by worker id
   EID_PER_WORKER std::vector<ClosureEvaluator> evaluators;  // by worker id
   evaluators.reserve(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    evaluators.emplace_back(program.has_value() ? &program->kb()
-                                                : &ilfds.kb());
-  }
+  for (int w = 0; w < workers; ++w) evaluators.emplace_back(&program.kb());
 
   // Columnar sweep setup (serial): bind the program's memo/seed
   // projection to the side's base slot, and encode the columns the
@@ -134,19 +120,17 @@ Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
   const exec::WorldRel ext_slot =
       side == Side::kR ? exec::WorldRel::kRExtended
                        : exec::WorldRel::kSExtended;
-  EID_SHARED_IMMUTABLE compile::ColumnarBinding binding;
-  if (columnar_path) {
-    binding = program->BindColumns(columnar, base_slot, relation);
-    for (const KeyDef& key : extended.keys()) {
-      for (size_t c : key.attribute_indices) {
-        columnar->Column(base_slot, relation, c);
-      }
+  EID_SHARED_IMMUTABLE const compile::ColumnarBinding binding =
+      program.BindColumns(columnar, base_slot, relation);
+  for (const KeyDef& key : extended.keys()) {
+    for (size_t c : key.attribute_indices) {
+      columnar.Column(base_slot, relation, c);
     }
-    for (const std::string& a : ext_key.attributes()) {
-      std::optional<size_t> c = ext_schema.IndexOf(a);
-      if (c.has_value() && *c < base_arity) {
-        columnar->Column(base_slot, relation, *c);
-      }
+  }
+  for (const std::string& a : ext_key.attributes()) {
+    std::optional<size_t> c = ext_schema.IndexOf(a);
+    if (c.has_value() && *c < base_arity) {
+      columnar.Column(base_slot, relation, *c);
     }
   }
 
@@ -154,67 +138,41 @@ Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
   std::vector<Derivation> traces(n);
   std::vector<Status> row_status(n);
   // Applied writes per row — what the id patch-up after AdoptRows needs.
-  std::vector<std::vector<compile::DerivationWrite>> row_writes(
-      columnar_path ? n : 0);
+  std::vector<std::vector<compile::DerivationWrite>> row_writes(n);
   exec::ParallelFor(pool, n, /*grain=*/0,
                     [&](size_t begin, size_t end, int worker) {
     ClosureEvaluator& evaluator = evaluators[static_cast<size_t>(worker)];
     std::vector<compile::DerivationWrite> writes;
     for (size_t r = begin; r < end; ++r) {
-      Row row = src_rows[r];
+      Row row = relation.rows()[r];
       row.resize(row.size() + added.size(), Value::Null());
-      if (program.has_value()) {
-        Result<Derivation> derived =
-            columnar_path
-                ? program->Derive(row, r, binding, &evaluator,
-                                  &memos[static_cast<size_t>(worker)],
-                                  &writes)
-                : program->Derive(row, &evaluator,
-                                  &memos[static_cast<size_t>(worker)],
-                                  &writes);
-        if (!derived.ok()) {
-          row_status[r] = derived.status();
-          continue;
-        }
-        for (const compile::DerivationWrite& w : writes) {
-          if (row[w.column].is_null()) {
-            row[w.column] = w.value;
-            if (columnar_path) row_writes[r].push_back(w);
-          }
-        }
-        rows[r] = std::move(row);
-        traces[r] = std::move(derived).value();
-        continue;
-      }
-      TupleView view(&ext_schema, &row);
       Result<Derivation> derived =
-          DeriveTuple(view, ilfds, derivation, &evaluator);
+          program.Derive(row, r, binding, &evaluator,
+                         &memos[static_cast<size_t>(worker)], &writes);
       if (!derived.ok()) {
         row_status[r] = derived.status();
         continue;
       }
-      for (const auto& [attr, value] : derived->derived) {
-        std::optional<size_t> idx = ext_schema.IndexOf(attr);
-        if (!idx.has_value()) continue;  // derivable but not modeled
-        if (row[*idx].is_null()) row[*idx] = value;
+      for (const compile::DerivationWrite& w : writes) {
+        if (row[w.column].is_null()) {
+          row[w.column] = w.value;
+          row_writes[r].push_back(w);
+        }
       }
       rows[r] = std::move(row);
       traces[r] = std::move(derived).value();
     }
   });
-  // Merge. The columnar path re-validates at the id layer and bulk-
-  // installs via AdoptRows (the same trusted-bulk contract snapshot
+  // Merge. Re-validate at the id layer and bulk-install via AdoptRows (the same trusted-bulk contract snapshot
   // loads use: base cells were validated by the source relation's own
   // Insert path; only the newly derived writes are fresh data). Anything
   // suspicious — a failed row, an off-type or NULL write, a write into a
   // key column, a NULL or duplicate id-level key — drops to the exact
   // per-row Insert replay below, so diagnostics and their precedence
   // (row r's derivation error before its insert error, before anything
-  // about row r+1) stay bit-identical to the serial engine.
-  bool fast = columnar_path;
-  if (fast) {
-    for (size_t r = 0; r < n && fast; ++r) fast = row_status[r].ok();
-  }
+  // about row r+1) stay bit-identical to the reference's.
+  bool fast = true;
+  for (size_t r = 0; r < n && fast; ++r) fast = row_status[r].ok();
   if (fast) {
     std::vector<char> is_key_col(ext_schema.size(), 0);
     for (const KeyDef& key : extended.keys()) {
@@ -241,7 +199,7 @@ Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
       std::vector<const uint32_t*> cols;
       cols.reserve(key.attribute_indices.size());
       for (size_t c : key.attribute_indices) {
-        cols.push_back(columnar->Column(base_slot, relation, c).data());
+        cols.push_back(columnar.Column(base_slot, relation, c).data());
       }
       for (size_t r = 0; r < n && fast; ++r) {
         for (const uint32_t* col : cols) {
@@ -288,7 +246,7 @@ Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
     std::vector<char> have(ext_arity, 0);
     for (size_t c = 0; c < ext_arity; ++c) {
       if (c < base_arity) {
-        const std::vector<uint32_t>* ids = columnar->FindColumn(base_slot, c);
+        const std::vector<uint32_t>* ids = columnar.FindColumn(base_slot, c);
         if (ids == nullptr) continue;
         ext_cols[c] = *ids;
         have[c] = 1;
@@ -300,16 +258,16 @@ Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
     for (size_t r = 0; r < n; ++r) {
       for (const compile::DerivationWrite& w : row_writes[r]) {
         if (have[w.column] != 0) {
-          ext_cols[w.column][r] = columnar->dict().GetOrIntern(w.value);
+          ext_cols[w.column][r] = columnar.dict().GetOrIntern(w.value);
         }
       }
     }
     for (size_t c = 0; c < ext_arity; ++c) {
-      if (have[c] != 0) columnar->Adopt(ext_slot, c, std::move(ext_cols[c]));
+      if (have[c] != 0) columnar.Adopt(ext_slot, c, std::move(ext_cols[c]));
     }
   } else {
-    // Merge in row order, surfacing errors exactly as the serial engine
-    // did: row r's derivation error precedes its insert error, which
+    // Merge in row order, surfacing errors exactly as the reference
+    // does: row r's derivation error precedes its insert error, which
     // precedes anything about row r+1.
     for (size_t r = 0; r < n; ++r) {
       EID_RETURN_IF_ERROR(row_status[r]);
@@ -331,10 +289,8 @@ Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
       stats->memo_misses += memo.misses();
       stats->interner_values += memo.interner_size();
     }
-    if (columnar_path) {
-      stats->columnar_encode_ms = columnar->encode_ms() - encode_ms_before;
-      stats->interner_reuse_hits = columnar->reuse_hits() - reuse_before;
-    }
+    stats->columnar_encode_ms = columnar.encode_ms() - encode_ms_before;
+    stats->interner_reuse_hits = columnar.reuse_hits() - reuse_before;
   }
   return out;
 }

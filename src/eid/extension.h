@@ -48,37 +48,34 @@ struct ExtensionOptions {
   /// EID_THREADS, then hardware concurrency (exec::ResolveThreads); 1 is
   /// the serial engine. Results are identical for every value.
   int threads = 0;
-  /// Lower the ILFD program once per call (compile::DerivationProgram)
-  /// and run every tuple through the compiled form with a per-worker
-  /// derivation memo. Off runs the per-tuple interpreter, which is kept
-  /// as a differential-testing oracle; results are bit-identical.
-  bool compile = true;
 };
 
-/// Builds R' from `relation` (one side of the match).
+/// Builds R' from `relation` (one side of the match), in a columnar world
+/// of its own.
 Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
                                        const AttributeCorrespondence& corr,
                                        const ExtendedKey& ext_key,
                                        const IlfdSet& ilfds,
                                        const ExtensionOptions& options = {});
 
-/// Pool-sharing form used by the engine: per-tuple derivation is sharded
-/// over `pool` (one ClosureEvaluator per worker; may be null for the
-/// serial path), and stage counters are recorded into `stats` when
-/// non-null. `options.threads` is ignored — the pool decides.
+/// Pool-sharing form used by the engine: the ILFD program is lowered
+/// once (compile::DerivationProgram), per-tuple derivation is sharded
+/// over `pool` (one ClosureEvaluator and derivation memo per worker; may
+/// be null for the serial path), and stage counters are recorded into
+/// `stats` when non-null. `options.threads` is ignored — the pool
+/// decides.
 ///
-/// With a non-null `columnar` (and options.compile), the session's
-/// columnar world drives the sweep (DESIGN.md §4g): source cells are
-/// encoded once into the shared dictionary under the side's base slot,
-/// the derivation memo keys and closure seeds gather pre-encoded ids,
-/// renaming into world naming is schema-only (no row copy), and on the
-/// clean path the extended relation is assembled by AdoptRows after an
-/// id-level re-validation (write types, key NULLs, key uniqueness over
-/// sorted id keys) — falling back to the exact per-row Insert replay the
-/// moment anything looks off, so diagnostics and error precedence stay
-/// bit-identical to the serial engine. The extended relation's id
-/// columns are adopted into the side's extended slot for the join and
-/// rule stages to reuse. Results are identical with or without a world.
+/// The session's columnar world drives the sweep (DESIGN.md §4g): source
+/// cells are encoded once into the shared dictionary under the side's
+/// base slot, the derivation memo keys and closure seeds gather
+/// pre-encoded ids, renaming into world naming is schema-only (no row
+/// copy), and on the clean path the extended relation is assembled by
+/// AdoptRows after an id-level re-validation (write types, key NULLs, key
+/// uniqueness over sorted id keys) — falling back to the exact per-row
+/// Insert replay the moment anything looks off, so diagnostics and error
+/// precedence equal eid::reference::ExtendRelation's. The extended
+/// relation's id columns are adopted into the side's extended slot for
+/// the join and rule stages to reuse.
 Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
                                        const AttributeCorrespondence& corr,
                                        const ExtendedKey& ext_key,
@@ -86,7 +83,7 @@ Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
                                        const ExtensionOptions& options,
                                        exec::ThreadPool* pool,
                                        exec::StageStats* stats,
-                                       exec::ColumnarWorld* columnar = nullptr);
+                                       exec::ColumnarWorld& columnar);
 
 }  // namespace eid
 

@@ -5,8 +5,6 @@
 
 #include "analysis/analyzer.h"
 #include "compile/pair_program.h"
-#include "exec/blocking_index.h"
-#include "exec/candidate_generator.h"
 
 namespace eid {
 
@@ -69,15 +67,10 @@ Result<IdentificationResult> EntityIdentifier::Identify(
   // Session columnar world (exec/columnar_world.h): one dictionary, one
   // set of id columns and their posting indexes shared by the extension,
   // join and rule stages below. Seeded from the snapshot when available,
-  // so a loaded world starts with zero re-interning. The interpreter
-  // path (compile = false) uses it for blocking only: its extension,
-  // key join and residuals stay a world-free differential oracle.
-  exec::ColumnarWorld columnar_world;
-  exec::ColumnarWorld* world_ptr =
-      config_.matcher_options.compile ? &columnar_world : nullptr;
-  if (world_ptr != nullptr &&
-      config_.matcher_options.columnar_seeds != nullptr) {
-    columnar_world.Seed(*config_.matcher_options.columnar_seeds);
+  // so a loaded world starts with zero re-interning.
+  exec::ColumnarWorld world;
+  if (config_.matcher_options.columnar_seeds != nullptr) {
+    world.Seed(*config_.matcher_options.columnar_seeds);
   }
 
   // --- Extension + extended-key matching -------------------------------
@@ -92,7 +85,7 @@ Result<IdentificationResult> EntityIdentifier::Identify(
         MatcherResult matcher,
         BuildMatchingTable(r, s, config_.correspondence,
                            *config_.extended_key, config_.ilfds, options,
-                           world_ptr));
+                           world));
     out.r_extended = std::move(matcher.r_extension.extended);
     out.s_extended = std::move(matcher.s_extension.extended);
     out.r_traces = std::move(matcher.r_extension.traces);
@@ -105,18 +98,17 @@ Result<IdentificationResult> EntityIdentifier::Identify(
     // explicit rules see the richest tuples.
     ExtensionOptions ext = config_.matcher_options.extension;
     ext.derive_all = true;
-    ext.compile = config_.matcher_options.compile;
     exec::StageStats extend_r, extend_s;
     EID_ASSIGN_OR_RETURN(ExtensionResult rx,
                          ExtendRelation(r, Side::kR, config_.correspondence,
                                         ExtendedKey(std::vector<std::string>{}),
                                         config_.ilfds, ext, pool_ptr,
-                                        &extend_r, world_ptr));
+                                        &extend_r, world));
     EID_ASSIGN_OR_RETURN(ExtensionResult sx,
                          ExtendRelation(s, Side::kS, config_.correspondence,
                                         ExtendedKey(std::vector<std::string>{}),
                                         config_.ilfds, ext, pool_ptr,
-                                        &extend_s, world_ptr));
+                                        &extend_s, world));
     out.r_extended = std::move(rx.extended);
     out.s_extended = std::move(sx.extended);
     out.r_traces = std::move(rx.traces);
@@ -135,115 +127,19 @@ Result<IdentificationResult> EntityIdentifier::Identify(
     identity.stage = "identity_rules";
     identity.threads = threads;
     identity.cross_product = out.r_extended.size() * out.s_extended.size();
-    // The serial sweep adds pair (i, j) iff *some* rule matches in some
-    // orientation, visiting pairs row-major. The rule → pair-set union is
-    // orientation- and rule-order-independent, so collect per rule with
-    // index-bounded parallel scans, then insert the deduplicated union in
-    // row-major order — the exact serial insertion sequence, which the
-    // order-sensitive uniqueness verdict depends on.
-    const bool compile = config_.matcher_options.compile;
-    std::vector<TuplePair> fired;
-    if (config_.matcher_options.staged) {
-      // Staged sweep: one pass over all rule orientations; the stamped
-      // emission already yields the deduplicated union in row-major
-      // order, so no sort/unique pass is needed.
-      std::vector<exec::BlockingPlan> plans;
-      plans.reserve(config_.identity_rules.size() * 2);
-      for (const IdentityRule& rule : config_.identity_rules) {
-        for (bool flipped : {false, true}) {
-          plans.push_back(exec::PlanBlocking(rule.predicates(),
-                                             out.r_extended.schema(),
-                                             out.s_extended.schema(),
-                                             flipped));
-        }
-      }
-      std::vector<std::unique_ptr<exec::StagedEvaluator>> evaluators(
-          plans.size());
-      EID_SHARED_IMMUTABLE std::unique_ptr<compile::PairFeatureCache> features;
-      const double encode_ms_before =
-          world_ptr != nullptr ? world_ptr->encode_ms() : 0.0;
-      const size_t reuse_before =
-          world_ptr != nullptr ? world_ptr->reuse_hits() : 0;
-      if (compile) {
-        exec::StageTimer compile_timer;
-        features = std::make_unique<compile::PairFeatureCache>(
-            &out.r_extended, &out.s_extended, &columnar_world,
-            exec::WorldRel::kRExtended, exec::WorldRel::kSExtended);
-        for (size_t k = 0; k < config_.identity_rules.size(); ++k) {
-          for (bool flipped : {false, true}) {
-            const size_t i = k * 2 + (flipped ? 1 : 0);
-            if (plans[i].impossible) continue;
-            evaluators[i] = std::make_unique<compile::StagedConjunction>(
-                compile::StagedConjunction::Compile(
-                    config_.identity_rules[k].predicates(),
-                    plans[i].coverage, out.r_extended, out.s_extended,
-                    flipped, features.get()));
-          }
-        }
-        identity.compile_ms = compile_timer.ElapsedMs();
-      } else {
-        for (size_t k = 0; k < config_.identity_rules.size(); ++k) {
-          for (bool flipped : {false, true}) {
-            const size_t i = k * 2 + (flipped ? 1 : 0);
-            if (plans[i].impossible) continue;
-            evaluators[i] = std::make_unique<exec::InterpretedResidual>(
-                config_.identity_rules[k].predicates(), plans[i].coverage,
-                &out.r_extended, &out.s_extended, flipped);
-          }
-        }
-      }
-      exec::CandidateGenerator gen(&out.r_extended, &out.s_extended,
-                                   &columnar_world,
-                                   config_.matcher_options.block_eval);
-      for (size_t i = 0; i < plans.size(); ++i) {
-        gen.AddRule(plans[i], evaluators[i].get());
-      }
-      exec::StagedScanStats scan;
-      exec::FiredColumns staged_fired = gen.Run(pool_ptr, &scan);
-      identity.candidate_pairs = scan.candidate_pairs;
-      identity.rule_evals = scan.rule_evals;
-      identity.feature_cache_hits = scan.feature_cache_hits;
-      identity.pair_blocks = scan.pair_blocks;
-      identity.block_early_exits = scan.block_early_exits;
-      identity.block_scalar_fallbacks = scan.block_scalar_fallbacks;
-      if (world_ptr != nullptr) {
-        identity.columnar_encode_ms =
-            world_ptr->encode_ms() - encode_ms_before;
-        identity.interner_reuse_hits =
-            world_ptr->reuse_hits() - reuse_before;
-      }
-      fired = std::move(staged_fired.pairs);
-    } else {
-      std::vector<compile::CompiledConjunction> programs;
-      if (compile) {
-        exec::StageTimer compile_timer;
-        programs.reserve(config_.identity_rules.size() * 2);
-        for (const IdentityRule& rule : config_.identity_rules) {
-          for (bool flipped : {false, true}) {
-            programs.push_back(compile::CompiledConjunction::Compile(
-                rule.predicates(), out.r_extended.schema(),
-                out.s_extended.schema(), flipped));
-          }
-        }
-        identity.compile_ms = compile_timer.ElapsedMs();
-      }
-      for (size_t k = 0; k < config_.identity_rules.size(); ++k) {
-        const IdentityRule& rule = config_.identity_rules[k];
-        for (bool flipped : {false, true}) {
-          exec::PairScanStats scan;
-          const exec::PairEvaluator* evaluator =
-              compile ? &programs[k * 2 + (flipped ? 1 : 0)] : nullptr;
-          std::vector<TuplePair> pairs = exec::CollectTruePairs(
-              out.r_extended, out.s_extended, rule.predicates(), flipped,
-              &columnar_world, pool_ptr, &scan, evaluator);
-          identity.candidate_pairs += scan.candidate_pairs;
-          identity.rule_evals += scan.rule_evals;
-          fired.insert(fired.end(), pairs.begin(), pairs.end());
-        }
-      }
-      std::sort(fired.begin(), fired.end());
-      fired.erase(std::unique(fired.begin(), fired.end()), fired.end());
+    // Pair (i, j) is added iff *some* rule matches in some orientation,
+    // visiting pairs row-major after the key-join pairs — the insertion
+    // sequence the order-sensitive uniqueness verdict depends on. One
+    // staged sweep covers every rule orientation; its stamped emission
+    // already yields the deduplicated union in row-major order.
+    std::vector<const std::vector<Predicate>*> antecedents;
+    for (const IdentityRule& rule : config_.identity_rules) {
+      antecedents.push_back(&rule.predicates());
     }
+    const std::vector<TuplePair> fired =
+        compile::SweepRules(antecedents, out.r_extended, out.s_extended,
+                            world, pool_ptr, &identity)
+            .pairs;
     for (const TuplePair& pair : fired) {
       Status st = out.matching.Add(pair);
       if (!st.ok()) {
@@ -264,10 +160,7 @@ Result<IdentificationResult> EntityIdentifier::Identify(
   EID_ASSIGN_OR_RETURN(
       out.negative,
       BuildNegativeMatchingTable(out.r_extended, out.s_extended, rules,
-                                 pool_ptr, config_.matcher_options.compile,
-                                 config_.matcher_options.staged,
-                                 &columnar_world,
-                                 config_.matcher_options.block_eval));
+                                 pool_ptr, world));
   out.stats.Add(out.negative.stats);
 
   // --- Constraint verification ------------------------------------------

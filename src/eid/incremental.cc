@@ -60,13 +60,12 @@ Result<IncrementalIdentifier> IncrementalIdentifier::Create(
 
   IncrementalIdentifier out;
 
-  // Extended schemas via the batch extension machinery on empty inputs.
+  // Extended schemas via the batch extension on empty inputs.
   ExtendedKey key = config.extended_key.has_value()
                         ? *config.extended_key
                         : ExtendedKey(std::vector<std::string>{});
   ExtensionOptions ext = config.matcher_options.extension;
   if (!config.extended_key.has_value()) ext.derive_all = true;
-  ext.compile = false;  // schema-only run over empty relations
   EID_ASSIGN_OR_RETURN(
       ExtensionResult rx,
       ExtendRelation(empty_r, Side::kR, config.correspondence, key,
@@ -103,80 +102,67 @@ Result<IncrementalIdentifier> IncrementalIdentifier::Create(
     }
   }
 
-  // Staged per-insert acceleration: blocking plans per (rule,
-  // orientation) against the extended schemas, resolved to columns, and
-  // the union of columns those plans bucket on (maintained by the
-  // dynamic value indexes on every insert/delete).
-  if (out.config_.matcher_options.staged) {
-    auto resolve = [&out](const std::vector<Predicate>& predicates,
-                          bool flipped) {
-      const exec::BlockingPlan plan =
-          exec::PlanBlocking(predicates, out.sides_[0].ext_schema,
-                             out.sides_[1].ext_schema, flipped);
-      StagedPlan staged;
-      staged.impossible = plan.impossible;
-      if (plan.impossible) return staged;
-      // A non-impossible plan only names attributes of its schemas.
-      auto column = [&](int side, const std::string& attr) {
-        SideState& s = out.sides_[side];
-        const size_t col = *s.ext_schema.IndexOf(attr);
-        if (std::find(s.tracked_cols.begin(), s.tracked_cols.end(), col) ==
-            s.tracked_cols.end()) {
-          s.tracked_cols.push_back(col);
-        }
-        return col;
-      };
-      staged.has_join = plan.has_join;
-      if (plan.has_join) {
-        staged.join_col = {column(0, plan.r_attr), column(1, plan.s_attr)};
+  // Per-insert acceleration: blocking plans per (rule, orientation)
+  // against the extended schemas, resolved to columns, and the union of
+  // columns those plans bucket on (maintained by the dynamic value
+  // indexes on every insert/delete).
+  auto resolve = [&out](const std::vector<Predicate>& predicates,
+                        bool flipped) {
+    const exec::BlockingPlan plan =
+        exec::PlanBlocking(predicates, out.sides_[0].ext_schema,
+                           out.sides_[1].ext_schema, flipped);
+    StagedPlan resolved;
+    resolved.impossible = plan.impossible;
+    if (plan.impossible) return resolved;
+    // A non-impossible plan only names attributes of its schemas.
+    auto column = [&](int side, const std::string& attr) {
+      SideState& s = out.sides_[side];
+      const size_t col = *s.ext_schema.IndexOf(attr);
+      if (std::find(s.tracked_cols.begin(), s.tracked_cols.end(), col) ==
+          s.tracked_cols.end()) {
+        s.tracked_cols.push_back(col);
       }
-      for (const auto& [attr, v] : plan.r_const_eq) {
-        staged.const_eq[0].emplace_back(column(0, attr), v);
-      }
-      for (const auto& [attr, v] : plan.s_const_eq) {
-        staged.const_eq[1].emplace_back(column(1, attr), v);
-      }
-      return staged;
+      return col;
     };
-    for (const IdentityRule& rule : out.config_.identity_rules) {
-      for (bool flipped : {false, true}) {
-        out.identity_plans_.push_back(resolve(rule.predicates(), flipped));
-      }
+    resolved.has_join = plan.has_join;
+    if (plan.has_join) {
+      resolved.join_col = {column(0, plan.r_attr), column(1, plan.s_attr)};
     }
-    for (const DistinctnessRule& rule : out.all_distinctness_) {
-      for (bool flipped : {false, true}) {
-        out.distinct_plans_.push_back(resolve(rule.predicates(), flipped));
-      }
+    for (const auto& [attr, v] : plan.r_const_eq) {
+      resolved.const_eq[0].emplace_back(column(0, attr), v);
     }
-    for (SideState& side : out.sides_) {
-      side.value_index.resize(side.ext_schema.size());
+    for (const auto& [attr, v] : plan.s_const_eq) {
+      resolved.const_eq[1].emplace_back(column(1, attr), v);
     }
-  }
-
+    return resolved;
+  };
   // Lower the session's programs once: derivation per side (the memo
   // caches persist across inserts, so repeated projections derive once
-  // per session) and every rule antecedent per orientation.
-  if (out.config_.matcher_options.compile) {
-    for (SideState& side : out.sides_) {
-      side.derive = std::make_unique<compile::DerivationProgram>(
-          compile::DerivationProgram::Compile(
-              side.ext_schema, out.config_.ilfds, out.derivation_));
-      side.eval = std::make_unique<ClosureEvaluator>(&side.derive->kb());
+  // per session) and every rule antecedent per orientation, next to its
+  // plan.
+  for (SideState& side : out.sides_) {
+    side.value_index.resize(side.ext_schema.size());
+    side.derive = std::make_unique<compile::DerivationProgram>(
+        compile::DerivationProgram::Compile(side.ext_schema,
+                                            out.config_.ilfds,
+                                            out.derivation_));
+    side.eval = std::make_unique<ClosureEvaluator>(&side.derive->kb());
+  }
+  auto lower = [&](const std::vector<Predicate>& predicates,
+                   std::vector<RuleOrientation>* into) {
+    for (bool flipped : {false, true}) {
+      into->push_back(RuleOrientation{
+          resolve(predicates, flipped),
+          compile::CompiledConjunction::Compile(
+              predicates, out.sides_[0].ext_schema, out.sides_[1].ext_schema,
+              flipped)});
     }
-    for (const IdentityRule& rule : out.config_.identity_rules) {
-      for (bool flipped : {false, true}) {
-        out.identity_programs_.push_back(compile::CompiledConjunction::Compile(
-            rule.predicates(), out.sides_[0].ext_schema,
-            out.sides_[1].ext_schema, flipped));
-      }
-    }
-    for (const DistinctnessRule& rule : out.all_distinctness_) {
-      for (bool flipped : {false, true}) {
-        out.distinct_programs_.push_back(compile::CompiledConjunction::Compile(
-            rule.predicates(), out.sides_[0].ext_schema,
-            out.sides_[1].ext_schema, flipped));
-      }
-    }
+  };
+  for (const IdentityRule& rule : out.config_.identity_rules) {
+    lower(rule.predicates(), &out.identity_rules_);
+  }
+  for (const DistinctnessRule& rule : out.all_distinctness_) {
+    lower(rule.predicates(), &out.distinct_rules_);
   }
   return out;
 }
@@ -211,26 +197,13 @@ Result<size_t> IncrementalIdentifier::Insert(Side side, Row row) {
   Entry entry;
   entry.extended = std::move(row);
   entry.extended.resize(own.ext_schema.size(), Value::Null());
-  if (own.derive != nullptr) {
-    std::vector<compile::DerivationWrite> writes;
-    EID_RETURN_IF_ERROR(own.derive
-                            ->Derive(entry.extended, own.eval.get(),
-                                     &own.memo, &writes)
-                            .status());
-    for (const compile::DerivationWrite& w : writes) {
-      if (entry.extended[w.column].is_null()) {
-        entry.extended[w.column] = w.value;
-      }
-    }
-  } else {
-    TupleView view(&own.ext_schema, &entry.extended);
-    EID_ASSIGN_OR_RETURN(Derivation derived,
-                         DeriveTuple(view, config_.ilfds, derivation_));
-    for (const auto& [attr, value] : derived.derived) {
-      std::optional<size_t> idx = own.ext_schema.IndexOf(attr);
-      if (idx.has_value() && entry.extended[*idx].is_null()) {
-        entry.extended[*idx] = value;
-      }
+  std::vector<compile::DerivationWrite> writes;
+  EID_RETURN_IF_ERROR(
+      own.derive->Derive(entry.extended, own.eval.get(), &own.memo, &writes)
+          .status());
+  for (const compile::DerivationWrite& w : writes) {
+    if (entry.extended[w.column].is_null()) {
+      entry.extended[w.column] = w.value;
     }
   }
   entry.alive = true;
@@ -252,63 +225,23 @@ Result<size_t> IncrementalIdentifier::Insert(Side side, Row row) {
     if (!v.is_null()) own.value_index[col][v].push_back(id);
   }
 
-  // Compiled programs take the pair in relation space (r-row, s-row) with
-  // both orientations pre-bound; program 2k is rule k direct, 2k+1
-  // flipped.
-  const bool compiled_rules = own.derive != nullptr;
-  TupleView self(&own.ext_schema, &stored.extended);
-  auto identity_fires = [&](size_t p, size_t other_id) {
-    const Row& other_row = other.entries[other_id].extended;
-    if (compiled_rules) {
-      return identity_programs_[p].Evaluate(
-                 is_r ? stored.extended : other_row,
-                 is_r ? other_row : stored.extended) == Truth::kTrue;
-    }
-    TupleView other_view(&other.ext_schema, &other_row);
-    const TupleView& e1 = is_r ? self : other_view;
-    const TupleView& e2 = is_r ? other_view : self;
-    const IdentityRule& rule = config_.identity_rules[p / 2];
-    return (p % 2 == 1 ? rule.Matches(e2, e1) : rule.Matches(e1, e2)) ==
-           Truth::kTrue;
-  };
-  auto distinct_fires = [&](size_t p, size_t other_id) {
-    const Row& other_row = other.entries[other_id].extended;
-    if (compiled_rules) {
-      return distinct_programs_[p].Evaluate(
-                 is_r ? stored.extended : other_row,
-                 is_r ? other_row : stored.extended) == Truth::kTrue;
-    }
-    TupleView other_view(&other.ext_schema, &other_row);
-    const TupleView& e1 = is_r ? self : other_view;
-    const TupleView& e2 = is_r ? other_view : self;
-    const DistinctnessRule& rule = all_distinctness_[p / 2];
-    return (p % 2 == 1 ? rule.Applies(e2, e1) : rule.Applies(e1, e2)) ==
-           Truth::kTrue;
-  };
-
   // Appends to `fired` the other side's live ids for which some (rule,
-  // orientation) of a family fires, then sorts and deduplicates it. The
-  // exhaustive oracle visits every live id. Staged: per orientation, kill
-  // it via the inserted row's own-side const conjuncts, then evaluate only
-  // the other side's join/const bucket; `fires` evaluates the *full*
-  // antecedent, so over-approximate buckets stay harmless and the set
-  // equals the exhaustive one.
-  auto sweep = [&](const std::vector<StagedPlan>& plans, size_t plan_count,
-                   const auto& fires, std::vector<size_t>* fired) {
-    const size_t other_ids = other.entries.size();
-    if (!config_.matcher_options.staged) {
-      for (size_t other_id = 0; other_id < other_ids; ++other_id) {
-        if (!other.entries[other_id].alive) continue;
-        for (size_t p = 0; p < plan_count; ++p) {
-          if (fires(p, other_id)) {
-            fired->push_back(other_id);
-            break;
-          }
-        }
-      }
-    }
-    for (size_t p = 0; p < plans.size(); ++p) {
-      const StagedPlan& plan = plans[p];
+  // orientation) of a family fires, then sorts and deduplicates it. Per
+  // orientation: kill it via the inserted row's own-side const
+  // conjuncts, then evaluate only the other side's join/const bucket —
+  // or, with no indexable conjunct, every live id. The *full* compiled
+  // antecedent is evaluated on every candidate (pair in relation space,
+  // r-row first), so over-approximate buckets stay harmless.
+  auto sweep = [&](const std::vector<RuleOrientation>& rules,
+                   std::vector<size_t>* fired) {
+    auto fires = [&](const RuleOrientation& rule, size_t other_id) {
+      const Row& other_row = other.entries[other_id].extended;
+      return rule.program.Evaluate(is_r ? stored.extended : other_row,
+                                   is_r ? other_row : stored.extended) ==
+             Truth::kTrue;
+    };
+    for (const RuleOrientation& rule : rules) {
+      const StagedPlan& plan = rule.plan;
       if (plan.impossible) continue;
       // Exact kill: an own-side const conjunct failing on the inserted
       // row (NULL or not storage-equal) can never be kTrue.
@@ -334,8 +267,9 @@ Result<size_t> IncrementalIdentifier::Insert(Side side, Row row) {
         probe_col = plan.const_eq[other_side].front().first;
       } else {
         // No indexable conjunct: scan the live side.
-        for (size_t other_id = 0; other_id < other_ids; ++other_id) {
-          if (other.entries[other_id].alive && fires(p, other_id)) {
+        for (size_t other_id = 0; other_id < other.entries.size();
+             ++other_id) {
+          if (other.entries[other_id].alive && fires(rule, other_id)) {
             fired->push_back(other_id);
           }
         }
@@ -345,7 +279,7 @@ Result<size_t> IncrementalIdentifier::Insert(Side side, Row row) {
       auto bucket = buckets.find(*probe);
       if (bucket == buckets.end()) continue;
       for (size_t other_id : bucket->second) {  // live ids only
-        if (fires(p, other_id)) fired->push_back(other_id);
+        if (fires(rule, other_id)) fired->push_back(other_id);
       }
     }
     std::sort(fired->begin(), fired->end());
@@ -364,8 +298,7 @@ Result<size_t> IncrementalIdentifier::Insert(Side side, Row row) {
   std::vector<size_t> rule_ids;
   if (!config_.identity_rules.empty()) {
     std::vector<size_t> fired;
-    sweep(identity_plans_, config_.identity_rules.size() * 2, identity_fires,
-          &fired);
+    sweep(identity_rules_, &fired);
     std::set_difference(fired.begin(), fired.end(), key_ids.begin(),
                         key_ids.end(), std::back_inserter(rule_ids));
   }
@@ -385,8 +318,7 @@ Result<size_t> IncrementalIdentifier::Insert(Side side, Row row) {
 
   // Negative pairs via distinctness rules (both orientations).
   std::vector<size_t> negatives;
-  sweep(distinct_plans_, all_distinctness_.size() * 2, distinct_fires,
-        &negatives);
+  sweep(distinct_rules_, &negatives);
   for (size_t other_id : negatives) {
     other.entries[other_id].negatives.push_back(id);
   }

@@ -10,25 +10,24 @@
 // it is part of — not the session size:
 //
 //  * inserting a tuple checks its candidate keys against per-key sets of
-//    live key fingerprints, extends just that tuple (one ILFD derivation),
-//    probes the other side's extended-key hash index for match candidates,
-//    and evaluates the identity and distinctness rules against the other
-//    side's value-index bucket for each rule's equality conjunct (staged;
-//    a rule orientation with no indexable conjunct, and the exhaustive
-//    oracle, scan the other side);
+//    live key fingerprints, extends just that tuple (one compiled ILFD
+//    derivation), probes the other side's extended-key hash index for
+//    match candidates, and evaluates the identity and distinctness rules
+//    (compiled antecedents) against the other side's value-index bucket
+//    for each rule's equality conjunct; a rule orientation with no
+//    indexable conjunct scans the other side's live tuples;
 //  * deleting a tuple erases its key fingerprints and index entries and
 //    retracts only the pairs it is part of; a candidate match that was
 //    previously shadowed by the uniqueness constraint can surface again,
 //    because all *candidate* pairs are retained;
 //  * the first read after a write re-derives the matching table with one
-//    greedy pass over the candidates in (r_id, s_id) order, in
-//    O(|candidates|); every other read is O(1) per id, or a binary search
-//    per pair;
+//    greedy pass over the candidates — the key-join candidates first,
+//    then the identity-rule-only ones, each in (r_id, s_id) order, as
+//    batch Identify inserts them — in O(|candidates|); every other read
+//    is O(1) per id, or a binary search per pair;
 //  * the state is equivalent to a from-scratch EntityIdentifier::Identify
-//    over the live tuples in id order (tested property), with one known
-//    exception: batch takes every extended-key match before any
-//    identity-rule match, so when an identity rule and the key join offer
-//    a tuple different partners the two can keep different ones.
+//    (and eid::reference::Identify) over the live tuples in id order
+//    (tested property).
 //
 // Identity rules beyond extended-key equivalence are supported the same
 // way distinctness rules are: evaluated pairwise against the other side on
@@ -135,14 +134,21 @@ class IncrementalIdentifier {
     std::array<std::vector<std::pair<size_t, Value>>, 2> const_eq;
   };
 
+  /// One (rule, orientation): the plan that picks an insert's candidates
+  /// and the compiled antecedent evaluated on each of them.
+  struct RuleOrientation {
+    StagedPlan plan;
+    compile::CompiledConjunction program;
+  };
+
   /// One source relation's session state; sides_[0] is R, sides_[1] S.
   struct SideState {
     Relation proto;  // empty schema/key carrier
     Schema ext_schema;
     std::vector<size_t> ext_key_cols;  // K_ext positions in ext_schema
-    // Compiled derivation (matcher_options.compile): the program lives on
-    // the heap so the evaluator's knowledge-base pointer survives moves of
-    // the identifier. The session is single-threaded, so its one "worker"
+    // Compiled derivation: the program lives on the heap so the
+    // evaluator's knowledge-base pointer survives moves of the
+    // identifier. The session is single-threaded, so its one "worker"
     // owns the evaluator/memo pair (EID_PER_WORKER by construction).
     std::unique_ptr<compile::DerivationProgram> derive;
     EID_PER_WORKER std::unique_ptr<ClosureEvaluator> eval;
@@ -155,8 +161,8 @@ class IncrementalIdentifier {
     std::vector<std::unordered_set<std::string>> live_keys;
     // ext-key fingerprint -> live ids, ascending.
     std::unordered_map<std::string, std::vector<size_t>> ext_index;
-    // Staged: live ids by value, per extended column; only the columns
-    // the plans bucket on (tracked_cols) are maintained.
+    // Live ids by value, per extended column; only the columns the plans
+    // bucket on (tracked_cols) are maintained.
     std::vector<size_t> tracked_cols;
     std::vector<std::unordered_map<Value, std::vector<size_t>, ValueHash>>
         value_index;
@@ -184,18 +190,11 @@ class IncrementalIdentifier {
   std::vector<DistinctnessRule> all_distinctness_;
   std::array<SideState, 2> sides_;
 
-  // Rule programs (matcher_options.compile; empty otherwise), rule-major,
-  // direct orientation before flipped — the interpreter's evaluation
-  // order: program 2k is rule k direct, 2k+1 flipped.
-  std::vector<compile::CompiledConjunction> identity_programs_;
-  std::vector<compile::CompiledConjunction> distinct_programs_;
-
-  // Staged per-insert acceleration (matcher_options.staged): one plan per
-  // (rule, orientation), indexed like the programs. An insert consults
-  // only the other side's join/const bucket per orientation instead of
-  // every live tuple; the full antecedent is still evaluated on every
-  // candidate, so the fired sets are identical to the exhaustive sweep.
-  std::vector<StagedPlan> identity_plans_, distinct_plans_;
+  // Rule orientations, rule-major, direct orientation before flipped:
+  // entry 2k is rule k direct, 2k+1 flipped. An insert consults only the
+  // other side's join/const bucket per orientation instead of every live
+  // tuple.
+  std::vector<RuleOrientation> identity_rules_, distinct_rules_;
 
   // Live candidates, sorted: pairs the extended-key join certifies, and
   // pairs only an identity rule certifies.

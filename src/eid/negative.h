@@ -8,11 +8,12 @@
 // pairs the supplied rules certify, which is what consistency checking and
 // the three-valued decision function need.
 //
-// Evaluation is index-accelerated (src/exec/blocking_index.h): each
-// rule's equality conjuncts bound its candidate pairs, and candidates
-// are swept in parallel. The resulting table, certificate column and
-// ordering are identical to the serial nested-loop sweep for any thread
-// count.
+// Evaluation runs through the staged candidate generator
+// (src/exec/candidate_generator.h): each rule's equality conjuncts bound
+// its candidate pairs through the session world's posting indexes, and
+// candidates are swept in parallel. The resulting table, certificate
+// column and ordering equal eid::reference's nested-loop sweep for any
+// thread count.
 
 #ifndef EID_EID_NEGATIVE_H_
 #define EID_EID_NEGATIVE_H_
@@ -22,15 +23,12 @@
 #include <vector>
 
 #include "eid/match_tables.h"
+#include "exec/columnar_world.h"
 #include "exec/stage_stats.h"
 #include "exec/thread_pool.h"
 #include "rules/distinctness_rule.h"
 
 namespace eid {
-
-namespace exec {
-class ColumnarWorld;
-}  // namespace exec
 
 /// Provenance of one negative pair: which rule certified it, and in which
 /// orientation. Rules quantify over all entity pairs (∀e1,e2), so both
@@ -65,33 +63,23 @@ struct NegativeResult {
 };
 
 /// Evaluates every rule over every pair of rows of the two (extended,
-/// world-named) relations. Rules must be well-formed (Validate() is
-/// called; the first invalid rule fails the build).
+/// world-named) relations, in a columnar world of its own. Rules must be
+/// well-formed (Validate() is called; the first invalid rule fails the
+/// build).
 Result<NegativeResult> BuildNegativeMatchingTable(
     const Relation& r_extended, const Relation& s_extended,
     const std::vector<DistinctnessRule>& rules);
 
 /// Pool-sharing form used by the engine (null pool = serial sweep).
-/// `compile` lowers each rule antecedent to a compiled program per
-/// orientation before the sweep (src/compile/pair_program.h); off
-/// re-resolves attribute names per pair. `staged` runs the sweep through
-/// the staged candidate generator (exec/candidate_generator.h: one
-/// r-major sweep over posting-index blocking and hoisted row features);
-/// off is the exhaustive per-rule sweep kept as a differential oracle.
-/// The fired pairs, certificates and ordering are identical on every
-/// path. `world` (optional) is the session's columnar world with the
-/// extended relations under the kRExtended / kSExtended slots: every
-/// path blocks through its posting indexes, and the compiled residuals
-/// read its id columns, so no column an earlier stage encoded or indexed
-/// is rebuilt. Null uses a private world for this build. `block_eval`
-/// (staged path only) drains residual candidates in fixed-size
-/// PairTruthBlock batches; off evaluates one scalar PairTruth per pair —
-/// the block path's differential oracle, identical output either way.
+/// `world` is the session's columnar world with the extended relations
+/// under the kRExtended / kSExtended slots (or without those slots yet):
+/// the sweep blocks through its posting indexes and the compiled
+/// residuals (compile::StagedConjunction) read its id columns, so no
+/// column an earlier stage encoded or indexed is rebuilt.
 Result<NegativeResult> BuildNegativeMatchingTable(
     const Relation& r_extended, const Relation& s_extended,
     const std::vector<DistinctnessRule>& rules, exec::ThreadPool* pool,
-    bool compile = true, bool staged = true,
-    exec::ColumnarWorld* world = nullptr, bool block_eval = true);
+    exec::ColumnarWorld& world);
 
 }  // namespace eid
 

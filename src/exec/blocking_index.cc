@@ -1,6 +1,5 @@
 #include "exec/blocking_index.h"
 
-#include <algorithm>
 #include <numeric>
 
 namespace eid {
@@ -148,107 +147,6 @@ std::vector<size_t> FilteredRows(
     if (pass) rows.push_back(i);
   }
   return rows;
-}
-
-std::vector<TuplePair> CollectTruePairs(
-    const Relation& r_ext, const Relation& s_ext,
-    const std::vector<Predicate>& predicates, bool flipped,
-    ColumnarWorld* world, ThreadPool* pool, PairScanStats* stats,
-    const PairEvaluator* compiled) {
-  PairScanStats local;
-  std::vector<TuplePair> out;
-  BlockingPlan plan =
-      PlanBlocking(predicates, r_ext.schema(), s_ext.schema(), flipped);
-  if (plan.impossible || r_ext.empty() || s_ext.empty()) {
-    if (stats != nullptr) *stats = local;
-    return out;
-  }
-  local.indexed = plan.has_join;
-
-  ColumnarWorld private_world;
-  ColumnarWorld& blocking = world != nullptr ? *world : private_world;
-  std::vector<size_t> r_rows = FilteredRows(blocking, WorldRel::kRExtended,
-                                            r_ext, plan.r_const_eq);
-
-  // Evaluate the *full* conjunction on a candidate — blocking only
-  // bounds the candidate set, it never decides a pair. The compiled
-  // evaluator takes rows in relation space; orientation is baked in.
-  auto evaluate = [&](size_t i, size_t j) {
-    if (compiled != nullptr) {
-      return compiled->Evaluate(r_ext.row(i), s_ext.row(j));
-    }
-    TupleView rv = r_ext.tuple(i);
-    TupleView sv = s_ext.tuple(j);
-    return flipped ? EvaluateConjunction(predicates, sv, rv)
-                   : EvaluateConjunction(predicates, rv, sv);
-  };
-
-  const int threads = pool != nullptr ? pool->threads() : 1;
-  const size_t n = r_rows.size();
-  if (n == 0) {
-    if (stats != nullptr) *stats = local;
-    return out;
-  }
-  const size_t grain =
-      std::max<size_t>(1, n / (static_cast<size_t>(threads) * 4));
-  const size_t num_chunks = (n + grain - 1) / grain;
-  // Per-chunk buffers merged in chunk order: the output is row-major for
-  // any thread count because chunks cover ascending r ranges.
-  std::vector<std::vector<TuplePair>> found(num_chunks);
-  std::vector<size_t> evals(num_chunks, 0);
-
-  if (plan.has_join) {
-    std::optional<size_t> r_col = r_ext.schema().IndexOf(plan.r_attr);
-    std::optional<size_t> s_col = s_ext.schema().IndexOf(plan.s_attr);
-    EID_CHECK(r_col.has_value() && s_col.has_value());  // PlanBlocking
-    const uint32_t* r_ids =
-        blocking.Column(WorldRel::kRExtended, r_ext, *r_col).data();
-    const ColumnIndex& s_idx =
-        blocking.Index(WorldRel::kSExtended, s_ext, *s_col);
-    ParallelFor(pool, n, grain, [&](size_t begin, size_t end, int) {
-      const size_t chunk = begin / grain;
-      for (size_t k = begin; k < end; ++k) {
-        size_t i = r_rows[k];
-        // A NULL cell (kNullId) is an empty range: non_null_eq.
-        for (size_t j : s_idx.Find(r_ids[i])) {
-          ++evals[chunk];
-          if (evaluate(i, j) == Truth::kTrue) {
-            found[chunk].push_back(TuplePair{i, j});
-          }
-        }
-      }
-    });
-  } else {
-    std::vector<size_t> s_rows = FilteredRows(blocking, WorldRel::kSExtended,
-                                              s_ext, plan.s_const_eq);
-    if (!s_rows.empty()) {
-      ParallelFor(pool, n, grain, [&](size_t begin, size_t end, int) {
-        const size_t chunk = begin / grain;
-        for (size_t k = begin; k < end; ++k) {
-          size_t i = r_rows[k];
-          for (size_t j : s_rows) {
-            ++evals[chunk];
-            if (evaluate(i, j) == Truth::kTrue) {
-              found[chunk].push_back(TuplePair{i, j});
-            }
-          }
-        }
-      });
-    }
-  }
-
-  size_t total = 0;
-  for (const auto& f : found) total += f.size();
-  out.reserve(total);
-  for (auto& f : found) {
-    out.insert(out.end(), f.begin(), f.end());
-  }
-  for (size_t e : evals) {
-    local.candidate_pairs += e;
-    local.rule_evals += e;
-  }
-  if (stats != nullptr) *stats = local;
-  return out;
 }
 
 }  // namespace exec

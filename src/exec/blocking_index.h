@@ -17,14 +17,14 @@
 //
 // Both reductions are *complete* for kTrue: a conjunction is kTrue only
 // if every conjunct is, so no qualifying pair can fall outside the
-// candidate set. Candidates are then re-evaluated with the full
-// three-valued conjunction, making blocking purely an optimisation —
-// rules with no usable equality conjunct fall back to a tiled parallel
-// scan over the (filtered) cross product.
+// candidate set. The candidate generator (exec/candidate_generator.h)
+// evaluates the conjuncts a plan does not cover on every candidate,
+// making blocking purely an optimisation — rules with no usable equality
+// conjunct fall back to a scan over the (filtered) cross product.
 //
-// Determinism: posting ranges hold row indices in ascending order and the scan
-// emits pairs r-major, so CollectTruePairs returns the same row-major
-// sequence the serial nested loop would visit, for any thread count.
+// Determinism: posting ranges hold row indices in ascending order, so a
+// sweep that walks r rows in order visits candidates in the same
+// row-major sequence the serial nested loop would.
 
 #ifndef EID_EXEC_BLOCKING_INDEX_H_
 #define EID_EXEC_BLOCKING_INDEX_H_
@@ -33,10 +33,7 @@
 #include <utility>
 #include <vector>
 
-#include "eid/match_tables.h"
 #include "exec/columnar_world.h"
-#include "exec/pair_evaluator.h"
-#include "exec/thread_pool.h"
 #include "relational/relation.h"
 #include "rules/predicate.h"
 
@@ -97,31 +94,6 @@ BlockingPlan PlanBlocking(const std::vector<Predicate>& predicates,
 std::vector<size_t> FilteredRows(
     ColumnarWorld& world, WorldRel slot, const Relation& rel,
     const std::vector<std::pair<std::string, Value>>& filters);
-
-/// Counters from one CollectTruePairs call.
-struct PairScanStats {
-  size_t candidate_pairs = 0;  // pairs the conjunction was evaluated on
-  size_t rule_evals = 0;       // same as candidate_pairs today
-  bool indexed = false;        // an equality join bounded the scan
-};
-
-/// All pairs (i over `r_ext` rows, j over `s_ext` rows) whose antecedent
-/// conjunction evaluates to kTrue with (e1, e2) = (r_i, s_j), or
-/// (s_j, r_i) when `flipped`. Returned in row-major (i, then j) order —
-/// exactly the visit order of the serial nested loop — for any pool
-/// size. `world` blocks the scan: it must hold `r_ext`/`s_ext` under the
-/// kRExtended/kSExtended slots (or not yet hold those slots at all);
-/// null blocks through a private world.
-///
-/// When `compiled` is non-null it must be `predicates` compiled for the
-/// same schemas/orientation; candidates are then evaluated through it
-/// instead of the interpreter (same Truth for every pair — the compiled
-/// engine's contract, enforced by tests/compile/).
-std::vector<TuplePair> CollectTruePairs(
-    const Relation& r_ext, const Relation& s_ext,
-    const std::vector<Predicate>& predicates, bool flipped,
-    ColumnarWorld* world, ThreadPool* pool, PairScanStats* stats,
-    const PairEvaluator* compiled = nullptr);
 
 }  // namespace exec
 }  // namespace eid

@@ -6,48 +6,12 @@
 namespace eid {
 namespace exec {
 
-InterpretedResidual::InterpretedResidual(
-    const std::vector<Predicate>& predicates,
-    const std::vector<PredicateCoverage>& coverage, const Relation* r_ext,
-    const Relation* s_ext, bool flipped)
-    : r_(r_ext), s_(s_ext), flipped_(flipped) {
-  EID_CHECK(coverage.size() == predicates.size());
-  for (size_t i = 0; i < predicates.size(); ++i) {
-    switch (coverage[i]) {
-      case PredicateCoverage::kCovered:
-        break;
-      case PredicateCoverage::kResidualRow:
-        row_.push_back(predicates[i]);
-        break;
-      case PredicateCoverage::kResidualPair:
-        pair_.push_back(predicates[i]);
-        break;
-    }
-  }
-}
-
-Truth InterpretedResidual::RowTruth(size_t r_row) const {
-  TupleView rv = r_->tuple(r_row);
-  // Every entity operand of a row conjunct binds the r side, so both
-  // entity views may resolve to the same tuple.
-  return EvaluateConjunction(row_, rv, rv);
-}
-
-Truth InterpretedResidual::PairTruth(size_t r_row, size_t s_row) const {
-  TupleView rv = r_->tuple(r_row);
-  TupleView sv = s_->tuple(s_row);
-  return flipped_ ? EvaluateConjunction(pair_, sv, rv)
-                  : EvaluateConjunction(pair_, rv, sv);
-}
-
 CandidateGenerator::CandidateGenerator(const Relation* r_ext,
                                        const Relation* s_ext,
-                                       ColumnarWorld* world, bool block_eval)
-    : r_(r_ext), s_(s_ext), world_(world), block_eval_(block_eval),
+                                       ColumnarWorld& world)
+    : r_(r_ext), s_(s_ext), world_(&world),
       r_encoded_(r_ext->schema().size(), nullptr),
-      s_encoded_(s_ext->schema().size(), nullptr) {
-  EID_CHECK(world != nullptr);
-}
+      s_encoded_(s_ext->schema().size(), nullptr) {}
 
 const uint32_t* CandidateGenerator::Encoded(bool r_side, size_t column) {
   std::vector<const uint32_t*>& cache = r_side ? r_encoded_ : s_encoded_;
@@ -178,9 +142,6 @@ FiredColumns CandidateGenerator::Run(ThreadPool* pool,
     size_t candidate_pairs = 0;
     size_t rule_evals = 0;
     size_t feature_cache_hits = 0;
-    size_t pair_blocks = 0;
-    size_t block_early_exits = 0;
-    size_t block_scalar_fallbacks = 0;
   };
   std::vector<ChunkCounts> counts(num_chunks);
 
@@ -191,10 +152,6 @@ FiredColumns CandidateGenerator::Run(ThreadPool* pool,
     std::vector<size_t> stamp;   // s -> last r row that fired (r, s)
     std::vector<uint32_t> best;  // s -> lowest firing priority for that r
     std::vector<size_t> touched;
-    // Block-path lane buffers (filled per probe, drained per block).
-    size_t lane_r[kPairBlockLanes];
-    size_t lane_s[kPairBlockLanes];
-    Truth lane_out[kPairBlockLanes];
   };
   std::vector<Scratch> scratch(static_cast<size_t>(std::max(threads, 1)));
   for (Scratch& sc : scratch) {
@@ -232,64 +189,19 @@ FiredColumns CandidateGenerator::Run(ThreadPool* pool,
           if (t != Truth::kTrue) continue;
         }
         auto probe = [&](const auto& candidates) {
-          // Small probes skip the lane buffering outright: with fewer
-          // candidates than kMinVectorLanes even a full drain would take
-          // the evaluator's scalar fallback, so staging lanes and reading
-          // the out array back is pure overhead on top of the same
-          // PairTruth calls. Inline scalar here is bit-identical
-          // (PairTruthBlock == PairTruth lane-by-lane by contract).
-          if (!block_eval_ || candidates.size() < kMinVectorLanes) {
-            // Scalar oracle path: one PairTruth call per candidate.
-            for (size_t s : candidates) {
-              // Already fired at a lower priority: the first-wins fold
-              // could not change, so skip the evaluation entirely.
-              if (sc.stamp[s] == r) continue;
-              ++cc.candidate_pairs;
-              ++cc.rule_evals;
-              ++pair_evals_here;
-              if (e.residual->PairTruth(r, s) == Truth::kTrue) {
-                sc.stamp[s] = r;
-                sc.best[s] = e.priority;
-                sc.touched.push_back(s);
-              }
-            }
-            return;
-          }
-          // Block path: surviving candidates accumulate into fixed-size
-          // lane blocks, drained through PairTruthBlock. Stamps are read
-          // at accumulation and written at drain — equivalent to the
-          // scalar interleaving because one probe's candidate list holds
-          // distinct s rows, and every drain completes before the next
-          // entry of this r row consults the stamps, so the
-          // first-(rule,orientation)-wins fold is unchanged.
-          size_t lanes = 0;
-          auto drain = [&] {
-            ++cc.pair_blocks;
-            PairBlockStats bs;
-            e.residual->PairTruthBlock(sc.lane_r, sc.lane_s, lanes,
-                                       sc.lane_out, &bs);
-            cc.block_early_exits += bs.early_exits;
-            cc.block_scalar_fallbacks += bs.scalar_fallbacks;
-            for (size_t i = 0; i < lanes; ++i) {
-              if (sc.lane_out[i] == Truth::kTrue) {
-                const size_t s = sc.lane_s[i];
-                sc.stamp[s] = r;
-                sc.best[s] = e.priority;
-                sc.touched.push_back(s);
-              }
-            }
-            lanes = 0;
-          };
           for (size_t s : candidates) {
+            // Already fired at a lower priority: the first-wins fold
+            // could not change, so skip the evaluation entirely.
             if (sc.stamp[s] == r) continue;
             ++cc.candidate_pairs;
             ++cc.rule_evals;
             ++pair_evals_here;
-            sc.lane_r[lanes] = r;
-            sc.lane_s[lanes] = s;
-            if (++lanes == kPairBlockLanes) drain();
+            if (e.residual->PairTruth(r, s) == Truth::kTrue) {
+              sc.stamp[s] = r;
+              sc.best[s] = e.priority;
+              sc.touched.push_back(s);
+            }
           }
-          if (lanes > 0) drain();
         };
         if (e.has_join) {
           // A NULL cell (kNullId) or a value the s column does not hold
@@ -357,9 +269,6 @@ FiredColumns CandidateGenerator::Run(ThreadPool* pool,
     local.candidate_pairs += cc.candidate_pairs;
     local.rule_evals += cc.rule_evals;
     local.feature_cache_hits += cc.feature_cache_hits;
-    local.pair_blocks += cc.pair_blocks;
-    local.block_early_exits += cc.block_early_exits;
-    local.block_scalar_fallbacks += cc.block_scalar_fallbacks;
   }
   if (stats != nullptr) *stats = local;
   return out;

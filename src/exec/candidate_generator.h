@@ -1,10 +1,9 @@
 // Staged candidate generation for pairwise rule sweeps.
 //
-// The exhaustive engine evaluates every rule's full antecedent over a
-// (filtered) cross product per orientation — O(|R|·|S|) conjunction
-// evaluations even when blocking bounds one rule, because each rule scans
-// independently. CandidateGenerator replaces that with one r-major sweep
-// through two stages:
+// The paper's definition evaluates every rule's full antecedent over the
+// cross product per orientation — O(|R|·|S|) conjunction evaluations
+// (eid::reference does exactly that). CandidateGenerator runs all rule
+// orientations in one r-major sweep through two stages:
 //
 //   1. *Blocking intersection.* Each (rule, orientation) contributes a
 //      BlockingPlan (exec/blocking_index.h); its const-eq filters prune
@@ -23,9 +22,8 @@
 //      skipped; conjuncts reading only the r-side row are evaluated once
 //      per row and reused across every candidate pair of that row
 //      (counted as feature_cache_hits); only the true pair residual runs
-//      in the inner loop, through a StagedEvaluator the caller supplies
-//      (compiled or interpreted — candidate enumeration and all counters
-//      are identical either way).
+//      in the inner loop, one PairTruth call per candidate, through a
+//      StagedEvaluator the caller supplies (compile::StagedConjunction).
 //
 // Exactness: a conjunction is kTrue iff every conjunct is kTrue, covered
 // conjuncts are kTrue on every enumerated candidate by construction, and
@@ -38,7 +36,8 @@
 // ascending (rule, orientation) priority and each fired pair records the
 // *lowest* priority that fired it. The merged output is therefore the
 // row-major sorted pair list with first-(rule,orientation)-wins evidence —
-// bit-identical to the exhaustive oracle's fold — for any thread count.
+// bit-identical to eid::reference's nested-loop fold — for any thread
+// count.
 
 #ifndef EID_EXEC_CANDIDATE_GENERATOR_H_
 #define EID_EXEC_CANDIDATE_GENERATOR_H_
@@ -48,34 +47,13 @@
 #include <vector>
 
 #include "base/thread_annotations.h"
+#include "eid/match_tables.h"
 #include "exec/blocking_index.h"
 #include "exec/columnar_world.h"
 #include "exec/thread_pool.h"
 
 namespace eid {
 namespace exec {
-
-/// Lanes per residual pair block. Surviving candidates accumulate into
-/// fixed-size (r_row, s_row) blocks and the residual conjunction is
-/// evaluated op-major over the whole block (PairTruthBlock below). 256
-/// lanes keep the per-block scratch (two id lanes + two mask bytes per
-/// lane) inside L1 while amortizing the per-op slot resolution.
-inline constexpr size_t kPairBlockLanes = 256;
-
-/// Below this many lanes the fixed per-block setup (slot lowering, mask
-/// init, lane compaction bookkeeping) outweighs the op-major win — dense
-/// sweeps drain mostly-partial blocks of a few dozen lanes. Both the
-/// evaluator's PairTruthBlock and the generator's probe loop route
-/// batches under this size through the scalar PairTruth path, which is
-/// bit-identical lane-by-lane.
-inline constexpr size_t kMinVectorLanes = 64;
-
-/// Counters of one PairTruthBlock call, folded into StagedScanStats by
-/// the generator. Evaluators without a vectorized path leave them zero.
-struct PairBlockStats {
-  size_t early_exits = 0;       // op loops cut short: no lane still true
-  size_t scalar_fallbacks = 0;  // lanes routed through the value path
-};
 
 /// Evaluates the residual (non-covered) conjuncts of one rule antecedent
 /// for one orientation. Implementations must be EID_SHARED_IMMUTABLE:
@@ -91,65 +69,17 @@ class EID_SHARED_IMMUTABLE StagedEvaluator {
   /// Only called when has_row_part().
   virtual Truth RowTruth(size_t r_row) const = 0;
   /// Vectorized form of RowTruth over every r row in [0, n):
-  /// out[r] == RowTruth(r). The default is the per-row loop; compiled
-  /// evaluators override it with an op-major pass over their cached id
-  /// slices. Only called when has_row_part().
-  virtual std::vector<Truth> RowTruthAll(size_t n) const {
-    std::vector<Truth> out(n, Truth::kTrue);
-    for (size_t r = 0; r < n; ++r) out[r] = RowTruth(r);
-    return out;
-  }
+  /// out[r] == RowTruth(r). Only called when has_row_part().
+  virtual std::vector<Truth> RowTruthAll(size_t n) const = 0;
   /// Kleene conjunction of the remaining (pair) conjuncts.
   virtual Truth PairTruth(size_t r_row, size_t s_row) const = 0;
-  /// Vectorized form of PairTruth over `lanes` candidate pairs:
-  /// out[i] == PairTruth(r_rows[i], s_rows[i]) for every lane, with
-  /// `lanes` <= kPairBlockLanes. The default is the per-lane scalar
-  /// loop; compiled evaluators override it with an op-major pass over
-  /// contiguous id columns (branch-free Kleene masks, early exit when
-  /// no lane can still be kTrue). Overrides must be bit-identical to
-  /// the scalar loop — conjunction truth is order-independent, so
-  /// reordering ops inside the block is safe, dropping lanes is not.
-  virtual void PairTruthBlock(const size_t* r_rows, const size_t* s_rows,
-                              size_t lanes, Truth* out,
-                              PairBlockStats* stats) const {
-    (void)stats;
-    for (size_t i = 0; i < lanes; ++i) out[i] = PairTruth(r_rows[i], s_rows[i]);
-  }
 };
 
-/// Interpreter-backed StagedEvaluator: splits the predicate list by the
-/// plan's coverage and evaluates each part with EvaluateConjunction.
-/// The row part binds both entity views to the r row — safe because
-/// every entity operand of a kResidualRow conjunct binds the r side.
-class InterpretedResidual final : public StagedEvaluator {
- public:
-  InterpretedResidual(const std::vector<Predicate>& predicates,
-                      const std::vector<PredicateCoverage>& coverage,
-                      const Relation* r_ext, const Relation* s_ext,
-                      bool flipped);
-
-  bool has_row_part() const override { return !row_.empty(); }
-  Truth RowTruth(size_t r_row) const override;
-  Truth PairTruth(size_t r_row, size_t s_row) const override;
-
- private:
-  std::vector<Predicate> row_;
-  std::vector<Predicate> pair_;
-  const Relation* r_;
-  const Relation* s_;
-  bool flipped_;
-};
-
-/// Counters of one staged sweep. All thread-count-invariant; the
-/// block_* pair is evaluator-dependent (zero on the interpreted path,
-/// which has no vectorized override), the rest engine-invariant too.
+/// Counters of one staged sweep, all thread-count-invariant.
 struct StagedScanStats {
   size_t candidate_pairs = 0;      // pairs a residual was evaluated on
   size_t rule_evals = 0;           // row-part + pair-part evaluations
   size_t feature_cache_hits = 0;   // pair evals reusing a hoisted row part
-  size_t pair_blocks = 0;          // PairTruthBlock drains (block path)
-  size_t block_early_exits = 0;    // blocks whose op loop exited early
-  size_t block_scalar_fallbacks = 0;  // lanes through the value path
   bool indexed = false;            // some live entry probes a join index
 };
 
@@ -173,13 +103,9 @@ class CandidateGenerator {
   /// kRExtended/kSExtended slots (or with those slots not yet encoded):
   /// join probes and const-eq filters read its id columns and posting
   /// indexes. It is mutated (lazy encodes and index builds) only during
-  /// serial AddRule registration. `block_eval` drains residual
-  /// candidates in kPairBlockLanes-sized PairTruthBlock batches; off
-  /// calls the scalar PairTruth per pair (the differential oracle for
-  /// the block path — fired pairs, evidence and the engine-invariant
-  /// counters are identical either way).
+  /// serial AddRule registration.
   CandidateGenerator(const Relation* r_ext, const Relation* s_ext,
-                     ColumnarWorld* world, bool block_eval = true);
+                     ColumnarWorld& world);
 
   /// Registers the next (rule, orientation). `plan` must be the
   /// PlanBlocking result for the same predicates/orientation and
@@ -224,7 +150,6 @@ class CandidateGenerator {
   const Relation* r_;
   const Relation* s_;
   ColumnarWorld* world_;
-  bool block_eval_;
   std::vector<const uint32_t*> r_encoded_;  // column -> ids, null = not yet
   std::vector<const uint32_t*> s_encoded_;
 

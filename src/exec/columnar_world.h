@@ -1,13 +1,12 @@
 // Shared columnar interned world (DESIGN.md §4g).
 //
-// The matcher pipeline historically re-encoded the same string-backed
-// rows three times per session: the AtomTable for staged candidates, a
-// compile::ValueInterner per derivation memo, and PairFeatureCache column
-// projections per rule family — so most "compiled" time was interning,
-// not evaluation. A ColumnarWorld is the single id-space those consumers
-// now share: one append-only Value -> dense uint32_t dictionary plus one
-// dense id vector per (relation slot, column), encoded at most once per
-// session. NULL cells encode as kNullId (== ValueDictionary::kNotInterned)
+// Every stage of one identification session — extension, key join and
+// the rule sweeps — reads the same string-backed rows. A ColumnarWorld is
+// the single id-space those stages share: one append-only Value -> dense
+// uint32_t dictionary plus one dense id vector per (relation slot,
+// column), encoded at most once per session. Every stage takes the
+// session's world by reference; a standalone entry point builds one of
+// its own. NULL cells encode as kNullId (== ValueDictionary::kNotInterned)
 // so the id layer keeps NULLs explicit: non_null_eq in a hot loop is the
 // branch-free pair `valid &= (id != kNullId); eq = (id_r == id_s)` over
 // contiguous uint32_t columns, and 3-valued semantics are decided by the
@@ -39,17 +38,6 @@
 
 namespace eid {
 namespace exec {
-
-/// Borrowed contiguous view of one encoded id column — the gather
-/// source for block-vectorized evaluation: a lane load is data[row]
-/// with no vector-header indirection. The underlying buffer's data()
-/// stays valid for the session (ColumnarWorld::Column's contract), so
-/// views captured at compile time are safe to read from every worker.
-struct IdColumnView {
-  const uint32_t* data = nullptr;
-  size_t size = 0;
-  uint32_t operator[](size_t row) const { return data[row]; }
-};
 
 /// Ascending row numbers of one posting list: a borrowed [begin, end)
 /// window into a ColumnIndex, empty for an id the column does not hold.
@@ -138,14 +126,6 @@ class ColumnarWorld {
   /// intact when the column table grows).
   const std::vector<uint32_t>& Column(WorldRel slot, const Relation& rel,
                                       size_t c);
-
-  /// Contiguous view of Column(slot, rel, c) — either orientation slot;
-  /// encodes on first request like Column. The view's data stays valid
-  /// for the session.
-  IdColumnView ColumnView(WorldRel slot, const Relation& rel, size_t c) {
-    const std::vector<uint32_t>& ids = Column(slot, rel, c);
-    return IdColumnView{ids.data(), ids.size()};
-  }
 
   /// Already-encoded ids for (slot, c), or nullptr. Const — safe from
   /// parallel readers once the serial build phase is over.

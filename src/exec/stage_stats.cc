@@ -33,15 +33,6 @@ std::string StageStats::ToString() const {
   if (feature_cache_hits > 0) {
     out += ", feature_cache_hits=" + std::to_string(feature_cache_hits);
   }
-  if (pair_blocks > 0) {
-    out += ", pair_blocks=" + std::to_string(pair_blocks);
-  }
-  if (block_early_exits > 0) {
-    out += ", block_early_exits=" + std::to_string(block_early_exits);
-  }
-  if (block_scalar_fallbacks > 0) {
-    out += ", block_scalar_fallbacks=" + std::to_string(block_scalar_fallbacks);
-  }
   if (compile_ms > 0.0) out += ", compile_ms=" + FormatMs(compile_ms);
   if (memo_hits > 0 || memo_misses > 0) {
     out += ", memo=" + std::to_string(memo_hits) + "/" +

@@ -43,21 +43,18 @@ struct EID_PER_WORKER StageStats {
   size_t cross_product = 0;    // |R'| * |S'| baseline for candidate_pairs
   size_t rule_evals = 0;       // antecedent-conjunction evaluations
 
-  // Staged candidate-generation counters (exec/candidate_generator.h),
-  // zero on exhaustive-oracle runs.
+  // Staged candidate-generation counters (exec/candidate_generator.h).
   size_t amq_rejects = 0;         // always 0: the AMQ pre-filter is gone
                                   // (kept for reports that read it)
   size_t feature_cache_hits = 0;  // pair evals reusing a hoisted row part
 
-  // Block-vectorized residual counters (StagedEvaluator::PairTruthBlock,
-  // DESIGN.md §4h), zero on the scalar residual path. The block_* pair
-  // is evaluator-dependent (the interpreter has no vectorized override);
-  // pair_blocks is thread- and engine-invariant like the stage counters.
-  size_t pair_blocks = 0;             // residual blocks drained
-  size_t block_early_exits = 0;       // blocks whose op loop cut short
-  size_t block_scalar_fallbacks = 0;  // lanes through the value path
+  // Always 0: the block-vectorized residual evaluator is gone (DESIGN.md
+  // §4h). Kept only because perfbench reports read them.
+  size_t pair_blocks = 0;
+  size_t block_early_exits = 0;
+  size_t block_scalar_fallbacks = 0;
 
-  // Compiled-execution counters (src/compile/), zero on interpreted runs.
+  // Compiled-execution counters (src/compile/).
   double compile_ms = 0.0;     // rule-program compilation time (in wall_ms)
   size_t memo_hits = 0;        // derivation memo cache hits
   size_t memo_misses = 0;      // derivation memo cache misses
@@ -67,8 +64,8 @@ struct EID_PER_WORKER StageStats {
   double snapshot_load_ms = 0.0;  // mmap + decode + index rebuild time
   size_t dict_values = 0;         // dictionary entries decoded
 
-  // Columnar-world counters (exec/columnar_world.h), zero off the
-  // columnar path. These make the encode-once claim observable: reuse
+  // Columnar-world counters (exec/columnar_world.h). These make the
+  // encode-once claim observable: reuse
   // hits are ids served without hashing a Value (cached columns,
   // snapshot-seeded dictionary/cells), encode_ms is the total time this
   // stage spent turning Values into ids, and probe_batches counts the

@@ -1,5 +1,6 @@
 #include "relational/csv.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -110,6 +111,19 @@ Result<Relation> BuildFromRecords(
     }
     schema = *typed_schema;
   } else {
+    // Header text is input: a repeated name would abort Schema's
+    // constructor, and an empty one the correspondence built over it.
+    for (size_t i = 0; i < header.size(); ++i) {
+      const std::string column = "CSV: header column " + std::to_string(i + 1);
+      if (header[i].empty()) {
+        return Status::InvalidArgument(column + " has an empty name");
+      }
+      if (std::find(header.begin(), header.begin() + i, header[i]) !=
+          header.begin() + i) {
+        return Status::InvalidArgument(column + " repeats the name '" +
+                                       header[i] + "'");
+      }
+    }
     schema = Schema::OfStrings(header);
   }
   Relation out(name, schema);

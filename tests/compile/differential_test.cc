@@ -1,18 +1,24 @@
-// Differential property test for the compiled execution path: with
-// `MatcherOptions::compile` on, `Identify` must produce an
-// IdentificationResult bit-identical to the per-tuple interpreter —
+// Differential property test of the production engine against the
+// paper-literal reference (eid/reference.h): `Identify` must produce an
+// IdentificationResult bit-identical to eid::reference::Identify —
 // extended rows, derivation traces with provenance, MT/NMT contents and
-// order, evidence, verdicts, partition and every deterministic stage
-// counter — across DerivationMode × ConflictPolicy × thread counts, on
-// generated worlds and on worlds with injected ILFD conflicts. The same
-// contract is checked for IncrementalIdentifier under inserts and
-// deletes. This test runs under the tsan/asan presets (scripts/check.sh).
+// order, certificates, verdicts, partition and error statuses — across
+// DerivationMode × ConflictPolicy × thread counts, on generated worlds
+// and on worlds with injected ILFD conflicts. The reference runs once per
+// world and derivation setting; production runs at threads 1 and 8
+// against that one result, and its stage counters must agree across the
+// two thread counts. The same contract is checked for
+// IncrementalIdentifier under inserts and deletes. This test runs under
+// the tsan/asan presets (scripts/check.sh).
 
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "../test_util.h"
 #include "eid/identifier.h"
 #include "eid/incremental.h"
+#include "eid/reference.h"
 #include "workload/generator.h"
 
 namespace eid {
@@ -38,8 +44,7 @@ GeneratedWorld MakeWorld(double coverage, uint64_t seed) {
 /// The determinism_test rule program: an indexed identity rule, a
 /// constant-only identity rule, an explicit distinctness rule and the
 /// Proposition 1 rules, so every compiled artifact kind participates.
-IdentifierConfig WorldConfig(const GeneratedWorld& world, int threads,
-                             bool compile) {
+IdentifierConfig WorldConfig(const GeneratedWorld& world) {
   IdentifierConfig config;
   config.correspondence = world.correspondence;
   config.extended_key = world.extended_key;
@@ -57,9 +62,13 @@ IdentifierConfig WorldConfig(const GeneratedWorld& world, int threads,
   EID_CHECK(distinct.ok());
   config.distinctness_rules.push_back(*distinct);
   config.distinctness_from_ilfds = true;
-  config.matcher_options.threads = threads;
-  config.matcher_options.compile = compile;
   return config;
+}
+
+void SetDerivation(IdentifierConfig* config, DerivationMode mode,
+                   ConflictPolicy policy) {
+  config->matcher_options.extension.derivation.mode = mode;
+  config->matcher_options.extension.derivation.conflict_policy = policy;
 }
 
 void ExpectDerivationsEqual(const std::vector<Derivation>& a,
@@ -85,37 +94,30 @@ void ExpectDerivationsEqual(const std::vector<Derivation>& a,
   }
 }
 
-/// NMT pairs in order, and every pair's (rule, orientation) certificate:
-/// the certificate column must stay aligned with the pair column and
-/// agree entry for entry.
-void ExpectSameNegative(const NegativeResult& a, const NegativeResult& b) {
-  EXPECT_EQ(a.table.pairs(), b.table.pairs());
-  ASSERT_EQ(a.evidence.size(), a.table.size());
-  ASSERT_EQ(b.evidence.size(), b.table.size());
-  ASSERT_EQ(a.evidence.size(), b.evidence.size());
-  for (size_t i = 0; i < a.evidence.size(); ++i) {
-    EXPECT_EQ(a.evidence[i], b.evidence[i]) << "NMT pair " << i;
-  }
+/// `reference` is eid::reference::Identify's result, `result` the
+/// engine's: every result bit agrees, NMT certificates entry for entry.
+void ExpectIdentical(const IdentificationResult& reference,
+                     const IdentificationResult& result) {
+  EXPECT_EQ(reference.r_extended.rows(), result.r_extended.rows());
+  EXPECT_EQ(reference.s_extended.rows(), result.s_extended.rows());
+  ExpectDerivationsEqual(reference.r_traces, result.r_traces);
+  ExpectDerivationsEqual(reference.s_traces, result.s_traces);
+  EXPECT_EQ(reference.matching.pairs(), result.matching.pairs());
+  EXPECT_EQ(reference.negative.table.pairs(), result.negative.table.pairs());
+  ASSERT_EQ(result.negative.evidence.size(), result.negative.table.size());
+  EXPECT_EQ(reference.negative.evidence, result.negative.evidence);
+  EXPECT_EQ(reference.uniqueness, result.uniqueness);
+  EXPECT_EQ(reference.consistency, result.consistency);
+  EXPECT_EQ(reference.partition.matched, result.partition.matched);
+  EXPECT_EQ(reference.partition.non_matched, result.partition.non_matched);
+  EXPECT_EQ(reference.partition.undetermined, result.partition.undetermined);
+  EXPECT_EQ(reference.partition.total, result.partition.total);
 }
 
-/// `a` is the interpreter run, `b` the compiled run.
-void ExpectIdentical(const IdentificationResult& a,
-                     const IdentificationResult& b) {
-  EXPECT_EQ(a.r_extended.rows(), b.r_extended.rows());
-  EXPECT_EQ(a.s_extended.rows(), b.s_extended.rows());
-  ExpectDerivationsEqual(a.r_traces, b.r_traces);
-  ExpectDerivationsEqual(a.s_traces, b.s_traces);
-  EXPECT_EQ(a.matching.pairs(), b.matching.pairs());
-  ExpectSameNegative(a.negative, b.negative);
-  EXPECT_EQ(a.uniqueness, b.uniqueness);
-  EXPECT_EQ(a.consistency, b.consistency);
-  EXPECT_EQ(a.partition.matched, b.partition.matched);
-  EXPECT_EQ(a.partition.non_matched, b.partition.non_matched);
-  EXPECT_EQ(a.partition.undetermined, b.partition.undetermined);
-  EXPECT_EQ(a.partition.total, b.partition.total);
-  // Deterministic stage counters must agree between the two engines (the
-  // compiled-only compile_ms / memo_* / interner fields and wall_ms are
-  // the only intentional differences).
+/// Deterministic stage counters agree between two engine runs (wall and
+/// compile times, memo splits and columnar timings may differ).
+void ExpectSameCounters(const IdentificationResult& a,
+                        const IdentificationResult& b) {
   ASSERT_EQ(a.stats.stages().size(), b.stats.stages().size());
   for (size_t i = 0; i < a.stats.stages().size(); ++i) {
     const exec::StageStats& sa = a.stats.stages()[i];
@@ -126,33 +128,47 @@ void ExpectIdentical(const IdentificationResult& a,
     EXPECT_EQ(sa.candidate_pairs, sb.candidate_pairs) << sa.stage;
     EXPECT_EQ(sa.cross_product, sb.cross_product) << sa.stage;
     EXPECT_EQ(sa.rule_evals, sb.rule_evals) << sa.stage;
+    EXPECT_EQ(sa.feature_cache_hits, sb.feature_cache_hits) << sa.stage;
   }
 }
 
-/// Like ExpectIdentical minus the stage-counter block: the staged and
-/// exhaustive engines must agree on every result bit while intentionally
-/// differing in candidate_pairs / rule_evals — that gap *is* the
-/// optimization being verified.
-void ExpectSameOutcome(const IdentificationResult& a,
-                       const IdentificationResult& b) {
-  EXPECT_EQ(a.r_extended.rows(), b.r_extended.rows());
-  EXPECT_EQ(a.s_extended.rows(), b.s_extended.rows());
-  ExpectDerivationsEqual(a.r_traces, b.r_traces);
-  ExpectDerivationsEqual(a.s_traces, b.s_traces);
-  EXPECT_EQ(a.matching.pairs(), b.matching.pairs());
-  ExpectSameNegative(a.negative, b.negative);
-  EXPECT_EQ(a.uniqueness, b.uniqueness);
-  EXPECT_EQ(a.consistency, b.consistency);
-  EXPECT_EQ(a.partition.matched, b.partition.matched);
-  EXPECT_EQ(a.partition.non_matched, b.partition.non_matched);
-  EXPECT_EQ(a.partition.undetermined, b.partition.undetermined);
-  EXPECT_EQ(a.partition.total, b.partition.total);
+/// Runs the reference once, then the engine at threads 1 and 8, and
+/// expects every engine result to equal the reference's. Returns the
+/// reference result.
+IdentificationResult ExpectEngineMatchesReference(
+    IdentifierConfig config, const Relation& r, const Relation& s) {
+  Result<IdentificationResult> reference = reference::Identify(config, r, s);
+  EXPECT_TRUE(reference.ok()) << reference.status().ToString();
+  if (!reference.ok()) return IdentificationResult();
+  std::optional<IdentificationResult> serial;
+  for (int threads : {1, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    config.matcher_options.threads = threads;
+    Result<IdentificationResult> result =
+        EntityIdentifier(config).Identify(r, s);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok()) continue;
+    ExpectIdentical(*reference, *result);
+    if (serial.has_value()) {
+      ExpectSameCounters(*serial, *result);
+    } else {
+      serial = std::move(result).value();
+    }
+  }
+  return std::move(reference).value();
 }
 
-void SetDerivation(IdentifierConfig* config, DerivationMode mode,
-                   ConflictPolicy policy) {
-  config->matcher_options.extension.derivation.mode = mode;
-  config->matcher_options.extension.derivation.conflict_policy = policy;
+std::string ModeName(DerivationMode mode) {
+  return mode == DerivationMode::kExhaustive ? "exhaustive" : "first_match";
+}
+
+std::string PolicyName(ConflictPolicy policy) {
+  switch (policy) {
+    case ConflictPolicy::kError: return "error";
+    case ConflictPolicy::kKeepFirst: return "keep_first";
+    case ConflictPolicy::kNullOut: return "null_out";
+  }
+  return "?";
 }
 
 class DifferentialTest : public ::testing::TestWithParam<double> {};
@@ -161,64 +177,38 @@ TEST_P(DifferentialTest, CompiledIdentifyMatchesInterpreter) {
   GeneratedWorld world = MakeWorld(GetParam(), /*seed=*/11);
   for (DerivationMode mode :
        {DerivationMode::kExhaustive, DerivationMode::kFirstMatch}) {
-    for (int threads : {1, 8}) {
-      SCOPED_TRACE(std::string(mode == DerivationMode::kExhaustive
-                                   ? "exhaustive"
-                                   : "first_match") +
-                   " threads=" + std::to_string(threads));
-      IdentifierConfig interp = WorldConfig(world, threads, /*compile=*/false);
-      IdentifierConfig comp = WorldConfig(world, threads, /*compile=*/true);
-      SetDerivation(&interp, mode, ConflictPolicy::kError);
-      SetDerivation(&comp, mode, ConflictPolicy::kError);
-      EntityIdentifier interpreter(interp);
-      EID_ASSERT_OK_AND_ASSIGN(IdentificationResult reference,
-                               interpreter.Identify(world.r, world.s));
-      // Sanity: the run exercises all three regions.
-      EXPECT_GT(reference.matching.size(), 0u);
-      EXPECT_GT(reference.negative.table.size(), 0u);
-      EntityIdentifier compiled(comp);
-      EID_ASSERT_OK_AND_ASSIGN(IdentificationResult result,
-                               compiled.Identify(world.r, world.s));
-      ExpectIdentical(reference, result);
-    }
+    SCOPED_TRACE(ModeName(mode));
+    IdentifierConfig config = WorldConfig(world);
+    SetDerivation(&config, mode, ConflictPolicy::kError);
+    IdentificationResult reference =
+        ExpectEngineMatchesReference(config, world.r, world.s);
+    // Sanity: the run exercises all three regions.
+    EXPECT_GT(reference.matching.size(), 0u);
+    EXPECT_GT(reference.negative.table.size(), 0u);
+    EXPECT_GT(reference.partition.undetermined, 0u);
   }
 }
 
 TEST_P(DifferentialTest, StagedIdentifyMatchesExhaustiveOracle) {
   GeneratedWorld world = MakeWorld(GetParam(), /*seed=*/13);
-  for (bool compile : {false, true}) {
-    for (DerivationMode mode :
-         {DerivationMode::kExhaustive, DerivationMode::kFirstMatch}) {
-      for (int threads : {1, 8}) {
-        SCOPED_TRACE(std::string(compile ? "compiled" : "interpreted") +
-                     (mode == DerivationMode::kExhaustive ? " exhaustive"
-                                                          : " first_match") +
-                     " threads=" + std::to_string(threads));
-        IdentifierConfig oracle_cfg = WorldConfig(world, threads, compile);
-        IdentifierConfig staged_cfg = WorldConfig(world, threads, compile);
-        oracle_cfg.matcher_options.staged = false;
-        staged_cfg.matcher_options.staged = true;
-        SetDerivation(&oracle_cfg, mode, ConflictPolicy::kError);
-        SetDerivation(&staged_cfg, mode, ConflictPolicy::kError);
-        EntityIdentifier oracle(oracle_cfg);
-        EID_ASSERT_OK_AND_ASSIGN(IdentificationResult reference,
-                                 oracle.Identify(world.r, world.s));
-        EXPECT_GT(reference.matching.size(), 0u);
-        EXPECT_GT(reference.negative.table.size(), 0u);
-        EntityIdentifier staged(staged_cfg);
-        EID_ASSERT_OK_AND_ASSIGN(IdentificationResult result,
-                                 staged.Identify(world.r, world.s));
-        ExpectSameOutcome(reference, result);
-        // The point of the staged pipeline: on this blocked world it must
-        // evaluate strictly fewer identity candidates than the cross
-        // product the oracle sweeps.
-        for (const exec::StageStats& stage : result.stats.stages()) {
-          if (stage.stage == "identity_rules") {
-            EXPECT_LT(stage.candidate_pairs, stage.cross_product);
-          }
-        }
-      }
-    }
+  for (DerivationMode mode :
+       {DerivationMode::kExhaustive, DerivationMode::kFirstMatch}) {
+    SCOPED_TRACE(ModeName(mode));
+    IdentifierConfig config = WorldConfig(world);
+    SetDerivation(&config, mode, ConflictPolicy::kError);
+    IdentificationResult reference =
+        ExpectEngineMatchesReference(config, world.r, world.s);
+    EXPECT_GT(reference.matching.size(), 0u);
+    EXPECT_GT(reference.negative.table.size(), 0u);
+    // The point of the staged sweep: on this blocked world it evaluates
+    // strictly fewer identity candidates than the cross product the
+    // reference sweeps.
+    EID_ASSERT_OK_AND_ASSIGN(IdentificationResult result,
+                             EntityIdentifier(config).Identify(world.r,
+                                                               world.s));
+    const exec::StageStats* identity = result.stats.Find("identity_rules");
+    ASSERT_NE(identity, nullptr);
+    EXPECT_LT(identity->candidate_pairs, identity->cross_product);
   }
 }
 
@@ -250,57 +240,40 @@ IlfdSet InjectConflict(const GeneratedWorld& world) {
   return ilfds;
 }
 
+size_t ConflictCount(const std::vector<Derivation>& traces) {
+  size_t conflicts = 0;
+  for (const Derivation& d : traces) conflicts += d.conflicts.size();
+  return conflicts;
+}
+
 TEST(DifferentialConflictTest, PoliciesMatchInterpreter) {
   GeneratedWorld world = MakeWorld(/*coverage=*/1.0, /*seed=*/23);
-  IlfdSet conflicting = InjectConflict(world);
   for (ConflictPolicy policy :
        {ConflictPolicy::kKeepFirst, ConflictPolicy::kNullOut}) {
-    for (int threads : {1, 8}) {
-      SCOPED_TRACE(std::string(policy == ConflictPolicy::kKeepFirst
-                                   ? "keep_first"
-                                   : "null_out") +
-                   " threads=" + std::to_string(threads));
-      IdentifierConfig interp = WorldConfig(world, threads, /*compile=*/false);
-      IdentifierConfig comp = WorldConfig(world, threads, /*compile=*/true);
-      interp.ilfds = conflicting;
-      comp.ilfds = conflicting;
-      SetDerivation(&interp, DerivationMode::kExhaustive, policy);
-      SetDerivation(&comp, DerivationMode::kExhaustive, policy);
-      EntityIdentifier interpreter(interp);
-      EID_ASSERT_OK_AND_ASSIGN(IdentificationResult reference,
-                               interpreter.Identify(world.r, world.s));
-      // The injected rule must actually conflict somewhere.
-      size_t conflicts = 0;
-      for (const Derivation& d : reference.r_traces) {
-        conflicts += d.conflicts.size();
-      }
-      EXPECT_GT(conflicts, 0u);
-      EntityIdentifier compiled(comp);
-      EID_ASSERT_OK_AND_ASSIGN(IdentificationResult result,
-                               compiled.Identify(world.r, world.s));
-      ExpectIdentical(reference, result);
-    }
+    SCOPED_TRACE(PolicyName(policy));
+    IdentifierConfig config = WorldConfig(world);
+    config.ilfds = InjectConflict(world);
+    SetDerivation(&config, DerivationMode::kExhaustive, policy);
+    IdentificationResult reference =
+        ExpectEngineMatchesReference(config, world.r, world.s);
+    // The injected rule must actually conflict somewhere.
+    EXPECT_GT(ConflictCount(reference.r_traces), 0u);
   }
 }
 
 TEST(DifferentialConflictTest, ErrorPolicyProducesIdenticalStatus) {
   GeneratedWorld world = MakeWorld(/*coverage=*/1.0, /*seed=*/23);
-  IlfdSet conflicting = InjectConflict(world);
+  IdentifierConfig config = WorldConfig(world);
+  config.ilfds = InjectConflict(world);
+  SetDerivation(&config, DerivationMode::kExhaustive, ConflictPolicy::kError);
+  Result<IdentificationResult> reference =
+      reference::Identify(config, world.r, world.s);
+  ASSERT_FALSE(reference.ok());
   for (int threads : {1, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    IdentifierConfig interp = WorldConfig(world, threads, /*compile=*/false);
-    IdentifierConfig comp = WorldConfig(world, threads, /*compile=*/true);
-    interp.ilfds = conflicting;
-    comp.ilfds = conflicting;
-    SetDerivation(&interp, DerivationMode::kExhaustive,
-                  ConflictPolicy::kError);
-    SetDerivation(&comp, DerivationMode::kExhaustive, ConflictPolicy::kError);
-    EntityIdentifier interpreter(interp);
-    Result<IdentificationResult> reference =
-        interpreter.Identify(world.r, world.s);
-    ASSERT_FALSE(reference.ok());
-    EntityIdentifier compiled(comp);
-    Result<IdentificationResult> result = compiled.Identify(world.r, world.s);
+    config.matcher_options.threads = threads;
+    Result<IdentificationResult> result =
+        EntityIdentifier(config).Identify(world.r, world.s);
     ASSERT_FALSE(result.ok());
     // Same error, byte for byte — the message cites the conflicting
     // attribute, both values, both provenances and the tuple display.
@@ -313,54 +286,39 @@ TEST(DifferentialConflictTest, FirstMatchCutOrderMatchesInterpreter) {
   // order instead of conflicting: declaration order decides, identically
   // in both engines.
   GeneratedWorld world = MakeWorld(/*coverage=*/1.0, /*seed=*/23);
-  IlfdSet conflicting = InjectConflict(world);
-  for (int threads : {1, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    IdentifierConfig interp = WorldConfig(world, threads, /*compile=*/false);
-    IdentifierConfig comp = WorldConfig(world, threads, /*compile=*/true);
-    interp.ilfds = conflicting;
-    comp.ilfds = conflicting;
-    SetDerivation(&interp, DerivationMode::kFirstMatch,
-                  ConflictPolicy::kError);
-    SetDerivation(&comp, DerivationMode::kFirstMatch, ConflictPolicy::kError);
-    EntityIdentifier interpreter(interp);
-    EID_ASSERT_OK_AND_ASSIGN(IdentificationResult reference,
-                             interpreter.Identify(world.r, world.s));
-    EntityIdentifier compiled(comp);
-    EID_ASSERT_OK_AND_ASSIGN(IdentificationResult result,
-                             compiled.Identify(world.r, world.s));
-    ExpectIdentical(reference, result);
-  }
+  IdentifierConfig config = WorldConfig(world);
+  config.ilfds = InjectConflict(world);
+  SetDerivation(&config, DerivationMode::kFirstMatch, ConflictPolicy::kError);
+  ExpectEngineMatchesReference(config, world.r, world.s);
 }
 
 TEST(DifferentialConflictTest, StagedPoliciesMatchExhaustiveOracle) {
+  // Without an extended key every derivable attribute is derived
+  // (derive_all) and only the rules match, so the conflicting street ->
+  // city derivations feed the rule sweeps directly; all three policies.
   GeneratedWorld world = MakeWorld(/*coverage=*/1.0, /*seed=*/23);
-  IlfdSet conflicting = InjectConflict(world);
-  for (ConflictPolicy policy :
-       {ConflictPolicy::kKeepFirst, ConflictPolicy::kNullOut}) {
-    for (int threads : {1, 8}) {
-      SCOPED_TRACE(std::string(policy == ConflictPolicy::kKeepFirst
-                                   ? "keep_first"
-                                   : "null_out") +
-                   " threads=" + std::to_string(threads));
-      IdentifierConfig oracle_cfg =
-          WorldConfig(world, threads, /*compile=*/true);
-      IdentifierConfig staged_cfg =
-          WorldConfig(world, threads, /*compile=*/true);
-      oracle_cfg.ilfds = conflicting;
-      staged_cfg.ilfds = conflicting;
-      oracle_cfg.matcher_options.staged = false;
-      staged_cfg.matcher_options.staged = true;
-      SetDerivation(&oracle_cfg, DerivationMode::kExhaustive, policy);
-      SetDerivation(&staged_cfg, DerivationMode::kExhaustive, policy);
-      EntityIdentifier oracle(oracle_cfg);
-      EID_ASSERT_OK_AND_ASSIGN(IdentificationResult reference,
-                               oracle.Identify(world.r, world.s));
-      EntityIdentifier staged(staged_cfg);
-      EID_ASSERT_OK_AND_ASSIGN(IdentificationResult result,
-                               staged.Identify(world.r, world.s));
-      ExpectSameOutcome(reference, result);
+  for (ConflictPolicy policy : {ConflictPolicy::kError,
+                                ConflictPolicy::kKeepFirst,
+                                ConflictPolicy::kNullOut}) {
+    SCOPED_TRACE(PolicyName(policy));
+    IdentifierConfig config = WorldConfig(world);
+    config.extended_key.reset();
+    config.ilfds = InjectConflict(world);
+    SetDerivation(&config, DerivationMode::kExhaustive, policy);
+    if (policy == ConflictPolicy::kError) {
+      Result<IdentificationResult> reference =
+          reference::Identify(config, world.r, world.s);
+      ASSERT_FALSE(reference.ok());
+      Result<IdentificationResult> result =
+          EntityIdentifier(config).Identify(world.r, world.s);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(reference.status().ToString(), result.status().ToString());
+      continue;
     }
+    IdentificationResult reference =
+        ExpectEngineMatchesReference(config, world.r, world.s);
+    EXPECT_GT(reference.matching.size(), 0u);
+    EXPECT_GT(ConflictCount(reference.r_traces), 0u);
   }
 }
 
@@ -376,129 +334,84 @@ Relation EmptyLike(const Relation& model) {
   return out;
 }
 
-TEST(DifferentialIncrementalTest, CompiledMatchesInterpreterUnderUpdates) {
-  GeneratedWorld world = MakeWorld(/*coverage=*/0.6, /*seed=*/31);
-  IdentifierConfig interp = WorldConfig(world, /*threads=*/1,
-                                        /*compile=*/false);
-  IdentifierConfig comp = WorldConfig(world, /*threads=*/1, /*compile=*/true);
+/// Loads every world row into an incremental session, deletes every
+/// `r_step`-th R id and `s_step`-th S id, and expects the session to
+/// equal eid::reference::Identify over the live tuples in id order:
+/// extended rows, MT rows and order, partition, verdict, matches and
+/// every pair's decision.
+void ExpectSessionMatchesReference(const GeneratedWorld& world,
+                                   const IdentifierConfig& config,
+                                   size_t r_step, size_t s_step) {
   EID_ASSERT_OK_AND_ASSIGN(
-      IncrementalIdentifier a,
-      IncrementalIdentifier::Create(interp, EmptyLike(world.r),
+      IncrementalIdentifier inc,
+      IncrementalIdentifier::Create(config, EmptyLike(world.r),
                                     EmptyLike(world.s)));
-  EID_ASSERT_OK_AND_ASSIGN(
-      IncrementalIdentifier b,
-      IncrementalIdentifier::Create(comp, EmptyLike(world.r),
-                                    EmptyLike(world.s)));
+  for (const Row& row : world.r.rows()) EID_ASSERT_OK(inc.InsertR(row).status());
+  for (const Row& row : world.s.rows()) EID_ASSERT_OK(inc.InsertS(row).status());
+  // Churn: delete a spread of tuples from both sides; the survivors, in
+  // id order, are the reference's input.
+  Relation live_r = EmptyLike(world.r);
+  Relation live_s = EmptyLike(world.s);
   std::vector<size_t> r_ids, s_ids;
-  for (const Row& row : world.r.rows()) {
-    EID_ASSERT_OK_AND_ASSIGN(size_t id_a, a.InsertR(row));
-    EID_ASSERT_OK_AND_ASSIGN(size_t id_b, b.InsertR(row));
-    EXPECT_EQ(id_a, id_b);
-    r_ids.push_back(id_a);
+  for (size_t id = 0; id < world.r.size(); ++id) {
+    if (id % r_step == 0) {
+      EID_ASSERT_OK(inc.DeleteR(id));
+    } else {
+      EID_ASSERT_OK(live_r.Insert(world.r.row(id)));
+      r_ids.push_back(id);
+    }
   }
-  for (const Row& row : world.s.rows()) {
-    EID_ASSERT_OK_AND_ASSIGN(size_t id_a, a.InsertS(row));
-    EID_ASSERT_OK_AND_ASSIGN(size_t id_b, b.InsertS(row));
-    EXPECT_EQ(id_a, id_b);
-    s_ids.push_back(id_a);
+  for (size_t id = 0; id < world.s.size(); ++id) {
+    if (id % s_step == 0) {
+      EID_ASSERT_OK(inc.DeleteS(id));
+    } else {
+      EID_ASSERT_OK(live_s.Insert(world.s.row(id)));
+      s_ids.push_back(id);
+    }
   }
-  // Churn: delete a spread of tuples from both sides.
-  for (size_t i = 0; i < r_ids.size(); i += 7) {
-    EID_EXPECT_OK(a.DeleteR(r_ids[i]));
-    EID_EXPECT_OK(b.DeleteR(r_ids[i]));
-  }
-  for (size_t i = 0; i < s_ids.size(); i += 5) {
-    EID_EXPECT_OK(a.DeleteS(s_ids[i]));
-    EID_EXPECT_OK(b.DeleteS(s_ids[i]));
-  }
-  EXPECT_EQ(a.r_size(), b.r_size());
-  EXPECT_EQ(a.s_size(), b.s_size());
-  // Extended state, matching table (contents and order), partition,
-  // verdicts and per-pair decisions all agree.
-  EXPECT_EQ(a.LiveR().rows(), b.LiveR().rows());
-  EXPECT_EQ(a.LiveS().rows(), b.LiveS().rows());
-  EID_ASSERT_OK_AND_ASSIGN(Relation mt_a, a.MatchingRelation());
-  EID_ASSERT_OK_AND_ASSIGN(Relation mt_b, b.MatchingRelation());
-  EXPECT_EQ(mt_a.rows(), mt_b.rows());
-  EXPECT_GT(mt_a.size(), 0u);
-  EXPECT_EQ(a.Partition().matched, b.Partition().matched);
-  EXPECT_EQ(a.Partition().non_matched, b.Partition().non_matched);
-  EXPECT_EQ(a.Partition().undetermined, b.Partition().undetermined);
-  EXPECT_EQ(a.Partition().total, b.Partition().total);
-  EXPECT_EQ(a.Uniqueness(), b.Uniqueness());
-  for (size_t r_id : r_ids) {
-    EXPECT_EQ(a.MatchOfR(r_id), b.MatchOfR(r_id)) << "r_id " << r_id;
-  }
-  for (size_t s_id : s_ids) {
-    EXPECT_EQ(a.MatchOfS(s_id), b.MatchOfS(s_id)) << "s_id " << s_id;
-  }
-  for (size_t r_id : {r_ids[1], r_ids[2], r_ids[3]}) {
-    for (size_t s_id : {s_ids[1], s_ids[2], s_ids[3]}) {
-      EXPECT_EQ(a.Decide(r_id, s_id), b.Decide(r_id, s_id));
+  EID_ASSERT_OK_AND_ASSIGN(IdentificationResult ref,
+                           reference::Identify(config, live_r, live_s));
+  EXPECT_EQ(inc.r_size(), r_ids.size());
+  EXPECT_EQ(inc.s_size(), s_ids.size());
+  EXPECT_EQ(inc.LiveR().rows(), ref.r_extended.rows());
+  EXPECT_EQ(inc.LiveS().rows(), ref.s_extended.rows());
+  EID_ASSERT_OK_AND_ASSIGN(Relation mt, inc.MatchingRelation());
+  EID_ASSERT_OK_AND_ASSIGN(Relation ref_mt, ref.MatchingRelation());
+  EXPECT_EQ(mt.rows(), ref_mt.rows());
+  EXPECT_GT(mt.size(), 0u);
+  const PairPartition p = inc.Partition();
+  EXPECT_EQ(p.matched, ref.partition.matched);
+  EXPECT_EQ(p.non_matched, ref.partition.non_matched);
+  EXPECT_EQ(p.undetermined, ref.partition.undetermined);
+  EXPECT_EQ(p.total, ref.partition.total);
+  EXPECT_EQ(inc.Uniqueness().ok(), ref.uniqueness.ok());
+  for (size_t i = 0; i < r_ids.size(); ++i) {
+    const std::optional<size_t> want = ref.matching.MatchOfR(i);
+    EXPECT_EQ(inc.MatchOfR(r_ids[i]),
+              want.has_value() ? std::optional<size_t>(s_ids[*want])
+                               : std::nullopt)
+        << "r_id " << r_ids[i];
+    for (size_t j = 0; j < s_ids.size(); ++j) {
+      EXPECT_EQ(inc.Decide(r_ids[i], s_ids[j]), ref.Decide(i, j))
+          << "r_id " << r_ids[i] << " s_id " << s_ids[j];
     }
   }
 }
 
+TEST(DifferentialIncrementalTest, CompiledMatchesInterpreterUnderUpdates) {
+  GeneratedWorld world = MakeWorld(/*coverage=*/0.6, /*seed=*/31);
+  IdentifierConfig config = WorldConfig(world);
+  config.matcher_options.threads = 1;
+  ExpectSessionMatchesReference(world, config, /*r_step=*/7, /*s_step=*/5);
+}
+
 TEST(DifferentialIncrementalTest, StagedMatchesExhaustiveUnderUpdates) {
-  // The staged per-insert sweep (value-index buckets over the other
-  // side) against the scan-everything oracle, under both residual
-  // engines, through inserts and deletes.
+  // The per-insert sweep (value-index buckets over the other side) under
+  // a different world and deletion spread.
   GeneratedWorld world = MakeWorld(/*coverage=*/0.6, /*seed=*/37);
-  for (bool compile : {false, true}) {
-    SCOPED_TRACE(compile ? "compiled" : "interpreted");
-    IdentifierConfig oracle_cfg = WorldConfig(world, /*threads=*/1, compile);
-    IdentifierConfig staged_cfg = WorldConfig(world, /*threads=*/1, compile);
-    oracle_cfg.matcher_options.staged = false;
-    staged_cfg.matcher_options.staged = true;
-    EID_ASSERT_OK_AND_ASSIGN(
-        IncrementalIdentifier a,
-        IncrementalIdentifier::Create(oracle_cfg, EmptyLike(world.r),
-                                      EmptyLike(world.s)));
-    EID_ASSERT_OK_AND_ASSIGN(
-        IncrementalIdentifier b,
-        IncrementalIdentifier::Create(staged_cfg, EmptyLike(world.r),
-                                      EmptyLike(world.s)));
-    std::vector<size_t> r_ids, s_ids;
-    for (const Row& row : world.r.rows()) {
-      EID_ASSERT_OK_AND_ASSIGN(size_t id_a, a.InsertR(row));
-      EID_ASSERT_OK_AND_ASSIGN(size_t id_b, b.InsertR(row));
-      EXPECT_EQ(id_a, id_b);
-      r_ids.push_back(id_a);
-    }
-    for (const Row& row : world.s.rows()) {
-      EID_ASSERT_OK_AND_ASSIGN(size_t id_a, a.InsertS(row));
-      EID_ASSERT_OK_AND_ASSIGN(size_t id_b, b.InsertS(row));
-      EXPECT_EQ(id_a, id_b);
-      s_ids.push_back(id_a);
-    }
-    for (size_t i = 0; i < r_ids.size(); i += 5) {
-      EID_EXPECT_OK(a.DeleteR(r_ids[i]));
-      EID_EXPECT_OK(b.DeleteR(r_ids[i]));
-    }
-    for (size_t i = 0; i < s_ids.size(); i += 7) {
-      EID_EXPECT_OK(a.DeleteS(s_ids[i]));
-      EID_EXPECT_OK(b.DeleteS(s_ids[i]));
-    }
-    EXPECT_EQ(a.r_size(), b.r_size());
-    EXPECT_EQ(a.s_size(), b.s_size());
-    EXPECT_EQ(a.LiveR().rows(), b.LiveR().rows());
-    EXPECT_EQ(a.LiveS().rows(), b.LiveS().rows());
-    EID_ASSERT_OK_AND_ASSIGN(Relation mt_a, a.MatchingRelation());
-    EID_ASSERT_OK_AND_ASSIGN(Relation mt_b, b.MatchingRelation());
-    EXPECT_EQ(mt_a.rows(), mt_b.rows());
-    EXPECT_GT(mt_a.size(), 0u);
-    EXPECT_EQ(a.Partition().matched, b.Partition().matched);
-    EXPECT_EQ(a.Partition().non_matched, b.Partition().non_matched);
-    EXPECT_EQ(a.Partition().undetermined, b.Partition().undetermined);
-    EXPECT_EQ(a.Partition().total, b.Partition().total);
-    EXPECT_EQ(a.Uniqueness(), b.Uniqueness());
-    for (size_t r_id : r_ids) {
-      EXPECT_EQ(a.MatchOfR(r_id), b.MatchOfR(r_id)) << "r_id " << r_id;
-    }
-    for (size_t s_id : s_ids) {
-      EXPECT_EQ(a.MatchOfS(s_id), b.MatchOfS(s_id)) << "s_id " << s_id;
-    }
-  }
+  IdentifierConfig config = WorldConfig(world);
+  config.matcher_options.threads = 1;
+  ExpectSessionMatchesReference(world, config, /*r_step=*/5, /*s_step=*/7);
 }
 
 }  // namespace

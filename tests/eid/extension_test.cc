@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
+#include "eid/reference.h"
 #include "exec/columnar_world.h"
 #include "workload/fixtures.h"
 
@@ -131,8 +132,7 @@ TEST(ExtensionTest, ColumnarKeyRecheckRejectsWhatInsertRejects) {
   // path) can break a key. The columnar sweep re-checks keys at the id
   // level and must hand such rows to the per-row Insert replay, which
   // rejects them — for a NULL key cell and for duplicate keys of width 1,
-  // 2 (packed) and 3. (The world-free paths reject them earlier, when
-  // renaming copies R row by row, so only the status code is compared.)
+  // 2 (packed) and 3 — with the reference's status, message included.
   const std::vector<std::string> attrs = {"a", "b", "c", "d"};
   struct Case {
     std::vector<std::string> key;
@@ -159,20 +159,16 @@ TEST(ExtensionTest, ColumnarKeyRecheckRejectsWhatInsertRejects) {
     r.AdoptRows(cases[i].rows);
     AttributeCorrespondence corr = AttributeCorrespondence::Identity(r, r);
     ExtendedKey key({"a", "e"});
-    ExtensionOptions options;
-    options.compile = false;
     Result<ExtensionResult> oracle =
-        ExtendRelation(r, Side::kR, corr, key, IlfdSet(), options);
-    options.compile = true;
+        reference::ExtendRelation(r, Side::kR, corr, key, IlfdSet());
     exec::ColumnarWorld world;
     Result<ExtensionResult> columnar =
-        ExtendRelation(r, Side::kR, corr, key, IlfdSet(), options,
-                       /*pool=*/nullptr, /*stats=*/nullptr, &world);
+        ExtendRelation(r, Side::kR, corr, key, IlfdSet(), ExtensionOptions(),
+                       /*pool=*/nullptr, /*stats=*/nullptr, world);
     const bool valid = i + 1 == cases.size();
     EXPECT_EQ(oracle.ok(), valid) << "case " << i;
     EXPECT_EQ(columnar.ok(), valid) << "case " << i;
-    EXPECT_EQ(columnar.status().code(), oracle.status().code())
-        << "case " << i;
+    EXPECT_EQ(columnar.status(), oracle.status()) << "case " << i;
     if (oracle.ok() && columnar.ok()) {
       EXPECT_EQ(columnar->extended.rows(), oracle->extended.rows());
     }
@@ -231,16 +227,16 @@ TEST(ExtensionTest, AppendedColumnTypeFollowsLastNonNullConsequent) {
     const IlfdSet ilfds(cases[i].ilfds);
     ASSERT_EQ(ScannedColumnType(ilfds, "x"), cases[i].want) << "case " << i;
     EXPECT_EQ(ilfds.ConsequentType("x"), cases[i].want) << "case " << i;
-    for (bool compile : {false, true}) {
-      ExtensionOptions options;
-      options.compile = compile;
-      EID_ASSERT_OK_AND_ASSIGN(
-          ExtensionResult rx,
-          ExtendRelation(r, Side::kR, corr, key, ilfds, options));
-      const std::optional<size_t> x = rx.extended.schema().IndexOf("x");
+    EID_ASSERT_OK_AND_ASSIGN(ExtensionResult rx,
+                             ExtendRelation(r, Side::kR, corr, key, ilfds));
+    EID_ASSERT_OK_AND_ASSIGN(
+        ExtensionResult ref,
+        reference::ExtendRelation(r, Side::kR, corr, key, ilfds));
+    for (const ExtensionResult* ext : {&rx, &ref}) {
+      const std::optional<size_t> x = ext->extended.schema().IndexOf("x");
       ASSERT_TRUE(x.has_value()) << "case " << i;
-      EXPECT_EQ(rx.extended.schema().attribute(*x).type, cases[i].want)
-          << "case " << i << (compile ? " compiled" : " interpreted");
+      EXPECT_EQ(ext->extended.schema().attribute(*x).type, cases[i].want)
+          << "case " << i << (ext == &rx ? " engine" : " reference");
     }
   }
 }

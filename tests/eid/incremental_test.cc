@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "../test_util.h"
+#include "eid/reference.h"
 #include "workload/fixtures.h"
 #include "workload/generator.h"
 
@@ -162,40 +163,37 @@ TEST(IncrementalTest, KeyJoinCandidatesMatchBeforeIdentityRules) {
   const Row s0_row{Value::Str("N"), Value::Str("y"), Value::Str("p")};
   const Row s1_row{Value::Str("N"), Value::Str("x"), Value::Str("q")};
 
-  for (bool staged : {false, true}) {
-    for (bool compile : {false, true}) {
-      config.matcher_options.staged = staged;
-      config.matcher_options.compile = compile;
-      EID_ASSERT_OK_AND_ASSIGN(
-          IncrementalIdentifier inc,
-          IncrementalIdentifier::Create(config, r_proto, s_proto));
-      EID_ASSERT_OK_AND_ASSIGN(size_t r0, inc.InsertR(r0_row));
-      EID_ASSERT_OK_AND_ASSIGN(size_t s0, inc.InsertS(s0_row));
-      EID_ASSERT_OK_AND_ASSIGN(size_t s1, inc.InsertS(s1_row));
-      EXPECT_EQ(inc.MatchOfR(r0), s1);
-      EXPECT_EQ(inc.MatchOfS(s0), std::nullopt);
-      EXPECT_EQ(inc.Uniqueness().code(), StatusCode::kConstraintViolation);
+  EID_ASSERT_OK_AND_ASSIGN(
+      IncrementalIdentifier inc,
+      IncrementalIdentifier::Create(config, r_proto, s_proto));
+  EID_ASSERT_OK_AND_ASSIGN(size_t r0, inc.InsertR(r0_row));
+  EID_ASSERT_OK_AND_ASSIGN(size_t s0, inc.InsertS(s0_row));
+  EID_ASSERT_OK_AND_ASSIGN(size_t s1, inc.InsertS(s1_row));
+  EXPECT_EQ(inc.MatchOfR(r0), s1);
+  EXPECT_EQ(inc.MatchOfS(s0), std::nullopt);
+  EXPECT_EQ(inc.Uniqueness().code(), StatusCode::kConstraintViolation);
 
-      Relation r = r_proto;
-      Relation s = s_proto;
-      EID_ASSERT_OK(r.Insert(r0_row));
-      EID_ASSERT_OK(s.Insert(s0_row));
-      EID_ASSERT_OK(s.Insert(s1_row));
-      EID_ASSERT_OK_AND_ASSIGN(IdentificationResult batch,
-                               EntityIdentifier(config).Identify(r, s));
-      EXPECT_EQ(batch.Decide(0, 1), MatchDecision::kMatch);
-      EXPECT_FALSE(batch.uniqueness.ok());
-      EID_ASSERT_OK_AND_ASSIGN(Relation inc_mt, inc.MatchingRelation());
-      EID_ASSERT_OK_AND_ASSIGN(Relation batch_mt,
-                               batch.MatchingRelation("MT"));
-      EXPECT_TRUE(inc_mt.RowsEqualUnordered(batch_mt));
+  Relation r = r_proto;
+  Relation s = s_proto;
+  EID_ASSERT_OK(r.Insert(r0_row));
+  EID_ASSERT_OK(s.Insert(s0_row));
+  EID_ASSERT_OK(s.Insert(s1_row));
+  EID_ASSERT_OK_AND_ASSIGN(IdentificationResult batch,
+                           EntityIdentifier(config).Identify(r, s));
+  EXPECT_EQ(batch.Decide(0, 1), MatchDecision::kMatch);
+  EXPECT_FALSE(batch.uniqueness.ok());
+  EID_ASSERT_OK_AND_ASSIGN(Relation inc_mt, inc.MatchingRelation());
+  EID_ASSERT_OK_AND_ASSIGN(Relation batch_mt, batch.MatchingRelation("MT"));
+  EXPECT_TRUE(inc_mt.RowsEqualUnordered(batch_mt));
+  EID_ASSERT_OK_AND_ASSIGN(IdentificationResult ref,
+                           reference::Identify(config, r, s));
+  EXPECT_EQ(ref.matching.pairs(), batch.matching.pairs());
+  EXPECT_EQ(ref.uniqueness, batch.uniqueness);
 
-      // Deleting the key-join partner lets the identity candidate match.
-      EID_ASSERT_OK(inc.DeleteS(s1));
-      EXPECT_EQ(inc.MatchOfR(r0), s0);
-      EID_EXPECT_OK(inc.Uniqueness());
-    }
-  }
+  // Deleting the key-join partner lets the identity candidate match.
+  EID_ASSERT_OK(inc.DeleteS(s1));
+  EXPECT_EQ(inc.MatchOfR(r0), s0);
+  EID_EXPECT_OK(inc.Uniqueness());
 }
 
 TEST(IncrementalTest, KeyViolationsRejectedWithoutStateChange) {
@@ -237,57 +235,54 @@ TEST(IncrementalTest, DerivationConflictRejectedWithoutStateChange) {
   // pair, no consumed id and no occupied key.
   Relation r = fixtures::Example3R();
   Relation s = fixtures::Example3S();
-  Status first_error;
-  for (bool compile : {false, true}) {
-    SCOPED_TRACE(compile ? "compiled" : "interpreted");
-    IdentifierConfig config = Example3Config();
-    EID_ASSERT_OK_AND_ASSIGN(
-        Ilfd clash,
-        ParseIlfd("name=TwinCities & street=Co.B2 -> speciality=Sichuan"));
-    config.ilfds.Add(clash);
-    config.matcher_options.compile = compile;
-    config.matcher_options.extension.derivation.conflict_policy =
-        ConflictPolicy::kError;
-    EID_ASSERT_OK_AND_ASSIGN(
-        IncrementalIdentifier inc,
-        IncrementalIdentifier::Create(config, EmptyLike(r), EmptyLike(s)));
-    for (size_t i = 1; i < r.size(); ++i) {
-      EID_ASSERT_OK(inc.InsertR(r.row(i)).status());
-    }
-    for (const Row& row : s.rows()) EID_ASSERT_OK(inc.InsertS(row).status());
-    const PairPartition before = inc.Partition();
-    ASSERT_GT(before.matched, 0u);
-    ASSERT_GT(before.non_matched, 0u);
-
-    Result<size_t> rejected = inc.InsertR(r.row(0));  // TwinCities, Co.B2
-    ASSERT_FALSE(rejected.ok());
-    EXPECT_EQ(rejected.status().code(), StatusCode::kConstraintViolation);
-    EXPECT_NE(rejected.status().message().find(
-                  "ILFD derivation conflict on attribute 'speciality'"),
-              std::string::npos)
-        << rejected.status().ToString();
-    if (compile) {
-      EXPECT_EQ(rejected.status(), first_error);
-    } else {
-      first_error = rejected.status();
-    }
-    EXPECT_EQ(inc.r_size(), r.size() - 1);
-    const PairPartition after = inc.Partition();
-    EXPECT_EQ(after.total, before.total);
-    EXPECT_EQ(after.matched, before.matched);
-    EXPECT_EQ(after.non_matched, before.non_matched);
-    EXPECT_EQ(after.undetermined, before.undetermined);
-    EID_EXPECT_OK(inc.Uniqueness());
-
-    // The same (name, cuisine) key on another street derives nothing
-    // conflicting: it inserts, under the id the rejected row did not use.
-    EID_ASSERT_OK_AND_ASSIGN(
-        size_t id, inc.InsertR(Row{Value::Str("TwinCities"),
-                                   Value::Str("Chinese"),
-                                   Value::Str("Co.B3")}));
-    EXPECT_EQ(id, r.size() - 1);
-    EXPECT_EQ(inc.r_size(), r.size());
+  IdentifierConfig config = Example3Config();
+  EID_ASSERT_OK_AND_ASSIGN(
+      Ilfd clash,
+      ParseIlfd("name=TwinCities & street=Co.B2 -> speciality=Sichuan"));
+  config.ilfds.Add(clash);
+  config.matcher_options.extension.derivation.conflict_policy =
+      ConflictPolicy::kError;
+  EID_ASSERT_OK_AND_ASSIGN(
+      IncrementalIdentifier inc,
+      IncrementalIdentifier::Create(config, EmptyLike(r), EmptyLike(s)));
+  for (size_t i = 1; i < r.size(); ++i) {
+    EID_ASSERT_OK(inc.InsertR(r.row(i)).status());
   }
+  for (const Row& row : s.rows()) EID_ASSERT_OK(inc.InsertS(row).status());
+  const PairPartition before = inc.Partition();
+  ASSERT_GT(before.matched, 0u);
+  ASSERT_GT(before.non_matched, 0u);
+
+  Result<size_t> rejected = inc.InsertR(r.row(0));  // TwinCities, Co.B2
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kConstraintViolation);
+  EXPECT_NE(rejected.status().message().find(
+                "ILFD derivation conflict on attribute 'speciality'"),
+            std::string::npos)
+      << rejected.status().ToString();
+  // The reference's extension of that one row fails with the same status.
+  Relation lone = EmptyLike(r);
+  EID_ASSERT_OK(lone.Insert(r.row(0)));
+  Result<ExtensionResult> ref = reference::ExtendRelation(
+      lone, Side::kR, config.correspondence, *config.extended_key,
+      config.ilfds, config.matcher_options.extension);
+  EXPECT_EQ(rejected.status(), ref.status());
+  EXPECT_EQ(inc.r_size(), r.size() - 1);
+  const PairPartition after = inc.Partition();
+  EXPECT_EQ(after.total, before.total);
+  EXPECT_EQ(after.matched, before.matched);
+  EXPECT_EQ(after.non_matched, before.non_matched);
+  EXPECT_EQ(after.undetermined, before.undetermined);
+  EID_EXPECT_OK(inc.Uniqueness());
+
+  // The same (name, cuisine) key on another street derives nothing
+  // conflicting: it inserts, under the id the rejected row did not use.
+  EID_ASSERT_OK_AND_ASSIGN(
+      size_t id, inc.InsertR(Row{Value::Str("TwinCities"),
+                                 Value::Str("Chinese"),
+                                 Value::Str("Co.B3")}));
+  EXPECT_EQ(id, r.size() - 1);
+  EXPECT_EQ(inc.r_size(), r.size());
 }
 
 TEST(IncrementalTest, NegativePairsTrackDistinctnessRules) {
@@ -464,8 +459,7 @@ GeneratedWorld HomonymWorld(size_t per_side, uint64_t seed) {
 /// derived and all six rules fire across homonyms. Neither lets an
 /// identity rule compete with a different key-join candidate;
 /// CompetingKeyedConfig below does.
-IdentifierConfig HomonymConfig(const GeneratedWorld& world, bool keyed,
-                               bool staged, bool compile) {
+IdentifierConfig HomonymConfig(const GeneratedWorld& world, bool keyed) {
   IdentifierConfig config;
   config.correspondence = world.correspondence;
   if (keyed) config.extended_key = ExtendedKey({"name", "speciality"});
@@ -483,8 +477,6 @@ IdentifierConfig HomonymConfig(const GeneratedWorld& world, bool keyed,
   }
   config.distinctness_from_ilfds = false;
   config.matcher_options.threads = 1;
-  config.matcher_options.staged = staged;
-  config.matcher_options.compile = compile;
   return config;
 }
 
@@ -497,8 +489,9 @@ struct StreamSide {
   std::vector<std::optional<size_t>> live_id;   // by world row
 };
 
-/// The first difference between `inc` and a batch Identify over the live
-/// rows in id order, or "" when they agree.
+/// The first difference between `inc` and eid::reference::Identify (the
+/// batch definition) over the live rows in id order, or "" when they
+/// agree.
 std::string CompareWithBatch(const IncrementalIdentifier& inc,
                              const IdentifierConfig& config,
                              const StreamSide& r, const StreamSide& s) {
@@ -525,8 +518,8 @@ std::string CompareWithBatch(const IncrementalIdentifier& inc,
     }
   }
   Result<IdentificationResult> batch =
-      EntityIdentifier(config).Identify(live_r, live_s);
-  if (!batch.ok()) return "batch Identify: " + batch.status().ToString();
+      reference::Identify(config, live_r, live_s);
+  if (!batch.ok()) return "reference Identify: " + batch.status().ToString();
   const IdentificationResult& ref = *batch;
 
   if (inc.r_size() != r_live.size() || inc.s_size() != s_live.size()) {
@@ -607,7 +600,7 @@ std::string CompareWithBatch(const IncrementalIdentifier& inc,
 }
 
 /// Runs one seeded stream of InsertR/InsertS/DeleteR/DeleteS, comparing
-/// the session with a batch Identify every `every` steps. Inserts pick any
+/// the session with the reference every `every` steps. Inserts pick any
 /// world row: a live one must be rejected as a duplicate key with the
 /// message Relation::Insert gives and leave the state unchanged; a deleted
 /// one is re-inserted under a fresh id. Deletes pick live ids mostly, and
@@ -706,17 +699,11 @@ TEST(IncrementalPropertyTest, RandomInterleavingsEqualBatch) {
   for (uint64_t seed : {1u, 2u, 3u, 4u}) {
     const GeneratedWorld world = HomonymWorld(/*per_side=*/40, seed);
     for (bool keyed : {true, false}) {
-      for (bool staged : {false, true}) {
-        for (bool compile : {false, true}) {
-          const std::string failure = RunStream(
-              world, HomonymConfig(world, keyed, staged, compile), seed,
-              /*steps=*/240, /*every=*/12);
-          EXPECT_EQ(failure, "")
-              << "seed " << seed << (keyed ? " keyed" : " unkeyed")
-              << (staged ? " staged" : " exhaustive")
-              << (compile ? " compiled" : " interpreted");
-        }
-      }
+      const std::string failure =
+          RunStream(world, HomonymConfig(world, keyed), seed,
+                    /*steps=*/240, /*every=*/12);
+      EXPECT_EQ(failure, "")
+          << "seed " << seed << (keyed ? " keyed" : " unkeyed");
     }
   }
 }
@@ -726,10 +713,8 @@ TEST(IncrementalPropertyTest, RandomInterleavingsEqualBatch) {
 /// certify, so it competes with key-join candidates for the same tuples —
 /// the case where the session must take key-join candidates first, as
 /// batch Identify does.
-IdentifierConfig CompetingKeyedConfig(const GeneratedWorld& world,
-                                      bool staged, bool compile) {
-  IdentifierConfig config =
-      HomonymConfig(world, /*keyed=*/true, staged, compile);
+IdentifierConfig CompetingKeyedConfig(const GeneratedWorld& world) {
+  IdentifierConfig config = HomonymConfig(world, /*keyed=*/true);
   Result<IdentityRule> same_name =
       ParseIdentityRule("name_eq", "e1.name = e2.name");
   EID_CHECK(same_name.ok());
@@ -740,16 +725,10 @@ IdentifierConfig CompetingKeyedConfig(const GeneratedWorld& world,
 TEST(IncrementalPropertyTest, KeyedSessionsWithCompetingRulesEqualBatch) {
   for (uint64_t seed : {1u, 2u, 3u, 4u}) {
     const GeneratedWorld world = HomonymWorld(/*per_side=*/40, seed);
-    for (bool staged : {false, true}) {
-      for (bool compile : {false, true}) {
-        const std::string failure =
-            RunStream(world, CompetingKeyedConfig(world, staged, compile),
-                      seed, /*steps=*/240, /*every=*/12);
-        EXPECT_EQ(failure, "")
-            << "seed " << seed << (staged ? " staged" : " exhaustive")
-            << (compile ? " compiled" : " interpreted");
-      }
-    }
+    const std::string failure =
+        RunStream(world, CompetingKeyedConfig(world), seed, /*steps=*/240,
+                  /*every=*/12);
+    EXPECT_EQ(failure, "") << "seed " << seed;
   }
 }
 
@@ -758,8 +737,7 @@ TEST(IncrementalPropertyTest, StreamsExerciseEveryRegion) {
   // anything: the rules fire across homonyms, so a full load has matched
   // and non-matched pairs and at least one uniqueness violation.
   const GeneratedWorld world = HomonymWorld(/*per_side=*/40, /*seed=*/1);
-  const IdentifierConfig config = HomonymConfig(
-      world, /*keyed=*/false, /*staged=*/true, /*compile=*/true);
+  const IdentifierConfig config = HomonymConfig(world, /*keyed=*/false);
   EID_ASSERT_OK_AND_ASSIGN(IdentificationResult batch,
                            EntityIdentifier(config).Identify(world.r, world.s));
   EXPECT_GT(batch.partition.matched, 0u);

@@ -179,12 +179,30 @@ Relation RandomExtended(const std::string& name, ValueType num_type,
   return rel;
 }
 
+/// The extended-key join by its definition: every (r, s) agreeing
+/// non-NULL on every key attribute, r-major and s ascending.
+std::vector<TuplePair> NestedLoopKeyJoin(const Relation& r, const Relation& s,
+                                         const ExtendedKey& key) {
+  std::vector<TuplePair> out;
+  for (size_t i = 0; i < r.size(); ++i) {
+    for (size_t j = 0; j < s.size(); ++j) {
+      bool all = true;
+      for (const std::string& a : key.attributes()) {
+        all = all && NonNullEq(r.tuple(i).GetOrNull(a), s.tuple(j).GetOrNull(a));
+      }
+      if (all) out.push_back(TuplePair{i, j});
+    }
+  }
+  return out;
+}
+
 TEST(MatcherTest, IdKeyedJoinMatchesFingerprintOracle) {
-  // The id-keyed join (compiled) against the string-fingerprint join
-  // (interpreted): identical pairs in identical order — r-major, s
-  // ascending — for widths 1, 2 and 3, NULL key cells, Int(1) vs
-  // Double(1.0), a low-cardinality leading attribute (city), with and
-  // without a session world, at every pool size.
+  // The id-keyed join against the join's definition (which the
+  // reference's string-fingerprint join computes): identical pairs in
+  // identical order — r-major, s ascending — for widths 1, 2 and 3, NULL
+  // key cells, Int(1) vs Double(1.0), a low-cardinality leading attribute
+  // (city), in a world of its own and in a session world, at every pool
+  // size.
   std::mt19937 rng(11);
   Relation r = RandomExtended("R'", ValueType::kInt, 400, &rng);
   for (ValueType s_num : {ValueType::kInt, ValueType::kDouble}) {
@@ -195,26 +213,22 @@ TEST(MatcherTest, IdKeyedJoinMatchesFingerprintOracle) {
           ExtendedKey({"city", "name", "num"})}) {
       const std::string label =
           key.ToString() + (s_num == ValueType::kInt ? " int" : " double");
-      EID_ASSERT_OK_AND_ASSIGN(
-          std::vector<TuplePair> oracle,
-          JoinOnExtendedKey(r, s, key, /*pool=*/nullptr, /*stats=*/nullptr,
-                            /*compiled=*/false));
+      const std::vector<TuplePair> oracle = NestedLoopKeyJoin(r, s, key);
       if (s_num == ValueType::kDouble && key.Contains("num")) {
         EXPECT_TRUE(oracle.empty()) << label;  // Int(1) != Double(1.0)
       } else {
         EXPECT_FALSE(oracle.empty()) << label;
       }
+      EID_ASSERT_OK_AND_ASSIGN(std::vector<TuplePair> own_world,
+                               JoinOnExtendedKey(r, s, key));
+      EXPECT_EQ(own_world, oracle) << label;
       for (int threads : {1, 4}) {
         exec::ThreadPool pool(threads);
         exec::ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
-        EID_ASSERT_OK_AND_ASSIGN(
-            std::vector<TuplePair> private_world,
-            JoinOnExtendedKey(r, s, key, pool_ptr, nullptr, true));
-        EXPECT_EQ(private_world, oracle) << label << " threads=" << threads;
         exec::ColumnarWorld world;
         EID_ASSERT_OK_AND_ASSIGN(
             std::vector<TuplePair> session_world,
-            JoinOnExtendedKey(r, s, key, pool_ptr, nullptr, true, &world));
+            JoinOnExtendedKey(r, s, key, pool_ptr, nullptr, world));
         EXPECT_EQ(session_world, oracle) << label << " threads=" << threads;
       }
     }

@@ -1,8 +1,8 @@
-// Indexed rule evaluation must agree, pair for pair and in order, with
-// the exhaustive cross-product sweep it replaces — for rules with an
-// equality join conjunct, rules with only constant-equality conjuncts,
-// and rules with no equality at all (tiled fallback). The CSR posting
-// index behind it must agree with a brute-force scan of its id column.
+// Blocking plans must pick the right join and constant conjuncts per
+// orientation, and the CSR posting index behind every probe must agree
+// with a brute-force scan of its id column. The staged sweep that reads
+// both is checked against the nested-loop fold in
+// candidate_generator_test.cc.
 
 #include "exec/blocking_index.h"
 
@@ -11,7 +11,6 @@
 #include <random>
 
 #include "../test_util.h"
-#include "rules/distinctness_rule.h"
 #include "rules/identity_rule.h"
 
 namespace eid {
@@ -19,63 +18,6 @@ namespace exec {
 namespace {
 
 using ::eid::testing::MakeRelation;
-
-/// Reference implementation: the serial nested loop over the full cross
-/// product, row-major.
-std::vector<TuplePair> ExhaustiveTruePairs(
-    const Relation& r, const Relation& s,
-    const std::vector<Predicate>& predicates, bool flipped) {
-  std::vector<TuplePair> out;
-  for (size_t i = 0; i < r.size(); ++i) {
-    for (size_t j = 0; j < s.size(); ++j) {
-      TupleView rv = r.tuple(i);
-      TupleView sv = s.tuple(j);
-      Truth t = flipped ? EvaluateConjunction(predicates, sv, rv)
-                        : EvaluateConjunction(predicates, rv, sv);
-      if (t == Truth::kTrue) out.push_back(TuplePair{i, j});
-    }
-  }
-  return out;
-}
-
-/// Asserts indexed == exhaustive for both orientations and every pool
-/// size, and returns the direct-orientation scan stats.
-PairScanStats ExpectMatchesExhaustive(const Relation& r, const Relation& s,
-                                      const std::vector<Predicate>& preds) {
-  PairScanStats direct_stats;
-  for (bool flipped : {false, true}) {
-    std::vector<TuplePair> expected =
-        ExhaustiveTruePairs(r, s, preds, flipped);
-    for (int threads : {1, 2, 8}) {
-      ThreadPool pool(threads);
-      PairScanStats stats;
-      std::vector<TuplePair> got =
-          CollectTruePairs(r, s, preds, flipped, /*world=*/nullptr,
-                           threads > 1 ? &pool : nullptr, &stats);
-      EXPECT_EQ(got, expected)
-          << "flipped=" << flipped << " threads=" << threads;
-      if (!flipped && threads == 1) direct_stats = stats;
-    }
-  }
-  return direct_stats;
-}
-
-Relation TestR() {
-  return MakeRelation("R", {"name", "city", "score"}, {},
-                      {{"anna", "Oslo", "1"},
-                       {"bob", "Pune", "2"},
-                       {"carl", "Oslo", "3"},
-                       {"anna", "Pune", "4"},
-                       {"dana", "Lima", "2"}});
-}
-
-Relation TestS() {
-  return MakeRelation("S", {"name", "town", "rank"}, {},
-                      {{"anna", "Oslo", "1"},
-                       {"bob", "Lima", "3"},
-                       {"anna", "Pune", "2"},
-                       {"erik", "Oslo", "2"}});
-}
 
 TEST(ColumnIndexTest, BucketsSkipNullsAndStayAscending) {
   Relation r("R", Schema::OfStrings({"a"}));
@@ -188,62 +130,6 @@ TEST(PlanBlockingTest, AbsentAttributeIsImpossible) {
                            ParsePredicateConjunction("e1.no_such != \"x\""));
   BlockingPlan plan = PlanBlocking(preds, r, s, /*flipped=*/false);
   EXPECT_TRUE(plan.impossible);
-}
-
-TEST(CollectTruePairsTest, EqualityJoinRuleUsesIndex) {
-  EID_ASSERT_OK_AND_ASSIGN(
-      std::vector<Predicate> preds,
-      ParsePredicateConjunction("e1.name = e2.name & e1.city = e2.town"));
-  PairScanStats stats = ExpectMatchesExhaustive(TestR(), TestS(), preds);
-  EXPECT_TRUE(stats.indexed);
-  // 5x4 cross product, but only same-name pairs were ever evaluated.
-  EXPECT_LT(stats.candidate_pairs, TestR().size() * TestS().size());
-}
-
-TEST(CollectTruePairsTest, ConstantOnlyRuleFallsBackToFilteredScan) {
-  EID_ASSERT_OK_AND_ASSIGN(
-      std::vector<Predicate> preds,
-      ParsePredicateConjunction(
-          "e1.city = \"Oslo\" & e2.rank != \"1\""));
-  PairScanStats stats = ExpectMatchesExhaustive(TestR(), TestS(), preds);
-  EXPECT_FALSE(stats.indexed);
-  // The e1.city = "Oslo" filter pruned the scan below the cross product.
-  EXPECT_LT(stats.candidate_pairs, TestR().size() * TestS().size());
-}
-
-TEST(CollectTruePairsTest, NoEqualityRuleScansFullCrossProduct) {
-  EID_ASSERT_OK_AND_ASSIGN(std::vector<Predicate> preds,
-                           ParsePredicateConjunction("e1.score < e2.rank"));
-  PairScanStats stats = ExpectMatchesExhaustive(TestR(), TestS(), preds);
-  EXPECT_FALSE(stats.indexed);
-  EXPECT_EQ(stats.candidate_pairs, TestR().size() * TestS().size());
-}
-
-TEST(CollectTruePairsTest, NullsNeverJoin) {
-  Relation r("R", Schema::OfStrings({"name"}));
-  EID_ASSERT_OK(r.Insert(Row{Value::Str("anna")}));
-  EID_ASSERT_OK(r.Insert(Row{Value::Null()}));
-  Relation s("S", Schema::OfStrings({"name"}));
-  EID_ASSERT_OK(s.Insert(Row{Value::Null()}));
-  EID_ASSERT_OK(s.Insert(Row{Value::Str("anna")}));
-  EID_ASSERT_OK_AND_ASSIGN(std::vector<Predicate> preds,
-                           ParsePredicateConjunction("e1.name = e2.name"));
-  ExpectMatchesExhaustive(r, s, preds);
-}
-
-TEST(CollectTruePairsTest, RealRuleShapesAgree) {
-  // The paper's r1/r3 shapes, via the public rule parsers.
-  EID_ASSERT_OK_AND_ASSIGN(
-      IdentityRule r1,
-      ParseIdentityRule("r1",
-                        "e1.name = e2.name & e1.city = \"Oslo\" & "
-                        "e2.town = \"Oslo\""));
-  ExpectMatchesExhaustive(TestR(), TestS(), r1.predicates());
-  EID_ASSERT_OK_AND_ASSIGN(
-      DistinctnessRule r3,
-      ParseDistinctnessRule("r3",
-                            "e1.city = \"Lima\" & e2.rank != \"3\""));
-  ExpectMatchesExhaustive(TestR(), TestS(), r3.predicates());
 }
 
 }  // namespace

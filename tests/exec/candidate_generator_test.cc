@@ -1,11 +1,11 @@
 // The staged candidate generator must agree — pair for pair, priority
-// for priority, in row-major order — with the exhaustive
-// first-(rule,orientation)-wins fold it replaces: for join rules,
-// const-only rules, unindexable rules, NULL join keys, multi-rule
-// programs with overlapping fire sets, dead orientations, compiled and
-// interpreted residuals, and every thread count. Const-eq conjuncts look
-// their constants up in the session dictionary only after encoding the
-// column; the constant-placement cases below pin that order.
+// for priority, in row-major order — with the nested-loop
+// first-(rule,orientation)-wins fold of the paper's definition: for join
+// rules, const-only rules, unindexable rules, NULL join keys, multi-rule
+// programs with overlapping fire sets, dead orientations, and every
+// thread count. Const-eq conjuncts look their constants up in the
+// session dictionary only after encoding the column; the
+// constant-placement cases below pin that order.
 
 #include "exec/candidate_generator.h"
 
@@ -72,10 +72,11 @@ struct StagedRun {
   StagedScanStats stats;
 };
 
-/// Builds plans and residual evaluators exactly the way the identifier
-/// does and sweeps once.
+/// Builds plans and compiled residuals exactly the way the identifier
+/// does and sweeps once. `world` starts empty unless the caller encoded
+/// columns into it.
 StagedRun RunStaged(const Relation& r, const Relation& s, const RuleSet& rules,
-                    bool compiled, int threads) {
+                    int threads, ColumnarWorld world = ColumnarWorld()) {
   std::vector<BlockingPlan> plans;
   plans.reserve(rules.size() * 2);
   for (const std::vector<Predicate>& preds : rules) {
@@ -84,27 +85,13 @@ StagedRun RunStaged(const Relation& r, const Relation& s, const RuleSet& rules,
     }
   }
   std::vector<std::unique_ptr<StagedEvaluator>> evaluators(plans.size());
-  std::unique_ptr<compile::PairFeatureCache> features;
-  if (compiled) {
-    features = std::make_unique<compile::PairFeatureCache>(&r, &s);
+  for (size_t i = 0; i < plans.size(); ++i) {
+    if (plans[i].impossible) continue;
+    evaluators[i] = std::make_unique<compile::StagedConjunction>(
+        compile::StagedConjunction::Compile(rules[i / 2], plans[i].coverage,
+                                            r, s, (i & 1) != 0, world));
   }
-  for (size_t k = 0; k < rules.size(); ++k) {
-    for (bool flipped : {false, true}) {
-      const size_t i = k * 2 + (flipped ? 1 : 0);
-      if (plans[i].impossible) continue;
-      if (compiled) {
-        evaluators[i] = std::make_unique<compile::StagedConjunction>(
-            compile::StagedConjunction::Compile(rules[k], plans[i].coverage,
-                                                r, s, flipped,
-                                                features.get()));
-      } else {
-        evaluators[i] = std::make_unique<InterpretedResidual>(
-            rules[k], plans[i].coverage, &r, &s, flipped);
-      }
-    }
-  }
-  ColumnarWorld world;
-  CandidateGenerator gen(&r, &s, &world);
+  CandidateGenerator gen(&r, &s, world);
   for (size_t i = 0; i < plans.size(); ++i) {
     gen.AddRule(plans[i], evaluators[i].get());
   }
@@ -124,30 +111,24 @@ void ExpectSameFired(const FiredColumns& got,
   }
 }
 
-/// Asserts staged == oracle for both residual engines and every pool
-/// size, and that every counter is engine- and thread-count-invariant.
-/// Returns the invariant stats.
+/// Asserts staged == oracle for every pool size, and that every counter
+/// is thread-count-invariant. Returns the invariant stats.
 StagedScanStats ExpectMatchesOracle(const Relation& r, const Relation& s,
                                     const RuleSet& rules) {
   std::vector<OracleFired> expected = OracleFold(r, s, rules);
   StagedScanStats first;
-  bool have_first = false;
-  for (bool compiled : {false, true}) {
-    for (int threads : {1, 2, 8}) {
-      SCOPED_TRACE(std::string(compiled ? "compiled" : "interpreted") +
-                   " threads=" + std::to_string(threads));
-      StagedRun run = RunStaged(r, s, rules, compiled, threads);
-      ExpectSameFired(run.fired, expected);
-      if (!have_first) {
-        first = run.stats;
-        have_first = true;
-        continue;
-      }
-      EXPECT_EQ(run.stats.candidate_pairs, first.candidate_pairs);
-      EXPECT_EQ(run.stats.rule_evals, first.rule_evals);
-      EXPECT_EQ(run.stats.feature_cache_hits, first.feature_cache_hits);
-      EXPECT_EQ(run.stats.indexed, first.indexed);
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    StagedRun run = RunStaged(r, s, rules, threads);
+    ExpectSameFired(run.fired, expected);
+    if (threads == 1) {
+      first = run.stats;
+      continue;
     }
+    EXPECT_EQ(run.stats.candidate_pairs, first.candidate_pairs);
+    EXPECT_EQ(run.stats.rule_evals, first.rule_evals);
+    EXPECT_EQ(run.stats.feature_cache_hits, first.feature_cache_hits);
+    EXPECT_EQ(run.stats.indexed, first.indexed);
   }
   return first;
 }
@@ -286,25 +267,9 @@ TEST(CandidateGeneratorTest, ConstantInternedThroughAnotherColumnIsAbsent) {
     world.Column(WorldRel::kSExtended, s, 1);
     ASSERT_NE(world.dict().Find(Value::Str("Oslo")),
               ValueDictionary::kNotInterned);
-    CandidateGenerator gen(&r, &s, &world);
-    std::vector<BlockingPlan> plans;
-    std::vector<std::unique_ptr<StagedEvaluator>> evaluators;
-    for (bool flipped : {false, true}) {
-      plans.push_back(PlanBlocking(rules[0], r.schema(), s.schema(), flipped));
-      evaluators.push_back(
-          plans.back().impossible
-              ? nullptr
-              : std::make_unique<InterpretedResidual>(
-                    rules[0], plans.back().coverage, &r, &s, flipped));
-    }
-    for (size_t i = 0; i < plans.size(); ++i) {
-      gen.AddRule(plans[i], evaluators[i].get());
-    }
-    ThreadPool pool(threads);
-    StagedScanStats stats;
-    FiredColumns fired = gen.Run(threads > 1 ? &pool : nullptr, &stats);
-    EXPECT_TRUE(fired.pairs.empty());
-    EXPECT_EQ(stats.candidate_pairs, 0u);
+    StagedRun run = RunStaged(r, s, rules, threads, std::move(world));
+    EXPECT_TRUE(run.fired.pairs.empty());
+    EXPECT_EQ(run.stats.candidate_pairs, 0u);
   }
   ExpectMatchesOracle(r, s, rules);
 }

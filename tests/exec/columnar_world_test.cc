@@ -1,12 +1,12 @@
 // Differential and id-space equivalence tests for the shared columnar
 // interned world (exec/columnar_world.h, DESIGN.md §4g).
 //
-// ColumnarDifferentialTest: BuildMatchingTable with the columnar compiled
-// engine must be bit-identical to the per-tuple interpreter oracle —
+// ColumnarDifferentialTest: BuildMatchingTable (the columnar compiled
+// engine) must be bit-identical to eid::reference::BuildMatchingTable —
 // extended rows, derivation traces, MT contents and order, uniqueness —
-// across staged on/off × DerivationMode × threads {1, 8}. This is the
-// matcher-level companion of tests/compile/differential_test.cc and runs
-// under the tsan/asan presets (scripts/check.sh).
+// across DerivationMode × threads {1, 8}. This is the matcher-level
+// companion of tests/compile/differential_test.cc and runs under the
+// tsan/asan presets (scripts/check.sh).
 //
 // ColumnarInternerTest: the pipeline's three interners — the AtomTable
 // behind derivation closures, the ColumnarWorld dictionary, and a
@@ -25,6 +25,7 @@
 #include "../test_util.h"
 #include "eid/identifier.h"
 #include "eid/matcher.h"
+#include "eid/reference.h"
 #include "logic/proposition.h"
 #include "storage/snapshot.h"
 #include "workload/generator.h"
@@ -63,7 +64,7 @@ void ExpectTracesEqual(const std::vector<Derivation>& a,
   }
 }
 
-/// `a` is the interpreter oracle, `b` the columnar compiled run.
+/// `a` is the reference's result, `b` the columnar compiled run.
 void ExpectIdentical(const MatcherResult& a, const MatcherResult& b) {
   EXPECT_EQ(a.r_extension.extended.rows(), b.r_extension.extended.rows());
   EXPECT_EQ(a.s_extension.extended.rows(), b.s_extension.extended.rows());
@@ -75,38 +76,32 @@ void ExpectIdentical(const MatcherResult& a, const MatcherResult& b) {
   EXPECT_EQ(a.uniqueness, b.uniqueness);
 }
 
-class ColumnarDifferentialTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(ColumnarDifferentialTest, MatchesInterpreterOracle) {
-  const bool staged = GetParam();
+TEST(ColumnarDifferentialTest, MatchesInterpreterOracle) {
   GeneratedWorld world = MakeWorld(/*seed=*/41);
   for (DerivationMode mode :
        {DerivationMode::kExhaustive, DerivationMode::kFirstMatch}) {
+    MatcherOptions options;
+    options.extension.derivation.mode = mode;
+    EID_ASSERT_OK_AND_ASSIGN(
+        MatcherResult reference,
+        reference::BuildMatchingTable(world.r, world.s, world.correspondence,
+                                      world.extended_key, world.ilfds,
+                                      options));
+    // Sanity: the world actually joins and derives.
+    EXPECT_GT(reference.matching.size(), 0u);
     for (int threads : {1, 8}) {
       SCOPED_TRACE(std::string(mode == DerivationMode::kExhaustive
                                    ? "exhaustive"
                                    : "first_match") +
                    " threads=" + std::to_string(threads));
-      MatcherOptions interp;
-      interp.compile = false;
-      interp.staged = staged;
-      interp.threads = threads;
-      interp.extension.derivation.mode = mode;
-      MatcherOptions columnar = interp;
-      columnar.compile = true;
-      EID_ASSERT_OK_AND_ASSIGN(
-          MatcherResult reference,
-          BuildMatchingTable(world.r, world.s, world.correspondence,
-                             world.extended_key, world.ilfds, interp));
-      // Sanity: the world actually joins and derives.
-      EXPECT_GT(reference.matching.size(), 0u);
+      options.threads = threads;
       EID_ASSERT_OK_AND_ASSIGN(
           MatcherResult result,
           BuildMatchingTable(world.r, world.s, world.correspondence,
-                             world.extended_key, world.ilfds, columnar));
+                             world.extended_key, world.ilfds, options));
       ExpectIdentical(reference, result);
-      // The compiled run must actually have gone through the columnar
-      // engine: batched probes and at least one non-trivial encode.
+      // The run must actually have gone through the columnar engine:
+      // batched probes and at least one non-trivial encode.
       size_t probe_batches = 0;
       size_t reuse_hits = 0;
       for (const exec::StageStats& stage : result.stats.stages()) {
@@ -118,11 +113,6 @@ TEST_P(ColumnarDifferentialTest, MatchesInterpreterOracle) {
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Staged, ColumnarDifferentialTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "staged" : "exhaustive_sweep";
-                         });
 
 // --- Interner equivalence ------------------------------------------------
 

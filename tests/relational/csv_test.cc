@@ -74,6 +74,24 @@ TEST(CsvTest, FieldCountMismatchFails) {
   EXPECT_FALSE(ReadCsv("a,b\n1\n", "R").ok());
 }
 
+TEST(CsvTest, DuplicateHeaderNameFails) {
+  Result<Relation> rel = ReadCsv("name,city,name\nA,B,C\n", "R");
+  ASSERT_FALSE(rel.ok());
+  EXPECT_EQ(rel.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rel.status().message().find("column 3 repeats the name 'name'"),
+            std::string::npos)
+      << rel.status().ToString();
+}
+
+TEST(CsvTest, EmptyHeaderNameFails) {
+  Result<Relation> rel = ReadCsv("name,,city\nA,B,C\n", "R");
+  ASSERT_FALSE(rel.ok());
+  EXPECT_EQ(rel.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rel.status().message().find("column 2 has an empty name"),
+            std::string::npos)
+      << rel.status().ToString();
+}
+
 TEST(CsvTest, RoundTripsThroughWriteCsv) {
   EID_ASSERT_OK_AND_ASSIGN(
       Relation rel,

@@ -1,10 +1,10 @@
 // Snapshot round-trip differential: build a generated world, identify,
 // save, load, and re-identify from the loaded sources with the loaded
-// rule program — across MatcherOptions::staged on/off and thread counts
-// {1, 8}, with and without the snapshot's columnar seeds. Every
-// configuration must reproduce the saved MT/NMT pair lists and partition
-// counts bit-identically: the snapshot is a faithful world image, not an
-// approximation. A world seeded from the snapshot indexes its source
+// rule program — through eid::reference and through the engine at thread
+// counts {1, 8}, with and without the snapshot's columnar seeds. Every
+// run must reproduce the saved MT/NMT pair lists, certificates and
+// partition counts bit-identically: the snapshot is a faithful world
+// image, not an approximation. A world seeded from the snapshot indexes its source
 // columns from the saved ids, without re-encoding a row.
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "eid.h"
+#include "eid/reference.h"
 #include "exec/columnar_world.h"
 #include "storage/snapshot.h"
 #include "workload/generator.h"
@@ -87,24 +88,30 @@ TEST(SnapshotDifferentialTest, LoadedWorldIdentifiesBitIdentically) {
   EXPECT_EQ(loaded->matching.pairs(), fresh->matching.pairs());
   EXPECT_EQ(loaded->negative.pairs(), fresh->negative.table.pairs());
 
-  for (bool staged : {true, false}) {
-    for (int threads : {1, 8}) {
-      for (bool seeded : {true, false}) {
-        IdentifierConfig again_config = loaded->ToConfig();
-        again_config.distinctness_from_ilfds = true;
-        again_config.matcher_options.staged = staged;
-        again_config.matcher_options.threads = threads;
-        if (!seeded) again_config.matcher_options.columnar_seeds = nullptr;
-        Result<IdentificationResult> again =
-            EntityIdentifier(again_config).Identify(loaded->r, loaded->s);
-        const std::string label =
-            "staged=" + std::to_string(staged) +
-            " threads=" + std::to_string(threads) +
-            " seeded=" + std::to_string(seeded);
-        ASSERT_TRUE(again.ok()) << label << ": "
-                                << again.status().ToString();
-        ExpectSameOutcome(*fresh, *again, label);
-      }
+  // The paper-literal reference over the loaded sources and rule program
+  // reproduces the saved run; the engine does at every thread count,
+  // seeded from the snapshot's dictionary or encoding from the rows.
+  IdentifierConfig again_config = loaded->ToConfig();
+  again_config.distinctness_from_ilfds = true;
+  Result<IdentificationResult> reference =
+      reference::Identify(again_config, loaded->r, loaded->s);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ExpectSameOutcome(*fresh, *reference, "reference");
+  EXPECT_EQ(reference->negative.evidence, fresh->negative.evidence);
+  const auto seeds = again_config.matcher_options.columnar_seeds;
+  ASSERT_NE(seeds, nullptr);
+  for (int threads : {1, 8}) {
+    for (bool seeded : {true, false}) {
+      again_config.matcher_options.threads = threads;
+      again_config.matcher_options.columnar_seeds = seeded ? seeds : nullptr;
+      Result<IdentificationResult> again =
+          EntityIdentifier(again_config).Identify(loaded->r, loaded->s);
+      const std::string label = "threads=" + std::to_string(threads) +
+                                " seeded=" + std::to_string(seeded);
+      ASSERT_TRUE(again.ok()) << label << ": " << again.status().ToString();
+      ExpectSameOutcome(*reference, *again, label);
+      EXPECT_EQ(again->negative.evidence, reference->negative.evidence)
+          << label;
     }
   }
 }
