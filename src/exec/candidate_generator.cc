@@ -136,9 +136,11 @@ FiredColumns CandidateGenerator::Run(ThreadPool* pool,
       std::max<size_t>(1, n / (static_cast<size_t>(threads) * 4));
   const size_t num_chunks = (n + grain - 1) / grain;
   // Per-chunk output and counters, merged in chunk order: deterministic
-  // row-major output and thread-count-invariant counts.
+  // row-major output and thread-count-invariant counts. Counters and the
+  // per-worker scratch below are written on every candidate, so each
+  // entry owns a cache line: concurrent workers never share one.
   std::vector<FiredColumns> found(num_chunks);
-  struct ChunkCounts {
+  struct alignas(64) ChunkCounts {
     size_t candidate_pairs = 0;
     size_t rule_evals = 0;
     size_t feature_cache_hits = 0;
@@ -148,7 +150,7 @@ FiredColumns CandidateGenerator::Run(ThreadPool* pool,
   // Per-worker scratch: a worker processes chunks sequentially, and the
   // stamp is keyed on the r row, so stale entries from earlier rows never
   // alias (each r is swept exactly once).
-  struct Scratch {
+  struct alignas(64) Scratch {
     std::vector<size_t> stamp;   // s -> last r row that fired (r, s)
     std::vector<uint32_t> best;  // s -> lowest firing priority for that r
     std::vector<size_t> touched;
