@@ -396,6 +396,13 @@ void ExpectSessionMatchesReference(const GeneratedWorld& world,
           << "r_id " << r_ids[i] << " s_id " << s_ids[j];
     }
   }
+  for (size_t j = 0; j < s_ids.size(); ++j) {
+    const std::optional<size_t> want = ref.matching.MatchOfS(j);
+    EXPECT_EQ(inc.MatchOfS(s_ids[j]),
+              want.has_value() ? std::optional<size_t>(r_ids[*want])
+                               : std::nullopt)
+        << "s_id " << s_ids[j];
+  }
 }
 
 TEST(DifferentialIncrementalTest, CompiledMatchesInterpreterUnderUpdates) {
