@@ -66,7 +66,6 @@ Result<IncrementalIdentifier> IncrementalIdentifier::Create(
                         : ExtendedKey(std::vector<std::string>{});
   ExtensionOptions ext = config.matcher_options.extension;
   if (!config.extended_key.has_value()) ext.derive_all = true;
-  ext.threads = 1;  // no rows to shard
   EID_ASSIGN_OR_RETURN(
       ExtensionResult rx,
       ExtendRelation(empty_r, Side::kR, config.correspondence, key,
