@@ -1,12 +1,15 @@
 // Differential and id-space equivalence tests for the shared columnar
 // interned world (exec/columnar_world.h, DESIGN.md §4g).
 //
-// ColumnarDifferentialTest: BuildMatchingTable (the columnar compiled
-// engine) must be bit-identical to eid::reference::BuildMatchingTable —
-// extended rows, derivation traces, MT contents and order, uniqueness —
-// across DerivationMode × threads {1, 8}. This is the matcher-level
-// companion of tests/compile/differential_test.cc and runs under the
-// tsan/asan presets (scripts/check.sh).
+// ColumnarDifferentialTest: the columnar compiled engine must be
+// bit-identical to eid::reference::BuildMatchingTable — extended rows,
+// derivation traces, MT contents and order, uniqueness — across
+// DerivationMode × threads {1, 8}, through both of its entry points:
+// BuildMatchingTable in a world of its own (exhaustive_sweep) and the
+// staged session of EntityIdentifier::Identify, which runs the matcher
+// in the session's shared columnar world (staged). This is the
+// matcher-level companion of tests/compile/differential_test.cc and runs
+// under the tsan/asan presets (scripts/check.sh).
 //
 // ColumnarInternerTest: the pipeline's three interners — the AtomTable
 // behind derivation closures, the ColumnarWorld dictionary, and a
@@ -76,7 +79,38 @@ void ExpectIdentical(const MatcherResult& a, const MatcherResult& b) {
   EXPECT_EQ(a.uniqueness, b.uniqueness);
 }
 
-TEST(ColumnarDifferentialTest, MatchesInterpreterOracle) {
+/// The staged session exposes no added_attributes; they must be the
+/// trailing columns of its extended schemas.
+void ExpectAddedColumnsTrail(const std::vector<std::string>& added,
+                             const Relation& extended) {
+  const Schema& schema = extended.schema();
+  ASSERT_GE(schema.size(), added.size());
+  const size_t first = schema.size() - added.size();
+  for (size_t i = 0; i < added.size(); ++i) {
+    EXPECT_EQ(schema.attribute(first + i).name, added[i]);
+  }
+}
+
+/// `a` is the reference's result, `b` the staged identification run. The
+/// world's config has no identity rules, so b's MT is exactly the
+/// extended-key join.
+void ExpectIdentical(const MatcherResult& a, const IdentificationResult& b) {
+  EXPECT_EQ(a.r_extension.extended.rows(), b.r_extended.rows());
+  EXPECT_EQ(a.s_extension.extended.rows(), b.s_extended.rows());
+  ExpectAddedColumnsTrail(a.r_extension.added_attributes, b.r_extended);
+  ExpectAddedColumnsTrail(a.s_extension.added_attributes, b.s_extended);
+  ExpectTracesEqual(a.r_extension.traces, b.r_traces);
+  ExpectTracesEqual(a.s_extension.traces, b.s_traces);
+  EXPECT_EQ(a.matching.pairs(), b.matching.pairs());
+  EXPECT_EQ(a.uniqueness, b.uniqueness);
+}
+
+/// GetParam(): false runs BuildMatchingTable directly, true the staged
+/// session. Both are checked against the same reference result.
+class ColumnarDifferentialTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ColumnarDifferentialTest, MatchesInterpreterOracle) {
+  const bool staged = GetParam();
   GeneratedWorld world = MakeWorld(/*seed=*/41);
   for (DerivationMode mode :
        {DerivationMode::kExhaustive, DerivationMode::kFirstMatch}) {
@@ -95,16 +129,32 @@ TEST(ColumnarDifferentialTest, MatchesInterpreterOracle) {
                                    : "first_match") +
                    " threads=" + std::to_string(threads));
       options.threads = threads;
-      EID_ASSERT_OK_AND_ASSIGN(
-          MatcherResult result,
-          BuildMatchingTable(world.r, world.s, world.correspondence,
-                             world.extended_key, world.ilfds, options));
-      ExpectIdentical(reference, result);
+      exec::StageStatsSet stats;
+      if (staged) {
+        IdentifierConfig config;
+        config.correspondence = world.correspondence;
+        config.extended_key = world.extended_key;
+        config.ilfds = world.ilfds;
+        config.distinctness_from_ilfds = false;
+        config.matcher_options = options;
+        EID_ASSERT_OK_AND_ASSIGN(
+            IdentificationResult result,
+            EntityIdentifier(config).Identify(world.r, world.s));
+        ExpectIdentical(reference, result);
+        stats = std::move(result.stats);
+      } else {
+        EID_ASSERT_OK_AND_ASSIGN(
+            MatcherResult result,
+            BuildMatchingTable(world.r, world.s, world.correspondence,
+                               world.extended_key, world.ilfds, options));
+        ExpectIdentical(reference, result);
+        stats = std::move(result.stats);
+      }
       // The run must actually have gone through the columnar engine:
       // batched probes and at least one non-trivial encode.
       size_t probe_batches = 0;
       size_t reuse_hits = 0;
-      for (const exec::StageStats& stage : result.stats.stages()) {
+      for (const exec::StageStats& stage : stats.stages()) {
         probe_batches += stage.probe_batches;
         reuse_hits += stage.interner_reuse_hits;
       }
@@ -113,6 +163,11 @@ TEST(ColumnarDifferentialTest, MatchesInterpreterOracle) {
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Staged, ColumnarDifferentialTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "staged" : "exhaustive_sweep";
+                         });
 
 // --- Interner equivalence ------------------------------------------------
 
