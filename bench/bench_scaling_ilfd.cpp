@@ -200,7 +200,7 @@ void BM_ParallelExtension(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelExtension)->ArgsProduct({{1024, 4096}, {1, 2, 4, 8}});
 
-// --- Engine comparison: compiled + memo vs per-tuple interpreter --------
+// --- Engine comparison: compiled vs per-tuple interpreter ---------------
 // CPU time (CpuTimer), single-threaded, so the reported ratio survives
 // shared single-core CI runners (see README "Performance"). ns/op per
 // (engine, n) lands in the JSON via the custom main; EXPERIMENTS.md
@@ -208,8 +208,7 @@ BENCHMARK(BM_ParallelExtension)->ArgsProduct({{1024, 4096}, {1, 2, 4, 8}});
 
 /// A taxonomy workload: street determines city, city determines county —
 /// bounded domains shared by many tuples, the shape of the paper's
-/// restaurant ILFDs. Projections repeat heavily, so the memo caches one
-/// derivation per distinct (street, city, county) projection.
+/// restaurant ILFDs.
 struct TaxonomyWorkload {
   Schema schema{std::vector<Attribute>{}};
   std::vector<Row> rows;
@@ -250,26 +249,21 @@ void RunDerivationEngine(benchmark::State& state, bool compile) {
   opts.target_attributes = {"city", "county"};
   double total_ms = 0;
   size_t iterations = 0;
-  size_t hits = 0, misses = 0;
   for (auto _ : state) {
     bench::CpuTimer timer;
     size_t derived = 0;
     if (compile) {
       // Lowering happens inside the timed region: the compile cost is
-      // part of every session, exactly as in ExtendRelation (which also
-      // borrows the knowledge base — the IlfdSet outlives the call).
+      // part of every session, exactly as in ExtendRelation.
       compile::DerivationProgram program =
-          compile::DerivationProgram::CompileBorrowed(w.schema, w.ilfds, opts);
+          compile::DerivationProgram::Compile(w.schema, w.ilfds, opts);
       ClosureEvaluator evaluator(&program.kb());
-      compile::DerivationMemo memo;
       std::vector<compile::DerivationWrite> writes;
       for (const Row& row : w.rows) {
-        Result<Derivation> d = program.Derive(row, &evaluator, &memo, &writes);
+        Result<Derivation> d = program.Derive(row, evaluator, &writes);
         EID_CHECK(d.ok());
         derived += d->derived.size();
       }
-      hits = memo.hits();
-      misses = memo.misses();
     } else {
       ClosureEvaluator evaluator(&w.ilfds.kb());
       for (const Row& row : w.rows) {
@@ -283,8 +277,6 @@ void RunDerivationEngine(benchmark::State& state, bool compile) {
     ++iterations;
     benchmark::DoNotOptimize(derived);
   }
-  state.counters["memo_hits"] = static_cast<double>(hits);
-  state.counters["memo_misses"] = static_cast<double>(misses);
   bench::GlobalJson().Record(
       compile ? "derivation_compiled" : "derivation_interpreter",
       static_cast<size_t>(state.range(0)), /*threads=*/1,
@@ -301,9 +293,7 @@ BENCHMARK(BM_DerivationCompiled)->RangeMultiplier(4)->Range(256, 4096);
 BENCHMARK(BM_DerivationInterpreter)->RangeMultiplier(4)->Range(256, 4096);
 
 /// End-to-end extension on the generated world (per-entity ILFDs mention
-/// `name`, so memo projections are near-unique here: this isolates the
-/// gain from binding/compilation alone, without memo help). The
-/// interpreter row is eid::reference::ExtendRelation.
+/// `name`). The interpreter row is eid::reference::ExtendRelation.
 void RunExtensionEngine(benchmark::State& state, bool compile) {
   size_t per_side = static_cast<size_t>(state.range(0));
   GeneratorConfig gen;

@@ -277,8 +277,8 @@ BENCHMARK(BM_ParallelIdentifyBlocked)
 
 // --- Engine comparison: production vs the paper-literal reference -------
 // Full matching-table build, single-threaded, CPU time (see README
-// "Performance"): derivation programs + memos in extension plus the
-// id-keyed extended-key join, against eid::reference's per-tuple
+// "Performance"): derivation programs in extension plus the id-keyed
+// extended-key join, against eid::reference's per-tuple
 // interpreter extension and string-fingerprint join.
 
 void RunMatcherEngine(benchmark::State& state, bool reference) {

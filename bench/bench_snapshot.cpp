@@ -275,8 +275,7 @@ Row7 Measure(size_t per_side, int repeats) {
       // Rebuild baseline: everything the load replaces, from durable
       // bytes only — re-reading the sources, re-parsing the rule file,
       // rebuilding the IlfdSet, compiling a *fresh* identifier (a
-      // restarted process has no warm rule programs, memo caches or
-      // column indexes), and re-deriving the extended relations, MT/NMT
+      // restarted process has no warm rule programs or column indexes), and re-deriving the extended relations, MT/NMT
       // and provenance.
       bench::WallTimer timer;
       Result<Relation> r_rows = ReadCsvFile(r_csv, "R");

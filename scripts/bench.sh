@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Engine-comparison benchmarks: the production engine (compiled + memo +
+# Engine-comparison benchmarks: the production engine (compiled +
 # columnar) vs the paper-literal reference (eid/reference.h: per-tuple
 # interpreter extension and string-fingerprint join).
 #

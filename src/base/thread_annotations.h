@@ -29,8 +29,8 @@
 //   EID_PER_WORKER          — state owned by exactly one ParallelFor
 //                             worker (indexed by the worker id, or one
 //                             instance per worker): never shared, so
-//                             never locked. Examples: DerivationMemo,
-//                             ClosureEvaluator, per-chunk output buffers.
+//                             never locked. Examples: ClosureEvaluator,
+//                             per-chunk output buffers.
 //   EID_SHARED_IMMUTABLE    — state built serially *before* a
 //                             ParallelFor and read-only inside it
 //                             (const access from every worker).

@@ -109,33 +109,17 @@ Result<BaselineResult> KeyEquivalenceMatcher::Match(const Relation& r,
     return Status::Internal("key alignment failed");
   }
 
-  auto fingerprint = [](const Row& row, const std::vector<size_t>& idx,
-                        bool* has_null) {
-    std::string fp;
-    *has_null = false;
-    for (size_t i : idx) {
-      if (row[i].is_null()) {
-        *has_null = true;
-        return fp;
-      }
-      std::string v = row[i].ToString();
-      fp += std::to_string(v.size()) + ":" + v + "|" +
-            static_cast<char>('0' + static_cast<int>(row[i].type()));
-    }
-    return fp;
-  };
-
   std::unordered_map<std::string, std::vector<size_t>> build;
   for (size_t j = 0; j < s.size(); ++j) {
-    bool has_null = false;
-    std::string fp = fingerprint(s.row(j), s_aligned, &has_null);
-    if (!has_null) build[fp].push_back(j);
+    const Row& row = s.row(j);
+    if (!AnyNull(row, s_aligned)) {
+      build[RowFingerprint(row, s_aligned)].push_back(j);
+    }
   }
   for (size_t i = 0; i < r.size(); ++i) {
-    bool has_null = false;
-    std::string fp = fingerprint(r.row(i), rk.attribute_indices, &has_null);
-    if (has_null) continue;
-    auto it = build.find(fp);
+    const Row& row = r.row(i);
+    if (AnyNull(row, rk.attribute_indices)) continue;
+    auto it = build.find(RowFingerprint(row, rk.attribute_indices));
     if (it == build.end()) continue;
     for (size_t j : it->second) {
       // A candidate key is unique within each relation, so at most one j.

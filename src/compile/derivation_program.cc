@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_map>
 
 namespace eid {
 namespace compile {
@@ -9,39 +10,15 @@ namespace compile {
 DerivationProgram DerivationProgram::Compile(const Schema& schema,
                                              const IlfdSet& ilfds,
                                              const DerivationOptions& options) {
-  return CompileImpl(schema, ilfds, options, /*borrow_kb=*/false);
-}
-
-DerivationProgram DerivationProgram::CompileBorrowed(
-    const Schema& schema, const IlfdSet& ilfds,
-    const DerivationOptions& options) {
-  return CompileImpl(schema, ilfds, options, /*borrow_kb=*/true);
-}
-
-DerivationProgram DerivationProgram::CompileImpl(
-    const Schema& schema, const IlfdSet& ilfds,
-    const DerivationOptions& options, bool borrow_kb) {
   DerivationProgram p;
   p.schema_ = schema;
   p.mode_ = options.mode;
   p.conflict_policy_ = options.conflict_policy;
+  p.kb_ = &ilfds.kb();
+  p.atoms_ = &ilfds.atoms();
 
   if (options.mode == DerivationMode::kExhaustive) {
     const AtomTable& atoms = ilfds.atoms();
-    if (borrow_kb) {
-      // Borrow everything the AtomTable already maintains: the knowledge
-      // base, the per-atom values and the per-attribute seed maps. This
-      // drops the dominant lowering cost (hashing thousands of atom
-      // values per call) for the batch engine, which re-lowers per sweep.
-      p.kb_view_ = &ilfds.kb();
-      p.atoms_view_ = &atoms;
-    } else {
-      p.kb_ = ilfds.kb();
-      p.value_of_atom_.reserve(atoms.size());
-      for (size_t id = 0; id < atoms.size(); ++id) {
-        p.value_of_atom_.push_back(atoms.atom(static_cast<AtomId>(id)).value);
-      }
-    }
     p.slot_of_atom_.assign(atoms.size(), kNoSlot);
     // Seed columns in ascending schema order — the interpreter's seed
     // scan order.
@@ -49,19 +26,7 @@ DerivationProgram DerivationProgram::CompileImpl(
       const AtomTable::AttributeAtoms* attr =
           atoms.AttributeIndex(schema.attribute(c).name);
       if (attr == nullptr || attr->ids.empty()) continue;
-      SeedColumn sc;
-      sc.column = c;
-      if (borrow_kb) {
-        sc.atoms = attr;
-      } else {
-        sc.owned = std::make_shared<AtomTable::AttributeAtoms>(*attr);
-        sc.atoms = sc.owned.get();
-      }
-      p.seed_columns_.push_back(std::move(sc));
-      // Every attribute the exhaustive run can read is interned (the
-      // consequent atoms are, too), so the seed columns are exactly the
-      // memo key projection.
-      p.memo_columns_.push_back(c);
+      p.seed_columns_.push_back(SeedColumn{c, attr});
     }
     // One slot per clause-head attribute, first-appearance order over the
     // clause-major head array. Attributes are keyed by their atom-table
@@ -142,50 +107,27 @@ DerivationProgram DerivationProgram::CompileImpl(
   }
   p.fm_targets_.reserve(targets.size());
   for (const std::string& t : targets) p.fm_targets_.push_back(intern_attr(t));
-  for (const FmAttr& attr : p.fm_attrs_) {
-    if (attr.column.has_value()) p.memo_columns_.push_back(*attr.column);
-  }
-  std::sort(p.memo_columns_.begin(), p.memo_columns_.end());
   return p;
 }
 
 Result<Derivation> DerivationProgram::Derive(
-    const Row& row, ClosureEvaluator* evaluator, DerivationMemo* memo,
+    const Row& row, ClosureEvaluator& evaluator,
     std::vector<DerivationWrite>* writes) const {
   EID_CHECK(row.size() == schema_.size());
   writes->clear();
-  if (memo == nullptr || memo->abandoned_) {
-    return RunUncached(row, evaluator, writes);
+  if (mode_ != DerivationMode::kExhaustive) return RunFirstMatch(row, writes);
+  std::vector<AtomId> seed;
+  seed.reserve(seed_columns_.size());
+  for (const SeedColumn& sc : seed_columns_) {
+    const Value& v = row[sc.column];
+    if (v.is_null()) continue;
+    std::optional<AtomId> atom = sc.atoms->Find(v);
+    if (atom.has_value()) seed.push_back(*atom);
   }
-  EID_CHECK(memo->key_space_ != DerivationMemo::KeySpace::kColumnar);
-  memo->key_space_ = DerivationMemo::KeySpace::kRow;
-  std::vector<uint32_t>& key = memo->key_scratch_;
-  key.clear();
-  for (size_t c : memo_columns_) {
-    key.push_back(memo->interner_.GetOrIntern(row[c]));
-  }
-  auto it = memo->entries_.find(key);
-  if (it != memo->entries_.end()) {
-    ++memo->hits_;
-    *writes = it->second.writes;
-    return it->second.trace;
-  }
-  Result<Derivation> derived = RunUncached(row, evaluator, writes);
-  // Errors are not cached: the kError message cites the whole tuple,
-  // which the key projection does not cover.
-  if (!derived.ok()) return derived;
-  ++memo->misses_;
-  const bool hopeless =
-      memo->misses_ >= DerivationMemo::kEarlyAbandonMissLimit &&
-      memo->hits_ == 0;
-  if (hopeless || (memo->misses_ >= DerivationMemo::kAbandonMissLimit &&
-                   memo->hits_ < memo->misses_ / 8)) {
-    memo->abandoned_ = true;
-    memo->entries_ = {};  // free, not just clear
-    return derived;
-  }
-  memo->entries_.emplace(key, DerivationMemo::Entry{*derived, *writes});
-  return derived;
+  // AtomSet's sorted-unique invariant, which RunDerived requires.
+  const AtomSet seed_set(std::move(seed));
+  return RunExhaustive(row, seed_set.ids().data(), seed_set.ids().size(),
+                       evaluator, writes);
 }
 
 ColumnarBinding DerivationProgram::BindColumns(exec::ColumnarWorld& world,
@@ -194,11 +136,6 @@ ColumnarBinding DerivationProgram::BindColumns(exec::ColumnarWorld& world,
   ColumnarBinding binding;
   binding.rows = rel.rows().size();
   const size_t arity = rel.schema().size();
-  binding.memo_ids.reserve(memo_columns_.size());
-  for (size_t c : memo_columns_) {
-    binding.memo_ids.push_back(
-        c < arity ? world.Column(slot, rel, c).data() : nullptr);
-  }
   if (mode_ != DerivationMode::kExhaustive) return binding;
   binding.seed_ids.reserve(seed_columns_.size());
   binding.atom_of_id.resize(seed_columns_.size());
@@ -239,54 +176,10 @@ ColumnarBinding DerivationProgram::BindColumns(exec::ColumnarWorld& world,
 
 Result<Derivation> DerivationProgram::Derive(
     const Row& row, size_t row_index, const ColumnarBinding& binding,
-    ClosureEvaluator* evaluator, DerivationMemo* memo,
-    std::vector<DerivationWrite>* writes) const {
+    ClosureEvaluator& evaluator, std::vector<DerivationWrite>* writes) const {
   EID_CHECK(row.size() == schema_.size());
   writes->clear();
-  if (memo == nullptr || memo->abandoned_) {
-    return RunUncachedColumnar(row, row_index, binding, evaluator, writes);
-  }
-  EID_CHECK(memo->key_space_ != DerivationMemo::KeySpace::kRow);
-  memo->key_space_ = DerivationMemo::KeySpace::kColumnar;
-  // Same key partition as the row path — kNullId stands in for the
-  // interned NULL, and equal values share a dictionary id — so hit/miss
-  // sequences (and therefore results) are identical.
-  std::vector<uint32_t>& key = memo->key_scratch_;
-  key.clear();
-  for (size_t i = 0; i < memo_columns_.size(); ++i) {
-    const uint32_t* ids = binding.memo_ids[i];
-    key.push_back(ids != nullptr ? ids[row_index]
-                                 : exec::ColumnarWorld::kNullId);
-  }
-  auto it = memo->entries_.find(key);
-  if (it != memo->entries_.end()) {
-    ++memo->hits_;
-    *writes = it->second.writes;
-    return it->second.trace;
-  }
-  Result<Derivation> derived =
-      RunUncachedColumnar(row, row_index, binding, evaluator, writes);
-  if (!derived.ok()) return derived;
-  ++memo->misses_;
-  const bool hopeless =
-      memo->misses_ >= DerivationMemo::kEarlyAbandonMissLimit &&
-      memo->hits_ == 0;
-  if (hopeless || (memo->misses_ >= DerivationMemo::kAbandonMissLimit &&
-                   memo->hits_ < memo->misses_ / 8)) {
-    memo->abandoned_ = true;
-    memo->entries_ = {};  // free, not just clear
-    return derived;
-  }
-  memo->entries_.emplace(key, DerivationMemo::Entry{*derived, *writes});
-  return derived;
-}
-
-Result<Derivation> DerivationProgram::RunUncachedColumnar(
-    const Row& row, size_t row_index, const ColumnarBinding& binding,
-    ClosureEvaluator* evaluator, std::vector<DerivationWrite>* writes) const {
-  if (mode_ != DerivationMode::kExhaustive) {
-    return RunUncached(row, evaluator, writes);
-  }
+  if (mode_ != DerivationMode::kExhaustive) return RunFirstMatch(row, writes);
   // The columnar seed: two array loads per seed column instead of a
   // Value hash probe. Gathered into a stack buffer, then normalised to
   // AtomSet's sorted-unique invariant so the closure queue seeds in
@@ -310,68 +203,16 @@ Result<Derivation> DerivationProgram::RunUncachedColumnar(
   }
   std::sort(seed, seed + count);
   count = static_cast<size_t>(std::unique(seed, seed + count) - seed);
-  if (evaluator != nullptr) {
-    return ApplyDerived(row, evaluator->RunDerived(seed, count), writes);
-  }
-  return RunExhaustiveSeeded(
-      row, AtomSet(std::vector<AtomId>(seed, seed + count)), evaluator,
-      writes);
-}
-
-Result<Derivation> DerivationProgram::RunUncached(
-    const Row& row, ClosureEvaluator* evaluator,
-    std::vector<DerivationWrite>* writes) const {
-  switch (mode_) {
-    case DerivationMode::kExhaustive:
-      return RunExhaustive(row, evaluator, writes);
-    case DerivationMode::kFirstMatch:
-      return RunFirstMatch(row, writes);
-  }
-  return Status::Internal("unknown derivation mode");
+  return RunExhaustive(row, seed, count, evaluator, writes);
 }
 
 Result<Derivation> DerivationProgram::RunExhaustive(
-    const Row& row, ClosureEvaluator* evaluator,
-    std::vector<DerivationWrite>* writes) const {
-  std::vector<AtomId> seed;
-  seed.reserve(seed_columns_.size());
-  for (const SeedColumn& sc : seed_columns_) {
-    const Value& v = row[sc.column];
-    if (v.is_null()) continue;
-    std::optional<AtomId> atom = sc.atoms->Find(v);
-    if (atom.has_value()) seed.push_back(*atom);
-  }
-  return RunExhaustiveSeeded(row, AtomSet(std::move(seed)), evaluator, writes);
-}
-
-Result<Derivation> DerivationProgram::RunExhaustiveSeeded(
-    const Row& row, AtomSet seed_set, ClosureEvaluator* evaluator,
-    std::vector<DerivationWrite>* writes) const {
-  if (evaluator != nullptr) {
-    // Lean closure: the evaluator hands back exactly the events
-    // ApplyDerived consumes, skipping the AtomSet/provenance-map/
-    // firing-order materialisation of ForwardClosure — the per-tuple
-    // allocations that dominated the sweep.
-    return ApplyDerived(row, evaluator->RunDerived(seed_set.ids()), writes);
-  }
-  ClosureResult closure = kb().ForwardClosure(seed_set);
-  std::vector<DerivedAtom> events;
-  for (size_t clause_index : closure.firing_order) {
-    const Implication& clause = kb().clause(clause_index);
-    for (AtomId h : clause.head.ids()) {
-      auto prov = closure.provenance.find(h);
-      if (prov == closure.provenance.end() || prov->second != clause_index) {
-        continue;  // atom was in the seed or derived by an earlier clause
-      }
-      events.push_back(DerivedAtom{clause_index, h});
-    }
-  }
-  return ApplyDerived(row, events, writes);
-}
-
-Result<Derivation> DerivationProgram::ApplyDerived(
-    const Row& row, const std::vector<DerivedAtom>& events,
-    std::vector<DerivationWrite>* writes) const {
+    const Row& row, const AtomId* seed, size_t count,
+    ClosureEvaluator& evaluator, std::vector<DerivationWrite>* writes) const {
+  // Lean closure: the evaluator hands back exactly the events consumed
+  // below, skipping the AtomSet/provenance-map/firing-order
+  // materialisation of ForwardClosure.
+  const std::vector<DerivedAtom>& events = evaluator.RunDerived(seed, count);
   Derivation out;
 
   // Dense mirror of the interpreter's bound/conflicted maps: a slot is
@@ -399,7 +240,7 @@ Result<Derivation> DerivationProgram::ApplyDerived(
     const AtomId h = e.atom;
     const uint32_t slot = slot_of_atom_[h];
     const ConsSlot& cs = cons_slots_[slot];
-    const Value& atom_value = AtomValue(h);
+    const Value& atom_value = atoms_->atom(h).value;
     const size_t fi = e.clause;  // clause index == ILFD index
 
     const Value* first_value = nullptr;

@@ -19,10 +19,8 @@ struct Observation {
 std::string PatternKey(const std::vector<Atom>& atoms) {
   std::string key;
   for (const Atom& a : atoms) {
-    std::string v = a.value.ToString();
-    key += std::to_string(a.attribute.size()) + ":" + a.attribute + "=" +
-           std::to_string(v.size()) + ":" + v + "|" +
-           static_cast<char>('0' + static_cast<int>(a.value.type()));
+    key += std::to_string(a.attribute.size()) + ":" + a.attribute + "=";
+    a.value.AppendFingerprint(&key);
   }
   return key;
 }
@@ -45,7 +43,10 @@ std::vector<MinedIlfd> MineIlfds(const Relation& relation,
   for (size_t a = 0; a < n; ++a) {
     std::set<std::string> values;
     for (const Row& row : relation.rows()) {
-      if (!row[a].is_null()) values.insert(row[a].ToString());
+      if (row[a].is_null()) continue;
+      std::string fp;
+      row[a].AppendFingerprint(&fp);
+      values.insert(std::move(fp));
     }
     cardinality[a] = values.size();
   }

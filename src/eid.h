@@ -22,7 +22,6 @@
 #include "analysis/analyzer.h"
 #include "analysis/diagnostic.h"
 #include "compile/derivation_program.h"
-#include "compile/interner.h"
 #include "compile/pair_program.h"
 #include "discovery/ilfd_miner.h"
 #include "discovery/key_discovery.h"
@@ -61,6 +60,7 @@
 #include "relational/status.h"
 #include "relational/tuple.h"
 #include "relational/value.h"
+#include "relational/value_dictionary.h"
 #include "rules/distinctness_rule.h"
 #include "rules/identity_rule.h"
 #include "rules/predicate.h"

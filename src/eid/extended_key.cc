@@ -40,13 +40,7 @@ Result<bool> IsIdentifying(const Relation& universe,
   }
   std::unordered_set<std::string> seen;
   for (const Row& row : universe.rows()) {
-    std::string fp;
-    for (size_t i : idx) {
-      std::string v = row[i].ToString();
-      fp += std::to_string(v.size()) + ":" + v + "|" +
-            static_cast<char>('0' + static_cast<int>(row[i].type()));
-    }
-    if (!seen.insert(fp).second) return false;
+    if (!seen.insert(RowFingerprint(row, idx)).second) return false;
   }
   return true;
 }

@@ -94,23 +94,19 @@ Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
   const Schema& ext_schema = extended.schema();
   const size_t base_arity = relation.schema().size();
 
-  // Lower the ILFD program once for this schema/options pair; each worker
-  // gets its own derivation memo alongside its closure evaluator.
-  // Borrowing is safe: `ilfds` outlives this call, and the program does
-  // not escape.
+  // Lower the ILFD program once for this schema/options pair. The
+  // program borrows `ilfds`, which outlives this call; it does not
+  // escape.
   exec::StageTimer compile_timer;
   EID_SHARED_IMMUTABLE const compile::DerivationProgram program =
-      compile::DerivationProgram::CompileBorrowed(ext_schema, ilfds,
-                                                  derivation);
+      compile::DerivationProgram::Compile(ext_schema, ilfds, derivation);
   const double compile_ms = compile_timer.ElapsedMs();
-  EID_PER_WORKER std::vector<compile::DerivationMemo> memos(
-      static_cast<size_t>(workers));  // by worker id
   EID_PER_WORKER std::vector<ClosureEvaluator> evaluators;  // by worker id
   evaluators.reserve(static_cast<size_t>(workers));
   for (int w = 0; w < workers; ++w) evaluators.emplace_back(&program.kb());
 
-  // Columnar sweep setup (serial): bind the program's memo/seed
-  // projection to the side's base slot, and encode the columns the
+  // Columnar sweep setup (serial): bind the program's seed columns to
+  // the side's base slot, and encode the columns the
   // id-level re-validation and the downstream join will read — the
   // candidate-key columns and any extended-key column already present in
   // the source schema. After this the dictionary is read-only until the
@@ -147,8 +143,7 @@ Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
       Row row = relation.rows()[r];
       row.resize(row.size() + added.size(), Value::Null());
       Result<Derivation> derived =
-          program.Derive(row, r, binding, &evaluator,
-                         &memos[static_cast<size_t>(worker)], &writes);
+          program.Derive(row, r, binding, evaluator, &writes);
       if (!derived.ok()) {
         row_status[r] = derived.status();
         continue;
@@ -284,11 +279,6 @@ Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
     stats->values_derived = values_derived;
     stats->wall_ms = timer.ElapsedMs();
     stats->compile_ms = compile_ms;
-    for (const compile::DerivationMemo& memo : memos) {
-      stats->memo_hits += memo.hits();
-      stats->memo_misses += memo.misses();
-      stats->interner_values += memo.interner_size();
-    }
     stats->columnar_encode_ms = columnar.encode_ms() - encode_ms_before;
     stats->interner_reuse_hits = columnar.reuse_hits() - reuse_before;
   }

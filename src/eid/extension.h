@@ -60,18 +60,17 @@ Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
 
 /// Pool-sharing form used by the engine: the ILFD program is lowered
 /// once (compile::DerivationProgram), per-tuple derivation is sharded
-/// over `pool` (one ClosureEvaluator and derivation memo per worker; may
-/// be null for the serial path), and stage counters are recorded into
-/// `stats` when non-null. `options.threads` is ignored — the pool
-/// decides.
+/// over `pool` (one ClosureEvaluator per worker; may be null for the
+/// serial path), and stage counters are recorded into `stats` when
+/// non-null. `options.threads` is ignored — the pool decides.
 ///
 /// The session's columnar world drives the sweep (DESIGN.md §4g): source
 /// cells are encoded once into the shared dictionary under the side's
-/// base slot, the derivation memo keys and closure seeds gather
-/// pre-encoded ids, renaming into world naming is schema-only (no row
-/// copy), and on the clean path the extended relation is assembled by
-/// AdoptRows after an id-level re-validation (write types, key NULLs, key
-/// uniqueness over sorted id keys) — falling back to the exact per-row
+/// base slot, closure seeds gather pre-encoded ids, renaming into world
+/// naming is schema-only (no row copy), and on the clean path the
+/// extended relation is assembled by AdoptRows after an id-level
+/// re-validation (write types, key NULLs, key uniqueness over sorted id
+/// keys) — falling back to the exact per-row
 /// Insert replay the moment anything looks off, so diagnostics and error
 /// precedence equal eid::reference::ExtendRelation's. The extended
 /// relation's id columns are adopted into the side's extended slot for

@@ -11,24 +11,6 @@ namespace {
 
 constexpr size_t kNoMatch = SIZE_MAX;
 
-/// Length-prefixed, type-tagged concatenation of `row`'s values at `idx`
-/// (Relation's key fingerprint format); empty when any of them is NULL.
-std::string Fingerprint(const Row& row, const std::vector<size_t>& idx) {
-  std::string fp;
-  std::string v;
-  for (size_t i : idx) {
-    if (row[i].is_null()) return std::string();
-    v.clear();
-    row[i].AppendTo(&v);
-    fp += std::to_string(v.size());
-    fp += ':';
-    fp += v;
-    fp += '|';
-    fp += static_cast<char>('0' + static_cast<int>(row[i].type()));
-  }
-  return fp;
-}
-
 /// Removes `id` from an ascending id list that holds it.
 void EraseSorted(std::vector<size_t>* ids, size_t id) {
   auto it = std::lower_bound(ids->begin(), ids->end(), id);
@@ -86,16 +68,16 @@ Result<IncrementalIdentifier> IncrementalIdentifier::Create(
 
   out.sides_[0].proto = std::move(empty_r);
   out.sides_[1].proto = std::move(empty_s);
-  out.config_ = std::move(config);
-  out.derivation_ = out.config_.matcher_options.extension.derivation;
-  if (out.config_.extended_key.has_value() &&
+  out.config_ = std::make_unique<const IdentifierConfig>(std::move(config));
+  out.derivation_ = out.config_->matcher_options.extension.derivation;
+  if (out.config_->extended_key.has_value() &&
       out.derivation_.target_attributes.empty()) {
-    out.derivation_.target_attributes = out.config_.extended_key->attributes();
+    out.derivation_.target_attributes = out.config_->extended_key->attributes();
   }
   for (SideState& side : out.sides_) {
     side.live_keys.resize(side.proto.keys().size());
-    if (out.config_.extended_key.has_value()) {
-      for (const std::string& a : out.config_.extended_key->attributes()) {
+    if (out.config_->extended_key.has_value()) {
+      for (const std::string& a : out.config_->extended_key->attributes()) {
         EID_ASSIGN_OR_RETURN(size_t i, side.ext_schema.RequireIndex(a));
         side.ext_key_cols.push_back(i);
       }
@@ -136,15 +118,13 @@ Result<IncrementalIdentifier> IncrementalIdentifier::Create(
     }
     return resolved;
   };
-  // Lower the session's programs once: derivation per side (the memo
-  // caches persist across inserts, so repeated projections derive once
-  // per session) and every rule antecedent per orientation, next to its
-  // plan.
+  // Lower the session's programs once: derivation per side and every
+  // rule antecedent per orientation, next to its plan.
   for (SideState& side : out.sides_) {
     side.value_index.resize(side.ext_schema.size());
     side.derive = std::make_unique<compile::DerivationProgram>(
         compile::DerivationProgram::Compile(side.ext_schema,
-                                            out.config_.ilfds,
+                                            out.config_->ilfds,
                                             out.derivation_));
     side.eval = std::make_unique<ClosureEvaluator>(&side.derive->kb());
   }
@@ -158,7 +138,7 @@ Result<IncrementalIdentifier> IncrementalIdentifier::Create(
               flipped)});
     }
   };
-  for (const IdentityRule& rule : out.config_.identity_rules) {
+  for (const IdentityRule& rule : out.config_->identity_rules) {
     lower(rule.predicates(), &out.identity_rules_);
   }
   for (const DistinctnessRule& rule : out.all_distinctness_) {
@@ -183,7 +163,7 @@ Result<size_t> IncrementalIdentifier::Insert(Side side, Row row) {
   std::vector<std::string> key_fingerprints;
   key_fingerprints.reserve(proto.keys().size());
   for (size_t k = 0; k < proto.keys().size(); ++k) {
-    std::string fp = Fingerprint(row, proto.keys()[k].attribute_indices);
+    std::string fp = RowFingerprint(row, proto.keys()[k].attribute_indices);
     if (own.live_keys[k].count(fp) > 0) {
       return Status::ConstraintViolation(
           "candidate-key violation in relation '" + proto.name() +
@@ -199,15 +179,18 @@ Result<size_t> IncrementalIdentifier::Insert(Side side, Row row) {
   entry.extended.resize(own.ext_schema.size(), Value::Null());
   std::vector<compile::DerivationWrite> writes;
   EID_RETURN_IF_ERROR(
-      own.derive->Derive(entry.extended, own.eval.get(), &own.memo, &writes)
-          .status());
+      own.derive->Derive(entry.extended, *own.eval, &writes).status());
   for (const compile::DerivationWrite& w : writes) {
     if (entry.extended[w.column].is_null()) {
       entry.extended[w.column] = w.value;
     }
   }
   entry.alive = true;
-  entry.ext_key_fingerprint = Fingerprint(entry.extended, own.ext_key_cols);
+  // Empty when any K_ext value is NULL: such a key never joins.
+  if (!AnyNull(entry.extended, own.ext_key_cols)) {
+    entry.ext_key_fingerprint = RowFingerprint(entry.extended,
+                                               own.ext_key_cols);
+  }
 
   // Register the tuple: id, key fingerprints, ext-key and value indexes.
   const size_t id = own.entries.size();
@@ -296,7 +279,7 @@ Result<size_t> IncrementalIdentifier::Insert(Side side, Row row) {
     if (it != other.ext_index.end()) key_ids = it->second;  // ascending
   }
   std::vector<size_t> rule_ids;
-  if (!config_.identity_rules.empty()) {
+  if (!config_->identity_rules.empty()) {
     std::vector<size_t> fired;
     sweep(identity_rules_, &fired);
     std::set_difference(fired.begin(), fired.end(), key_ids.begin(),
@@ -350,8 +333,8 @@ Status IncrementalIdentifier::Delete(Side side, size_t id) {
   // Free its candidate-key slots: key columns are never NULL and never
   // derived, so the extended row still holds the inserted key values.
   for (size_t k = 0; k < own.proto.keys().size(); ++k) {
-    own.live_keys[k].erase(
-        Fingerprint(entry.extended, own.proto.keys()[k].attribute_indices));
+    own.live_keys[k].erase(RowFingerprint(
+        entry.extended, own.proto.keys()[k].attribute_indices));
   }
   if (!entry.ext_key_fingerprint.empty()) {
     EraseFromBucket(&own.ext_index, entry.ext_key_fingerprint, id);

@@ -146,13 +146,13 @@ class IncrementalIdentifier {
     Relation proto;  // empty schema/key carrier
     Schema ext_schema;
     std::vector<size_t> ext_key_cols;  // K_ext positions in ext_schema
-    // Compiled derivation: the program lives on the heap so the
-    // evaluator's knowledge-base pointer survives moves of the
-    // identifier. The session is single-threaded, so its one "worker"
-    // owns the evaluator/memo pair (EID_PER_WORKER by construction).
+    // Compiled derivation over config_->ilfds, which sits at a stable
+    // heap address, so the program's borrowed knowledge base and the
+    // evaluator's pointer to it survive moves of the identifier. The
+    // session is single-threaded, so its one "worker" owns the evaluator
+    // (EID_PER_WORKER by construction).
     std::unique_ptr<compile::DerivationProgram> derive;
     EID_PER_WORKER std::unique_ptr<ClosureEvaluator> eval;
-    EID_PER_WORKER compile::DerivationMemo memo;
 
     std::vector<Entry> entries;
     size_t live = 0;
@@ -185,7 +185,9 @@ class IncrementalIdentifier {
   /// insertion order.
   void RebuildMatching() const;
 
-  IdentifierConfig config_;
+  // On the heap so the derivation programs can borrow its ILFD set
+  // across moves of the identifier.
+  std::unique_ptr<const IdentifierConfig> config_;
   DerivationOptions derivation_;  // targets default to the extended key
   std::vector<DistinctnessRule> all_distinctness_;
   std::array<SideState, 2> sides_;

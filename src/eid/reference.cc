@@ -10,24 +10,6 @@ namespace reference {
 
 namespace {
 
-/// Key fingerprint of a row over the given columns; sets *has_null when
-/// any key column is NULL (such rows never join: non_null_eq).
-std::string KeyFingerprint(const Row& row, const std::vector<size_t>& idx,
-                           bool* has_null) {
-  std::string fp;
-  *has_null = false;
-  for (size_t i : idx) {
-    if (row[i].is_null()) {
-      *has_null = true;
-      return fp;
-    }
-    std::string v = row[i].ToString();
-    fp += std::to_string(v.size()) + ":" + v + "|" +
-          static_cast<char>('0' + static_cast<int>(row[i].type()));
-  }
-  return fp;
-}
-
 /// The pairs of R' x S' agreeing non-NULL on every extended-key
 /// attribute: r-major, s ascending.
 Result<std::vector<TuplePair>> KeyJoin(const Relation& r_extended,
@@ -41,17 +23,16 @@ Result<std::vector<TuplePair>> KeyJoin(const Relation& r_extended,
     s_idx.push_back(si);
   }
   std::unordered_map<std::string, std::vector<size_t>> build;
+  // A key with a NULL cell never joins (non_null_eq).
   for (size_t s = 0; s < s_extended.size(); ++s) {
-    bool has_null = false;
-    std::string fp = KeyFingerprint(s_extended.row(s), s_idx, &has_null);
-    if (!has_null) build[fp].push_back(s);
+    const Row& row = s_extended.row(s);
+    if (!AnyNull(row, s_idx)) build[RowFingerprint(row, s_idx)].push_back(s);
   }
   std::vector<TuplePair> pairs;
   for (size_t r = 0; r < r_extended.size(); ++r) {
-    bool has_null = false;
-    std::string fp = KeyFingerprint(r_extended.row(r), r_idx, &has_null);
-    if (has_null) continue;
-    auto it = build.find(fp);
+    const Row& row = r_extended.row(r);
+    if (AnyNull(row, r_idx)) continue;
+    auto it = build.find(RowFingerprint(row, r_idx));
     if (it == build.end()) continue;
     for (size_t s : it->second) pairs.push_back(TuplePair{r, s});
   }

@@ -34,13 +34,6 @@ std::string StageStats::ToString() const {
     out += ", feature_cache_hits=" + std::to_string(feature_cache_hits);
   }
   if (compile_ms > 0.0) out += ", compile_ms=" + FormatMs(compile_ms);
-  if (memo_hits > 0 || memo_misses > 0) {
-    out += ", memo=" + std::to_string(memo_hits) + "/" +
-           std::to_string(memo_hits + memo_misses);
-  }
-  if (interner_values > 0) {
-    out += ", interner_values=" + std::to_string(interner_values);
-  }
   if (snapshot_load_ms > 0.0) {
     out += ", snapshot_load_ms=" + FormatMs(snapshot_load_ms);
   }
@@ -76,7 +69,6 @@ std::string StageStats::ToJson() const {
   out += ",\"compile_ms\":" + FormatMs(compile_ms);
   out += ",\"memo_hits\":" + std::to_string(memo_hits);
   out += ",\"memo_misses\":" + std::to_string(memo_misses);
-  out += ",\"interner_values\":" + std::to_string(interner_values);
   out += ",\"snapshot_load_ms\":" + FormatMs(snapshot_load_ms);
   out += ",\"dict_values\":" + std::to_string(dict_values);
   out += ",\"probe_batches\":" + std::to_string(probe_batches);
@@ -95,24 +87,6 @@ const StageStats* StageStatsSet::Find(const std::string& stage) const {
     if (s.stage == stage) return &s;
   }
   return nullptr;
-}
-
-size_t StageStatsSet::TotalRuleEvals() const {
-  size_t total = 0;
-  for (const StageStats& s : stages_) total += s.rule_evals;
-  return total;
-}
-
-size_t StageStatsSet::TotalCandidatePairs() const {
-  size_t total = 0;
-  for (const StageStats& s : stages_) total += s.candidate_pairs;
-  return total;
-}
-
-double StageStatsSet::TotalWallMs() const {
-  double total = 0;
-  for (const StageStats& s : stages_) total += s.wall_ms;
-  return total;
 }
 
 std::string StageStatsSet::ToJson() const {

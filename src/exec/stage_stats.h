@@ -11,8 +11,7 @@
 //
 // Counters are aggregated per index chunk and summed, so every count is
 // deterministic across thread counts; only wall_ms (and compile_ms) vary
-// run to run, and the memo hit/miss split depends on how rows shard
-// across the per-worker caches (their sum per worker chunk does not).
+// run to run.
 
 #ifndef EID_EXEC_STAGE_STATS_H_
 #define EID_EXEC_STAGE_STATS_H_
@@ -55,10 +54,11 @@ struct EID_PER_WORKER StageStats {
   size_t block_scalar_fallbacks = 0;
 
   // Compiled-execution counters (src/compile/).
-  double compile_ms = 0.0;     // rule-program compilation time (in wall_ms)
-  size_t memo_hits = 0;        // derivation memo cache hits
-  size_t memo_misses = 0;      // derivation memo cache misses
-  size_t interner_values = 0;  // distinct values interned by the stage
+  double compile_ms = 0.0;  // rule-program compilation time (in wall_ms)
+  // Always 0: the derivation memo is gone. Kept only because perfbench
+  // reports read them.
+  size_t memo_hits = 0;
+  size_t memo_misses = 0;
 
   // Snapshot counters (src/storage/), zero on worlds built from rows.
   double snapshot_load_ms = 0.0;  // mmap + decode + index rebuild time
@@ -94,11 +94,6 @@ class StageStatsSet {
 
   /// The named stage, or nullptr.
   const StageStats* Find(const std::string& stage) const;
-
-  /// Sum of a counter across stages.
-  size_t TotalRuleEvals() const;
-  size_t TotalCandidatePairs() const;
-  double TotalWallMs() const;
 
   /// JSON array of stage objects.
   std::string ToJson() const;

@@ -29,19 +29,10 @@ Result<bool> FdHolds(const Relation& relation, const Fd& fd) {
     EID_ASSIGN_OR_RETURN(size_t i, relation.schema().RequireIndex(a));
     rhs_idx.push_back(i);
   }
-  auto fingerprint = [](const Row& row, const std::vector<size_t>& idx) {
-    std::string fp;
-    for (size_t i : idx) {
-      std::string v = row[i].ToString();
-      fp += std::to_string(v.size()) + ":" + v + "|" +
-            static_cast<char>('0' + static_cast<int>(row[i].type()));
-    }
-    return fp;
-  };
   std::unordered_map<std::string, std::string> seen;  // lhs fp -> rhs fp
   for (const Row& row : relation.rows()) {
-    std::string l = fingerprint(row, lhs_idx);
-    std::string r = fingerprint(row, rhs_idx);
+    std::string l = RowFingerprint(row, lhs_idx);
+    std::string r = RowFingerprint(row, rhs_idx);
     auto [it, inserted] = seen.emplace(l, r);
     if (!inserted && it->second != r) return false;
   }

@@ -6,32 +6,10 @@
 namespace eid {
 namespace {
 
-/// Unambiguous fingerprint of selected row positions, for hash joins and
-/// set operations.
-std::string Fingerprint(const Row& row, const std::vector<size_t>& idx) {
-  std::string fp;
-  for (size_t i : idx) {
-    std::string v = row[i].ToString();
-    fp += std::to_string(v.size());
-    fp += ':';
-    fp += v;
-    fp += '|';
-    fp += static_cast<char>('0' + static_cast<int>(row[i].type()));
-  }
-  return fp;
-}
-
 std::string FingerprintAll(const Row& row) {
   std::vector<size_t> idx(row.size());
   for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-  return Fingerprint(row, idx);
-}
-
-bool AnyNull(const Row& row, const std::vector<size_t>& idx) {
-  for (size_t i : idx) {
-    if (row[i].is_null()) return true;
-  }
-  return false;
+  return RowFingerprint(row, idx);
 }
 
 /// Output schema of a join: left attributes verbatim; right attributes,
@@ -103,7 +81,7 @@ Result<Relation> HashJoin(const Relation& left, const Relation& right,
         AnyNull(right.row(r), plan.right_idx)) {
       continue;  // unmatched; may still be emitted by keep_right below
     }
-    build[Fingerprint(right.row(r), plan.right_idx)].push_back(r);
+    build[RowFingerprint(right.row(r), plan.right_idx)].push_back(r);
   }
 
   std::vector<bool> right_matched(right.size(), false);
@@ -124,7 +102,7 @@ Result<Relation> HashJoin(const Relation& left, const Relation& right,
     bool matched = false;
     if (!(nulls == NullPolicy::kNullNeverMatches &&
           AnyNull(lrow, plan.left_idx))) {
-      auto it = build.find(Fingerprint(lrow, plan.left_idx));
+      auto it = build.find(RowFingerprint(lrow, plan.left_idx));
       if (it != build.end()) {
         for (size_t r : it->second) {
           matched = true;

@@ -49,20 +49,6 @@ std::vector<size_t> Relation::PrimaryKeyIndices() const {
   return keys_.front().attribute_indices;
 }
 
-std::string Relation::KeyFingerprint(const Row& row, const KeyDef& key) const {
-  // Length-prefixed concatenation: unambiguous across value boundaries.
-  std::string fp;
-  for (size_t i : key.attribute_indices) {
-    std::string v = row[i].ToString();
-    fp += std::to_string(v.size());
-    fp += ':';
-    fp += v;
-    fp += '|';
-    fp += static_cast<char>('0' + static_cast<int>(row[i].type()));
-  }
-  return fp;
-}
-
 void Relation::AdoptRows(std::vector<Row> rows) {
   rows_ = std::move(rows);
   for (auto& set : key_sets_) set.clear();
@@ -76,7 +62,7 @@ void Relation::EnsureKeySets() {
     key_sets_[k].clear();
     key_sets_[k].reserve(rows_.size());
     for (const Row& row : rows_) {
-      key_sets_[k].insert(KeyFingerprint(row, keys_[k]));
+      key_sets_[k].insert(RowFingerprint(row, keys_[k].attribute_indices));
     }
   }
 }
@@ -114,7 +100,7 @@ Status Relation::Insert(Row row) {
   std::vector<std::string> fingerprints;
   fingerprints.reserve(keys_.size());
   for (size_t k = 0; k < keys_.size(); ++k) {
-    std::string fp = KeyFingerprint(row, keys_[k]);
+    std::string fp = RowFingerprint(row, keys_[k].attribute_indices);
     if (key_sets_[k].count(fp) > 0) {
       return Status::ConstraintViolation(
           "candidate-key violation in relation '" + name_ +
@@ -178,18 +164,11 @@ bool Relation::RowsEqualUnordered(const Relation& other) const {
   if (!(schema_ == other.schema_)) return false;
   if (rows_.size() != other.rows_.size()) return false;
   std::unordered_map<std::string, int> counts;
-  RowHash hasher;
-  (void)hasher;
-  auto fingerprint = [this](const Row& row) {
-    KeyDef all;
-    for (size_t i = 0; i < schema_.size(); ++i) {
-      all.attribute_indices.push_back(i);
-    }
-    return KeyFingerprint(row, all);
-  };
-  for (const Row& r : rows_) counts[fingerprint(r)]++;
+  std::vector<size_t> all(schema_.size());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+  for (const Row& r : rows_) counts[RowFingerprint(r, all)]++;
   for (const Row& r : other.rows_) {
-    auto it = counts.find(fingerprint(r));
+    auto it = counts.find(RowFingerprint(r, all));
     if (it == counts.end() || it->second == 0) return false;
     it->second--;
   }
@@ -200,7 +179,7 @@ Status Relation::ValidateKeys() const {
   for (const KeyDef& key : keys_) {
     std::unordered_set<std::string> seen;
     for (const Row& row : rows_) {
-      if (!seen.insert(KeyFingerprint(row, key)).second) {
+      if (!seen.insert(RowFingerprint(row, key.attribute_indices)).second) {
         return Status::ConstraintViolation(
             "relation '" + name_ + "' violates a declared candidate key");
       }

@@ -100,9 +100,6 @@ class Relation {
   Status ValidateKeys() const;
 
  private:
-  /// Hash-set entry for enforcing one candidate key.
-  std::string KeyFingerprint(const Row& row, const KeyDef& key) const;
-
   /// Rebuilds key_sets_ from rows_ when AdoptRows marked them stale.
   void EnsureKeySets();
 

@@ -77,6 +77,23 @@ class TupleView {
   const Row* row_;
 };
 
+/// The concatenated Value::AppendFingerprint of `row`'s values at `idx`:
+/// the hash-set and join key wherever rows are compared by value.
+inline std::string RowFingerprint(const Row& row,
+                                  const std::vector<size_t>& idx) {
+  std::string fp;
+  for (size_t i : idx) row[i].AppendFingerprint(&fp);
+  return fp;
+}
+
+/// True when any of `row`'s values at `idx` is NULL.
+inline bool AnyNull(const Row& row, const std::vector<size_t>& idx) {
+  for (size_t i : idx) {
+    if (row[i].is_null()) return true;
+  }
+  return false;
+}
+
 /// Projects `row` (described by `schema`) onto attribute positions `idx`.
 inline Row ProjectRow(const Row& row, const std::vector<size_t>& idx) {
   Row out;

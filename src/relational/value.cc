@@ -137,6 +137,29 @@ void Value::AppendTo(std::string* out) const {
   out->append("?");
 }
 
+void Value::AppendFingerprint(std::string* out) const {
+  auto append = [&](const char* payload, size_t size) {
+    out->append(std::to_string(size));
+    out->push_back(':');
+    out->append(payload, size);
+    out->push_back('|');
+    out->push_back(static_cast<char>('0' + static_cast<int>(type())));
+  };
+  if (type() == ValueType::kString) {
+    const std::string& text = AsString();
+    append(text.data(), text.size());
+  } else if (type() == ValueType::kDouble) {
+    const double d = AsDouble();
+    char bits[sizeof(d)];
+    std::memcpy(bits, &d, sizeof(d));
+    append(bits, sizeof(bits));
+  } else {
+    std::string text;
+    AppendTo(&text);
+    append(text.data(), text.size());
+  }
+}
+
 Result<Value> Value::Parse(const std::string& text, ValueType type) {
   switch (type) {
     case ValueType::kNull:

@@ -82,8 +82,15 @@ class Value {
 
   /// Appends the display form to `out` without materialising a temporary
   /// string per value — use when rendering many values into one buffer
-  /// (TupleView::ToString, fingerprints).
+  /// (TupleView::ToString).
   void AppendTo(std::string* out) const;
+
+  /// Appends the equality fingerprint "<len>:<payload>|<type digit>" to
+  /// `out`: the payload is the display form, except for a double, whose
+  /// payload is its 8-byte bit pattern (display rounds to 6 significant
+  /// digits, which would equate distinct doubles). Fingerprints are
+  /// length-prefixed, so concatenations of them are unambiguous.
+  void AppendFingerprint(std::string* out) const;
 
   /// Parses a display-form string back into a Value of the requested type.
   static Result<Value> Parse(const std::string& text, ValueType type);

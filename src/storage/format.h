@@ -118,11 +118,6 @@ class ByteWriter {
     PutU32(static_cast<uint32_t>(s.size()));
     PutBytes(s.data(), s.size());
   }
-  /// Pads with zero bytes to the next 8-byte boundary.
-  void Align8() {
-    while (buf_.size() % 8 != 0) buf_.push_back('\0');
-  }
-
   size_t size() const { return buf_.size(); }
   const std::string& buffer() const { return buf_; }
   std::string&& Take() { return std::move(buf_); }
@@ -179,17 +174,8 @@ class ByteReader {
     pos_ += len;
     return p;
   }
-  [[nodiscard]] bool SkipAlign8() {
-    while (pos_ % 8 != 0) {
-      if (pos_ >= len_) return false;
-      ++pos_;
-    }
-    return true;
-  }
-
   size_t pos() const { return pos_; }
   size_t remaining() const { return len_ - pos_; }
-  bool AtEnd() const { return pos_ == len_; }
 
  private:
   template <typename T>

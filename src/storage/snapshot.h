@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "compile/interner.h"
 #include "eid/identifier.h"
 #include "storage/format.h"
 
@@ -110,12 +109,6 @@ struct LoadedWorld {
   /// loaded sources is bit-identical to a fresh build (tests/storage/
   /// enforce this).
   IdentifierConfig ToConfig() const;
-
-  /// Preloads `interner` with the dictionary in id order, reproducing
-  /// the saved dense ids (compile::ValueInterner handoff).
-  void SeedInterner(compile::ValueInterner* interner) const {
-    interner->Preload(dictionary);
-  }
 };
 
 /// Opens, validates and decodes a whole snapshot.

@@ -142,11 +142,6 @@ ExtendedKey Example3ExtendedKey() {
   return ExtendedKey({"name", "cuisine", "speciality"});
 }
 
-AttributeCorrespondence IdentityCorrespondence(const Relation& r,
-                                               const Relation& s) {
-  return AttributeCorrespondence::Identity(r, s);
-}
-
 Figure1World Figure1() {
   Figure1World world;
   world.universe =

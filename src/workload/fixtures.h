@@ -12,7 +12,6 @@
 #ifndef EID_WORKLOAD_FIXTURES_H_
 #define EID_WORKLOAD_FIXTURES_H_
 
-#include "eid/correspondence.h"
 #include "eid/extended_key.h"
 #include "ilfd/ilfd_set.h"
 #include "relational/relation.h"
@@ -65,11 +64,6 @@ IlfdSet Example3Ilfds();
 Ilfd Example3DerivedI9();
 /// Example 3's extended key {name, cuisine, speciality}.
 ExtendedKey Example3ExtendedKey();
-
-/// Identity correspondence for any of the above pairs (world attribute
-/// names equal local names on both sides).
-AttributeCorrespondence IdentityCorrespondence(const Relation& r,
-                                               const Relation& s);
 
 /// Fig. 1: a universe of five entities e1..e5; R models {e1,e2,e3} as
 /// a1,a2,a3 and S models {e2,e3,e5} as b3,b4,b2 (e4 is in neither).

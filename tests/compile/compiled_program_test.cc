@@ -1,8 +1,6 @@
 // Unit tests for the compiled execution layer (src/compile/): compiled
-// pair programs against the predicate interpreter, compiled derivation
-// programs against DeriveTuple, and the derivation memo cache (hit/miss
-// accounting, provenance identity of cached traces, error non-caching,
-// and isolation between relations).
+// pair programs against the predicate interpreter, and compiled
+// derivation programs against DeriveTuple.
 
 #include <gtest/gtest.h>
 
@@ -107,11 +105,10 @@ TEST(DerivationProgramTest, MatchesDeriveTupleBothModes) {
     compile::DerivationProgram program =
         compile::DerivationProgram::Compile(schema, ilfds, options);
     ClosureEvaluator evaluator(&program.kb());
-    compile::DerivationMemo memo;
     std::vector<compile::DerivationWrite> writes;
     for (const Row& row : rows) {
       Result<Derivation> compiled_result =
-          program.Derive(row, &evaluator, &memo, &writes);
+          program.Derive(row, evaluator, &writes);
       TupleView view(&schema, &row);
       Result<Derivation> interpreted_result = DeriveTuple(view, ilfds, options);
       // The last row's base city conflicts with ILFD 0 under kExhaustive +
@@ -143,138 +140,9 @@ TEST(DerivationProgramTest, MatchesDeriveTupleBothModes) {
   }
 }
 
-TEST(DerivationMemoTest, HitAndMissCounts) {
-  Schema schema = ChainSchema();
-  IlfdSet ilfds = ChainIlfds();
-  compile::DerivationProgram program =
-      compile::DerivationProgram::Compile(schema, ilfds, DerivationOptions{});
-  ClosureEvaluator evaluator(&program.kb());
-  compile::DerivationMemo memo;
-  std::vector<compile::DerivationWrite> writes;
-
-  Row row_a = {Value::String("Kwan's"), Value::String("Wash. Ave."),
-               Value::Null(), Value::Null()};
-  EID_ASSERT_OK_AND_ASSIGN(Derivation first,
-                           program.Derive(row_a, &evaluator, &memo, &writes));
-  EXPECT_EQ(memo.hits(), 0u);
-  EXPECT_EQ(memo.misses(), 1u);
-  EXPECT_EQ(memo.size(), 1u);
-  std::vector<compile::DerivationWrite> first_writes = writes;
-
-  // Same projection: a hit returning the identical trace and writes —
-  // provenance (step ILFD indices) included.
-  EID_ASSERT_OK_AND_ASSIGN(Derivation again,
-                           program.Derive(row_a, &evaluator, &memo, &writes));
-  EXPECT_EQ(memo.hits(), 1u);
-  EXPECT_EQ(memo.misses(), 1u);
-  EXPECT_EQ(again.derived, first.derived);
-  ASSERT_EQ(again.steps.size(), first.steps.size());
-  for (size_t i = 0; i < again.steps.size(); ++i) {
-    EXPECT_EQ(again.steps[i].ilfd_index, first.steps[i].ilfd_index);
-    EXPECT_EQ(again.steps[i].attribute, first.steps[i].attribute);
-    EXPECT_EQ(again.steps[i].value, first.steps[i].value);
-  }
-  ASSERT_EQ(writes.size(), first_writes.size());
-  for (size_t i = 0; i < writes.size(); ++i) {
-    EXPECT_EQ(writes[i].column, first_writes[i].column);
-    EXPECT_EQ(writes[i].value, first_writes[i].value);
-  }
-
-  // Different projection: a fresh miss.
-  Row row_b = {Value::String("Hunan"), Value::String("Wash. Ave."),
-               Value::Null(), Value::Null()};
-  EID_EXPECT_OK(program.Derive(row_b, &evaluator, &memo, &writes).status());
-  EXPECT_EQ(memo.hits(), 1u);
-  EXPECT_EQ(memo.misses(), 2u);
-  EXPECT_EQ(memo.size(), 2u);
-  EXPECT_GT(memo.interner_size(), 0u);
-}
-
-TEST(DerivationMemoTest, ErrorsAreNeverCached) {
-  Schema schema = ChainSchema();
-  IlfdSet ilfds = ChainIlfds();
-  // Conflicting second rule for city under the same antecedent.
-  ilfds.Add(Ilfd::Implies({Atom{"street", Value::String("Wash. Ave.")}},
-                          Atom{"city", Value::String("St. Paul")}));
-  DerivationOptions options;  // kExhaustive + kError
-  compile::DerivationProgram program =
-      compile::DerivationProgram::Compile(schema, ilfds, options);
-  ClosureEvaluator evaluator(&program.kb());
-  compile::DerivationMemo memo;
-  std::vector<compile::DerivationWrite> writes;
-
-  Row row = {Value::String("Kwan's"), Value::String("Wash. Ave."),
-             Value::Null(), Value::Null()};
-  Result<Derivation> first = program.Derive(row, &evaluator, &memo, &writes);
-  ASSERT_FALSE(first.ok());
-  Result<Derivation> second = program.Derive(row, &evaluator, &memo, &writes);
-  ASSERT_FALSE(second.ok());
-  // Identical error (the interpreter's message, full tuple display
-  // included) and no cache pollution.
-  EXPECT_EQ(first.status().ToString(), second.status().ToString());
-  TupleView view(&schema, &row);
-  Result<Derivation> oracle = DeriveTuple(view, ilfds, options);
-  ASSERT_FALSE(oracle.ok());
-  EXPECT_EQ(first.status().ToString(), oracle.status().ToString());
-  EXPECT_EQ(memo.hits(), 0u);
-  EXPECT_EQ(memo.misses(), 0u);
-  EXPECT_EQ(memo.size(), 0u);
-}
-
-TEST(DerivationMemoTest, NoCrossRelationLeakage) {
-  // Two programs over different schemas (as the engine builds per side),
-  // each with its own memo: deriving through one never changes the
-  // other's cache, even for rows agreeing on the shared projection.
-  IlfdSet ilfds = ChainIlfds();
-  Schema r_schema = ChainSchema();
-  Schema s_schema = Schema(std::vector<Attribute>{
-      Attribute{"name", ValueType::kString},
-      Attribute{"city", ValueType::kString},
-      Attribute{"speciality", ValueType::kString}});
-  compile::DerivationProgram r_program =
-      compile::DerivationProgram::Compile(r_schema, ilfds,
-                                          DerivationOptions{});
-  compile::DerivationProgram s_program =
-      compile::DerivationProgram::Compile(s_schema, ilfds,
-                                          DerivationOptions{});
-  ClosureEvaluator r_eval(&r_program.kb());
-  ClosureEvaluator s_eval(&s_program.kb());
-  compile::DerivationMemo r_memo, s_memo;
-  std::vector<compile::DerivationWrite> writes;
-
-  Row r_row = {Value::String("Kwan's"), Value::String("Wash. Ave."),
-               Value::Null(), Value::Null()};
-  EID_EXPECT_OK(
-      r_program.Derive(r_row, &r_eval, &r_memo, &writes).status());
-  EXPECT_EQ(r_memo.size(), 1u);
-  EXPECT_EQ(s_memo.size(), 0u);
-  EXPECT_EQ(s_memo.hits(), 0u);
-  EXPECT_EQ(s_memo.interner_size(), 0u);
-
-  Row s_row = {Value::String("Kwan's"), Value::String("Mpls."),
-               Value::Null()};
-  EID_EXPECT_OK(
-      s_program.Derive(s_row, &s_eval, &s_memo, &writes).status());
-  EXPECT_EQ(s_memo.misses(), 1u);
-  EXPECT_EQ(r_memo.size(), 1u);
-  EXPECT_EQ(r_memo.hits(), 0u);
-}
-
-TEST(DerivationProgramTest, MemoColumnsCoverReadSet) {
-  // The memo key projects onto every column the program can read; for the
-  // chain program over the R schema that is street (antecedent), city
-  // (antecedent + consequent), name (antecedent) and speciality
-  // (consequent).
-  Schema schema = ChainSchema();
-  compile::DerivationProgram program = compile::DerivationProgram::Compile(
-      schema, ChainIlfds(), DerivationOptions{});
-  EXPECT_EQ(program.memo_columns(),
-            (std::vector<size_t>{0, 1, 2, 3}));
-}
-
 TEST(DerivationProgramTest, FixtureRelationsDeriveIdentically) {
-  // Paper Example 3: every tuple of both fixture relations, both modes,
-  // memo on — compiled output equals the interpreter tuple for tuple.
+  // Paper Example 3: every tuple of both fixture relations, both modes —
+  // compiled output equals the interpreter tuple for tuple.
   IlfdSet ilfds = fixtures::Example3Ilfds();
   for (const Relation& rel : {fixtures::Example3R(), fixtures::Example3S()}) {
     for (DerivationMode mode :
@@ -284,12 +152,11 @@ TEST(DerivationProgramTest, FixtureRelationsDeriveIdentically) {
       compile::DerivationProgram program =
           compile::DerivationProgram::Compile(rel.schema(), ilfds, options);
       ClosureEvaluator evaluator(&program.kb());
-      compile::DerivationMemo memo;
       std::vector<compile::DerivationWrite> writes;
       for (size_t i = 0; i < rel.size(); ++i) {
         EID_ASSERT_OK_AND_ASSIGN(
             Derivation compiled,
-            program.Derive(rel.row(i), &evaluator, &memo, &writes));
+            program.Derive(rel.row(i), evaluator, &writes));
         EID_ASSERT_OK_AND_ASSIGN(Derivation interpreted,
                                  DeriveTuple(rel.tuple(i), ilfds, options));
         EXPECT_EQ(compiled.derived, interpreted.derived) << rel.name() << i;

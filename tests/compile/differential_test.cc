@@ -115,7 +115,7 @@ void ExpectIdentical(const IdentificationResult& reference,
 }
 
 /// Deterministic stage counters agree between two engine runs (wall and
-/// compile times, memo splits and columnar timings may differ).
+/// compile times and columnar timings may differ).
 void ExpectSameCounters(const IdentificationResult& a,
                         const IdentificationResult& b) {
   ASSERT_EQ(a.stats.stages().size(), b.stats.stages().size());

@@ -226,6 +226,40 @@ TEST(IncrementalTest, KeyViolationsRejectedWithoutStateChange) {
   EXPECT_TRUE(inc.InsertR(Row{Value::Str("TwinCities"), Value::Str("Chinese"),
                               Value::Str("Z")})
                   .ok());
+
+  // Doubles that print alike under "%g" are neither duplicate keys nor
+  // equal extended-key values, exactly as in batch Identify and the
+  // reference: R 0.1234567 matches nothing, R 0.1234568 matches S's.
+  const Schema doubles({Attribute{"x", ValueType::kDouble}});
+  Relation dr("R", doubles);
+  Relation ds("S", doubles);
+  EID_ASSERT_OK(dr.DeclareKey({"x"}));
+  EID_ASSERT_OK(ds.DeclareKey({"x"}));
+  IdentifierConfig config;
+  config.correspondence = AttributeCorrespondence::Identity(dr, ds);
+  config.extended_key = ExtendedKey({"x"});
+  EID_ASSERT_OK_AND_ASSIGN(IncrementalIdentifier dinc,
+                           IncrementalIdentifier::Create(config, dr, ds));
+  const Row low{Value::Double(0.1234567)};
+  const Row high{Value::Double(0.1234568)};
+  EID_ASSERT_OK_AND_ASSIGN(size_t r_low, dinc.InsertR(low));
+  EID_ASSERT_OK_AND_ASSIGN(size_t s_high, dinc.InsertS(high));
+  EXPECT_FALSE(dinc.MatchOfR(r_low).has_value());
+  EID_ASSERT_OK_AND_ASSIGN(size_t r_high, dinc.InsertR(high));
+  EXPECT_EQ(dinc.MatchOfR(r_high), s_high);
+  EXPECT_EQ(dinc.MatchOfS(s_high), r_high);
+  EID_ASSERT_OK(dr.Insert(low));
+  EID_ASSERT_OK(dr.Insert(high));
+  EID_ASSERT_OK(ds.Insert(high));
+  EID_ASSERT_OK_AND_ASSIGN(IdentificationResult batch,
+                           EntityIdentifier(config).Identify(dr, ds));
+  EID_ASSERT_OK_AND_ASSIGN(IdentificationResult ref,
+                           reference::Identify(config, dr, ds));
+  EXPECT_EQ(batch.matching.pairs(), (std::vector<TuplePair>{{1, 0}}));
+  EXPECT_EQ(ref.matching.pairs(), batch.matching.pairs());
+  EID_ASSERT_OK_AND_ASSIGN(Relation inc_mt, dinc.MatchingRelation());
+  EID_ASSERT_OK_AND_ASSIGN(Relation batch_mt, batch.MatchingRelation("MT"));
+  EXPECT_TRUE(inc_mt.RowsEqualUnordered(batch_mt));
 }
 
 TEST(IncrementalTest, DerivationConflictRejectedWithoutStateChange) {

@@ -86,6 +86,16 @@ TEST(RelationTest, CandidateKeyUniquenessEnforced) {
   EXPECT_EQ(dup.code(), StatusCode::kConstraintViolation);
   // Same name on a different street is fine (the key is composite).
   EID_EXPECT_OK(r.InsertText({"VillageWok", "Penn.Ave.", "Chinese"}));
+
+  // Doubles that print alike ("%g" keeps 6 significant digits) are
+  // distinct keys; only a bit-identical double is a duplicate.
+  Relation d("D", Schema({Attribute{"x", ValueType::kDouble}}));
+  EID_ASSERT_OK(d.DeclareKey({"x"}));
+  EID_EXPECT_OK(d.Insert(Row{Value::Double(1.0000001)}));
+  EID_EXPECT_OK(d.Insert(Row{Value::Double(1.0000002)}));
+  EXPECT_EQ(d.Insert(Row{Value::Double(1.0000001)}).code(),
+            StatusCode::kConstraintViolation);
+  EID_EXPECT_OK(d.ValidateKeys());
 }
 
 TEST(RelationTest, MultipleCandidateKeys) {
@@ -146,6 +156,15 @@ TEST(RelationTest, RowsEqualUnordered) {
   EXPECT_TRUE(a.RowsEqualUnordered(b));
   EID_EXPECT_OK(b.InsertText({"3"}));
   EXPECT_FALSE(a.RowsEqualUnordered(b));
+
+  // Doubles compare by value, not by their 6-digit display form.
+  const Schema doubles({Attribute{"x", ValueType::kDouble}});
+  Relation c("R", doubles);
+  Relation d("R", doubles);
+  EID_EXPECT_OK(c.Insert(Row{Value::Double(0.1234567)}));
+  EID_EXPECT_OK(d.Insert(Row{Value::Double(0.1234568)}));
+  EXPECT_FALSE(c.RowsEqualUnordered(d));
+  EXPECT_TRUE(c.RowsEqualUnordered(c));
 }
 
 TEST(RelationTest, ValidateKeysDetectsManualCorruption) {

@@ -1,6 +1,6 @@
 // Snapshot dictionary section: dense first-seen ids, exact round-trips of
 // every value type, clean rejection of malformed payloads, and the
-// contract the snapshot loader relies on — preloading a ValueInterner
+// contract the snapshot loader relies on — preloading a ValueDictionary
 // with the decoded section reproduces the ids the writer assigned.
 
 #include "storage/dictionary.h"
@@ -11,7 +11,7 @@
 #include <utility>
 #include <vector>
 
-#include "compile/interner.h"
+#include "relational/value_dictionary.h"
 #include "storage/format.h"
 
 namespace eid {
@@ -96,7 +96,7 @@ TEST(DictionaryTest, ParseRejectsOverstatedCount) {
 }
 
 TEST(DictionaryTest, InternerPreloadReproducesIds) {
-  // The snapshot loader hands the decoded section to a ValueInterner;
+  // The snapshot loader hands the decoded section to a ValueDictionary;
   // GetOrIntern afterwards must return exactly the writer's ids, so
   // compiled programs over a loaded world agree with the saved one.
   ValueDictionary dict;
@@ -110,13 +110,13 @@ TEST(DictionaryTest, InternerPreloadReproducesIds) {
   std::vector<Value> decoded;
   ASSERT_TRUE(ParseDictionary(&in, &decoded).ok());
 
-  compile::ValueInterner interner;
-  interner.Preload(decoded);
+  ValueDictionary preloaded;
+  preloaded.Preload(decoded);
   for (size_t i = 0; i < values.size(); ++i) {
-    EXPECT_EQ(interner.GetOrIntern(values[i]), ids[i]) << "value " << i;
+    EXPECT_EQ(preloaded.GetOrIntern(values[i]), ids[i]) << "value " << i;
   }
   // New values keep extending densely past the preloaded range.
-  EXPECT_EQ(interner.GetOrIntern(Value::String("fresh")), dict.size());
+  EXPECT_EQ(preloaded.GetOrIntern(Value::String("fresh")), dict.size());
 }
 
 }  // namespace
