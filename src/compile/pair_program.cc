@@ -110,6 +110,27 @@ StagedConjunction StagedConjunction::Compile(
   return out;
 }
 
+exec::PairShape StagedConjunction::pair_shape() const {
+  exec::PairShape shape;
+  if (pair_ops_.empty()) {
+    shape.kind = exec::PairShape::Kind::kEmpty;
+    return shape;
+  }
+  if (pair_ops_.size() != 1) return shape;
+  const Op& op = pair_ops_.front();
+  if (!op.id_fast || op.op != CompareOp::kNe) return shape;
+  for (const auto& [column, constant] :
+       {std::pair{&op.lhs, &op.rhs}, std::pair{&op.rhs, &op.lhs}}) {
+    if (column->src == Src::kSColumn && constant->src == Src::kConstant &&
+        constant->const_id != exec::ColumnarWorld::kNullId) {
+      shape.kind = exec::PairShape::Kind::kSNotEqual;
+      shape.s_column = column->column;
+      shape.const_id = constant->const_id;
+    }
+  }
+  return shape;
+}
+
 Truth StagedConjunction::EvaluateOps(const std::vector<Op>& ops,
                                      size_t r_row, size_t s_row) const {
   static const Value kNullValue;

@@ -99,6 +99,9 @@ class EID_SHARED_IMMUTABLE StagedConjunction final
       const Relation& r_ext, const Relation& s_ext, bool flipped,
       exec::ColumnarWorld& world);
 
+  /// kEmpty without pair ops; kSNotEqual for one id op `s.col != c` (or
+  /// `c != s.col`) with a non-NULL constant; kGeneral otherwise.
+  exec::PairShape pair_shape() const override;
   bool has_row_part() const override { return !row_ops_.empty(); }
   Truth RowTruth(size_t r_row) const override;
   /// Vectorized row pass: evaluates the flat row opcodes op-major over

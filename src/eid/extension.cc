@@ -140,8 +140,13 @@ Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
     ClosureEvaluator& evaluator = evaluators[static_cast<size_t>(worker)];
     std::vector<compile::DerivationWrite> writes;
     for (size_t r = begin; r < end; ++r) {
-      Row row = relation.rows()[r];
-      row.resize(row.size() + added.size(), Value::Null());
+      // Sized once for the added columns, then filled: copying the base
+      // row and growing it would allocate every row twice.
+      const Row& base = relation.rows()[r];
+      Row row;
+      row.reserve(base.size() + added.size());
+      row.assign(base.begin(), base.end());
+      row.resize(base.size() + added.size(), Value::Null());
       Result<Derivation> derived =
           program.Derive(row, r, binding, evaluator, &writes);
       if (!derived.ok()) {

@@ -1,6 +1,8 @@
 #include "exec/candidate_generator.h"
 
 #include <algorithm>
+#include <bit>
+#include <new>
 #include <numeric>
 
 namespace eid {
@@ -11,7 +13,8 @@ CandidateGenerator::CandidateGenerator(const Relation* r_ext,
                                        ColumnarWorld& world)
     : r_(r_ext), s_(s_ext), world_(&world),
       r_encoded_(r_ext->schema().size(), nullptr),
-      s_encoded_(s_ext->schema().size(), nullptr) {}
+      s_encoded_(s_ext->schema().size(), nullptr),
+      s_non_null_(s_ext->schema().size()) {}
 
 const uint32_t* CandidateGenerator::Encoded(bool r_side, size_t column) {
   std::vector<const uint32_t*>& cache = r_side ? r_encoded_ : s_encoded_;
@@ -23,6 +26,20 @@ const uint32_t* CandidateGenerator::Encoded(bool r_side, size_t column) {
             .data();
   }
   return cache[column];
+}
+
+const uint64_t* CandidateGenerator::NonNullBits(size_t column) {
+  std::vector<uint64_t>& bits = s_non_null_[column];
+  if (bits.empty()) {
+    // Read without a reuse hit: the caller's Index request encoded it.
+    const uint32_t* ids =
+        world_->FindColumn(WorldRel::kSExtended, column)->data();
+    bits.assign((s_->size() + 63) / 64, 0);
+    for (size_t s = 0; s < s_->size(); ++s) {
+      bits[s / 64] |= uint64_t{ids[s] != ColumnarWorld::kNullId} << (s % 64);
+    }
+  }
+  return bits.data();
 }
 
 void CandidateGenerator::AddRule(const BlockingPlan& plan,
@@ -85,6 +102,19 @@ void CandidateGenerator::AddRule(const BlockingPlan& plan,
     if (entry.s_rows_storage.empty()) return;
   }
 
+  // Pair parts decided for a whole set of s rows at once (PairShape). The
+  // `!=` drain needs every s row as candidates: a filtered list or a join
+  // range keeps the per-candidate path.
+  const PairShape shape = residual->pair_shape();
+  if (shape.kind == PairShape::Kind::kEmpty) {
+    entry.fires_all = true;
+  } else if (shape.kind == PairShape::Kind::kSNotEqual && entry.s_all) {
+    entry.s_excluded =
+        world_->Index(WorldRel::kSExtended, *s_, shape.s_column)
+            .Find(shape.const_id);
+    entry.s_non_null = NonNullBits(shape.s_column);
+  }
+
   const uint32_t index = static_cast<uint32_t>(entries_.size());
   entries_.push_back(std::move(entry));
   if (r_all) {
@@ -111,7 +141,7 @@ FiredColumns CandidateGenerator::Run(ThreadPool* pool,
   bool need_all_s = false;
   for (const Entry& e : entries_) {
     if (e.has_join) local.indexed = true;
-    if (!e.has_join && e.s_all) need_all_s = true;
+    if (e.s_all && !e.drains_row()) need_all_s = true;
   }
   if (need_all_s) {
     all_s_rows_.resize(s_n);
@@ -147,17 +177,23 @@ FiredColumns CandidateGenerator::Run(ThreadPool* pool,
   };
   std::vector<ChunkCounts> counts(num_chunks);
 
-  // Per-worker scratch: a worker processes chunks sequentially, and the
-  // stamp is keyed on the r row, so stale entries from earlier rows never
-  // alias (each r is swept exactly once).
+  // Per-worker row state, a bitset over S: bit s is set once (r, s) has
+  // fired on the row being swept, so "fired at a lower priority" is one
+  // bit test. A worker sweeps its rows one at a time and leaves the
+  // bitset clear after emitting each.
+  const size_t words = (s_n + 63) / 64;
+  // The last word's bits that stand for s rows; the others never fire.
+  const uint64_t tail =
+      s_n % 64 == 0 ? ~uint64_t{0} : (uint64_t{1} << (s_n % 64)) - 1;
   struct alignas(64) Scratch {
-    std::vector<size_t> stamp;   // s -> last r row that fired (r, s)
-    std::vector<uint32_t> best;  // s -> lowest firing priority for that r
-    std::vector<size_t> touched;
+    std::vector<uint64_t> fired;
+    std::vector<uint32_t> best;      // s -> lowest firing priority on the row
+    std::vector<size_t> touched;     // s fired one candidate at a time
+    std::vector<uint32_t> excluded;  // bits a `!=` drain masks, then clears
   };
   std::vector<Scratch> scratch(static_cast<size_t>(std::max(threads, 1)));
   for (Scratch& sc : scratch) {
-    sc.stamp.assign(s_n, SIZE_MAX);
+    sc.fired.assign(words, 0);
     sc.best.resize(s_n);
   }
 
@@ -166,9 +202,15 @@ FiredColumns CandidateGenerator::Run(ThreadPool* pool,
     const size_t chunk = begin / grain;
     ChunkCounts& cc = counts[chunk];
     Scratch& sc = scratch[static_cast<size_t>(worker)];
+    FiredColumns& f = found[chunk];
+    // The chunk's columns are sized once, after its first rows: their
+    // fired count scaled to the chunk, so a dense chunk is not written
+    // through a chain of doubling copies (a Prop-1 NMT is tens of MB).
+    const size_t sample = std::max<size_t>(1, (end - begin) / 32);
     for (size_t r = begin; r < end; ++r) {
       const std::vector<uint32_t>& row_list =
           per_row_.empty() ? kNoEntries : per_row_[r];
+      size_t row_fired = 0;  // bits set in sc.fired
       // Two-pointer merge of the row-filtered and global entry lists —
       // both ascending by entry index, which is ascending priority.
       size_t a = 0, b = 0;
@@ -183,50 +225,87 @@ FiredColumns CandidateGenerator::Run(ThreadPool* pool,
         const Entry& e = entries_[ei];
         // Stage 2a: hoist the row-only conjuncts out of the pair loop
         // (already precomputed op-major for global entries).
-        size_t pair_evals_here = 0;
         if (e.residual->has_row_part()) {
           ++cc.rule_evals;
           const std::vector<Truth>& pre = global_row_truth[ei];
           const Truth t = pre.empty() ? e.residual->RowTruth(r) : pre[r];
           if (t != Truth::kTrue) continue;
         }
-        auto probe = [&](const auto& candidates) {
-          for (size_t s : candidates) {
-            // Already fired at a lower priority: the first-wins fold
-            // could not change, so skip the evaluation entirely.
-            if (sc.stamp[s] == r) continue;
-            ++cc.candidate_pairs;
-            ++cc.rule_evals;
-            ++pair_evals_here;
-            if (e.residual->PairTruth(r, s) == Truth::kTrue) {
-              sc.stamp[s] = r;
+        // Candidates not fired at a lower priority: each is one pair
+        // evaluation, whether PairTruth runs on it or a drain decides it.
+        size_t evals = 0;
+        if (e.drains_row()) {
+          // Whole-row drain: every s row not fired yet is a candidate.
+          // `s.col != c` fires the non-NULL ones outside c's posting
+          // range, which is masked as if fired for the word pass and
+          // cleared after it; an empty pair part fires all of them.
+          evals = s_n - row_fired;
+          for (uint32_t s : e.s_excluded) {
+            const uint64_t bit = uint64_t{1} << (s % 64);
+            if ((sc.fired[s / 64] & bit) != 0) continue;
+            sc.fired[s / 64] |= bit;
+            sc.excluded.push_back(s);
+          }
+          for (size_t w = 0; w < words; ++w) {
+            const uint64_t allowed =
+                e.s_non_null != nullptr ? e.s_non_null[w]
+                : w + 1 == words        ? tail
+                                        : ~uint64_t{0};
+            uint64_t fresh = allowed & ~sc.fired[w];
+            if (fresh == 0) continue;
+            sc.fired[w] |= fresh;
+            row_fired += static_cast<size_t>(std::popcount(fresh));
+            for (; fresh != 0; fresh &= fresh - 1) {
+              const size_t s =
+                  w * 64 + static_cast<size_t>(std::countr_zero(fresh));
               sc.best[s] = e.priority;
-              sc.touched.push_back(s);
             }
           }
-        };
-        if (e.has_join) {
-          // A NULL cell (kNullId) or a value the s column does not hold
-          // is an empty range: non_null_eq, no Value touched.
-          probe(e.s_join->Find(e.r_ids[r]));
+          for (uint32_t s : sc.excluded) {
+            sc.fired[s / 64] &= ~(uint64_t{1} << (s % 64));
+          }
+          sc.excluded.clear();
         } else {
-          probe(e.s_all ? all_s_rows_ : e.s_rows_storage);
+          auto probe = [&](const auto& candidates) {
+            for (size_t s : candidates) {
+              // Already fired at a lower priority: the first-wins fold
+              // could not change, so skip the evaluation entirely.
+              const uint64_t bit = uint64_t{1} << (s % 64);
+              if ((sc.fired[s / 64] & bit) != 0) continue;
+              ++evals;
+              if (e.fires_all ||
+                  e.residual->PairTruth(r, s) == Truth::kTrue) {
+                sc.fired[s / 64] |= bit;
+                sc.best[s] = e.priority;
+                sc.touched.push_back(s);
+                ++row_fired;
+              }
+            }
+          };
+          if (e.has_join) {
+            // A NULL cell (kNullId) or a value the s column does not
+            // hold is an empty range: non_null_eq, no Value touched.
+            probe(e.s_join->Find(e.r_ids[r]));
+          } else {
+            probe(e.s_all ? all_s_rows_ : e.s_rows_storage);
+          }
         }
-        if (e.residual->has_row_part()) {
-          cc.feature_cache_hits += pair_evals_here;
-        }
+        cc.candidate_pairs += evals;
+        cc.rule_evals += evals;
+        if (e.residual->has_row_part()) cc.feature_cache_hits += evals;
       }
-      // Emit this row's firings in ascending s order. `touched` is
-      // duplicate-free (the stamp gates every push) but unsorted across
-      // entries. Dense rows — a Prop-1 NMT touches nearly every s — are
-      // emitted by scanning the stamp array in order, which is linear and
-      // branch-predictable; sorting ~|S| indices per row was the second
-      // hottest site in dense `identify` profiles. Sparse rows keep the
-      // sort: a full stamp scan would dwarf their few touches.
-      FiredColumns& f = found[chunk];
-      if (sc.touched.size() * 8 >= s_n) {
-        for (size_t s = 0; s < s_n; ++s) {
-          if (sc.stamp[s] == r) {
+      // Emit this row's firings in ascending s order and clear its bits.
+      // `touched` lists only the firings made one candidate at a time. A
+      // row a drain fired on, or a dense one, is emitted by scanning the
+      // set bits; a sparse row sorts `touched` and clears only its words.
+      if (sc.touched.size() != row_fired || row_fired * 8 >= s_n) {
+        for (size_t w = 0; w < words; ++w) {
+          uint64_t bits = sc.fired[w];
+          if (bits == 0) continue;
+          sc.fired[w] = 0;
+          for (; bits != 0; bits &= bits - 1) {
+            const size_t s =
+                w * 64 + static_cast<size_t>(std::countr_zero(bits));
             f.pairs.push_back(TuplePair{r, s});
             f.priorities.push_back(sc.best[s]);
           }
@@ -236,9 +315,24 @@ FiredColumns CandidateGenerator::Run(ThreadPool* pool,
         for (size_t s : sc.touched) {
           f.pairs.push_back(TuplePair{r, s});
           f.priorities.push_back(sc.best[s]);
+          sc.fired[s / 64] = 0;
         }
       }
       sc.touched.clear();
+      if (r + 1 - begin == sample && r + 1 < end) {
+        // Capacity only, never content: a chunk that fires more than
+        // its first rows foretold grows as usual, and one that fires
+        // less leaves address space it never touches. Rows sorted by a
+        // column can make the first rows far denser than the rest, so a
+        // reservation the allocator refuses is skipped, not fatal.
+        const size_t expected =
+            f.pairs.size() * ((end - begin) / sample + 1);
+        try {
+          f.pairs.reserve(expected);
+          f.priorities.reserve(expected);
+        } catch (const std::bad_alloc&) {
+        }
+      }
     }
   });
 

@@ -24,6 +24,12 @@
 //      (counted as feature_cache_hits); only the true pair residual runs
 //      in the inner loop, one PairTruth call per candidate, through a
 //      StagedEvaluator the caller supplies (compile::StagedConjunction).
+//      Two pair-part shapes skip that call and fire a whole set of s
+//      rows at once (PairShape): an empty pair part fires every
+//      candidate, and a lone `s.col != constant` over all of S fires the
+//      column's non-NULL rows outside the constant's posting range.
+//      They are the two orientations of a Proposition 1 rule
+//      (e1.A = a ∧ e2.B ≠ b).
 //
 // Exactness: a conjunction is kTrue iff every conjunct is kTrue, covered
 // conjuncts are kTrue on every enumerated candidate by construction, and
@@ -37,7 +43,8 @@
 // *lowest* priority that fired it. The merged output is therefore the
 // row-major sorted pair list with first-(rule,orientation)-wins evidence —
 // bit-identical to eid::reference's nested-loop fold — for any thread
-// count.
+// count. The drains above change how a pair is found, never which pairs,
+// priorities or counters come out.
 
 #ifndef EID_EXEC_CANDIDATE_GENERATOR_H_
 #define EID_EXEC_CANDIDATE_GENERATOR_H_
@@ -55,6 +62,20 @@
 namespace eid {
 namespace exec {
 
+/// What PairTruth computes, when it is one of the two shapes the sweep
+/// can decide for a whole set of s rows without calling it.
+struct PairShape {
+  enum class Kind : uint8_t {
+    kGeneral,     // anything else: PairTruth per candidate
+    kEmpty,       // no pair conjunct: kTrue on every candidate
+    kSNotEqual,   // one id conjunct `s.s_column != constant`: kTrue iff
+                  // the s cell is non-NULL and not the constant's id
+  };
+  Kind kind = Kind::kGeneral;
+  size_t s_column = 0;  // kSNotEqual only
+  uint32_t const_id = ColumnarWorld::kNullId;  // kSNotEqual only; non-NULL
+};
+
 /// Evaluates the residual (non-covered) conjuncts of one rule antecedent
 /// for one orientation. Implementations must be EID_SHARED_IMMUTABLE:
 /// constructed serially, then safe for concurrent read-only use (the
@@ -62,6 +83,9 @@ namespace exec {
 class EID_SHARED_IMMUTABLE StagedEvaluator {
  public:
   virtual ~StagedEvaluator() = default;
+
+  /// The shape of the pair part; kGeneral is always a correct answer.
+  virtual PairShape pair_shape() const = 0;
 
   /// True when some conjunct is evaluable from the r-side row alone.
   virtual bool has_row_part() const = 0;
@@ -77,7 +101,8 @@ class EID_SHARED_IMMUTABLE StagedEvaluator {
 
 /// Counters of one staged sweep, all thread-count-invariant.
 struct StagedScanStats {
-  size_t candidate_pairs = 0;      // pairs a residual was evaluated on
+  size_t candidate_pairs = 0;      // pairs a residual decided (PairTruth
+                                   // or a whole-set drain)
   size_t rule_evals = 0;           // row-part + pair-part evaluations
   size_t feature_cache_hits = 0;   // pair evals reusing a hoisted row part
   bool indexed = false;            // some live entry probes a join index
@@ -135,12 +160,29 @@ class CandidateGenerator {
     // Run, after entries_ stops reallocating.
     bool s_all = false;
     std::vector<size_t> s_rows_storage;
+    // Whole-set drains instead of PairTruth per candidate: an empty pair
+    // part fires every candidate; an `s.col != constant` pair part over
+    // all of S fires `s_non_null` (one bit per s row) minus the rows of
+    // `s_excluded`, the constant's posting range.
+    bool fires_all = false;
+    const uint64_t* s_non_null = nullptr;
+    PostingRange s_excluded;
+
+    /// Fires a whole row's s set word by word instead of per candidate.
+    bool drains_row() const {
+      return s_all && (fires_all || s_non_null != nullptr);
+    }
   };
 
   /// Ids of column `column` of the given side, encoded once per sweep:
   /// the world encodes it on first request and every later request of
   /// this generator reads the cached pointer.
   const uint32_t* Encoded(bool r_side, size_t column);
+
+  /// One bit per s row of column `column`, set iff the cell is non-NULL;
+  /// built once per sweep, on the first `!=` drain that reads it. The
+  /// column must already be encoded.
+  const uint64_t* NonNullBits(size_t column);
 
   // Everything below is written only during serial AddRule registration
   // and then EID_SHARED_IMMUTABLE for the parallel sweep in Run: workers
@@ -161,6 +203,9 @@ class CandidateGenerator {
   EID_SHARED_IMMUTABLE std::vector<std::vector<uint32_t>> per_row_;
   EID_SHARED_IMMUTABLE std::vector<uint32_t> global_;
   std::vector<size_t> all_s_rows_;  // shared iota scan list
+  // s column -> bit s set iff that cell is non-NULL; built on first use
+  // by a `!=` drain, empty otherwise.
+  EID_SHARED_IMMUTABLE std::vector<std::vector<uint64_t>> s_non_null_;
   bool ran_ = false;
 };
 

@@ -1,7 +1,9 @@
 #include "relational/value.h"
 
+#include <bit>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstring>
 
 namespace eid {
@@ -60,11 +62,19 @@ bool Value::operator<(const Value& other) const {
       return !AsBool() && other.AsBool();
     case ValueType::kInt:
     case ValueType::kDouble: {
-      double a = AsNumeric(), b = other.AsNumeric();
+      const double a = AsNumeric(), b = other.AsNumeric();
+      const bool a_nan = std::isnan(a), b_nan = std::isnan(b);
+      if (a_nan || b_nan) {
+        if (!a_nan || !b_nan) return b_nan;  // numbers before NaNs
+        return std::bit_cast<uint64_t>(a) < std::bit_cast<uint64_t>(b);
+      }
       if (a != b) return a < b;
-      // Tie-break int < double so the order is total w.r.t. operator==.
-      return type() == ValueType::kInt &&
-             other.type() == ValueType::kDouble;
+      // Numeric ties: int before double, ints by value (large ints can
+      // round to the same double), -0.0 before +0.0 — so equivalence in
+      // this order is exactly operator==.
+      if (type() != other.type()) return type() == ValueType::kInt;
+      if (type() == ValueType::kInt) return AsInt() < other.AsInt();
+      return std::signbit(a) && !std::signbit(b);
     }
     case ValueType::kString:
       return AsString() < other.AsString();

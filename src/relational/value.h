@@ -4,9 +4,11 @@
 // values from autonomous databases; missing extended-key attributes are
 // represented as NULL (paper §6.2). Two equality notions coexist:
 //
-//  * Value::operator== — *storage* equality: NULL == NULL. Used for
-//    deduplication, hashing and set semantics inside the relational
-//    substrate.
+//  * Value::operator== — *storage* equality: NULL == NULL, and doubles
+//    are equal iff their bit patterns are (so +0.0 != -0.0, and a NaN
+//    equals a NaN with the same bits), which is what Hash and the key
+//    fingerprints read. Used for deduplication, hashing and set
+//    semantics inside the relational substrate.
 //  * NonNullEq()       — *matching* equality: NULL equals nothing, not even
 //    NULL. This is the prototype's `non_null_eq` predicate and the equality
 //    used when joining extended keys to build the matching table.
@@ -14,8 +16,10 @@
 #ifndef EID_RELATIONAL_VALUE_H_
 #define EID_RELATIONAL_VALUE_H_
 
+#include <bit>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <variant>
 
 #include "relational/status.h"
@@ -62,12 +66,29 @@ class Value {
   /// Numeric view: int promoted to double. Precondition: kInt or kDouble.
   double AsNumeric() const;
 
-  /// Storage equality: same type and same payload; NULL == NULL.
-  bool operator==(const Value& other) const { return data_ == other.data_; }
+  /// Storage equality: same type and same payload; NULL == NULL; doubles
+  /// by bit pattern.
+  bool operator==(const Value& other) const {
+    if (data_.index() != other.data_.index()) return false;
+    return std::visit(
+        [&other](const auto& a) {
+          using T = std::decay_t<decltype(a)>;
+          const T& b = *std::get_if<T>(&other.data_);
+          if constexpr (std::is_same_v<T, double>) {
+            return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+          } else {
+            return a == b;
+          }
+        },
+        data_);
+  }
   bool operator!=(const Value& other) const { return !(*this == other); }
 
   /// Total order for sorting: NULL < bool < int/double (numeric order,
-  /// cross-type) < string. Deterministic across runs.
+  /// cross-type) < string. A strict weak ordering whose equivalence is
+  /// operator==: numeric ties put an int before a double and -0.0 before
+  /// +0.0, and NaNs sort after every number, by bit pattern.
+  /// Deterministic across runs.
   bool operator<(const Value& other) const;
   bool operator<=(const Value& other) const { return !(other < *this); }
   bool operator>(const Value& other) const { return other < *this; }

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 
 #include "../test_util.h"
@@ -419,6 +420,82 @@ TEST(DifferentialIncrementalTest, StagedMatchesExhaustiveUnderUpdates) {
   IdentifierConfig config = WorldConfig(world);
   config.matcher_options.threads = 1;
   ExpectSessionMatchesReference(world, config, /*r_step=*/5, /*s_step=*/7);
+}
+
+// Signed zeros and NaNs. Double equality is the bit pattern everywhere:
+// the engine's dictionary and id columns, the reference's CompareValues,
+// the incremental session's value indexes and every key fingerprint. R
+// holds +0.0 and a NaN, S holds -0.0 and a NaN with the same bits, so
+// only the NaN rows hold equal values.
+struct SpecialDoubles {
+  Relation r;
+  Relation s;
+  IdentifierConfig config;
+};
+
+SpecialDoubles SpecialDoublesWorld() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Schema schema({Attribute{"x", ValueType::kDouble},
+                       Attribute{"tag", ValueType::kString}});
+  SpecialDoubles w{Relation("R", schema), Relation("S", schema), {}};
+  EXPECT_TRUE(w.r.Insert(Row{Value::Double(0.0), Value::Str("a")}).ok());
+  EXPECT_TRUE(w.r.Insert(Row{Value::Double(nan), Value::Str("b")}).ok());
+  EXPECT_TRUE(w.s.Insert(Row{Value::Double(-0.0), Value::Str("a")}).ok());
+  EXPECT_TRUE(w.s.Insert(Row{Value::Double(nan), Value::Str("b")}).ok());
+  w.config.correspondence = AttributeCorrespondence::Identity(w.r, w.s);
+  return w;
+}
+
+TEST(DifferentialSpecialDoubleTest, IdentityRuleEqualsReference) {
+  SpecialDoubles w = SpecialDoublesWorld();
+  EID_ASSERT_OK_AND_ASSIGN(IdentityRule same_x,
+                           ParseIdentityRule("same_x", "e1.x = e2.x"));
+  w.config.identity_rules.push_back(same_x);
+  const IdentificationResult ref =
+      ExpectEngineMatchesReference(w.config, w.r, w.s);
+  EXPECT_EQ(ref.matching.pairs(), (std::vector<TuplePair>{{1, 1}}));
+}
+
+TEST(DifferentialSpecialDoubleTest, DistinctnessRulesEqualReference) {
+  // Rule 0 compares the two cells; rule 1 is a Proposition 1 shape whose
+  // direct orientation takes the generator's `s.x != constant` drain.
+  SpecialDoubles w = SpecialDoublesWorld();
+  EID_ASSERT_OK_AND_ASSIGN(
+      DistinctnessRule other_x,
+      ParseDistinctnessRule("other_x", "e1.x != e2.x & e1.tag = e2.tag"));
+  EID_ASSERT_OK_AND_ASSIGN(
+      DistinctnessRule not_zero,
+      ParseDistinctnessRule("not_zero", "e1.tag = \"a\" & e2.x != 0.0"));
+  w.config.distinctness_rules = {other_x, not_zero};
+  const IdentificationResult ref =
+      ExpectEngineMatchesReference(w.config, w.r, w.s);
+  EXPECT_EQ(ref.negative.table.pairs(),
+            (std::vector<TuplePair>{{0, 0}, {0, 1}, {1, 0}}));
+  EXPECT_EQ(ref.negative.evidence, (std::vector<uint32_t>{0, 2, 3}));
+}
+
+TEST(DifferentialSpecialDoubleTest, KeyJoinAndSessionEqualReference) {
+  SpecialDoubles w = SpecialDoublesWorld();
+  w.config.extended_key = ExtendedKey({"x"});
+  EID_ASSERT_OK_AND_ASSIGN(IdentityRule same_x,
+                           ParseIdentityRule("same_x", "e1.x = e2.x"));
+  w.config.identity_rules.push_back(same_x);
+  const IdentificationResult ref =
+      ExpectEngineMatchesReference(w.config, w.r, w.s);
+  EXPECT_EQ(ref.matching.pairs(), (std::vector<TuplePair>{{1, 1}}));
+
+  EID_ASSERT_OK_AND_ASSIGN(
+      IncrementalIdentifier inc,
+      IncrementalIdentifier::Create(w.config, EmptyLike(w.r), EmptyLike(w.s)));
+  for (const Row& row : w.r.rows()) EID_ASSERT_OK(inc.InsertR(row).status());
+  for (const Row& row : w.s.rows()) EID_ASSERT_OK(inc.InsertS(row).status());
+  for (size_t i = 0; i < w.r.size(); ++i) {
+    EXPECT_EQ(inc.MatchOfR(i), ref.matching.MatchOfR(i)) << "r " << i;
+    for (size_t j = 0; j < w.s.size(); ++j) {
+      EXPECT_EQ(inc.Decide(i, j), ref.Decide(i, j)) << i << "," << j;
+    }
+  }
+  EXPECT_EQ(inc.Partition().matched, ref.partition.matched);
 }
 
 }  // namespace

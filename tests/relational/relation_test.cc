@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "../test_util.h"
 
 namespace eid {
@@ -134,6 +136,25 @@ TEST(RelationTest, PrimaryKeyOfAndFindByKey) {
   EXPECT_EQ(r.FindByKey(key), 0u);
   EXPECT_TRUE(r.ContainsKey(key));
   EXPECT_FALSE(r.ContainsKey(Row{Value::Str("X"), Value::Str("Y")}));
+}
+
+TEST(RelationTest, SignedZerosAreDistinctKeysAndNaNsDuplicate) {
+  // Key checks and key lookups agree on one notion of double equality:
+  // the bit pattern.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Relation d("D", Schema({Attribute{"x", ValueType::kDouble},
+                          Attribute{"tag", ValueType::kString}}));
+  EID_ASSERT_OK(d.DeclareKey({"x"}));
+  EID_EXPECT_OK(d.Insert(Row{Value::Double(0.0), Value::Str("plus")}));
+  EID_EXPECT_OK(d.Insert(Row{Value::Double(-0.0), Value::Str("minus")}));
+  EID_EXPECT_OK(d.Insert(Row{Value::Double(nan), Value::Str("nan")}));
+  EXPECT_EQ(d.Insert(Row{Value::Double(nan), Value::Str("again")}).code(),
+            StatusCode::kConstraintViolation);
+  EID_EXPECT_OK(d.ValidateKeys());
+  EXPECT_EQ(d.FindByKey(Row{Value::Double(0.0)}), 0u);
+  EXPECT_EQ(d.FindByKey(Row{Value::Double(-0.0)}), 1u);
+  EXPECT_EQ(d.FindByKey(Row{Value::Double(nan)}), 2u);
+  EXPECT_TRUE(d.ContainsKey(Row{Value::Double(nan)}));
 }
 
 TEST(RelationTest, SortRowsIsDeterministic) {

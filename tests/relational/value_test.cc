@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -83,6 +84,54 @@ TEST(ValueTest, OrderingIsTotalAndConsistentWithEquality) {
           << a.ToString() << " vs " << b.ToString();
     }
   }
+}
+
+TEST(ValueTest, DoublesCompareByBitPattern) {
+  // One notion of double equality everywhere: bits, as Hash and the key
+  // fingerprints read them.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(Value::Double(0.0), Value::Double(-0.0));
+  EXPECT_EQ(Value::Double(nan), Value::Double(nan));
+  EXPECT_NE(Value::Double(nan), Value::Double(-nan));  // sign bit differs
+  EXPECT_NE(Value::Double(0.0), Value::Int(0));
+  EXPECT_EQ(Value::Double(nan).Hash(), Value::Double(nan).Hash());
+  std::string a, b;
+  Value::Double(nan).AppendFingerprint(&a);
+  Value::Double(nan).AppendFingerprint(&b);
+  EXPECT_EQ(a, b);
+}
+
+TEST(ValueTest, OrderingWithSignedZerosAndNaNsIsStrictWeak) {
+  // std::sort needs a strict weak ordering; its equivalence must be
+  // operator==, so sorting and deduplicating agree.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const int64_t big = int64_t{1} << 53;  // big + 1 rounds to big as double
+  std::vector<Value> values = {
+      Value::Double(nan),        Value::Double(-nan),
+      Value::Double(0.0),        Value::Double(-0.0),
+      Value::Int(0),             Value::Int(-1),
+      Value::Double(-1.0),       Value::Double(1.5),
+      Value::Int(big),           Value::Int(big + 1),
+      Value::Double(static_cast<double>(big)),
+      Value::Double(std::numeric_limits<double>::infinity()),
+      Value::Null(),             Value::Str("x")};
+  for (const Value& a : values) {
+    EXPECT_FALSE(a < a) << a.ToString();
+    for (const Value& b : values) {
+      const bool equivalent = !(a < b) && !(b < a);
+      EXPECT_EQ(equivalent, a == b) << a.ToString() << " vs " << b.ToString();
+      for (const Value& c : values) {
+        if (a < b && b < c) {
+          EXPECT_TRUE(a < c) << a.ToString() << " < " << b.ToString()
+                             << " < " << c.ToString();
+        }
+      }
+    }
+  }
+  EXPECT_LT(Value::Double(-0.0), Value::Double(0.0));
+  EXPECT_LT(Value::Double(std::numeric_limits<double>::infinity()),
+            Value::Double(nan));
+  EXPECT_LT(Value::Int(big), Value::Int(big + 1));
 }
 
 TEST(ValueTest, HashConsistentWithEquality) {
@@ -233,6 +282,17 @@ TEST(ValueDictionaryTest, StorageEquality) {
   EXPECT_EQ(dict.GetOrIntern(Value::String(text)),
             dict.GetOrIntern(Value::String(std::string(text))));
   EXPECT_EQ(dict.size(), 4u);
+}
+
+TEST(ValueDictionaryTest, InternsDoublesByBitPattern) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ValueDictionary dict;
+  const uint32_t nan_id = dict.GetOrIntern(Value::Double(nan));
+  EXPECT_EQ(dict.GetOrIntern(Value::Double(nan)), nan_id);
+  EXPECT_EQ(dict.Find(Value::Double(nan)), nan_id);
+  const uint32_t zero_id = dict.GetOrIntern(Value::Double(0.0));
+  EXPECT_NE(dict.GetOrIntern(Value::Double(-0.0)), zero_id);
+  EXPECT_EQ(dict.size(), 3u);
 }
 
 TEST(ValueDictionaryTest, ReserveChangesNoId) {
