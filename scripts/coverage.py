@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Line and branch coverage of src/, per module, from a gcc --coverage build.
+"""Line, branch and function coverage of src/ from a gcc --coverage build.
 
 Build and run the tests with the `coverage` preset, then aggregate:
 
@@ -8,6 +8,7 @@ Build and run the tests with the `coverage` preset, then aggregate:
     ctest --preset coverage -j 4
     python3 scripts/coverage.py                  # the per-module table
     python3 scripts/coverage.py --file src/exec/candidate_generator.cc
+    python3 scripts/coverage.py --functions      # never-executed functions
 
 The script runs `gcov --json-format --stdout` on every .gcda file under
 the build tree and merges the results: a source line counts as covered
@@ -15,6 +16,13 @@ when any translation unit executed it, and a branch when any translation
 unit took it. Branches that only exceptions take are left out, as are
 files outside src/. Counters accumulate across runs; delete the .gcda
 files (or the build tree) to start over.
+
+--functions lists, as file:line and demangled name, every src/ function
+that no translation unit executed. Functions sharing a definition site
+(template instantiations, a constructor's complete- and base-object
+symbols) are one entry, executed when any of them ran. An inline or
+template function that no translation unit instantiates has no object
+code, so gcov never sees it and it cannot be listed.
 """
 
 import argparse
@@ -48,9 +56,11 @@ def gcov_json(gcda):
 
 
 def collect(build):
-    """(file -> line -> count, file -> (line, branch) -> count) over src/."""
+    """(file -> line -> count, file -> (line, branch) -> count,
+    (file, line, column) -> [count, names]) over src/."""
     lines = collections.defaultdict(lambda: collections.defaultdict(int))
     branches = collections.defaultdict(lambda: collections.defaultdict(int))
+    functions = collections.defaultdict(lambda: [0, set()])
     src = os.path.join(ROOT, "src") + os.sep
     gcdas = []
     for directory, _, files in os.walk(build):
@@ -73,7 +83,12 @@ def collect(build):
                     taken = [b for b in line["branches"] if not b["throw"]]
                     for i, b in enumerate(taken):
                         branches[rel][(n, i)] += b["count"]
-    return lines, branches
+                for fn in f["functions"]:
+                    site = functions[(rel, fn["start_line"],
+                                      fn["start_column"])]
+                    site[0] += fn["execution_count"]
+                    site[1].add(fn.get("demangled_name") or fn["name"])
+    return lines, branches, functions
 
 
 def ratio(hit, total):
@@ -97,6 +112,17 @@ def table(lines, branches):
         print(f"{name:<12} {ratio(m[0], m[1]):>20} {ratio(m[2], m[3]):>20}")
     print(f"{'total':<12} {ratio(total[0], total[1]):>20} "
           f"{ratio(total[2], total[3]):>20}")
+
+
+def never_executed(functions):
+    """Every definition site no translation unit executed, by file:line."""
+    dead = sorted((rel, line, sorted(names))
+                  for (rel, line, _), (count, names) in functions.items()
+                  if count == 0)
+    for rel, line, names in dead:
+        more = f" [{len(names)} instantiations]" if len(names) > 1 else ""
+        print(f"{rel}:{line}: {names[0]}{more}")
+    print(f"{len(dead)} of {len(functions)} src/ functions never executed")
 
 
 def annotate(rel, lines, branches):
@@ -126,9 +152,13 @@ def main():
     parser.add_argument("--file", action="append", default=[],
                         help="print this src/ file with line counts and "
                              "branches taken/total (repeatable)")
+    parser.add_argument("--functions", action="store_true",
+                        help="list every src/ function no test executed")
     args = parser.parse_args()
-    lines, branches = collect(os.path.abspath(args.build))
-    if args.file:
+    lines, branches, functions = collect(os.path.abspath(args.build))
+    if args.functions:
+        never_executed(functions)
+    elif args.file:
         for rel in args.file:
             annotate(rel, lines, branches)
     else:

@@ -11,27 +11,24 @@ MatchQuality Evaluate(const BaselineResult& result,
   q.total_pairs = r_size * s_size;
   std::set<TuplePair> truth(ground_truth.begin(), ground_truth.end());
 
-  std::set<TuplePair> claimed_match(result.matching.pairs().begin(),
-                                    result.matching.pairs().end());
-  std::set<TuplePair> claimed_non(result.negative.pairs().begin(),
-                                  result.negative.pairs().end());
-
-  for (const TuplePair& p : claimed_match) {
+  for (const TuplePair& p : result.matching.pairs()) {
     if (truth.count(p) > 0) ++q.true_matches;
     else ++q.false_matches;
   }
   for (const TuplePair& p : truth) {
-    if (claimed_match.count(p) == 0) ++q.missed_matches;
+    if (!result.matching.Contains(p)) ++q.missed_matches;
   }
-  for (const TuplePair& p : claimed_non) {
+  for (const TuplePair& p : result.negative.pairs()) {
     if (truth.count(p) > 0) ++q.false_non_matches;
     else ++q.true_non_matches;
   }
   size_t decided = 0;
   for (size_t i = 0; i < r_size; ++i) {
     for (size_t j = 0; j < s_size; ++j) {
-      TuplePair p{i, j};
-      if (claimed_match.count(p) > 0 || claimed_non.count(p) > 0) ++decided;
+      const TuplePair p{i, j};
+      if (result.matching.Contains(p) || result.negative.Contains(p)) {
+        ++decided;
+      }
     }
   }
   q.undetermined = q.total_pairs - decided;

@@ -39,9 +39,6 @@ class BaselineMatcher {
  public:
   virtual ~BaselineMatcher() = default;
 
-  /// Technique name for reports ("key-equivalence", ...).
-  virtual std::string Name() const = 0;
-
   /// Decides matches between `r` and `s`.
   virtual Result<BaselineResult> Match(const Relation& r,
                                        const Relation& s) const = 0;

@@ -38,8 +38,6 @@ class HeuristicRuleMatcher : public BaselineMatcher {
         rules_(std::move(rules)),
         options_(std::move(options)) {}
 
-  std::string Name() const override { return "heuristic-rules"; }
-
   Result<BaselineResult> Match(const Relation& r,
                                const Relation& s) const override;
 

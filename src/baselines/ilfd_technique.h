@@ -16,8 +16,6 @@ class IlfdTechniqueMatcher : public BaselineMatcher {
   explicit IlfdTechniqueMatcher(IdentifierConfig config)
       : identifier_(std::move(config)) {}
 
-  std::string Name() const override { return "extended-key+ilfd"; }
-
   Result<BaselineResult> Match(const Relation& r,
                                const Relation& s) const override;
 

@@ -34,8 +34,6 @@ class KeyEquivalenceMatcher : public BaselineMatcher {
                         KeyEquivalenceOptions options = {})
       : corr_(std::move(corr)), options_(options) {}
 
-  std::string Name() const override { return "key-equivalence"; }
-
   /// Fails (applicability) unless some candidate key of R maps, attribute
   /// for attribute, onto a candidate key of S under the correspondence.
   Result<BaselineResult> Match(const Relation& r,

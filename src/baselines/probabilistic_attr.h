@@ -40,8 +40,6 @@ class ProbabilisticAttrMatcher : public BaselineMatcher {
                            ProbabilisticAttrOptions options = {})
       : corr_(std::move(corr)), options_(options) {}
 
-  std::string Name() const override { return "probabilistic-attribute"; }
-
   Result<BaselineResult> Match(const Relation& r,
                                const Relation& s) const override;
 

@@ -42,8 +42,6 @@ class ProbabilisticKeyMatcher : public BaselineMatcher {
                           ProbabilisticKeyOptions options = {})
       : corr_(std::move(corr)), options_(options) {}
 
-  std::string Name() const override { return "probabilistic-key"; }
-
   /// Like key equivalence, fails when no common candidate key exists.
   /// Otherwise compares every pair's key subfields. Greedy one-to-one
   /// assignment: each tuple matches its best counterpart above threshold,

@@ -26,8 +26,6 @@ class UserSpecifiedMatcher : public BaselineMatcher {
   explicit UserSpecifiedMatcher(std::vector<UserEquivalence> assertions)
       : assertions_(std::move(assertions)) {}
 
-  std::string Name() const override { return "user-specified"; }
-
   /// Resolves each assertion against the relations' primary keys. An
   /// assertion naming a non-existent tuple is an error (dangling mapping).
   Result<BaselineResult> Match(const Relation& r,

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -41,117 +40,63 @@ struct TuplePair {
   }
 };
 
-struct TuplePairHash {
-  size_t operator()(const TuplePair& p) const {
-    // splitmix64-style mix of the two indices.
-    uint64_t h = static_cast<uint64_t>(p.r_index) * 0x9E3779B97F4A7C15ull;
-    h ^= static_cast<uint64_t>(p.s_index) + 0x9E3779B97F4A7C15ull +
-         (h << 6) + (h >> 2);
-    return static_cast<size_t>(h);
-  }
-};
-
-/// Flat open-addressing membership set over row-index pairs, packed into
-/// one uint64_t per entry (32 bits per side — a relation of 4G rows is
-/// far beyond the in-RAM world this engine serves, and Pack checks).
-/// A dense NMT inserts tens of millions of pairs; the node-based
-/// std::unordered_set paid one allocation plus pointer chases per pair,
-/// which dominated dense `identify` runs. Here an insert is one
-/// linear-probe over a contiguous power-of-two array and teardown is a
-/// single free.
-class PackedPairSet {
- public:
-  static uint64_t Pack(const TuplePair& p);
-
-  /// Pre-sizes for `n` pairs (NMT construction knows the fired-pair
-  /// count up front; growth doubles otherwise).
-  void Reserve(size_t n);
-
-  /// Inserts `key`; returns false if it was already present.
-  bool Insert(uint64_t key);
-  bool Contains(uint64_t key) const;
-
-  /// Warms the cache line of `key`'s home slot. Bulk loaders issue this a
-  /// few keys ahead of Insert: the table is far larger than cache for a
-  /// dense NMT, and without the hint every insert stalls on one
-  /// dependent DRAM access.
-  void PrefetchSlot(uint64_t key) const {
-    if (!slots_.empty()) {
-      __builtin_prefetch(slots_.data() + (MixKey(key) & mask_), 1, 0);
-    }
-  }
-
-  size_t size() const { return size_; }
-
- private:
-  static constexpr uint64_t kEmpty = ~0ull;  // Pack() can never produce it
-
-  /// splitmix64 finalizer — the probe hash. Full-avalanche so consecutive
-  /// row pairs (the NMT's row-major insertion order) spread across the
-  /// table instead of clustering a linear probe.
-  static uint64_t MixKey(uint64_t x) {
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-  }
-
-  void Grow(size_t min_slots);
-
-  std::vector<uint64_t> slots_;  // kEmpty-filled, power-of-two length
-  uint64_t mask_ = 0;
-  size_t size_ = 0;
-};
-
-/// A matching (or negative-matching) table over row-index pairs.
+/// A matching (or negative-matching) table over row-index pairs, with one
+/// representation per kind:
+///
+///   MT  — pairs in insertion order (the order-sensitive uniqueness
+///         verdict and pairs() depend on it) plus a flat per-side index
+///         from row to its one pair; membership is a lookup in that index.
+///   NMT — a strictly increasing row-major pair column, the order the
+///         staged sweep emits and snapshots store; membership is a binary
+///         search, and there is no per-side index.
 class MatchTable {
  public:
   /// `negative` selects NMT semantics (no uniqueness constraint).
   explicit MatchTable(bool negative = false) : negative_(negative) {}
 
-  /// Rebuilds a table from a serialized pair list (snapshot load),
-  /// re-running the Add-path constraint checks — a corrupted pair list
-  /// that violates uniqueness fails here instead of resurfacing later as
-  /// an inconsistent table. A strictly increasing negative list is
-  /// adopted by move (AdoptSorted); any other one takes the checked
-  /// batch fold, which skips duplicates.
+  /// Rebuilds a table from a serialized pair list (snapshot load). A
+  /// matching list re-runs Add's uniqueness checks in list order, so a
+  /// corrupted list that violates uniqueness fails here instead of
+  /// resurfacing later as an inconsistent table. A negative list is
+  /// sorted and deduplicated; a strictly increasing one (what snapshots
+  /// store) is taken by move.
   static Result<MatchTable> FromPairs(bool negative,
                                       std::vector<TuplePair> pairs);
 
   bool negative() const { return negative_; }
   size_t size() const { return pairs_.size(); }
   bool empty() const { return pairs_.empty(); }
+  /// Insertion order for a matching table, row-major for a negative one.
   const std::vector<TuplePair>& pairs() const { return pairs_; }
 
-  /// Adds a pair. For a (positive) matching table, violating the
-  /// uniqueness constraint returns ConstraintViolation and leaves the
-  /// table unchanged; re-adding an existing pair is idempotent OK.
+  /// Adds a pair; re-adding an existing pair is idempotent OK. For a
+  /// matching table, violating the uniqueness constraint returns
+  /// ConstraintViolation and leaves the table unchanged. A negative table
+  /// appends the pair, or inserts it at its row-major position.
   Status Add(TuplePair pair);
 
   /// Adopts `*pairs` as this (empty, negative) table's storage by move,
   /// leaving `*pairs` empty. Requires a strictly increasing row-major
-  /// list — what the staged sweep emits and snapshots serialize; the
-  /// one pass that checks the order also records the per-side first
-  /// indexes, so no pair is copied. Returns false, with the table and
-  /// `*pairs` unchanged, when the list is not strictly increasing.
+  /// list — what the staged sweep emits and snapshots serialize — and
+  /// only checks that order. Returns false, with the table and `*pairs`
+  /// unchanged, when the list is not strictly increasing.
   bool AdoptSorted(std::vector<TuplePair>* pairs);
-
-  /// Pre-sizes the pair store and lookup structures for `n` pairs (NMT
-  /// construction knows the fired-pair count up front).
-  void Reserve(size_t n);
 
   bool Contains(const TuplePair& pair) const;
 
-  /// True if the given R (S) row already participates in some pair.
+  /// True if the given R (S) row participates in a pair. Matching tables
+  /// only: a negative table keeps no per-side index.
   bool HasR(size_t r_index) const {
+    EID_CHECK(!negative_);
     return r_index < by_r_.size() && by_r_[r_index] != kNoPair;
   }
   bool HasS(size_t s_index) const {
+    EID_CHECK(!negative_);
     return s_index < by_s_.size() && by_s_[s_index] != kNoPair;
   }
 
-  /// The S row matched with R row `r_index`, if any. For negative tables
-  /// (where several pairs may share an index) the first added is returned.
+  /// The S row matched with R row `r_index`, if any (and the converse).
+  /// Matching tables only.
   std::optional<size_t> MatchOfR(size_t r_index) const;
   std::optional<size_t> MatchOfS(size_t s_index) const;
 
@@ -168,36 +113,11 @@ class MatchTable {
  private:
   static constexpr size_t kNoPair = SIZE_MAX;
 
-  /// One-time switch from sorted-order membership to the hash set, built
-  /// from the pairs already stored; called on the first out-of-order Add.
-  void MigrateToHash();
-
-  /// Bulk form of Add for negative tables. Same semantics as one Add per
-  /// pair — duplicates are skipped idempotently — but the membership
-  /// probes are issued with a prefetch pipeline: a dense NMT's probe
-  /// table far exceeds cache, and the serial Add loop stalled on one
-  /// dependent DRAM access per pair.
-  void AddNegativeBatch(std::span<const TuplePair> pairs);
-
   bool negative_ = false;
-  // True while every added pair has been strictly greater (row-major)
-  // than its predecessor — the order the staged fold emits and snapshots
-  // serialize. While it holds, membership is a binary search over
-  // `pairs_` and no side structure is maintained at all: building a hash
-  // set over a dense NMT's tens of millions of pairs was the single
-  // hottest site in dense `identify` profiles, and nothing probes NMT
-  // membership often enough during identification to repay it.
-  bool sorted_ = true;
   std::vector<TuplePair> pairs_;
-  // Hash membership, populated by MigrateToHash on the first
-  // out-of-order Add (incremental updates) and authoritative from then
-  // on. Flat open addressing: the node-based std::unordered_set paid an
-  // allocation plus pointer chases per pair.
-  PackedPairSet members_;
-  // First pair index per side (kNoPair = absent), for uniqueness checks
-  // and lookups. Row indices are dense and bounded by the relation
-  // sizes, so a flat vector beats a hash map: the NMT path writes these
-  // once per pair.
+  // Matching tables only: the index into pairs_ of each row's pair
+  // (kNoPair = unmatched). Row indices are dense and bounded by the
+  // relation sizes, so a flat vector serves as the map.
   std::vector<size_t> by_r_;
   std::vector<size_t> by_s_;
 };

@@ -2,12 +2,6 @@
 
 namespace eid {
 
-std::string MonotonicityViolation::ToString() const {
-  return "pair (R" + std::to_string(pair.r_index) + ", S" +
-         std::to_string(pair.s_index) + ") changed from " +
-         MatchDecisionName(before) + " to " + MatchDecisionName(after);
-}
-
 MonotonicEngine::MonotonicEngine(Relation r, Relation s,
                                  IdentifierConfig config)
     : r_(std::move(r)), s_(std::move(s)), config_(std::move(config)) {

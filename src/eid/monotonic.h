@@ -36,7 +36,6 @@ struct MonotonicityViolation {
   TuplePair pair;
   MatchDecision before = MatchDecision::kUndetermined;
   MatchDecision after = MatchDecision::kUndetermined;
-  std::string ToString() const;
 };
 
 /// Incremental identification over a fixed (R, S) pair.

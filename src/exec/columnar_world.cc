@@ -104,13 +104,6 @@ void ColumnarWorld::Adopt(WorldRel slot_id, size_t c,
   slot.indexes[c].reset();
 }
 
-void ColumnarWorld::Reset(WorldRel slot_id) {
-  Slot& slot = slots_[static_cast<size_t>(slot_id)];
-  slot.columns.clear();
-  slot.present.clear();
-  slot.indexes.clear();
-}
-
 void ColumnarWorld::Seed(const ColumnarSeeds& seeds) {
   dict_.Preload(seeds.dictionary);
   reuse_hits_ += seeds.dictionary.size();

@@ -134,7 +134,7 @@ class ColumnarWorld {
   /// Posting index over Column(slot, rel, c), built on first request
   /// (encoding the column first if needed) and served from the world
   /// afterwards. Serial sections only; the reference stays valid until
-  /// Adopt or Reset drops the column. Building reads the column without
+  /// Adopt drops the column. Building reads the column without
   /// counting a reuse hit: an index is not an encode.
   const ColumnIndex& Index(WorldRel slot, const Relation& rel, size_t c);
 
@@ -142,10 +142,6 @@ class ColumnarWorld {
   /// hands its columns to the join without re-encoding. Replaces any
   /// previous encoding of the column and drops its index.
   void Adopt(WorldRel slot, size_t c, std::vector<uint32_t> ids);
-
-  /// Drops every encoded column and index of `slot` (its relation was
-  /// replaced).
-  void Reset(WorldRel slot);
 
   /// Seeds the session from a snapshot: preloads the dictionary (ids
   /// stay byte-identical to the saved world) and adopts the source

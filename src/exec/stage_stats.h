@@ -76,8 +76,6 @@ struct EID_PER_WORKER StageStats {
 
   /// One-line human-readable form.
   std::string ToString() const;
-  /// JSON object form (stable key order).
-  std::string ToJson() const;
 };
 
 /// An ordered collection of stage counters for one run.
@@ -94,11 +92,6 @@ class StageStatsSet {
 
   /// The named stage, or nullptr.
   const StageStats* Find(const std::string& stage) const;
-
-  /// JSON array of stage objects.
-  std::string ToJson() const;
-  /// Multi-line human-readable table.
-  std::string ToString() const;
 
  private:
   std::vector<StageStats> stages_;

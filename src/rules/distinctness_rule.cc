@@ -1,7 +1,5 @@
 #include "rules/distinctness_rule.h"
 
-#include <set>
-
 #include "rules/identity_rule.h"
 
 namespace eid {
@@ -25,19 +23,6 @@ Status DistinctnessRule::Validate() const {
         "' must involve some attribute from each of e1 and e2 (paper §3.2)");
   }
   return Status::Ok();
-}
-
-std::vector<std::string> DistinctnessRule::ReferencedAttributes() const {
-  std::set<std::string> attrs;
-  for (const Predicate& p : predicates_) {
-    if (p.lhs.kind == Operand::Kind::kEntityAttribute) {
-      attrs.insert(p.lhs.attribute);
-    }
-    if (p.rhs.kind == Operand::Kind::kEntityAttribute) {
-      attrs.insert(p.rhs.attribute);
-    }
-  }
-  return std::vector<std::string>(attrs.begin(), attrs.end());
 }
 
 Truth DistinctnessRule::Applies(const TupleView& e1,

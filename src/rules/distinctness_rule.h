@@ -36,10 +36,6 @@ class DistinctnessRule {
   /// Well-formedness: P involves at least one attribute of e1 and one of e2.
   Status Validate() const;
 
-  /// Sorted, deduplicated attribute names the predicates mention (either
-  /// entity). Mirrors IdentityRule::ReferencedAttributes.
-  std::vector<std::string> ReferencedAttributes() const;
-
   /// Three-valued antecedent evaluation. kTrue asserts e1 ≢ e2.
   Truth Applies(const TupleView& e1, const TupleView& e2) const;
 

@@ -194,6 +194,12 @@ Status ParseRelation(ByteReader* in, const std::vector<Value>& dict,
   if (cells * 4 > in->remaining()) {
     return CorruptError("relation row matrix truncated");
   }
+  // Rows without attributes occupy no bytes, so the section backs none of
+  // them (the writer refuses such a relation): a forged count must not
+  // reach the row allocation below.
+  if (schema.size() == 0 && row_count > 0) {
+    return CorruptError("relation without attributes has rows");
+  }
 
   *out = Relation(std::move(name), schema);
   for (const std::vector<std::string>& key : keys) {
@@ -450,6 +456,14 @@ Status WriteSnapshot(const WorldImage& image, const std::string& path) {
       image.r_extended == nullptr || image.s_extended == nullptr) {
     return Status::InvalidArgument(
         "snapshot requires R, S and both extended relations");
+  }
+  for (const Relation* rel :
+       {image.r, image.s, image.r_extended, image.s_extended}) {
+    if (rel->schema().size() == 0 && !rel->empty()) {
+      return Status::InvalidArgument("snapshot cannot store the rows of '" +
+                                     rel->name() +
+                                     "', which has no attributes");
+    }
   }
 
   // Interning order — R, S, R', S' rows, then provenance, then rule

@@ -87,51 +87,5 @@ TEST(NegativeTest, UnknownPredicatesDoNotCertify) {
   EXPECT_EQ(out.table.size(), 0u);  // NULL → unknown → no certificate
 }
 
-// The NMT adopt contract (DESIGN.md §4d): a strictly increasing list is
-// taken by move with its per-side first indexes; anything else leaves
-// table and list untouched, and FromPairs folds it through the checked
-// batch path instead.
-TEST(MatchTableTest, AdoptSortedTakesStrictlyIncreasingPairs) {
-  std::vector<TuplePair> pairs = {{0, 1}, {0, 3}, {2, 0}, {2, 1}};
-  MatchTable table(/*negative=*/true);
-  ASSERT_TRUE(table.AdoptSorted(&pairs));
-  EXPECT_TRUE(pairs.empty());
-  ASSERT_EQ(table.size(), 4u);
-  EXPECT_TRUE(table.Contains(TuplePair{2, 0}));
-  EXPECT_FALSE(table.Contains(TuplePair{1, 0}));
-  EXPECT_EQ(table.MatchOfR(2), std::optional<size_t>(0));
-  EXPECT_EQ(table.MatchOfS(1), std::optional<size_t>(0));
-  EXPECT_FALSE(table.HasR(1));
-  EXPECT_FALSE(table.HasS(2));
-}
-
-TEST(MatchTableTest, AdoptSortedRejectsUnsortedOrDuplicatePairs) {
-  for (std::vector<TuplePair> pairs :
-       {std::vector<TuplePair>{{0, 1}, {0, 1}},
-        std::vector<TuplePair>{{1, 0}, {0, 5}}}) {
-    const std::vector<TuplePair> before = pairs;
-    MatchTable table(/*negative=*/true);
-    EXPECT_FALSE(table.AdoptSorted(&pairs));
-    EXPECT_EQ(pairs, before);
-    EXPECT_TRUE(table.empty());
-    EXPECT_FALSE(table.HasR(0));
-    EXPECT_FALSE(table.HasS(1));
-  }
-}
-
-TEST(MatchTableTest, FromPairsFoldsUnsortedNegativeLists) {
-  EID_ASSERT_OK_AND_ASSIGN(
-      MatchTable table,
-      MatchTable::FromPairs(/*negative=*/true,
-                            {{3, 1}, {0, 2}, {3, 1}, {1, 1}, {0, 2}}));
-  EXPECT_EQ(table.size(), 3u);  // duplicates skipped
-  for (const TuplePair& p :
-       {TuplePair{3, 1}, TuplePair{0, 2}, TuplePair{1, 1}}) {
-    EXPECT_TRUE(table.Contains(p));
-  }
-  EXPECT_FALSE(table.Contains(TuplePair{1, 2}));
-  EXPECT_EQ(table.MatchOfR(3), std::optional<size_t>(1));
-}
-
 }  // namespace
 }  // namespace eid

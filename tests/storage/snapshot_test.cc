@@ -2,8 +2,9 @@
 // — sources, extended relations, provenance, MT/NMT and the rule program
 // — and every corruption we can inject (wrong magic, wrong version,
 // foreign endianness, bit flips, truncation at any length, a forged
-// contradictory ILFD) comes back as a "snapshot corrupt:" Status, never
-// a crash. The asan/ubsan presets run this suite to prove "never UB".
+// contradictory ILFD, a forged row count) comes back as a "snapshot
+// corrupt:" Status, never a crash. The asan/ubsan presets run this suite
+// to prove "never UB".
 
 #include "storage/snapshot.h"
 
@@ -377,6 +378,59 @@ TEST(SnapshotTest, ContradictoryIlfdIsCorruptNotAbort) {
   ResealHeader(&bytes);
   WriteFile(saved.path, bytes);
   ExpectCorrupt(saved.path, "ILFD consequent contradicts its antecedent");
+}
+
+TEST(SnapshotTest, RowCountWithoutAttributesIsCorruptNotAllocated) {
+  // Rows of a relation without attributes occupy no bytes, so the row
+  // matrix bound cannot limit their count. Forge a checksummed source-R
+  // section with no attributes and 2^32 - 1 rows (about 100 GB of empty
+  // rows if allocated), appended past the last section with R's table
+  // entry pointed at it; the decoder must refuse it before allocating.
+  SavedWorld saved = SaveExample3("widthless.eidsnap");
+  std::string bytes = ReadFile(saved.path);
+  const uint32_t section_count = ReadU32(bytes, 24);
+  size_t entry = 0;
+  for (uint32_t i = 0; i < section_count; ++i) {
+    const size_t at = kHeaderSize + static_cast<size_t>(i) * kSectionEntrySize;
+    if (ReadU32(bytes, at) == static_cast<uint32_t>(SectionKind::kRelation) &&
+        ReadU32(bytes, at + 4) ==
+            static_cast<uint32_t>(RelationRole::kSourceR)) {
+      entry = at;
+    }
+  }
+  ASSERT_NE(entry, 0u);
+  ByteWriter w;
+  w.PutString("R");
+  w.PutU32(0);            // no attributes
+  w.PutU32(0);            // no keys
+  w.PutU32(0xFFFFFFFFu);  // row count
+  const std::string payload = std::move(w).Take();
+  const uint64_t offset = bytes.size();
+  bytes += payload;
+  bytes.resize((bytes.size() + 7) / 8 * 8, '\0');
+  PatchU64(&bytes, entry + 8, offset);
+  PatchU64(&bytes, entry + 16, payload.size());
+  PatchU64(&bytes, entry + 24, Fnv64(payload.data(), payload.size()));
+  PatchU64(&bytes, 16, bytes.size());  // file size
+  PatchU64(&bytes, 32,
+           Fnv64(bytes.data() + kHeaderSize,
+                 static_cast<size_t>(section_count) * kSectionEntrySize));
+  ResealHeader(&bytes);
+  WriteFile(saved.path, bytes);
+  ExpectCorrupt(saved.path, "relation without attributes has rows");
+}
+
+TEST(SnapshotTest, WriteRefusesRowsWithoutAttributes) {
+  // The writer's side of the same rule: a file it writes always loads.
+  SavedWorld saved = SaveExample3("widthless_write.eidsnap");
+  Relation widthless("Z", Schema(std::vector<Attribute>{}));
+  ASSERT_TRUE(widthless.Insert(Row{}).ok());
+  WorldImage image = ImageOf(saved.r, saved.s, saved.config, saved.result);
+  image.r = &widthless;
+  const Status st = WriteSnapshot(image, saved.path);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("no attributes"), std::string::npos)
+      << st.message();
 }
 
 TEST(SnapshotTest, WriteRequiresRelations) {
