@@ -258,12 +258,13 @@ void RunDerivationEngine(benchmark::State& state, bool compile) {
       compile::DerivationProgram program =
           compile::DerivationProgram::Compile(w.schema, w.ilfds, opts);
       ClosureEvaluator evaluator(&program.kb());
+      Provenance provenance;
       std::vector<compile::DerivationWrite> writes;
       for (const Row& row : w.rows) {
-        Result<Derivation> d = program.Derive(row, evaluator, &writes);
-        EID_CHECK(d.ok());
-        derived += d->derived.size();
+        EID_CHECK(program.Derive(row, evaluator, &provenance, &writes).ok());
+        provenance.EndRow();
       }
+      derived = provenance.derived_count();
     } else {
       ClosureEvaluator evaluator(&w.ilfds.kb());
       for (const Row& row : w.rows) {

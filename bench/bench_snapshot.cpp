@@ -100,15 +100,11 @@ size_t WorldRamBytes(const storage::LoadedWorld& world) {
                  RelationRamBytes(world.s_extended);
   bytes += (world.matching.size() + world.negative.size()) *
            sizeof(TuplePair);
-  for (const std::vector<Derivation>* traces :
-       {&world.r_traces, &world.s_traces}) {
-    for (const Derivation& d : *traces) {
-      for (const auto& [attribute, value] : d.derived) {
-        bytes += attribute.size() + ValueRamBytes(value);
-      }
-      bytes += d.steps.size() * sizeof(DerivationStep);
-      bytes += d.conflicts.size() * sizeof(DerivationConflict);
-    }
+  for (const Provenance* traces : {&world.r_traces, &world.s_traces}) {
+    bytes += traces->rows() * sizeof(uint32_t) +
+             traces->step_count() * sizeof(Provenance::Step) +
+             (traces->step_count() + 63) / 64 * sizeof(uint64_t) +
+             traces->conflicts().size() * sizeof(Provenance::RowConflict);
   }
   return bytes;
 }

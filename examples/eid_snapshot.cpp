@@ -101,8 +101,8 @@ void PrintWorld(const LoadedWorld& world) {
             << world.negative.size() << " pairs\n"
             << "  ILFDs " << world.ilfds.size() << ", dictionary "
             << world.dictionary.size() << " values\n"
-            << "  traces R " << world.r_traces.size() << ", S "
-            << world.s_traces.size() << "\n"
+            << "  traces R " << world.r_traces.rows() << ", S "
+            << world.s_traces.rows() << "\n"
             << "  stats: " << world.load_stats.ToString() << "\n";
 }
 

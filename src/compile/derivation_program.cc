@@ -66,18 +66,21 @@ DerivationProgram DerivationProgram::Compile(const Schema& schema,
     }
     return it->second;
   };
+  // Every ILFD atom is interned in the set's atom table (IlfdSet::Add).
+  auto cond = [&](const Atom& a) {
+    const std::optional<AtomId> atom =
+        ilfds.atoms().Find(a.attribute, a.value);
+    EID_CHECK(atom.has_value());
+    return FmCond{intern_attr(a.attribute), a.value, *atom};
+  };
   p.fm_rules_.reserve(ilfds.size());
   for (size_t fi = 0; fi < ilfds.size(); ++fi) {
     const Ilfd& f = ilfds.ilfd(fi);
     FmRule rule;
     rule.antecedent.reserve(f.antecedent().size());
-    for (const Atom& a : f.antecedent()) {
-      rule.antecedent.push_back(FmCond{intern_attr(a.attribute), a.value});
-    }
+    for (const Atom& a : f.antecedent()) rule.antecedent.push_back(cond(a));
     rule.consequent.reserve(f.consequent().size());
-    for (const Atom& c : f.consequent()) {
-      rule.consequent.push_back(FmCond{intern_attr(c.attribute), c.value});
-    }
+    for (const Atom& c : f.consequent()) rule.consequent.push_back(cond(c));
     p.fm_rules_.push_back(std::move(rule));
   }
   // Per-attribute rule lists in declaration order; the head value is the
@@ -94,7 +97,7 @@ DerivationProgram DerivationProgram::Compile(const Schema& schema,
       }
       if (!first) continue;
       p.fm_attrs_[consequent[i].slot].rules.push_back(
-          FmAttrRule{static_cast<uint32_t>(fi), consequent[i].value});
+          FmAttrRule{static_cast<uint32_t>(fi), static_cast<uint32_t>(i)});
     }
   }
   std::vector<std::string> targets = options.target_attributes;
@@ -110,12 +113,14 @@ DerivationProgram DerivationProgram::Compile(const Schema& schema,
   return p;
 }
 
-Result<Derivation> DerivationProgram::Derive(
-    const Row& row, ClosureEvaluator& evaluator,
-    std::vector<DerivationWrite>* writes) const {
+Status DerivationProgram::Derive(const Row& row, ClosureEvaluator& evaluator,
+                                 Provenance* provenance,
+                                 std::vector<DerivationWrite>* writes) const {
   EID_CHECK(row.size() == schema_.size());
   writes->clear();
-  if (mode_ != DerivationMode::kExhaustive) return RunFirstMatch(row, writes);
+  if (mode_ != DerivationMode::kExhaustive) {
+    return RunFirstMatch(row, provenance, writes);
+  }
   std::vector<AtomId> seed;
   seed.reserve(seed_columns_.size());
   for (const SeedColumn& sc : seed_columns_) {
@@ -127,7 +132,7 @@ Result<Derivation> DerivationProgram::Derive(
   // AtomSet's sorted-unique invariant, which RunDerived requires.
   const AtomSet seed_set(std::move(seed));
   return RunExhaustive(row, seed_set.ids().data(), seed_set.ids().size(),
-                       evaluator, writes);
+                       evaluator, provenance, writes);
 }
 
 ColumnarBinding DerivationProgram::BindColumns(exec::ColumnarWorld& world,
@@ -174,12 +179,16 @@ ColumnarBinding DerivationProgram::BindColumns(exec::ColumnarWorld& world,
   return binding;
 }
 
-Result<Derivation> DerivationProgram::Derive(
-    const Row& row, size_t row_index, const ColumnarBinding& binding,
-    ClosureEvaluator& evaluator, std::vector<DerivationWrite>* writes) const {
+Status DerivationProgram::Derive(const Row& row, size_t row_index,
+                                 const ColumnarBinding& binding,
+                                 ClosureEvaluator& evaluator,
+                                 Provenance* provenance,
+                                 std::vector<DerivationWrite>* writes) const {
   EID_CHECK(row.size() == schema_.size());
   writes->clear();
-  if (mode_ != DerivationMode::kExhaustive) return RunFirstMatch(row, writes);
+  if (mode_ != DerivationMode::kExhaustive) {
+    return RunFirstMatch(row, provenance, writes);
+  }
   // The columnar seed: two array loads per seed column instead of a
   // Value hash probe. Gathered into a stack buffer, then normalised to
   // AtomSet's sorted-unique invariant so the closure queue seeds in
@@ -203,25 +212,27 @@ Result<Derivation> DerivationProgram::Derive(
   }
   std::sort(seed, seed + count);
   count = static_cast<size_t>(std::unique(seed, seed + count) - seed);
-  return RunExhaustive(row, seed, count, evaluator, writes);
+  return RunExhaustive(row, seed, count, evaluator, provenance, writes);
 }
 
-Result<Derivation> DerivationProgram::RunExhaustive(
+Status DerivationProgram::RunExhaustive(
     const Row& row, const AtomId* seed, size_t count,
-    ClosureEvaluator& evaluator, std::vector<DerivationWrite>* writes) const {
+    ClosureEvaluator& evaluator, Provenance* provenance,
+    std::vector<DerivationWrite>* writes) const {
   // Lean closure: the evaluator hands back exactly the events consumed
   // below, skipping the AtomSet/provenance-map/firing-order
   // materialisation of ForwardClosure.
   const std::vector<DerivedAtom>& events = evaluator.RunDerived(seed, count);
-  Derivation out;
 
   // Dense mirror of the interpreter's bound/conflicted maps: a slot is
-  // bound while `value` is non-null. Slot counts are small (one per
-  // consequent attribute), so the per-row state lives on the stack.
+  // bound while `value` is non-null, by the step its index names. Slot
+  // counts are small (one per consequent attribute), so the per-row state
+  // lives on the stack.
   struct SlotState {
     const Value* value = nullptr;
     size_t source = kDerivationBaseProvenance;
     bool conflicted = false;
+    size_t step = 0;  // the binding step's index in `provenance`
   };
   constexpr size_t kInlineSlots = 32;
   SlotState inline_state[kInlineSlots];
@@ -255,7 +266,7 @@ Result<Derivation> DerivationProgram::RunExhaustive(
       if (state[slot].conflicted) continue;
       state[slot].value = &atom_value;
       state[slot].source = fi;
-      out.steps.push_back(DerivationStep{cs.attribute, atom_value, fi});
+      state[slot].step = provenance->AddStep(h, static_cast<uint32_t>(fi));
       continue;
     }
     if (*first_value == atom_value) continue;
@@ -265,7 +276,7 @@ Result<Derivation> DerivationProgram::RunExhaustive(
       return DerivationConflictError(conflict,
                                      TupleView(&schema_, &row).ToString());
     }
-    out.conflicts.push_back(conflict);
+    provenance->AddConflict(std::move(conflict));
     if (conflict_policy_ == ConflictPolicy::kNullOut &&
         first_source != kDerivationBaseProvenance) {
       state[slot].value = nullptr;
@@ -277,23 +288,27 @@ Result<Derivation> DerivationProgram::RunExhaustive(
   for (size_t slot = 0; slot < cons_slots_.size(); ++slot) {
     if (state[slot].value == nullptr || !cons_slots_[slot].wanted) continue;
     const ConsSlot& cs = cons_slots_[slot];
-    out.derived[cs.attribute] = *state[slot].value;
+    provenance->MarkDerived(state[slot].step);
     if (cs.column.has_value()) {
-      writes->push_back(DerivationWrite{*cs.column, *state[slot].value});
+      writes->push_back(
+          DerivationWrite{*cs.column, provenance->step(state[slot].step).atom});
     }
   }
-  return out;
+  return Status::Ok();
 }
 
 struct DerivationProgram::FmState {
   std::vector<Value> memo;
   std::vector<uint8_t> memo_set;
   std::vector<uint8_t> in_progress;
+  // The slot's latest step in the sink. A derived value is always its
+  // attribute's latest step: a non-NULL memo is never rewritten.
+  std::vector<size_t> last_step;
 };
 
 Value DerivationProgram::ResolveFirstMatch(uint32_t slot, const Row& row,
                                            FmState* state,
-                                           Derivation* out) const {
+                                           Provenance* out) const {
   const FmAttr& attr = fm_attrs_[slot];
   if (attr.column.has_value()) {
     const Value& base = row[*attr.column];
@@ -317,9 +332,9 @@ Value DerivationProgram::ResolveFirstMatch(uint32_t slot, const Row& row,
     }
     if (!holds) continue;
     // Cut: commit this rule's conclusions.
-    result = candidate.head_value;
-    out->steps.push_back(
-        DerivationStep{attr.name, candidate.head_value, candidate.rule});
+    const FmCond& head = rule.consequent[candidate.head];
+    result = head.value;
+    state->last_step[slot] = out->AddStep(head.atom, candidate.rule);
     for (const FmCond& c : rule.consequent) {
       if (c.slot == slot) continue;
       const FmAttr& cattr = fm_attrs_[c.slot];
@@ -329,8 +344,7 @@ Value DerivationProgram::ResolveFirstMatch(uint32_t slot, const Row& row,
       }
       state->memo[c.slot] = c.value;
       state->memo_set[c.slot] = 1;
-      out->steps.push_back(DerivationStep{cattr.name, c.value,
-                                          candidate.rule});
+      state->last_step[c.slot] = out->AddStep(c.atom, candidate.rule);
     }
   }
   state->memo[slot] = result;
@@ -339,26 +353,28 @@ Value DerivationProgram::ResolveFirstMatch(uint32_t slot, const Row& row,
   return result;
 }
 
-Result<Derivation> DerivationProgram::RunFirstMatch(
-    const Row& row, std::vector<DerivationWrite>* writes) const {
-  Derivation out;
+Status DerivationProgram::RunFirstMatch(
+    const Row& row, Provenance* provenance,
+    std::vector<DerivationWrite>* writes) const {
   FmState state;
   state.memo.resize(fm_attrs_.size());
   state.memo_set.assign(fm_attrs_.size(), 0);
   state.in_progress.assign(fm_attrs_.size(), 0);
+  state.last_step.resize(fm_attrs_.size());
   for (uint32_t t : fm_targets_) {
     const FmAttr& attr = fm_attrs_[t];
     if (attr.column.has_value() && !row[*attr.column].is_null()) {
       continue;  // base value stands
     }
-    Value v = ResolveFirstMatch(t, row, &state, &out);
-    if (v.is_null()) continue;
-    out.derived[attr.name] = v;
+    if (ResolveFirstMatch(t, row, &state, provenance).is_null()) continue;
+    const size_t step = state.last_step[t];
+    provenance->MarkDerived(step);
     if (attr.column.has_value()) {
-      writes->push_back(DerivationWrite{*attr.column, v});
+      writes->push_back(
+          DerivationWrite{*attr.column, provenance->step(step).atom});
     }
   }
-  return out;
+  return Status::Ok();
 }
 
 }  // namespace compile

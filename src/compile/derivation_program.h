@@ -44,10 +44,11 @@ namespace eid {
 namespace compile {
 
 /// One column-resolved derived value, ready to apply to a row without a
-/// by-name schema lookup.
+/// by-name schema lookup: the value is the head atom's
+/// (DerivationProgram::value).
 struct DerivationWrite {
   size_t column = 0;
-  Value value;
+  AtomId atom = 0;
 };
 
 /// A DerivationProgram's seed columns bound to the session's columnar
@@ -74,7 +75,7 @@ struct EID_SHARED_IMMUTABLE ColumnarBinding {
 /// EID_SHARED_IMMUTABLE: compiled serially once per session, then read
 /// concurrently by every worker of the derivation sweep (Derive is
 /// const; all mutable sweep state lives in the per-worker evaluator and
-/// `writes` the caller passes in).
+/// the provenance sink and `writes` the caller passes in).
 class EID_SHARED_IMMUTABLE DerivationProgram {
  public:
   /// Lowers `ilfds` under `options` onto `schema`. Total: never fails.
@@ -84,13 +85,18 @@ class EID_SHARED_IMMUTABLE DerivationProgram {
                                    const DerivationOptions& options);
 
   /// Derives the missing values of `row` (which must match the compiled
-  /// schema). Identical to DeriveTuple(TupleView(schema, row), ilfds,
-  /// options). `writes` receives the derived values that land in schema
+  /// schema), with DeriveTuple(TupleView(schema, row), ilfds, options)'s
+  /// results and error. Provenance goes to the open row of `provenance`,
+  /// which the caller closes: each step as its (head atom, ILFD) pair, the
+  /// steps that land in DeriveTuple's `derived` map marked, conflicts
+  /// aside — so provenance.DerivationOf(row, ilfds) equals DeriveTuple's
+  /// Derivation. `writes` receives the derived values that land in schema
   /// columns (cleared first) — apply each to a NULL cell, as the
   /// interpreter's callers do by name. `evaluator` must be constructed
   /// over this program's kb(); kFirstMatch does not use it.
-  Result<Derivation> Derive(const Row& row, ClosureEvaluator& evaluator,
-                            std::vector<DerivationWrite>* writes) const;
+  Status Derive(const Row& row, ClosureEvaluator& evaluator,
+                Provenance* provenance,
+                std::vector<DerivationWrite>* writes) const;
 
   /// Binds the program's seed columns to `rel`'s id columns in `world`
   /// under `slot`, encoding any column not yet encoded. Columns at schema
@@ -104,15 +110,17 @@ class EID_SHARED_IMMUTABLE DerivationProgram {
   /// `binding` was built over the relation `row` came from and
   /// `row_index` is its position — closure seeds are gathered from the
   /// binding's id slices instead of hashing Values.
-  Result<Derivation> Derive(const Row& row, size_t row_index,
-                            const ColumnarBinding& binding,
-                            ClosureEvaluator& evaluator,
-                            std::vector<DerivationWrite>* writes) const;
+  Status Derive(const Row& row, size_t row_index,
+                const ColumnarBinding& binding, ClosureEvaluator& evaluator,
+                Provenance* provenance,
+                std::vector<DerivationWrite>* writes) const;
 
   /// The borrowed knowledge base; clause indices equal the source
   /// IlfdSet's ILFD indices. Build per-worker ClosureEvaluators over this.
   const KnowledgeBase& kb() const { return *kb_; }
   const Schema& schema() const { return schema_; }
+  /// The value a write's (or a provenance step's) head atom binds.
+  const Value& value(AtomId atom) const { return atoms_->atom(atom).value; }
 
  private:
   /// A schema column whose attribute has interned atoms, with the
@@ -131,17 +139,18 @@ class EID_SHARED_IMMUTABLE DerivationProgram {
   struct FmCond {
     uint32_t slot = 0;
     Value value;
+    AtomId atom = 0;  // the condition's atom in the IlfdSet
   };
   /// One ILFD in first-match form; its index is the ILFD's index.
   struct FmRule {
     std::vector<FmCond> antecedent;
     std::vector<FmCond> consequent;
   };
-  /// An ILFD able to head `attribute` with `head_value` (first consequent
-  /// atom for the attribute, matching the interpreter's scan).
+  /// An ILFD able to head `attribute` with `head` (first consequent atom
+  /// for the attribute, matching the interpreter's scan).
   struct FmAttrRule {
     uint32_t rule = 0;  // index into fm_rules_ == ILFD index
-    Value head_value;
+    uint32_t head = 0;  // index into fm_rules_[rule].consequent
   };
   /// One attribute of the first-match universe (antecedents, consequents
   /// and targets).
@@ -154,13 +163,13 @@ class EID_SHARED_IMMUTABLE DerivationProgram {
 
   static constexpr uint32_t kNoSlot = 0xffffffffu;
 
-  Result<Derivation> RunExhaustive(const Row& row, const AtomId* seed,
-                                   size_t count, ClosureEvaluator& evaluator,
-                                   std::vector<DerivationWrite>* writes) const;
-  Result<Derivation> RunFirstMatch(
-      const Row& row, std::vector<DerivationWrite>* writes) const;
+  Status RunExhaustive(const Row& row, const AtomId* seed, size_t count,
+                       ClosureEvaluator& evaluator, Provenance* provenance,
+                       std::vector<DerivationWrite>* writes) const;
+  Status RunFirstMatch(const Row& row, Provenance* provenance,
+                       std::vector<DerivationWrite>* writes) const;
   Value ResolveFirstMatch(uint32_t slot, const Row& row, FmState* state,
-                          Derivation* out) const;
+                          Provenance* out) const;
 
   Schema schema_;
   DerivationMode mode_ = DerivationMode::kExhaustive;

@@ -60,13 +60,15 @@ Result<std::string> ExplainDecision(const IdentificationResult& result,
         if (full_agreement) {
           out += "  derived values:\n";
           std::string derivations;
-          if (r_index < result.r_traces.size()) {
-            AppendDerivationSteps(result.r_traces[r_index], config.ilfds,
-                                  &key, "R", &derivations);
+          if (r_index < result.r_traces.rows()) {
+            AppendDerivationSteps(
+                result.r_traces.DerivationOf(r_index, config.ilfds),
+                config.ilfds, &key, "R", &derivations);
           }
-          if (s_index < result.s_traces.size()) {
-            AppendDerivationSteps(result.s_traces[s_index], config.ilfds,
-                                  &key, "S", &derivations);
+          if (s_index < result.s_traces.rows()) {
+            AppendDerivationSteps(
+                result.s_traces.DerivationOf(s_index, config.ilfds),
+                config.ilfds, &key, "S", &derivations);
           }
           out += derivations.empty()
                      ? "    (none — both tuples carried the key directly)\n"

@@ -1,6 +1,7 @@
 #include "eid/extension.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 
 #include "compile/derivation_program.h"
@@ -130,14 +131,30 @@ Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
     }
   }
 
+  // Each chunk records its rows' provenance into one CSR run and its
+  // applied writes into one flat (row, column, atom) list — what the id
+  // patch after AdoptRows needs — and stops at its first failed row: the
+  // merge never reads past the first failure. Chunks are joined in row
+  // order below.
+  struct RowWrite {
+    uint32_t row = 0;
+    uint32_t column = 0;
+    AtomId atom = 0;
+  };
+  struct alignas(64) Chunk {
+    Provenance provenance;
+    std::vector<RowWrite> writes;
+    size_t failed_row = SIZE_MAX;
+    Status failure;
+  };
+  const size_t grain =
+      std::max<size_t>(1, n / (static_cast<size_t>(workers) * 4));
+  std::vector<Chunk> chunks((n + grain - 1) / grain);
   std::vector<Row> rows(n);
-  std::vector<Derivation> traces(n);
-  std::vector<Status> row_status(n);
-  // Applied writes per row — what the id patch-up after AdoptRows needs.
-  std::vector<std::vector<compile::DerivationWrite>> row_writes(n);
-  exec::ParallelFor(pool, n, /*grain=*/0,
+  exec::ParallelFor(pool, n, grain,
                     [&](size_t begin, size_t end, int worker) {
     ClosureEvaluator& evaluator = evaluators[static_cast<size_t>(worker)];
+    Chunk& chunk = chunks[begin / grain];
     std::vector<compile::DerivationWrite> writes;
     for (size_t r = begin; r < end; ++r) {
       // Sized once for the added columns, then filled: copying the base
@@ -147,20 +164,23 @@ Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
       row.reserve(base.size() + added.size());
       row.assign(base.begin(), base.end());
       row.resize(base.size() + added.size(), Value::Null());
-      Result<Derivation> derived =
-          program.Derive(row, r, binding, evaluator, &writes);
-      if (!derived.ok()) {
-        row_status[r] = derived.status();
-        continue;
+      Status st = program.Derive(row, r, binding, evaluator,
+                                 &chunk.provenance, &writes);
+      chunk.provenance.EndRow();
+      if (!st.ok()) {
+        chunk.failed_row = r;
+        chunk.failure = std::move(st);
+        break;
       }
       for (const compile::DerivationWrite& w : writes) {
         if (row[w.column].is_null()) {
-          row[w.column] = w.value;
-          row_writes[r].push_back(w);
+          row[w.column] = program.value(w.atom);
+          chunk.writes.push_back(RowWrite{static_cast<uint32_t>(r),
+                                          static_cast<uint32_t>(w.column),
+                                          w.atom});
         }
       }
       rows[r] = std::move(row);
-      traces[r] = std::move(derived).value();
     }
   });
   // Merge. Re-validate at the id layer and bulk-install via AdoptRows (the same trusted-bulk contract snapshot
@@ -171,22 +191,31 @@ Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
   // per-row Insert replay below, so diagnostics and their precedence
   // (row r's derivation error before its insert error, before anything
   // about row r+1) stay bit-identical to the reference's.
-  bool fast = true;
-  for (size_t r = 0; r < n && fast; ++r) fast = row_status[r].ok();
+  // Chunks run in row order, so the first one that failed holds the
+  // first failed row.
+  const Chunk* failed = nullptr;
+  for (const Chunk& chunk : chunks) {
+    if (chunk.failed_row != SIZE_MAX) {
+      failed = &chunk;
+      break;
+    }
+  }
+  bool fast = failed == nullptr;
   if (fast) {
     std::vector<char> is_key_col(ext_schema.size(), 0);
     for (const KeyDef& key : extended.keys()) {
       for (size_t c : key.attribute_indices) is_key_col[c] = 1;
     }
-    for (size_t r = 0; r < n && fast; ++r) {
-      for (const compile::DerivationWrite& w : row_writes[r]) {
-        if (w.value.is_null() ||
-            w.value.type() != ext_schema.attribute(w.column).type ||
+    for (const Chunk& chunk : chunks) {
+      for (const RowWrite& w : chunk.writes) {
+        const Value& v = program.value(w.atom);
+        if (v.is_null() || v.type() != ext_schema.attribute(w.column).type ||
             is_key_col[w.column] != 0) {
           fast = false;
           break;
         }
       }
+      if (!fast) break;
     }
   }
   if (fast) {
@@ -231,10 +260,7 @@ Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
     }
   }
 
-  size_t values_derived = 0;
   if (fast) {
-    for (size_t r = 0; r < n; ++r) values_derived += traces[r].derived.size();
-    out.traces = std::move(traces);
     extended.AdoptRows(std::move(rows));
     // Hand the extended relation's id columns to the join and the rule
     // stages: encoded base columns carry over (writes patched in), and
@@ -255,11 +281,18 @@ Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
         have[c] = 1;
       }
     }
-    for (size_t r = 0; r < n; ++r) {
-      for (const compile::DerivationWrite& w : row_writes[r]) {
-        if (have[w.column] != 0) {
-          ext_cols[w.column][r] = columnar.dict().GetOrIntern(w.value);
+    // Each distinct head atom is interned once, on its first write in row
+    // order — the order a per-write intern would assign ids in.
+    std::vector<uint32_t> id_of_atom(ilfds.atoms().size(),
+                                     ValueDictionary::kNotInterned);
+    for (const Chunk& chunk : chunks) {
+      for (const RowWrite& w : chunk.writes) {
+        if (have[w.column] == 0) continue;
+        uint32_t& id = id_of_atom[w.atom];
+        if (id == ValueDictionary::kNotInterned) {
+          id = columnar.dict().GetOrIntern(program.value(w.atom));
         }
+        ext_cols[w.column][w.row] = id;
       }
     }
     for (size_t c = 0; c < ext_arity; ++c) {
@@ -270,12 +303,17 @@ Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
     // does: row r's derivation error precedes its insert error, which
     // precedes anything about row r+1.
     for (size_t r = 0; r < n; ++r) {
-      EID_RETURN_IF_ERROR(row_status[r]);
-      values_derived += traces[r].derived.size();
+      if (failed != nullptr && failed->failed_row == r) return failed->failure;
       EID_RETURN_IF_ERROR(extended.Insert(std::move(rows[r])));
-      out.traces.push_back(std::move(traces[r]));
     }
   }
+  if (!chunks.empty()) {
+    out.traces = std::move(chunks[0].provenance);
+    for (size_t c = 1; c < chunks.size(); ++c) {
+      out.traces.Append(chunks[c].provenance);
+    }
+  }
+  const size_t values_derived = out.traces.derived_count();
   out.extended = std::move(extended);
   if (stats != nullptr) {
     stats->stage = side == Side::kR ? "extend_r" : "extend_s";

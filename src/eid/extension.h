@@ -30,8 +30,10 @@ struct ExtensionResult {
   /// R' — world naming, original attributes plus the added K_Ext−R
   /// columns, missing values derived where ILFDs allow.
   Relation extended;
-  /// Per-row derivation traces (parallel to extended.rows()).
-  std::vector<Derivation> traces;
+  /// Per-row derivation provenance (rows parallel to extended.rows()),
+  /// over the atoms of the IlfdSet extension ran with;
+  /// traces.DerivationOf(i, ilfds) is row i's Derivation.
+  Provenance traces;
   /// Names of columns that were added (K_Ext−R).
   std::vector<std::string> added_attributes;
 };

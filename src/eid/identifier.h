@@ -69,8 +69,10 @@ Result<std::vector<DistinctnessRule>> EffectiveDistinctnessRules(
 struct IdentificationResult {
   Relation r_extended;  // R' in world naming
   Relation s_extended;  // S'
-  std::vector<Derivation> r_traces;
-  std::vector<Derivation> s_traces;
+  /// Derivation provenance per R' / S' row, over config.ilfds' atoms
+  /// (ExtensionResult::traces).
+  Provenance r_traces;
+  Provenance s_traces;
   MatchTable matching{/*negative=*/false};
   NegativeResult negative;
   /// Soundness verdicts: uniqueness over MT, consistency across MT/NMT.

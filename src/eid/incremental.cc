@@ -178,11 +178,12 @@ Result<size_t> IncrementalIdentifier::Insert(Side side, Row row) {
   entry.extended = std::move(row);
   entry.extended.resize(own.ext_schema.size(), Value::Null());
   std::vector<compile::DerivationWrite> writes;
-  EID_RETURN_IF_ERROR(
-      own.derive->Derive(entry.extended, *own.eval, &writes).status());
+  own.provenance_sink.Clear();
+  EID_RETURN_IF_ERROR(own.derive->Derive(entry.extended, *own.eval,
+                                         &own.provenance_sink, &writes));
   for (const compile::DerivationWrite& w : writes) {
     if (entry.extended[w.column].is_null()) {
-      entry.extended[w.column] = w.value;
+      entry.extended[w.column] = own.derive->value(w.atom);
     }
   }
   entry.alive = true;

@@ -153,6 +153,9 @@ class IncrementalIdentifier {
     // (EID_PER_WORKER by construction).
     std::unique_ptr<compile::DerivationProgram> derive;
     EID_PER_WORKER std::unique_ptr<ClosureEvaluator> eval;
+    // Derive's provenance sink, cleared on every insert: a session keeps
+    // no provenance.
+    Provenance provenance_sink;
 
     std::vector<Entry> entries;
     size_t live = 0;

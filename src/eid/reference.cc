@@ -1,6 +1,8 @@
 #include "eid/reference.h"
 
 #include <algorithm>
+#include <map>
+#include <optional>
 #include <unordered_map>
 
 #include "analysis/analyzer.h"
@@ -37,6 +39,29 @@ Result<std::vector<TuplePair>> KeyJoin(const Relation& r_extended,
     for (size_t s : it->second) pairs.push_back(TuplePair{r, s});
   }
   return pairs;
+}
+
+/// Appends `d` to `out` as one provenance row: each step as its head
+/// atom and ILFD, the derived bit on the step whose value `d.derived`
+/// keeps — its attribute's last step — and the conflicts as they are.
+void PackRow(const Derivation& d, const AtomTable& atoms, Provenance* out) {
+  std::map<std::string, size_t> last_step;
+  for (const DerivationStep& step : d.steps) {
+    const std::optional<AtomId> atom = atoms.Find(step.attribute, step.value);
+    EID_CHECK(atom.has_value());
+    last_step[step.attribute] =
+        out->AddStep(*atom, static_cast<uint32_t>(step.ilfd_index));
+  }
+  for (const auto& [attribute, value] : d.derived) {
+    auto it = last_step.find(attribute);
+    EID_CHECK(it != last_step.end() &&
+              atoms.atom(out->step(it->second).atom).value == value);
+    out->MarkDerived(it->second);
+  }
+  for (const DerivationConflict& conflict : d.conflicts) {
+    out->AddConflict(conflict);
+  }
+  out->EndRow();
 }
 
 /// Adds `pair` to MT under the uniqueness constraint: a violation fails
@@ -111,7 +136,7 @@ Result<ExtensionResult> ExtendRelation(const Relation& relation, Side side,
       if (idx.has_value() && row[*idx].is_null()) row[*idx] = value;
     }
     EID_RETURN_IF_ERROR(extended.Insert(std::move(row)));
-    out.traces.push_back(std::move(derived));
+    PackRow(derived, ilfds.atoms(), &out.traces);
   }
   out.extended = std::move(extended);
   return out;

@@ -7,7 +7,8 @@
 // way paper §3.2 and §4.2 define them, and shares none of that machinery:
 //
 //   * extension renames the schema into world naming, appends the K_Ext
-//     columns as NULL and runs DeriveTuple and Relation::Insert per row;
+//     columns as NULL and runs DeriveTuple and Relation::Insert per row,
+//     packing each row's Derivation into the result's Provenance;
 //   * MT_RS is a hash join on string fingerprints of the extended key,
 //     non-NULL-equal on every key attribute, pairs r-major and s
 //     ascending, followed by the identity rules over every pair of

@@ -1,5 +1,7 @@
 #include "ilfd/derivation.h"
 
+#include <algorithm>
+#include <bit>
 #include <set>
 #include <unordered_set>
 
@@ -15,6 +17,69 @@ Status DerivationConflictError(const DerivationConflict& conflict,
            : "ILFD " + std::to_string(conflict.first_ilfd)) +
       ") vs '" + conflict.second_value.ToString() + "' (from ILFD " +
       std::to_string(conflict.second_ilfd) + ") for tuple " + tuple_display);
+}
+
+size_t Provenance::derived_count() const {
+  size_t count = 0;
+  for (uint64_t word : derived_) {
+    count += static_cast<size_t>(std::popcount(word));
+  }
+  return count;
+}
+
+Derivation Provenance::DerivationOf(size_t row, const IlfdSet& ilfds) const {
+  Derivation out;
+  const AtomTable& atoms = ilfds.atoms();
+  const size_t end = row_end(row);
+  out.steps.reserve(end - row_begin(row));
+  for (size_t i = row_begin(row); i < end; ++i) {
+    const Atom& atom = atoms.atom(steps_[i].atom);
+    out.steps.push_back(DerivationStep{atom.attribute, atom.value,
+                                       static_cast<size_t>(steps_[i].ilfd)});
+    if (derived(i)) out.derived[atom.attribute] = atom.value;
+  }
+  auto first = std::lower_bound(
+      conflicts_.begin(), conflicts_.end(), row,
+      [](const RowConflict& c, size_t r) { return c.row < r; });
+  for (auto it = first; it != conflicts_.end() && it->row == row; ++it) {
+    out.conflicts.push_back(it->conflict);
+  }
+  return out;
+}
+
+void Provenance::EndRow() {
+  EID_CHECK(steps_.size() <= UINT32_MAX);
+  ends_.push_back(static_cast<uint32_t>(steps_.size()));
+}
+
+void Provenance::Append(const Provenance& other) {
+  EID_CHECK(steps_.size() == (ends_.empty() ? 0 : ends_.back()));
+  EID_CHECK(other.steps_.size() ==
+            (other.ends_.empty() ? 0 : other.ends_.back()));
+  const size_t row_base = rows();
+  const size_t step_base = steps_.size();
+  EID_CHECK(step_base + other.steps_.size() <= UINT32_MAX);
+  for (uint32_t end : other.ends_) {
+    ends_.push_back(static_cast<uint32_t>(step_base + end));
+  }
+  steps_.insert(steps_.end(), other.steps_.begin(), other.steps_.end());
+  derived_.resize((steps_.size() + 63) / 64, 0);
+  for (size_t w = 0; w < other.derived_.size(); ++w) {
+    for (uint64_t bits = other.derived_[w]; bits != 0; bits &= bits - 1) {
+      MarkDerived(step_base + w * 64 +
+                  static_cast<size_t>(std::countr_zero(bits)));
+    }
+  }
+  for (const RowConflict& c : other.conflicts_) {
+    conflicts_.push_back(RowConflict{row_base + c.row, c.conflict});
+  }
+}
+
+void Provenance::Clear() {
+  ends_.clear();
+  steps_.clear();
+  derived_.clear();
+  conflicts_.clear();
 }
 
 namespace {

@@ -23,6 +23,7 @@
 #ifndef EID_ILFD_DERIVATION_H_
 #define EID_ILFD_DERIVATION_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -63,6 +64,8 @@ struct DerivationConflict {
   Value second_value;
   size_t first_ilfd = 0;
   size_t second_ilfd = 0;
+
+  bool operator==(const DerivationConflict&) const = default;
 };
 
 /// The ConstraintViolation status reported for an exhaustive-mode conflict
@@ -81,6 +84,81 @@ struct Derivation {
   /// Conflicts found (kExhaustive only; empty under kError since the
   /// derivation fails instead).
   std::vector<DerivationConflict> conflicts;
+};
+
+/// The derivation provenance of a whole relation in CSR form (compressed
+/// sparse rows): row r's steps are one run [row_begin(r), row_end(r)) of a
+/// flat step array, each step the head atom a derivation bound — which
+/// names both the attribute and the value — and the ILFD that bound it.
+/// One bit per step marks the steps whose value lands in the row's
+/// `derived` map; conflicts are kept aside, keyed by row. Atom ids index
+/// the AtomTable of the IlfdSet the rows were derived with, and
+/// DerivationOf rebuilds DeriveTuple's Derivation for one row from them
+/// exactly.
+///
+/// Built one row at a time: AddStep, MarkDerived and AddConflict fill the
+/// open row and EndRow closes it. The compiled engine
+/// (compile::DerivationProgram) records into one per sweep chunk, and
+/// extension joins the chunks in row order with Append.
+class Provenance {
+ public:
+  struct Step {
+    AtomId atom = 0;    // the head atom the step bound
+    uint32_t ilfd = 0;  // index into the IlfdSet
+
+    bool operator==(const Step&) const = default;
+  };
+  struct RowConflict {
+    size_t row = 0;
+    DerivationConflict conflict;
+
+    bool operator==(const RowConflict&) const = default;
+  };
+
+  /// Closed rows.
+  size_t rows() const { return ends_.size(); }
+  /// Steps over every row, the open one included.
+  size_t step_count() const { return steps_.size(); }
+  const Step& step(size_t i) const { return steps_[i]; }
+  size_t row_begin(size_t row) const { return row == 0 ? 0 : ends_[row - 1]; }
+  size_t row_end(size_t row) const { return ends_[row]; }
+  /// True when step `i`'s value lands in its row's `derived` map.
+  bool derived(size_t i) const { return (derived_[i / 64] >> (i % 64)) & 1; }
+  /// Steps marked derived: the number of values the rows derived.
+  size_t derived_count() const;
+  /// Ascending by row, in derivation order within a row.
+  const std::vector<RowConflict>& conflicts() const { return conflicts_; }
+
+  /// DeriveTuple's Derivation for `row`, rebuilt: the derived map, the
+  /// steps in order and the conflicts. `ilfds` must be the set the rows
+  /// were derived with.
+  Derivation DerivationOf(size_t row, const IlfdSet& ilfds) const;
+
+  /// Appends a step to the open row; returns its index.
+  size_t AddStep(AtomId atom, uint32_t ilfd) {
+    if (steps_.size() % 64 == 0) derived_.push_back(0);
+    steps_.push_back(Step{atom, ilfd});
+    return steps_.size() - 1;
+  }
+  /// Marks step `i` as landing in its row's `derived` map.
+  void MarkDerived(size_t i) { derived_[i / 64] |= uint64_t{1} << (i % 64); }
+  /// Records a conflict of the open row.
+  void AddConflict(DerivationConflict conflict) {
+    conflicts_.push_back(RowConflict{rows(), std::move(conflict)});
+  }
+  /// Closes the open row.
+  void EndRow();
+  /// Appends `other`'s rows after this one's. No row may be open.
+  void Append(const Provenance& other);
+  void Clear();
+
+  bool operator==(const Provenance&) const = default;
+
+ private:
+  std::vector<uint32_t> ends_;  // row -> one past its last step
+  std::vector<Step> steps_;
+  std::vector<uint64_t> derived_;  // one bit per step
+  std::vector<RowConflict> conflicts_;
 };
 
 /// Options for DeriveTuple.

@@ -1,5 +1,10 @@
 #include "relational/status.h"
 
+#ifdef EID_COVERAGE
+// gcov's runtime (libgcov): writes the process's counters now.
+extern "C" void __gcov_dump(void);
+#endif
+
 namespace eid {
 
 const char* StatusCodeName(StatusCode code) {
@@ -27,9 +32,16 @@ std::string Status::ToString() const {
 }
 
 namespace internal {
+[[noreturn]] void Abort() {
+#ifdef EID_COVERAGE
+  __gcov_dump();
+#endif
+  std::abort();
+}
+
 [[noreturn]] void CheckFailed(const char* file, int line, const char* expr) {
   std::fprintf(stderr, "eid: CHECK failed at %s:%d: %s\n", file, line, expr);
-  std::abort();
+  Abort();
 }
 }  // namespace internal
 

@@ -1,8 +1,10 @@
 #include "storage/snapshot.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 
@@ -51,27 +53,80 @@ void AppendPairs(const MatchTable* table, ByteWriter* out) {
   }
 }
 
-void AppendTraces(const std::vector<Derivation>* traces,
-                  ValueDictionary* dict, ByteWriter* out) {
-  if (traces == nullptr) {
+/// Encodes one side's provenance as the version-2 record — per row, the
+/// derived map in attribute order, the steps, the conflicts — straight
+/// from the CSR. `value_ids` caches each atom's dictionary id, interned on
+/// the atom's first use: the order interning value by value assigns.
+Status AppendTraces(const Provenance* traces, const IlfdSet* ilfds,
+                    std::vector<uint32_t>* value_ids, ValueDictionary* dict,
+                    ByteWriter* out) {
+  if (traces == nullptr || traces->rows() == 0) {
     out->PutU32(0);
-    return;
+    return Status::Ok();
   }
-  out->PutU32(static_cast<uint32_t>(traces->size()));
-  for (const Derivation& d : *traces) {
-    out->PutU32(static_cast<uint32_t>(d.derived.size()));
-    for (const auto& [attribute, value] : d.derived) {
-      out->PutString(attribute);
-      out->PutU32(dict->GetOrIntern(value));
+  if (ilfds == nullptr) {
+    return Status::InvalidArgument(
+        "snapshot provenance needs the ILFD set its atoms index");
+  }
+  const AtomTable& atoms = ilfds->atoms();
+  for (size_t i = 0; i < traces->step_count(); ++i) {
+    const Provenance::Step& step = traces->step(i);
+    if (step.atom >= atoms.size() || step.ilfd >= ilfds->size()) {
+      return Status::InvalidArgument(
+          "snapshot provenance does not match the image's ILFD set");
     }
-    out->PutU32(static_cast<uint32_t>(d.steps.size()));
-    for (const DerivationStep& step : d.steps) {
-      out->PutString(step.attribute);
-      out->PutU32(dict->GetOrIntern(step.value));
-      out->PutU64(static_cast<uint64_t>(step.ilfd_index));
+  }
+  // A derived map iterates in attribute-name order: rank the attributes
+  // once, then sort each row's few derived steps by rank.
+  std::vector<uint32_t> ordinals(atoms.attribute_count());
+  for (uint32_t o = 0; o < ordinals.size(); ++o) ordinals[o] = o;
+  std::sort(ordinals.begin(), ordinals.end(), [&](uint32_t a, uint32_t b) {
+    return atoms.attribute_name(a) < atoms.attribute_name(b);
+  });
+  std::vector<uint32_t> rank(ordinals.size());
+  for (uint32_t i = 0; i < ordinals.size(); ++i) rank[ordinals[i]] = i;
+  auto rank_of = [&](size_t step) {
+    return rank[atoms.attribute_ordinal(traces->step(step).atom)];
+  };
+  value_ids->resize(atoms.size(), ValueDictionary::kNotInterned);
+  auto put_atom = [&](AtomId atom) {
+    uint32_t& id = (*value_ids)[atom];
+    if (id == ValueDictionary::kNotInterned) {
+      id = dict->GetOrIntern(atoms.atom(atom).value);
     }
-    out->PutU32(static_cast<uint32_t>(d.conflicts.size()));
-    for (const DerivationConflict& c : d.conflicts) {
+    out->PutString(atoms.atom(atom).attribute);
+    out->PutU32(id);
+  };
+
+  out->PutU32(static_cast<uint32_t>(traces->rows()));
+  const std::vector<Provenance::RowConflict>& conflicts = traces->conflicts();
+  size_t next_conflict = 0;
+  std::vector<size_t> derived;
+  for (size_t row = 0; row < traces->rows(); ++row) {
+    const size_t begin = traces->row_begin(row);
+    const size_t end = traces->row_end(row);
+    derived.clear();
+    for (size_t i = begin; i < end; ++i) {
+      if (traces->derived(i)) derived.push_back(i);
+    }
+    std::sort(derived.begin(), derived.end(), [&](size_t a, size_t b) {
+      return rank_of(a) < rank_of(b);
+    });
+    out->PutU32(static_cast<uint32_t>(derived.size()));
+    for (size_t i : derived) put_atom(traces->step(i).atom);
+    out->PutU32(static_cast<uint32_t>(end - begin));
+    for (size_t i = begin; i < end; ++i) {
+      put_atom(traces->step(i).atom);
+      out->PutU64(static_cast<uint64_t>(traces->step(i).ilfd));
+    }
+    size_t last_conflict = next_conflict;
+    while (last_conflict < conflicts.size() &&
+           conflicts[last_conflict].row == row) {
+      ++last_conflict;
+    }
+    out->PutU32(static_cast<uint32_t>(last_conflict - next_conflict));
+    for (; next_conflict < last_conflict; ++next_conflict) {
+      const DerivationConflict& c = conflicts[next_conflict].conflict;
       out->PutString(c.attribute);
       out->PutU32(dict->GetOrIntern(c.first_value));
       out->PutU32(dict->GetOrIntern(c.second_value));
@@ -80,6 +135,7 @@ void AppendTraces(const std::vector<Derivation>* traces,
       out->PutU64(static_cast<uint64_t>(c.second_ilfd));
     }
   }
+  return Status::Ok();
 }
 
 void AppendAtoms(const std::vector<Atom>& atoms, ValueDictionary* dict,
@@ -133,6 +189,14 @@ void AppendRuleProgram(const WorldImage& image, ValueDictionary* dict,
 // ---------------------------------------------------------------------------
 // Section decoders
 // ---------------------------------------------------------------------------
+
+/// A decoded section must have used its whole payload: the writer emits
+/// no trailing bytes.
+Status ExpectConsumed(const ByteReader& in, const char* section) {
+  if (in.remaining() == 0) return Status::Ok();
+  return CorruptError(std::string(section) + " section has " +
+                      std::to_string(in.remaining()) + " trailing bytes");
+}
 
 Status ParseRelation(ByteReader* in, const std::vector<Value>& dict,
                      Relation* out, size_t* rows_loaded,
@@ -273,49 +337,82 @@ Status ParsePairs(ByteReader* in, const Relation& r_ext,
   return Status::Ok();
 }
 
+/// Decodes one side's version-2 provenance record into `out`'s CSR over
+/// `ilfds`' atoms. Each step must be a consequent atom of the ILFD it
+/// names, and each derived-map entry the last step of its attribute in
+/// its row — the only records the writer produces.
 Status ParseTraces(ByteReader* in, const std::vector<Value>& dict,
-                   std::vector<Derivation>* out) {
+                   const IlfdSet& ilfds, Provenance* out) {
   uint32_t count = 0;
   if (!in->GetU32(&count)) return CorruptError("provenance truncated");
   if (count > in->remaining()) {
     return CorruptError("provenance trace count exceeds section");
   }
-  auto get_value = [&](Value* v) -> bool {
-    uint32_t id = 0;
-    if (!in->GetU32(&id) || id >= dict.size()) return false;
-    *v = dict[id];
-    return true;
+  auto get_value_id = [&](uint32_t* id) -> bool {
+    return in->GetU32(id) && *id < dict.size();
   };
-  out->clear();
-  out->reserve(count);
+  const AtomTable& atoms = ilfds.atoms();
+  out->Clear();
+  std::vector<std::pair<std::string, uint32_t>> derived;
+  std::string attribute;
   for (uint32_t t = 0; t < count; ++t) {
-    Derivation d;
     uint32_t derived_count = 0;
     if (!in->GetU32(&derived_count) || derived_count > in->remaining()) {
       return CorruptError("derivation map truncated");
     }
+    derived.resize(derived_count);
     for (uint32_t i = 0; i < derived_count; ++i) {
-      std::string attribute;
-      Value value;
-      if (!in->GetString(&attribute) || !get_value(&value)) {
+      if (!in->GetString(&derived[i].first) ||
+          !get_value_id(&derived[i].second)) {
         return CorruptError("derivation entry truncated");
       }
-      d.derived.emplace(std::move(attribute), std::move(value));
+      if (i > 0 && !(derived[i - 1].first < derived[i].first)) {
+        return CorruptError("derivation map attributes out of order");
+      }
     }
     uint32_t step_count = 0;
     if (!in->GetU32(&step_count) || step_count > in->remaining()) {
       return CorruptError("derivation steps truncated");
     }
-    d.steps.reserve(step_count);
+    const size_t row_begin = out->step_count();
     for (uint32_t i = 0; i < step_count; ++i) {
-      DerivationStep step;
+      uint32_t value_id = 0;
       uint64_t ilfd_index = 0;
-      if (!in->GetString(&step.attribute) || !get_value(&step.value) ||
+      if (!in->GetString(&attribute) || !get_value_id(&value_id) ||
           !in->GetU64(&ilfd_index)) {
         return CorruptError("derivation step truncated");
       }
-      step.ilfd_index = static_cast<size_t>(ilfd_index);
-      d.steps.push_back(std::move(step));
+      if (ilfd_index >= ilfds.size()) {
+        return CorruptError("derivation step names ILFD " +
+                            std::to_string(ilfd_index) +
+                            " beyond the rule program");
+      }
+      const std::optional<AtomId> atom =
+          atoms.Find(attribute, dict[value_id]);
+      if (!atom.has_value() ||
+          !ilfds.kb().clause(static_cast<size_t>(ilfd_index))
+               .head.Contains(*atom)) {
+        return CorruptError("derivation step " + attribute + "=" +
+                            dict[value_id].ToString() +
+                            " is not a consequent of ILFD " +
+                            std::to_string(ilfd_index));
+      }
+      out->AddStep(*atom, static_cast<uint32_t>(ilfd_index));
+    }
+    for (const auto& [name, value_id] : derived) {
+      size_t step = out->step_count();
+      for (size_t i = out->step_count(); i > row_begin; --i) {
+        if (atoms.atom(out->step(i - 1).atom).attribute == name) {
+          step = i - 1;
+          break;
+        }
+      }
+      if (step == out->step_count() ||
+          !(atoms.atom(out->step(step).atom).value == dict[value_id])) {
+        return CorruptError("derived value of '" + name +
+                            "' is not its attribute's last step");
+      }
+      out->MarkDerived(step);
     }
     uint32_t conflict_count = 0;
     if (!in->GetU32(&conflict_count) || conflict_count > in->remaining()) {
@@ -323,17 +420,20 @@ Status ParseTraces(ByteReader* in, const std::vector<Value>& dict,
     }
     for (uint32_t i = 0; i < conflict_count; ++i) {
       DerivationConflict c;
+      uint32_t first_id = 0, second_id = 0;
       uint64_t first_ilfd = 0, second_ilfd = 0;
-      if (!in->GetString(&c.attribute) || !get_value(&c.first_value) ||
-          !get_value(&c.second_value) || !in->GetU64(&first_ilfd) ||
+      if (!in->GetString(&c.attribute) || !get_value_id(&first_id) ||
+          !get_value_id(&second_id) || !in->GetU64(&first_ilfd) ||
           !in->GetU64(&second_ilfd)) {
         return CorruptError("derivation conflict truncated");
       }
+      c.first_value = dict[first_id];
+      c.second_value = dict[second_id];
       c.first_ilfd = static_cast<size_t>(first_ilfd);
       c.second_ilfd = static_cast<size_t>(second_ilfd);
-      d.conflicts.push_back(std::move(c));
+      out->AddConflict(std::move(c));
     }
-    out->push_back(std::move(d));
+    out->EndRow();
   }
   return Status::Ok();
 }
@@ -507,8 +607,11 @@ Status WriteSnapshot(const WorldImage& image, const std::string& path) {
   }
   {
     ByteWriter w;
-    AppendTraces(image.r_traces, &dict, &w);
-    AppendTraces(image.s_traces, &dict, &w);
+    std::vector<uint32_t> value_ids;  // by atom, shared by both sides
+    EID_RETURN_IF_ERROR(
+        AppendTraces(image.r_traces, image.ilfds, &value_ids, &dict, &w));
+    EID_RETURN_IF_ERROR(
+        AppendTraces(image.s_traces, image.ilfds, &value_ids, &dict, &w));
     add(SectionKind::kProvenance, 0, std::move(w));
   }
   {
@@ -618,16 +721,36 @@ Result<SnapshotReader> SnapshotReader::Open(const std::string& path) {
   }
   ByteReader tr(data + kHeaderSize, table_bytes);
   reader.sections_.reserve(section_count);
+  // The writer's layout is the only one accepted: payloads contiguous in
+  // table order from the end of the table, each starting 8-aligned after
+  // its predecessor's zero padding, the last padded to the file's end. No
+  // byte of the file is then left unchecked.
+  uint64_t next = kHeaderSize + table_bytes;
   for (uint32_t i = 0; i < section_count; ++i) {
     SectionEntry e;
     if (!tr.GetU32(&e.kind) || !tr.GetU32(&e.role) || !tr.GetU64(&e.offset) ||
         !tr.GetU64(&e.length) || !tr.GetU64(&e.checksum)) {
       return CorruptError("section table truncated");
     }
-    if (e.offset < kHeaderSize + table_bytes || e.offset > size ||
-        e.length > size - e.offset) {
+    if (e.offset != next) {
+      return CorruptError("section " + std::to_string(i) +
+                          " does not start where its predecessor ends");
+    }
+    if (e.length > size - e.offset) {
       return CorruptError("section " + std::to_string(i) +
                           " extends beyond the file");
+    }
+    const uint64_t end = e.offset + e.length;
+    next = end + (8 - end % 8) % 8;
+    if (next > size) {
+      return CorruptError("section " + std::to_string(i) +
+                          " padding extends beyond the file");
+    }
+    for (uint64_t at = end; at < next; ++at) {
+      if (data[at] != 0) {
+        return CorruptError("section " + std::to_string(i) +
+                            " padding is not zero");
+      }
     }
     if (Fnv64(data + e.offset, e.length) != e.checksum) {
       return CorruptError(
@@ -636,6 +759,9 @@ Result<SnapshotReader> SnapshotReader::Open(const std::string& path) {
           ") checksum mismatch");
     }
     reader.sections_.push_back(e);
+  }
+  if (next != size) {
+    return CorruptError("file continues past its last section");
   }
   return reader;
 }
@@ -682,6 +808,7 @@ Result<LoadedWorld> LoadSnapshot(const std::string& path) {
     EID_ASSIGN_OR_RETURN(ByteReader in,
                          reader.Section(SectionKind::kDictionary));
     EID_RETURN_IF_ERROR(ParseDictionary(&in, &world.dictionary));
+    EID_RETURN_IF_ERROR(ExpectConsumed(in, "dictionary"));
   }
   mark("dictionary");
   {
@@ -704,6 +831,7 @@ Result<LoadedWorld> LoadSnapshot(const std::string& path) {
           reader.Section(SectionKind::kRelation, static_cast<uint32_t>(role)));
       EID_RETURN_IF_ERROR(
           ParseRelation(&in, world.dictionary, rel, &rows_loaded, columnar));
+      EID_RETURN_IF_ERROR(ExpectConsumed(in, "relation"));
     }
     world.columnar_seeds->dictionary = world.dictionary;
   }
@@ -730,21 +858,28 @@ Result<LoadedWorld> LoadSnapshot(const std::string& path) {
       return CorruptError("negative table invalid: " + nmt.status().message());
     }
     world.negative = std::move(nmt).value();
+    EID_RETURN_IF_ERROR(ExpectConsumed(in, "match tables"));
   }
   mark("match_tables");
-  {
-    EID_ASSIGN_OR_RETURN(ByteReader in,
-                         reader.Section(SectionKind::kProvenance));
-    EID_RETURN_IF_ERROR(ParseTraces(&in, world.dictionary, &world.r_traces));
-    EID_RETURN_IF_ERROR(ParseTraces(&in, world.dictionary, &world.s_traces));
-  }
-  mark("provenance");
+  // The rule program before provenance: provenance steps decode to the
+  // atoms of its ILFD set.
   {
     EID_ASSIGN_OR_RETURN(ByteReader in,
                          reader.Section(SectionKind::kRuleProgram));
     EID_RETURN_IF_ERROR(ParseRuleProgram(&in, world.dictionary, &world));
+    EID_RETURN_IF_ERROR(ExpectConsumed(in, "rule program"));
   }
   mark("rule_program");
+  {
+    EID_ASSIGN_OR_RETURN(ByteReader in,
+                         reader.Section(SectionKind::kProvenance));
+    EID_RETURN_IF_ERROR(ParseTraces(&in, world.dictionary, world.ilfds,
+                                    &world.r_traces));
+    EID_RETURN_IF_ERROR(ParseTraces(&in, world.dictionary, world.ilfds,
+                                    &world.s_traces));
+    EID_RETURN_IF_ERROR(ExpectConsumed(in, "provenance"));
+  }
+  mark("provenance");
 
   world.load_stats.stage = "snapshot_load";
   world.load_stats.items = rows_loaded;

@@ -37,8 +37,9 @@ struct WorldImage {
   const Relation* s = nullptr;
   const Relation* r_extended = nullptr;
   const Relation* s_extended = nullptr;
-  const std::vector<Derivation>* r_traces = nullptr;
-  const std::vector<Derivation>* s_traces = nullptr;
+  /// Provenance over `ilfds`' atoms, which the image must then carry.
+  const Provenance* r_traces = nullptr;
+  const Provenance* s_traces = nullptr;
   const MatchTable* matching = nullptr;
   const MatchTable* negative = nullptr;
   const IlfdSet* ilfds = nullptr;
@@ -82,7 +83,8 @@ class SnapshotReader {
 /// A fully decoded world plus the cold-start accelerators.
 struct LoadedWorld {
   Relation r, s, r_extended, s_extended;
-  std::vector<Derivation> r_traces, s_traces;
+  /// Provenance over `ilfds`' atoms.
+  Provenance r_traces, s_traces;
   MatchTable matching{/*negative=*/false};
   MatchTable negative{/*negative=*/true};
   IlfdSet ilfds;

@@ -107,19 +107,21 @@ TEST(DerivationProgramTest, MatchesDeriveTupleBothModes) {
     ClosureEvaluator evaluator(&program.kb());
     std::vector<compile::DerivationWrite> writes;
     for (const Row& row : rows) {
-      Result<Derivation> compiled_result =
-          program.Derive(row, evaluator, &writes);
+      Provenance provenance;
+      const Status compiled_status =
+          program.Derive(row, evaluator, &provenance, &writes);
+      provenance.EndRow();
       TupleView view(&schema, &row);
       Result<Derivation> interpreted_result = DeriveTuple(view, ilfds, options);
       // The last row's base city conflicts with ILFD 0 under kExhaustive +
       // kError: both engines must report the identical error.
-      ASSERT_EQ(compiled_result.ok(), interpreted_result.ok());
+      ASSERT_EQ(compiled_status.ok(), interpreted_result.ok());
       if (!interpreted_result.ok()) {
-        EXPECT_EQ(compiled_result.status().ToString(),
+        EXPECT_EQ(compiled_status.ToString(),
                   interpreted_result.status().ToString());
         continue;
       }
-      Derivation compiled = std::move(compiled_result).value();
+      Derivation compiled = provenance.DerivationOf(0, ilfds);
       Derivation interpreted = std::move(interpreted_result).value();
       EXPECT_EQ(compiled.derived, interpreted.derived);
       ASSERT_EQ(compiled.steps.size(), interpreted.steps.size());
@@ -134,7 +136,7 @@ TEST(DerivationProgramTest, MatchesDeriveTupleBothModes) {
       for (const compile::DerivationWrite& w : writes) {
         auto it = interpreted.derived.find(schema.attribute(w.column).name);
         ASSERT_NE(it, interpreted.derived.end());
-        EXPECT_EQ(it->second, w.value);
+        EXPECT_EQ(it->second, program.value(w.atom));
       }
     }
   }
@@ -152,14 +154,17 @@ TEST(DerivationProgramTest, FixtureRelationsDeriveIdentically) {
       compile::DerivationProgram program =
           compile::DerivationProgram::Compile(rel.schema(), ilfds, options);
       ClosureEvaluator evaluator(&program.kb());
+      Provenance provenance;
       std::vector<compile::DerivationWrite> writes;
       for (size_t i = 0; i < rel.size(); ++i) {
-        EID_ASSERT_OK_AND_ASSIGN(
-            Derivation compiled,
-            program.Derive(rel.row(i), evaluator, &writes));
+        EID_ASSERT_OK(
+            program.Derive(rel.row(i), evaluator, &provenance, &writes));
+        provenance.EndRow();
         EID_ASSERT_OK_AND_ASSIGN(Derivation interpreted,
                                  DeriveTuple(rel.tuple(i), ilfds, options));
-        EXPECT_EQ(compiled.derived, interpreted.derived) << rel.name() << i;
+        EXPECT_EQ(provenance.DerivationOf(i, ilfds).derived,
+                  interpreted.derived)
+            << rel.name() << i;
       }
     }
   }

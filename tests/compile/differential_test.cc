@@ -72,37 +72,14 @@ void SetDerivation(IdentifierConfig* config, DerivationMode mode,
   config->matcher_options.extension.derivation.conflict_policy = policy;
 }
 
-void ExpectDerivationsEqual(const std::vector<Derivation>& a,
-                            const std::vector<Derivation>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].derived, b[i].derived) << "tuple " << i;
-    ASSERT_EQ(a[i].steps.size(), b[i].steps.size()) << "tuple " << i;
-    for (size_t k = 0; k < a[i].steps.size(); ++k) {
-      EXPECT_EQ(a[i].steps[k].attribute, b[i].steps[k].attribute);
-      EXPECT_EQ(a[i].steps[k].value, b[i].steps[k].value);
-      EXPECT_EQ(a[i].steps[k].ilfd_index, b[i].steps[k].ilfd_index);
-    }
-    ASSERT_EQ(a[i].conflicts.size(), b[i].conflicts.size()) << "tuple " << i;
-    for (size_t k = 0; k < a[i].conflicts.size(); ++k) {
-      EXPECT_EQ(a[i].conflicts[k].attribute, b[i].conflicts[k].attribute);
-      EXPECT_EQ(a[i].conflicts[k].first_value, b[i].conflicts[k].first_value);
-      EXPECT_EQ(a[i].conflicts[k].second_value,
-                b[i].conflicts[k].second_value);
-      EXPECT_EQ(a[i].conflicts[k].first_ilfd, b[i].conflicts[k].first_ilfd);
-      EXPECT_EQ(a[i].conflicts[k].second_ilfd, b[i].conflicts[k].second_ilfd);
-    }
-  }
-}
-
 /// `reference` is eid::reference::Identify's result, `result` the
 /// engine's: every result bit agrees, NMT certificates entry for entry.
 void ExpectIdentical(const IdentificationResult& reference,
                      const IdentificationResult& result) {
   EXPECT_EQ(reference.r_extended.rows(), result.r_extended.rows());
   EXPECT_EQ(reference.s_extended.rows(), result.s_extended.rows());
-  ExpectDerivationsEqual(reference.r_traces, result.r_traces);
-  ExpectDerivationsEqual(reference.s_traces, result.s_traces);
+  ::eid::testing::ExpectProvenanceEqual(reference.r_traces, result.r_traces);
+  ::eid::testing::ExpectProvenanceEqual(reference.s_traces, result.s_traces);
   EXPECT_EQ(reference.matching.pairs(), result.matching.pairs());
   EXPECT_EQ(reference.negative.table.pairs(), result.negative.table.pairs());
   ASSERT_EQ(result.negative.evidence.size(), result.negative.table.size());
@@ -241,12 +218,6 @@ IlfdSet InjectConflict(const GeneratedWorld& world) {
   return ilfds;
 }
 
-size_t ConflictCount(const std::vector<Derivation>& traces) {
-  size_t conflicts = 0;
-  for (const Derivation& d : traces) conflicts += d.conflicts.size();
-  return conflicts;
-}
-
 TEST(DifferentialConflictTest, PoliciesMatchInterpreter) {
   GeneratedWorld world = MakeWorld(/*coverage=*/1.0, /*seed=*/23);
   for (ConflictPolicy policy :
@@ -258,7 +229,7 @@ TEST(DifferentialConflictTest, PoliciesMatchInterpreter) {
     IdentificationResult reference =
         ExpectEngineMatchesReference(config, world.r, world.s);
     // The injected rule must actually conflict somewhere.
-    EXPECT_GT(ConflictCount(reference.r_traces), 0u);
+    EXPECT_GT(reference.r_traces.conflicts().size(), 0u);
   }
 }
 
@@ -319,7 +290,7 @@ TEST(DifferentialConflictTest, StagedPoliciesMatchExhaustiveOracle) {
     IdentificationResult reference =
         ExpectEngineMatchesReference(config, world.r, world.s);
     EXPECT_GT(reference.matching.size(), 0u);
-    EXPECT_GT(ConflictCount(reference.r_traces), 0u);
+    EXPECT_GT(reference.r_traces.conflicts().size(), 0u);
   }
 }
 

@@ -60,21 +60,6 @@ IdentifierConfig WorldConfig(const GeneratedWorld& world, int threads) {
   return config;
 }
 
-void ExpectDerivationsEqual(const std::vector<Derivation>& a,
-                            const std::vector<Derivation>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].derived, b[i].derived) << "tuple " << i;
-    ASSERT_EQ(a[i].steps.size(), b[i].steps.size()) << "tuple " << i;
-    for (size_t k = 0; k < a[i].steps.size(); ++k) {
-      EXPECT_EQ(a[i].steps[k].attribute, b[i].steps[k].attribute);
-      EXPECT_EQ(a[i].steps[k].value, b[i].steps[k].value);
-      EXPECT_EQ(a[i].steps[k].ilfd_index, b[i].steps[k].ilfd_index);
-    }
-    EXPECT_EQ(a[i].conflicts.size(), b[i].conflicts.size()) << "tuple " << i;
-  }
-}
-
 /// NMT pairs in order, and every pair's (rule, orientation) certificate:
 /// the certificate column must stay aligned with the pair column and
 /// agree entry for entry.
@@ -94,8 +79,8 @@ void ExpectIdentical(const IdentificationResult& a,
   // Extended relations, row for row.
   EXPECT_EQ(a.r_extended.rows(), b.r_extended.rows());
   EXPECT_EQ(a.s_extended.rows(), b.s_extended.rows());
-  ExpectDerivationsEqual(a.r_traces, b.r_traces);
-  ExpectDerivationsEqual(a.s_traces, b.s_traces);
+  ::eid::testing::ExpectProvenanceEqual(a.r_traces, b.r_traces);
+  ::eid::testing::ExpectProvenanceEqual(a.s_traces, b.s_traces);
   // MT / NMT contents *and order*.
   EXPECT_EQ(a.matching.pairs(), b.matching.pairs());
   ExpectSameNegative(a.negative, b.negative);

@@ -28,14 +28,16 @@ TEST(ExtensionTest, DerivesMissingValuesViaIlfds) {
   Relation r = fixtures::Example2R();
   Relation s = fixtures::Example2S();
   AttributeCorrespondence corr = AttributeCorrespondence::Identity(r, s);
+  const IlfdSet ilfds = fixtures::Example2Ilfds();
   EID_ASSERT_OK_AND_ASSIGN(
       ExtensionResult sx,
       ExtendRelation(s, Side::kS, corr, fixtures::Example2ExtendedKey(),
-                     fixtures::Example2Ilfds()));
+                     ilfds));
   EXPECT_EQ(sx.extended.tuple(0).GetOrNull("cuisine").AsString(), "Indian");
-  ASSERT_EQ(sx.traces.size(), 1u);
-  EXPECT_EQ(sx.traces[0].steps.size(), 1u);
-  EXPECT_EQ(sx.traces[0].steps[0].ilfd_index, 0u);
+  ASSERT_EQ(sx.traces.rows(), 1u);
+  const Derivation trace = sx.traces.DerivationOf(0, ilfds);
+  EXPECT_EQ(trace.steps.size(), 1u);
+  EXPECT_EQ(trace.steps[0].ilfd_index, 0u);
 }
 
 TEST(ExtensionTest, RowOrderAndOriginalValuesPreserved) {

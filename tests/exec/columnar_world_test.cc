@@ -53,28 +53,16 @@ GeneratedWorld MakeWorld(uint64_t seed) {
   return std::move(world).value();
 }
 
-void ExpectTracesEqual(const std::vector<Derivation>& a,
-                       const std::vector<Derivation>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].derived, b[i].derived) << "tuple " << i;
-    ASSERT_EQ(a[i].steps.size(), b[i].steps.size()) << "tuple " << i;
-    for (size_t k = 0; k < a[i].steps.size(); ++k) {
-      EXPECT_EQ(a[i].steps[k].attribute, b[i].steps[k].attribute);
-      EXPECT_EQ(a[i].steps[k].value, b[i].steps[k].value);
-      EXPECT_EQ(a[i].steps[k].ilfd_index, b[i].steps[k].ilfd_index);
-    }
-  }
-}
-
 /// `a` is the reference's result, `b` the columnar compiled run.
 void ExpectIdentical(const MatcherResult& a, const MatcherResult& b) {
   EXPECT_EQ(a.r_extension.extended.rows(), b.r_extension.extended.rows());
   EXPECT_EQ(a.s_extension.extended.rows(), b.s_extension.extended.rows());
   EXPECT_EQ(a.r_extension.added_attributes, b.r_extension.added_attributes);
   EXPECT_EQ(a.s_extension.added_attributes, b.s_extension.added_attributes);
-  ExpectTracesEqual(a.r_extension.traces, b.r_extension.traces);
-  ExpectTracesEqual(a.s_extension.traces, b.s_extension.traces);
+  ::eid::testing::ExpectProvenanceEqual(a.r_extension.traces,
+                                        b.r_extension.traces);
+  ::eid::testing::ExpectProvenanceEqual(a.s_extension.traces,
+                                        b.s_extension.traces);
   EXPECT_EQ(a.matching.pairs(), b.matching.pairs());
   EXPECT_EQ(a.uniqueness, b.uniqueness);
 }
@@ -99,8 +87,8 @@ void ExpectIdentical(const MatcherResult& a, const IdentificationResult& b) {
   EXPECT_EQ(a.s_extension.extended.rows(), b.s_extended.rows());
   ExpectAddedColumnsTrail(a.r_extension.added_attributes, b.r_extended);
   ExpectAddedColumnsTrail(a.s_extension.added_attributes, b.s_extended);
-  ExpectTracesEqual(a.r_extension.traces, b.r_traces);
-  ExpectTracesEqual(a.s_extension.traces, b.s_traces);
+  ::eid::testing::ExpectProvenanceEqual(a.r_extension.traces, b.r_traces);
+  ::eid::testing::ExpectProvenanceEqual(a.s_extension.traces, b.s_traces);
   EXPECT_EQ(a.matching.pairs(), b.matching.pairs());
   EXPECT_EQ(a.uniqueness, b.uniqueness);
 }

@@ -134,6 +134,42 @@ TEST(ValueTest, OrderingWithSignedZerosAndNaNsIsStrictWeak) {
   EXPECT_LT(Value::Int(big), Value::Int(big + 1));
 }
 
+TEST(ValueTest, LessEqualAndGreaterAgreeWithLess) {
+  // operator<= and operator> are the complement and the converse of
+  // operator<, across its strict-weak-order edge cases: int/double ties,
+  // signed zeros, NaNs, NULL and values of different types.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Value> values = {
+      Value::Null(),        Value::Bool(false),   Value::Bool(true),
+      Value::Int(1),        Value::Double(1.0),   Value::Int(0),
+      Value::Double(0.0),   Value::Double(-0.0),  Value::Double(nan),
+      Value::Double(-nan),  Value::Str(""),       Value::Str("1")};
+  for (const Value& a : values) {
+    for (const Value& b : values) {
+      EXPECT_EQ(a <= b, !(b < a)) << a.ToString() << " <= " << b.ToString();
+      EXPECT_EQ(a > b, b < a) << a.ToString() << " > " << b.ToString();
+    }
+  }
+  // Ties order int before double, -0.0 before +0.0, numbers before NaN.
+  EXPECT_TRUE(Value::Int(1) <= Value::Double(1.0));
+  EXPECT_FALSE(Value::Int(1) > Value::Double(1.0));
+  EXPECT_TRUE(Value::Double(1.0) > Value::Int(1));
+  EXPECT_FALSE(Value::Double(1.0) <= Value::Int(1));
+  EXPECT_TRUE(Value::Double(0.0) > Value::Double(-0.0));
+  EXPECT_FALSE(Value::Double(0.0) <= Value::Double(-0.0));
+  EXPECT_TRUE(Value::Double(nan) > Value::Double(1e308));
+  EXPECT_TRUE(Value::Double(nan) <= Value::Double(nan));
+  EXPECT_FALSE(Value::Double(nan) > Value::Double(nan));
+  // NULL sorts first and is <= itself; types order NULL, bool, number,
+  // string.
+  EXPECT_TRUE(Value::Null() <= Value::Null());
+  EXPECT_FALSE(Value::Null() > Value::Null());
+  EXPECT_TRUE(Value::Bool(false) > Value::Null());
+  EXPECT_TRUE(Value::Int(0) > Value::Bool(true));
+  EXPECT_TRUE(Value::Str("") > Value::Double(nan));
+  EXPECT_FALSE(Value::Str("1") <= Value::Int(1));
+}
+
 TEST(ValueTest, HashConsistentWithEquality) {
   EXPECT_EQ(Value::Int(42).Hash(), Value::Int(42).Hash());
   EXPECT_EQ(Value::Str("x").Hash(), Value::Str("x").Hash());

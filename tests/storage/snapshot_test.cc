@@ -2,20 +2,23 @@
 // — sources, extended relations, provenance, MT/NMT and the rule program
 // — and every corruption we can inject (wrong magic, wrong version,
 // foreign endianness, bit flips, truncation at any length, a forged
-// contradictory ILFD, a forged row count) comes back as a "snapshot
-// corrupt:" Status, never a crash. The asan/ubsan presets run this suite
-// to prove "never UB".
+// contradictory ILFD, a forged row count, a layout the writer never
+// writes, trailing section bytes, a provenance step outside its ILFD)
+// comes back as a "snapshot corrupt:" Status, never a crash. The
+// asan/ubsan presets run this suite to prove "never UB".
 
 #include "storage/snapshot.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "../test_util.h"
 #include "eid.h"
 #include "exec/columnar_world.h"
 #include "workload/fixtures.h"
@@ -101,6 +104,55 @@ void ResealHeader(std::string* bytes) {
   PatchU64(bytes, 40, Fnv64(bytes->data(), 40));
 }
 
+/// The table index of the first section of `kind` (and `role`).
+size_t SectionIndex(const std::string& bytes, SectionKind kind,
+                    uint32_t role = 0) {
+  const uint32_t count = ReadU32(bytes, 24);
+  for (uint32_t i = 0; i < count; ++i) {
+    const size_t at = kHeaderSize + static_cast<size_t>(i) * kSectionEntrySize;
+    if (ReadU32(bytes, at) == static_cast<uint32_t>(kind) &&
+        ReadU32(bytes, at + 4) == role) {
+      return i;
+    }
+  }
+  ADD_FAILURE() << "no section of kind " << static_cast<uint32_t>(kind);
+  return 0;
+}
+
+/// Section `index`'s payload bytes.
+std::string SectionPayload(const std::string& bytes, size_t index) {
+  const size_t entry = kHeaderSize + index * kSectionEntrySize;
+  return bytes.substr(static_cast<size_t>(ReadU64(bytes, entry + 8)),
+                      static_cast<size_t>(ReadU64(bytes, entry + 16)));
+}
+
+/// `bytes` with section `index`'s payload replaced by `payload`, laid out
+/// as the writer lays sections out — contiguous in table order, each
+/// zero-padded to 8 bytes — with entries, file size and checksums
+/// resealed, so only the forged payload is left for the decoder to judge.
+std::string ReplaceSection(const std::string& bytes, size_t index,
+                           const std::string& payload) {
+  const uint32_t count = ReadU32(bytes, 24);
+  std::string out = bytes.substr(
+      0, kHeaderSize + static_cast<size_t>(count) * kSectionEntrySize);
+  for (uint32_t i = 0; i < count; ++i) {
+    const size_t entry =
+        kHeaderSize + static_cast<size_t>(i) * kSectionEntrySize;
+    const std::string body = i == index ? payload : SectionPayload(bytes, i);
+    PatchU64(&out, entry + 8, out.size());
+    PatchU64(&out, entry + 16, body.size());
+    PatchU64(&out, entry + 24, Fnv64(body.data(), body.size()));
+    out += body;
+    out.resize((out.size() + 7) / 8 * 8, '\0');
+  }
+  PatchU64(&out, 16, out.size());  // file size
+  PatchU64(&out, 32,
+           Fnv64(out.data() + kHeaderSize,
+                 static_cast<size_t>(count) * kSectionEntrySize));
+  ResealHeader(&out);
+  return out;
+}
+
 void ExpectCorrupt(const std::string& path, const std::string& needle) {
   Result<LoadedWorld> world = LoadSnapshot(path);
   ASSERT_FALSE(world.ok()) << "expected corruption for " << needle;
@@ -147,22 +199,22 @@ TEST(SnapshotTest, RoundTripExample3) {
   EXPECT_EQ(loaded->negative.pairs(), saved.result.negative.table.pairs());
 
   // Provenance: derivation traces survive including conflict provenance.
-  ASSERT_EQ(loaded->r_traces.size(), saved.result.r_traces.size());
-  for (size_t i = 0; i < loaded->r_traces.size(); ++i) {
-    EXPECT_EQ(loaded->r_traces[i].derived.size(),
-              saved.result.r_traces[i].derived.size());
-    EXPECT_EQ(loaded->r_traces[i].steps.size(),
-              saved.result.r_traces[i].steps.size());
-    EXPECT_EQ(loaded->r_traces[i].conflicts.size(),
-              saved.result.r_traces[i].conflicts.size());
-    for (size_t k = 0; k < loaded->r_traces[i].steps.size(); ++k) {
-      EXPECT_EQ(loaded->r_traces[i].steps[k].attribute,
-                saved.result.r_traces[i].steps[k].attribute);
-      EXPECT_EQ(loaded->r_traces[i].steps[k].ilfd_index,
-                saved.result.r_traces[i].steps[k].ilfd_index);
+  // Each side views its rows over its own rule program.
+  ASSERT_EQ(loaded->r_traces.rows(), saved.result.r_traces.rows());
+  for (size_t i = 0; i < loaded->r_traces.rows(); ++i) {
+    const Derivation from_disk =
+        loaded->r_traces.DerivationOf(i, loaded->ilfds);
+    const Derivation fresh =
+        saved.result.r_traces.DerivationOf(i, saved.config.ilfds);
+    EXPECT_EQ(from_disk.derived.size(), fresh.derived.size());
+    EXPECT_EQ(from_disk.steps.size(), fresh.steps.size());
+    EXPECT_EQ(from_disk.conflicts.size(), fresh.conflicts.size());
+    for (size_t k = 0; k < from_disk.steps.size(); ++k) {
+      EXPECT_EQ(from_disk.steps[k].attribute, fresh.steps[k].attribute);
+      EXPECT_EQ(from_disk.steps[k].ilfd_index, fresh.steps[k].ilfd_index);
     }
   }
-  EXPECT_EQ(loaded->s_traces.size(), saved.result.s_traces.size());
+  EXPECT_EQ(loaded->s_traces.rows(), saved.result.s_traces.rows());
 
   // Rule program: ILFDs, correspondence, extended key.
   EXPECT_EQ(loaded->ilfds.size(), saved.config.ilfds.size());
@@ -319,8 +371,8 @@ TEST(SnapshotTest, BitFlipAnywhereNeverCrashes) {
     bytes[offset] = static_cast<char>(bytes[offset] ^ 0x04);
     WriteFile(saved.path, bytes);
     Result<LoadedWorld> world = LoadSnapshot(saved.path);
-    // Checksummed regions must reject; inter-section padding bytes are
-    // the only bytes no checksum covers, and flipping those is harmless.
+    // Checksummed regions must reject, and so must the zero padding
+    // between sections, which no checksum covers.
     if (!world.ok()) {
       ++rejected;
       EXPECT_NE(world.status().message().find("snapshot corrupt:"),
@@ -328,7 +380,7 @@ TEST(SnapshotTest, BitFlipAnywhereNeverCrashes) {
           << world.status().message();
     }
   }
-  EXPECT_GE(rejected, pristine.size() * 9 / 10);
+  EXPECT_EQ(rejected, pristine.size());
 }
 
 TEST(SnapshotTest, TruncationAtEveryLengthIsCorrupt) {
@@ -384,40 +436,179 @@ TEST(SnapshotTest, RowCountWithoutAttributesIsCorruptNotAllocated) {
   // Rows of a relation without attributes occupy no bytes, so the row
   // matrix bound cannot limit their count. Forge a checksummed source-R
   // section with no attributes and 2^32 - 1 rows (about 100 GB of empty
-  // rows if allocated), appended past the last section with R's table
-  // entry pointed at it; the decoder must refuse it before allocating.
+  // rows if allocated) in place of R's, the file re-laid out and resealed
+  // around it; the decoder must refuse it before allocating.
   SavedWorld saved = SaveExample3("widthless.eidsnap");
-  std::string bytes = ReadFile(saved.path);
-  const uint32_t section_count = ReadU32(bytes, 24);
-  size_t entry = 0;
-  for (uint32_t i = 0; i < section_count; ++i) {
-    const size_t at = kHeaderSize + static_cast<size_t>(i) * kSectionEntrySize;
-    if (ReadU32(bytes, at) == static_cast<uint32_t>(SectionKind::kRelation) &&
-        ReadU32(bytes, at + 4) ==
-            static_cast<uint32_t>(RelationRole::kSourceR)) {
-      entry = at;
-    }
-  }
-  ASSERT_NE(entry, 0u);
+  const std::string bytes = ReadFile(saved.path);
   ByteWriter w;
   w.PutString("R");
   w.PutU32(0);            // no attributes
   w.PutU32(0);            // no keys
   w.PutU32(0xFFFFFFFFu);  // row count
-  const std::string payload = std::move(w).Take();
+  WriteFile(saved.path,
+            ReplaceSection(bytes,
+                           SectionIndex(bytes, SectionKind::kRelation,
+                                        static_cast<uint32_t>(
+                                            RelationRole::kSourceR)),
+                           std::move(w).Take()));
+  ExpectCorrupt(saved.path, "relation without attributes has rows");
+}
+
+TEST(SnapshotTest, AppendedPayloadWithRepointedEntryIsCorrupt) {
+  // A layout the writer never produces: source R's payload appended past
+  // the last section and its table entry pointed there, every checksum
+  // resealed. Sections must be contiguous in table order.
+  SavedWorld saved = SaveExample3("repointed.eidsnap");
+  std::string bytes = ReadFile(saved.path);
+  const uint32_t section_count = ReadU32(bytes, 24);
+  const size_t index = SectionIndex(
+      bytes, SectionKind::kRelation,
+      static_cast<uint32_t>(RelationRole::kSourceR));
+  const size_t entry = kHeaderSize + index * kSectionEntrySize;
+  const std::string payload = SectionPayload(bytes, index);
   const uint64_t offset = bytes.size();
   bytes += payload;
   bytes.resize((bytes.size() + 7) / 8 * 8, '\0');
   PatchU64(&bytes, entry + 8, offset);
-  PatchU64(&bytes, entry + 16, payload.size());
-  PatchU64(&bytes, entry + 24, Fnv64(payload.data(), payload.size()));
   PatchU64(&bytes, 16, bytes.size());  // file size
   PatchU64(&bytes, 32,
            Fnv64(bytes.data() + kHeaderSize,
                  static_cast<size_t>(section_count) * kSectionEntrySize));
   ResealHeader(&bytes);
   WriteFile(saved.path, bytes);
-  ExpectCorrupt(saved.path, "relation without attributes has rows");
+  ExpectCorrupt(saved.path, "does not start where its predecessor ends");
+}
+
+TEST(SnapshotTest, PaddingBitFlipIsCorrupt) {
+  // Padding is the one part of the file no checksum covers; the reader
+  // requires it zero, so flipping any bit of any padding byte is caught.
+  SavedWorld saved = SaveExample3("padding.eidsnap");
+  const std::string pristine = ReadFile(saved.path);
+  const uint32_t section_count = ReadU32(pristine, 24);
+  size_t padding_bytes = 0;
+  for (uint32_t i = 0; i < section_count; ++i) {
+    const size_t entry =
+        kHeaderSize + static_cast<size_t>(i) * kSectionEntrySize;
+    const size_t end = static_cast<size_t>(ReadU64(pristine, entry + 8) +
+                                           ReadU64(pristine, entry + 16));
+    for (size_t at = end; at < (end + 7) / 8 * 8; ++at) {
+      ++padding_bytes;
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string bytes = pristine;
+        bytes[at] = static_cast<char>(bytes[at] ^ (1 << bit));
+        WriteFile(saved.path, bytes);
+        ExpectCorrupt(saved.path, "padding is not zero");
+      }
+    }
+  }
+  EXPECT_GT(padding_bytes, 0u);
+}
+
+TEST(SnapshotTest, TrailingSectionBytesAreCorrupt) {
+  // Every decoder must consume its payload exactly: one extra byte after
+  // any section's record is corruption, not slack.
+  SavedWorld saved = SaveExample3("trailing.eidsnap");
+  const std::string pristine = ReadFile(saved.path);
+  const uint32_t section_count = ReadU32(pristine, 24);
+  for (uint32_t i = 0; i < section_count; ++i) {
+    SCOPED_TRACE("section " + std::to_string(i));
+    WriteFile(saved.path, ReplaceSection(pristine, i,
+                                         SectionPayload(pristine, i) + '\1'));
+    ExpectCorrupt(saved.path, "section has 1 trailing bytes");
+  }
+}
+
+TEST(SnapshotTest, ProvenanceStepOutsideItsIlfdIsCorrupt) {
+  // A provenance step names its ILFD; its (attribute, value) must be one
+  // of that ILFD's consequent atoms. Forge R's only row with a step
+  // county=Ramsey (I7's consequent) credited to I1.
+  SavedWorld saved = SaveExample3("step.eidsnap");
+  Result<LoadedWorld> world = LoadSnapshot(saved.path);
+  ASSERT_TRUE(world.ok()) << world.status().ToString();
+  const std::vector<Value>& dict = world->dictionary;
+  const auto ramsey =
+      std::find(dict.begin(), dict.end(), Value::String("Ramsey"));
+  ASSERT_NE(ramsey, dict.end());
+  ByteWriter w;
+  w.PutU32(1);  // one R row
+  w.PutU32(0);  // empty derived map
+  w.PutU32(1);  // one step
+  w.PutString("county");
+  w.PutU32(static_cast<uint32_t>(ramsey - dict.begin()));
+  w.PutU64(0);  // I1: speciality=Hunan -> cuisine=Chinese
+  w.PutU32(0);  // no conflicts
+  w.PutU32(0);  // no S rows
+  const std::string bytes = ReadFile(saved.path);
+  WriteFile(saved.path,
+            ReplaceSection(bytes, SectionIndex(bytes, SectionKind::kProvenance),
+                           std::move(w).Take()));
+  ExpectCorrupt(saved.path, "county=Ramsey is not a consequent of ILFD 0");
+}
+
+TEST(SnapshotTest, RoundTripKeepsConflictsAndDerivedBits) {
+  // Example 3 plus an ILFD contradicting I7, under both recording
+  // policies: the conflicts, and the county steps left out of the derived
+  // map, must come back exactly.
+  for (ConflictPolicy policy :
+       {ConflictPolicy::kKeepFirst, ConflictPolicy::kNullOut}) {
+    SCOPED_TRACE(policy == ConflictPolicy::kKeepFirst ? "keep_first"
+                                                      : "null_out");
+    const Relation r = fixtures::Example3R();
+    const Relation s = fixtures::Example3S();
+    IdentifierConfig config;
+    config.correspondence = AttributeCorrespondence::Identity(r, s);
+    config.extended_key = fixtures::Example3ExtendedKey();
+    config.ilfds = fixtures::Example3Ilfds();
+    ASSERT_TRUE(config.ilfds.AddText("street=FrontAve. -> county=Hennepin")
+                    .ok());
+    config.matcher_options.extension.derivation.conflict_policy = policy;
+    Result<IdentificationResult> result =
+        EntityIdentifier(config).Identify(r, s);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const Provenance& fresh = result->r_traces;
+    ASSERT_GT(fresh.conflicts().size(), 0u);
+    ASSERT_LT(fresh.derived_count(), fresh.step_count());
+
+    const std::string path = ::testing::TempDir() + "/conflicts.eidsnap";
+    ASSERT_TRUE(WriteSnapshot(ImageOf(r, s, config, *result), path).ok());
+    Result<LoadedWorld> loaded = LoadSnapshot(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ::eid::testing::ExpectProvenanceEqual(loaded->r_traces, fresh);
+    ::eid::testing::ExpectProvenanceEqual(loaded->s_traces, result->s_traces);
+    for (size_t i = 0; i < fresh.rows(); ++i) {
+      EXPECT_TRUE(loaded->r_traces.DerivationOf(i, loaded->ilfds).conflicts ==
+                  fresh.DerivationOf(i, config.ilfds).conflicts)
+          << "row " << i;
+    }
+  }
+}
+
+TEST(SnapshotTest, RoundTripOrdersDerivedMapsByAttribute) {
+  // Without an extended key every derivable attribute is derived, so a row
+  // derives several values; zeta is derived before alpha but the record's
+  // derived map lists them by name, as DeriveTuple's map iterates.
+  const Relation r = fixtures::Example3R();
+  const Relation s = fixtures::Example3S();
+  IdentifierConfig config;
+  config.correspondence = AttributeCorrespondence::Identity(r, s);
+  config.ilfds = fixtures::Example3Ilfds();
+  ASSERT_TRUE(config.ilfds.AddText("street=FrontAve. -> zeta=7").ok());
+  ASSERT_TRUE(config.ilfds.AddText("zeta=7 -> alpha=1").ok());
+  Result<IdentificationResult> result = EntityIdentifier(config).Identify(r, s);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::string path = ::testing::TempDir() + "/derive_all.eidsnap";
+  ASSERT_TRUE(WriteSnapshot(ImageOf(r, s, config, *result), path).ok());
+  Result<LoadedWorld> loaded = LoadSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ::eid::testing::ExpectProvenanceEqual(loaded->r_traces, result->r_traces);
+  ::eid::testing::ExpectProvenanceEqual(loaded->s_traces, result->s_traces);
+  std::vector<std::string> derived;
+  for (const auto& [attribute, value] :
+       loaded->r_traces.DerivationOf(2, loaded->ilfds).derived) {
+    derived.push_back(attribute);
+  }
+  EXPECT_EQ(derived, (std::vector<std::string>{"alpha", "county",
+                                               "speciality", "zeta"}));
 }
 
 TEST(SnapshotTest, WriteRefusesRowsWithoutAttributes) {

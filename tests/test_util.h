@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "ilfd/derivation.h"
 #include "relational/relation.h"
 
 namespace eid {
@@ -29,6 +30,36 @@ inline Relation MakeRelation(
     EXPECT_TRUE(st.ok()) << st.ToString();
   }
   return rel;
+}
+
+/// Expects two provenance CSRs over one atom table equal: per row the
+/// steps (atom, ILFD) and their derived bits, then the conflicts. Names
+/// the first row that differs.
+inline void ExpectProvenanceEqual(const Provenance& a, const Provenance& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  for (size_t row = 0; row < a.rows(); ++row) {
+    const size_t steps = a.row_end(row) - a.row_begin(row);
+    ASSERT_EQ(steps, b.row_end(row) - b.row_begin(row)) << "row " << row;
+    for (size_t k = 0; k < steps; ++k) {
+      const size_t i = a.row_begin(row) + k;
+      const size_t j = b.row_begin(row) + k;
+      EXPECT_EQ(a.step(i).atom, b.step(j).atom) << "row " << row;
+      EXPECT_EQ(a.step(i).ilfd, b.step(j).ilfd) << "row " << row;
+      EXPECT_EQ(a.derived(i), b.derived(j)) << "row " << row;
+    }
+  }
+  ASSERT_EQ(a.conflicts().size(), b.conflicts().size());
+  for (size_t k = 0; k < a.conflicts().size(); ++k) {
+    const Provenance::RowConflict& x = a.conflicts()[k];
+    const Provenance::RowConflict& y = b.conflicts()[k];
+    EXPECT_EQ(x.row, y.row);
+    EXPECT_EQ(x.conflict.attribute, y.conflict.attribute) << "row " << x.row;
+    EXPECT_EQ(x.conflict.first_value, y.conflict.first_value);
+    EXPECT_EQ(x.conflict.second_value, y.conflict.second_value);
+    EXPECT_EQ(x.conflict.first_ilfd, y.conflict.first_ilfd);
+    EXPECT_EQ(x.conflict.second_ilfd, y.conflict.second_ilfd);
+  }
+  EXPECT_TRUE(a == b);
 }
 
 /// gtest-friendly OK assertion for Status.
