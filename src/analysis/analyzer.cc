@@ -567,7 +567,7 @@ class Analysis {
            "check the rule's attributes and constants against R'/S'");
       return;
     }
-    if (!direct.has_join && !flipped.has_join) {
+    if (direct.joins.empty() && flipped.joins.empty()) {
       Emit("EID-W005", Severity::kWarning, ref,
            "no cross-entity equality conjunct: the engine cannot use an "
            "index probe and falls back to a tiled scan over |R'|x|S'| "
@@ -578,8 +578,8 @@ class Analysis {
     // An orientation with no join *and* no const filter has an empty
     // blocking plan — the staged generator can prune nothing for it.
     auto plan_empty = [](const exec::BlockingPlan& plan) {
-      return !plan.impossible && !plan.has_join && plan.r_const_eq.empty() &&
-             plan.s_const_eq.empty();
+      return !plan.impossible && plan.joins.empty() &&
+             plan.r_const_eq.empty() && plan.s_const_eq.empty();
     };
     const bool any_live = !direct.impossible || !flipped.impossible;
     const bool all_live_empty =

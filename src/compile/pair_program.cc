@@ -1,6 +1,5 @@
 #include "compile/pair_program.h"
 
-#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -241,33 +240,42 @@ Truth StagedConjunction::PairTruth(size_t r_row, size_t s_row) const {
   return EvaluateOps(pair_ops_, r_row, s_row);
 }
 
-exec::FiredColumns SweepRules(
+namespace {
+
+/// One staged sweep over `antecedents`, in priority order: per rule the
+/// direct orientation, then, with `both_orientations`, the flipped one.
+exec::FiredColumns Sweep(
     const std::vector<const std::vector<Predicate>*>& antecedents,
-    const Relation& r_ext, const Relation& s_ext, exec::ColumnarWorld& world,
-    exec::ThreadPool* pool, exec::StageStats* stats) {
-  std::vector<exec::BlockingPlan> plans;
-  plans.reserve(antecedents.size() * 2);
-  for (const std::vector<Predicate>* predicates : antecedents) {
-    for (bool flipped : {false, true}) {
-      plans.push_back(exec::PlanBlocking(*predicates, r_ext.schema(),
-                                         s_ext.schema(), flipped));
-    }
-  }
+    bool both_orientations, const Relation& r_ext, const Relation& s_ext,
+    exec::ColumnarWorld& world, exec::ThreadPool* pool,
+    exec::StageStats* stats) {
+  const size_t per_rule = both_orientations ? 2 : 1;
   const double encode_ms_before = world.encode_ms();
   const size_t reuse_before = world.reuse_hits();
+  std::vector<exec::BlockingPlan> plans;
+  plans.reserve(antecedents.size() * per_rule);
+  for (const std::vector<Predicate>* predicates : antecedents) {
+    for (size_t o = 0; o < per_rule; ++o) {
+      plans.push_back(exec::PlanBlocking(*predicates, r_ext.schema(),
+                                         s_ext.schema(), /*flipped=*/o == 1));
+      // The probe is chosen before the residual is compiled: the
+      // residual skips exactly the conjunct the probe enforces.
+      exec::ChooseProbe(&plans.back(), world, s_ext);
+    }
+  }
   exec::StageTimer compile_timer;
   std::vector<std::unique_ptr<exec::StagedEvaluator>> evaluators(
       plans.size());
   for (size_t i = 0; i < plans.size(); ++i) {
     if (plans[i].impossible) continue;
     evaluators[i] = std::make_unique<StagedConjunction>(
-        StagedConjunction::Compile(*antecedents[i / 2], plans[i].coverage,
-                                   r_ext, s_ext, (i & 1) != 0, world));
+        StagedConjunction::Compile(*antecedents[i / per_rule],
+                                   plans[i].coverage, r_ext, s_ext,
+                                   /*flipped=*/i % per_rule == 1, world));
   }
   stats->compile_ms = compile_timer.ElapsedMs();
-  // Registered in (rule, flipped) priority order, so the generator's
-  // min-priority-wins emission keeps, per pair, the first rule that
-  // fires — direct orientation tried before flipped.
+  // Registered in priority order, so the generator's min-priority-wins
+  // emission keeps, per pair, the first (rule, orientation) that fires.
   exec::CandidateGenerator gen(&r_ext, &s_ext, world);
   for (size_t i = 0; i < plans.size(); ++i) {
     gen.AddRule(plans[i], evaluators[i].get());
@@ -282,118 +290,33 @@ exec::FiredColumns SweepRules(
   return fired;
 }
 
-namespace {
-
-// Rows per probe block: the NULL-mask pass streams this many contiguous
-// lanes per key column before any posting range is read.
-constexpr size_t kProbeBatch = 256;
+template <typename Rule>
+std::vector<const std::vector<Predicate>*> Antecedents(
+    const std::vector<Rule>& rules) {
+  std::vector<const std::vector<Predicate>*> out;
+  out.reserve(rules.size());
+  for (const Rule& rule : rules) out.push_back(&rule.predicates());
+  return out;
+}
 
 }  // namespace
 
-std::vector<TuplePair> InternedKeyJoin(const Relation& r_ext,
-                                       const Relation& s_ext,
-                                       const std::vector<size_t>& r_idx,
-                                       const std::vector<size_t>& s_idx,
-                                       exec::ThreadPool* pool,
-                                       exec::ColumnarWorld& w,
-                                       KeyJoinStats* stats) {
-  const size_t k = r_idx.size();
-  EID_CHECK(s_idx.size() == k);
-  const double encode_ms_before = w.encode_ms();
-  const size_t reuse_before = w.reuse_hits();
-  // Id columns, encoded serially — at most once per session, and not at
-  // all when the extension stage already handed them over.
-  std::vector<const uint32_t*> r_cols, s_cols;
-  r_cols.reserve(k);
-  s_cols.reserve(k);
-  for (size_t i : r_idx) {
-    r_cols.push_back(w.Column(exec::WorldRel::kRExtended, r_ext, i).data());
-  }
-  for (size_t i : s_idx) {
-    s_cols.push_back(w.Column(exec::WorldRel::kSExtended, s_ext, i).data());
-  }
-  // Probe through the S key column with the most distinct non-NULL ids
-  // (the first on ties): its posting ranges are the shortest, so a
-  // leading attribute with few values (a 32-city column) never turns
-  // each probe into a city-sized scan. The other key columns are
-  // verified by id on each candidate.
-  size_t probe = 0;
-  const exec::ColumnIndex* index = nullptr;
-  for (size_t c = 0; c < k; ++c) {
-    const exec::ColumnIndex& candidate =
-        w.Index(exec::WorldRel::kSExtended, s_ext, s_idx[c]);
-    if (index == nullptr || candidate.distinct() > index->distinct()) {
-      probe = c;
-      index = &candidate;
-    }
-  }
+exec::FiredColumns SweepRules(const std::vector<IdentityRule>& rules,
+                              const Relation& r_ext, const Relation& s_ext,
+                              exec::ColumnarWorld& world,
+                              exec::ThreadPool* pool,
+                              exec::StageStats* stats) {
+  return Sweep(Antecedents(rules), /*both_orientations=*/false, r_ext, s_ext,
+               world, pool, stats);
+}
 
-  const size_t n = r_ext.size();
-  const int threads = pool != nullptr ? pool->threads() : 1;
-  // Adaptive serial cutoff (same rationale as ParallelFor's): a chunk
-  // below a few probe batches fragments the 256-lane mask pass into
-  // partial blocks and pays per-chunk buffer overhead that exceeds the
-  // probes themselves. Clamping the grain makes small joins run as a
-  // handful of full-batch chunks — n <= 4·kProbeBatch is one serial
-  // chunk — while large joins keep threads·4 chunks for stealing.
-  const size_t grain = std::max<size_t>(
-      kProbeBatch * 4, n / (static_cast<size_t>(threads) * 4));
-  const size_t num_chunks = n == 0 ? 0 : (n + grain - 1) / grain;
-  std::vector<std::vector<TuplePair>> found(num_chunks);
-  std::vector<size_t> batches(num_chunks, 0);
-
-  // Pairs come out r-major and, within an r row, in the posting range's
-  // ascending s order — the order the uniqueness verdict depends on.
-  exec::ParallelFor(pool, n, grain, [&](size_t begin, size_t end, int) {
-    const size_t chunk = begin / grain;
-    uint8_t valid[kProbeBatch];
-    for (size_t b = begin; b < end; b += kProbeBatch) {
-      const size_t m = std::min(kProbeBatch, end - b);
-      ++batches[chunk];
-      // Pass 1: a row with any NULL key cell never joins (non_null_eq);
-      // accumulate that mask branch-free over each contiguous id lane.
-      for (size_t i = 0; i < m; ++i) valid[i] = 1;
-      for (size_t c = 0; c < k; ++c) {
-        const uint32_t* ids = r_cols[c];
-        for (size_t i = 0; i < m; ++i) {
-          valid[i] &= static_cast<uint8_t>(ids[b + i] !=
-                                           exec::ColumnarWorld::kNullId);
-        }
-      }
-      // Pass 2: probe the valid lanes, row-major. A key with no column
-      // pairs every valid row with every s row, as the empty tuple
-      // agrees with itself.
-      for (size_t i = 0; i < m; ++i) {
-        if (valid[i] == 0) continue;
-        const size_t r = b + i;
-        auto verify = [&](size_t s) {
-          for (size_t c = 0; c < k; ++c) {
-            if (c != probe && r_cols[c][r] != s_cols[c][s]) return;
-          }
-          found[chunk].push_back(TuplePair{r, s});
-        };
-        if (k == 0) {
-          for (size_t s = 0; s < s_ext.size(); ++s) verify(s);
-        } else {
-          for (uint32_t s : index->Find(r_cols[probe][r])) verify(s);
-        }
-      }
-    }
-  });
-
-  std::vector<TuplePair> pairs;
-  size_t total = 0;
-  for (const std::vector<TuplePair>& f : found) total += f.size();
-  pairs.reserve(total);
-  for (std::vector<TuplePair>& f : found) {
-    pairs.insert(pairs.end(), f.begin(), f.end());
-  }
-  if (stats != nullptr) {
-    for (size_t b : batches) stats->probe_batches += b;
-    stats->encode_ms = w.encode_ms() - encode_ms_before;
-    stats->reuse_hits = w.reuse_hits() - reuse_before;
-  }
-  return pairs;
+exec::FiredColumns SweepRules(const std::vector<DistinctnessRule>& rules,
+                              const Relation& r_ext, const Relation& s_ext,
+                              exec::ColumnarWorld& world,
+                              exec::ThreadPool* pool,
+                              exec::StageStats* stats) {
+  return Sweep(Antecedents(rules), /*both_orientations=*/true, r_ext, s_ext,
+               world, pool, stats);
 }
 
 }  // namespace compile

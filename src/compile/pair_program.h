@@ -30,6 +30,8 @@
 #include "exec/stage_stats.h"
 #include "exec/thread_pool.h"
 #include "relational/schema.h"
+#include "rules/distinctness_rule.h"
+#include "rules/identity_rule.h"
 #include "rules/predicate.h"
 
 namespace eid {
@@ -137,45 +139,34 @@ class EID_SHARED_IMMUTABLE StagedConjunction final
   const Relation* s_ = nullptr;
 };
 
-/// Sweeps every (rule, orientation) of `antecedents` — in priority
-/// order, each rule tried direct before flipped — over r_ext × s_ext in
-/// one staged pass: exec::PlanBlocking per orientation, a
-/// StagedConjunction residual per live one, one exec::CandidateGenerator
-/// over `world` (which holds the relations under the kRExtended /
-/// kSExtended slots, or does not hold those slots yet). Returns the fired
-/// pairs row-major with their lowest priority, rule_index * 2 + flipped,
-/// identical for any pool size. Sets stats' candidate_pairs, rule_evals,
-/// feature_cache_hits, compile_ms, columnar_encode_ms and
-/// interner_reuse_hits.
-exec::FiredColumns SweepRules(
-    const std::vector<const std::vector<Predicate>*>& antecedents,
-    const Relation& r_ext, const Relation& s_ext, exec::ColumnarWorld& world,
-    exec::ThreadPool* pool, exec::StageStats* stats);
+/// Sweeps identity rules over r_ext × s_ext in one staged pass, in the
+/// direct orientation only (e1 := r row, e2 := s row). A rule Validate
+/// accepts implies e1.A = e2.A, non-NULL, on every attribute it reads
+/// (paper §3.2): on a pair where it fires, both orientations read the
+/// same values, so the flipped orientation fires on exactly the same
+/// pairs.
+/// Extended-key equivalence is such a rule (ExtendedKey::EquivalenceRule).
+/// Per rule: exec::PlanBlocking, exec::ChooseProbe, a StagedConjunction
+/// residual; then one exec::CandidateGenerator over `world` (which holds
+/// the relations under the kRExtended / kSExtended slots, or does not
+/// hold those slots yet). Returns the fired pairs row-major with the
+/// index of the first rule that fires each, identical for any pool size.
+/// Sets stats' candidate_pairs, rule_evals, feature_cache_hits,
+/// compile_ms, columnar_encode_ms and interner_reuse_hits.
+exec::FiredColumns SweepRules(const std::vector<IdentityRule>& rules,
+                              const Relation& r_ext, const Relation& s_ext,
+                              exec::ColumnarWorld& world,
+                              exec::ThreadPool* pool, exec::StageStats* stats);
 
-/// Counters of one InternedKeyJoin call.
-struct KeyJoinStats {
-  size_t probe_batches = 0;    // 256-row R' probe blocks executed
-  size_t reuse_hits = 0;       // ids served from the world, not encoded
-  double encode_ms = 0.0;      // world-path column encode time
-};
-
-/// Joins two extended relations on parallel key-column lists through
-/// session value ids. The key columns are the session's shared id slices
-/// under the kRExtended/kSExtended slots (encoded at most once across
-/// extension / join / rule stages) and the probe reads the world's
-/// posting index. S' is indexed on the key column with the most distinct
-/// non-NULL ids; each R' row with no NULL key cell takes that column's
-/// posting range for its id and verifies the other key columns by id.
-/// Returns pairs in the serial probe's order — r-major, s ascending —
-/// for any pool size. Pair semantics are identical to the reference's
-/// fingerprint join: rows agree non-NULL on every key column.
-std::vector<TuplePair> InternedKeyJoin(const Relation& r_ext,
-                                       const Relation& s_ext,
-                                       const std::vector<size_t>& r_idx,
-                                       const std::vector<size_t>& s_idx,
-                                       exec::ThreadPool* pool,
-                                       exec::ColumnarWorld& world,
-                                       KeyJoinStats* stats);
+/// The same sweep over distinctness rules, in both orientations, each
+/// rule tried direct before flipped: a distinctness rule need not read
+/// the same attributes of e1 and e2 (Proposition 1's rules do not), so
+/// its two orientations fire on different pairs. The priority column is
+/// rule_index * 2 + flipped, the NMT certificate.
+exec::FiredColumns SweepRules(const std::vector<DistinctnessRule>& rules,
+                              const Relation& r_ext, const Relation& s_ext,
+                              exec::ColumnarWorld& world,
+                              exec::ThreadPool* pool, exec::StageStats* stats);
 
 }  // namespace compile
 }  // namespace eid

@@ -76,16 +76,13 @@ Result<IdentificationResult> EntityIdentifier::Identify(
   // --- Extension + extended-key matching -------------------------------
   out.uniqueness = Status::Ok();
   if (config_.extended_key.has_value()) {
-    // BuildMatchingTable would create a second pool; inline its stages
-    // on the shared one.
     MatcherOptions options = config_.matcher_options;
-    options.threads = threads;
     options.analyze = false;  // the pre-flight above already ran
     EID_ASSIGN_OR_RETURN(
         MatcherResult matcher,
         BuildMatchingTable(r, s, config_.correspondence,
                            *config_.extended_key, config_.ilfds, options,
-                           world));
+                           pool_ptr, world));
     out.r_extended = std::move(matcher.r_extension.extended);
     out.s_extended = std::move(matcher.s_extension.extended);
     out.r_traces = std::move(matcher.r_extension.traces);
@@ -127,28 +124,18 @@ Result<IdentificationResult> EntityIdentifier::Identify(
     identity.stage = "identity_rules";
     identity.threads = threads;
     identity.cross_product = out.r_extended.size() * out.s_extended.size();
-    // Pair (i, j) is added iff *some* rule matches in some orientation,
-    // visiting pairs row-major after the key-join pairs — the insertion
-    // sequence the order-sensitive uniqueness verdict depends on. One
-    // staged sweep covers every rule orientation; its stamped emission
-    // already yields the deduplicated union in row-major order.
-    std::vector<const std::vector<Predicate>*> antecedents;
-    for (const IdentityRule& rule : config_.identity_rules) {
-      antecedents.push_back(&rule.predicates());
-    }
+    // Pair (i, j) is added iff *some* rule matches, visiting pairs
+    // row-major after the key-join pairs — the insertion sequence the
+    // order-sensitive uniqueness verdict depends on. One staged sweep
+    // covers every rule, in the direct orientation only (a valid rule
+    // fires on the same pairs flipped); its stamped emission already
+    // yields the deduplicated union in row-major order.
     const std::vector<TuplePair> fired =
-        compile::SweepRules(antecedents, out.r_extended, out.s_extended,
-                            world, pool_ptr, &identity)
+        compile::SweepRules(config_.identity_rules, out.r_extended,
+                            out.s_extended, world, pool_ptr, &identity)
             .pairs;
-    for (const TuplePair& pair : fired) {
-      Status st = out.matching.Add(pair);
-      if (!st.ok()) {
-        if (config_.matcher_options.fail_on_uniqueness_violation) {
-          return st;
-        }
-        if (out.uniqueness.ok()) out.uniqueness = st;
-      }
-    }
+    EID_RETURN_IF_ERROR(AddMatches(fired, config_.matcher_options,
+                                   &out.matching, &out.uniqueness));
     identity.items = fired.size();
     identity.wall_ms = timer.ElapsedMs();
     out.stats.Add(std::move(identity));

@@ -106,9 +106,12 @@ Result<IncrementalIdentifier> IncrementalIdentifier::Create(
       }
       return col;
     };
-    resolved.has_join = plan.has_join;
-    if (plan.has_join) {
-      resolved.join_col = {column(0, plan.r_attr), column(1, plan.s_attr)};
+    // Any listed join bounds an insert's candidates, and every candidate
+    // is evaluated in full, so the session probes through the first.
+    resolved.has_join = !plan.joins.empty();
+    if (resolved.has_join) {
+      const exec::BlockingPlan::Join& join = plan.joins.front();
+      resolved.join_col = {column(0, join.r_attr), column(1, join.s_attr)};
     }
     for (const auto& [attr, v] : plan.r_const_eq) {
       resolved.const_eq[0].emplace_back(column(0, attr), v);
@@ -128,21 +131,24 @@ Result<IncrementalIdentifier> IncrementalIdentifier::Create(
                                             out.derivation_));
     side.eval = std::make_unique<ClosureEvaluator>(&side.derive->kb());
   }
-  auto lower = [&](const std::vector<Predicate>& predicates,
+  auto lower = [&](const std::vector<Predicate>& predicates, bool flipped,
                    std::vector<RuleOrientation>* into) {
-    for (bool flipped : {false, true}) {
-      into->push_back(RuleOrientation{
-          resolve(predicates, flipped),
-          compile::CompiledConjunction::Compile(
-              predicates, out.sides_[0].ext_schema, out.sides_[1].ext_schema,
-              flipped)});
-    }
+    into->push_back(RuleOrientation{
+        resolve(predicates, flipped),
+        compile::CompiledConjunction::Compile(
+            predicates, out.sides_[0].ext_schema, out.sides_[1].ext_schema,
+            flipped)});
   };
+  // Identity rules run in the direct orientation only (a valid rule
+  // fires on the same pairs flipped, as in the batch sweep); distinctness
+  // rules in both.
   for (const IdentityRule& rule : out.config_->identity_rules) {
-    lower(rule.predicates(), &out.identity_rules_);
+    lower(rule.predicates(), /*flipped=*/false, &out.identity_rules_);
   }
   for (const DistinctnessRule& rule : out.all_distinctness_) {
-    lower(rule.predicates(), &out.distinct_rules_);
+    for (bool flipped : {false, true}) {
+      lower(rule.predicates(), flipped, &out.distinct_rules_);
+    }
   }
   return out;
 }

@@ -195,10 +195,10 @@ class IncrementalIdentifier {
   std::vector<DistinctnessRule> all_distinctness_;
   std::array<SideState, 2> sides_;
 
-  // Rule orientations, rule-major, direct orientation before flipped:
-  // entry 2k is rule k direct, 2k+1 flipped. An insert consults only the
-  // other side's join/const bucket per orientation instead of every live
-  // tuple.
+  // Rule orientations, rule-major: identity rule k is entry k (direct
+  // only); distinctness rule k is entries 2k (direct) and 2k+1
+  // (flipped). An insert consults only the other side's join/const
+  // bucket per orientation instead of every live tuple.
   std::vector<RuleOrientation> identity_rules_, distinct_rules_;
 
   // Live candidates, sorted: pairs the extended-key join certifies, and

@@ -9,43 +9,28 @@ namespace eid {
 Result<std::vector<TuplePair>> JoinOnExtendedKey(const Relation& r_extended,
                                                  const Relation& s_extended,
                                                  const ExtendedKey& ext_key) {
+  for (const std::string& a : ext_key.attributes()) {
+    EID_RETURN_IF_ERROR(r_extended.schema().RequireIndex(a).status());
+    EID_RETURN_IF_ERROR(s_extended.schema().RequireIndex(a).status());
+  }
   exec::ColumnarWorld world;
-  return JoinOnExtendedKey(r_extended, s_extended, ext_key, /*pool=*/nullptr,
-                           /*stats=*/nullptr, world);
+  exec::StageStats stats;
+  return compile::SweepRules({ext_key.EquivalenceRule()}, r_extended,
+                             s_extended, world, /*pool=*/nullptr, &stats)
+      .pairs;
 }
 
-Result<std::vector<TuplePair>> JoinOnExtendedKey(const Relation& r_extended,
-                                                 const Relation& s_extended,
-                                                 const ExtendedKey& ext_key,
-                                                 exec::ThreadPool* pool,
-                                                 exec::StageStats* stats,
-                                                 exec::ColumnarWorld& world) {
-  exec::StageTimer timer;
-  std::vector<size_t> r_idx, s_idx;
-  for (const std::string& a : ext_key.attributes()) {
-    EID_ASSIGN_OR_RETURN(size_t ri, r_extended.schema().RequireIndex(a));
-    EID_ASSIGN_OR_RETURN(size_t si, s_extended.schema().RequireIndex(a));
-    r_idx.push_back(ri);
-    s_idx.push_back(si);
+Status AddMatches(const std::vector<TuplePair>& pairs,
+                  const MatcherOptions& options, MatchTable* matching,
+                  Status* uniqueness) {
+  for (const TuplePair& p : pairs) {
+    Status st = matching->Add(p);
+    if (!st.ok()) {
+      if (options.fail_on_uniqueness_violation) return st;
+      if (uniqueness->ok()) *uniqueness = st;  // first violation
+    }
   }
-  // The key columns come from the session world (encoded at most once
-  // across stages), and each probe reads one posting range of the S' key
-  // column's CSR index.
-  compile::KeyJoinStats join_stats;
-  std::vector<TuplePair> pairs = compile::InternedKeyJoin(
-      r_extended, s_extended, r_idx, s_idx, pool, world, &join_stats);
-  if (stats != nullptr) {
-    stats->stage = "key_join";
-    stats->threads = pool != nullptr ? pool->threads() : 1;
-    stats->items = pairs.size();
-    stats->candidate_pairs = pairs.size();
-    stats->cross_product = r_extended.size() * s_extended.size();
-    stats->wall_ms = timer.ElapsedMs();
-    stats->probe_batches = join_stats.probe_batches;
-    stats->interner_reuse_hits = join_stats.reuse_hits;
-    stats->columnar_encode_ms = join_stats.encode_ms;
-  }
-  return pairs;
+  return Status::Ok();
 }
 
 Result<MatcherResult> BuildMatchingTable(const Relation& r, const Relation& s,
@@ -53,10 +38,13 @@ Result<MatcherResult> BuildMatchingTable(const Relation& r, const Relation& s,
                                          const ExtendedKey& ext_key,
                                          const IlfdSet& ilfds,
                                          const MatcherOptions& options) {
-  // Standalone entry: the session world lives for this one build.
+  // Standalone entry: the session world and pool live for this one build.
   exec::ColumnarWorld world;
   if (options.columnar_seeds != nullptr) world.Seed(*options.columnar_seeds);
-  return BuildMatchingTable(r, s, corr, ext_key, ilfds, options, world);
+  const int threads = exec::ResolveThreads(options.threads);
+  exec::ThreadPool pool(threads);
+  return BuildMatchingTable(r, s, corr, ext_key, ilfds, options,
+                            threads > 1 ? &pool : nullptr, world);
 }
 
 Result<MatcherResult> BuildMatchingTable(const Relation& r, const Relation& s,
@@ -64,6 +52,7 @@ Result<MatcherResult> BuildMatchingTable(const Relation& r, const Relation& s,
                                          const ExtendedKey& ext_key,
                                          const IlfdSet& ilfds,
                                          const MatcherOptions& options,
+                                         exec::ThreadPool* pool,
                                          exec::ColumnarWorld& world) {
   if (ext_key.empty()) {
     return Status::InvalidArgument("extended key must be non-empty");
@@ -90,35 +79,36 @@ Result<MatcherResult> BuildMatchingTable(const Relation& r, const Relation& s,
         analysis::PreflightCheck(r.schema(), s.schema(), program));
   }
 
-  const int threads = exec::ResolveThreads(options.threads);
-  exec::ThreadPool pool(threads);
-  exec::ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
-
   MatcherResult result;
-  exec::StageStats extend_r, extend_s, key_join;
+  exec::StageStats extend_r, extend_s;
   EID_ASSIGN_OR_RETURN(
       result.r_extension,
       ExtendRelation(r, Side::kR, corr, ext_key, ilfds, options.extension,
-                     pool_ptr, &extend_r, world));
+                     pool, &extend_r, world));
   EID_ASSIGN_OR_RETURN(
       result.s_extension,
       ExtendRelation(s, Side::kS, corr, ext_key, ilfds, options.extension,
-                     pool_ptr, &extend_s, world));
+                     pool, &extend_s, world));
+  const Relation& r_ext = result.r_extension.extended;
+  const Relation& s_ext = result.s_extension.extended;
 
-  EID_ASSIGN_OR_RETURN(
-      std::vector<TuplePair> pairs,
-      JoinOnExtendedKey(result.r_extension.extended,
-                        result.s_extension.extended, ext_key, pool_ptr,
-                        &key_join, world));
+  // The key join is extended-key equivalence, an identity rule, swept
+  // like any other: its pairs come out r-major, s ascending.
+  exec::StageTimer timer;
+  exec::StageStats key_join;
+  key_join.stage = "key_join";
+  key_join.threads = pool != nullptr ? pool->threads() : 1;
+  key_join.cross_product = r_ext.size() * s_ext.size();
+  const std::vector<TuplePair> pairs =
+      compile::SweepRules({ext_key.EquivalenceRule()}, r_ext, s_ext, world,
+                          pool, &key_join)
+          .pairs;
+  key_join.items = pairs.size();
+  key_join.wall_ms = timer.ElapsedMs();
 
   result.uniqueness = Status::Ok();
-  for (const TuplePair& p : pairs) {
-    Status st = result.matching.Add(p);
-    if (!st.ok()) {
-      if (options.fail_on_uniqueness_violation) return st;
-      if (result.uniqueness.ok()) result.uniqueness = st;  // first violation
-    }
-  }
+  EID_RETURN_IF_ERROR(
+      AddMatches(pairs, options, &result.matching, &result.uniqueness));
   result.stats.Add(std::move(extend_r));
   result.stats.Add(std::move(extend_s));
   result.stats.Add(std::move(key_join));

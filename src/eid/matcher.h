@@ -5,8 +5,9 @@
 //      appended, missing values derived via ILFDs.
 //   2. Join R' and S' on the extended key with `non_null_eq` semantics
 //      (a pair matches when the tuples agree, and are non-NULL, on
-//      *every* K_Ext attribute), through session value ids and the S'
-//      key column's posting index.
+//      *every* K_Ext attribute). The join is the key's induced identity
+//      rule (§4.1, ExtendedKey::EquivalenceRule) run through the same
+//      staged sweep as every other identity rule (compile::SweepRules).
 //   3. Each joined pair is appended to MT_RS; the uniqueness constraint is
 //      verified (a violation means the chosen extended key is not sound
 //      for these relations — the prototype's "extended key causes unsound
@@ -64,7 +65,7 @@ struct MatcherOptions {
   /// violating pair, and still returns the table — mirroring the prototype,
   /// which warns ("unsound matching result") but keeps the definition.
   bool fail_on_uniqueness_violation = false;
-  /// Parallelism for the whole build (extension, join probe, and — when
+  /// Parallelism for the whole build (extension, key join, and — when
   /// driven from EntityIdentifier — the rule sweeps). 0 resolves via
   /// EID_THREADS, then hardware concurrency; 1 is the serial engine.
   /// Output is identical for every value (see src/exec/thread_pool.h).
@@ -79,7 +80,8 @@ struct MatcherOptions {
 };
 
 /// Builds MT_RS for `r` and `s` under the given extended key and ILFDs,
-/// in a columnar world of its own (seeded from options.columnar_seeds).
+/// in a columnar world of its own (seeded from options.columnar_seeds)
+/// on a thread pool of its own (options.threads).
 Result<MatcherResult> BuildMatchingTable(const Relation& r, const Relation& s,
                                          const AttributeCorrespondence& corr,
                                          const ExtendedKey& ext_key,
@@ -89,36 +91,34 @@ Result<MatcherResult> BuildMatchingTable(const Relation& r, const Relation& s,
 /// World-sharing form used by the engine: `world` is the session's
 /// columnar world, whose dictionary and column slices are shared across
 /// the extension, join and rule stages so each base / extended column is
-/// encoded at most once per session. The caller seeds the world (if at
-/// all) before calling; options.columnar_seeds is not read.
+/// encoded at most once per session, and `pool` (null = serial) is the
+/// caller's. The caller seeds the world (if at all) before calling;
+/// options.threads and options.columnar_seeds are not read.
 Result<MatcherResult> BuildMatchingTable(const Relation& r, const Relation& s,
                                          const AttributeCorrespondence& corr,
                                          const ExtendedKey& ext_key,
                                          const IlfdSet& ilfds,
                                          const MatcherOptions& options,
+                                         exec::ThreadPool* pool,
                                          exec::ColumnarWorld& world);
 
-/// Joins two already-extended relations on `ext_key` (step 3 alone), in
-/// a columnar world of its own: returns the pairs agreeing non-NULL on
-/// every extended-key attribute, r-major and s ascending. Exposed for
-/// cross-checking against the algebra pipeline and for reuse by the
-/// multiway matcher.
+/// Joins two already-extended relations on `ext_key` (step 3 alone): the
+/// key's equivalence rule swept in a columnar world of its own. Returns
+/// the pairs agreeing non-NULL on every extended-key attribute, r-major
+/// and s ascending; NotFound when a key attribute is missing from either
+/// schema. Exposed for cross-checking against the algebra pipeline and
+/// for reuse by the multiway matcher.
 Result<std::vector<TuplePair>> JoinOnExtendedKey(const Relation& r_extended,
                                                  const Relation& s_extended,
                                                  const ExtendedKey& ext_key);
 
-/// Pool-sharing form: the id-keyed join (compile::InternedKeyJoin) over
-/// the session world's key columns and S' posting index under the
-/// kRExtended/kSExtended slots; the probe side is sharded over `pool`
-/// (null = serial) with per-chunk pair buffers merged in index order, so
-/// the pair sequence equals the serial probe's for any thread count.
-/// Stage counters land in `stats` when non-null.
-Result<std::vector<TuplePair>> JoinOnExtendedKey(const Relation& r_extended,
-                                                 const Relation& s_extended,
-                                                 const ExtendedKey& ext_key,
-                                                 exec::ThreadPool* pool,
-                                                 exec::StageStats* stats,
-                                                 exec::ColumnarWorld& world);
+/// Adds `pairs` to `matching` in order. A pair that breaks uniqueness is
+/// skipped and the first such violation is kept in `*uniqueness` (while
+/// it is still OK); with options.fail_on_uniqueness_violation the
+/// violation is returned instead.
+Status AddMatches(const std::vector<TuplePair>& pairs,
+                  const MatcherOptions& options, MatchTable* matching,
+                  Status* uniqueness);
 
 }  // namespace eid
 

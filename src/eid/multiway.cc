@@ -105,11 +105,12 @@ Result<MultiwayResult> IdentifyAll(const std::vector<Relation>& sources,
           uf.Merge(offset[i] + p.r_index, offset[j] + p.s_index);
         }
       }
+      // Direct orientation only: a valid identity rule fires on the
+      // same pairs flipped.
       for (const IdentityRule& rule : config.identity_rules) {
         for (size_t x = 0; x < a.size(); ++x) {
           for (size_t y = 0; y < b.size(); ++y) {
-            if (rule.Matches(a.tuple(x), b.tuple(y)) == Truth::kTrue ||
-                rule.Matches(b.tuple(y), a.tuple(x)) == Truth::kTrue) {
+            if (rule.Matches(a.tuple(x), b.tuple(y)) == Truth::kTrue) {
               uf.Merge(offset[i] + x, offset[j] + y);
             }
           }

@@ -59,12 +59,8 @@ Result<NegativeResult> BuildNegativeMatchingTable(
 
   // One r-major sweep over all rule orientations; per pair, the first
   // (rule, orientation) that fires is its certificate.
-  std::vector<const std::vector<Predicate>*> antecedents;
-  for (const DistinctnessRule& rule : rules) {
-    antecedents.push_back(&rule.predicates());
-  }
   exec::FiredColumns fired = compile::SweepRules(
-      antecedents, r_extended, s_extended, world, pool, &out.stats);
+      rules, r_extended, s_extended, world, pool, &out.stats);
   // The sweep emits unique pairs in strictly increasing row-major order
   // with priority rule * 2 + flipped, so its pair column becomes the
   // table's storage and its priority column the certificates, both by

@@ -70,20 +70,12 @@ BlockingPlan PlanBlocking(const std::vector<Predicate>& predicates,
         plan.coverage.push_back(residual_of(p));
         continue;
       }
-      if (!plan.has_join) {
-        plan.has_join = true;
-        if (is_r_side(p.lhs.entity)) {
-          plan.r_attr = p.lhs.attribute;
-          plan.s_attr = p.rhs.attribute;
-        } else {
-          plan.r_attr = p.rhs.attribute;
-          plan.s_attr = p.lhs.attribute;
-        }
-        plan.coverage.push_back(PredicateCoverage::kCovered);
-      } else {
-        // Only the first cross-entity equality drives the probe.
-        plan.coverage.push_back(PredicateCoverage::kResidualPair);
-      }
+      // A probe candidate; ChooseProbe covers the one probed through.
+      const bool lhs_r = is_r_side(p.lhs.entity);
+      plan.joins.push_back(BlockingPlan::Join{
+          lhs_r ? p.lhs.attribute : p.rhs.attribute,
+          lhs_r ? p.rhs.attribute : p.lhs.attribute, plan.coverage.size()});
+      plan.coverage.push_back(PredicateCoverage::kResidualPair);
       continue;
     }
     if (lhs_attr != rhs_attr) {
@@ -98,7 +90,7 @@ BlockingPlan PlanBlocking(const std::vector<Predicate>& predicates,
     }
     plan.coverage.push_back(residual_of(p));
   }
-  if (plan.has_join) {
+  if (!plan.joins.empty()) {
     // The join path probes s-side buckets directly; s const filters are
     // not applied to bucket rows, so they stay part of the residual.
     for (size_t i : s_covered) {
@@ -106,6 +98,25 @@ BlockingPlan PlanBlocking(const std::vector<Predicate>& predicates,
     }
   }
   return plan;
+}
+
+void ChooseProbe(BlockingPlan* plan, ColumnarWorld& world,
+                 const Relation& s_ext) {
+  if (plan->impossible || plan->joins.empty()) return;
+  size_t best = 0;
+  size_t best_distinct = 0;
+  for (size_t j = 0; j < plan->joins.size(); ++j) {
+    // A non-impossible plan only names attributes of its schemas.
+    const size_t column = *s_ext.schema().IndexOf(plan->joins[j].s_attr);
+    const size_t distinct =
+        world.Index(WorldRel::kSExtended, s_ext, column).distinct();
+    if (j == 0 || distinct > best_distinct) {
+      best = j;
+      best_distinct = distinct;
+    }
+  }
+  plan->probe = best;
+  plan->coverage[plan->joins[best].conjunct] = PredicateCoverage::kCovered;
 }
 
 std::vector<size_t> FilteredRows(

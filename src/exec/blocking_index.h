@@ -11,7 +11,9 @@
 //                   requires non-NULL operands). The s-side column's
 //                   posting index (exec::ColumnIndex, owned by the
 //                   session's ColumnarWorld) gives the candidates: the r
-//                   row's id selects one ascending row range.
+//                   row's id selects one ascending row range. With
+//                   several such conjuncts, ChooseProbe takes the s
+//                   column with the most distinct values.
 //   e_i.A = c     — the i-side row must carry exactly c; the constant's
 //                   id selects that side's rows from the same index.
 //
@@ -29,6 +31,7 @@
 #ifndef EID_EXEC_BLOCKING_INDEX_H_
 #define EID_EXEC_BLOCKING_INDEX_H_
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -55,14 +58,22 @@ enum class PredicateCoverage : uint8_t {
 
 /// How one rule antecedent will be evaluated against an (R, S) pair
 /// space, for one orientation. `flipped` orientations bind e1 to the
-/// s-side tuple and e2 to the r-side (rules quantify over all entity
-/// pairs, so the engine tries both instantiation orders).
+/// s-side tuple and e2 to the r-side (distinctness rules quantify over
+/// all entity pairs, so the engine tries both instantiation orders).
 struct BlockingPlan {
-  /// A conjunct forces equality between these columns (r-side attribute
-  /// name / s-side attribute name); empty names when no such conjunct.
-  bool has_join = false;
-  std::string r_attr;
-  std::string s_attr;
+  /// A conjunct that forces equality between an r-side and an s-side
+  /// column: each one alone bounds a row's candidates to one posting
+  /// range of the s column.
+  struct Join {
+    std::string r_attr;
+    std::string s_attr;
+    size_t conjunct = 0;  // index into the planned predicate list
+  };
+  /// Every cross-entity equality, in conjunct order. PlanBlocking marks
+  /// them all kResidualPair; ChooseProbe covers the one probed through.
+  std::vector<Join> joins;
+  /// Index into `joins` of the probed equality, once ChooseProbe ran.
+  std::optional<size_t> probe;
   /// Conjuncts of the form side.attr = constant.
   std::vector<std::pair<std::string, Value>> r_const_eq;
   std::vector<std::pair<std::string, Value>> s_const_eq;
@@ -78,10 +89,21 @@ struct BlockingPlan {
 };
 
 /// Analyses the equality conjuncts of `predicates` for the given
-/// orientation against the two (extended) schemas.
+/// orientation against the two (extended) schemas. Schema-only: the
+/// probe among several joins is left to ChooseProbe.
 BlockingPlan PlanBlocking(const std::vector<Predicate>& predicates,
                           const Schema& r_schema, const Schema& s_schema,
                           bool flipped);
+
+/// Picks the join a sweep probes through: the one whose s column, bound
+/// to kSExtended in `world`, has the most distinct non-NULL ids (the
+/// first on ties), so a leading low-cardinality column (32 cities) never
+/// turns each probe into a city-sized range. Sets `plan->probe` and
+/// marks its conjunct kCovered; the other joins stay pair residuals. A
+/// plan without joins, or an impossible one, is left as it is. Builds
+/// the posting index of every candidate s column.
+void ChooseProbe(BlockingPlan* plan, ColumnarWorld& world,
+                 const Relation& s_ext);
 
 /// Rows of `rel`, bound to `slot` in `world`, passing every (attribute ==
 /// constant) filter, ascending; no filters means every row. Each filter

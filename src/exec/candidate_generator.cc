@@ -86,9 +86,13 @@ void CandidateGenerator::AddRule(const BlockingPlan& plan,
     if (r_rows.empty()) return;
   }
 
-  if (plan.has_join) {
-    std::optional<size_t> r_col = r_->schema().IndexOf(plan.r_attr);
-    std::optional<size_t> s_col = s_->schema().IndexOf(plan.s_attr);
+  // The sweep's caller picks the probe among the joins (ChooseProbe)
+  // before compiling the residual, which skips the probed conjunct.
+  EID_CHECK(plan.joins.empty() != plan.probe.has_value());
+  if (plan.probe.has_value()) {
+    const BlockingPlan::Join& join = plan.joins[*plan.probe];
+    std::optional<size_t> r_col = r_->schema().IndexOf(join.r_attr);
+    std::optional<size_t> s_col = s_->schema().IndexOf(join.s_attr);
     EID_CHECK(r_col.has_value() && s_col.has_value());
     entry.has_join = true;
     entry.r_ids = Encoded(/*r_side=*/true, *r_col);  // Run reads it per row

@@ -8,13 +8,14 @@
 //   1. *Blocking intersection.* Each (rule, orientation) contributes a
 //      BlockingPlan (exec/blocking_index.h); its const-eq filters prune
 //      the r rows an entry is consulted for (the per-row entry lists
-//      below are that intersection), and its join conjunct turns the
-//      inner loop into one posting-range read: the r row's id in the
-//      shared id column selects the s rows from the column's CSR index
-//      (exec::ColumnIndex, owned by the session's ColumnarWorld). No
-//      Value is hashed inside the sweep. A const-eq conjunct whose
-//      constant its column does not hold — never interned, or an empty
-//      posting range — kills the whole orientation at registration.
+//      below are that intersection), and its probed join conjunct
+//      (ChooseProbe) turns the inner loop into one posting-range read:
+//      the r row's id in the shared id column selects the s rows from
+//      the column's CSR index (exec::ColumnIndex, owned by the session's
+//      ColumnarWorld). No Value is hashed inside the sweep. A const-eq
+//      conjunct whose constant its column does not hold — never
+//      interned, or an empty posting range — kills the whole orientation
+//      at registration.
 //      Rules with no indexable conjunct fall back to a scan list —
 //      principled, not silent: the analyzer flags them (EID-W009).
 //   2. *Residual evaluation with feature hoisting.* The conjuncts the
@@ -133,10 +134,11 @@ class CandidateGenerator {
                      ColumnarWorld& world);
 
   /// Registers the next (rule, orientation). `plan` must be the
-  /// PlanBlocking result for the same predicates/orientation and
-  /// `residual` (maybe null only for impossible plans) must outlive
-  /// Run. Every call consumes one priority slot — dead rules included —
-  /// so callers can always recover (rule, orientation) from a priority.
+  /// PlanBlocking result for the same predicates/orientation, its probe
+  /// chosen by ChooseProbe when it has joins, and `residual` (maybe null
+  /// only for impossible plans) must outlive Run. Every call consumes
+  /// one priority slot — dead rules included — so callers can always
+  /// recover (rule, orientation) from a priority.
   void AddRule(const BlockingPlan& plan, const StagedEvaluator* residual);
 
   /// Sweeps all registered rules. Returns the fired pairs row-major

@@ -35,8 +35,13 @@ std::string AttrNode(int entity, const std::string& attribute) {
   return "e" + std::to_string(entity) + "." + attribute;
 }
 
+// Keyed by the equality fingerprint, so two constants share a node exactly
+// when they are storage-equal, which is how kEq compares them. The display
+// form would merge doubles that print alike (0.1 and 0.1000001).
 std::string ConstNode(const Value& v) {
-  return "c:" + std::string(ValueTypeName(v.type())) + ":" + v.ToString();
+  std::string key = "c:";
+  v.AppendFingerprint(&key);
+  return key;
 }
 
 }  // namespace

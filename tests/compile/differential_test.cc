@@ -469,5 +469,44 @@ TEST(DifferentialSpecialDoubleTest, KeyJoinAndSessionEqualReference) {
   EXPECT_EQ(inc.Partition().matched, ref.partition.matched);
 }
 
+TEST(DifferentialRowPartTest, RowOnlyOrderingConjunctEqualsReference) {
+  // `e1.rating > 3` reads only the r row and no constant filters the r
+  // side, so the sweep evaluates it for every row up front, over the
+  // rows' Values (an ordering conjunct has no id fast path).
+  const Schema schema({Attribute{"name", ValueType::kString},
+                       Attribute{"rating", ValueType::kInt}});
+  Relation r("R", schema);
+  Relation s("S", schema);
+  const std::vector<std::pair<const char*, int64_t>> r_rows = {
+      {"anna", 5}, {"bob", 2}, {"carl", 4}, {"dana", 3}};
+  const std::vector<std::pair<const char*, int64_t>> s_rows = {
+      {"anna", 5}, {"bob", 2}, {"carl", 1}, {"erik", 4}};
+  for (const auto& [name, rating] : r_rows) {
+    EID_ASSERT_OK(r.Insert(Row{Value::Str(name), Value::Int(rating)}));
+  }
+  for (const auto& [name, rating] : s_rows) {
+    EID_ASSERT_OK(s.Insert(Row{Value::Str(name), Value::Int(rating)}));
+  }
+  EID_ASSERT_OK(r.Insert(Row{Value::Str("erik"), Value::Null()}));
+  IdentifierConfig config;
+  config.correspondence = AttributeCorrespondence::Identity(r, s);
+  EID_ASSERT_OK_AND_ASSIGN(
+      IdentityRule good,
+      ParseIdentityRule(
+          "good", "e1.name = e2.name & e1.rating = e2.rating & e1.rating > 3"));
+  EID_ASSERT_OK_AND_ASSIGN(
+      DistinctnessRule rival,
+      ParseDistinctnessRule("rival", "e1.name = e2.name & e1.rating > 3"));
+  config.identity_rules.push_back(good);
+  config.distinctness_rules.push_back(rival);
+  const IdentificationResult ref = ExpectEngineMatchesReference(config, r, s);
+  EXPECT_EQ(ref.matching.pairs(), (std::vector<TuplePair>{{0, 0}}));
+  // Direct: anna and carl (rated above 3 in R); flipped: anna and erik
+  // (rated above 3 in S). anna x anna is certified by the direct one.
+  EXPECT_EQ(ref.negative.table.pairs(),
+            (std::vector<TuplePair>{{0, 0}, {2, 2}, {4, 3}}));
+  EXPECT_EQ(ref.negative.evidence, (std::vector<uint32_t>{0, 0, 1}));
+}
+
 }  // namespace
 }  // namespace eid

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "../test_util.h"
+#include "compile/pair_program.h"
 #include "relational/printer.h"
 #include "workload/fixtures.h"
 
@@ -197,12 +198,12 @@ std::vector<TuplePair> NestedLoopKeyJoin(const Relation& r, const Relation& s,
 }
 
 TEST(MatcherTest, IdKeyedJoinMatchesFingerprintOracle) {
-  // The id-keyed join against the join's definition (which the
-  // reference's string-fingerprint join computes): identical pairs in
-  // identical order — r-major, s ascending — for widths 1, 2 and 3, NULL
-  // key cells, Int(1) vs Double(1.0), a low-cardinality leading attribute
-  // (city), in a world of its own and in a session world, at every pool
-  // size.
+  // The id-keyed join — the key's equivalence rule through the staged
+  // sweep — against the join's definition (which the reference's
+  // string-fingerprint join computes): identical pairs in identical
+  // order — r-major, s ascending — for widths 1, 2 and 3, NULL key cells,
+  // Int(1) vs Double(1.0), a low-cardinality leading attribute (city), in
+  // a world of its own and in a session world, at every pool size.
   std::mt19937 rng(11);
   Relation r = RandomExtended("R'", ValueType::kInt, 400, &rng);
   for (ValueType s_num : {ValueType::kInt, ValueType::kDouble}) {
@@ -226,13 +227,37 @@ TEST(MatcherTest, IdKeyedJoinMatchesFingerprintOracle) {
         exec::ThreadPool pool(threads);
         exec::ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
         exec::ColumnarWorld world;
-        EID_ASSERT_OK_AND_ASSIGN(
-            std::vector<TuplePair> session_world,
-            JoinOnExtendedKey(r, s, key, pool_ptr, nullptr, world));
+        exec::StageStats stats;
+        const std::vector<TuplePair> session_world =
+            compile::SweepRules({key.EquivalenceRule()}, r, s, world,
+                                pool_ptr, &stats)
+                .pairs;
         EXPECT_EQ(session_world, oracle) << label << " threads=" << threads;
       }
     }
   }
+}
+
+TEST(MatcherTest, KeyJoinProbesTheWidestKeyColumn) {
+  // city holds 32 values and name 40: the key {city, name} must probe
+  // through name, never through city-sized posting ranges, so it
+  // evaluates no more candidates than the key {name} alone.
+  std::mt19937 rng(11);
+  Relation r = RandomExtended("R'", ValueType::kInt, 400, &rng);
+  Relation s = RandomExtended("S'", ValueType::kInt, 300, &rng);
+  auto candidates = [&](const ExtendedKey& key) {
+    exec::ColumnarWorld world;
+    exec::StageStats stats;
+    compile::SweepRules({key.EquivalenceRule()}, r, s, world,
+                        /*pool=*/nullptr, &stats);
+    return stats.candidate_pairs;
+  };
+  const size_t by_name = candidates(ExtendedKey({"name"}));
+  const size_t by_city_name = candidates(ExtendedKey({"city", "name"}));
+  EXPECT_GT(by_name, 0u);
+  EXPECT_LE(by_city_name, by_name);
+  // Probing city instead would read far more.
+  EXPECT_LT(by_name, candidates(ExtendedKey({"city"})));
 }
 
 }  // namespace

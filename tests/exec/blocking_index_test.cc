@@ -1,7 +1,8 @@
-// Blocking plans must pick the right join and constant conjuncts per
-// orientation, and the CSR posting index behind every probe must agree
-// with a brute-force scan of its id column. The staged sweep that reads
-// both is checked against the nested-loop fold in
+// Blocking plans must list the right join and constant conjuncts per
+// orientation, ChooseProbe must probe through the join whose s column
+// has the most distinct values, and the CSR posting index behind every
+// probe must agree with a brute-force scan of its id column. The staged
+// sweep that reads both is checked against the nested-loop fold in
 // candidate_generator_test.cc.
 
 #include "exec/blocking_index.h"
@@ -106,9 +107,9 @@ TEST(PlanBlockingTest, ExtractsJoinInBothOperandOrders) {
                              ParsePredicateConjunction(text));
     BlockingPlan plan = PlanBlocking(preds, r, s, /*flipped=*/false);
     EXPECT_FALSE(plan.impossible);
-    ASSERT_TRUE(plan.has_join);
-    EXPECT_EQ(plan.r_attr, "name");
-    EXPECT_EQ(plan.s_attr, "town");
+    ASSERT_EQ(plan.joins.size(), 1u);
+    EXPECT_EQ(plan.joins[0].r_attr, "name");
+    EXPECT_EQ(plan.joins[0].s_attr, "town");
   }
 }
 
@@ -118,9 +119,52 @@ TEST(PlanBlockingTest, FlippedOrientationSwapsSides) {
   EID_ASSERT_OK_AND_ASSIGN(std::vector<Predicate> preds,
                            ParsePredicateConjunction("e1.town = e2.name"));
   BlockingPlan plan = PlanBlocking(preds, r, s, /*flipped=*/true);
-  ASSERT_TRUE(plan.has_join);
-  EXPECT_EQ(plan.r_attr, "name");  // e2 binds to the r side when flipped
-  EXPECT_EQ(plan.s_attr, "town");
+  ASSERT_EQ(plan.joins.size(), 1u);
+  EXPECT_EQ(plan.joins[0].r_attr, "name");  // e2 binds to r when flipped
+  EXPECT_EQ(plan.joins[0].s_attr, "town");
+}
+
+TEST(PlanBlockingTest, ChooseProbeTakesTheMostDistinctSColumn) {
+  // S's city holds 2 values, name 4 and tag 4: the probe is name, the
+  // first of the two widest, whichever conjunct order lists the joins.
+  Relation r = MakeRelation("R", {"city", "name", "tag"}, {},
+                            {{"Oslo", "anna", "t1"}, {"Pune", "bob", "t2"}});
+  Relation s = MakeRelation("S", {"city", "name", "tag"}, {},
+                            {{"Oslo", "anna", "t1"},
+                             {"Oslo", "bob", "t2"},
+                             {"Pune", "carl", "t3"},
+                             {"Pune", "dana", "t4"}});
+  EID_ASSERT_OK_AND_ASSIGN(
+      std::vector<Predicate> preds,
+      ParsePredicateConjunction("e1.city = e2.city & e1.name = e2.name & "
+                                "e1.tag = e2.tag & e2.city = \"Oslo\""));
+  BlockingPlan plan =
+      PlanBlocking(preds, r.schema(), s.schema(), /*flipped=*/false);
+  ASSERT_EQ(plan.joins.size(), 3u);
+  EXPECT_FALSE(plan.probe.has_value());
+  // Every join is a pair residual until one is probed, and the s-side
+  // constant is one too: the probe path does not apply it.
+  for (PredicateCoverage c : plan.coverage) {
+    EXPECT_EQ(c, PredicateCoverage::kResidualPair);
+  }
+  ColumnarWorld world;
+  ChooseProbe(&plan, world, s);
+  ASSERT_TRUE(plan.probe.has_value());
+  EXPECT_EQ(plan.joins[*plan.probe].s_attr, "name");
+  EXPECT_EQ(plan.coverage,
+            (std::vector<PredicateCoverage>{
+                PredicateCoverage::kResidualPair, PredicateCoverage::kCovered,
+                PredicateCoverage::kResidualPair,
+                PredicateCoverage::kResidualPair}));
+  // No join: nothing to choose.
+  EID_ASSERT_OK_AND_ASSIGN(std::vector<Predicate> const_only,
+                           ParsePredicateConjunction("e1.city = \"Oslo\""));
+  BlockingPlan none =
+      PlanBlocking(const_only, r.schema(), s.schema(), /*flipped=*/false);
+  ChooseProbe(&none, world, s);
+  EXPECT_FALSE(none.probe.has_value());
+  EXPECT_EQ(none.coverage,
+            std::vector<PredicateCoverage>{PredicateCoverage::kCovered});
 }
 
 TEST(PlanBlockingTest, AbsentAttributeIsImpossible) {

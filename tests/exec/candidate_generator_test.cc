@@ -85,6 +85,7 @@ StagedRun RunStaged(const Relation& r, const Relation& s, const RuleSet& rules,
   for (const std::vector<Predicate>& preds : rules) {
     for (bool flipped : {false, true}) {
       plans.push_back(PlanBlocking(preds, r.schema(), s.schema(), flipped));
+      ChooseProbe(&plans.back(), world, s);
     }
   }
   std::vector<std::unique_ptr<StagedEvaluator>> evaluators(plans.size());
@@ -123,10 +124,12 @@ bool StorageEqual(const Value& a, const Value& b) {
 /// absent or some `side.attr = c` conjunct's c is in no row of its side.
 /// It is consulted for the r rows passing its r-side constant equalities
 /// and costs one row-part evaluation there when some other conjunct
-/// reads only the r row. Its candidates are the s rows sharing the first
-/// cross-entity equality's value, or else the s rows passing its s-side
-/// constant equalities; each one not fired at a lower priority costs one
-/// pair evaluation, and one feature-cache hit behind a row part.
+/// reads only the r row. Its candidates are the s rows sharing the value
+/// of the cross-entity equality whose s column holds the most distinct
+/// non-NULL values (the first on ties), or else the s rows passing its
+/// s-side constant equalities; each one not fired at a lower priority
+/// costs one pair evaluation, and one feature-cache hit behind a row
+/// part.
 StagedScanStats BruteForceCounts(const Relation& r, const Relation& s,
                                  const RuleSet& rules) {
   StagedScanStats out;
@@ -164,12 +167,36 @@ StagedScanStats BruteForceCounts(const Relation& r, const Relation& s,
         orientations.push_back(o);
         continue;
       }
+      // Distinct non-NULL values of s column c.
+      auto distinct = [&](size_t c) {
+        std::vector<Value> seen;
+        for (const Row& row : s.rows()) {
+          if (row[c].is_null()) continue;
+          bool known = false;
+          for (const Value& v : seen) known = known || StorageEqual(v, row[c]);
+          if (!known) seen.push_back(row[c]);
+        }
+        return seen.size();
+      };
+      const Predicate* probe = nullptr;
+      size_t probe_distinct = 0;
+      for (const Predicate& p : preds) {
+        if (p.op == CompareOp::kEq &&
+            p.lhs.kind == Operand::Kind::kEntityAttribute &&
+            p.rhs.kind == Operand::Kind::kEntityAttribute &&
+            p.lhs.entity != p.rhs.entity) {
+          const size_t d = distinct(*column(r_side(p.lhs) ? p.rhs : p.lhs));
+          if (probe == nullptr || d > probe_distinct) {
+            probe = &p;
+            probe_distinct = d;
+          }
+        }
+      }
       std::vector<std::pair<size_t, Value>> s_join_consts;
       for (const Predicate& p : preds) {
         const bool lhs_attr = p.lhs.kind == Operand::Kind::kEntityAttribute;
         const bool rhs_attr = p.rhs.kind == Operand::Kind::kEntityAttribute;
-        if (p.op == CompareOp::kEq && lhs_attr && rhs_attr &&
-            p.lhs.entity != p.rhs.entity && !o.has_join) {
+        if (&p == probe) {
           o.has_join = true;
           const Operand& rx = r_side(p.lhs) ? p.lhs : p.rhs;
           const Operand& sx = r_side(p.lhs) ? p.rhs : p.lhs;
@@ -294,6 +321,26 @@ TEST(CandidateGeneratorTest, JoinRuleMatchesOracle) {
   StagedScanStats stats = ExpectMatchesOracle(TestR(), TestS(), rules);
   EXPECT_TRUE(stats.indexed);
   EXPECT_LT(stats.candidate_pairs, TestR().size() * TestS().size());
+}
+
+TEST(CandidateGeneratorTest, ProbesTheJoinWithTheMostDistinctSValues) {
+  // S.city holds 2 values and S.name 4: each orientation probes name.
+  // Direct: anna, bob and carl have one same-name s row each. Flipped:
+  // only bob's pair is still unfired. Probing city would read 2 s rows
+  // per r row instead.
+  Relation r = MakeRelation("R", {"city", "name"}, {},
+                            {{"Oslo", "anna"},
+                             {"Oslo", "bob"},
+                             {"Pune", "carl"},
+                             {"Pune", "dana"}});
+  Relation s = MakeRelation("S", {"city", "name"}, {},
+                            {{"Oslo", "anna"},
+                             {"Pune", "bob"},
+                             {"Pune", "carl"},
+                             {"Oslo", "erik"}});
+  RuleSet rules = {Preds("e1.city = e2.city & e1.name = e2.name")};
+  StagedScanStats stats = ExpectMatchesOracle(r, s, rules);
+  EXPECT_EQ(stats.candidate_pairs, 4u);
 }
 
 TEST(CandidateGeneratorTest, ConstOnlyRuleMatchesOracle) {

@@ -69,6 +69,38 @@ TEST(IdentityRuleTest, UnsatisfiableAntecedentIsVacuouslyValid) {
   EID_EXPECT_OK(rule.Validate());
 }
 
+TEST(IdentityRuleTest, DoublesThatPrintAlikeAreDistinctConstants) {
+  // 0.1 and 0.1000001 print alike at 6 significant digits but are
+  // storage-distinct, so pinning e1.x and e2.x to them forces no equality
+  // between the two: the rule fires on (0.1, 0.1000001) and not on its
+  // flip, which §3.2 forbids.
+  EID_ASSERT_OK_AND_ASSIGN(
+      IdentityRule near,
+      ParseIdentityRule("near", "e1.x = 0.1 & e2.x = 0.1000001"));
+  Status st = near.Validate();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("e2.x"), std::string::npos);
+  EXPECT_FALSE(near.IsVacuous());
+  // The same double on both sides still forces it.
+  EID_ASSERT_OK_AND_ASSIGN(
+      IdentityRule same, ParseIdentityRule("same", "e1.x = 0.1 & e2.x = 0.1"));
+  EID_EXPECT_OK(same.Validate());
+}
+
+TEST(IdentityRuleTest, DoublesThatPrintAlikeForcedEqualAreVacuous) {
+  EID_ASSERT_OK_AND_ASSIGN(
+      IdentityRule rule,
+      ParseIdentityRule("vac",
+                        "e1.x = 0.1 & e1.x = 0.1000001 & e2.x = e1.x"));
+  EXPECT_TRUE(rule.IsVacuous());
+  EID_EXPECT_OK(rule.Validate());
+  // Int 1 and Double 1.0 are storage-distinct too.
+  EID_ASSERT_OK_AND_ASSIGN(
+      IdentityRule mixed,
+      ParseIdentityRule("mixed", "e1.x = 1 & e1.x = 1.0 & e2.x = e1.x"));
+  EXPECT_TRUE(mixed.IsVacuous());
+}
+
 TEST(IdentityRuleTest, EmptyRuleInvalid) {
   IdentityRule rule("empty", {});
   EXPECT_FALSE(rule.Validate().ok());
