@@ -9,9 +9,11 @@
 #
 # Output: BENCH_derivation.json (bench_scaling_ilfd), BENCH_matcher.json
 # and BENCH_scaling.json (bench_scaling_matcher), and BENCH_snapshot.json
-# (bench_snapshot: save/load vs cold rebuild) at the repo root. The
-# emitters merge per (name, n[, threads]) key, so a smoke run refreshes
-# the small-n records without disturbing committed large-n ones.
+# (bench_snapshot: save/load vs cold rebuild). Smoke writes fresh files
+# under build/bench-smoke/, so it leaves the committed records alone and
+# its guards read only what this build measured. --full merges into the
+# committed files at the repo root, per (name, n[, threads]) key, so it
+# refreshes its records without disturbing the others.
 #
 # After the runs, the quadratic-fallback guard fails the script when any
 # blocked-fixture record evaluated as many candidate pairs as the full
@@ -39,36 +41,40 @@ if [[ "$FULL" == "1" ]]; then
   MATCHER_FILTER='BM_Matcher(Compiled|Interpreter)'
   SCALING_FILTER='BM_ParallelIdentify(Blocked)?/'
   MIN_TIME=0.2
+  OUT=.
 else
   DERIVATION_FILTER='BM_Derivation(Compiled|Interpreter)/256$|BM_Extension(Compiled|Interpreter)/1024$'
   MATCHER_FILTER='BM_Matcher(Compiled|Interpreter)/1024$'
   SCALING_FILTER='BM_ParallelIdentifyBlocked/4096/'
   MIN_TIME=0.05
+  OUT=build/bench-smoke
+  rm -rf "$OUT"  # fresh records only: the emitters merge into what exists
+  mkdir -p "$OUT"
 fi
 
-echo "=== bench_scaling_ilfd -> BENCH_derivation.json ==="
-EID_BENCH_JSON=BENCH_derivation.json ./build/bench/bench_scaling_ilfd \
+echo "=== bench_scaling_ilfd -> $OUT/BENCH_derivation.json ==="
+EID_BENCH_JSON="$OUT/BENCH_derivation.json" ./build/bench/bench_scaling_ilfd \
   --benchmark_filter="$DERIVATION_FILTER" \
   --benchmark_min_time="$MIN_TIME"
 
-echo "=== bench_scaling_matcher -> BENCH_matcher.json ==="
-EID_BENCH_JSON=BENCH_matcher.json ./build/bench/bench_scaling_matcher \
+echo "=== bench_scaling_matcher -> $OUT/BENCH_matcher.json ==="
+EID_BENCH_JSON="$OUT/BENCH_matcher.json" ./build/bench/bench_scaling_matcher \
   --benchmark_filter="$MATCHER_FILTER" \
   --benchmark_min_time="$MIN_TIME"
 
-echo "=== bench_scaling_matcher (blocked identify) -> BENCH_scaling.json ==="
-EID_BENCH_JSON=BENCH_scaling.json ./build/bench/bench_scaling_matcher \
+echo "=== bench_scaling_matcher (blocked identify) -> $OUT/BENCH_scaling.json ==="
+EID_BENCH_JSON="$OUT/BENCH_scaling.json" ./build/bench/bench_scaling_matcher \
   --benchmark_filter="$SCALING_FILTER" \
   --benchmark_min_time="$MIN_TIME"
 
-echo "=== bench_snapshot -> BENCH_snapshot.json ==="
+echo "=== bench_snapshot -> $OUT/BENCH_snapshot.json ==="
 if [[ "$FULL" == "1" ]]; then
-  EID_BENCH_JSON=BENCH_snapshot.json ./build/bench/bench_snapshot --full
+  EID_BENCH_JSON="$OUT/BENCH_snapshot.json" ./build/bench/bench_snapshot --full
 else
-  EID_BENCH_JSON=BENCH_snapshot.json ./build/bench/bench_snapshot
+  EID_BENCH_JSON="$OUT/BENCH_snapshot.json" ./build/bench/bench_snapshot
 fi
 
-echo "=== snapshot-structure guard (BENCH_snapshot.json) ==="
+echo "=== snapshot-structure guard ($OUT/BENCH_snapshot.json) ==="
 awk '/"name": "snapshot"/ {
   seen = 1
   lm = $0; sub(/.*"load_ms": /, "", lm); sub(/[,}].*/, "", lm)
@@ -79,9 +85,9 @@ END {
   if (!seen) { print "no snapshot records in BENCH_snapshot.json"; exit 1 }
   if (bad) exit 1
   print "snapshot records carry positive load times and file sizes"
-}' BENCH_snapshot.json
+}' "$OUT/BENCH_snapshot.json"
 
-echo "=== quadratic-fallback guard (BENCH_scaling.json) ==="
+echo "=== quadratic-fallback guard ($OUT/BENCH_scaling.json) ==="
 awk '/"name": "identify_blocked"/ {
   seen = 1
   cp = $0; sub(/.*"candidate_pairs": /, "", cp); sub(/[,}].*/, "", cp)
@@ -93,9 +99,9 @@ END {
                exit 1 }
   if (bad) exit 1
   print "blocked fixtures stayed below the cross product"
-}' BENCH_scaling.json
+}' "$OUT/BENCH_scaling.json"
 
-echo "=== compiled-engine speedup guard (BENCH_matcher.json) ==="
+echo "=== compiled-engine speedup guard ($OUT/BENCH_matcher.json) ==="
 # The columnar compiled engine must stay comfortably ahead of the
 # reference's per-tuple interpreter (the matcher_interpreter records,
 # eid::reference::BuildMatchingTable): at every n where both records
@@ -121,8 +127,8 @@ END {
   if (!seen) { print "no matcher engine pairs in BENCH_matcher.json"; exit 1 }
   if (bad) exit 1
   print "compiled engine holds >= 1.5x over the reference interpreter"
-}' BENCH_matcher.json
+}' "$OUT/BENCH_matcher.json"
 
 echo
 echo "wrote BENCH_derivation.json, BENCH_matcher.json, BENCH_scaling.json" \
-     "and BENCH_snapshot.json"
+     "and BENCH_snapshot.json to $OUT"

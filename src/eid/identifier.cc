@@ -19,7 +19,12 @@ const char* MatchDecisionName(MatchDecision decision) {
 
 MatchDecision IdentificationResult::Decide(size_t r_index,
                                            size_t s_index) const {
-  TuplePair pair{r_index, s_index};
+  // Neither table holds a row beyond the relations, and such a row may
+  // not fit in a TuplePair.
+  if (r_index >= r_extended.size() || s_index >= s_extended.size()) {
+    return MatchDecision::kUndetermined;
+  }
+  const TuplePair pair{r_index, s_index};
   if (matching.Contains(pair)) return MatchDecision::kMatch;
   if (negative.table.Contains(pair)) return MatchDecision::kNonMatch;
   return MatchDecision::kUndetermined;

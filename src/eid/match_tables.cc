@@ -8,8 +8,8 @@ namespace {
 
 /// Points `row`'s entry of a flat side index at `pair_idx`, growing the
 /// vector on demand (row indices are bounded by the relation size).
-void Record(std::vector<size_t>* side, size_t row, size_t pair_idx,
-            size_t no_pair) {
+void Record(std::vector<uint32_t>* side, size_t row, uint32_t pair_idx,
+            uint32_t no_pair) {
   if (row >= side->size()) side->resize(row + 1, no_pair);
   (*side)[row] = pair_idx;
 }
@@ -41,8 +41,10 @@ Status MatchTable::Add(TuplePair pair) {
         std::to_string(pairs_[by_s_[pair.s_index]].r_index) +
         ", cannot also match R tuple " + std::to_string(pair.r_index));
   }
-  Record(&by_r_, pair.r_index, pairs_.size(), kNoPair);
-  Record(&by_s_, pair.s_index, pairs_.size(), kNoPair);
+  EID_CHECK(pairs_.size() < kNoPair);
+  const uint32_t pair_idx = static_cast<uint32_t>(pairs_.size());
+  Record(&by_r_, pair.r_index, pair_idx, kNoPair);
+  Record(&by_s_, pair.s_index, pair_idx, kNoPair);
   pairs_.push_back(pair);
   return Status::Ok();
 }

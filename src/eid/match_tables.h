@@ -27,9 +27,20 @@
 namespace eid {
 
 /// One matched (or non-matched) pair, by row index into the two relations.
+/// Row numbers are 32-bit (DESIGN.md §4a): the engine caps a relation
+/// below 2^32 - 1 rows, so a pair is 8 bytes.
 struct TuplePair {
-  size_t r_index = 0;
-  size_t s_index = 0;
+  uint32_t r_index = 0;
+  uint32_t s_index = 0;
+
+  TuplePair() = default;
+  /// Takes the caller's size_t rows and aborts when either does not fit
+  /// in 32 bits. Not explicit, so `TuplePair{i, j}` and `{i, j}` build
+  /// one from any row counters.
+  TuplePair(size_t r, size_t s)
+      : r_index(static_cast<uint32_t>(r)), s_index(static_cast<uint32_t>(s)) {
+    EID_CHECK(r <= UINT32_MAX && s <= UINT32_MAX);
+  }
 
   bool operator==(const TuplePair& other) const {
     return r_index == other.r_index && s_index == other.s_index;
@@ -39,6 +50,7 @@ struct TuplePair {
     return s_index < other.s_index;
   }
 };
+static_assert(sizeof(TuplePair) == 8);
 
 /// A matching (or negative-matching) table over row-index pairs, with one
 /// representation per kind:
@@ -111,15 +123,16 @@ class MatchTable {
   static Status CheckConsistency(const MatchTable& mt, const MatchTable& nmt);
 
  private:
-  static constexpr size_t kNoPair = SIZE_MAX;
+  static constexpr uint32_t kNoPair = UINT32_MAX;
 
   bool negative_ = false;
   std::vector<TuplePair> pairs_;
   // Matching tables only: the index into pairs_ of each row's pair
   // (kNoPair = unmatched). Row indices are dense and bounded by the
-  // relation sizes, so a flat vector serves as the map.
-  std::vector<size_t> by_r_;
-  std::vector<size_t> by_s_;
+  // relation sizes, so a flat vector serves as the map; a matching table
+  // holds at most one pair per row, so its indices fit in 32 bits too.
+  std::vector<uint32_t> by_r_;
+  std::vector<uint32_t> by_s_;
 };
 
 }  // namespace eid

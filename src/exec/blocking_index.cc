@@ -119,13 +119,14 @@ void ChooseProbe(BlockingPlan* plan, ColumnarWorld& world,
   plan->coverage[plan->joins[best].conjunct] = PredicateCoverage::kCovered;
 }
 
-std::vector<size_t> FilteredRows(
+std::vector<uint32_t> FilteredRows(
     ColumnarWorld& world, WorldRel slot, const Relation& rel,
     const std::vector<std::pair<std::string, Value>>& filters) {
-  std::vector<size_t> rows;
+  std::vector<uint32_t> rows;
   if (filters.empty()) {
+    EID_CHECK(rel.size() < ColumnarWorld::kNullId);
     rows.resize(rel.size());
-    std::iota(rows.begin(), rows.end(), size_t{0});
+    std::iota(rows.begin(), rows.end(), uint32_t{0});
     return rows;
   }
   PostingRange seed;

@@ -113,7 +113,7 @@ void ChooseProbe(BlockingPlan* plan, ColumnarWorld& world,
 /// posting range seeds the list, the rest compare ids. Complete for
 /// kTrue: a row failing a filter (NULL or not storage-equal) cannot
 /// satisfy the corresponding equality conjunct.
-std::vector<size_t> FilteredRows(
+std::vector<uint32_t> FilteredRows(
     ColumnarWorld& world, WorldRel slot, const Relation& rel,
     const std::vector<std::pair<std::string, Value>>& filters);
 

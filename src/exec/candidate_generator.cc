@@ -80,7 +80,7 @@ void CandidateGenerator::AddRule(const BlockingPlan& plan,
   // r side: const filters prune the rows this entry is consulted for
   // (exact: kEq is storage equality on non-NULL, which is id equality).
   const bool r_all = plan.r_const_eq.empty();
-  std::vector<size_t> r_rows;
+  std::vector<uint32_t> r_rows;
   if (!r_all) {
     r_rows = FilteredRows(*world_, WorldRel::kRExtended, *r_, plan.r_const_eq);
     if (r_rows.empty()) return;
@@ -125,7 +125,7 @@ void CandidateGenerator::AddRule(const BlockingPlan& plan,
     global_.push_back(index);
   } else {
     if (per_row_.empty()) per_row_.resize(r_->size());
-    for (size_t row : r_rows) per_row_[row].push_back(index);
+    for (uint32_t row : r_rows) per_row_[row].push_back(index);
   }
 }
 
@@ -137,6 +137,8 @@ FiredColumns CandidateGenerator::Run(ThreadPool* pool,
   FiredColumns out;
   const size_t n = r_->size();
   const size_t s_n = s_->size();
+  // Rows are swept, listed and emitted as 32-bit numbers.
+  EID_CHECK(n < ColumnarWorld::kNullId && s_n < ColumnarWorld::kNullId);
   if (entries_.empty() || n == 0 || s_n == 0) {
     if (stats != nullptr) *stats = local;
     return out;
@@ -149,7 +151,7 @@ FiredColumns CandidateGenerator::Run(ThreadPool* pool,
   }
   if (need_all_s) {
     all_s_rows_.resize(s_n);
-    std::iota(all_s_rows_.begin(), all_s_rows_.end(), size_t{0});
+    std::iota(all_s_rows_.begin(), all_s_rows_.end(), uint32_t{0});
   }
 
   // Stage 2a vectorized: global entries are consulted for every r row,
@@ -192,7 +194,7 @@ FiredColumns CandidateGenerator::Run(ThreadPool* pool,
   struct alignas(64) Scratch {
     std::vector<uint64_t> fired;
     std::vector<uint32_t> best;      // s -> lowest firing priority on the row
-    std::vector<size_t> touched;     // s fired one candidate at a time
+    std::vector<uint32_t> touched;   // s fired one candidate at a time
     std::vector<uint32_t> excluded;  // bits a `!=` drain masks, then clears
   };
   std::vector<Scratch> scratch(static_cast<size_t>(std::max(threads, 1)));
@@ -271,7 +273,7 @@ FiredColumns CandidateGenerator::Run(ThreadPool* pool,
           sc.excluded.clear();
         } else {
           auto probe = [&](const auto& candidates) {
-            for (size_t s : candidates) {
+            for (uint32_t s : candidates) {
               // Already fired at a lower priority: the first-wins fold
               // could not change, so skip the evaluation entirely.
               const uint64_t bit = uint64_t{1} << (s % 64);
@@ -302,22 +304,25 @@ FiredColumns CandidateGenerator::Run(ThreadPool* pool,
       // `touched` lists only the firings made one candidate at a time. A
       // row a drain fired on, or a dense one, is emitted by scanning the
       // set bits; a sparse row sorts `touched` and clears only its words.
+      // Rows are 32-bit here (checked above), so TuplePair's range check
+      // folds away.
+      const uint32_t row = static_cast<uint32_t>(r);
       if (sc.touched.size() != row_fired || row_fired * 8 >= s_n) {
         for (size_t w = 0; w < words; ++w) {
           uint64_t bits = sc.fired[w];
           if (bits == 0) continue;
           sc.fired[w] = 0;
           for (; bits != 0; bits &= bits - 1) {
-            const size_t s =
-                w * 64 + static_cast<size_t>(std::countr_zero(bits));
-            f.pairs.push_back(TuplePair{r, s});
+            const uint32_t s = static_cast<uint32_t>(
+                w * 64 + static_cast<size_t>(std::countr_zero(bits)));
+            f.pairs.push_back(TuplePair{row, s});
             f.priorities.push_back(sc.best[s]);
           }
         }
       } else {
         std::sort(sc.touched.begin(), sc.touched.end());
-        for (size_t s : sc.touched) {
-          f.pairs.push_back(TuplePair{r, s});
+        for (uint32_t s : sc.touched) {
+          f.pairs.push_back(TuplePair{row, s});
           f.priorities.push_back(sc.best[s]);
           sc.fired[s / 64] = 0;
         }

@@ -161,7 +161,7 @@ class CandidateGenerator {
     // (s_all) or the const-filtered list below. Resolved to a pointer in
     // Run, after entries_ stops reallocating.
     bool s_all = false;
-    std::vector<size_t> s_rows_storage;
+    std::vector<uint32_t> s_rows_storage;
     // Whole-set drains instead of PairTruth per candidate: an empty pair
     // part fires every candidate; an `s.col != constant` pair part over
     // all of S fires `s_non_null` (one bit per s row) minus the rows of
@@ -204,7 +204,7 @@ class CandidateGenerator {
   // stay in `global_` (ascending priority).
   EID_SHARED_IMMUTABLE std::vector<std::vector<uint32_t>> per_row_;
   EID_SHARED_IMMUTABLE std::vector<uint32_t> global_;
-  std::vector<size_t> all_s_rows_;  // shared iota scan list
+  std::vector<uint32_t> all_s_rows_;  // shared iota scan list
   // s column -> bit s set iff that cell is non-NULL; built on first use
   // by a `!=` drain, empty otherwise.
   EID_SHARED_IMMUTABLE std::vector<std::vector<uint64_t>> s_non_null_;

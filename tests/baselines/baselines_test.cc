@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "../test_util.h"
 #include "baselines/heuristic_rules.h"
 #include "baselines/ilfd_technique.h"
@@ -112,6 +114,24 @@ TEST(ProbabilisticKeyTest, MatchesApproximateNames) {
   EXPECT_GT(result.negative.size(), 0u);
 }
 
+// Two candidates above the threshold on one S row: the greedy
+// one-to-one pass takes the more similar one first, so row order alone
+// would pick the wrong pairs.
+TEST(ProbabilisticKeyTest, OneToOneTakesTheMostSimilarCandidateFirst) {
+  Relation r = MakeRelation("R", {"name"}, {"name"},
+                            {{"Village Wok"}, {"Village Wok Restaurant"}});
+  Relation s = MakeRelation("S", {"name"}, {"name"},
+                            {{"Village Wok Restaurant"}, {"Village Wok"}});
+  ProbabilisticKeyOptions opts;
+  opts.match_threshold = 0.6;  // 2/3 for the crossed pairs, 1 for the rest
+  ProbabilisticKeyMatcher matcher(AttributeCorrespondence::Identity(r, s),
+                                  opts);
+  EID_ASSERT_OK_AND_ASSIGN(BaselineResult result, matcher.Match(r, s));
+  EID_EXPECT_OK(result.applicability);
+  EXPECT_EQ(result.matching.pairs(),
+            (std::vector<TuplePair>{{0, 1}, {1, 0}}));
+}
+
 TEST(ProbabilisticKeyTest, RequiresCommonKey) {
   Relation r = fixtures::Table1R();
   Relation s = fixtures::Table1S();
@@ -164,6 +184,25 @@ TEST(ProbabilisticAttrTest, ThresholdsSplitThreeWays) {
   EXPECT_FALSE(result.negative.Contains(TuplePair{1, 1}));
   // (0,2): zero agreement → non-match.
   EXPECT_TRUE(result.negative.Contains(TuplePair{0, 2}));
+}
+
+TEST(ProbabilisticAttrTest, OneToOneTakesTheHighestValueFirst) {
+  Relation r = MakeRelation("R", {"name", "cuisine", "speciality"},
+                            {"name", "speciality"},
+                            {{"Wok", "Chinese", "Hunan"},
+                             {"Wok", "Chinese", "Sichuan"}});
+  Relation s = MakeRelation("S", {"name", "cuisine", "speciality"},
+                            {"name", "speciality"},
+                            {{"Wok", "Chinese", "Sichuan"},
+                             {"Wok", "Chinese", "Hunan"}});
+  ProbabilisticAttrOptions opts;
+  opts.match_threshold = 0.6;  // 2/3 for the crossed pairs, 1 for the rest
+  ProbabilisticAttrMatcher matcher(AttributeCorrespondence::Identity(r, s),
+                                   opts);
+  EID_ASSERT_OK_AND_ASSIGN(BaselineResult result, matcher.Match(r, s));
+  EID_EXPECT_OK(result.applicability);
+  EXPECT_EQ(result.matching.pairs(),
+            (std::vector<TuplePair>{{0, 1}, {1, 0}}));
 }
 
 TEST(ProbabilisticAttrTest, Figure2UnsoundMatch) {

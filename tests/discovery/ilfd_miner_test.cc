@@ -132,6 +132,29 @@ TEST(IlfdMinerTest, ConsequentFilter) {
   }
 }
 
+TEST(IlfdMinerTest, MineIlfdSetHoldsOnTheMinedRelation) {
+  Relation r = MakeRelation("R", {"name", "speciality", "cuisine"}, {},
+                            {{"Wok", "Hunan", "Chinese"},
+                             {"Jade", "Hunan", "Chinese"},
+                             {"Olympia", "Gyros", "Greek"},
+                             {"Athena", "Gyros", "Greek"},
+                             {"Wok", "Sichuan", "Chinese"}});
+  IlfdSet set = MineIlfdSet(r);
+  // The set is the mined candidates, supports dropped, in mining order.
+  std::vector<Ilfd> mined;
+  for (const MinedIlfd& m : MineIlfds(r)) mined.push_back(m.ilfd);
+  EXPECT_EQ(set.ilfds(), mined);
+  EID_ASSERT_OK_AND_ASSIGN(Ilfd known,
+                           ParseIlfd("speciality=Hunan -> cuisine=Chinese"));
+  EXPECT_TRUE(set.Implies(known));
+  ASSERT_FALSE(set.empty());
+  for (const Ilfd& f : set.ilfds()) {
+    for (size_t i = 0; i < r.size(); ++i) {
+      EXPECT_TRUE(f.SatisfiedBy(r.tuple(i))) << f.ToString() << " row " << i;
+    }
+  }
+}
+
 TEST(IlfdMinerTest, ConfirmOnRejectsContradictedCandidates) {
   Relation train = MakeRelation("R", {"speciality", "cuisine"}, {},
                                 {{"Hunan", "Chinese"}, {"Hunan", "Chinese"}});

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "../test_util.h"
 #include "workload/fixtures.h"
 
@@ -50,6 +54,27 @@ TEST(IdentifierTest, DecisionsAreThreeValued) {
   EXPECT_EQ(result.Decide(0, 1), MatchDecision::kNonMatch);
   // VillageWok has no knowledge at all against ExpressCafe-like tuples.
   EXPECT_EQ(result.Decide(4, 3), MatchDecision::kNonMatch);  // I6 induced
+}
+
+// A row at or beyond the relations is in neither table, however far out
+// it lies, including rows no TuplePair can hold.
+TEST(IdentifierTest, DecideBeyondTheRelationsIsUndetermined) {
+  EntityIdentifier identifier(Example3Config());
+  EID_ASSERT_OK_AND_ASSIGN(
+      IdentificationResult result,
+      identifier.Identify(fixtures::Example3R(), fixtures::Example3S()));
+  const size_t r_n = result.r_extended.size();
+  const size_t s_n = result.s_extended.size();
+  for (const auto& [r, s] : std::vector<std::pair<size_t, size_t>>{
+           {r_n, 0},
+           {0, s_n},
+           {size_t{1} << 32, 0},
+           {0, size_t{1} << 32},
+           {SIZE_MAX, SIZE_MAX}}) {
+    EXPECT_EQ(result.Decide(r, s), MatchDecision::kUndetermined)
+        << "(" << r << ", " << s << ")";
+  }
+  EXPECT_EQ(result.Decide(0, 0), MatchDecision::kMatch);
 }
 
 TEST(IdentifierTest, WithoutIlfdsEverythingUndetermined) {

@@ -12,6 +12,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "../test_util.h"
@@ -301,6 +302,79 @@ TEST(MatchTableTest, FromPairsFoldsUnsortedNegativeLists) {
   EXPECT_FALSE(table.Contains(TuplePair{1, 2}));
   EXPECT_EQ(table.pairs(),
             (std::vector<TuplePair>{{0, 2}, {1, 1}, {3, 1}}));  // row-major
+}
+
+// Row numbers are 32-bit (DESIGN.md §4a). The checked constructor takes
+// every row that fits and aborts on one that does not, on either side.
+TEST(MatchTableTest, TuplePairHoldsEveryThirtyTwoBitRow) {
+  const TuplePair top{size_t{UINT32_MAX}, size_t{UINT32_MAX}};
+  EXPECT_EQ(top.r_index, UINT32_MAX);
+  EXPECT_EQ(top.s_index, UINT32_MAX);
+  EXPECT_DEATH((void)TuplePair(size_t{1} << 32, 0), "CHECK failed");
+  EXPECT_DEATH((void)TuplePair(0, size_t{1} << 32), "CHECK failed");
+  EXPECT_DEATH((void)TuplePair(SIZE_MAX, SIZE_MAX), "CHECK failed");
+}
+
+// Negative tables over rows near the top of the 32-bit range keep
+// row-major order: every comparison reads the full row numbers, checked
+// here against an order on 64-bit integers. Matching tables are left
+// out: their per-side index allocates one slot per row number.
+TEST(MatchTableTest, NegativeTablesOrderRowsNearTheThirtyTwoBitLimit) {
+  const std::vector<size_t> edges = {
+      0, 1, (size_t{1} << 31) - 1, size_t{1} << 31, UINT32_MAX - 1,
+      UINT32_MAX};
+  using Key = std::pair<uint64_t, uint64_t>;
+  auto key = [](const TuplePair& p) {
+    return Key{p.r_index, p.s_index};
+  };
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    std::vector<TuplePair> drawn;
+    std::set<Key> oracle;
+    const size_t adds = 1 + rng.Below(2 * edges.size() * edges.size());
+    MatchTable added(/*negative=*/true);
+    for (size_t i = 0; i < adds; ++i) {
+      const TuplePair pair{edges[rng.Below(edges.size())],
+                           edges[rng.Below(edges.size())]};
+      drawn.push_back(pair);
+      oracle.insert(key(pair));
+      EID_ASSERT_OK(added.Add(pair));  // in and out of order
+    }
+    std::vector<Key> want(oracle.begin(), oracle.end());
+    auto keys = [&](const MatchTable& table) {
+      std::vector<Key> out;
+      for (const TuplePair& p : table.pairs()) out.push_back(key(p));
+      return out;
+    };
+    EXPECT_EQ(keys(added), want);
+
+    EID_ASSERT_OK_AND_ASSIGN(MatchTable folded,
+                             MatchTable::FromPairs(/*negative=*/true, drawn));
+    EXPECT_EQ(keys(folded), want);
+
+    std::vector<TuplePair> sorted = added.pairs();
+    MatchTable adopted(/*negative=*/true);
+    ASSERT_TRUE(adopted.AdoptSorted(&sorted));
+    EXPECT_EQ(keys(adopted), want);
+    if (added.size() > 1) {
+      // The same list rotated by one wraps from the largest pair to the
+      // smallest, which the order check must refuse.
+      std::vector<TuplePair> rotated = added.pairs();
+      std::rotate(rotated.begin(), rotated.begin() + 1, rotated.end());
+      MatchTable refused(/*negative=*/true);
+      EXPECT_FALSE(refused.AdoptSorted(&rotated));
+    }
+
+    for (size_t r : edges) {
+      for (size_t s : edges) {
+        const bool member = oracle.count(Key{r, s}) > 0;
+        EXPECT_EQ(added.Contains(TuplePair{r, s}), member);
+        EXPECT_EQ(folded.Contains(TuplePair{r, s}), member);
+        EXPECT_EQ(adopted.Contains(TuplePair{r, s}), member);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "../test_util.h"
 #include "eid.h"
 #include "workload/fixtures.h"
@@ -67,6 +70,33 @@ TEST(Example1Test, KnowledgeResolvesTheAmbiguity) {
   ASSERT_EQ(result.matching.size(), 1u);
   EXPECT_EQ(result.matching.pairs()[0], (TuplePair{0, 0}));
   EXPECT_FALSE(result.matching.HasR(3));
+}
+
+// ---------------------------------------------------------------------
+// Figure 1: entities vs tuples.
+// ---------------------------------------------------------------------
+
+TEST(Figure1Test, FourOfFiveEntitiesModeledAndTwoMatches) {
+  fixtures::Figure1World world = fixtures::Figure1();
+  // The integrated world is the entities R or S models: e4 is in neither.
+  size_t modeled = 0;
+  for (size_t e = 0; e < world.universe.size(); ++e) {
+    const Row key = world.universe.PrimaryKeyOf(e);
+    if (world.r.ContainsKey(key) || world.s.ContainsKey(key)) ++modeled;
+  }
+  EXPECT_EQ(world.universe.size(), 5u);
+  EXPECT_EQ(modeled, 4u);
+  // a2≡b3 and a3≡b4 (rows 1 and 2 on both sides), and nothing else.
+  EXPECT_EQ(world.truth,
+            (std::vector<std::pair<size_t, size_t>>{{1, 1}, {2, 2}}));
+  const std::vector<TuplePair> diagram = {{1, 1}, {2, 2}};
+  IdentifierConfig config;
+  config.correspondence = AttributeCorrespondence::Identity(world.r, world.s);
+  config.extended_key = ExtendedKey({"name", "street"});
+  EID_ASSERT_OK_AND_ASSIGN(IdentificationResult result,
+                           EntityIdentifier(config).Identify(world.r, world.s));
+  EXPECT_TRUE(result.Sound());
+  EXPECT_EQ(result.matching.pairs(), diagram);
 }
 
 // ---------------------------------------------------------------------

@@ -295,6 +295,33 @@ TEST(SnapshotTest, WritesOnlyVersionTwoSections) {
   EXPECT_EQ(kinds, (std::vector<uint32_t>{1, 2, 2, 2, 2, 5, 6, 7}));
 }
 
+// What `eid_snapshot inspect` prints: the file's size and how it was
+// read, and each relation section's role by name.
+TEST(SnapshotTest, ReaderReportsMappingAndRelationRoles) {
+  SavedWorld saved = SaveExample3("inspect.eidsnap");
+  const std::string bytes = ReadFile(saved.path);
+  Result<SnapshotReader> reader = SnapshotReader::Open(saved.path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_EQ(reader->file_size(), bytes.size());
+  EXPECT_TRUE(reader->mapped());  // a regular file maps
+  Result<MappedFile> file = MappedFile::Open(saved.path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  EXPECT_TRUE(file->mapped());
+  ASSERT_EQ(file->size(), bytes.size());
+  EXPECT_EQ(std::string(reinterpret_cast<const char*>(file->data()),
+                        file->size()),
+            bytes);
+  std::vector<std::string> roles;
+  for (const SectionEntry& e : reader->sections()) {
+    if (e.kind == static_cast<uint32_t>(SectionKind::kRelation)) {
+      roles.push_back(RelationRoleName(static_cast<RelationRole>(e.role)));
+    }
+  }
+  EXPECT_EQ(roles, (std::vector<std::string>{"R", "S", "R_extended",
+                                             "S_extended"}));
+  EXPECT_STREQ(RelationRoleName(static_cast<RelationRole>(99)), "?");
+}
+
 TEST(SnapshotTest, MissingFileIsNotFound) {
   Result<LoadedWorld> world = LoadSnapshot("/nonexistent/nope.eidsnap");
   ASSERT_FALSE(world.ok());
