@@ -8,12 +8,14 @@
 # up to n=4096 — the configuration whose numbers EXPERIMENTS.md records.
 #
 # Output: BENCH_derivation.json (bench_scaling_ilfd), BENCH_matcher.json
-# and BENCH_scaling.json (bench_scaling_matcher), and BENCH_snapshot.json
-# (bench_snapshot: save/load vs cold rebuild). Smoke writes fresh files
-# under build/bench-smoke/, so it leaves the committed records alone and
-# its guards read only what this build measured. --full merges into the
-# committed files at the repo root, per (name, n[, threads]) key, so it
-# refreshes its records without disturbing the others.
+# (bench_scaling_matcher), BENCH_scaling.json (the thread sweeps of both)
+# and BENCH_snapshot.json (bench_snapshot: save/load vs cold rebuild).
+# Each mode writes fresh files, so its guards read only what this build
+# measured: smoke under build/bench-smoke/, leaving the committed records
+# alone; --full under build/bench-full/, and once the guards pass it
+# replaces the committed files at the repo root with them. --full runs
+# every benchmark the committed files hold records of, so a record no
+# benchmark emits any more cannot survive a refresh.
 #
 # After the runs, the quadratic-fallback guard fails the script when any
 # blocked-fixture record evaluated as many candidate pairs as the full
@@ -39,18 +41,20 @@ fi
 if [[ "$FULL" == "1" ]]; then
   DERIVATION_FILTER='BM_(Derivation|Extension)(Compiled|Interpreter)'
   MATCHER_FILTER='BM_Matcher(Compiled|Interpreter)'
-  SCALING_FILTER='BM_ParallelIdentify(Blocked)?/'
+  SCALING_FILTER='BM_Parallel(Matcher|Identify(Blocked)?)/'
+  EXTENSION_SCALING_FILTER='BM_ParallelExtension/'
   MIN_TIME=0.2
-  OUT=.
+  OUT=build/bench-full
 else
   DERIVATION_FILTER='BM_Derivation(Compiled|Interpreter)/256$|BM_Extension(Compiled|Interpreter)/1024$'
   MATCHER_FILTER='BM_Matcher(Compiled|Interpreter)/1024$'
   SCALING_FILTER='BM_ParallelIdentifyBlocked/4096/'
+  EXTENSION_SCALING_FILTER=''
   MIN_TIME=0.05
   OUT=build/bench-smoke
-  rm -rf "$OUT"  # fresh records only: the emitters merge into what exists
-  mkdir -p "$OUT"
 fi
+rm -rf "$OUT"  # fresh records only: the emitters merge into what exists
+mkdir -p "$OUT"
 
 echo "=== bench_scaling_ilfd -> $OUT/BENCH_derivation.json ==="
 EID_BENCH_JSON="$OUT/BENCH_derivation.json" ./build/bench/bench_scaling_ilfd \
@@ -66,6 +70,13 @@ echo "=== bench_scaling_matcher (blocked identify) -> $OUT/BENCH_scaling.json ==
 EID_BENCH_JSON="$OUT/BENCH_scaling.json" ./build/bench/bench_scaling_matcher \
   --benchmark_filter="$SCALING_FILTER" \
   --benchmark_min_time="$MIN_TIME"
+
+if [[ -n "$EXTENSION_SCALING_FILTER" ]]; then
+  echo "=== bench_scaling_ilfd (extension threads) -> $OUT/BENCH_scaling.json ==="
+  EID_BENCH_JSON="$OUT/BENCH_scaling.json" ./build/bench/bench_scaling_ilfd \
+    --benchmark_filter="$EXTENSION_SCALING_FILTER" \
+    --benchmark_min_time="$MIN_TIME"
+fi
 
 echo "=== bench_snapshot -> $OUT/BENCH_snapshot.json ==="
 if [[ "$FULL" == "1" ]]; then
@@ -132,3 +143,8 @@ END {
 echo
 echo "wrote BENCH_derivation.json, BENCH_matcher.json, BENCH_scaling.json" \
      "and BENCH_snapshot.json to $OUT"
+if [[ "$FULL" == "1" ]]; then
+  cp "$OUT"/BENCH_derivation.json "$OUT"/BENCH_matcher.json \
+     "$OUT"/BENCH_scaling.json "$OUT"/BENCH_snapshot.json .
+  echo "replaced the committed BENCH_*.json at the repo root with them"
+fi

@@ -1,6 +1,8 @@
 #include "compile/pair_program.h"
 
+#include <array>
 #include <memory>
+#include <optional>
 #include <utility>
 
 namespace eid {
@@ -106,6 +108,30 @@ StagedConjunction StagedConjunction::Compile(
         coverage[i] == exec::PredicateCoverage::kResidualRow;
     (row_only ? out.row_ops_ : out.pair_ops_).push_back(std::move(op));
   }
+  return out;
+}
+
+StagedConjunction StagedConjunction::NotEqual(exec::WorldRel side,
+                                              size_t column,
+                                              uint32_t const_id,
+                                              const Relation& r_ext,
+                                              const Relation& s_ext,
+                                              exec::ColumnarWorld& world) {
+  const bool r_side = side == exec::WorldRel::kRExtended;
+  EID_CHECK(r_side || side == exec::WorldRel::kSExtended);
+  EID_CHECK(const_id != exec::ColumnarWorld::kNullId);
+  StagedConjunction out;
+  out.r_ = &r_ext;
+  out.s_ = &s_ext;
+  Op op;
+  op.lhs.src = r_side ? Src::kRColumn : Src::kSColumn;
+  op.lhs.column = column;
+  op.lhs.ids = &world.Column(side, r_side ? r_ext : s_ext, column);
+  op.op = CompareOp::kNe;
+  op.rhs.src = Src::kConstant;
+  op.rhs.const_id = const_id;
+  op.id_fast = true;
+  (r_side ? out.row_ops_ : out.pair_ops_).push_back(std::move(op));
   return out;
 }
 
@@ -242,13 +268,90 @@ Truth StagedConjunction::PairTruth(size_t r_row, size_t s_row) const {
 
 namespace {
 
-/// One staged sweep over `antecedents`, in priority order: per rule the
-/// direct orientation, then, with `both_orientations`, the flipped one.
+/// Registers both orientations of each Proposition 1 rule in `induced`
+/// with `gen`, in order, straight from the atoms of `ilfds` (see
+/// SweepRules). Their residuals are appended to `residuals`, which must
+/// outlive the sweep and not reallocate while it runs.
+void RegisterInduced(const IlfdSet& ilfds,
+                     const std::vector<InducedRule>& induced,
+                     const Relation& r_ext, const Relation& s_ext,
+                     exec::ColumnarWorld& world, exec::CandidateGenerator& gen,
+                     std::vector<StagedConjunction>* residuals) {
+  const AtomTable& atoms = ilfds.atoms();
+  // Attribute ordinal -> column of R' (index 0) or S' (index 1), looked
+  // up on first use.
+  constexpr uint32_t kUnresolved = exec::ColumnarWorld::kNullId;
+  constexpr uint32_t kAbsent = kUnresolved - 1;
+  std::array<std::vector<uint32_t>, 2> columns;
+  columns.fill(std::vector<uint32_t>(atoms.attribute_count(), kUnresolved));
+  // The column `atom` reads on one side, or nullopt when its attribute
+  // is absent there or its constant is NULL: either makes the
+  // orientation impossible.
+  auto column_of = [&](bool r_side, AtomId atom) -> std::optional<size_t> {
+    if (atoms.atom(atom).value.is_null()) return std::nullopt;
+    uint32_t& column = columns[r_side ? 0 : 1][atoms.attribute_ordinal(atom)];
+    if (column == kUnresolved) {
+      const Schema& schema = r_side ? r_ext.schema() : s_ext.schema();
+      std::optional<size_t> found = schema.IndexOf(atoms.atom(atom).attribute);
+      column = found.has_value() ? static_cast<uint32_t>(*found) : kAbsent;
+    }
+    if (column == kAbsent) return std::nullopt;
+    return column;
+  };
+
+  residuals->reserve(residuals->size() + 2 * induced.size());
+  exec::ColumnPlan plan;
+  for (const InducedRule& rule : induced) {
+    const std::vector<AtomId>& antecedent = ilfds.AntecedentAtoms(rule.ilfd);
+    const AtomId head = ilfds.ConsequentAtom(rule.ilfd, rule.atom);
+    // Direct: e1 := r row, so the antecedent filters R' and the
+    // consequent reads S'. Flipped: the other way round.
+    for (const bool filter_r : {true, false}) {
+      const exec::WorldRel filter_slot =
+          filter_r ? exec::WorldRel::kRExtended : exec::WorldRel::kSExtended;
+      const exec::WorldRel head_slot =
+          filter_r ? exec::WorldRel::kSExtended : exec::WorldRel::kRExtended;
+      plan.r_const_eq.clear();
+      plan.s_const_eq.clear();
+      std::vector<exec::ColumnFilter>& filters =
+          filter_r ? plan.r_const_eq : plan.s_const_eq;
+      const std::optional<size_t> head_column = column_of(!filter_r, head);
+      plan.impossible = !head_column.has_value();
+      for (size_t i = 0; i < antecedent.size() && !plan.impossible; ++i) {
+        const std::optional<size_t> column = column_of(filter_r, antecedent[i]);
+        plan.impossible = !column.has_value();
+        if (column.has_value()) filters.push_back(exec::ColumnFilter{*column});
+      }
+      if (plan.impossible) {
+        gen.AddRule(plan, nullptr);
+        continue;
+      }
+      // Only a possible orientation encodes and indexes its columns.
+      for (size_t i = 0; i < filters.size(); ++i) {
+        const Value& constant = atoms.atom(antecedent[i]).value;
+        filters[i] = exec::ResolveFilter(world, filter_slot,
+                                         filter_r ? r_ext : s_ext,
+                                         filters[i].column, constant,
+                                         constant.Hash());
+      }
+      const uint32_t head_id = world.dict().GetOrIntern(atoms.atom(head).value);
+      residuals->push_back(StagedConjunction::NotEqual(
+          head_slot, *head_column, head_id, r_ext, s_ext, world));
+      gen.AddRule(plan, &residuals->back());
+    }
+  }
+}
+
+/// One staged sweep, in priority order: per rule of `antecedents` the
+/// direct orientation, then, with `both_orientations`, the flipped one;
+/// then both orientations of each Proposition 1 rule in `induced` of
+/// `ilfds` (null when `induced` is empty).
 exec::FiredColumns Sweep(
     const std::vector<const std::vector<Predicate>*>& antecedents,
-    bool both_orientations, const Relation& r_ext, const Relation& s_ext,
-    exec::ColumnarWorld& world, exec::ThreadPool* pool,
-    exec::StageStats* stats) {
+    bool both_orientations, const IlfdSet* ilfds,
+    const std::vector<InducedRule>& induced, const Relation& r_ext,
+    const Relation& s_ext, exec::ColumnarWorld& world,
+    exec::ThreadPool* pool, exec::StageStats* stats) {
   const size_t per_rule = both_orientations ? 2 : 1;
   const double encode_ms_before = world.encode_ms();
   const size_t reuse_before = world.reuse_hits();
@@ -263,6 +366,7 @@ exec::FiredColumns Sweep(
       exec::ChooseProbe(&plans.back(), world, s_ext);
     }
   }
+  // compile_ms: lowering every rule to its residual and registering it.
   exec::StageTimer compile_timer;
   std::vector<std::unique_ptr<exec::StagedEvaluator>> evaluators(
       plans.size());
@@ -273,13 +377,18 @@ exec::FiredColumns Sweep(
                                    plans[i].coverage, r_ext, s_ext,
                                    /*flipped=*/i % per_rule == 1, world));
   }
-  stats->compile_ms = compile_timer.ElapsedMs();
   // Registered in priority order, so the generator's min-priority-wins
   // emission keeps, per pair, the first (rule, orientation) that fires.
   exec::CandidateGenerator gen(&r_ext, &s_ext, world);
   for (size_t i = 0; i < plans.size(); ++i) {
     gen.AddRule(plans[i], evaluators[i].get());
   }
+  std::vector<StagedConjunction> induced_residuals;
+  if (!induced.empty()) {
+    RegisterInduced(*ilfds, induced, r_ext, s_ext, world, gen,
+                    &induced_residuals);
+  }
+  stats->compile_ms = compile_timer.ElapsedMs();
   exec::StagedScanStats scan;
   exec::FiredColumns fired = gen.Run(pool, &scan);
   stats->candidate_pairs = scan.candidate_pairs;
@@ -306,17 +415,19 @@ exec::FiredColumns SweepRules(const std::vector<IdentityRule>& rules,
                               exec::ColumnarWorld& world,
                               exec::ThreadPool* pool,
                               exec::StageStats* stats) {
-  return Sweep(Antecedents(rules), /*both_orientations=*/false, r_ext, s_ext,
-               world, pool, stats);
+  return Sweep(Antecedents(rules), /*both_orientations=*/false,
+               /*ilfds=*/nullptr, {}, r_ext, s_ext, world, pool, stats);
 }
 
 exec::FiredColumns SweepRules(const std::vector<DistinctnessRule>& rules,
+                              const IlfdSet& ilfds,
+                              const std::vector<InducedRule>& induced,
                               const Relation& r_ext, const Relation& s_ext,
                               exec::ColumnarWorld& world,
                               exec::ThreadPool* pool,
                               exec::StageStats* stats) {
-  return Sweep(Antecedents(rules), /*both_orientations=*/true, r_ext, s_ext,
-               world, pool, stats);
+  return Sweep(Antecedents(rules), /*both_orientations=*/true, &ilfds,
+               induced, r_ext, s_ext, world, pool, stats);
 }
 
 }  // namespace compile

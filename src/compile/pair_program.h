@@ -29,6 +29,7 @@
 #include "exec/candidate_generator.h"
 #include "exec/stage_stats.h"
 #include "exec/thread_pool.h"
+#include "ilfd/ilfd_set.h"
 #include "relational/schema.h"
 #include "rules/distinctness_rule.h"
 #include "rules/identity_rule.h"
@@ -101,6 +102,17 @@ class EID_SHARED_IMMUTABLE StagedConjunction final
       const Relation& r_ext, const Relation& s_ext, bool flipped,
       exec::ColumnarWorld& world);
 
+  /// The residual of one Proposition 1 orientation, built from ids
+  /// instead of predicates: the lone id conjunct `column != constant` on
+  /// `side` (kRExtended or kSExtended) — a row part on the r side, the
+  /// kSNotEqual pair part on the s side. `const_id` is the constant's
+  /// session id, never kNullId; the column is encoded in `world` on
+  /// first request.
+  static StagedConjunction NotEqual(exec::WorldRel side, size_t column,
+                                    uint32_t const_id, const Relation& r_ext,
+                                    const Relation& s_ext,
+                                    exec::ColumnarWorld& world);
+
   /// kEmpty without pair ops; kSNotEqual for one id op `s.col != c` (or
   /// `c != s.col`) with a non-NULL constant; kGeneral otherwise.
   exec::PairShape pair_shape() const override;
@@ -161,9 +173,26 @@ exec::FiredColumns SweepRules(const std::vector<IdentityRule>& rules,
 /// The same sweep over distinctness rules, in both orientations, each
 /// rule tried direct before flipped: a distinctness rule need not read
 /// the same attributes of e1 and e2 (Proposition 1's rules do not), so
-/// its two orientations fire on different pairs. The priority column is
-/// rule_index * 2 + flipped, the NMT certificate.
+/// its two orientations fire on different pairs. `rules` come first,
+/// then the Proposition 1 rules `induced` of `ilfds`, whose antecedents
+/// must be non-empty (DistinctnessRule::Validate rejects the others).
+/// The priority column is rule_index * 2 + flipped, the NMT
+/// certificate, with rule_index counting `rules` and then `induced`.
+///
+/// An induced rule e1.A = a ∧ … ∧ e2.B ≠ b is registered straight from
+/// the set's atoms, with no DistinctnessRule, Predicate or BlockingPlan:
+/// per orientation its attributes resolve to columns (once per attribute
+/// ordinal and side), its antecedent constants to filter ids
+/// (exec::ResolveFilter) and its consequent constant to a session id
+/// (interned when new, so `≠` holds on every non-NULL cell), and the
+/// residual is StagedConjunction::NotEqual. The direct orientation (e1 := r row)
+/// filters r rows and drains `s.B ≠ b` over S; the flipped one filters
+/// s rows and hoists `r.B ≠ b` as a row part. An orientation with an
+/// attribute absent from its side or a NULL constant is impossible, and
+/// still consumes its priority slot.
 exec::FiredColumns SweepRules(const std::vector<DistinctnessRule>& rules,
+                              const IlfdSet& ilfds,
+                              const std::vector<InducedRule>& induced,
                               const Relation& r_ext, const Relation& s_ext,
                               exec::ColumnarWorld& world,
                               exec::ThreadPool* pool, exec::StageStats* stats);

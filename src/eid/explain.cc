@@ -89,27 +89,25 @@ Result<std::string> ExplainDecision(const IdentificationResult& result,
         out += "  (no certificate recorded for this pair)\n";
         break;
       }
-      // Reconstruct the rule list the identifier used: explicit rules
-      // first, then Proposition-1 induced ones in ILFD order.
-      size_t explicit_count = config.distinctness_rules.size();
-      if (e->rule_index < explicit_count) {
-        out += "  certified distinct by rule '" +
-               config.distinctness_rules[e->rule_index].name() + "': " +
-               config.distinctness_rules[e->rule_index].ToString() + "\n";
+      const DistinctnessRuleList rules =
+          ListDistinctnessRules(config.distinctness_rules, config.ilfds,
+                                config.distinctness_from_ilfds);
+      if (e->rule_index < rules.explicit_count) {
+        const DistinctnessRule& rule =
+            config.distinctness_rules[e->rule_index];
+        out += "  certified distinct by rule '" + rule.name() +
+               "': " + rule.ToString() + "\n";
+      } else if (e->rule_index < rules.size()) {
+        const size_t fi =
+            rules.induced[e->rule_index - rules.explicit_count].ilfd;
+        out += "  certified distinct by the Proposition-1 rule of I" +
+               std::to_string(fi + 1) + ": " +
+               config.ilfds.ilfd(fi).ToString() + "\n";
       } else {
-        size_t ilfd_pos = e->rule_index - explicit_count;
-        // Map back through the decomposed consequents.
-        size_t seen = 0;
-        for (size_t fi = 0; fi < config.ilfds.size(); ++fi) {
-          size_t heads = config.ilfds.ilfd(fi).consequent().size();
-          if (ilfd_pos < seen + heads) {
-            out += "  certified distinct by the Proposition-1 rule of I" +
-                   std::to_string(fi + 1) + ": " +
-                   config.ilfds.ilfd(fi).ToString() + "\n";
-            break;
-          }
-          seen += heads;
-        }
+        out += "  certified distinct by rule " +
+               std::to_string(e->rule_index) + ", which this "
+               "configuration does not have (it lists " +
+               std::to_string(rules.size()) + " distinctness rules)\n";
       }
       out += std::string("  orientation: ") +
              (e->flipped ? "e1 := S tuple, e2 := R tuple"

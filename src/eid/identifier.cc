@@ -1,6 +1,7 @@
 #include "eid/identifier.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 
 #include "analysis/analyzer.h"
@@ -40,18 +41,36 @@ Result<Relation> IdentificationResult::NegativeRelation(
   return negative.table.ToRelation(r_extended, s_extended, name);
 }
 
+DistinctnessRuleList ListDistinctnessRules(
+    const std::vector<DistinctnessRule>& explicit_rules, const IlfdSet& ilfds,
+    bool from_ilfds) {
+  DistinctnessRuleList list;
+  list.explicit_count = explicit_rules.size();
+  if (!from_ilfds) return list;
+  for (uint32_t f = 0; f < ilfds.size(); ++f) {
+    const size_t heads = ilfds.ilfd(f).consequent().size();
+    for (uint32_t atom = 0; atom < heads; ++atom) {
+      list.induced.push_back(InducedRule{f, atom});
+    }
+  }
+  // A certificate holds rule_index * 2 + flipped in 32 bits.
+  EID_CHECK(list.size() <= UINT32_MAX / 2);
+  return list;
+}
+
 Result<std::vector<DistinctnessRule>> EffectiveDistinctnessRules(
     const IdentifierConfig& config) {
+  const DistinctnessRuleList list =
+      ListDistinctnessRules(config.distinctness_rules, config.ilfds,
+                            config.distinctness_from_ilfds);
   std::vector<DistinctnessRule> rules = config.distinctness_rules;
-  if (config.distinctness_from_ilfds) {
-    for (const Ilfd& f : config.ilfds.ilfds()) {
-      for (const Atom& c : f.consequent()) {
-        EID_ASSIGN_OR_RETURN(
-            DistinctnessRule rule,
-            DistinctnessRuleFromIlfd(Ilfd::Implies(f.antecedent(), c)));
-        rules.push_back(std::move(rule));
-      }
-    }
+  rules.reserve(list.size());
+  for (const InducedRule& induced : list.induced) {
+    const Ilfd& f = config.ilfds.ilfd(induced.ilfd);
+    EID_ASSIGN_OR_RETURN(DistinctnessRule rule,
+                         DistinctnessRuleFromIlfd(Ilfd::Implies(
+                             f.antecedent(), f.consequent()[induced.atom])));
+    rules.push_back(std::move(rule));
   }
   return rules;
 }
@@ -147,12 +166,17 @@ Result<IdentificationResult> EntityIdentifier::Identify(
   }
 
   // --- Distinctness rules (explicit + Proposition 1 from ILFDs) ---------
-  EID_ASSIGN_OR_RETURN(std::vector<DistinctnessRule> rules,
-                       EffectiveDistinctnessRules(config_));
+  // The induced rules go to the sweep as (ILFD, consequent atom)
+  // positions; it registers them from the ILFD set's atoms.
   EID_ASSIGN_OR_RETURN(
       out.negative,
-      BuildNegativeMatchingTable(out.r_extended, out.s_extended, rules,
-                                 pool_ptr, world));
+      BuildNegativeMatchingTable(
+          out.r_extended, out.s_extended, config_.distinctness_rules,
+          config_.ilfds,
+          ListDistinctnessRules(config_.distinctness_rules, config_.ilfds,
+                                config_.distinctness_from_ilfds)
+              .induced,
+          pool_ptr, world));
   out.stats.Add(out.negative.stats);
 
   // --- Constraint verification ------------------------------------------

@@ -58,10 +58,31 @@ struct IdentifierConfig {
   MatcherOptions matcher_options;
 };
 
-/// The distinctness rules an identification run evaluates, in priority
-/// order: the explicit rules, then — with distinctness_from_ilfds — the
-/// Proposition 1 rule of every ILFD consequent atom, ILFDs in order. An
-/// NMT certificate's rule_index indexes this list.
+/// The distinctness rules of an identification run, by position: rule
+/// k < explicit_count is explicit rule k, and rule explicit_count + i is
+/// the Proposition 1 rule induced[i]. An NMT certificate's rule_index
+/// indexes this list (certificate = rule_index * 2 + flipped).
+struct DistinctnessRuleList {
+  size_t explicit_count = 0;
+  std::vector<InducedRule> induced;
+
+  size_t size() const { return explicit_count + induced.size(); }
+};
+
+/// The one definition of the distinctness rules' priority order: the
+/// explicit rules, then — with `from_ilfds` — the Proposition 1 rule of
+/// every consequent atom of every ILFD, ILFDs in order and each ILFD's
+/// consequent atoms in order. The engine's sweep, the spelled-out list
+/// below, k-way identification and ExplainDecision all number rules
+/// through it.
+DistinctnessRuleList ListDistinctnessRules(
+    const std::vector<DistinctnessRule>& explicit_rules, const IlfdSet& ilfds,
+    bool from_ilfds);
+
+/// ListDistinctnessRules for `config`, spelled out as rules: the
+/// Proposition 1 ones built by DistinctnessRuleFromIlfd. What
+/// eid::reference and IncrementalIdentifier evaluate; Identify registers
+/// the induced rules from the ILFD set's atoms instead.
 Result<std::vector<DistinctnessRule>> EffectiveDistinctnessRules(
     const IdentifierConfig& config);
 

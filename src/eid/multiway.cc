@@ -74,17 +74,9 @@ Result<MultiwayResult> IdentifyAll(const std::vector<Relation>& sources,
   }
 
   // Distinctness rules: explicit + Proposition 1.
-  std::vector<DistinctnessRule> rules = config.distinctness_rules;
-  if (config.distinctness_from_ilfds) {
-    for (const Ilfd& f : config.ilfds.ilfds()) {
-      for (const Atom& c : f.consequent()) {
-        EID_ASSIGN_OR_RETURN(
-            DistinctnessRule rule,
-            DistinctnessRuleFromIlfd(Ilfd::Implies(f.antecedent(), c)));
-        rules.push_back(std::move(rule));
-      }
-    }
-  }
+  const DistinctnessRuleList rules =
+      ListDistinctnessRules(config.distinctness_rules, config.ilfds,
+                            config.distinctness_from_ilfds);
 
   // Dense node ids.
   std::vector<size_t> offset(sources.size() + 1, 0);
@@ -116,9 +108,13 @@ Result<MultiwayResult> IdentifyAll(const std::vector<Relation>& sources,
           }
         }
       }
-      if (!rules.empty()) {
-        EID_ASSIGN_OR_RETURN(NegativeResult negative,
-                             BuildNegativeMatchingTable(a, b, rules));
+      if (rules.size() > 0) {
+        exec::ColumnarWorld world;
+        EID_ASSIGN_OR_RETURN(
+            NegativeResult negative,
+            BuildNegativeMatchingTable(a, b, config.distinctness_rules,
+                                       config.ilfds, rules.induced,
+                                       /*pool=*/nullptr, world));
         for (const TuplePair& p : negative.table.pairs()) {
           out.distinct_pairs.push_back(
               {MemberRef{i, p.r_index}, MemberRef{j, p.s_index}});

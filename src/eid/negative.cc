@@ -40,17 +40,29 @@ Result<NegativeResult> BuildNegativeMatchingTable(
     const Relation& r_extended, const Relation& s_extended,
     const std::vector<DistinctnessRule>& rules) {
   exec::ColumnarWorld world;
-  return BuildNegativeMatchingTable(r_extended, s_extended, rules,
-                                    /*pool=*/nullptr, world);
+  return BuildNegativeMatchingTable(r_extended, s_extended, rules, IlfdSet(),
+                                    {}, /*pool=*/nullptr, world);
 }
 
 Result<NegativeResult> BuildNegativeMatchingTable(
     const Relation& r_extended, const Relation& s_extended,
-    const std::vector<DistinctnessRule>& rules, exec::ThreadPool* pool,
+    const std::vector<DistinctnessRule>& rules, const IlfdSet& ilfds,
+    const std::vector<InducedRule>& induced, exec::ThreadPool* pool,
     exec::ColumnarWorld& world) {
   exec::StageTimer timer;
   for (const DistinctnessRule& rule : rules) {
     EID_RETURN_IF_ERROR(rule.Validate());
+  }
+  // A Proposition 1 rule reads e1 through its ILFD's antecedent and e2
+  // through the consequent atom, so only an empty antecedent (which
+  // Ilfd::Implies builds and the text parser rejects) makes it invalid.
+  for (const InducedRule& rule : induced) {
+    const Ilfd& ilfd = ilfds.ilfd(rule.ilfd);
+    if (!ilfd.antecedent().empty()) continue;
+    EID_ASSIGN_OR_RETURN(DistinctnessRule spelled_out,
+                         DistinctnessRuleFromIlfd(Ilfd::Implies(
+                             {}, ilfd.consequent()[rule.atom])));
+    EID_RETURN_IF_ERROR(spelled_out.Validate());
   }
   NegativeResult out;
   out.stats.stage = "distinctness_rules";
@@ -59,8 +71,9 @@ Result<NegativeResult> BuildNegativeMatchingTable(
 
   // One r-major sweep over all rule orientations; per pair, the first
   // (rule, orientation) that fires is its certificate.
-  exec::FiredColumns fired = compile::SweepRules(
-      rules, r_extended, s_extended, world, pool, &out.stats);
+  exec::FiredColumns fired =
+      compile::SweepRules(rules, ilfds, induced, r_extended, s_extended,
+                          world, pool, &out.stats);
   // The sweep emits unique pairs in strictly increasing row-major order
   // with priority rule * 2 + flipped, so its pair column becomes the
   // table's storage and its priority column the certificates, both by

@@ -26,6 +26,7 @@
 #include "exec/columnar_world.h"
 #include "exec/stage_stats.h"
 #include "exec/thread_pool.h"
+#include "ilfd/ilfd_set.h"
 #include "rules/distinctness_rule.h"
 
 namespace eid {
@@ -70,15 +71,22 @@ Result<NegativeResult> BuildNegativeMatchingTable(
     const Relation& r_extended, const Relation& s_extended,
     const std::vector<DistinctnessRule>& rules);
 
-/// Pool-sharing form used by the engine (null pool = serial sweep).
-/// `world` is the session's columnar world with the extended relations
-/// under the kRExtended / kSExtended slots (or without those slots yet):
-/// the sweep blocks through its posting indexes and the compiled
-/// residuals (compile::StagedConjunction) read its id columns, so no
-/// column an earlier stage encoded or indexed is rebuilt.
+/// The engine's form: the explicit `rules`, then the Proposition 1
+/// rules `induced` of `ilfds`, registered straight from the set's atoms
+/// (compile::SweepRules); rule_index counts `rules` and then `induced`.
+/// Rules are validated in that order and the first invalid one fails
+/// the build: an induced rule fails only when its ILFD has no
+/// antecedent, with the text its spelled-out DistinctnessRule gives.
+/// Null pool = serial sweep. `world` is the session's columnar world
+/// with the extended relations under the kRExtended / kSExtended slots
+/// (or without those slots yet): the sweep blocks through its posting
+/// indexes and the compiled residuals (compile::StagedConjunction) read
+/// its id columns, so no column an earlier stage encoded or indexed is
+/// rebuilt.
 Result<NegativeResult> BuildNegativeMatchingTable(
     const Relation& r_extended, const Relation& s_extended,
-    const std::vector<DistinctnessRule>& rules, exec::ThreadPool* pool,
+    const std::vector<DistinctnessRule>& rules, const IlfdSet& ilfds,
+    const std::vector<InducedRule>& induced, exec::ThreadPool* pool,
     exec::ColumnarWorld& world);
 
 }  // namespace eid

@@ -1,7 +1,5 @@
 #include "exec/blocking_index.h"
 
-#include <numeric>
-
 namespace eid {
 namespace exec {
 
@@ -119,44 +117,29 @@ void ChooseProbe(BlockingPlan* plan, ColumnarWorld& world,
   plan->coverage[plan->joins[best].conjunct] = PredicateCoverage::kCovered;
 }
 
-std::vector<uint32_t> FilteredRows(
-    ColumnarWorld& world, WorldRel slot, const Relation& rel,
-    const std::vector<std::pair<std::string, Value>>& filters) {
-  std::vector<uint32_t> rows;
-  if (filters.empty()) {
-    EID_CHECK(rel.size() < ColumnarWorld::kNullId);
-    rows.resize(rel.size());
-    std::iota(rows.begin(), rows.end(), uint32_t{0});
-    return rows;
-  }
+ColumnFilter ResolveFilter(ColumnarWorld& world, WorldRel slot,
+                           const Relation& rel, size_t column,
+                           const Value& constant, uint64_t hash) {
+  world.Index(slot, rel, column);
+  return ColumnFilter{column, world.dict().Find(constant, hash)};
+}
+
+std::vector<uint32_t> FilteredRows(ColumnarWorld& world, WorldRel slot,
+                                   const Relation& rel,
+                                   const std::vector<ColumnFilter>& filters) {
+  EID_CHECK(!filters.empty());
   PostingRange seed;
-  std::vector<const uint32_t*> cols;  // filters 1.. : id column
-  std::vector<uint32_t> ids;          // filters 1.. : constant id
   for (size_t f = 0; f < filters.size(); ++f) {
-    std::optional<size_t> c = rel.schema().IndexOf(filters[f].first);
-    if (!c.has_value()) return rows;  // attribute absent: nothing passes
-    // Index encodes the column first, so the lookup below sees every
-    // value the column holds.
-    const ColumnIndex& index = world.Index(slot, rel, *c);
-    const uint32_t id = world.dict().Find(filters[f].second);
-    const PostingRange range = index.Find(id);
-    if (range.empty()) return rows;  // never interned, or not in the column
-    if (f == 0) {
-      seed = range;
-    } else {
-      cols.push_back(world.FindColumn(slot, *c)->data());
-      ids.push_back(id);
-    }
+    const PostingRange range =
+        world.Index(slot, rel, filters[f].column).Find(filters[f].id);
+    if (range.empty()) return {};  // never interned, or not in the column
+    if (f == 0) seed = range;
   }
-  for (uint32_t i : seed) {
-    bool pass = true;
-    for (size_t f = 0; f < cols.size(); ++f) {
-      if (cols[f][i] != ids[f]) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) rows.push_back(i);
+  std::vector<uint32_t> rows(seed.begin(), seed.end());
+  for (size_t f = 1; f < filters.size(); ++f) {
+    const uint32_t* ids = world.FindColumn(slot, filters[f].column)->data();
+    const uint32_t id = filters[f].id;
+    std::erase_if(rows, [&](uint32_t row) { return ids[row] != id; });
   }
   return rows;
 }

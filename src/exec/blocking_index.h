@@ -105,17 +105,46 @@ BlockingPlan PlanBlocking(const std::vector<Predicate>& predicates,
 void ChooseProbe(BlockingPlan* plan, ColumnarWorld& world,
                  const Relation& s_ext);
 
-/// Rows of `rel`, bound to `slot` in `world`, passing every (attribute ==
-/// constant) filter, ascending; no filters means every row. Each filter
-/// encodes its column before looking its constant up in the dictionary
-/// (a constant the column holds is interned by that encode at the
-/// latest); a constant never interned passes no row. The first filter's
-/// posting range seeds the list, the rest compare ids. Complete for
-/// kTrue: a row failing a filter (NULL or not storage-equal) cannot
-/// satisfy the corresponding equality conjunct.
-std::vector<uint32_t> FilteredRows(
-    ColumnarWorld& world, WorldRel slot, const Relation& rel,
-    const std::vector<std::pair<std::string, Value>>& filters);
+/// One `column = constant` filter of a rule orientation, resolved
+/// against the session world: the column of its side's relation and the
+/// constant's session id (kNullId when the dictionary does not hold it,
+/// which no row passes).
+struct ColumnFilter {
+  size_t column = 0;
+  uint32_t id = ColumnarWorld::kNullId;
+};
+
+/// A rule orientation resolved to columns and session ids: what
+/// CandidateGenerator registers. A BlockingPlan resolves to one through
+/// its attribute names (CandidateGenerator::AddRule); a Proposition 1
+/// rule is built as one straight from its ILFD's atoms.
+struct ColumnPlan {
+  /// Some conjunct can never be kTrue: an attribute absent from its
+  /// side, a NULL constant. Such an orientation matches nothing.
+  bool impossible = false;
+  std::vector<ColumnFilter> r_const_eq;
+  std::vector<ColumnFilter> s_const_eq;
+  /// The probed join as (r column, s column), when the plan has joins.
+  std::optional<std::pair<size_t, size_t>> probe;
+};
+
+/// Resolves the filter `column = constant` on `rel`, bound to `slot` in
+/// `world`. The column is encoded (and indexed) before the constant is
+/// looked up: a value the column holds enters the dictionary with that
+/// encode at the latest, so a lookup made first could read a value the
+/// column holds as absent. `hash` is ValueHash{}(constant).
+ColumnFilter ResolveFilter(ColumnarWorld& world, WorldRel slot,
+                           const Relation& rel, size_t column,
+                           const Value& constant, uint64_t hash);
+
+/// Rows of `rel`, bound to `slot` in `world`, passing every resolved
+/// filter (at least one), ascending. The first filter's posting range
+/// seeds the list, the rest compare ids. Complete for kTrue: a row
+/// failing a filter (NULL or not storage-equal) cannot satisfy the
+/// corresponding equality conjunct.
+std::vector<uint32_t> FilteredRows(ColumnarWorld& world, WorldRel slot,
+                                   const Relation& rel,
+                                   const std::vector<ColumnFilter>& filters);
 
 }  // namespace exec
 }  // namespace eid

@@ -44,34 +44,48 @@ const uint64_t* CandidateGenerator::NonNullBits(size_t column) {
 
 void CandidateGenerator::AddRule(const BlockingPlan& plan,
                                  const StagedEvaluator* residual) {
+  ColumnPlan resolved;
+  resolved.impossible = plan.impossible;
+  auto resolve = [&](bool r_side,
+                     const std::vector<std::pair<std::string, Value>>& filters,
+                     std::vector<ColumnFilter>* out) {
+    const Relation& rel = r_side ? *r_ : *s_;
+    for (const auto& [attribute, constant] : filters) {
+      std::optional<size_t> column = rel.schema().IndexOf(attribute);
+      if (!column.has_value()) return false;  // absent: nothing passes
+      out->push_back(ResolveFilter(
+          *world_, r_side ? WorldRel::kRExtended : WorldRel::kSExtended, rel,
+          *column, constant, constant.Hash()));
+    }
+    return true;
+  };
+  if (!resolved.impossible) {
+    resolved.impossible =
+        !resolve(/*r_side=*/true, plan.r_const_eq, &resolved.r_const_eq) ||
+        !resolve(/*r_side=*/false, plan.s_const_eq, &resolved.s_const_eq);
+  }
+  // The sweep's caller picks the probe among the joins (ChooseProbe)
+  // before compiling the residual, which skips the probed conjunct.
+  if (!resolved.impossible) {
+    EID_CHECK(plan.joins.empty() != plan.probe.has_value());
+    if (plan.probe.has_value()) {
+      const BlockingPlan::Join& join = plan.joins[*plan.probe];
+      std::optional<size_t> r_col = r_->schema().IndexOf(join.r_attr);
+      std::optional<size_t> s_col = s_->schema().IndexOf(join.s_attr);
+      EID_CHECK(r_col.has_value() && s_col.has_value());
+      resolved.probe = std::pair{*r_col, *s_col};
+    }
+  }
+  AddRule(resolved, residual);
+}
+
+void CandidateGenerator::AddRule(const ColumnPlan& plan,
+                                 const StagedEvaluator* residual) {
   // Every call consumes one priority slot, dead rules included, so
   // priority / 2 and priority & 1 always recover (rule, orientation).
   const uint32_t priority = next_priority_++;
   if (plan.impossible || r_->empty() || s_->empty()) return;
   EID_CHECK(residual != nullptr);
-
-  // A const-eq conjunct whose constant its column does not hold — never
-  // interned, or an empty posting range — can never be kTrue on any row:
-  // the whole orientation dies here. This covers s-side consts under a
-  // join too (they are pair residuals there, but a value absent from the
-  // whole column still kills every pair). The column is encoded before
-  // the constant is looked up: a value the column holds may enter the
-  // dictionary only with that encode.
-  auto dead = [&](bool r_side,
-                  const std::vector<std::pair<std::string, Value>>& filters) {
-    const Relation& rel = r_side ? *r_ : *s_;
-    const WorldRel slot = r_side ? WorldRel::kRExtended : WorldRel::kSExtended;
-    for (const auto& [attribute, constant] : filters) {
-      std::optional<size_t> col = rel.schema().IndexOf(attribute);
-      if (!col.has_value()) return true;  // absent: nothing passes
-      Encoded(r_side, *col);
-      const uint32_t id = world_->dict().Find(constant);
-      if (world_->Index(slot, rel, *col).Find(id).empty()) return true;
-    }
-    return false;
-  };
-  if (dead(/*r_side=*/true, plan.r_const_eq)) return;
-  if (dead(/*r_side=*/false, plan.s_const_eq)) return;
 
   Entry entry;
   entry.priority = priority;
@@ -79,6 +93,8 @@ void CandidateGenerator::AddRule(const BlockingPlan& plan,
 
   // r side: const filters prune the rows this entry is consulted for
   // (exact: kEq is storage equality on non-NULL, which is id equality).
+  // A filter constant its column does not hold leaves no row: the whole
+  // orientation dies here.
   const bool r_all = plan.r_const_eq.empty();
   std::vector<uint32_t> r_rows;
   if (!r_all) {
@@ -86,18 +102,21 @@ void CandidateGenerator::AddRule(const BlockingPlan& plan,
     if (r_rows.empty()) return;
   }
 
-  // The sweep's caller picks the probe among the joins (ChooseProbe)
-  // before compiling the residual, which skips the probed conjunct.
-  EID_CHECK(plan.joins.empty() != plan.probe.has_value());
   if (plan.probe.has_value()) {
-    const BlockingPlan::Join& join = plan.joins[*plan.probe];
-    std::optional<size_t> r_col = r_->schema().IndexOf(join.r_attr);
-    std::optional<size_t> s_col = s_->schema().IndexOf(join.s_attr);
-    EID_CHECK(r_col.has_value() && s_col.has_value());
+    const auto [r_col, s_col] = *plan.probe;
+    // s-side consts are pair residuals under a join, but a value absent
+    // from the whole column still kills every pair.
+    for (const ColumnFilter& f : plan.s_const_eq) {
+      if (world_->Index(WorldRel::kSExtended, *s_, f.column)
+              .Find(f.id)
+              .empty()) {
+        return;
+      }
+    }
     entry.has_join = true;
-    entry.r_ids = Encoded(/*r_side=*/true, *r_col);  // Run reads it per row
-    Encoded(/*r_side=*/false, *s_col);  // the index is built from it
-    entry.s_join = &world_->Index(WorldRel::kSExtended, *s_, *s_col);
+    entry.r_ids = Encoded(/*r_side=*/true, r_col);  // Run reads it per row
+    Encoded(/*r_side=*/false, s_col);  // the index is built from it
+    entry.s_join = &world_->Index(WorldRel::kSExtended, *s_, s_col);
   } else if (plan.s_const_eq.empty()) {
     entry.s_all = true;
   } else {

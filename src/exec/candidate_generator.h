@@ -6,10 +6,12 @@
 // orientations in one r-major sweep through two stages:
 //
 //   1. *Blocking intersection.* Each (rule, orientation) contributes a
-//      BlockingPlan (exec/blocking_index.h); its const-eq filters prune
-//      the r rows an entry is consulted for (the per-row entry lists
-//      below are that intersection), and its probed join conjunct
-//      (ChooseProbe) turns the inner loop into one posting-range read:
+//      ColumnPlan (exec/blocking_index.h): a BlockingPlan with its names
+//      resolved, or a Proposition 1 rule built straight from its ILFD's
+//      atoms. Its const-eq filters prune the r rows an entry is
+//      consulted for (the per-row entry lists below are that
+//      intersection), and its probed join conjunct (ChooseProbe) turns
+//      the inner loop into one posting-range read:
 //      the r row's id in the shared id column selects the s rows from
 //      the column's CSR index (exec::ColumnIndex, owned by the session's
 //      ColumnarWorld). No Value is hashed inside the sweep. A const-eq
@@ -136,10 +138,18 @@ class CandidateGenerator {
   /// Registers the next (rule, orientation). `plan` must be the
   /// PlanBlocking result for the same predicates/orientation, its probe
   /// chosen by ChooseProbe when it has joins, and `residual` (maybe null
-  /// only for impossible plans) must outlive Run. Every call consumes
-  /// one priority slot — dead rules included — so callers can always
-  /// recover (rule, orientation) from a priority.
+  /// only for impossible plans) must outlive Run. Resolves the plan's
+  /// attribute names and constants (ResolveFilter) and registers the
+  /// result as the ColumnPlan overload does.
   void AddRule(const BlockingPlan& plan, const StagedEvaluator* residual);
+
+  /// Registers the next (rule, orientation) from its resolved plan: the
+  /// one registration body. `residual` (maybe null only for impossible
+  /// plans) must evaluate exactly the conjuncts the plan does not
+  /// enforce and outlive Run. Every call consumes one priority slot —
+  /// dead rules included — so callers can always recover (rule,
+  /// orientation) from a priority.
+  void AddRule(const ColumnPlan& plan, const StagedEvaluator* residual);
 
   /// Sweeps all registered rules. Returns the fired pairs row-major
   /// sorted with their min-priority column; identical for any pool size.

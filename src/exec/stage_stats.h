@@ -54,7 +54,7 @@ struct EID_PER_WORKER StageStats {
   size_t block_scalar_fallbacks = 0;
 
   // Compiled-execution counters (src/compile/).
-  double compile_ms = 0.0;  // rule-program compilation time (in wall_ms)
+  double compile_ms = 0.0;  // rule lowering + registration (in wall_ms)
   // Always 0: the derivation memo is gone. Kept only because perfbench
   // reports read them.
   size_t memo_hits = 0;

@@ -33,6 +33,20 @@ size_t IlfdSet::Add(Ilfd ilfd) {
   return ilfds_.size() - 1;
 }
 
+AtomId IlfdSet::ConsequentAtom(size_t i, size_t j) const {
+  // The clause's head holds the consequent's atoms ordered by id, and a
+  // consequent binds each attribute once, so the attribute finds it.
+  const std::vector<AtomId>& head = kb_.clause(i).head.ids();
+  EID_CHECK(j < head.size());
+  if (head.size() == 1) return head.front();
+  const std::string& attribute = ilfds_[i].consequent()[j].attribute;
+  auto it = std::find_if(head.begin(), head.end(), [&](AtomId id) {
+    return atoms_.atom(id).attribute == attribute;
+  });
+  EID_CHECK(it != head.end());
+  return *it;
+}
+
 std::vector<std::string> IlfdSet::ConsequentAttributes() const {
   std::vector<std::string> out;
   for (uint32_t ordinal = 0; ordinal < consequents_.size(); ++ordinal) {

@@ -48,6 +48,16 @@ class IlfdSet {
   const std::vector<Ilfd>& ilfds() const { return ilfds_; }
 
   const AtomTable& atoms() const { return atoms_; }
+  /// Atom ids (in atoms()) of ILFD `i`'s antecedent, ascending: its
+  /// knowledge-base clause's body. These and ConsequentAtom let the
+  /// engine read a rule's conditions through attribute ordinals instead
+  /// of attribute strings.
+  const std::vector<AtomId>& AntecedentAtoms(size_t i) const {
+    return kb_.clause(i).body.ids();
+  }
+  /// Atom id of ilfd(i).consequent()[j].
+  AtomId ConsequentAtom(size_t i, size_t j) const;
+
   const KnowledgeBase& kb() const { return kb_; }
 
   /// Every attribute some ILFD concludes, ascending.

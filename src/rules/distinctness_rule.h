@@ -15,6 +15,7 @@
 #ifndef EID_RULES_DISTINCTNESS_RULE_H_
 #define EID_RULES_DISTINCTNESS_RULE_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -45,6 +46,16 @@ class DistinctnessRule {
  private:
   std::string name_;
   std::vector<Predicate> predicates_;
+};
+
+/// Proposition 1's rule for one consequent atom of an ILFD set, by
+/// position: consequent atom `atom` of ILFD `ilfd`. The engine registers
+/// it straight from the set's interned atoms;
+/// DistinctnessRuleFromIlfd(Ilfd::Implies(antecedent, consequent[atom]))
+/// spells it out.
+struct InducedRule {
+  uint32_t ilfd = 0;
+  uint32_t atom = 0;
 };
 
 /// Proposition 1, forward direction: the distinctness rule induced by an

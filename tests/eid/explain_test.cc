@@ -217,6 +217,100 @@ TEST(ExplainPropertyTest, ExplicitRulesAheadOfProposition1) {
   CheckAcrossEngines(config, world.r, world.s);
 }
 
+TEST(ExplainPropertyTest, NamesTheIlfdAndOrientationEachCertificateHolds) {
+  // Each `speciality -> cuisine` ILFD also restates its antecedent, so
+  // it has two consequent atoms and induces two rules, behind two
+  // explicit ones: a certificate's rule index counts explicit rules,
+  // then consequent atoms, not ILFDs.
+  GeneratedWorld world = SmallWorld();
+  IdentifierConfig config;
+  config.correspondence = world.correspondence;
+  config.extended_key = world.extended_key;
+  size_t multi = 0;
+  for (const Ilfd& f : world.ilfds.ilfds()) {
+    std::vector<Atom> consequent = f.consequent();
+    if (f.antecedent().size() == 1 &&
+        f.antecedent()[0].attribute == "speciality") {
+      consequent.push_back(f.antecedent()[0]);
+      ++multi;
+    }
+    config.ilfds.Add(Ilfd(f.antecedent(), consequent));
+  }
+  ASSERT_GT(multi, 0u);
+  EID_ASSERT_OK_AND_ASSIGN(
+      DistinctnessRule clash,
+      ParseDistinctnessRule(
+          "cuisine_clash",
+          "e1.cuisine = \"Cuisine0\" & e2.cuisine = \"Cuisine1\""));
+  EID_ASSERT_OK_AND_ASSIGN(
+      DistinctnessRule other_name,
+      ParseDistinctnessRule("other_name",
+                            "e1.name != e2.name & e1.cuisine = e2.cuisine"));
+  config.distinctness_rules = {clash, other_name};
+  CheckAcrossEngines(config, world.r, world.s);
+
+  // The (ILFD, consequent atom) behind each induced rule index, walked
+  // here independently of the library's numbering.
+  std::vector<size_t> ilfd_of_rule;
+  for (size_t fi = 0; fi < config.ilfds.size(); ++fi) {
+    for (size_t c = 0; c < config.ilfds.ilfd(fi).consequent().size(); ++c) {
+      ilfd_of_rule.push_back(fi);
+    }
+  }
+  EID_ASSERT_OK_AND_ASSIGN(IdentificationResult result,
+                           EntityIdentifier(config).Identify(world.r, world.s));
+  size_t induced_pairs = 0;
+  for (const TuplePair& pair : result.negative.table.pairs()) {
+    const std::optional<NegativePairEvidence> e =
+        result.negative.EvidenceFor(pair);
+    ASSERT_TRUE(e.has_value());
+    EID_ASSERT_OK_AND_ASSIGN(
+        std::string text,
+        ExplainDecision(result, config, pair.r_index, pair.s_index));
+    std::string rule_line;
+    if (e->rule_index < 2) {
+      const DistinctnessRule& rule = config.distinctness_rules[e->rule_index];
+      rule_line = "certified distinct by rule '" + rule.name() + "'";
+    } else {
+      ASSERT_LT(e->rule_index - 2, ilfd_of_rule.size());
+      const size_t fi = ilfd_of_rule[e->rule_index - 2];
+      rule_line = "certified distinct by the Proposition-1 rule of I" +
+                  std::to_string(fi + 1) + ": " +
+                  config.ilfds.ilfd(fi).ToString() + "\n";
+      ++induced_pairs;
+    }
+    const std::string orientation =
+        e->flipped ? "orientation: e1 := S tuple, e2 := R tuple"
+                   : "orientation: e1 := R tuple, e2 := S tuple";
+    EXPECT_NE(text.find(rule_line), std::string::npos) << text;
+    EXPECT_NE(text.find(orientation), std::string::npos) << text;
+  }
+  EXPECT_GT(induced_pairs, 0u);
+}
+
+TEST(ExplainTest, CertificateBeyondTheConfigurationNamesItsIndex) {
+  // Explained against a configuration without the Proposition 1 rules,
+  // an induced certificate names a rule index the configuration lacks.
+  Example3Setup setup = RunExample3();
+  const std::vector<TuplePair>& pairs = setup.result.negative.table.pairs();
+  ASSERT_FALSE(pairs.empty());
+  const std::optional<NegativePairEvidence> e =
+      setup.result.negative.EvidenceFor(pairs.front());
+  ASSERT_TRUE(e.has_value());
+  IdentifierConfig bare = setup.config;
+  bare.distinctness_from_ilfds = false;
+  EID_ASSERT_OK_AND_ASSIGN(
+      std::string text, ExplainDecision(setup.result, bare,
+                                        pairs.front().r_index,
+                                        pairs.front().s_index));
+  EXPECT_NE(text.find("certified distinct by rule " +
+                      std::to_string(e->rule_index) +
+                      ", which this configuration does not have"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("orientation:"), std::string::npos) << text;
+}
+
 TEST(ExplainPropertyTest, ExplicitRuleSessionCertifiesEveryNmtPair) {
   // The Example 2 session with the paper's r3 as its only rule.
   Relation r = fixtures::Example2R();

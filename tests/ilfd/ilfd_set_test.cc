@@ -146,5 +146,34 @@ TEST(IlfdSetTest, ToStringNumbersIlfds) {
   EXPECT_NE(text.find("I2: "), std::string::npos);
 }
 
+TEST(IlfdSetTest, AtomIdsNameEachIlfdsConditions) {
+  // Atoms shared across ILFDs keep one id. An antecedent lists its ids
+  // ascending; a consequent atom is found by position in the ILFD's
+  // canonical order, which need not be id order.
+  IlfdSet set;
+  ASSERT_TRUE(set.AddText("a=1 -> d=4").ok());
+  ASSERT_TRUE(set.AddText("b=2 & a=1 -> d=4 & c=\"x\"").ok());
+  ASSERT_TRUE(set.AddText("c=\"x\" -> e=2.5 & d=4").ok());
+  for (size_t i = 0; i < set.size(); ++i) {
+    const Ilfd& f = set.ilfd(i);
+    const std::vector<AtomId>& body = set.AntecedentAtoms(i);
+    ASSERT_EQ(body.size(), f.antecedent().size());
+    EXPECT_TRUE(std::is_sorted(body.begin(), body.end()));
+    for (const Atom& a : f.antecedent()) {
+      const std::optional<AtomId> id = set.atoms().Find(a.attribute, a.value);
+      ASSERT_TRUE(id.has_value());
+      EXPECT_TRUE(std::find(body.begin(), body.end(), *id) != body.end());
+    }
+    for (size_t j = 0; j < f.consequent().size(); ++j) {
+      const AtomId id = set.ConsequentAtom(i, j);
+      EXPECT_EQ(set.atoms().atom(id), f.consequent()[j]) << i << "/" << j;
+    }
+  }
+  // d=4 is interned (by ILFD 0) before c="x", yet ILFD 1 concludes c
+  // first.
+  EXPECT_LT(set.ConsequentAtom(1, 1), set.ConsequentAtom(1, 0));
+  EXPECT_EQ(set.ConsequentAtom(1, 0), set.AntecedentAtoms(2)[0]);  // c=x
+}
+
 }  // namespace
 }  // namespace eid
