@@ -218,10 +218,14 @@ void BM_ParallelIdentify(benchmark::State& state) {
                              candidate_pairs, cross_product);
 }
 // Identify sweeps the full Prop-1 distinctness rule set (one rule per
-// covered entity) and materialises the complete NMT — the NMT itself is
-// Θ(n²) output, which caps this fixture's n.
+// covered entity); the NMT it certifies is Θ(n²) pairs, almost all of
+// them in complement rows. Fixed iterations and repetitions: one n=4096
+// op outlasts any minimum time, and the JSON record is the median of the
+// repetitions' means.
 BENCHMARK(BM_ParallelIdentify)
     ->ArgsProduct({{1024, 4096}, {1, 2, 4, 8}})
+    ->Iterations(3)
+    ->Repetitions(5)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ParallelIdentifyBlocked(benchmark::State& state) {
@@ -323,8 +327,18 @@ void BM_MatcherCompiled(benchmark::State& state) {
 void BM_MatcherInterpreter(benchmark::State& state) {
   RunMatcherEngine(state, /*reference=*/true);
 }
-BENCHMARK(BM_MatcherCompiled)->Arg(1024)->Arg(4096);
-BENCHMARK(BM_MatcherInterpreter)->Arg(1024)->Arg(4096);
+// Fixed iterations and repetitions, like BM_ParallelIdentify: the guard
+// in scripts/bench.sh compares the medians of the two engines' records.
+BENCHMARK(BM_MatcherCompiled)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Iterations(10)
+    ->Repetitions(5);
+BENCHMARK(BM_MatcherInterpreter)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Iterations(10)
+    ->Repetitions(5);
 
 }  // namespace
 }  // namespace eid

@@ -7,6 +7,7 @@
 #ifndef EID_BENCH_BENCH_UTIL_H_
 #define EID_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <ctime>
@@ -151,9 +152,12 @@ struct ColumnarCounters {
 };
 
 /// Accumulates JsonRecords and writes them as a JSON array, one record per
-/// line. WriteFile merges with an existing file written by this emitter
-/// (another bench binary's run), newer records replacing older ones with
-/// the same (name, n, threads) key — so the scaling benches can share one
+/// line. A benchmark run with repetitions records one JsonRecord per
+/// repetition; WriteFile writes, per (name, n, threads) key, the record
+/// with the median ns_op (the lower middle one of an even count) and
+/// their number as "samples". It merges with an existing file written by
+/// this emitter (another bench binary's run), newer records replacing
+/// older ones with the same key — so the scaling benches can share one
 /// BENCH_scaling.json at the repo root.
 class JsonEmitter {
  public:
@@ -183,10 +187,12 @@ class JsonEmitter {
     records_.push_back(std::move(r));
   }
 
-  static std::string ToLine(const JsonRecord& r) {
+  /// One record's line; `samples` follows ns_op, after the merge key.
+  static std::string ToLine(const JsonRecord& r, size_t samples) {
     std::ostringstream out;
     out << "  {\"name\": \"" << r.name << "\", \"n\": " << r.n
-        << ", \"threads\": " << r.threads << ", \"ns_op\": " << r.ns_op;
+        << ", \"threads\": " << r.threads << ", \"ns_op\": " << r.ns_op
+        << ", \"samples\": " << samples;
     if (r.has_pairs) {
       out << ", \"candidate_pairs\": " << r.candidate_pairs
           << ", \"cross_product\": " << r.cross_product;
@@ -213,9 +219,24 @@ class JsonEmitter {
       if (lines.emplace(key, line).second) order.push_back(key);
     }
     in.close();
+    // This run's records by key, in first-recorded order.
+    std::map<std::string, std::vector<const JsonRecord*>> runs;
+    std::vector<std::string> run_order;
     for (const JsonRecord& r : records_) {
-      std::string full = ToLine(r);
-      std::string key = full.substr(0, full.find("\"ns_op\""));
+      const std::string full = ToLine(r, 1);
+      const std::string key = full.substr(0, full.find("\"ns_op\""));
+      std::vector<const JsonRecord*>& samples = runs[key];
+      if (samples.empty()) run_order.push_back(key);
+      samples.push_back(&r);
+    }
+    for (const std::string& key : run_order) {
+      std::vector<const JsonRecord*>& samples = runs[key];
+      std::sort(samples.begin(), samples.end(),
+                [](const JsonRecord* a, const JsonRecord* b) {
+                  return a->ns_op < b->ns_op;
+                });
+      const std::string full =
+          ToLine(*samples[(samples.size() - 1) / 2], samples.size());
       if (lines.emplace(key, full).second) {
         order.push_back(key);
       } else {

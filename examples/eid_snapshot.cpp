@@ -183,7 +183,7 @@ int RoundTrip(size_t per_side) {
   for (const IdentificationResult* again : {&*engine, &*oracle}) {
     if (!SamePairs(again->matching, fresh->matching) ||
         !SamePairs(again->negative.table, fresh->negative.table) ||
-        again->negative.evidence != fresh->negative.evidence) {
+        again->negative.evidence() != fresh->negative.evidence()) {
       std::cerr << "FAIL: re-identify ("
                 << (again == &*engine ? "engine" : "reference")
                 << ") diverged from the saved run\n";

@@ -15,7 +15,10 @@
 # alone; --full under build/bench-full/, and once the guards pass it
 # replaces the committed files at the repo root with them. --full runs
 # every benchmark the committed files hold records of, so a record no
-# benchmark emits any more cannot survive a refresh.
+# benchmark emits any more cannot survive a refresh. BM_ParallelIdentify
+# and the matcher-engine benchmarks set fixed iterations and repetitions
+# themselves (one n=4096 op outlasts any minimum time); every record is
+# the median repetition, with its count as "samples".
 #
 # After the runs, the quadratic-fallback guard fails the script when any
 # blocked-fixture record evaluated as many candidate pairs as the full
@@ -47,7 +50,7 @@ if [[ "$FULL" == "1" ]]; then
   OUT=build/bench-full
 else
   DERIVATION_FILTER='BM_Derivation(Compiled|Interpreter)/256$|BM_Extension(Compiled|Interpreter)/1024$'
-  MATCHER_FILTER='BM_Matcher(Compiled|Interpreter)/1024$'
+  MATCHER_FILTER='BM_Matcher(Compiled|Interpreter)/1024/'
   SCALING_FILTER='BM_ParallelIdentifyBlocked/4096/'
   EXTENSION_SCALING_FILTER=''
   MIN_TIME=0.05

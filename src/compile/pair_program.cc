@@ -1,5 +1,6 @@
 #include "compile/pair_program.h"
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <optional>
@@ -108,6 +109,28 @@ StagedConjunction StagedConjunction::Compile(
         coverage[i] == exec::PredicateCoverage::kResidualRow;
     (row_only ? out.row_ops_ : out.pair_ops_).push_back(std::move(op));
   }
+  // An id pair conjunct is kUnknown wherever its R' cell is NULL, so the
+  // conjunction cannot be kTrue on such a row. `e1.A = e1.A` (kTrue
+  // exactly when the cell is non-NULL) in the row part drops the row
+  // before any of its pairs is evaluated, and leaves the set of kTrue
+  // pairs as it is.
+  std::vector<size_t> r_columns;
+  for (const Op& op : out.pair_ops_) {
+    if (!op.id_fast) continue;
+    for (const Slot* slot : {&op.lhs, &op.rhs}) {
+      if (slot->src == Src::kRColumn &&
+          std::find(r_columns.begin(), r_columns.end(), slot->column) ==
+              r_columns.end()) {
+        r_columns.push_back(slot->column);
+        Op non_null;
+        non_null.lhs = *slot;
+        non_null.op = CompareOp::kEq;
+        non_null.rhs = *slot;
+        non_null.id_fast = true;
+        out.row_ops_.push_back(std::move(non_null));
+      }
+    }
+  }
   return out;
 }
 
@@ -144,13 +167,18 @@ exec::PairShape StagedConjunction::pair_shape() const {
   if (pair_ops_.size() != 1) return shape;
   const Op& op = pair_ops_.front();
   if (!op.id_fast || op.op != CompareOp::kNe) return shape;
-  for (const auto& [column, constant] :
+  for (const auto& [column, other] :
        {std::pair{&op.lhs, &op.rhs}, std::pair{&op.rhs, &op.lhs}}) {
-    if (column->src == Src::kSColumn && constant->src == Src::kConstant &&
-        constant->const_id != exec::ColumnarWorld::kNullId) {
+    if (column->src != Src::kSColumn) continue;
+    if (other->src == Src::kConstant &&
+        other->const_id != exec::ColumnarWorld::kNullId) {
       shape.kind = exec::PairShape::Kind::kSNotEqual;
       shape.s_column = column->column;
-      shape.const_id = constant->const_id;
+      shape.const_id = other->const_id;
+    } else if (other->src == Src::kRColumn) {
+      shape.kind = exec::PairShape::Kind::kColumnNotEqual;
+      shape.s_column = column->column;
+      shape.r_column = other->column;
     }
   }
   return shape;
@@ -346,7 +374,7 @@ void RegisterInduced(const IlfdSet& ilfds,
 /// direct orientation, then, with `both_orientations`, the flipped one;
 /// then both orientations of each Proposition 1 rule in `induced` of
 /// `ilfds` (null when `induced` is empty).
-exec::FiredColumns Sweep(
+exec::FiredRows Sweep(
     const std::vector<const std::vector<Predicate>*>& antecedents,
     bool both_orientations, const IlfdSet* ilfds,
     const std::vector<InducedRule>& induced, const Relation& r_ext,
@@ -390,7 +418,7 @@ exec::FiredColumns Sweep(
   }
   stats->compile_ms = compile_timer.ElapsedMs();
   exec::StagedScanStats scan;
-  exec::FiredColumns fired = gen.Run(pool, &scan);
+  exec::FiredRows fired = gen.Run(pool, &scan);
   stats->candidate_pairs = scan.candidate_pairs;
   stats->rule_evals = scan.rule_evals;
   stats->feature_cache_hits = scan.feature_cache_hits;
@@ -415,17 +443,20 @@ exec::FiredColumns SweepRules(const std::vector<IdentityRule>& rules,
                               exec::ColumnarWorld& world,
                               exec::ThreadPool* pool,
                               exec::StageStats* stats) {
+  // A rule Validate accepts probes a join, so no entry is describable
+  // and every row is explicit; a rule it rejects may fire on most of S.
   return Sweep(Antecedents(rules), /*both_orientations=*/false,
-               /*ilfds=*/nullptr, {}, r_ext, s_ext, world, pool, stats);
+               /*ilfds=*/nullptr, {}, r_ext, s_ext, world, pool, stats)
+      .Materialize();
 }
 
-exec::FiredColumns SweepRules(const std::vector<DistinctnessRule>& rules,
-                              const IlfdSet& ilfds,
-                              const std::vector<InducedRule>& induced,
-                              const Relation& r_ext, const Relation& s_ext,
-                              exec::ColumnarWorld& world,
-                              exec::ThreadPool* pool,
-                              exec::StageStats* stats) {
+exec::FiredRows SweepRules(const std::vector<DistinctnessRule>& rules,
+                           const IlfdSet& ilfds,
+                           const std::vector<InducedRule>& induced,
+                           const Relation& r_ext, const Relation& s_ext,
+                           exec::ColumnarWorld& world,
+                           exec::ThreadPool* pool,
+                           exec::StageStats* stats) {
   return Sweep(Antecedents(rules), /*both_orientations=*/true, &ilfds,
                induced, r_ext, s_ext, world, pool, stats);
 }

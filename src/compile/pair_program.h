@@ -81,7 +81,11 @@ class EID_SHARED_IMMUTABLE CompiledConjunction {
 /// One rule antecedent compiled for the staged candidate generator: the
 /// covered conjuncts are dropped (the enumeration enforces them), the
 /// rest split into a row part (every operand binds the r side — hoisted
-/// out of the pair loop by the generator) and a pair part. kEq/kNe
+/// out of the pair loop by the generator) and a pair part. For each R'
+/// column an id pair conjunct reads, the row part also gets `e.A = e.A`,
+/// kTrue exactly when the cell is non-NULL: the pair conjunct is kUnknown
+/// on a NULL cell, so the row is dropped before its pairs are evaluated
+/// and the set of kTrue pairs does not change. kEq/kNe
 /// conjuncts run on the session world's id columns (exact: id equality
 /// is storage equality, which is precisely CompareValues-kEq/kNe on
 /// non-NULL operands; either side NULL yields kUnknown); ordering
@@ -114,7 +118,8 @@ class EID_SHARED_IMMUTABLE StagedConjunction final
                                     exec::ColumnarWorld& world);
 
   /// kEmpty without pair ops; kSNotEqual for one id op `s.col != c` (or
-  /// `c != s.col`) with a non-NULL constant; kGeneral otherwise.
+  /// `c != s.col`) with a non-NULL constant; kColumnNotEqual for one id
+  /// op `s.col != r.col` (either operand order); kGeneral otherwise.
   exec::PairShape pair_shape() const override;
   bool has_row_part() const override { return !row_ops_.empty(); }
   Truth RowTruth(size_t r_row) const override;
@@ -176,8 +181,10 @@ exec::FiredColumns SweepRules(const std::vector<IdentityRule>& rules,
 /// its two orientations fire on different pairs. `rules` come first,
 /// then the Proposition 1 rules `induced` of `ilfds`, whose antecedents
 /// must be non-empty (DistinctnessRule::Validate rejects the others).
-/// The priority column is rule_index * 2 + flipped, the NMT
-/// certificate, with rule_index counting `rules` and then `induced`.
+/// The priority is rule_index * 2 + flipped, the NMT certificate, with
+/// rule_index counting `rules` and then `induced`. Rows come out in
+/// their encodings (exec::FiredRows): a Proposition 1 NMT is mostly
+/// complement rows.
 ///
 /// An induced rule e1.A = a ∧ … ∧ e2.B ≠ b is registered straight from
 /// the set's atoms, with no DistinctnessRule, Predicate or BlockingPlan:
@@ -190,12 +197,12 @@ exec::FiredColumns SweepRules(const std::vector<IdentityRule>& rules,
 /// s rows and hoists `r.B ≠ b` as a row part. An orientation with an
 /// attribute absent from its side or a NULL constant is impossible, and
 /// still consumes its priority slot.
-exec::FiredColumns SweepRules(const std::vector<DistinctnessRule>& rules,
-                              const IlfdSet& ilfds,
-                              const std::vector<InducedRule>& induced,
-                              const Relation& r_ext, const Relation& s_ext,
-                              exec::ColumnarWorld& world,
-                              exec::ThreadPool* pool, exec::StageStats* stats);
+exec::FiredRows SweepRules(const std::vector<DistinctnessRule>& rules,
+                           const IlfdSet& ilfds,
+                           const std::vector<InducedRule>& induced,
+                           const Relation& r_ext, const Relation& s_ext,
+                           exec::ColumnarWorld& world,
+                           exec::ThreadPool* pool, exec::StageStats* stats);
 
 }  // namespace compile
 }  // namespace eid

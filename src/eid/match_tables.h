@@ -10,15 +10,19 @@
 //   Consistency  — no pair appears in both MT and NMT.
 //
 // NMT entries carry no uniqueness constraint (a tuple is distinct from many
-// tuples). MatchTable stores row-index pairs; it is a value type with no
-// pointers into the relations, which are supplied again when a printable
-// relation is requested.
+// tuples), and an NMT can hold almost every pair of R×S (Proposition 1's
+// rules certify 99.95 % of the pairs of a fully covered world), so it
+// stores a row that holds most of S by its complement. MatchTable stores
+// row-index pairs; it is a value type with no pointers into the
+// relations, which are supplied again when a printable relation is
+// requested.
 
 #ifndef EID_EID_MATCH_TABLES_H_
 #define EID_EID_MATCH_TABLES_H_
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,15 +56,40 @@ struct TuplePair {
 };
 static_assert(sizeof(TuplePair) == 8);
 
+/// The rows of a negative table stored by complement (DESIGN.md §4d):
+/// row rows[k] holds every s < s_count except its missing list,
+/// missing[end[k - 1] .. end[k]) (from 0 for k = 0), ascending.
+struct ComplementRows {
+  size_t s_count = 0;
+  std::vector<uint32_t> rows;     // ascending
+  std::vector<uint32_t> end;      // one per row
+  std::vector<uint32_t> missing;  // ascending within each row
+
+  bool empty() const { return rows.empty(); }
+  /// Pairs the rows hold.
+  size_t pairs() const {
+    return rows.size() * s_count - missing.size();
+  }
+  /// The s rows row k does not hold.
+  std::span<const uint32_t> Missing(size_t k) const {
+    const uint32_t begin = k == 0 ? 0 : end[k - 1];
+    return {missing.data() + begin, missing.data() + end[k]};
+  }
+  /// The position k of row `r` in `rows`, if it is stored by complement.
+  std::optional<size_t> Find(size_t r) const;
+};
+
 /// A matching (or negative-matching) table over row-index pairs, with one
 /// representation per kind:
 ///
 ///   MT  — pairs in insertion order (the order-sensitive uniqueness
 ///         verdict and pairs() depend on it) plus a flat per-side index
 ///         from row to its one pair; membership is a lookup in that index.
-///   NMT — a strictly increasing row-major pair column, the order the
-///         staged sweep emits and snapshots store; membership is a binary
-///         search, and there is no per-side index.
+///   NMT — row-major rows, each explicit or complement: a strictly
+///         increasing pair column holds the explicit rows, and
+///         ComplementRows the rows that hold most of S. Membership is a
+///         binary search; there is no per-side index, and pairs()
+///         enumerates the complement rows on each call.
 class MatchTable {
  public:
   /// `negative` selects NMT semantics (no uniqueness constraint).
@@ -76,23 +105,34 @@ class MatchTable {
                                       std::vector<TuplePair> pairs);
 
   bool negative() const { return negative_; }
-  size_t size() const { return pairs_.size(); }
-  bool empty() const { return pairs_.empty(); }
+  size_t size() const { return pairs_.size() + complement_.pairs(); }
+  bool empty() const { return size() == 0; }
   /// Insertion order for a matching table, row-major for a negative one.
-  const std::vector<TuplePair>& pairs() const { return pairs_; }
+  /// Built on each call: a negative table's complement rows are
+  /// enumerated here, so a caller that reads it twice keeps one copy.
+  std::vector<TuplePair> pairs() const;
+
+  /// Negative tables: the pairs of the rows stored explicitly, row-major,
+  /// and the rows stored by complement. No row is in both.
+  const std::vector<TuplePair>& explicit_pairs() const { return pairs_; }
+  const ComplementRows& complement_rows() const { return complement_; }
 
   /// Adds a pair; re-adding an existing pair is idempotent OK. For a
   /// matching table, violating the uniqueness constraint returns
   /// ConstraintViolation and leaves the table unchanged. A negative table
-  /// appends the pair, or inserts it at its row-major position.
+  /// appends the pair, or inserts it at its row-major position; it must
+  /// hold no complement row (the sweep's tables are not added to).
   Status Add(TuplePair pair);
 
-  /// Adopts `*pairs` as this (empty, negative) table's storage by move,
-  /// leaving `*pairs` empty. Requires a strictly increasing row-major
-  /// list — what the staged sweep emits and snapshots serialize — and
-  /// only checks that order. Returns false, with the table and `*pairs`
-  /// unchanged, when the list is not strictly increasing.
-  bool AdoptSorted(std::vector<TuplePair>* pairs);
+  /// Adopts the sweep's rows as this (empty, negative) table's storage by
+  /// move, leaving both arguments empty: `explicit_pairs` strictly
+  /// increasing row-major, every s below complement->s_count, and each
+  /// complement row after its predecessor, on no row of an explicit pair,
+  /// its missing list strictly increasing and below s_count. Checks
+  /// exactly that. Returns false, with the table and both arguments
+  /// unchanged, when some row list is out of order or range.
+  bool AdoptRows(std::vector<TuplePair>* explicit_pairs,
+                 ComplementRows* complement);
 
   bool Contains(const TuplePair& pair) const;
 
@@ -127,6 +167,8 @@ class MatchTable {
 
   bool negative_ = false;
   std::vector<TuplePair> pairs_;
+  // Negative tables only: the rows stored by complement.
+  ComplementRows complement_;
   // Matching tables only: the index into pairs_ of each row's pair
   // (kNoPair = unmatched). Row indices are dense and bounded by the
   // relation sizes, so a flat vector serves as the map; a matching table

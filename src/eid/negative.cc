@@ -7,33 +7,42 @@
 
 namespace eid {
 
-namespace {
-
-/// Moves the sweep's pair and certificate columns into `out`. The sweep
-/// emits strictly increasing row-major pairs. Anything else is an engine
-/// defect, and folding it through the table's checked path would drop
-/// duplicates and misalign the certificates, so it fails instead.
-Status AdoptColumns(std::vector<TuplePair> pairs,
-                    std::vector<uint32_t> certificates, NegativeResult* out) {
-  EID_CHECK(pairs.size() == certificates.size());
-  if (!out->table.AdoptSorted(&pairs)) {
+Status NegativeResult::Adopt(exec::FiredRows rows) {
+  EID_CHECK(rows.pairs.size() == rows.priorities.size());
+  const size_t complement_rows = rows.complement.rows.size();
+  EID_CHECK(rows.certificates.fired_end.size() == complement_rows &&
+            rows.certificates.exceptions_end.size() == complement_rows);
+  if (!table.AdoptRows(&rows.pairs, &rows.complement)) {
     return Status::Internal(
         "distinctness sweep emitted pairs out of row-major order");
   }
-  out->evidence = std::move(certificates);
+  certificates_ = std::move(rows.priorities);
+  complement_ = std::move(rows.certificates);
   return Status::Ok();
 }
 
-}  // namespace
+std::vector<uint32_t> NegativeResult::evidence() const {
+  std::vector<uint32_t> out;
+  // A table changed after adoption has no certificates for its pairs.
+  if (certificates_.size() != table.explicit_pairs().size()) return out;
+  exec::AppendRowMajor(table.explicit_pairs(), certificates_,
+                       table.complement_rows(), complement_,
+                       /*out_pairs=*/nullptr, &out);
+  return out;
+}
 
 std::optional<NegativePairEvidence> NegativeResult::EvidenceFor(
     const TuplePair& pair) const {
-  const std::vector<TuplePair>& pairs = table.pairs();
-  if (evidence.size() != pairs.size()) return std::nullopt;
+  if (!table.Contains(pair)) return std::nullopt;
+  if (std::optional<size_t> k = table.complement_rows().Find(pair.r_index)) {
+    return NegativePairEvidence::FromCertificate(
+        complement_.CertificateOf(*k, pair.r_index, pair.s_index));
+  }
+  const std::vector<TuplePair>& pairs = table.explicit_pairs();
+  if (certificates_.size() != pairs.size()) return std::nullopt;
   auto it = std::lower_bound(pairs.begin(), pairs.end(), pair);
-  if (it == pairs.end() || !(*it == pair)) return std::nullopt;
   return NegativePairEvidence::FromCertificate(
-      evidence[static_cast<size_t>(it - pairs.begin())]);
+      certificates_[static_cast<size_t>(it - pairs.begin())]);
 }
 
 Result<NegativeResult> BuildNegativeMatchingTable(
@@ -70,16 +79,12 @@ Result<NegativeResult> BuildNegativeMatchingTable(
   out.stats.cross_product = r_extended.size() * s_extended.size();
 
   // One r-major sweep over all rule orientations; per pair, the first
-  // (rule, orientation) that fires is its certificate.
-  exec::FiredColumns fired =
+  // (rule, orientation) that fires is its certificate. Its rows become
+  // the table and the certificates by move: an explicit pair is written
+  // once, by the sweep, and a complement row's pairs not at all.
+  EID_RETURN_IF_ERROR(out.Adopt(
       compile::SweepRules(rules, ilfds, induced, r_extended, s_extended,
-                          world, pool, &out.stats);
-  // The sweep emits unique pairs in strictly increasing row-major order
-  // with priority rule * 2 + flipped, so its pair column becomes the
-  // table's storage and its priority column the certificates, both by
-  // move: each fired pair is written once, by the sweep.
-  EID_RETURN_IF_ERROR(AdoptColumns(std::move(fired.pairs),
-                                   std::move(fired.priorities), &out));
+                          world, pool, &out.stats)));
   out.stats.items = out.table.size();
   out.stats.wall_ms = timer.ElapsedMs();
   return out;

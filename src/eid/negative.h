@@ -4,16 +4,18 @@
 // Every pair of (extended) tuples for which some distinctness rule's
 // antecedent evaluates to true is a known-distinct pair. The paper notes
 // the number of non-matching pairs is usually far larger than matching
-// pairs, so NMT_RS is conceptual; this module materialises exactly the
-// pairs the supplied rules certify, which is what consistency checking and
-// the three-valued decision function need.
+// pairs, so NMT_RS is conceptual. This module keeps exactly the pairs the
+// supplied rules certify, which is what consistency checking and the
+// three-valued decision function need, without writing each one: a row
+// that holds most of S is stored by its complement and the rules that
+// fired on it (DESIGN.md §4d).
 //
 // Evaluation runs through the staged candidate generator
 // (src/exec/candidate_generator.h): each rule's equality conjuncts bound
 // its candidate pairs through the session world's posting indexes, and
-// candidates are swept in parallel. The resulting table, certificate
-// column and ordering equal eid::reference's nested-loop sweep for any
-// thread count.
+// candidates are swept in parallel. The resulting table, certificates
+// and ordering equal eid::reference's nested-loop sweep for any thread
+// count.
 
 #ifndef EID_EID_NEGATIVE_H_
 #define EID_EID_NEGATIVE_H_
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "eid/match_tables.h"
+#include "exec/candidate_generator.h"
 #include "exec/columnar_world.h"
 #include "exec/stage_stats.h"
 #include "exec/thread_pool.h"
@@ -48,19 +51,34 @@ struct NegativePairEvidence {
 
 /// Result of negative-table construction.
 struct NegativeResult {
-  /// The NMT, sorted row-major.
+  /// The NMT, row-major: explicit rows and complement rows.
   MatchTable table{/*negative=*/true};
-  /// evidence[i] certifies table.pairs()[i]: the first (rule,
-  /// orientation) whose antecedent is true on it, as a certificate (see
-  /// NegativePairEvidence). The two columns are the NMT's only copy of
-  /// each pair: 16 B of pair plus 4 B of certificate.
-  std::vector<uint32_t> evidence;
   /// Counters of the sweep ("distinctness_rules" stage).
   exec::StageStats stats;
 
-  /// The certificate of `pair`, by binary search over the sorted table;
-  /// nullopt when the table does not hold the pair.
+  /// The certificate column, aligned with table.pairs(): per pair the
+  /// first (rule, orientation) whose antecedent is true on it, as a
+  /// certificate (see NegativePairEvidence). Built on each call; a
+  /// complement row is replayed from the rules that fired on it. Empty
+  /// when `table` was changed after adoption.
+  std::vector<uint32_t> evidence() const;
+
+  /// The certificate of `pair`, from its row alone; nullopt when the
+  /// table does not hold the pair.
   std::optional<NegativePairEvidence> EvidenceFor(const TuplePair& pair) const;
+
+  /// Takes a sweep's rows (or the reference's explicit ones) as this
+  /// empty result's table and certificates. Internal error, with the
+  /// result unchanged, when a stored row list is out of order or range:
+  /// an engine defect, which folding the rows through the table's
+  /// checked path would hide.
+  Status Adopt(exec::FiredRows rows);
+
+ private:
+  // Explicit rows: one certificate per table.explicit_pairs() pair.
+  std::vector<uint32_t> certificates_;
+  // Complement rows, aligned with table.complement_rows().
+  exec::ComplementCertificates complement_;
 };
 
 /// Evaluates every rule over every pair of rows of the two (extended,

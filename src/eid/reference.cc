@@ -266,6 +266,10 @@ Result<IdentificationResult> Identify(const IdentifierConfig& config,
   for (const DistinctnessRule& rule : rules) {
     EID_RETURN_IF_ERROR(rule.Validate());
   }
+  // Every row explicit: the pairs in row-major order, each with its
+  // certificate.
+  exec::FiredRows certified;
+  certified.complement.s_count = n_s;
   for (size_t i = 0; i < n_r; ++i) {
     const TupleView rv = out.r_extended.tuple(i);
     for (size_t j = 0; j < n_s; ++j) {
@@ -275,13 +279,14 @@ Result<IdentificationResult> Identify(const IdentifierConfig& config,
         const bool flipped = (p & 1) != 0;
         if ((flipped ? rule.Applies(sv, rv) : rule.Applies(rv, sv)) ==
             Truth::kTrue) {
-          EID_RETURN_IF_ERROR(out.negative.table.Add(TuplePair{i, j}));
-          out.negative.evidence.push_back(p);
+          certified.pairs.push_back(TuplePair{i, j});
+          certified.priorities.push_back(p);
           break;
         }
       }
     }
   }
+  EID_RETURN_IF_ERROR(out.negative.Adopt(std::move(certified)));
 
   out.consistency =
       MatchTable::CheckConsistency(out.matching, out.negative.table);

@@ -65,11 +65,13 @@ IdentifierConfig WorldConfig(const GeneratedWorld& world, int threads) {
 /// agree entry for entry.
 void ExpectSameNegative(const NegativeResult& a, const NegativeResult& b) {
   EXPECT_EQ(a.table.pairs(), b.table.pairs());
-  ASSERT_EQ(a.evidence.size(), a.table.size());
-  ASSERT_EQ(b.evidence.size(), b.table.size());
-  ASSERT_EQ(a.evidence.size(), b.evidence.size());
-  for (size_t i = 0; i < a.evidence.size(); ++i) {
-    EXPECT_EQ(a.evidence[i], b.evidence[i]) << "NMT pair " << i;
+  const std::vector<uint32_t> a_evidence = a.evidence();
+  const std::vector<uint32_t> b_evidence = b.evidence();
+  ASSERT_EQ(a_evidence.size(), a.table.size());
+  ASSERT_EQ(b_evidence.size(), b.table.size());
+  ASSERT_EQ(a_evidence.size(), b_evidence.size());
+  for (size_t i = 0; i < a_evidence.size(); ++i) {
+    EXPECT_EQ(a_evidence[i], b_evidence[i]) << "NMT pair " << i;
   }
 }
 

@@ -182,7 +182,7 @@ void CheckAcrossEngines(IdentifierConfig config, const Relation& r,
     EID_ASSERT_OK_AND_ASSIGN(IdentificationResult result,
                              EntityIdentifier(config).Identify(r, s));
     EXPECT_EQ(result.negative.table.pairs(), reference.negative.table.pairs());
-    EXPECT_EQ(result.negative.evidence, reference.negative.evidence);
+    EXPECT_EQ(result.negative.evidence(), reference.negative.evidence());
     ExpectEveryNmtPairCertified(result, config);
   }
 }

@@ -1,22 +1,29 @@
 // Differential property suite for the Proposition 1 rules the engine
-// registers straight from the ILFD set's atoms (compile::SweepRules).
+// registers straight from the ILFD set's atoms (compile::SweepRules), and
+// for the two encodings the NMT stores a row in (DESIGN.md §4d).
 // Random worlds and ILFD sets cover multi-atom antecedents and
 // multi-consequent ILFDs, attributes on one side only or on neither,
 // antecedent constants absent from their column or present only on the
 // other side, consequent constants never interned, NULL constants, Int,
-// Double (±0.0, NaN) and String values, NULL cells, and explicit rules
-// ahead of the induced ones. At threads 1 and 4 the engine's NMT pairs
-// in order, certificates, verdicts and error texts must equal both
+// Double (±0.0, NaN) and String values, NULL cells, explicit rules ahead
+// of the induced ones (a join rule first, whose pairs are exceptions on
+// complement rows) and column-form `!=` rules. Rows land on both sides
+// of half of S, including rows that stay explicit after a describable
+// rule fired on them. At threads 1 and 4 the engine's NMT pairs in
+// order, certificates, verdicts and error texts must equal both
 // eid::reference::Identify and the generic staged sweep over the
-// spelled-out rule list (EffectiveDistinctnessRules). An ILFD with an
-// empty antecedent must fail with DistinctnessRule::Validate's text, in
-// rule order. This test runs under the tsan/asan presets
-// (scripts/check.sh).
+// spelled-out rule list (EffectiveDistinctnessRules), and Contains,
+// Decide and EvidenceFor must equal the reference's on every pair. An
+// ILFD with an empty antecedent must fail with DistinctnessRule::
+// Validate's text, in rule order. This test runs under the tsan/asan
+// presets (scripts/check.sh).
 
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -160,6 +167,8 @@ World RandomWorld(uint64_t seed) {
       Rule("same_a_other_c", "e1.a = e2.a & e1.c != e2.c"),
       Rule("b_half", "e1.b = 1.5 & e2.c != \"q\""),
       Rule("x_vs_y", "e1.x = 2 & e2.y = \"r\""),
+      Rule("other_c", "e1.c != e2.c"),
+      Rule("other_b", "e2.b != e1.b"),
   };
   for (const DistinctnessRule& rule : explicit_rules) {
     if (rng() % 2 == 0) w.config.distinctness_rules.push_back(rule);
@@ -181,12 +190,84 @@ Result<NegativeResult> GenericSweep(const IdentifierConfig& config,
                                     threads > 1 ? &pool : nullptr, world);
 }
 
+/// What one world's NMT exercised, at threads=1.
+struct Coverage {
+  size_t induced = 0;          // pairs an induced rule certified
+  size_t complement_rows = 0;  // rows stored by complement
+  size_t exceptions = 0;       // complement-row pairs the join rule certified
+  size_t rewalked = 0;         // explicit rows a describable rule fired on
+  size_t column_ne = 0;        // pairs a column-form `!=` rule certified
+};
+
+/// Contains, Decide and EvidenceFor of the engine's result equal the
+/// reference's on every pair.
+void ExpectSameOnEveryPair(const IdentificationResult& engine,
+                           const IdentificationResult& reference) {
+  EXPECT_EQ(engine.negative.table.size(), reference.negative.table.size());
+  for (size_t i = 0; i < engine.r_extended.size(); ++i) {
+    for (size_t j = 0; j < engine.s_extended.size(); ++j) {
+      const TuplePair pair{i, j};
+      EXPECT_EQ(engine.negative.table.Contains(pair),
+                reference.negative.table.Contains(pair))
+          << "(" << i << ", " << j << ")";
+      EXPECT_EQ(engine.Decide(i, j), reference.Decide(i, j))
+          << "(" << i << ", " << j << ")";
+      const std::optional<NegativePairEvidence> got =
+          engine.negative.EvidenceFor(pair);
+      const std::optional<NegativePairEvidence> want =
+          reference.negative.EvidenceFor(pair);
+      ASSERT_EQ(got.has_value(), want.has_value())
+          << "(" << i << ", " << j << ")";
+      if (got.has_value()) {
+        EXPECT_EQ(got->rule_index, want->rule_index)
+            << "(" << i << ", " << j << ")";
+        EXPECT_EQ(got->flipped, want->flipped) << "(" << i << ", " << j << ")";
+      }
+    }
+  }
+}
+
+/// What `result`'s NMT exercised (see Coverage).
+Coverage CoverageOf(const IdentifierConfig& config,
+                    const IdentificationResult& result) {
+  Coverage out;
+  std::vector<std::string> names;
+  for (const DistinctnessRule& rule : config.distinctness_rules) {
+    names.push_back(rule.name());
+  }
+  auto named = [&](uint32_t certificate, const std::string& name) {
+    return certificate / 2 < names.size() && names[certificate / 2] == name;
+  };
+  const MatchTable& table = result.negative.table;
+  out.complement_rows = table.complement_rows().rows.size();
+  const std::vector<TuplePair> pairs = table.pairs();
+  const std::vector<uint32_t> evidence = result.negative.evidence();
+  std::set<uint32_t> rewalked;
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const uint32_t certificate = evidence[i];
+    const bool complement =
+        table.complement_rows().Find(pairs[i].r_index).has_value();
+    const bool induced = certificate / 2 >= names.size();
+    const bool column_ne =
+        named(certificate, "other_c") || named(certificate, "other_b");
+    if (induced) ++out.induced;
+    if (column_ne) ++out.column_ne;
+    if (complement && named(certificate, "same_a_other_c")) ++out.exceptions;
+    // Induced and column-form rules are describable wherever they fire.
+    if (!complement && (induced || column_ne)) {
+      rewalked.insert(pairs[i].r_index);
+    }
+  }
+  out.rewalked = rewalked.size();
+  return out;
+}
+
 /// Engine ≡ reference ≡ generic sweep on one world, at threads 1 and 4.
-/// Returns the number of NMT pairs an induced rule certified.
-size_t ExpectAllAgree(const World& w) {
+/// Returns what the threads=1 NMT exercised.
+Coverage ExpectAllAgree(const World& w) {
   const Result<IdentificationResult> reference =
       reference::Identify(w.config, w.r, w.s);
-  size_t induced = 0;
+  Coverage coverage;
   for (int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     IdentifierConfig config = w.config;
@@ -200,50 +281,58 @@ size_t ExpectAllAgree(const World& w) {
     EXPECT_EQ(engine->matching.pairs(), reference->matching.pairs());
     EXPECT_EQ(engine->negative.table.pairs(),
               reference->negative.table.pairs());
-    EXPECT_EQ(engine->negative.evidence, reference->negative.evidence);
+    EXPECT_EQ(engine->negative.evidence(), reference->negative.evidence());
     EXPECT_EQ(engine->uniqueness, reference->uniqueness);
     EXPECT_EQ(engine->consistency, reference->consistency);
     EXPECT_EQ(engine->partition.non_matched,
               reference->partition.non_matched);
     EXPECT_EQ(engine->partition.undetermined,
               reference->partition.undetermined);
+    ExpectSameOnEveryPair(*engine, *reference);
 
     const Result<NegativeResult> generic =
         GenericSweep(config, *engine, threads);
     EXPECT_TRUE(generic.ok()) << generic.status().ToString();
     if (!generic.ok()) continue;
     EXPECT_EQ(engine->negative.table.pairs(), generic->table.pairs());
-    EXPECT_EQ(engine->negative.evidence, generic->evidence);
-    if (threads == 1) {
-      for (uint32_t certificate : engine->negative.evidence) {
-        if (certificate / 2 >= config.distinctness_rules.size()) ++induced;
-      }
-    }
+    EXPECT_EQ(engine->negative.evidence(), generic->evidence());
+    if (threads == 1) coverage = CoverageOf(config, *engine);
   }
-  return induced;
+  return coverage;
 }
 
 TEST(InducedRulePropertyTest, RandomWorldsEqualReferenceAndGenericSweep) {
   size_t identified = 0;
-  size_t induced_pairs = 0;
   size_t flipped_pairs = 0;
+  Coverage total;
   for (uint64_t seed = 1; seed <= 60; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     const World w = RandomWorld(seed);
-    induced_pairs += ExpectAllAgree(w);
+    const Coverage c = ExpectAllAgree(w);
+    total.induced += c.induced;
+    total.complement_rows += c.complement_rows;
+    total.exceptions += c.exceptions;
+    total.rewalked += c.rewalked;
+    total.column_ne += c.column_ne;
     Result<IdentificationResult> result =
         EntityIdentifier(w.config).Identify(w.r, w.s);
     if (!result.ok()) continue;
     ++identified;
-    for (uint32_t certificate : result->negative.evidence) {
+    for (uint32_t certificate : result->negative.evidence()) {
       if ((certificate & 1) != 0) ++flipped_pairs;
     }
   }
-  // The worlds exercise what they are for: most identify, and induced
-  // rules certify pairs in both orientations.
+  // The worlds exercise what they are for: most identify, induced rules
+  // certify pairs in both orientations, column-form `!=` rules certify
+  // pairs, and rows land in complement form (with exceptions) and stay
+  // explicit after a describable rule fired on them.
   EXPECT_GE(identified, 40u);
-  EXPECT_GT(induced_pairs, 0u);
+  EXPECT_GT(total.induced, 0u);
   EXPECT_GT(flipped_pairs, 0u);
+  EXPECT_GT(total.column_ne, 0u);
+  EXPECT_GT(total.complement_rows, 0u);
+  EXPECT_GT(total.exceptions, 0u);
+  EXPECT_GT(total.rewalked, 0u);
 }
 
 TEST(InducedRulePropertyTest, EmptyAntecedentFailsWithTheValidateText) {

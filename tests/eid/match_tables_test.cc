@@ -1,8 +1,10 @@
 // MatchTable against a std::set oracle (paper §3.2): a matching table keeps
 // its pairs in insertion order and answers membership and per-side lookups
-// from its row index; a negative table is a strictly increasing row-major
-// pair column. Randomized cases draw pairs from a small grid so that
-// re-adds, uniqueness conflicts and out-of-order adds are all frequent.
+// from its row index; a negative table is row-major rows, each a strictly
+// increasing pair column or, when it holds more than half of S, its
+// complement. Randomized cases draw pairs from a small grid so that
+// re-adds, uniqueness conflicts, out-of-order adds and rows on either side
+// of half of S are all frequent.
 
 #include "eid/match_tables.h"
 
@@ -100,6 +102,52 @@ void ExpectNegativeTableEquals(const MatchTable& table,
   }
 }
 
+/// The sweep's encoding of `members` over an S of `cols` rows: a row
+/// holding more than half of S is stored by complement, every other row
+/// explicitly.
+struct EncodedRows {
+  std::vector<TuplePair> explicit_pairs;
+  ComplementRows complement;
+};
+
+EncodedRows Encode(const std::set<TuplePair>& members, size_t rows,
+                   size_t cols) {
+  EncodedRows out;
+  out.complement.s_count = cols;
+  for (size_t r = 0; r < rows; ++r) {
+    std::vector<uint32_t> held;
+    for (size_t s = 0; s < cols; ++s) {
+      if (members.count(TuplePair{r, s}) > 0) held.push_back(s);
+    }
+    if (2 * held.size() <= cols) {
+      for (uint32_t s : held) out.explicit_pairs.push_back(TuplePair{r, s});
+      continue;
+    }
+    out.complement.rows.push_back(static_cast<uint32_t>(r));
+    for (size_t s = 0; s < cols; ++s) {
+      if (members.count(TuplePair{r, s}) == 0) {
+        out.complement.missing.push_back(static_cast<uint32_t>(s));
+      }
+    }
+    out.complement.end.push_back(
+        static_cast<uint32_t>(out.complement.missing.size()));
+  }
+  return out;
+}
+
+/// Members over a `rows` × `cols` grid whose rows range from sparse to
+/// full, so that about half of them cross half of S.
+std::set<TuplePair> RandomRows(Rng& rng, size_t rows, size_t cols) {
+  std::set<TuplePair> members;
+  for (size_t r = 0; r < rows; ++r) {
+    const double density = rng.Chance(0.5) ? 0.25 : 0.85;
+    for (size_t s = 0; s < cols; ++s) {
+      if (rng.Chance(density)) members.insert(TuplePair{r, s});
+    }
+  }
+  return members;
+}
+
 TEST(MatchTableTest, RandomizedMatchingAddsAgreeWithOracle) {
   for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -158,7 +206,8 @@ TEST(MatchTableTest, RandomizedNegativeAddsAgreeWithOracle) {
     for (const TuplePair& pair : adds) {
       EID_ASSERT_OK(table.Add(pair));
       members.insert(pair);
-      ASSERT_TRUE(std::is_sorted(table.pairs().begin(), table.pairs().end()));
+      const std::vector<TuplePair> pairs = table.pairs();
+      ASSERT_TRUE(std::is_sorted(pairs.begin(), pairs.end()));
     }
     ExpectNegativeTableEquals(table, members, rows, cols);
     if (::testing::Test::HasFailure()) return;
@@ -184,6 +233,14 @@ TEST(MatchTableTest, RandomizedFromPairsAgreesWithOracle) {
                              MatchTable::FromPairs(/*negative=*/true, list));
     ExpectNegativeTableEquals(
         negative, std::set<TuplePair>(list.begin(), list.end()), rows, cols);
+    // The same set with its rows that cross half of S stored by
+    // complement.
+    const std::set<TuplePair> listed(list.begin(), list.end());
+    EncodedRows encoded = Encode(listed, rows, cols);
+    MatchTable adopted(/*negative=*/true);
+    ASSERT_TRUE(
+        adopted.AdoptRows(&encoded.explicit_pairs, &encoded.complement));
+    ExpectNegativeTableEquals(adopted, listed, rows, cols);
 
     // Matching: the Add fold in list order, failing on the first
     // uniqueness violation with Add's message.
@@ -206,51 +263,96 @@ TEST(MatchTableTest, RandomizedFromPairsAgreesWithOracle) {
       EXPECT_EQ(matching.status().message(), want.message());
     }
 
-    // Consistency holds exactly when the two tables share no pair.
+    // Consistency holds exactly when the two tables share no pair,
+    // whether the NMT's rows are explicit or complement.
     if (matching.ok()) {
       MatchTable nmt(/*negative=*/true);
+      std::set<TuplePair> dense = RandomRows(rng, rows, cols);
       for (const TuplePair& p : list) {
         if (!matching->Contains(p) || rng.Chance(0.2)) {
           EID_ASSERT_OK(nmt.Add(p));
+        } else {
+          dense.erase(p);
         }
       }
-      bool overlap = false;
-      for (const TuplePair& p : matching->pairs()) {
-        overlap = overlap || nmt.Contains(p);
+      EncodedRows dense_rows = Encode(dense, rows, cols);
+      MatchTable dense_nmt(/*negative=*/true);
+      ASSERT_TRUE(dense_nmt.AdoptRows(&dense_rows.explicit_pairs,
+                                      &dense_rows.complement));
+      for (const MatchTable* table : {&nmt, &dense_nmt}) {
+        bool overlap = false;
+        for (const TuplePair& p : matching->pairs()) {
+          overlap = overlap || table->Contains(p);
+        }
+        EXPECT_EQ(MatchTable::CheckConsistency(*matching, *table).ok(),
+                  !overlap);
       }
-      EXPECT_EQ(MatchTable::CheckConsistency(*matching, nmt).ok(), !overlap);
     }
     if (::testing::Test::HasFailure()) return;
   }
 }
 
-TEST(MatchTableTest, RandomizedAdoptSortedTakesOnlyIncreasingLists) {
+TEST(MatchTableTest, RandomizedAdoptRowsTakesOnlyIncreasingRows) {
   for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed);
-    std::set<TuplePair> members;
-    const size_t n = rng.Below(20);
-    for (size_t i = 0; i < n; ++i) members.insert(RandomPair(rng, 6, 6));
-    std::vector<TuplePair> list(members.begin(), members.end());
-    // Every other seed breaks the order once: a duplicate or a swap.
-    const bool break_order = seed % 2 == 0 && list.size() >= 2;
+    const size_t rows = 1 + rng.Below(8);
+    const size_t cols = 1 + rng.Below(8);
+    const std::set<TuplePair> members = RandomRows(rng, rows, cols);
+    EncodedRows encoded = Encode(members, rows, cols);
+    // Every other seed breaks one row list: an explicit pair repeated or
+    // swapped, a complement row repeated, on an explicit pair's row, or
+    // missing an s row twice or one beyond S.
+    const bool break_order = seed % 2 == 0;
     if (break_order) {
-      const size_t at = 1 + rng.Below(list.size() - 1);
-      if (rng.Chance(0.5)) {
-        list[at] = list[at - 1];
+      std::vector<TuplePair>& pairs = encoded.explicit_pairs;
+      ComplementRows& complement = encoded.complement;
+      const uint64_t how = rng.Below(5);
+      if (how == 0 && pairs.size() >= 2) {
+        const size_t at = 1 + rng.Below(pairs.size() - 1);
+        std::swap(pairs[at], pairs[at - 1]);
+      } else if (how == 1 && !pairs.empty()) {
+        pairs.insert(pairs.begin() + rng.Below(pairs.size()), pairs.front());
+        std::sort(pairs.begin(), pairs.end());
+      } else if (how == 2 && !pairs.empty() && !complement.empty()) {
+        // Explicit and complement rows are disjoint, so this stays
+        // strictly increasing.
+        complement.rows[0] = pairs.front().r_index;
+        std::sort(complement.rows.begin(), complement.rows.end());
+      } else if (how == 3 && complement.rows.size() >= 2) {
+        complement.rows[1] = complement.rows[0];
       } else {
-        std::swap(list[at], list[at - 1]);
+        // A row with nothing missing gets one beyond S; a row missing
+        // something gets its first missing s row twice.
+        if (complement.empty()) {
+          complement.rows.push_back(static_cast<uint32_t>(rows));
+          complement.end.push_back(
+              static_cast<uint32_t>(complement.missing.size()));
+        }
+        const size_t last = complement.rows.size() - 1;
+        const size_t begin = last == 0 ? 0 : complement.end[last - 1];
+        const uint32_t extra = complement.end[last] == begin
+                                   ? static_cast<uint32_t>(cols)
+                                   : complement.missing[begin];
+        complement.missing.insert(complement.missing.begin() + begin, extra);
+        ++complement.end[last];
       }
     }
-    const std::vector<TuplePair> before = list;
+    const EncodedRows before = encoded;
     MatchTable table(/*negative=*/true);
-    EXPECT_EQ(table.AdoptSorted(&list), !break_order);
+    const bool adopted =
+        table.AdoptRows(&encoded.explicit_pairs, &encoded.complement);
     if (break_order) {
-      EXPECT_EQ(list, before);
+      EXPECT_FALSE(adopted);
+      EXPECT_EQ(encoded.explicit_pairs, before.explicit_pairs);
+      EXPECT_EQ(encoded.complement.rows, before.complement.rows);
+      EXPECT_EQ(encoded.complement.missing, before.complement.missing);
       EXPECT_TRUE(table.empty());
     } else {
-      EXPECT_TRUE(list.empty());
-      ExpectNegativeTableEquals(table, members, 6, 6);
+      EXPECT_TRUE(adopted);
+      EXPECT_TRUE(encoded.explicit_pairs.empty());
+      EXPECT_TRUE(encoded.complement.empty());
+      ExpectNegativeTableEquals(table, members, rows, cols);
     }
     if (::testing::Test::HasFailure()) return;
   }
@@ -263,29 +365,61 @@ TEST(MatchTableTest, PerSideLookupsAreForMatchingTablesOnly) {
   EXPECT_DEATH((void)negative.MatchOfS(0), "CHECK failed");
 }
 
-// The NMT adopt contract (DESIGN.md §4d): a strictly increasing list is
-// taken by move after one order check; anything else leaves table and
-// list untouched, and FromPairs sorts and deduplicates it instead.
-TEST(MatchTableTest, AdoptSortedTakesStrictlyIncreasingPairs) {
+// The NMT adopt contract (DESIGN.md §4d): strictly increasing row lists
+// in range are taken by move after one pass of checks; anything else
+// leaves table and lists untouched, and FromPairs sorts and deduplicates
+// a list instead.
+TEST(MatchTableTest, AdoptRowsTakesStrictlyIncreasingPairs) {
   std::vector<TuplePair> pairs = {{0, 1}, {0, 3}, {2, 0}, {2, 1}};
+  // Row 1 holds every s row of 5 but 2 and 4; row 3 holds all 5.
+  ComplementRows complement{5, {1, 3}, {2, 2}, {2, 4}};
   MatchTable table(/*negative=*/true);
-  ASSERT_TRUE(table.AdoptSorted(&pairs));
+  ASSERT_TRUE(table.AdoptRows(&pairs, &complement));
   EXPECT_TRUE(pairs.empty());
-  ASSERT_EQ(table.size(), 4u);
+  EXPECT_TRUE(complement.empty());
+  ASSERT_EQ(table.size(), 12u);
   EXPECT_TRUE(table.Contains(TuplePair{2, 0}));
-  EXPECT_FALSE(table.Contains(TuplePair{1, 0}));
+  EXPECT_TRUE(table.Contains(TuplePair{1, 3}));
+  EXPECT_FALSE(table.Contains(TuplePair{1, 2}));
+  EXPECT_FALSE(table.Contains(TuplePair{1, 5}));
+  EXPECT_TRUE(table.Contains(TuplePair{3, 4}));
+  EXPECT_FALSE(table.Contains(TuplePair{4, 0}));
+  EXPECT_EQ(table.pairs(),
+            (std::vector<TuplePair>{{0, 1}, {0, 3}, {1, 0}, {1, 1}, {1, 3},
+                                    {2, 0}, {2, 1}, {3, 0}, {3, 1}, {3, 2},
+                                    {3, 3}, {3, 4}}));
 }
 
-TEST(MatchTableTest, AdoptSortedRejectsUnsortedOrDuplicatePairs) {
+TEST(MatchTableTest, AdoptRowsRejectsUnsortedOrDuplicatePairs) {
   for (std::vector<TuplePair> pairs :
        {std::vector<TuplePair>{{0, 1}, {0, 1}},
-        std::vector<TuplePair>{{1, 0}, {0, 5}}}) {
+        std::vector<TuplePair>{{1, 0}, {0, 5}},
+        std::vector<TuplePair>{{0, 1}, {1, 6}}}) {  // s beyond S
     const std::vector<TuplePair> before = pairs;
+    ComplementRows complement{6, {}, {}, {}};
     MatchTable table(/*negative=*/true);
-    EXPECT_FALSE(table.AdoptSorted(&pairs));
+    EXPECT_FALSE(table.AdoptRows(&pairs, &complement));
     EXPECT_EQ(pairs, before);
     EXPECT_TRUE(table.empty());
     EXPECT_FALSE(table.Contains(TuplePair{0, 1}));
+  }
+  // A complement row on an explicit pair's row, rows out of order, a
+  // missing list out of order or beyond S, ends out of order, and
+  // missing rows no row owns.
+  for (ComplementRows complement :
+       {ComplementRows{6, {0}, {0}, {}}, ComplementRows{6, {3, 2}, {0, 0}, {}},
+        ComplementRows{6, {2}, {2}, {3, 1}}, ComplementRows{6, {2}, {1}, {6}},
+        ComplementRows{6, {2, 3}, {2, 1}, {1, 4}},
+        ComplementRows{6, {}, {}, {1}}}) {
+    std::vector<TuplePair> pairs = {{0, 1}};
+    const ComplementRows before = complement;
+    MatchTable table(/*negative=*/true);
+    EXPECT_FALSE(table.AdoptRows(&pairs, &complement));
+    EXPECT_EQ(pairs.size(), 1u);
+    EXPECT_EQ(complement.rows, before.rows);
+    EXPECT_EQ(complement.end, before.end);
+    EXPECT_EQ(complement.missing, before.missing);
+    EXPECT_TRUE(table.empty());
   }
 }
 
@@ -353,17 +487,20 @@ TEST(MatchTableTest, NegativeTablesOrderRowsNearTheThirtyTwoBitLimit) {
                              MatchTable::FromPairs(/*negative=*/true, drawn));
     EXPECT_EQ(keys(folded), want);
 
+    // Every s row is below 2^32, so that is the S the pairs are in.
     std::vector<TuplePair> sorted = added.pairs();
+    ComplementRows none{size_t{1} << 32, {}, {}, {}};
     MatchTable adopted(/*negative=*/true);
-    ASSERT_TRUE(adopted.AdoptSorted(&sorted));
+    ASSERT_TRUE(adopted.AdoptRows(&sorted, &none));
     EXPECT_EQ(keys(adopted), want);
     if (added.size() > 1) {
       // The same list rotated by one wraps from the largest pair to the
       // smallest, which the order check must refuse.
       std::vector<TuplePair> rotated = added.pairs();
       std::rotate(rotated.begin(), rotated.begin() + 1, rotated.end());
+      ComplementRows also_none{size_t{1} << 32, {}, {}, {}};
       MatchTable refused(/*negative=*/true);
-      EXPECT_FALSE(refused.AdoptSorted(&rotated));
+      EXPECT_FALSE(refused.AdoptRows(&rotated, &also_none));
     }
 
     for (size_t r : edges) {

@@ -9,6 +9,7 @@
 
 #include "../test_util.h"
 #include "compile/pair_program.h"
+#include "eid/reference.h"
 #include "relational/printer.h"
 #include "workload/fixtures.h"
 
@@ -258,6 +259,52 @@ TEST(MatcherTest, KeyJoinProbesTheWidestKeyColumn) {
   EXPECT_LE(by_city_name, by_name);
   // Probing city instead would read far more.
   EXPECT_LT(by_name, candidates(ExtendedKey({"city"})));
+}
+
+TEST(MatcherTest, KeyJoinSkipsRowsWithNullKeyCells) {
+  // Key {city, name}: the sweep probes name (40 values against 32
+  // cities) and evaluates e1.city = e2.city on each candidate. An R' row
+  // whose city is NULL cannot match, so it is dropped before its
+  // candidates are evaluated: the key-join stage counts only the
+  // name-probed candidates of rows with both key cells non-NULL, and its
+  // pairs equal the reference's.
+  std::mt19937 rng(11);
+  Relation r = RandomExtended("R", ValueType::kInt, 400, &rng);
+  Relation s = RandomExtended("S", ValueType::kInt, 300, &rng);
+  const ExtendedKey key({"city", "name"});
+  size_t null_city_rows = 0;
+  size_t expected = 0;
+  for (size_t i = 0; i < r.size(); ++i) {
+    const Value& city = r.row(i)[0];
+    const Value& name = r.row(i)[1];
+    if (name.is_null()) continue;
+    if (city.is_null()) {
+      ++null_city_rows;
+      continue;
+    }
+    for (size_t j = 0; j < s.size(); ++j) {
+      if (NonNullEq(name, s.row(j)[1])) ++expected;
+    }
+  }
+  ASSERT_GT(null_city_rows, 0u);
+  IlfdSet no_knowledge;
+  EID_ASSERT_OK_AND_ASSIGN(
+      MatcherResult want,
+      reference::BuildMatchingTable(
+          r, s, AttributeCorrespondence::Identity(r, s), key, no_knowledge));
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    MatcherOptions options;
+    options.threads = threads;
+    EID_ASSERT_OK_AND_ASSIGN(
+        MatcherResult got,
+        BuildMatchingTable(r, s, AttributeCorrespondence::Identity(r, s), key,
+                           no_knowledge, options));
+    EXPECT_EQ(got.matching.pairs(), want.matching.pairs());
+    const exec::StageStats* join = got.stats.Find("key_join");
+    ASSERT_NE(join, nullptr);
+    EXPECT_EQ(join->candidate_pairs, expected);
+  }
 }
 
 }  // namespace

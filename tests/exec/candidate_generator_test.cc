@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -101,7 +102,7 @@ StagedRun RunStaged(const Relation& r, const Relation& s, const RuleSet& rules,
   }
   ThreadPool pool(threads);
   StagedRun out;
-  out.fired = gen.Run(threads > 1 ? &pool : nullptr, &out.stats);
+  out.fired = gen.Run(threads > 1 ? &pool : nullptr, &out.stats).Materialize();
   return out;
 }
 
@@ -129,7 +130,8 @@ bool StorageEqual(const Value& a, const Value& b) {
 /// non-NULL values (the first on ties), or else the s rows passing its
 /// s-side constant equalities; each one not fired at a lower priority
 /// costs one pair evaluation, and one feature-cache hit behind a row
-/// part.
+/// part. Every r column an equality or inequality pair conjunct reads
+/// adds a non-NULL check to the row part (StagedConjunction::Compile).
 StagedScanStats BruteForceCounts(const Relation& r, const Relation& s,
                                  const RuleSet& rules) {
   StagedScanStats out;
@@ -193,6 +195,7 @@ StagedScanStats BruteForceCounts(const Relation& r, const Relation& s,
         }
       }
       std::vector<std::pair<size_t, Value>> s_join_consts;
+      std::vector<size_t> non_null_columns;
       for (const Predicate& p : preds) {
         const bool lhs_attr = p.lhs.kind == Operand::Kind::kEntityAttribute;
         const bool rhs_attr = p.rhs.kind == Operand::Kind::kEntityAttribute;
@@ -217,7 +220,21 @@ StagedScanStats BruteForceCounts(const Relation& r, const Relation& s,
             row_only = false;
           }
         }
-        if (row_only) o.row_part.push_back(p);
+        if (row_only) {
+          o.row_part.push_back(p);
+        } else if (p.op == CompareOp::kEq || p.op == CompareOp::kNe) {
+          // An id pair conjunct: each r column it reads adds `x = x`
+          // (kTrue iff non-NULL) to the row part, once per column.
+          for (const Operand* x : {&p.lhs, &p.rhs}) {
+            if (x->kind != Operand::Kind::kEntityAttribute || !r_side(*x) ||
+                std::find(non_null_columns.begin(), non_null_columns.end(),
+                          *column(*x)) != non_null_columns.end()) {
+              continue;
+            }
+            non_null_columns.push_back(*column(*x));
+            o.row_part.push_back(Predicate{*x, CompareOp::kEq, *x});
+          }
+        }
       }
       // s-side constants filter the candidates unless a join drives them;
       // either way one absent from its column kills the orientation.
@@ -583,6 +600,32 @@ TEST(CandidateGeneratorTest, ChunksSizedFromFirstRowsKeepTheirContent) {
     }
     ExpectMatchesOracle(r, s, {Preds("e1.a = \"a1\" & e2.b != \"b2\"")});
   }
+}
+
+// A complement row's certificate is the minimum priority over its
+// exceptions at s and its descriptors whose set holds s. The sweep never
+// records an exception under a lower-priority descriptor holding it (that
+// descriptor would have fired the pair first), so the state is built by
+// hand: one row of four s rows, all fired by a describable entry of
+// priority 2, with exceptions at s = 1 (priority 5) and s = 2 (priority 1).
+TEST(CandidateGeneratorTest, CertificateIsTheMinimumOverExceptionsAndRules) {
+  auto rules = std::make_shared<RowRules>(4);
+  ComplementRows complement{4, {0}, {0}, {}};
+  ComplementCertificates certificates;
+  certificates.rules = rules;
+  certificates.fired = {rules->AddAll(/*priority=*/2)};
+  certificates.fired_end = {1};
+  certificates.exception_s = {1, 2};
+  certificates.exception_priority = {5, 1};
+  certificates.exceptions_end = {2};
+  EXPECT_EQ(certificates.CertificateOf(0, 0, 0), 2u);
+  EXPECT_EQ(certificates.CertificateOf(0, 0, 1), 2u);
+  EXPECT_EQ(certificates.CertificateOf(0, 0, 2), 1u);
+  std::vector<TuplePair> pairs;
+  std::vector<uint32_t> priorities;
+  AppendRowMajor({}, {}, complement, certificates, &pairs, &priorities);
+  EXPECT_EQ(pairs, (std::vector<TuplePair>{{0, 0}, {0, 1}, {0, 2}, {0, 3}}));
+  EXPECT_EQ(priorities, (std::vector<uint32_t>{2, 2, 1, 2}));
 }
 
 }  // namespace
