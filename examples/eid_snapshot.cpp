@@ -148,10 +148,6 @@ int Verify(const std::string& path) {
   return 0;
 }
 
-bool SamePairs(const MatchTable& a, const MatchTable& b) {
-  return a.pairs() == b.pairs();
-}
-
 int RoundTrip(size_t per_side) {
   const std::string path = "/tmp/eid_snapshot_roundtrip.eidsnap";
   World world = BuildWorld(per_side);
@@ -164,8 +160,8 @@ int RoundTrip(size_t per_side) {
   Result<LoadedWorld> loaded = storage::LoadSnapshot(path);
   if (!loaded.ok()) return Fail(loaded.status());
 
-  if (!SamePairs(loaded->matching, fresh->matching) ||
-      !SamePairs(loaded->negative, fresh->negative.table)) {
+  if (loaded->matching.pairs() != fresh->matching.pairs() ||
+      loaded->negative.pairs() != fresh->negative.table.pairs()) {
     std::cerr << "FAIL: loaded tables differ from the saved run\n";
     return 1;
   }
@@ -181,9 +177,10 @@ int RoundTrip(size_t per_side) {
       reference::Identify(config, loaded->r, loaded->s);
   if (!oracle.ok()) return Fail(oracle.status());
   for (const IdentificationResult* again : {&*engine, &*oracle}) {
-    if (!SamePairs(again->matching, fresh->matching) ||
-        !SamePairs(again->negative.table, fresh->negative.table) ||
-        again->negative.evidence() != fresh->negative.evidence()) {
+    if (again->matching.pairs() != fresh->matching.pairs() ||
+        again->negative.table.pairs() != fresh->negative.table.pairs() ||
+        again->negative.table.certificates() !=
+            fresh->negative.table.certificates()) {
       std::cerr << "FAIL: re-identify ("
                 << (again == &*engine ? "engine" : "reference")
                 << ") diverged from the saved run\n";

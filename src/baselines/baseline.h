@@ -21,14 +21,15 @@
 #include <vector>
 
 #include "eid/match_tables.h"
+#include "eid/negative.h"
 
 namespace eid {
 
 /// Outcome of a baseline run: claimed matches and claimed non-matches.
 /// Pairs in neither set are undetermined.
 struct BaselineResult {
-  MatchTable matching{/*negative=*/false};
-  MatchTable negative{/*negative=*/true};
+  MatchTable matching;
+  NegativeTable negative;
   /// Some techniques fail outright in some settings — e.g. key equivalence
   /// without a common key. OK otherwise.
   Status applicability = Status::Ok();

@@ -128,14 +128,14 @@ Result<BaselineResult> KeyEquivalenceMatcher::Match(const Relation& r,
     }
   }
   if (options_.declare_non_matches) {
+    std::vector<TuplePair> non_matches;
     for (size_t i = 0; i < r.size(); ++i) {
       for (size_t j = 0; j < s.size(); ++j) {
         TuplePair p{i, j};
-        if (!out.matching.Contains(p)) {
-          EID_RETURN_IF_ERROR(out.negative.Add(p));
-        }
+        if (!out.matching.Contains(p)) non_matches.push_back(p);
       }
     }
+    out.negative = NegativeTable::FromPairs(std::move(non_matches));
   }
   return out;
 }

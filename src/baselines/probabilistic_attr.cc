@@ -39,6 +39,7 @@ Result<BaselineResult> ProbabilisticAttrMatcher::Match(
     size_t i, j;
   };
   std::vector<Candidate> candidates;
+  std::vector<TuplePair> non_matches;
   for (size_t i = 0; i < r.size(); ++i) {
     TupleView e1 = r.tuple(i);
     for (size_t j = 0; j < s.size(); ++j) {
@@ -47,10 +48,11 @@ Result<BaselineResult> ProbabilisticAttrMatcher::Match(
       if (value >= options_.match_threshold) {
         candidates.push_back(Candidate{value, i, j});
       } else if (value < options_.non_match_threshold) {
-        EID_RETURN_IF_ERROR(out.negative.Add(TuplePair{i, j}));
+        non_matches.push_back(TuplePair{i, j});
       }
     }
   }
+  out.negative = NegativeTable::FromPairs(std::move(non_matches));
   if (options_.one_to_one) {
     std::stable_sort(candidates.begin(), candidates.end(),
                      [](const Candidate& a, const Candidate& b) {

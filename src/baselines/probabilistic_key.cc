@@ -95,16 +95,18 @@ Result<BaselineResult> ProbabilisticKeyMatcher::Match(
     size_t i, j;
   };
   std::vector<Candidate> candidates;
+  std::vector<TuplePair> non_matches;
   for (size_t i = 0; i < r.size(); ++i) {
     for (size_t j = 0; j < s.size(); ++j) {
       double sim = SubfieldSimilarity(r_fields[i], s_fields[j]);
       if (sim >= options_.match_threshold) {
         candidates.push_back(Candidate{sim, i, j});
       } else if (sim < options_.non_match_threshold) {
-        EID_RETURN_IF_ERROR(out.negative.Add(TuplePair{i, j}));
+        non_matches.push_back(TuplePair{i, j});
       }
     }
   }
+  out.negative = NegativeTable::FromPairs(std::move(non_matches));
   std::stable_sort(candidates.begin(), candidates.end(),
                    [](const Candidate& a, const Candidate& b) {
                      if (a.similarity != b.similarity) {

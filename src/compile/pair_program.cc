@@ -113,14 +113,15 @@ StagedConjunction StagedConjunction::Compile(
   // conjunction cannot be kTrue on such a row. `e1.A = e1.A` (kTrue
   // exactly when the cell is non-NULL) in the row part drops the row
   // before any of its pairs is evaluated, and leaves the set of kTrue
-  // pairs as it is.
+  // pairs as it is; on a column with no NULL cell it would drop nothing.
   std::vector<size_t> r_columns;
   for (const Op& op : out.pair_ops_) {
     if (!op.id_fast) continue;
     for (const Slot* slot : {&op.lhs, &op.rhs}) {
       if (slot->src == Src::kRColumn &&
           std::find(r_columns.begin(), r_columns.end(), slot->column) ==
-              r_columns.end()) {
+              r_columns.end() &&
+          world.HasNull(exec::WorldRel::kRExtended, slot->column)) {
         r_columns.push_back(slot->column);
         Op non_null;
         non_null.lhs = *slot;

@@ -82,10 +82,11 @@ class EID_SHARED_IMMUTABLE CompiledConjunction {
 /// covered conjuncts are dropped (the enumeration enforces them), the
 /// rest split into a row part (every operand binds the r side — hoisted
 /// out of the pair loop by the generator) and a pair part. For each R'
-/// column an id pair conjunct reads, the row part also gets `e.A = e.A`,
-/// kTrue exactly when the cell is non-NULL: the pair conjunct is kUnknown
-/// on a NULL cell, so the row is dropped before its pairs are evaluated
-/// and the set of kTrue pairs does not change. kEq/kNe
+/// column an id pair conjunct reads that holds a NULL cell
+/// (ColumnarWorld::HasNull), the row part also gets `e.A = e.A`, kTrue
+/// exactly when the cell is non-NULL: the pair conjunct is kUnknown on a
+/// NULL cell, so the row is dropped before its pairs are evaluated and
+/// the set of kTrue pairs does not change. kEq/kNe
 /// conjuncts run on the session world's id columns (exact: id equality
 /// is storage equality, which is precisely CompareValues-kEq/kNe on
 /// non-NULL operands; either side NULL yields kUnknown); ordering

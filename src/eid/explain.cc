@@ -84,7 +84,7 @@ Result<std::string> ExplainDecision(const IdentificationResult& result,
     }
     case MatchDecision::kNonMatch: {
       std::optional<NegativePairEvidence> e =
-          result.negative.EvidenceFor(pair);
+          result.negative.table.EvidenceFor(pair);
       if (!e.has_value()) {
         out += "  (no certificate recorded for this pair)\n";
         break;

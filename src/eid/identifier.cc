@@ -158,8 +158,7 @@ Result<IdentificationResult> EntityIdentifier::Identify(
         compile::SweepRules(config_.identity_rules, out.r_extended,
                             out.s_extended, world, pool_ptr, &identity)
             .pairs;
-    EID_RETURN_IF_ERROR(AddMatches(fired, config_.matcher_options,
-                                   &out.matching, &out.uniqueness));
+    AddMatches(fired, &out.matching, &out.uniqueness);
     identity.items = fired.size();
     identity.wall_ms = timer.ElapsedMs();
     out.stats.Add(std::move(identity));

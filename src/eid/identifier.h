@@ -94,7 +94,7 @@ struct IdentificationResult {
   /// (ExtensionResult::traces).
   Provenance r_traces;
   Provenance s_traces;
-  MatchTable matching{/*negative=*/false};
+  MatchTable matching;
   NegativeResult negative;
   /// Soundness verdicts: uniqueness over MT, consistency across MT/NMT.
   Status uniqueness;

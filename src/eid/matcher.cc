@@ -20,17 +20,12 @@ Result<std::vector<TuplePair>> JoinOnExtendedKey(const Relation& r_extended,
       .pairs;
 }
 
-Status AddMatches(const std::vector<TuplePair>& pairs,
-                  const MatcherOptions& options, MatchTable* matching,
-                  Status* uniqueness) {
+void AddMatches(const std::vector<TuplePair>& pairs, MatchTable* matching,
+                Status* uniqueness) {
   for (const TuplePair& p : pairs) {
     Status st = matching->Add(p);
-    if (!st.ok()) {
-      if (options.fail_on_uniqueness_violation) return st;
-      if (uniqueness->ok()) *uniqueness = st;  // first violation
-    }
+    if (!st.ok() && uniqueness->ok()) *uniqueness = st;  // first violation
   }
-  return Status::Ok();
 }
 
 Result<MatcherResult> BuildMatchingTable(const Relation& r, const Relation& s,
@@ -107,8 +102,7 @@ Result<MatcherResult> BuildMatchingTable(const Relation& r, const Relation& s,
   key_join.wall_ms = timer.ElapsedMs();
 
   result.uniqueness = Status::Ok();
-  EID_RETURN_IF_ERROR(
-      AddMatches(pairs, options, &result.matching, &result.uniqueness));
+  AddMatches(pairs, &result.matching, &result.uniqueness);
   result.stats.Add(std::move(extend_r));
   result.stats.Add(std::move(extend_s));
   result.stats.Add(std::move(key_join));

@@ -60,11 +60,6 @@ struct MatcherOptions {
   /// (see analysis/analyzer.h). Warnings never fail the pre-flight. Off
   /// by default: analysis costs a closure computation per ILFD.
   bool analyze = false;
-  /// When true, the first uniqueness violation fails the whole build. The
-  /// default records the violation in MatcherResult::uniqueness, skips the
-  /// violating pair, and still returns the table — mirroring the prototype,
-  /// which warns ("unsound matching result") but keeps the definition.
-  bool fail_on_uniqueness_violation = false;
   /// Parallelism for the whole build (extension, key join, and — when
   /// driven from EntityIdentifier — the rule sweeps). 0 resolves via
   /// EID_THREADS, then hardware concurrency; 1 is the serial engine.
@@ -114,11 +109,10 @@ Result<std::vector<TuplePair>> JoinOnExtendedKey(const Relation& r_extended,
 
 /// Adds `pairs` to `matching` in order. A pair that breaks uniqueness is
 /// skipped and the first such violation is kept in `*uniqueness` (while
-/// it is still OK); with options.fail_on_uniqueness_violation the
-/// violation is returned instead.
-Status AddMatches(const std::vector<TuplePair>& pairs,
-                  const MatcherOptions& options, MatchTable* matching,
-                  Status* uniqueness);
+/// it is still OK) — mirroring the prototype, which warns ("unsound
+/// matching result") but keeps the table.
+void AddMatches(const std::vector<TuplePair>& pairs, MatchTable* matching,
+                Status* uniqueness);
 
 }  // namespace eid
 

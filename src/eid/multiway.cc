@@ -5,6 +5,7 @@
 #include <numeric>
 #include <set>
 
+#include "compile/pair_program.h"
 #include "eid/extension.h"
 #include "eid/matcher.h"
 #include "eid/negative.h"
@@ -97,19 +98,21 @@ Result<MultiwayResult> IdentifyAll(const std::vector<Relation>& sources,
           uf.Merge(offset[i] + p.r_index, offset[j] + p.s_index);
         }
       }
-      // Direct orientation only: a valid identity rule fires on the
-      // same pairs flipped.
-      for (const IdentityRule& rule : config.identity_rules) {
-        for (size_t x = 0; x < a.size(); ++x) {
-          for (size_t y = 0; y < b.size(); ++y) {
-            if (rule.Matches(a.tuple(x), b.tuple(y)) == Truth::kTrue) {
-              uf.Merge(offset[i] + x, offset[j] + y);
-            }
-          }
+      // One world per source pair, shared by both rule sweeps. Identity
+      // rules run in the direct orientation only (a valid rule fires on
+      // the same pairs flipped); merges do not depend on pair order.
+      exec::ColumnarWorld world;
+      if (!config.identity_rules.empty()) {
+        exec::StageStats identity;
+        const std::vector<TuplePair> fired =
+            compile::SweepRules(config.identity_rules, a, b, world,
+                                /*pool=*/nullptr, &identity)
+                .pairs;
+        for (const TuplePair& p : fired) {
+          uf.Merge(offset[i] + p.r_index, offset[j] + p.s_index);
         }
       }
       if (rules.size() > 0) {
-        exec::ColumnarWorld world;
         EID_ASSIGN_OR_RETURN(
             NegativeResult negative,
             BuildNegativeMatchingTable(a, b, config.distinctness_rules,

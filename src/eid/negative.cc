@@ -7,42 +7,44 @@
 
 namespace eid {
 
-Status NegativeResult::Adopt(exec::FiredRows rows) {
-  EID_CHECK(rows.pairs.size() == rows.priorities.size());
-  const size_t complement_rows = rows.complement.rows.size();
-  EID_CHECK(rows.certificates.fired_end.size() == complement_rows &&
-            rows.certificates.exceptions_end.size() == complement_rows);
-  if (!table.AdoptRows(&rows.pairs, &rows.complement)) {
+Result<NegativeTable> NegativeTable::FromRows(exec::FiredRows rows) {
+  if (!rows.InOrder()) {
     return Status::Internal(
         "distinctness sweep emitted pairs out of row-major order");
   }
-  certificates_ = std::move(rows.priorities);
-  complement_ = std::move(rows.certificates);
-  return Status::Ok();
+  NegativeTable table;
+  table.rows_ = std::move(rows);
+  return table;
 }
 
-std::vector<uint32_t> NegativeResult::evidence() const {
-  std::vector<uint32_t> out;
-  // A table changed after adoption has no certificates for its pairs.
-  if (certificates_.size() != table.explicit_pairs().size()) return out;
-  exec::AppendRowMajor(table.explicit_pairs(), certificates_,
-                       table.complement_rows(), complement_,
-                       /*out_pairs=*/nullptr, &out);
+NegativeTable NegativeTable::FromPairs(std::vector<TuplePair> pairs) {
+  if (!std::is_sorted(pairs.begin(), pairs.end())) {
+    std::sort(pairs.begin(), pairs.end());
+  }
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  NegativeTable table;
+  table.rows_.pairs = std::move(pairs);
+  return table;
+}
+
+std::vector<TuplePair> NegativeTable::pairs() const {
+  std::vector<TuplePair> out;
+  rows_.AppendRowMajor(&out, /*out_priorities=*/nullptr);
   return out;
 }
 
-std::optional<NegativePairEvidence> NegativeResult::EvidenceFor(
+std::vector<uint32_t> NegativeTable::certificates() const {
+  std::vector<uint32_t> out;
+  if (rows_.priorities.size() != rows_.pairs.size()) return out;
+  rows_.AppendRowMajor(/*out_pairs=*/nullptr, &out);
+  return out;
+}
+
+std::optional<NegativePairEvidence> NegativeTable::EvidenceFor(
     const TuplePair& pair) const {
-  if (!table.Contains(pair)) return std::nullopt;
-  if (std::optional<size_t> k = table.complement_rows().Find(pair.r_index)) {
-    return NegativePairEvidence::FromCertificate(
-        complement_.CertificateOf(*k, pair.r_index, pair.s_index));
-  }
-  const std::vector<TuplePair>& pairs = table.explicit_pairs();
-  if (certificates_.size() != pairs.size()) return std::nullopt;
-  auto it = std::lower_bound(pairs.begin(), pairs.end(), pair);
-  return NegativePairEvidence::FromCertificate(
-      certificates_[static_cast<size_t>(it - pairs.begin())]);
+  const std::optional<uint32_t> certificate = rows_.CertificateOf(pair);
+  if (!certificate.has_value()) return std::nullopt;
+  return NegativePairEvidence::FromCertificate(*certificate);
 }
 
 Result<NegativeResult> BuildNegativeMatchingTable(
@@ -79,12 +81,14 @@ Result<NegativeResult> BuildNegativeMatchingTable(
   out.stats.cross_product = r_extended.size() * s_extended.size();
 
   // One r-major sweep over all rule orientations; per pair, the first
-  // (rule, orientation) that fires is its certificate. Its rows become
-  // the table and the certificates by move: an explicit pair is written
-  // once, by the sweep, and a complement row's pairs not at all.
-  EID_RETURN_IF_ERROR(out.Adopt(
-      compile::SweepRules(rules, ilfds, induced, r_extended, s_extended,
-                          world, pool, &out.stats)));
+  // (rule, orientation) that fires is its certificate. Its rows, with
+  // their certificates, become the table by move: an explicit pair is
+  // written once, by the sweep, and a complement row's pairs not at all.
+  EID_ASSIGN_OR_RETURN(
+      out.table,
+      NegativeTable::FromRows(compile::SweepRules(
+          rules, ilfds, induced, r_extended, s_extended, world, pool,
+          &out.stats)));
   out.stats.items = out.table.size();
   out.stats.wall_ms = timer.ElapsedMs();
   return out;

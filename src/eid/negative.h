@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "eid/match_tables.h"
@@ -49,36 +50,56 @@ struct NegativePairEvidence {
   }
 };
 
-/// Result of negative-table construction.
-struct NegativeResult {
-  /// The NMT, row-major: explicit rows and complement rows.
-  MatchTable table{/*negative=*/true};
-  /// Counters of the sweep ("distinctness_rules" stage).
-  exec::StageStats stats;
+/// The negative matching table NMT (paper §3.2): row-index pairs with no
+/// uniqueness constraint, row-major, built once and never changed. Its
+/// rows are an exec::FiredRows, whose module writes the row format and
+/// alone reads it (DESIGN.md §4d): a row that holds most of S is stored by
+/// its complement, so pairs() and certificates() are built on each call
+/// and a caller that reads one twice keeps one copy.
+class NegativeTable {
+ public:
+  /// Takes a sweep's rows (or the reference's explicit ones) by move,
+  /// after one pass of checks (exec::FiredRows::InOrder). Internal error
+  /// when a row list is out of order or range: an engine defect, which
+  /// folding the rows through a pair list would hide.
+  static Result<NegativeTable> FromRows(exec::FiredRows rows);
 
-  /// The certificate column, aligned with table.pairs(): per pair the
-  /// first (rule, orientation) whose antecedent is true on it, as a
-  /// certificate (see NegativePairEvidence). Built on each call; a
-  /// complement row is replayed from the rules that fired on it. Empty
-  /// when `table` was changed after adoption.
-  std::vector<uint32_t> evidence() const;
+  /// The table of `pairs` (snapshot load, baselines), sorted and
+  /// deduplicated; a strictly increasing list, what snapshots store, is
+  /// taken by move. Every row is explicit and carries no certificate.
+  static NegativeTable FromPairs(std::vector<TuplePair> pairs);
+
+  size_t size() const { return rows_.size(); }
+  bool empty() const { return size() == 0; }
+  bool Contains(const TuplePair& pair) const { return rows_.Contains(pair); }
+  /// Row-major.
+  std::vector<TuplePair> pairs() const;
+
+  /// The certificate column, aligned with pairs(): per pair the first
+  /// (rule, orientation) whose antecedent is true on it (see
+  /// NegativePairEvidence). A complement row is replayed from the rules
+  /// that fired on it. Empty for a table built from a pair list.
+  std::vector<uint32_t> certificates() const;
 
   /// The certificate of `pair`, from its row alone; nullopt when the
-  /// table does not hold the pair.
+  /// table does not hold the pair or was built from a pair list.
   std::optional<NegativePairEvidence> EvidenceFor(const TuplePair& pair) const;
 
-  /// Takes a sweep's rows (or the reference's explicit ones) as this
-  /// empty result's table and certificates. Internal error, with the
-  /// result unchanged, when a stored row list is out of order or range:
-  /// an engine defect, which folding the rows through the table's
-  /// checked path would hide.
-  Status Adopt(exec::FiredRows rows);
+  /// PairsToRelation over pairs().
+  Result<Relation> ToRelation(const Relation& r, const Relation& s,
+                              const std::string& name = "NMT") const {
+    return PairsToRelation(pairs(), r, s, name);
+  }
 
  private:
-  // Explicit rows: one certificate per table.explicit_pairs() pair.
-  std::vector<uint32_t> certificates_;
-  // Complement rows, aligned with table.complement_rows().
-  exec::ComplementCertificates complement_;
+  exec::FiredRows rows_;
+};
+
+/// Result of negative-table construction.
+struct NegativeResult {
+  NegativeTable table;
+  /// Counters of the sweep ("distinctness_rules" stage).
+  exec::StageStats stats;
 };
 
 /// Evaluates every rule over every pair of rows of the two (extended,

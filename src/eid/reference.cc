@@ -64,17 +64,12 @@ void PackRow(const Derivation& d, const AtomTable& atoms, Provenance* out) {
   out->EndRow();
 }
 
-/// Adds `pair` to MT under the uniqueness constraint: a violation fails
-/// the run when `fail`, and is otherwise recorded (first one wins) and
-/// the pair skipped.
-Status AddMatch(const TuplePair& pair, bool fail, MatchTable* matching,
-                Status* uniqueness) {
+/// Adds `pair` to MT under the uniqueness constraint: a violation is
+/// recorded (first one wins) and the pair skipped.
+void AddMatch(const TuplePair& pair, MatchTable* matching,
+              Status* uniqueness) {
   Status st = matching->Add(pair);
-  if (!st.ok()) {
-    if (fail) return st;
-    if (uniqueness->ok()) *uniqueness = st;
-  }
-  return Status::Ok();
+  if (!st.ok() && uniqueness->ok()) *uniqueness = st;
 }
 
 }  // namespace
@@ -180,8 +175,7 @@ Result<MatcherResult> BuildMatchingTable(const Relation& r, const Relation& s,
                                result.s_extension.extended, ext_key));
   result.uniqueness = Status::Ok();
   for (const TuplePair& p : pairs) {
-    EID_RETURN_IF_ERROR(AddMatch(p, options.fail_on_uniqueness_violation,
-                                 &result.matching, &result.uniqueness));
+    AddMatch(p, &result.matching, &result.uniqueness);
   }
   return result;
 }
@@ -251,9 +245,7 @@ Result<IdentificationResult> Identify(const IdentifierConfig& config,
                      rule.Matches(sv, rv) == Truth::kTrue;
             });
         if (fires) {
-          EID_RETURN_IF_ERROR(AddMatch(
-              TuplePair{i, j}, options.fail_on_uniqueness_violation,
-              &out.matching, &out.uniqueness));
+          AddMatch(TuplePair{i, j}, &out.matching, &out.uniqueness);
         }
       }
     }
@@ -286,7 +278,8 @@ Result<IdentificationResult> Identify(const IdentifierConfig& config,
       }
     }
   }
-  EID_RETURN_IF_ERROR(out.negative.Adopt(std::move(certified)));
+  EID_ASSIGN_OR_RETURN(out.negative.table,
+                       NegativeTable::FromRows(std::move(certified)));
 
   out.consistency =
       MatchTable::CheckConsistency(out.matching, out.negative.table);

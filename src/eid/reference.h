@@ -20,12 +20,11 @@
 // It uses no columnar world, no blocking plan, no compiled code and no
 // threads, so it costs O(|R|·|S|·rules). It honours every option that can
 // change a result or an error: derivation mode and conflict policy,
-// derive_all, distinctness_from_ilfds, fail_on_uniqueness_violation and
-// the analyze pre-flight. Options that only change speed (threads,
-// columnar_seeds) are ignored. Production must equal it bit for bit —
-// rows, derivation traces, pair order, certificates, verdicts and error
-// statuses; tests and the engine-comparison benches call it directly, and
-// no option selects it.
+// derive_all, distinctness_from_ilfds and the analyze pre-flight.
+// Options that only change speed (threads, columnar_seeds) are ignored.
+// Production must equal it bit for bit — rows, derivation traces, pair
+// order, certificates, verdicts and error statuses; tests and the
+// engine-comparison benches call it directly, and no option selects it.
 
 #ifndef EID_EID_REFERENCE_H_
 #define EID_EID_REFERENCE_H_

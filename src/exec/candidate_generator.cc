@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <new>
 #include <numeric>
 #include <tuple>
@@ -128,67 +129,161 @@ bool RowRules::Holds(uint32_t i, uint32_t r, uint32_t s) const {
   return false;
 }
 
-uint32_t ComplementCertificates::CertificateOf(size_t k, uint32_t r,
-                                               uint32_t s) const {
+std::optional<size_t> ComplementRows::Find(size_t r) const {
+  auto it = std::lower_bound(rows.begin(), rows.end(), r);
+  if (it == rows.end() || *it != r) return std::nullopt;
+  return static_cast<size_t>(it - rows.begin());
+}
+
+bool FiredRows::Contains(const TuplePair& pair) const {
+  if (std::optional<size_t> k = complement.Find(pair.r_index)) {
+    const std::span<const uint32_t> skipped = complement.Missing(*k);
+    return pair.s_index < complement.s_count &&
+           !std::binary_search(skipped.begin(), skipped.end(), pair.s_index);
+  }
+  return std::binary_search(pairs.begin(), pairs.end(), pair);
+}
+
+bool FiredRows::InOrder() const {
+  const size_t complement_rows = complement.rows.size();
+  EID_CHECK(pairs.size() == priorities.size());
+  EID_CHECK(certificates.fired_end.size() == complement_rows &&
+            certificates.exceptions_end.size() == complement_rows);
+  const size_t s_count = complement.s_count;
+  auto not_increasing = [](const TuplePair& a, const TuplePair& b) {
+    return !(a < b);
+  };
+  if (std::adjacent_find(pairs.begin(), pairs.end(), not_increasing) !=
+      pairs.end()) {
+    return false;
+  }
+  const std::vector<uint32_t>& rows = complement.rows;
+  const std::vector<uint32_t>& end = complement.end;
+  // Ends first: each missing list must lie inside `missing`.
+  if (end.size() != rows.size() ||
+      (end.empty() ? 0 : end.back()) != complement.missing.size() ||
+      !std::is_sorted(end.begin(), end.end())) {
+    return false;
+  }
+  auto explicit_it = pairs.begin();
+  for (size_t k = 0; k < rows.size(); ++k) {
+    if (k > 0 && rows[k] <= rows[k - 1]) return false;
+    // The explicit pairs are row-major, so one forward walk finds the
+    // first explicit pair at or beyond each complement row.
+    for (; explicit_it != pairs.end() && explicit_it->r_index < rows[k];
+         ++explicit_it) {
+      if (explicit_it->s_index >= s_count) return false;
+    }
+    if (explicit_it != pairs.end() && explicit_it->r_index == rows[k]) {
+      return false;
+    }
+    const std::span<const uint32_t> skipped = complement.Missing(k);
+    if (std::adjacent_find(skipped.begin(), skipped.end(),
+                           std::greater_equal<uint32_t>()) != skipped.end() ||
+        (!skipped.empty() && skipped.back() >= s_count)) {
+      return false;
+    }
+  }
+  for (; explicit_it != pairs.end(); ++explicit_it) {
+    if (explicit_it->s_index >= s_count) return false;
+  }
+  return true;
+}
+
+std::optional<uint32_t> FiredRows::CertificateOf(
+    const TuplePair& pair) const {
+  if (!Contains(pair)) return std::nullopt;
+  const std::optional<size_t> row = complement.Find(pair.r_index);
+  if (!row.has_value()) {
+    if (priorities.empty()) return std::nullopt;  // a pair list's rows
+    auto it = std::lower_bound(pairs.begin(), pairs.end(), pair);
+    return priorities[static_cast<size_t>(it - pairs.begin())];
+  }
+  const size_t k = *row;
+  const ComplementCertificates& c = certificates;
   uint32_t best = UINT32_MAX;
   const uint32_t* first =
-      exception_s.data() + (k == 0 ? 0 : exceptions_end[k - 1]);
-  const uint32_t* last = exception_s.data() + exceptions_end[k];
-  const uint32_t* at = std::lower_bound(first, last, s);
-  if (at != last && *at == s) {
-    best = exception_priority[static_cast<size_t>(at - exception_s.data())];
+      c.exception_s.data() + (k == 0 ? 0 : c.exceptions_end[k - 1]);
+  const uint32_t* last = c.exception_s.data() + c.exceptions_end[k];
+  const uint32_t* at = std::lower_bound(first, last, pair.s_index);
+  if (at != last && *at == pair.s_index) {
+    best = c.exception_priority[static_cast<size_t>(at -
+                                                    c.exception_s.data())];
   }
   // The row's rules ascend by priority: the first that holds s is theirs.
-  for (uint32_t j = k == 0 ? 0 : fired_end[k - 1]; j < fired_end[k]; ++j) {
-    if (rules->rule(fired[j]).priority >= best) break;
-    if (rules->Holds(fired[j], r, s)) return rules->rule(fired[j]).priority;
+  for (uint32_t j = k == 0 ? 0 : c.fired_end[k - 1]; j < c.fired_end[k];
+       ++j) {
+    if (c.rules->rule(c.fired[j]).priority >= best) break;
+    if (c.rules->Holds(c.fired[j], pair.r_index, pair.s_index)) {
+      return c.rules->rule(c.fired[j]).priority;
+    }
   }
   return best;
 }
 
-void AppendRowMajor(const std::vector<TuplePair>& pairs,
-                    const std::vector<uint32_t>& priorities,
-                    const ComplementRows& complement,
-                    const ComplementCertificates& certificates,
-                    std::vector<TuplePair>* out_pairs,
-                    std::vector<uint32_t>* out_priorities) {
-  EID_CHECK(pairs.size() == priorities.size());
-  const size_t total = pairs.size() + complement.pairs();
-  if (out_pairs != nullptr) out_pairs->reserve(out_pairs->size() + total);
-  out_priorities->reserve(out_priorities->size() + total);
+void FiredRows::AppendRowMajor(std::vector<TuplePair>* out_pairs,
+                               std::vector<uint32_t>* out_priorities) const {
+  if (out_priorities != nullptr) EID_CHECK(pairs.size() == priorities.size());
+  if (complement.empty()) {
+    if (out_pairs != nullptr) {
+      out_pairs->insert(out_pairs->end(), pairs.begin(), pairs.end());
+    }
+    if (out_priorities != nullptr) {
+      out_priorities->insert(out_priorities->end(), priorities.begin(),
+                             priorities.end());
+    }
+    return;
+  }
+  if (out_pairs != nullptr) out_pairs->reserve(out_pairs->size() + size());
+  if (out_priorities != nullptr) {
+    out_priorities->reserve(out_priorities->size() + size());
+  }
   size_t e = 0;  // next explicit pair
   auto explicit_before = [&](size_t row) {
     for (; e < pairs.size() && pairs[e].r_index < row; ++e) {
       if (out_pairs != nullptr) out_pairs->push_back(pairs[e]);
-      out_priorities->push_back(priorities[e]);
+      if (out_priorities != nullptr) out_priorities->push_back(priorities[e]);
     }
   };
-  if (!complement.empty()) {
-    const RowRules& rules = *certificates.rules;
-    RowScratch sc(complement.s_count);
-    for (size_t k = 0; k < complement.rows.size(); ++k) {
-      const uint32_t r = complement.rows[k];
-      explicit_before(r);
-      // Replay: the row's rules in priority order give each s row its
-      // lowest rule priority; an exception's priority wins where lower.
-      for (uint32_t j = k == 0 ? 0 : certificates.fired_end[k - 1];
-           j < certificates.fired_end[k]; ++j) {
-        rules.Fire</*kCertify=*/true>(certificates.fired[j], r,
-                                      sc.bits.data(), &sc);
+  const ComplementCertificates& c = certificates;
+  std::optional<RowScratch> sc;
+  if (out_priorities != nullptr) sc.emplace(complement.s_count);
+  for (size_t k = 0; k < complement.rows.size(); ++k) {
+    const uint32_t r = complement.rows[k];
+    explicit_before(r);
+    if (!sc.has_value()) {
+      // Pairs only: [0, s_count) minus the missing list, in place.
+      if (out_pairs == nullptr) continue;
+      const std::span<const uint32_t> skipped = complement.Missing(k);
+      const size_t at = out_pairs->size();
+      out_pairs->resize(at + complement.s_count - skipped.size());
+      TuplePair* to = out_pairs->data() + at;
+      size_t s = 0;
+      for (uint32_t skip : skipped) {
+        for (; s < skip; ++s) *to++ = TuplePair{r, s};
+        s = size_t{skip} + 1;
       }
-      sc.touched.clear();
-      for (uint32_t x = k == 0 ? 0 : certificates.exceptions_end[k - 1];
-           x < certificates.exceptions_end[k]; ++x) {
-        const uint32_t s = certificates.exception_s[x];
-        const uint64_t bit = uint64_t{1} << (s % 64);
-        const uint32_t priority = certificates.exception_priority[x];
-        if ((sc.bits[s / 64] & bit) == 0 || priority < sc.best[s]) {
-          sc.best[s] = priority;
-        }
-        sc.bits[s / 64] |= bit;
-      }
-      EmitBits(r, &sc.bits, sc.best, out_pairs, out_priorities);
+      for (; s < complement.s_count; ++s) *to++ = TuplePair{r, s};
+      continue;
     }
+    // Replay: the row's rules in priority order give each s row its
+    // lowest rule priority; an exception's priority wins where lower.
+    for (uint32_t j = k == 0 ? 0 : c.fired_end[k - 1]; j < c.fired_end[k];
+         ++j) {
+      c.rules->Fire<RowRules::Out::kBest>(c.fired[j], r, sc->bits.data(),
+                                          &*sc);
+    }
+    for (uint32_t x = k == 0 ? 0 : c.exceptions_end[k - 1];
+         x < c.exceptions_end[k]; ++x) {
+      const uint32_t s = c.exception_s[x];
+      const uint64_t bit = uint64_t{1} << (s % 64);
+      const uint32_t priority = c.exception_priority[x];
+      if ((sc->bits[s / 64] & bit) == 0 || priority < sc->best[s]) {
+        sc->best[s] = priority;
+      }
+      sc->bits[s / 64] |= bit;
+    }
+    EmitBits(r, &sc->bits, sc->best, out_pairs, out_priorities);
   }
   explicit_before(SIZE_MAX);
 }
@@ -200,8 +295,7 @@ FiredColumns FiredRows::Materialize() && {
     out.priorities = std::move(priorities);
     return out;
   }
-  AppendRowMajor(pairs, priorities, complement, certificates, &out.pairs,
-                 &out.priorities);
+  AppendRowMajor(&out.pairs, &out.priorities);
   return out;
 }
 
@@ -483,7 +577,7 @@ FiredRows CandidateGenerator::Run(ThreadPool* pool, StagedScanStats* stats) {
           // entry if it fired anything. A list's candidates are its rows
           // not fired yet, all of which fire; the other kinds consider
           // every s row not fired yet.
-          const size_t fresh = rules.Fire</*kCertify=*/false>(
+          const size_t fresh = rules.Fire<RowRules::Out::kBits>(
               e.rule, row, sc.bits.data(), &sc);
           evals = rules.rule(e.rule).kind == RowRule::Kind::kList
                       ? fresh
@@ -558,7 +652,8 @@ FiredRows CandidateGenerator::Run(ThreadPool* pool, StagedScanStats* stats) {
             sc.certified[s / 64] |= uint64_t{1} << (s % 64);
           }
           for (uint32_t i : sc.rules) {
-            rules.Fire</*kCertify=*/true>(i, row, sc.certified.data(), &sc);
+            rules.Fire<RowRules::Out::kBestAndTouched>(
+                i, row, sc.certified.data(), &sc);
           }
           for (uint32_t s : sc.touched) sc.certified[s / 64] = 0;
         }

@@ -62,6 +62,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -210,13 +211,18 @@ class EID_SHARED_IMMUTABLE RowRules {
   /// Whether rule `i`'s set on r row `r` holds s row `s`.
   bool Holds(uint32_t i, uint32_t r, uint32_t s) const;
 
-  /// The row sweep over one rule, for both of its callers: sets the bit
+  /// What Fire writes besides the bits: nothing (the sweep counts them
+  /// word by word), each fresh s row's `best` priority (the replay of a
+  /// complement row), or that and the s row appended to `touched` (the
+  /// re-walk of a row that stays explicit, which is emitted from it).
+  enum class Out : uint8_t { kBits, kBest, kBestAndTouched };
+
+  /// The row sweep over one rule, for all of its callers: sets the bit
   /// of every s row in rule `i`'s set on r row `r` whose bit is clear in
-  /// `bits` (one of `scratch`'s bitsets), and returns how many it set.
-  /// With kCertify, each such s row also gets `best[s]` = the rule's
-  /// priority and is appended to `touched`; without, bits are counted
-  /// word by word. Defined here so the sweep's call inlines.
-  template <bool kCertify>
+  /// `bits` (one of `scratch`'s bitsets), writes what `kOut` names for
+  /// each, and returns how many it set. Defined here so the sweep's call
+  /// inlines.
+  template <Out kOut>
   size_t Fire(uint32_t i, uint32_t r, uint64_t* bits,
               RowScratch* scratch) const;
 
@@ -233,16 +239,14 @@ class EID_SHARED_IMMUTABLE RowRules {
   std::vector<std::vector<uint32_t>> r_columns_;
 };
 
-template <bool kCertify>
+template <RowRules::Out kOut>
 size_t RowRules::Fire(uint32_t i, uint32_t r, uint64_t* bits,
                       RowScratch* sc) const {
   const RowRule& rule = rules_[i];
   size_t fresh_count = 0;
   auto certify = [&](uint32_t s) {
-    if constexpr (kCertify) {
-      sc->best[s] = rule.priority;
-      sc->touched.push_back(s);
-    }
+    if constexpr (kOut != Out::kBits) sc->best[s] = rule.priority;
+    if constexpr (kOut == Out::kBestAndTouched) sc->touched.push_back(s);
   };
   if (rule.kind == RowRule::Kind::kList) {
     for (uint32_t k = rule.begin; k < rule.end; ++k) {
@@ -287,7 +291,7 @@ size_t RowRules::Fire(uint32_t i, uint32_t r, uint64_t* bits,
     if (fresh == 0) continue;
     bits[w] |= fresh;
     fresh_count += static_cast<size_t>(std::popcount(fresh));
-    if constexpr (kCertify) {
+    if constexpr (kOut != Out::kBits) {
       for (; fresh != 0; fresh &= fresh - 1) {
         certify(static_cast<uint32_t>(
             w * 64 + static_cast<size_t>(std::countr_zero(fresh))));
@@ -298,6 +302,27 @@ size_t RowRules::Fire(uint32_t i, uint32_t r, uint64_t* bits,
   sc->masked.clear();
   return fresh_count;
 }
+
+/// The rows of a sweep's output stored by complement (DESIGN.md §4d):
+/// row rows[k] holds every s < s_count except its missing list,
+/// missing[end[k - 1] .. end[k]) (from 0 for k = 0), ascending.
+struct ComplementRows {
+  size_t s_count = 0;
+  std::vector<uint32_t> rows;     // ascending
+  std::vector<uint32_t> end;      // one per row
+  std::vector<uint32_t> missing;  // ascending within each row
+
+  bool empty() const { return rows.empty(); }
+  /// Pairs the rows hold.
+  size_t pairs() const { return rows.size() * s_count - missing.size(); }
+  /// The s rows row k does not hold.
+  std::span<const uint32_t> Missing(size_t k) const {
+    const uint32_t begin = k == 0 ? 0 : end[k - 1];
+    return {missing.data() + begin, missing.data() + end[k]};
+  }
+  /// The position k of row `r` in `rows`, if it is stored by complement.
+  std::optional<size_t> Find(size_t r) const;
+};
 
 /// Per complement row of a sweep's output, aligned with its
 /// ComplementRows: the describable entries that fired on the row, in
@@ -311,33 +336,45 @@ struct ComplementCertificates {
   std::vector<uint32_t> exceptions_end;
   std::vector<uint32_t> exception_s;
   std::vector<uint32_t> exception_priority;
-
-  /// The certificate of (r, s), which complement row k (= r) must hold:
-  /// the minimum priority over the row's exceptions at s and the row's
-  /// rules whose set holds s.
-  uint32_t CertificateOf(size_t k, uint32_t r, uint32_t s) const;
 };
-
-/// Appends, in row-major order, the certificates of every pair the
-/// explicit rows (`pairs` with `priorities`) and the complement rows
-/// hold, and with `out_pairs` the pairs too. A complement row is replayed
-/// through RowRules::Fire, then emitted as an explicit row is.
-void AppendRowMajor(const std::vector<TuplePair>& pairs,
-                    const std::vector<uint32_t>& priorities,
-                    const ComplementRows& complement,
-                    const ComplementCertificates& certificates,
-                    std::vector<TuplePair>* out_pairs,
-                    std::vector<uint32_t>* out_priorities);
 
 /// Output of one sweep, row by row: the explicit rows as `pairs` and
 /// `priorities` (FiredColumns' layout), the complement rows and their
-/// certificates. The columns are moved into result tables; nothing
-/// re-packs them.
+/// certificates. This module writes the row format and is the one that
+/// reads it: eid::NegativeTable holds one by move and asks it. Rows with
+/// no certificate (a pair list's, all explicit) leave `priorities` empty.
 struct FiredRows {
   std::vector<TuplePair> pairs;
   std::vector<uint32_t> priorities;
   ComplementRows complement;
   ComplementCertificates certificates;
+
+  /// Pairs the rows hold.
+  size_t size() const { return pairs.size() + complement.pairs(); }
+  bool Contains(const TuplePair& pair) const;
+
+  /// Whether every row list is in order and range: the explicit pairs
+  /// strictly increasing row-major with every s below complement.s_count,
+  /// each complement row after its predecessor and on no explicit pair's
+  /// row, the ends in order and covering `missing`, and each missing
+  /// list strictly increasing and below s_count. Aborts when a
+  /// certificate column is not aligned with its rows.
+  bool InOrder() const;
+
+  /// The certificate of `pair`: on an explicit row its priority, on a
+  /// complement row the minimum priority over the row's exception at s
+  /// and its rules whose set holds s. Nullopt when the rows do not hold
+  /// the pair or carry no certificate.
+  std::optional<uint32_t> CertificateOf(const TuplePair& pair) const;
+
+  /// One row-major walk over the explicit and complement rows: appends
+  /// every pair the rows hold to `out_pairs` and, with `out_priorities`,
+  /// its certificate (either may be null). Without certificates a
+  /// complement row's pairs come from its missing list; with them the
+  /// row is replayed through RowRules::Fire and emitted as a dense
+  /// explicit row is.
+  void AppendRowMajor(std::vector<TuplePair>* out_pairs,
+                      std::vector<uint32_t>* out_priorities) const;
 
   /// Every row as explicit pairs with their priorities, row-major.
   FiredColumns Materialize() &&;

@@ -1,5 +1,6 @@
 #include "exec/columnar_world.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "exec/stage_stats.h"
@@ -50,6 +51,7 @@ const std::vector<uint32_t>& ColumnarWorld::Column(WorldRel slot_id,
     slot.columns.resize(arity);
     slot.present.resize(arity, false);
     slot.indexes.resize(arity);
+    slot.has_null.resize(arity);
   }
   if (slot.present[c]) {
     reuse_hits_ += slot.columns[c].size();
@@ -84,6 +86,17 @@ const ColumnIndex& ColumnarWorld::Index(WorldRel slot_id, const Relation& rel,
   return *index;
 }
 
+bool ColumnarWorld::HasNull(WorldRel slot_id, size_t c) {
+  const std::vector<uint32_t>* ids = FindColumn(slot_id, c);
+  EID_CHECK(ids != nullptr);
+  std::optional<bool>& known =
+      slots_[static_cast<size_t>(slot_id)].has_null[c];
+  if (!known.has_value()) {
+    known = std::find(ids->begin(), ids->end(), kNullId) != ids->end();
+  }
+  return *known;
+}
+
 const std::vector<uint32_t>* ColumnarWorld::FindColumn(WorldRel slot_id,
                                                        size_t c) const {
   const Slot& slot = slots_[static_cast<size_t>(slot_id)];
@@ -98,10 +111,12 @@ void ColumnarWorld::Adopt(WorldRel slot_id, size_t c,
     slot.columns.resize(c + 1);
     slot.present.resize(c + 1, false);
     slot.indexes.resize(c + 1);
+    slot.has_null.resize(c + 1);
   }
   slot.columns[c] = std::move(ids);
   slot.present[c] = true;
   slot.indexes[c].reset();
+  slot.has_null[c].reset();
 }
 
 void ColumnarWorld::Seed(const ColumnarSeeds& seeds) {

@@ -28,6 +28,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "base/thread_annotations.h"
@@ -138,6 +139,11 @@ class ColumnarWorld {
   /// counting a reuse hit: an index is not an encode.
   const ColumnIndex& Index(WorldRel slot, const Relation& rel, size_t c);
 
+  /// Whether the already-encoded column (slot, c) holds a NULL cell:
+  /// worked out from its ids on the first request and served from the
+  /// world afterwards (Adopt drops it). Serial sections only.
+  bool HasNull(WorldRel slot, size_t c);
+
   /// Installs externally built ids for (slot, c) — how extension output
   /// hands its columns to the join without re-encoding. Replaces any
   /// previous encoding of the column and drops its index.
@@ -164,6 +170,8 @@ class ColumnarWorld {
     std::vector<bool> present;
     // Posting index per column once built; null = not built yet.
     std::vector<std::unique_ptr<ColumnIndex>> indexes;
+    // HasNull per column once worked out; nullopt = not yet.
+    std::vector<std::optional<bool>> has_null;
   };
 
   // Grown only in serial sections; read-only for parallel workers.

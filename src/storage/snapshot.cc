@@ -41,13 +41,9 @@ void AppendRelation(const Relation& rel, ValueDictionary* dict,
   }
 }
 
-void AppendPairs(const MatchTable* table, ByteWriter* out) {
-  if (table == nullptr) {
-    out->PutU32(0);
-    return;
-  }
-  out->PutU32(static_cast<uint32_t>(table->size()));
-  for (const TuplePair& p : table->pairs()) {
+void AppendPairs(const std::vector<TuplePair>& pairs, ByteWriter* out) {
+  out->PutU32(static_cast<uint32_t>(pairs.size()));
+  for (const TuplePair& p : pairs) {
     out->PutU64(static_cast<uint64_t>(p.r_index));
     out->PutU64(static_cast<uint64_t>(p.s_index));
   }
@@ -601,8 +597,11 @@ Status WriteSnapshot(const WorldImage& image, const std::string& path) {
   }
   {
     ByteWriter w;
-    AppendPairs(image.matching, &w);
-    AppendPairs(image.negative, &w);
+    const std::vector<TuplePair> none;
+    AppendPairs(image.matching != nullptr ? image.matching->pairs() : none,
+                &w);
+    AppendPairs(image.negative != nullptr ? image.negative->pairs() : none,
+                &w);
     add(SectionKind::kMatchTables, 0, std::move(w));
   }
   {
@@ -842,22 +841,16 @@ Result<LoadedWorld> LoadSnapshot(const std::string& path) {
     std::vector<TuplePair> pairs;
     EID_RETURN_IF_ERROR(
         ParsePairs(&in, world.r_extended, world.s_extended, &pairs));
-    Result<MatchTable> mt =
-        MatchTable::FromPairs(/*negative=*/false, std::move(pairs));
+    Result<MatchTable> mt = MatchTable::FromPairs(pairs);
     if (!mt.ok()) {
       return CorruptError("matching table invalid: " + mt.status().message());
     }
     world.matching = std::move(mt).value();
-    // ParsePairs clears the moved-from vector before refilling it; the
-    // sorted NMT list is then adopted by the table, not copied.
+    // ParsePairs clears the vector before refilling it; the sorted NMT
+    // list is then adopted by the table, not copied.
     EID_RETURN_IF_ERROR(
         ParsePairs(&in, world.r_extended, world.s_extended, &pairs));
-    Result<MatchTable> nmt =
-        MatchTable::FromPairs(/*negative=*/true, std::move(pairs));
-    if (!nmt.ok()) {
-      return CorruptError("negative table invalid: " + nmt.status().message());
-    }
-    world.negative = std::move(nmt).value();
+    world.negative = NegativeTable::FromPairs(std::move(pairs));
     EID_RETURN_IF_ERROR(ExpectConsumed(in, "match tables"));
   }
   mark("match_tables");

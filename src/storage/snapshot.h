@@ -41,7 +41,7 @@ struct WorldImage {
   const Provenance* r_traces = nullptr;
   const Provenance* s_traces = nullptr;
   const MatchTable* matching = nullptr;
-  const MatchTable* negative = nullptr;
+  const NegativeTable* negative = nullptr;
   const IlfdSet* ilfds = nullptr;
   const AttributeCorrespondence* correspondence = nullptr;
   const ExtendedKey* extended_key = nullptr;
@@ -85,8 +85,8 @@ struct LoadedWorld {
   Relation r, s, r_extended, s_extended;
   /// Provenance over `ilfds`' atoms.
   Provenance r_traces, s_traces;
-  MatchTable matching{/*negative=*/false};
-  MatchTable negative{/*negative=*/true};
+  MatchTable matching;
+  NegativeTable negative;
   IlfdSet ilfds;
   AttributeCorrespondence correspondence;
   std::optional<ExtendedKey> extended_key;

@@ -274,8 +274,8 @@ TEST(EvaluateTest, CountsAllCategories) {
   BaselineResult result;
   EID_EXPECT_OK(result.matching.Add(TuplePair{0, 0}));  // true
   EID_EXPECT_OK(result.matching.Add(TuplePair{1, 1}));  // false
-  EID_EXPECT_OK(result.negative.Add(TuplePair{0, 1}));  // true non-match
-  EID_EXPECT_OK(result.negative.Add(TuplePair{2, 2}));  // false non-match
+  // A true non-match and a false one.
+  result.negative = NegativeTable::FromPairs({{0, 1}, {2, 2}});
   std::vector<TuplePair> truth = {{0, 0}, {2, 2}};
   MatchQuality q = Evaluate(result, truth, 3, 3);
   EXPECT_EQ(q.true_matches, 1u);

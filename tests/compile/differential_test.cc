@@ -82,8 +82,10 @@ void ExpectIdentical(const IdentificationResult& reference,
   ::eid::testing::ExpectProvenanceEqual(reference.s_traces, result.s_traces);
   EXPECT_EQ(reference.matching.pairs(), result.matching.pairs());
   EXPECT_EQ(reference.negative.table.pairs(), result.negative.table.pairs());
-  ASSERT_EQ(result.negative.evidence().size(), result.negative.table.size());
-  EXPECT_EQ(reference.negative.evidence(), result.negative.evidence());
+  ASSERT_EQ(result.negative.table.certificates().size(),
+            result.negative.table.size());
+  EXPECT_EQ(reference.negative.table.certificates(),
+            result.negative.table.certificates());
   EXPECT_EQ(reference.uniqueness, result.uniqueness);
   EXPECT_EQ(reference.consistency, result.consistency);
   EXPECT_EQ(reference.partition.matched, result.partition.matched);
@@ -442,7 +444,8 @@ TEST(DifferentialSpecialDoubleTest, DistinctnessRulesEqualReference) {
       ExpectEngineMatchesReference(w.config, w.r, w.s);
   EXPECT_EQ(ref.negative.table.pairs(),
             (std::vector<TuplePair>{{0, 0}, {0, 1}, {1, 0}}));
-  EXPECT_EQ(ref.negative.evidence(), (std::vector<uint32_t>{0, 2, 3}));
+  EXPECT_EQ(ref.negative.table.certificates(),
+            (std::vector<uint32_t>{0, 2, 3}));
 }
 
 TEST(DifferentialSpecialDoubleTest, KeyJoinAndSessionEqualReference) {
@@ -505,7 +508,8 @@ TEST(DifferentialRowPartTest, RowOnlyOrderingConjunctEqualsReference) {
   // (rated above 3 in S). anna x anna is certified by the direct one.
   EXPECT_EQ(ref.negative.table.pairs(),
             (std::vector<TuplePair>{{0, 0}, {2, 2}, {4, 3}}));
-  EXPECT_EQ(ref.negative.evidence(), (std::vector<uint32_t>{0, 0, 1}));
+  EXPECT_EQ(ref.negative.table.certificates(),
+            (std::vector<uint32_t>{0, 0, 1}));
 }
 
 }  // namespace

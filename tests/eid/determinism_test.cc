@@ -65,8 +65,8 @@ IdentifierConfig WorldConfig(const GeneratedWorld& world, int threads) {
 /// agree entry for entry.
 void ExpectSameNegative(const NegativeResult& a, const NegativeResult& b) {
   EXPECT_EQ(a.table.pairs(), b.table.pairs());
-  const std::vector<uint32_t> a_evidence = a.evidence();
-  const std::vector<uint32_t> b_evidence = b.evidence();
+  const std::vector<uint32_t> a_evidence = a.table.certificates();
+  const std::vector<uint32_t> b_evidence = b.table.certificates();
   ASSERT_EQ(a_evidence.size(), a.table.size());
   ASSERT_EQ(b_evidence.size(), b.table.size());
   ASSERT_EQ(a_evidence.size(), b_evidence.size());

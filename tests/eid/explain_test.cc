@@ -144,7 +144,8 @@ void ExpectEveryNmtPairCertified(const IdentificationResult& result,
   for (const TuplePair& pair : pairs) {
     const std::string where = "pair R" + std::to_string(pair.r_index) +
                               "/S" + std::to_string(pair.s_index);
-    std::optional<NegativePairEvidence> e = result.negative.EvidenceFor(pair);
+    std::optional<NegativePairEvidence> e =
+        result.negative.table.EvidenceFor(pair);
     ASSERT_TRUE(e.has_value()) << where;
     ASSERT_LT(e->rule_index, rules.size()) << where;
     TupleView r = result.r_extended.tuple(pair.r_index);
@@ -182,7 +183,8 @@ void CheckAcrossEngines(IdentifierConfig config, const Relation& r,
     EID_ASSERT_OK_AND_ASSIGN(IdentificationResult result,
                              EntityIdentifier(config).Identify(r, s));
     EXPECT_EQ(result.negative.table.pairs(), reference.negative.table.pairs());
-    EXPECT_EQ(result.negative.evidence(), reference.negative.evidence());
+    EXPECT_EQ(result.negative.table.certificates(),
+              reference.negative.table.certificates());
     ExpectEveryNmtPairCertified(result, config);
   }
 }
@@ -262,7 +264,7 @@ TEST(ExplainPropertyTest, NamesTheIlfdAndOrientationEachCertificateHolds) {
   size_t induced_pairs = 0;
   for (const TuplePair& pair : result.negative.table.pairs()) {
     const std::optional<NegativePairEvidence> e =
-        result.negative.EvidenceFor(pair);
+        result.negative.table.EvidenceFor(pair);
     ASSERT_TRUE(e.has_value());
     EID_ASSERT_OK_AND_ASSIGN(
         std::string text,
@@ -295,7 +297,7 @@ TEST(ExplainTest, CertificateBeyondTheConfigurationNamesItsIndex) {
   const std::vector<TuplePair>& pairs = setup.result.negative.table.pairs();
   ASSERT_FALSE(pairs.empty());
   const std::optional<NegativePairEvidence> e =
-      setup.result.negative.EvidenceFor(pairs.front());
+      setup.result.negative.table.EvidenceFor(pairs.front());
   ASSERT_TRUE(e.has_value());
   IdentifierConfig bare = setup.config;
   bare.distinctness_from_ilfds = false;

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "../test_util.h"
+#include "compile/pair_program.h"
 #include "eid/identifier.h"
 #include "eid/negative.h"
 #include "eid/reference.h"
@@ -213,9 +214,9 @@ void ExpectSameOnEveryPair(const IdentificationResult& engine,
       EXPECT_EQ(engine.Decide(i, j), reference.Decide(i, j))
           << "(" << i << ", " << j << ")";
       const std::optional<NegativePairEvidence> got =
-          engine.negative.EvidenceFor(pair);
+          engine.negative.table.EvidenceFor(pair);
       const std::optional<NegativePairEvidence> want =
-          reference.negative.EvidenceFor(pair);
+          reference.negative.table.EvidenceFor(pair);
       ASSERT_EQ(got.has_value(), want.has_value())
           << "(" << i << ", " << j << ")";
       if (got.has_value()) {
@@ -238,15 +239,24 @@ Coverage CoverageOf(const IdentifierConfig& config,
   auto named = [&](uint32_t certificate, const std::string& name) {
     return certificate / 2 < names.size() && names[certificate / 2] == name;
   };
-  const MatchTable& table = result.negative.table;
-  out.complement_rows = table.complement_rows().rows.size();
-  const std::vector<TuplePair> pairs = table.pairs();
-  const std::vector<uint32_t> evidence = result.negative.evidence();
+  // The table does not show its rows' encoding: sweep the same rules
+  // again for it.
+  exec::ColumnarWorld world;
+  exec::StageStats stats;
+  const exec::FiredRows rows = compile::SweepRules(
+      config.distinctness_rules, config.ilfds,
+      ListDistinctnessRules(config.distinctness_rules, config.ilfds,
+                            config.distinctness_from_ilfds)
+          .induced,
+      result.r_extended, result.s_extended, world, /*pool=*/nullptr, &stats);
+  out.complement_rows = rows.complement.rows.size();
+  const std::vector<TuplePair> pairs = result.negative.table.pairs();
+  const std::vector<uint32_t> evidence = result.negative.table.certificates();
   std::set<uint32_t> rewalked;
   for (size_t i = 0; i < pairs.size(); ++i) {
     const uint32_t certificate = evidence[i];
     const bool complement =
-        table.complement_rows().Find(pairs[i].r_index).has_value();
+        rows.complement.Find(pairs[i].r_index).has_value();
     const bool induced = certificate / 2 >= names.size();
     const bool column_ne =
         named(certificate, "other_c") || named(certificate, "other_b");
@@ -281,7 +291,8 @@ Coverage ExpectAllAgree(const World& w) {
     EXPECT_EQ(engine->matching.pairs(), reference->matching.pairs());
     EXPECT_EQ(engine->negative.table.pairs(),
               reference->negative.table.pairs());
-    EXPECT_EQ(engine->negative.evidence(), reference->negative.evidence());
+    EXPECT_EQ(engine->negative.table.certificates(),
+              reference->negative.table.certificates());
     EXPECT_EQ(engine->uniqueness, reference->uniqueness);
     EXPECT_EQ(engine->consistency, reference->consistency);
     EXPECT_EQ(engine->partition.non_matched,
@@ -295,7 +306,8 @@ Coverage ExpectAllAgree(const World& w) {
     EXPECT_TRUE(generic.ok()) << generic.status().ToString();
     if (!generic.ok()) continue;
     EXPECT_EQ(engine->negative.table.pairs(), generic->table.pairs());
-    EXPECT_EQ(engine->negative.evidence(), generic->evidence());
+    EXPECT_EQ(engine->negative.table.certificates(),
+              generic->table.certificates());
     if (threads == 1) coverage = CoverageOf(config, *engine);
   }
   return coverage;
@@ -318,7 +330,7 @@ TEST(InducedRulePropertyTest, RandomWorldsEqualReferenceAndGenericSweep) {
         EntityIdentifier(w.config).Identify(w.r, w.s);
     if (!result.ok()) continue;
     ++identified;
-    for (uint32_t certificate : result->negative.evidence()) {
+    for (uint32_t certificate : result->negative.table.certificates()) {
       if ((certificate & 1) != 0) ++flipped_pairs;
     }
   }

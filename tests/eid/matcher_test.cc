@@ -90,21 +90,6 @@ TEST(MatcherTest, UniquenessViolationReportedNotFatalByDefault) {
   EXPECT_EQ(result.matching.size(), 1u);  // first pair kept, second skipped
 }
 
-TEST(MatcherTest, UniquenessViolationFatalWhenRequested) {
-  Relation r = MakeRelation("R", {"name", "street"}, {"name", "street"},
-                            {{"Wok", "A"}});
-  Relation s = MakeRelation("S", {"name", "city"}, {"name", "city"},
-                            {{"Wok", "X"}, {"Wok", "Y"}});
-  IlfdSet no_knowledge;
-  MatcherOptions opts;
-  opts.fail_on_uniqueness_violation = true;
-  Result<MatcherResult> result =
-      BuildMatchingTable(r, s, AttributeCorrespondence::Identity(r, s),
-                         ExtendedKey({"name"}), no_knowledge, opts);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kConstraintViolation);
-}
-
 TEST(MatcherTest, EmptyExtendedKeyRejected) {
   Relation r = fixtures::Example2R();
   Relation s = fixtures::Example2S();
@@ -304,6 +289,40 @@ TEST(MatcherTest, KeyJoinSkipsRowsWithNullKeyCells) {
     const exec::StageStats* join = got.stats.Find("key_join");
     ASSERT_NE(join, nullptr);
     EXPECT_EQ(join->candidate_pairs, expected);
+  }
+}
+
+TEST(MatcherTest, KeyJoinChecksNoRowWhereKeyCellsAreNeverNull) {
+  // The same join with every R' row's key cells non-NULL (S' keeps its
+  // NULLs): no row part is compiled, so each candidate costs exactly one
+  // evaluation and none reuses a hoisted row result.
+  std::mt19937 rng(11);
+  const Relation noisy = RandomExtended("R", ValueType::kInt, 400, &rng);
+  Relation r("R", noisy.schema());
+  for (const Row& row : noisy.rows()) {
+    if (!row[0].is_null() && !row[1].is_null()) EID_ASSERT_OK(r.Insert(row));
+  }
+  Relation s = RandomExtended("S", ValueType::kInt, 300, &rng);
+  const ExtendedKey key({"city", "name"});
+  IlfdSet no_knowledge;
+  EID_ASSERT_OK_AND_ASSIGN(
+      MatcherResult want,
+      reference::BuildMatchingTable(
+          r, s, AttributeCorrespondence::Identity(r, s), key, no_knowledge));
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    MatcherOptions options;
+    options.threads = threads;
+    EID_ASSERT_OK_AND_ASSIGN(
+        MatcherResult got,
+        BuildMatchingTable(r, s, AttributeCorrespondence::Identity(r, s), key,
+                           no_knowledge, options));
+    EXPECT_EQ(got.matching.pairs(), want.matching.pairs());
+    const exec::StageStats* join = got.stats.Find("key_join");
+    ASSERT_NE(join, nullptr);
+    EXPECT_GT(join->candidate_pairs, 0u);
+    EXPECT_EQ(join->rule_evals, join->candidate_pairs);
+    EXPECT_EQ(join->feature_cache_hits, 0u);
   }
 }
 

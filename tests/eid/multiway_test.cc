@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <string>
+#include <vector>
+
 #include "../test_util.h"
 #include "workload/fixtures.h"
+#include "workload/generator.h"
 
 namespace eid {
 namespace {
@@ -154,6 +160,105 @@ TEST(MultiwayTest, ConflictingClusterValuesFailIntegration) {
   Result<Relation> table = BuildMultiwayIntegratedTable(sources, result);
   ASSERT_FALSE(table.ok());
   EXPECT_EQ(table.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// Identity rules alone drive the clusters: with no extended key, the
+// clusters of three generated sources (R, S, and the universe's
+// (name, cuisine, city) projection of every third entity) equal union-find
+// over a nested IdentityRule::Matches loop on the extended relations, and
+// the consistency verdict follows from those clusters and the recorded
+// distinct pairs.
+TEST(MultiwayTest, IdentityRulesClusterAsNestedLoopUnionFind) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    GeneratorConfig gen;
+    gen.seed = seed;
+    gen.overlap_entities = 24;
+    gen.r_only_entities = 12;
+    gen.s_only_entities = 12;
+    gen.name_pool = 12;  // homonyms: the rules' name join is not enough
+    gen.ilfd_coverage = 0.7;
+    EID_ASSERT_OK_AND_ASSIGN(GeneratedWorld world, GenerateWorld(gen));
+    Relation c("C", Schema::OfStrings({"name", "cuisine", "city"}));
+    const Schema& u = world.universe.schema();
+    for (size_t i = 0; i < world.universe.size(); i += 3) {
+      const Row& row = world.universe.row(i);
+      EID_ASSERT_OK(c.Insert(Row{row[*u.IndexOf("name")],
+                                 row[*u.IndexOf("cuisine")],
+                                 row[*u.IndexOf("city")]}));
+    }
+    const std::vector<Relation> sources = {world.r, world.s, c};
+    MultiwayConfig config;
+    config.ilfds = world.ilfds;
+    config.extension.derive_all = true;
+    for (const auto& [name, text] :
+         {std::pair{"name_cuisine_eq",
+                    "e1.name = e2.name & e1.cuisine = e2.cuisine"},
+          std::pair{"name_city_eq", "e1.name = e2.name & e1.city = e2.city"}}) {
+      EID_ASSERT_OK_AND_ASSIGN(IdentityRule rule,
+                               ParseIdentityRule(name, text));
+      config.identity_rules.push_back(rule);
+    }
+    EID_ASSERT_OK_AND_ASSIGN(MultiwayResult result,
+                             IdentifyAll(sources, config));
+
+    // The oracle: every rule on every cross-source pair, merged.
+    std::vector<size_t> offset = {0};
+    for (const Relation& rel : result.extended) {
+      offset.push_back(offset.back() + rel.size());
+    }
+    std::vector<size_t> parent(offset.back());
+    std::iota(parent.begin(), parent.end(), size_t{0});
+    auto find = [&](size_t x) {
+      while (parent[x] != x) x = parent[x];
+      return x;
+    };
+    size_t merges = 0;
+    for (size_t i = 0; i < sources.size(); ++i) {
+      for (size_t j = i + 1; j < sources.size(); ++j) {
+        const Relation& a = result.extended[i];
+        const Relation& b = result.extended[j];
+        for (size_t x = 0; x < a.size(); ++x) {
+          for (size_t y = 0; y < b.size(); ++y) {
+            for (const IdentityRule& rule : config.identity_rules) {
+              if (rule.Matches(a.tuple(x), b.tuple(y)) == Truth::kTrue) {
+                parent[find(offset[i] + x)] = find(offset[j] + y);
+                ++merges;
+                break;
+              }
+            }
+          }
+        }
+      }
+    }
+    ASSERT_GT(merges, 0u);
+    std::vector<std::vector<MemberRef>> want(offset.back());
+    for (size_t i = 0; i < sources.size(); ++i) {
+      for (size_t r = 0; r < sources[i].size(); ++r) {
+        want[find(offset[i] + r)].push_back(MemberRef{i, r});
+      }
+    }
+    want.erase(std::remove_if(want.begin(), want.end(),
+                              [](const std::vector<MemberRef>& members) {
+                                return members.empty();
+                              }),
+               want.end());
+    std::sort(want.begin(), want.end());
+    std::vector<std::vector<MemberRef>> got;
+    for (const EntityCluster& cluster : result.clusters) {
+      got.push_back(cluster.members);
+    }
+    EXPECT_EQ(got, want);
+
+    bool inconsistent = false;
+    for (const auto& [x, y] : result.distinct_pairs) {
+      inconsistent =
+          inconsistent || find(offset[x.relation_index] + x.row_index) ==
+                              find(offset[y.relation_index] + y.row_index);
+    }
+    EXPECT_FALSE(result.distinct_pairs.empty());
+    EXPECT_EQ(result.consistency.ok(), !inconsistent);
+  }
 }
 
 }  // namespace

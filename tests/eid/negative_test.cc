@@ -35,12 +35,13 @@ TEST(NegativeTest, PaperTable4FromProposition1Rule) {
   ASSERT_EQ(out.table.size(), 1u);
   EXPECT_EQ(out.table.pairs()[0], (TuplePair{0, 0}));
   std::optional<NegativePairEvidence> evidence =
-      out.EvidenceFor(TuplePair{0, 0});
+      out.table.EvidenceFor(TuplePair{0, 0});
   ASSERT_TRUE(evidence.has_value());
   EXPECT_EQ(evidence->rule_index, 0u);
   EXPECT_TRUE(evidence->flipped);
-  EXPECT_EQ(out.evidence(), std::vector<uint32_t>{1u});  // rule 0, flipped
-  EXPECT_FALSE(out.EvidenceFor(TuplePair{0, 1}).has_value());
+  // Rule 0, flipped.
+  EXPECT_EQ(out.table.certificates(), std::vector<uint32_t>{1u});
+  EXPECT_FALSE(out.table.EvidenceFor(TuplePair{0, 1}).has_value());
 }
 
 TEST(NegativeTest, InvalidRuleFailsBuild) {
@@ -78,8 +79,9 @@ TEST(NegativeTest, FirstRuleGetsCredit) {
   EID_ASSERT_OK_AND_ASSIGN(NegativeResult out,
                            BuildNegativeMatchingTable(r, s, {rule1, rule2}));
   ASSERT_EQ(out.table.size(), 1u);
-  ASSERT_EQ(out.evidence().size(), 1u);
-  EXPECT_EQ(NegativePairEvidence::FromCertificate(out.evidence()[0]).rule_index,
+  const std::vector<uint32_t> certificates = out.table.certificates();
+  ASSERT_EQ(certificates.size(), 1u);
+  EXPECT_EQ(NegativePairEvidence::FromCertificate(certificates[0]).rule_index,
             0u);
 }
 
@@ -97,33 +99,30 @@ TEST(NegativeTest, UnknownPredicatesDoNotCertify) {
 
 TEST(NegativeTest, AdoptRefusesRowListsOutOfOrderOrRange) {
   // The guard on the sweep's output: a stored row list out of row-major
-  // order or beyond S is an engine defect, reported as Internal with the
-  // result left empty; well-formed rows are adopted whole.
+  // order or beyond S is an engine defect, reported as Internal; well-
+  // formed rows are adopted whole.
   exec::FiredRows swapped;
   swapped.pairs = {{1, 0}, {0, 2}};
   swapped.priorities = {0, 1};
   swapped.complement.s_count = 3;
   exec::FiredRows beyond;
-  beyond.complement = ComplementRows{3, {0}, {1}, {3}};
+  beyond.complement = exec::ComplementRows{3, {0}, {1}, {3}};
   beyond.certificates.fired_end = {0};
   beyond.certificates.exceptions_end = {0};
   for (exec::FiredRows* rows : {&swapped, &beyond}) {
-    NegativeResult out;
-    const Status status = out.Adopt(std::move(*rows));
+    const Status status = NegativeTable::FromRows(std::move(*rows)).status();
     EXPECT_EQ(status.code(), StatusCode::kInternal);
     EXPECT_EQ(status.message(),
               "distinctness sweep emitted pairs out of row-major order");
-    EXPECT_TRUE(out.table.empty());
-    EXPECT_TRUE(out.evidence().empty());
   }
   exec::FiredRows fine;
   fine.pairs = {{0, 2}, {1, 0}};
   fine.priorities = {3, 1};
   fine.complement.s_count = 3;
-  NegativeResult out;
-  EID_ASSERT_OK(out.Adopt(std::move(fine)));
-  EXPECT_EQ(out.table.pairs(), (std::vector<TuplePair>{{0, 2}, {1, 0}}));
-  EXPECT_EQ(out.evidence(), (std::vector<uint32_t>{3, 1}));
+  EID_ASSERT_OK_AND_ASSIGN(NegativeTable out,
+                           NegativeTable::FromRows(std::move(fine)));
+  EXPECT_EQ(out.pairs(), (std::vector<TuplePair>{{0, 2}, {1, 0}}));
+  EXPECT_EQ(out.certificates(), (std::vector<uint32_t>{3, 1}));
 }
 
 #if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)

@@ -56,7 +56,7 @@ TEST(ReferenceTest, Table4NegativeMatchingTable) {
   // R' has no speciality column.
   EXPECT_EQ(result.negative.table.pairs(), (std::vector<TuplePair>{{0, 0}}));
   std::optional<NegativePairEvidence> evidence =
-      result.negative.EvidenceFor(TuplePair{0, 0});
+      result.negative.table.EvidenceFor(TuplePair{0, 0});
   ASSERT_TRUE(evidence.has_value());
   EXPECT_EQ(evidence->rule_index, 0u);
   EXPECT_TRUE(evidence->flipped);

@@ -131,7 +131,8 @@ bool StorageEqual(const Value& a, const Value& b) {
 /// s-side constant equalities; each one not fired at a lower priority
 /// costs one pair evaluation, and one feature-cache hit behind a row
 /// part. Every r column an equality or inequality pair conjunct reads
-/// adds a non-NULL check to the row part (StagedConjunction::Compile).
+/// adds a non-NULL check to the row part when it holds a NULL cell
+/// (StagedConjunction::Compile).
 StagedScanStats BruteForceCounts(const Relation& r, const Relation& s,
                                  const RuleSet& rules) {
   StagedScanStats out;
@@ -223,10 +224,17 @@ StagedScanStats BruteForceCounts(const Relation& r, const Relation& s,
         if (row_only) {
           o.row_part.push_back(p);
         } else if (p.op == CompareOp::kEq || p.op == CompareOp::kNe) {
-          // An id pair conjunct: each r column it reads adds `x = x`
-          // (kTrue iff non-NULL) to the row part, once per column.
+          // An id pair conjunct: each r column it reads that holds a
+          // NULL cell adds `x = x` (kTrue iff non-NULL) to the row part,
+          // once per column.
+          auto holds_null = [&](size_t c) {
+            return std::any_of(
+                r.rows().begin(), r.rows().end(),
+                [&](const Row& row) { return row[c].is_null(); });
+          };
           for (const Operand* x : {&p.lhs, &p.rhs}) {
             if (x->kind != Operand::Kind::kEntityAttribute || !r_side(*x) ||
+                !holds_null(*column(*x)) ||
                 std::find(non_null_columns.begin(), non_null_columns.end(),
                           *column(*x)) != non_null_columns.end()) {
               continue;
@@ -610,20 +618,22 @@ TEST(CandidateGeneratorTest, ChunksSizedFromFirstRowsKeepTheirContent) {
 // priority 2, with exceptions at s = 1 (priority 5) and s = 2 (priority 1).
 TEST(CandidateGeneratorTest, CertificateIsTheMinimumOverExceptionsAndRules) {
   auto rules = std::make_shared<RowRules>(4);
-  ComplementRows complement{4, {0}, {0}, {}};
-  ComplementCertificates certificates;
+  FiredRows rows;
+  rows.complement = ComplementRows{4, {0}, {0}, {}};
+  ComplementCertificates& certificates = rows.certificates;
   certificates.rules = rules;
   certificates.fired = {rules->AddAll(/*priority=*/2)};
   certificates.fired_end = {1};
   certificates.exception_s = {1, 2};
   certificates.exception_priority = {5, 1};
   certificates.exceptions_end = {2};
-  EXPECT_EQ(certificates.CertificateOf(0, 0, 0), 2u);
-  EXPECT_EQ(certificates.CertificateOf(0, 0, 1), 2u);
-  EXPECT_EQ(certificates.CertificateOf(0, 0, 2), 1u);
+  EXPECT_EQ(rows.CertificateOf(TuplePair{0, 0}), 2u);
+  EXPECT_EQ(rows.CertificateOf(TuplePair{0, 1}), 2u);
+  EXPECT_EQ(rows.CertificateOf(TuplePair{0, 2}), 1u);
+  EXPECT_EQ(rows.CertificateOf(TuplePair{0, 4}), std::nullopt);
   std::vector<TuplePair> pairs;
   std::vector<uint32_t> priorities;
-  AppendRowMajor({}, {}, complement, certificates, &pairs, &priorities);
+  rows.AppendRowMajor(&pairs, &priorities);
   EXPECT_EQ(pairs, (std::vector<TuplePair>{{0, 0}, {0, 1}, {0, 2}, {0, 3}}));
   EXPECT_EQ(priorities, (std::vector<uint32_t>{2, 2, 1, 2}));
 }

@@ -97,7 +97,8 @@ TEST(SnapshotDifferentialTest, LoadedWorldIdentifiesBitIdentically) {
       reference::Identify(again_config, loaded->r, loaded->s);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   ExpectSameOutcome(*fresh, *reference, "reference");
-  EXPECT_EQ(reference->negative.evidence(), fresh->negative.evidence());
+  EXPECT_EQ(reference->negative.table.certificates(),
+            fresh->negative.table.certificates());
   const auto seeds = again_config.matcher_options.columnar_seeds;
   ASSERT_NE(seeds, nullptr);
   for (int threads : {1, 8}) {
@@ -110,7 +111,8 @@ TEST(SnapshotDifferentialTest, LoadedWorldIdentifiesBitIdentically) {
                                 " seeded=" + std::to_string(seeded);
       ASSERT_TRUE(again.ok()) << label << ": " << again.status().ToString();
       ExpectSameOutcome(*reference, *again, label);
-      EXPECT_EQ(again->negative.evidence(), reference->negative.evidence())
+      EXPECT_EQ(again->negative.table.certificates(),
+                reference->negative.table.certificates())
           << label;
     }
   }
