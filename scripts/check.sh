@@ -48,7 +48,7 @@ FAST=0
 # '.' for everything) via EID_CHECK_SANITIZER_TESTS.
 # (gtest_discover_tests registers per-case names, so the filter matches
 # gtest suite names, not test binary names.)
-SANITIZER_TESTS="${EID_CHECK_SANITIZER_TESTS:-^(Coverage/|Staged/)?(Determinism|Differential|DifferentialConflict|DifferentialIncremental|Incremental|IncrementalProperty|Reference|CompiledConjunction|DerivationProgram|Identifier|ExplainProperty|Analyzer.*|ThreadPool|ParallelForHelper|ResolveThreads|ColumnIndex|PlanBlocking|CandidateGenerator|Matcher|MatchTable|ColumnarDifferential|ColumnarInterner|ValueDictionary|ClosureEvaluator|Dictionary|Snapshot|SnapshotDifferential|Provenance|IdentityRule|IdentityRuleProperty|InducedRuleProperty|DifferentialRowPart|Figure1|Negative|NegativeTable|Multiway)Test\.}"
+SANITIZER_TESTS="${EID_CHECK_SANITIZER_TESTS:-^(Coverage/|Staged/)?(Determinism|Differential|DifferentialConflict|DifferentialIncremental|Incremental|IncrementalProperty|Reference|DerivationProgram|Identifier|ExplainProperty|Analyzer.*|ThreadPool|ParallelForHelper|ResolveThreads|ColumnIndex|PlanBlocking|CandidateGenerator|Matcher|MatchTable|ColumnarDifferential|ColumnarInterner|ValueDictionary|ClosureEvaluator|Dictionary|Snapshot|SnapshotDifferential|Provenance|IdentityRule|IdentityRuleProperty|InducedRuleProperty|DifferentialRowPart|DifferentialSpecialDouble|Figure1|Negative|NegativeTable|Multiway)Test\.}"
 
 step() { printf '\n=== %s ===\n' "$*"; }
 

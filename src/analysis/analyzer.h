@@ -23,8 +23,8 @@
 //       conjunct, which force the exec layer's O(|R'|·|S'|) tiled-scan
 //       fallback instead of an index probe (see exec/blocking_index.h).
 //
-// Consumers: the `eid-lint` CLI (examples/eid_lint.cpp), the opt-in
-// engine pre-flight (MatcherOptions::analyze), the bench harness
+// Consumers: the `eid-lint` CLI (examples/eid_lint.cpp), a caller's
+// pre-flight before identifying (PreflightCheck below), the bench harness
 // (bench_util.h validates generated workloads at startup) and tests.
 
 #ifndef EID_ANALYSIS_ANALYZER_H_
@@ -81,9 +81,9 @@ class RuleProgramAnalyzer {
     const Relation& r, const Relation& s, const IdentifierConfig& config,
     const AnalyzerOptions& options = {});
 
-/// The engine pre-flight: OK when the program has no error-severity
-/// diagnostics, FailedPrecondition carrying the full report text
-/// otherwise. Warnings never fail the pre-flight.
+/// The pre-flight a caller runs before identifying: OK when the program
+/// has no error-severity diagnostics, FailedPrecondition carrying the
+/// full report text otherwise. Warnings never fail the pre-flight.
 Status PreflightCheck(const Schema& r_schema, const Schema& s_schema,
                       const IdentifierConfig& config);
 

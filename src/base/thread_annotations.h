@@ -34,7 +34,7 @@
 //   EID_SHARED_IMMUTABLE    — state built serially *before* a
 //                             ParallelFor and read-only inside it
 //                             (const access from every worker).
-//                             Examples: CompiledConjunction,
+//                             Examples: StagedConjunction,
 //                             ColumnIndex posting indexes.
 //
 // Both expand to nothing on every compiler; they are declarations of

@@ -9,79 +9,31 @@
 namespace eid {
 namespace compile {
 
-CompiledConjunction CompiledConjunction::Compile(
-    const std::vector<Predicate>& predicates, const Schema& r_schema,
-    const Schema& s_schema, bool flipped) {
-  CompiledConjunction out;
-  out.ops_.reserve(predicates.size());
-  auto bind = [&](const Operand& o) {
-    Slot slot;
-    if (o.kind == Operand::Kind::kConstant) {
-      slot.src = Src::kConstant;
-      slot.constant = o.constant;
-      return slot;
-    }
-    const bool r_side = (o.entity == 1) != flipped;
-    const Schema& schema = r_side ? r_schema : s_schema;
-    std::optional<size_t> column = schema.IndexOf(o.attribute);
-    if (!column.has_value()) return slot;  // kAbsent: resolves to NULL
-    slot.src = r_side ? Src::kRColumn : Src::kSColumn;
-    slot.column = *column;
-    return slot;
-  };
-  for (const Predicate& p : predicates) {
-    out.ops_.push_back(Op{bind(p.lhs), p.op, bind(p.rhs)});
-  }
-  return out;
-}
-
-Truth CompiledConjunction::Evaluate(const Row& r_row,
-                                    const Row& s_row) const {
-  static const Value kNullValue;
-  auto resolve = [&](const Slot& slot) -> const Value& {
-    switch (slot.src) {
-      case Src::kRColumn: return r_row[slot.column];
-      case Src::kSColumn: return s_row[slot.column];
-      case Src::kConstant: return slot.constant;
-      case Src::kAbsent: return kNullValue;
-    }
-    return kNullValue;
-  };
-  // Mirrors EvaluateConjunction: Kleene And with an early kFalse exit.
-  Truth result = Truth::kTrue;
-  for (const Op& op : ops_) {
-    result = And(result, CompareValues(resolve(op.lhs), op.op,
-                                       resolve(op.rhs)));
-    if (result == Truth::kFalse) return result;
-  }
-  return result;
-}
-
 StagedConjunction StagedConjunction::Compile(
     const std::vector<Predicate>& predicates,
     const std::vector<exec::PredicateCoverage>& coverage,
     const Relation& r_ext, const Relation& s_ext, bool flipped,
     exec::ColumnarWorld& world) {
   StagedConjunction out;
-  out.r_ = &r_ext;
-  out.s_ = &s_ext;
+  out.dict_ = &world.dict();
   EID_CHECK(coverage.size() == predicates.size());
   auto bind = [&](const Operand& o) {
-    Slot slot;
+    Slot slot;  // NULL until bound
     if (o.kind == Operand::Kind::kConstant) {
-      slot.src = Src::kConstant;
-      slot.constant = o.constant;
       if (!o.constant.is_null()) {
         slot.const_id = world.dict().GetOrIntern(o.constant);
       }
       return slot;
     }
     const bool r_side = (o.entity == 1) != flipped;
-    const Schema& schema = r_side ? r_ext.schema() : s_ext.schema();
-    std::optional<size_t> column = schema.IndexOf(o.attribute);
-    if (!column.has_value()) return slot;  // kAbsent: resolves to NULL
+    const Relation& rel = r_side ? r_ext : s_ext;
+    std::optional<size_t> column = rel.schema().IndexOf(o.attribute);
+    if (!column.has_value()) return slot;  // absent: resolves to NULL
     slot.src = r_side ? Src::kRColumn : Src::kSColumn;
     slot.column = *column;
+    slot.ids = &world.Column(
+        r_side ? exec::WorldRel::kRExtended : exec::WorldRel::kSExtended, rel,
+        *column);
     return slot;
   };
   for (size_t i = 0; i < predicates.size(); ++i) {
@@ -92,19 +44,8 @@ StagedConjunction StagedConjunction::Compile(
     op.op = p.op;
     op.rhs = bind(p.rhs);
     // kEq/kNe are exactly storage (in)equality on non-NULL operands, so
-    // they run on the world's id columns; ordering ops need the Values.
+    // they compare ids; ordering ops need the values behind them.
     op.id_fast = p.op == CompareOp::kEq || p.op == CompareOp::kNe;
-    if (op.id_fast) {
-      for (Slot* slot : {&op.lhs, &op.rhs}) {
-        if (slot->src == Src::kRColumn) {
-          slot->ids =
-              &world.Column(exec::WorldRel::kRExtended, r_ext, slot->column);
-        } else if (slot->src == Src::kSColumn) {
-          slot->ids =
-              &world.Column(exec::WorldRel::kSExtended, s_ext, slot->column);
-        }
-      }
-    }
     const bool row_only =
         coverage[i] == exec::PredicateCoverage::kResidualRow;
     (row_only ? out.row_ops_ : out.pair_ops_).push_back(std::move(op));
@@ -136,23 +77,20 @@ StagedConjunction StagedConjunction::Compile(
 }
 
 StagedConjunction StagedConjunction::NotEqual(exec::WorldRel side,
+                                              const Relation& rel,
                                               size_t column,
                                               uint32_t const_id,
-                                              const Relation& r_ext,
-                                              const Relation& s_ext,
                                               exec::ColumnarWorld& world) {
   const bool r_side = side == exec::WorldRel::kRExtended;
   EID_CHECK(r_side || side == exec::WorldRel::kSExtended);
   EID_CHECK(const_id != exec::ColumnarWorld::kNullId);
   StagedConjunction out;
-  out.r_ = &r_ext;
-  out.s_ = &s_ext;
+  out.dict_ = &world.dict();
   Op op;
   op.lhs.src = r_side ? Src::kRColumn : Src::kSColumn;
   op.lhs.column = column;
-  op.lhs.ids = &world.Column(side, r_side ? r_ext : s_ext, column);
+  op.lhs.ids = &world.Column(side, rel, column);
   op.op = CompareOp::kNe;
-  op.rhs.src = Src::kConstant;
   op.rhs.const_id = const_id;
   op.id_fast = true;
   (r_side ? out.row_ops_ : out.pair_ops_).push_back(std::move(op));
@@ -185,24 +123,31 @@ exec::PairShape StagedConjunction::pair_shape() const {
   return shape;
 }
 
+uint32_t StagedConjunction::IdOf(const Slot& slot, size_t r_row,
+                                 size_t s_row) {
+  switch (slot.src) {
+    case Src::kRColumn: return (*slot.ids)[r_row];
+    case Src::kSColumn: return (*slot.ids)[s_row];
+    case Src::kConstant: return slot.const_id;
+  }
+  return exec::ColumnarWorld::kNullId;
+}
+
+const Value& StagedConjunction::ValueOf(const Slot& slot, size_t r_row,
+                                        size_t s_row) const {
+  static const Value kNullValue;
+  const uint32_t id = IdOf(slot, r_row, s_row);
+  return id == exec::ColumnarWorld::kNullId ? kNullValue : dict_->value(id);
+}
+
 Truth StagedConjunction::EvaluateOps(const std::vector<Op>& ops,
                                      size_t r_row, size_t s_row) const {
-  static const Value kNullValue;
   Truth result = Truth::kTrue;
   for (const Op& op : ops) {
     Truth t;
     if (op.id_fast) {
-      auto id_of = [&](const Slot& slot) -> uint32_t {
-        switch (slot.src) {
-          case Src::kRColumn: return (*slot.ids)[r_row];
-          case Src::kSColumn: return (*slot.ids)[s_row];
-          case Src::kConstant: return slot.const_id;
-          case Src::kAbsent: return exec::ColumnarWorld::kNullId;
-        }
-        return exec::ColumnarWorld::kNullId;
-      };
-      const uint32_t lhs = id_of(op.lhs);
-      const uint32_t rhs = id_of(op.rhs);
+      const uint32_t lhs = IdOf(op.lhs, r_row, s_row);
+      const uint32_t rhs = IdOf(op.rhs, r_row, s_row);
       if (lhs == exec::ColumnarWorld::kNullId ||
           rhs == exec::ColumnarWorld::kNullId) {
         t = Truth::kUnknown;  // NULL operand
@@ -212,16 +157,8 @@ Truth StagedConjunction::EvaluateOps(const std::vector<Op>& ops,
         t = lhs == rhs ? Truth::kFalse : Truth::kTrue;
       }
     } else {
-      auto resolve = [&](const Slot& slot) -> const Value& {
-        switch (slot.src) {
-          case Src::kRColumn: return r_->row(r_row)[slot.column];
-          case Src::kSColumn: return s_->row(s_row)[slot.column];
-          case Src::kConstant: return slot.constant;
-          case Src::kAbsent: return kNullValue;
-        }
-        return kNullValue;
-      };
-      t = CompareValues(resolve(op.lhs), op.op, resolve(op.rhs));
+      t = CompareValues(ValueOf(op.lhs, r_row, s_row), op.op,
+                        ValueOf(op.rhs, r_row, s_row));
     }
     result = And(result, t);
     if (result == Truth::kFalse) return result;
@@ -244,23 +181,17 @@ std::vector<Truth> StagedConjunction::RowTruthAll(size_t n) const {
   // reproduces EvaluateOps' early exit, so out[r] == RowTruth(r).
   for (const Op& op : row_ops_) {
     if (op.id_fast) {
-      // Row ops bind the r side only, so a slot is a kRColumn slice, a
-      // constant id, or the NULL sentinel (kAbsent).
+      // Row ops bind the r side only, so a slot is a kRColumn slice or a
+      // constant id.
       const uint32_t* lhs_ids =
           op.lhs.src == Src::kRColumn ? op.lhs.ids->data() : nullptr;
       const uint32_t* rhs_ids =
           op.rhs.src == Src::kRColumn ? op.rhs.ids->data() : nullptr;
-      const uint32_t lhs_const = op.lhs.src == Src::kConstant
-                                     ? op.lhs.const_id
-                                     : exec::ColumnarWorld::kNullId;
-      const uint32_t rhs_const = op.rhs.src == Src::kConstant
-                                     ? op.rhs.const_id
-                                     : exec::ColumnarWorld::kNullId;
       const bool is_eq = op.op == CompareOp::kEq;
       for (size_t r = 0; r < n; ++r) {
         if (out[r] == Truth::kFalse) continue;
-        const uint32_t lhs = lhs_ids != nullptr ? lhs_ids[r] : lhs_const;
-        const uint32_t rhs = rhs_ids != nullptr ? rhs_ids[r] : rhs_const;
+        const uint32_t lhs = lhs_ids != nullptr ? lhs_ids[r] : op.lhs.const_id;
+        const uint32_t rhs = rhs_ids != nullptr ? rhs_ids[r] : op.rhs.const_id;
         Truth t;
         if (lhs == exec::ColumnarWorld::kNullId ||
             rhs == exec::ColumnarWorld::kNullId) {
@@ -271,20 +202,10 @@ std::vector<Truth> StagedConjunction::RowTruthAll(size_t n) const {
         out[r] = And(out[r], t);
       }
     } else {
-      static const Value kNullValue;
       for (size_t r = 0; r < n; ++r) {
         if (out[r] == Truth::kFalse) continue;
-        auto resolve = [&](const Slot& slot) -> const Value& {
-          switch (slot.src) {
-            case Src::kRColumn: return r_->row(r)[slot.column];
-            case Src::kSColumn: return s_->row(r)[slot.column];
-            case Src::kConstant: return slot.constant;
-            case Src::kAbsent: return kNullValue;
-          }
-          return kNullValue;
-        };
-        out[r] = And(out[r],
-                     CompareValues(resolve(op.lhs), op.op, resolve(op.rhs)));
+        out[r] = And(out[r], CompareValues(ValueOf(op.lhs, r, r), op.op,
+                                           ValueOf(op.rhs, r, r)));
       }
     }
   }
@@ -365,7 +286,7 @@ void RegisterInduced(const IlfdSet& ilfds,
       }
       const uint32_t head_id = world.dict().GetOrIntern(atoms.atom(head).value);
       residuals->push_back(StagedConjunction::NotEqual(
-          head_slot, *head_column, head_id, r_ext, s_ext, world));
+          head_slot, filter_r ? s_ext : r_ext, *head_column, head_id, world));
       gen.AddRule(plan, &residuals->back());
     }
   }
@@ -410,7 +331,8 @@ exec::FiredRows Sweep(
   // emission keeps, per pair, the first (rule, orientation) that fires.
   exec::CandidateGenerator gen(&r_ext, &s_ext, world);
   for (size_t i = 0; i < plans.size(); ++i) {
-    gen.AddRule(plans[i], evaluators[i].get());
+    gen.AddRule(exec::ResolvePlan(plans[i], r_ext, s_ext, world),
+                evaluators[i].get());
   }
   std::vector<StagedConjunction> induced_residuals;
   if (!induced.empty()) {

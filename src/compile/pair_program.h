@@ -3,20 +3,21 @@
 // Identity and distinctness rules are conjunctions of predicates over an
 // entity pair (rules/predicate.h). The interpreter resolves each operand's
 // attribute name through Schema::IndexOf on every evaluation; a
-// CompiledConjunction binds every operand once per (rule, orientation) to
-// one of {r-side column, s-side column, constant, absent}, so evaluating a
-// candidate pair is a flat pass over the two rows with no map lookups.
+// StagedConjunction binds every operand once per (rule, orientation) to
+// one of {r-side id column, s-side id column, constant} of a session's
+// columnar world, so evaluating a candidate pair is a flat pass over the
+// two rows' ids with no map lookups.
 //
 // Binding is total: an attribute absent from its bound schema becomes an
 // operand that resolves to NULL — exactly TupleView::GetOrNull — so
 // compilation cannot fail anywhere eid-lint passes (it only warns/errors;
 // it never changes evaluation semantics). The compiled truth value equals
-// the interpreter's for every pair (tests/compile/ enforces this).
+// the interpreter's for every pair (the differential suites check it
+// against eid::reference).
 //
-// CompiledConjunction evaluates whole rows (the incremental engine's
-// per-insert sweep); StagedConjunction evaluates the residual of a
-// blocking plan over the session's columnar world (the batch engine's
-// staged sweep).
+// The batch engine's staged sweep (SweepRules below) and the incremental
+// session (eid/incremental.h) evaluate the same residuals, each over its
+// own world.
 
 #ifndef EID_COMPILE_PAIR_PROGRAM_H_
 #define EID_COMPILE_PAIR_PROGRAM_H_
@@ -38,46 +39,6 @@
 namespace eid {
 namespace compile {
 
-/// One rule antecedent compiled for one orientation. Self-contained (owns
-/// its opcode list and constants). EID_SHARED_IMMUTABLE: compiled once,
-/// then Evaluate (const) may run from any thread.
-class EID_SHARED_IMMUTABLE CompiledConjunction {
- public:
-  /// Binds `predicates` against the two extended schemas. Entity 1 reads
-  /// the r-side row and entity 2 the s-side row, unless `flipped` — the
-  /// same orientation convention as exec::PlanBlocking.
-  static CompiledConjunction Compile(const std::vector<Predicate>& predicates,
-                                     const Schema& r_schema,
-                                     const Schema& s_schema, bool flipped);
-
-  /// Kleene conjunction over the pair, rows in relation space (the
-  /// r-side row first); bit-identical to EvaluateConjunction(predicates,
-  /// e1, e2) with the bound orientation.
-  Truth Evaluate(const Row& r_row, const Row& s_row) const;
-
-  size_t size() const { return ops_.size(); }
-
- private:
-  enum class Src : uint8_t {
-    kRColumn,   // read r_row[column]
-    kSColumn,   // read s_row[column]
-    kConstant,  // read the stored constant
-    kAbsent,    // attribute not in its schema: always NULL
-  };
-  struct Slot {
-    Src src = Src::kAbsent;
-    size_t column = 0;
-    Value constant;
-  };
-  struct Op {
-    Slot lhs;
-    CompareOp op = CompareOp::kEq;
-    Slot rhs;
-  };
-
-  std::vector<Op> ops_;
-};
-
 /// One rule antecedent compiled for the staged candidate generator: the
 /// covered conjuncts are dropped (the enumeration enforces them), the
 /// rest split into a row part (every operand binds the r side — hoisted
@@ -86,21 +47,22 @@ class EID_SHARED_IMMUTABLE CompiledConjunction {
 /// (ColumnarWorld::HasNull), the row part also gets `e.A = e.A`, kTrue
 /// exactly when the cell is non-NULL: the pair conjunct is kUnknown on a
 /// NULL cell, so the row is dropped before its pairs are evaluated and
-/// the set of kTrue pairs does not change. kEq/kNe
-/// conjuncts run on the session world's id columns (exact: id equality
+/// the set of kTrue pairs does not change. Every operand reads the
+/// world's id columns: kEq/kNe conjuncts compare ids (exact: id equality
 /// is storage equality, which is precisely CompareValues-kEq/kNe on
 /// non-NULL operands; either side NULL yields kUnknown); ordering
-/// conjuncts fall back to CompareValues on the raw rows, which compares
-/// numerics cross-type.
-/// EID_SHARED_IMMUTABLE: compiled serially (AddRule time), evaluated
-/// const from every worker of the staged sweep.
+/// conjuncts compare the values behind the ids (the world's dictionary,
+/// NULL for kNullId) with CompareValues, which compares numerics
+/// cross-type. A residual reads nothing but the world.
+/// EID_SHARED_IMMUTABLE: compiled serially (registration time),
+/// evaluated const from every worker of the staged sweep.
 class EID_SHARED_IMMUTABLE StagedConjunction final
     : public exec::StagedEvaluator {
  public:
   /// `world` holds `r_ext`/`s_ext` under the kRExtended/kSExtended slots
-  /// (or does not hold those slots yet); the id columns the conjuncts
-  /// read are encoded there on first request and must outlive the
-  /// conjunction, as must the relations.
+  /// (or does not hold those slots yet); every column a conjunct reads is
+  /// encoded there on first request. The world must outlive the
+  /// conjunction; the relations need not.
   static StagedConjunction Compile(
       const std::vector<Predicate>& predicates,
       const std::vector<exec::PredicateCoverage>& coverage,
@@ -109,13 +71,12 @@ class EID_SHARED_IMMUTABLE StagedConjunction final
 
   /// The residual of one Proposition 1 orientation, built from ids
   /// instead of predicates: the lone id conjunct `column != constant` on
-  /// `side` (kRExtended or kSExtended) — a row part on the r side, the
-  /// kSNotEqual pair part on the s side. `const_id` is the constant's
-  /// session id, never kNullId; the column is encoded in `world` on
-  /// first request.
-  static StagedConjunction NotEqual(exec::WorldRel side, size_t column,
-                                    uint32_t const_id, const Relation& r_ext,
-                                    const Relation& s_ext,
+  /// `rel`, bound to `side` (kRExtended or kSExtended) — a row part on
+  /// the r side, the kSNotEqual pair part on the s side. `const_id` is
+  /// the constant's session id, never kNullId; the column is encoded in
+  /// `world` on first request.
+  static StagedConjunction NotEqual(exec::WorldRel side, const Relation& rel,
+                                    size_t column, uint32_t const_id,
                                     exec::ColumnarWorld& world);
 
   /// kEmpty without pair ops; kSNotEqual for one id op `s.col != c` (or
@@ -131,30 +92,32 @@ class EID_SHARED_IMMUTABLE StagedConjunction final
   Truth PairTruth(size_t r_row, size_t s_row) const override;
 
  private:
-  enum class Src : uint8_t { kRColumn, kSColumn, kConstant, kAbsent };
+  // A column slot reads its id column; a constant slot holds its id,
+  // kNullId for a NULL constant and for an attribute absent from its
+  // schema.
+  enum class Src : uint8_t { kRColumn, kSColumn, kConstant };
   struct Slot {
-    Src src = Src::kAbsent;
+    Src src = Src::kConstant;
     size_t column = 0;
-    Value constant;
-    // Interned fast path: the column's id slice (kRColumn/kSColumn) or
-    // the constant's id; unused for value-fallback ops.
-    const std::vector<uint32_t>* ids = nullptr;
+    const std::vector<uint32_t>* ids = nullptr;  // kRColumn/kSColumn
     uint32_t const_id = exec::ColumnarWorld::kNullId;
   };
   struct Op {
     Slot lhs;
     CompareOp op = CompareOp::kEq;
     Slot rhs;
-    bool id_fast = false;  // kEq/kNe over interned ids
+    bool id_fast = false;  // kEq/kNe: compares ids, not values
   };
 
+  static uint32_t IdOf(const Slot& slot, size_t r_row, size_t s_row);
+  /// The value behind IdOf: the dictionary's, NULL for kNullId.
+  const Value& ValueOf(const Slot& slot, size_t r_row, size_t s_row) const;
   Truth EvaluateOps(const std::vector<Op>& ops, size_t r_row,
                     size_t s_row) const;
 
   std::vector<Op> row_ops_;
   std::vector<Op> pair_ops_;
-  const Relation* r_ = nullptr;
-  const Relation* s_ = nullptr;
+  const ValueDictionary* dict_ = nullptr;  // the world's
 };
 
 /// Sweeps identity rules over r_ext × s_ext in one staged pass, in the
@@ -165,10 +128,11 @@ class EID_SHARED_IMMUTABLE StagedConjunction final
 /// pairs.
 /// Extended-key equivalence is such a rule (ExtendedKey::EquivalenceRule).
 /// Per rule: exec::PlanBlocking, exec::ChooseProbe, a StagedConjunction
-/// residual; then one exec::CandidateGenerator over `world` (which holds
-/// the relations under the kRExtended / kSExtended slots, or does not
-/// hold those slots yet). Returns the fired pairs row-major with the
-/// index of the first rule that fires each, identical for any pool size.
+/// residual, exec::ResolvePlan; then one exec::CandidateGenerator over
+/// `world` (which holds the relations under the kRExtended / kSExtended
+/// slots, or does not hold those slots yet). Returns the fired pairs
+/// row-major with the index of the first rule that fires each, identical
+/// for any pool size.
 /// Sets stats' candidate_pairs, rule_evals, feature_cache_hits,
 /// compile_ms, columnar_encode_ms and interner_reuse_hits.
 exec::FiredColumns SweepRules(const std::vector<IdentityRule>& rules,

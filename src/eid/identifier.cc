@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "analysis/analyzer.h"
 #include "compile/pair_program.h"
 
 namespace eid {
@@ -79,10 +78,6 @@ Result<IdentificationResult> EntityIdentifier::Identify(
     const Relation& r, const Relation& s) const {
   IdentificationResult out;
   EID_RETURN_IF_ERROR(config_.correspondence.ValidateAgainst(r, s));
-  if (config_.matcher_options.analyze) {
-    EID_RETURN_IF_ERROR(
-        analysis::PreflightCheck(r.schema(), s.schema(), config_));
-  }
 
   const int threads = exec::ResolveThreads(config_.matcher_options.threads);
   exec::ThreadPool pool(threads);
@@ -100,13 +95,11 @@ Result<IdentificationResult> EntityIdentifier::Identify(
   // --- Extension + extended-key matching -------------------------------
   out.uniqueness = Status::Ok();
   if (config_.extended_key.has_value()) {
-    MatcherOptions options = config_.matcher_options;
-    options.analyze = false;  // the pre-flight above already ran
     EID_ASSIGN_OR_RETURN(
         MatcherResult matcher,
         BuildMatchingTable(r, s, config_.correspondence,
-                           *config_.extended_key, config_.ilfds, options,
-                           pool_ptr, world));
+                           *config_.extended_key, config_.ilfds,
+                           config_.matcher_options, pool_ptr, world));
     out.r_extended = std::move(matcher.r_extension.extended);
     out.s_extended = std::move(matcher.s_extension.extended);
     out.r_traces = std::move(matcher.r_extension.traces);

@@ -11,20 +11,38 @@ namespace {
 
 constexpr size_t kNoMatch = SIZE_MAX;
 
+// The world slot of each side's extended rows, by side (0 = R, 1 = S).
+constexpr exec::WorldRel kSlots[2] = {exec::WorldRel::kRExtended,
+                                      exec::WorldRel::kSExtended};
+
 /// Removes `id` from an ascending id list that holds it.
 void EraseSorted(std::vector<size_t>* ids, size_t id) {
   auto it = std::lower_bound(ids->begin(), ids->end(), id);
   if (it != ids->end() && *it == id) ids->erase(it);
 }
 
-/// Removes `id` from the ascending id list `(*index)[key]`, dropping the
-/// list once it is empty.
-template <typename Index, typename Key>
-void EraseFromBucket(Index* index, const Key& key, size_t id) {
-  auto it = index->find(key);
-  if (it == index->end()) return;
+/// Removes `id` from the ascending id list `(*buckets)[value]`, dropping
+/// the list once it is empty.
+void EraseFromBucket(
+    std::unordered_map<uint32_t, std::vector<size_t>>* buckets,
+    uint32_t value, size_t id) {
+  auto it = buckets->find(value);
+  if (it == buckets->end()) return;
   EraseSorted(&it->second, id);
-  if (it->second.empty()) index->erase(it);
+  if (it->second.empty()) buckets->erase(it);
+}
+
+/// The column of side `k` (0 = R, 1 = S) whose bucket an insert on the
+/// other side draws its candidates from under `plan`: the probed join's,
+/// else the first filter's; nullopt when the plan has neither.
+std::optional<size_t> SeedColumn(const exec::ColumnPlan& plan, size_t k) {
+  if (plan.probe.has_value()) {
+    return k == 0 ? plan.probe->first : plan.probe->second;
+  }
+  const std::vector<exec::ColumnFilter>& filters =
+      k == 0 ? plan.r_const_eq : plan.s_const_eq;
+  if (filters.empty()) return std::nullopt;
+  return filters.front().column;
 }
 
 }  // namespace
@@ -48,6 +66,12 @@ Result<IncrementalIdentifier> IncrementalIdentifier::Create(
                         : ExtendedKey(std::vector<std::string>{});
   ExtensionOptions ext = config.matcher_options.extension;
   if (!config.extended_key.has_value()) ext.derive_all = true;
+  // Derivation targets default to the extended key.
+  DerivationOptions derivation = ext.derivation;
+  if (config.extended_key.has_value() &&
+      derivation.target_attributes.empty()) {
+    derivation.target_attributes = config.extended_key->attributes();
+  }
   EID_ASSIGN_OR_RETURN(
       ExtensionResult rx,
       ExtendRelation(empty_r, Side::kR, config.correspondence, key,
@@ -56,96 +80,80 @@ Result<IncrementalIdentifier> IncrementalIdentifier::Create(
       ExtensionResult sx,
       ExtendRelation(empty_s, Side::kS, config.correspondence, key,
                      config.ilfds, ext));
-  out.sides_[0].ext_schema = rx.extended.schema();
-  out.sides_[1].ext_schema = sx.extended.schema();
 
   // Distinctness rules: explicit + Proposition 1 induced.
   for (const DistinctnessRule& rule : config.distinctness_rules) {
     EID_RETURN_IF_ERROR(rule.Validate());
   }
-  EID_ASSIGN_OR_RETURN(out.all_distinctness_,
+  EID_ASSIGN_OR_RETURN(std::vector<DistinctnessRule> distinctness,
                        EffectiveDistinctnessRules(config));
 
   out.sides_[0].proto = std::move(empty_r);
   out.sides_[1].proto = std::move(empty_s);
+  out.sides_[0].extended = std::move(rx.extended);
+  out.sides_[1].extended = std::move(sx.extended);
   out.config_ = std::make_unique<const IdentifierConfig>(std::move(config));
-  out.derivation_ = out.config_->matcher_options.extension.derivation;
-  if (out.config_->extended_key.has_value() &&
-      out.derivation_.target_attributes.empty()) {
-    out.derivation_.target_attributes = out.config_->extended_key->attributes();
-  }
-  for (SideState& side : out.sides_) {
-    side.live_keys.resize(side.proto.keys().size());
-    if (out.config_->extended_key.has_value()) {
-      for (const std::string& a : out.config_->extended_key->attributes()) {
-        EID_ASSIGN_OR_RETURN(size_t i, side.ext_schema.RequireIndex(a));
-        side.ext_key_cols.push_back(i);
-      }
-    }
-  }
 
-  // Per-insert acceleration: blocking plans per (rule, orientation)
-  // against the extended schemas, resolved to columns, and the union of
-  // columns those plans bucket on (maintained by the dynamic value
-  // indexes on every insert/delete).
-  auto resolve = [&out](const std::vector<Predicate>& predicates,
-                        bool flipped) {
-    const exec::BlockingPlan plan =
-        exec::PlanBlocking(predicates, out.sides_[0].ext_schema,
-                           out.sides_[1].ext_schema, flipped);
-    StagedPlan resolved;
-    resolved.impossible = plan.impossible;
-    if (plan.impossible) return resolved;
-    // A non-impossible plan only names attributes of its schemas.
-    auto column = [&](int side, const std::string& attr) {
-      SideState& s = out.sides_[side];
-      const size_t col = *s.ext_schema.IndexOf(attr);
-      if (std::find(s.tracked_cols.begin(), s.tracked_cols.end(), col) ==
-          s.tracked_cols.end()) {
-        s.tracked_cols.push_back(col);
-      }
-      return col;
-    };
-    // Any listed join bounds an insert's candidates, and every candidate
-    // is evaluated in full, so the session probes through the first.
-    resolved.has_join = !plan.joins.empty();
-    if (resolved.has_join) {
-      const exec::BlockingPlan::Join& join = plan.joins.front();
-      resolved.join_col = {column(0, join.r_attr), column(1, join.s_attr)};
+  // The world holds every column of R' and S', empty so far; Insert
+  // appends each row's ids. The derivation is lowered once per side.
+  out.world_ = std::make_unique<exec::ColumnarWorld>();
+  exec::ColumnarWorld& world = *out.world_;
+  for (size_t k = 0; k < 2; ++k) {
+    SideState& side = out.sides_[k];
+    const Schema& schema = side.extended.schema();
+    side.live_keys.resize(side.proto.keys().size());
+    side.buckets.resize(schema.size());
+    for (size_t c = 0; c < schema.size(); ++c) {
+      side.columns.push_back(&world.Column(kSlots[k], side.extended, c));
     }
-    for (const auto& [attr, v] : plan.r_const_eq) {
-      resolved.const_eq[0].emplace_back(column(0, attr), v);
-    }
-    for (const auto& [attr, v] : plan.s_const_eq) {
-      resolved.const_eq[1].emplace_back(column(1, attr), v);
-    }
-    return resolved;
-  };
-  // Lower the session's programs once: derivation per side and every
-  // rule antecedent per orientation, next to its plan.
-  for (SideState& side : out.sides_) {
-    side.value_index.resize(side.ext_schema.size());
     side.derive = std::make_unique<compile::DerivationProgram>(
-        compile::DerivationProgram::Compile(side.ext_schema,
-                                            out.config_->ilfds,
-                                            out.derivation_));
+        compile::DerivationProgram::Compile(schema, out.config_->ilfds,
+                                            derivation));
     side.eval = std::make_unique<ClosureEvaluator>(&side.derive->kb());
   }
+
+  // Every rule orientation is lowered as compile::SweepRules lowers it.
+  // On the empty world ChooseProbe takes the first listed join. The
+  // plan's constants are interned first: ResolveFilter only looks a
+  // constant up, and it must keep its id when rows holding it arrive.
+  const Relation& r_ext = out.sides_[0].extended;
+  const Relation& s_ext = out.sides_[1].extended;
   auto lower = [&](const std::vector<Predicate>& predicates, bool flipped,
                    std::vector<RuleOrientation>* into) {
-    into->push_back(RuleOrientation{
-        resolve(predicates, flipped),
-        compile::CompiledConjunction::Compile(
-            predicates, out.sides_[0].ext_schema, out.sides_[1].ext_schema,
-            flipped)});
+    exec::BlockingPlan plan =
+        exec::PlanBlocking(predicates, r_ext.schema(), s_ext.schema(), flipped);
+    exec::ChooseProbe(&plan, world, s_ext);
+    for (const auto* filters : {&plan.r_const_eq, &plan.s_const_eq}) {
+      for (const auto& [attribute, constant] : *filters) {
+        world.dict().GetOrIntern(constant);
+      }
+    }
+    RuleOrientation& rule = into->emplace_back();
+    rule.plan = exec::ResolvePlan(plan, r_ext, s_ext, world);
+    if (rule.plan.impossible) return;
+    rule.residual = compile::StagedConjunction::Compile(
+        predicates, plan.coverage, r_ext, s_ext, flipped, world);
+    for (size_t k = 0; k < 2; ++k) {
+      const std::optional<size_t> column = SeedColumn(rule.plan, k);
+      std::vector<size_t>& tracked = out.sides_[k].tracked_cols;
+      if (column.has_value() &&
+          std::find(tracked.begin(), tracked.end(), *column) == tracked.end()) {
+        tracked.push_back(*column);
+      }
+    }
   };
-  // Identity rules run in the direct orientation only (a valid rule
-  // fires on the same pairs flipped, as in the batch sweep); distinctness
-  // rules in both.
+  // Identity rules, the key's included, run in the direct orientation
+  // only (a valid rule fires on the same pairs flipped, as in the batch
+  // sweep); distinctness rules in both.
+  if (out.config_->extended_key.has_value() &&
+      !out.config_->extended_key->empty()) {
+    lower(out.config_->extended_key->EquivalenceRule().predicates(),
+          /*flipped=*/false, &out.key_rule_);
+  }
   for (const IdentityRule& rule : out.config_->identity_rules) {
     lower(rule.predicates(), /*flipped=*/false, &out.identity_rules_);
   }
-  for (const DistinctnessRule& rule : out.all_distinctness_) {
+  for (const DistinctnessRule& rule : distinctness) {
     for (bool flipped : {false, true}) {
       lower(rule.predicates(), flipped, &out.distinct_rules_);
     }
@@ -155,16 +163,15 @@ Result<IncrementalIdentifier> IncrementalIdentifier::Create(
 
 Result<size_t> IncrementalIdentifier::Insert(Side side, Row row) {
   const bool is_r = side == Side::kR;
-  const int own_side = is_r ? 0 : 1;
-  const int other_side = 1 - own_side;
+  const size_t own_side = is_r ? 0 : 1;
   SideState& own = sides_[own_side];
-  SideState& other = sides_[other_side];
+  SideState& other = sides_[1 - own_side];
   const Relation& proto = own.proto;
 
   // Arity, type and NULL-in-key checks, then candidate-key uniqueness
   // against the live rows' fingerprints, with Relation::Insert's error
-  // text. Nothing is registered until the derivation below succeeds, so
-  // the error paths have nothing to roll back.
+  // text. Nothing is registered until the extended row passes R''s (S''s)
+  // type check, so the error paths have nothing to roll back.
   EID_RETURN_IF_ERROR(proto.CheckRow(row));
   std::vector<std::string> key_fingerprints;
   key_fingerprints.reserve(proto.keys().size());
@@ -179,114 +186,87 @@ Result<size_t> IncrementalIdentifier::Insert(Side side, Row row) {
   }
 
   // Extend: base values (already world-positioned: renaming preserves
-  // column order) + NULLs for the added K_ext columns, then derive.
-  Entry entry;
-  entry.extended = std::move(row);
-  entry.extended.resize(own.ext_schema.size(), Value::Null());
+  // column order) + NULLs for the added K_ext columns, then derive. A
+  // derived value must have its column's type, as in batch extension.
+  row.resize(own.extended.schema().size(), Value::Null());
   std::vector<compile::DerivationWrite> writes;
   own.provenance_sink.Clear();
-  EID_RETURN_IF_ERROR(own.derive->Derive(entry.extended, *own.eval,
-                                         &own.provenance_sink, &writes));
+  EID_RETURN_IF_ERROR(
+      own.derive->Derive(row, *own.eval, &own.provenance_sink, &writes));
   for (const compile::DerivationWrite& w : writes) {
-    if (entry.extended[w.column].is_null()) {
-      entry.extended[w.column] = own.derive->value(w.atom);
-    }
+    if (row[w.column].is_null()) row[w.column] = own.derive->value(w.atom);
   }
-  entry.alive = true;
-  // Empty when any K_ext value is NULL: such a key never joins.
-  if (!AnyNull(entry.extended, own.ext_key_cols)) {
-    entry.ext_key_fingerprint = RowFingerprint(entry.extended,
-                                               own.ext_key_cols);
-  }
+  EID_RETURN_IF_ERROR(own.extended.CheckRow(row));
 
-  // Register the tuple: id, key fingerprints, ext-key and value indexes.
+  // Register the tuple: id, world row, key fingerprints, buckets.
   const size_t id = own.entries.size();
-  own.entries.push_back(std::move(entry));
-  const Entry& stored = own.entries.back();
+  world_->Append(kSlots[own_side], row);
+  own.entries.emplace_back().alive = true;
   ++own.live;
   for (size_t k = 0; k < key_fingerprints.size(); ++k) {
     own.live_keys[k].insert(std::move(key_fingerprints[k]));
   }
-  if (!stored.ext_key_fingerprint.empty()) {
-    own.ext_index[stored.ext_key_fingerprint].push_back(id);
-  }
   for (size_t col : own.tracked_cols) {
-    const Value& v = stored.extended[col];
-    if (!v.is_null()) own.value_index[col][v].push_back(id);
+    const uint32_t v = own.Id(col, id);
+    if (v != exec::ColumnarWorld::kNullId) own.buckets[col][v].push_back(id);
   }
 
-  // Appends to `fired` the other side's live ids for which some (rule,
-  // orientation) of a family fires, then sorts and deduplicates it. Per
-  // orientation: kill it via the inserted row's own-side const
-  // conjuncts, then evaluate only the other side's join/const bucket —
-  // or, with no indexable conjunct, every live id. The *full* compiled
-  // antecedent is evaluated on every candidate (pair in relation space,
-  // r-row first), so over-approximate buckets stay harmless.
+  // Appends to `fired` the other side's live ids on which some (rule,
+  // orientation) of a family fires with the new row, then sorts and
+  // deduplicates it. Per orientation, the pair fires when both rows pass
+  // the plan's filters (the residual skips them) and the residual is
+  // kTrue. The new row's filters and, on R, its row part are checked
+  // once; the candidates are the other side's ids that share its id in
+  // the probed join column (NULL shares none), or else those holding the
+  // other side's first filter, or else every live id.
   auto sweep = [&](const std::vector<RuleOrientation>& rules,
                    std::vector<size_t>* fired) {
-    auto fires = [&](const RuleOrientation& rule, size_t other_id) {
-      const Row& other_row = other.entries[other_id].extended;
-      return rule.program.Evaluate(is_r ? stored.extended : other_row,
-                                   is_r ? other_row : stored.extended) ==
-             Truth::kTrue;
-    };
     for (const RuleOrientation& rule : rules) {
-      const StagedPlan& plan = rule.plan;
+      const exec::ColumnPlan& plan = rule.plan;
       if (plan.impossible) continue;
-      // Exact kill: an own-side const conjunct failing on the inserted
-      // row (NULL or not storage-equal) can never be kTrue.
-      bool dead = false;
-      for (const auto& [col, constant] : plan.const_eq[own_side]) {
-        const Value& v = stored.extended[col];
-        if (v.is_null() || !(v == constant)) {
-          dead = true;
-          break;
+      const std::vector<exec::ColumnFilter>& own_filters =
+          is_r ? plan.r_const_eq : plan.s_const_eq;
+      const std::vector<exec::ColumnFilter>& other_filters =
+          is_r ? plan.s_const_eq : plan.r_const_eq;
+      const compile::StagedConjunction& residual = rule.residual;
+      const bool row_part = residual.has_row_part();
+      if (!own.Passes(own_filters, id)) continue;
+      if (is_r && row_part && residual.RowTruth(id) != Truth::kTrue) continue;
+      auto fires = [&](size_t other_id) {
+        return other.Passes(other_filters, other_id) &&
+               (is_r || !row_part ||
+                residual.RowTruth(other_id) == Truth::kTrue) &&
+               residual.PairTruth(is_r ? id : other_id,
+                                  is_r ? other_id : id) == Truth::kTrue;
+      };
+      if (const std::optional<size_t> seed = SeedColumn(plan, 1 - own_side)) {
+        const uint32_t value = plan.probe.has_value()
+                                   ? own.Id(*SeedColumn(plan, own_side), id)
+                                   : other_filters.front().id;
+        for (size_t other_id : other.Bucket(*seed, value)) {  // live ids
+          if (fires(other_id)) fired->push_back(other_id);
         }
-      }
-      if (dead) continue;
-      const Value* probe = nullptr;
-      size_t probe_col = 0;
-      if (plan.has_join) {
-        probe = &stored.extended[plan.join_col[own_side]];
-        probe_col = plan.join_col[other_side];
-        if (probe->is_null()) continue;  // non_null_eq: never joins
-      } else if (!plan.const_eq[other_side].empty()) {
-        // Seed candidates from the first const filter's bucket; the full
-        // evaluation re-checks every conjunct.
-        probe = &plan.const_eq[other_side].front().second;
-        probe_col = plan.const_eq[other_side].front().first;
       } else {
-        // No indexable conjunct: scan the live side.
         for (size_t other_id = 0; other_id < other.entries.size();
              ++other_id) {
-          if (other.entries[other_id].alive && fires(rule, other_id)) {
+          if (other.entries[other_id].alive && fires(other_id)) {
             fired->push_back(other_id);
           }
         }
-        continue;
-      }
-      const auto& buckets = other.value_index[probe_col];
-      auto bucket = buckets.find(*probe);
-      if (bucket == buckets.end()) continue;
-      for (size_t other_id : bucket->second) {  // live ids only
-        if (fires(rule, other_id)) fired->push_back(other_id);
       }
     }
     std::sort(fired->begin(), fired->end());
     fired->erase(std::unique(fired->begin(), fired->end()), fired->end());
   };
 
-  // Candidate matches: the extended-key hash probe, then identity rules.
+  // Candidate matches: the extended key's rule, then identity rules.
   // Batch Identify adds every key-join pair before any identity-rule
   // pair, so the two kinds go to separate lists for RebuildMatching; a
   // pair both certify is a key-join pair.
   std::vector<size_t> key_ids;
-  if (!stored.ext_key_fingerprint.empty()) {
-    auto it = other.ext_index.find(stored.ext_key_fingerprint);
-    if (it != other.ext_index.end()) key_ids = it->second;  // ascending
-  }
+  sweep(key_rule_, &key_ids);
   std::vector<size_t> rule_ids;
-  if (!config_->identity_rules.empty()) {
+  if (!identity_rules_.empty()) {
     std::vector<size_t> fired;
     sweep(identity_rules_, &fired);
     std::set_difference(fired.begin(), fired.end(), key_ids.begin(),
@@ -338,17 +318,19 @@ Status IncrementalIdentifier::Delete(Side side, size_t id) {
   --own.live;
 
   // Free its candidate-key slots: key columns are never NULL and never
-  // derived, so the extended row still holds the inserted key values.
-  for (size_t k = 0; k < own.proto.keys().size(); ++k) {
-    own.live_keys[k].erase(RowFingerprint(
-        entry.extended, own.proto.keys()[k].attribute_indices));
-  }
-  if (!entry.ext_key_fingerprint.empty()) {
-    EraseFromBucket(&own.ext_index, entry.ext_key_fingerprint, id);
+  // derived, so the world still holds the inserted key values.
+  if (!own.proto.keys().empty()) {
+    const Row row = Decode(own, id);
+    for (size_t k = 0; k < own.proto.keys().size(); ++k) {
+      own.live_keys[k].erase(
+          RowFingerprint(row, own.proto.keys()[k].attribute_indices));
+    }
   }
   for (size_t col : own.tracked_cols) {
-    const Value& v = entry.extended[col];
-    if (!v.is_null()) EraseFromBucket(&own.value_index[col], v, id);
+    const uint32_t v = own.Id(col, id);
+    if (v != exec::ColumnarWorld::kNullId) {
+      EraseFromBucket(&own.buckets[col], v, id);
+    }
   }
 
   // Retract the pairs it is part of.
@@ -369,7 +351,7 @@ Status IncrementalIdentifier::Delete(Side side, size_t id) {
   }
   negative_count_ -= entry.negatives.size();
 
-  entry = Entry();  // releases the row and pair lists; alive = false
+  entry = Entry();  // releases the pair lists; alive = false
   matching_dirty_ = true;
   return Status::Ok();
 }
@@ -420,24 +402,22 @@ Result<Relation> IncrementalIdentifier::MatchingRelation() const {
   const std::vector<size_t> s_key = sides_[1].proto.PrimaryKeyIndices();
   std::vector<Attribute> attrs;
   for (size_t i : r_key) {
-    Attribute a = sides_[0].ext_schema.attribute(i);
+    Attribute a = sides_[0].extended.schema().attribute(i);
     a.name = "R." + a.name;
     attrs.push_back(std::move(a));
   }
   for (size_t i : s_key) {
-    Attribute a = sides_[1].ext_schema.attribute(i);
+    Attribute a = sides_[1].extended.schema().attribute(i);
     a.name = "S." + a.name;
     attrs.push_back(std::move(a));
   }
   Relation out("MT", Schema(std::move(attrs)));
   for (const CandidatePair& c : matching_) {
+    const Row r_row = Decode(sides_[0], c.r_id);
+    const Row s_row = Decode(sides_[1], c.s_id);
     Row row;
-    for (size_t i : r_key) {
-      row.push_back(sides_[0].entries[c.r_id].extended[i]);
-    }
-    for (size_t i : s_key) {
-      row.push_back(sides_[1].entries[c.s_id].extended[i]);
-    }
+    for (size_t i : r_key) row.push_back(r_row[i]);
+    for (size_t i : s_key) row.push_back(s_row[i]);
     EID_RETURN_IF_ERROR(out.Insert(std::move(row)));
   }
   return out;
@@ -488,19 +468,42 @@ std::optional<size_t> IncrementalIdentifier::MatchOfS(size_t s_id) const {
   return sides_[1].MatchOf(s_id);
 }
 
-Relation IncrementalIdentifier::SideState::Live() const {
-  Relation out(proto.name() + "'", ext_schema);
-  for (const Entry& e : entries) {
-    if (e.alive) {
-      Status st = out.Insert(e.extended);
+bool IncrementalIdentifier::SideState::Passes(
+    const std::vector<exec::ColumnFilter>& filters, size_t id) const {
+  // A filter's constant is interned in Create, so its id is never kNullId.
+  for (const exec::ColumnFilter& f : filters) {
+    if (Id(f.column, id) != f.id) return false;
+  }
+  return true;
+}
+
+const std::vector<size_t>& IncrementalIdentifier::SideState::Bucket(
+    size_t column, uint32_t value) const {
+  static const std::vector<size_t> kNone;
+  auto it = buckets[column].find(value);
+  return it == buckets[column].end() ? kNone : it->second;
+}
+
+Row IncrementalIdentifier::Decode(const SideState& side, size_t id) const {
+  Row row;
+  row.reserve(side.columns.size());
+  for (size_t c = 0; c < side.columns.size(); ++c) {
+    const uint32_t v = side.Id(c, id);
+    row.push_back(v == exec::ColumnarWorld::kNullId ? Value::Null()
+                                                    : world_->dict().value(v));
+  }
+  return row;
+}
+
+Relation IncrementalIdentifier::Live(const SideState& side) const {
+  Relation out(side.extended.name(), side.extended.schema());
+  for (size_t id = 0; id < side.entries.size(); ++id) {
+    if (side.entries[id].alive) {
+      Status st = out.Insert(Decode(side, id));
       EID_CHECK(st.ok());
     }
   }
   return out;
 }
-
-Relation IncrementalIdentifier::LiveR() const { return sides_[0].Live(); }
-
-Relation IncrementalIdentifier::LiveS() const { return sides_[1].Live(); }
 
 }  // namespace eid

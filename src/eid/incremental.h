@@ -9,17 +9,25 @@
 // costs what it touches — the tuple, the buckets it probes and the pairs
 // it is part of — not the session size:
 //
+//  * the session is the batch engine's pieces over one columnar world
+//    (exec/columnar_world.h) that holds every inserted tuple as ids: in
+//    Create, every rule orientation — the extended key's equivalence
+//    rule, each identity rule direct, each distinctness rule both ways —
+//    is lowered as compile::SweepRules lowers it (exec::PlanBlocking,
+//    exec::ChooseProbe, exec::ResolvePlan, a compile::StagedConjunction
+//    residual);
 //  * inserting a tuple checks its candidate keys against per-key sets of
 //    live key fingerprints, extends just that tuple (one compiled ILFD
-//    derivation), probes the other side's extended-key hash index for
-//    match candidates, and evaluates the identity and distinctness rules
-//    (compiled antecedents) against the other side's value-index bucket
-//    for each rule's equality conjunct; a rule orientation with no
-//    indexable conjunct scans the other side's live tuples;
-//  * deleting a tuple erases its key fingerprints and index entries and
-//    retracts only the pairs it is part of; a candidate match that was
-//    previously shadowed by the uniqueness constraint can surface again,
-//    because all *candidate* pairs are retained;
+//    derivation), type-checks the extended tuple as batch extension does,
+//    appends its ids to the world, and evaluates each rule orientation
+//    on the other side's live ids that share the tuple's id in the
+//    probed join column — or hold the first constant filter's id, or,
+//    with neither, every live id;
+//  * deleting a tuple erases its key fingerprints (decoded from the
+//    world) and bucket entries and retracts only the pairs it is part
+//    of; a candidate match that was previously shadowed by the
+//    uniqueness constraint can surface again, because all *candidate*
+//    pairs are retained. Its ids stay in the world;
 //  * the first read after a write re-derives the matching table with one
 //    greedy pass over the candidates — the key-join candidates first,
 //    then the identity-rule-only ones, each in (r_id, s_id) order, as
@@ -28,10 +36,6 @@
 //  * the state is equivalent to a from-scratch EntityIdentifier::Identify
 //    (and eid::reference::Identify) over the live tuples in id order
 //    (tested property).
-//
-// Identity rules beyond extended-key equivalence are supported the same
-// way distinctness rules are: evaluated pairwise against the other side on
-// insert.
 
 #ifndef EID_EID_INCREMENTAL_H_
 #define EID_EID_INCREMENTAL_H_
@@ -46,6 +50,7 @@
 #include "compile/derivation_program.h"
 #include "compile/pair_program.h"
 #include "eid/identifier.h"
+#include "exec/columnar_world.h"
 
 namespace eid {
 
@@ -61,8 +66,9 @@ class IncrementalIdentifier {
                                               Relation empty_s);
 
   /// Inserts a tuple into R (S). Returns the tuple's stable id. Errors on
-  /// schema/key violations or derivation conflicts; the state is unchanged
-  /// on error.
+  /// schema/key violations, derivation conflicts and derived values of
+  /// the wrong type, with batch Identify's status; the state is unchanged
+  /// on error: no id, no key and no interned value.
   Result<size_t> InsertR(Row row);
   Result<size_t> InsertS(Row row);
 
@@ -93,19 +99,19 @@ class IncrementalIdentifier {
   std::optional<size_t> MatchOfR(size_t r_id) const;
   std::optional<size_t> MatchOfS(size_t s_id) const;
 
-  /// Extended live relations (compacted; row order = id order). For
-  /// equivalence checks against batch identification.
-  Relation LiveR() const;
-  Relation LiveS() const;
+  /// Extended live relations (compacted; row order = id order), decoded
+  /// from the session world. For equivalence checks against batch
+  /// identification.
+  Relation LiveR() const { return Live(sides_[0]); }
+  Relation LiveS() const { return Live(sides_[1]); }
 
  private:
   IncrementalIdentifier() = default;
 
-  /// One tuple by stable id. A deleted entry keeps only `alive = false`.
+  /// One tuple by stable id, which is also its row in the session world.
+  /// A deleted entry keeps only `alive = false`; its ids stay in the world.
   struct Entry {
-    Row extended;  // world naming + K_ext columns
     bool alive = false;
-    std::string ext_key_fingerprint;  // empty when any K_ext value is NULL
     // The other side's ids this tuple forms a candidate (certified by
     // ext-key equality or an identity rule) / negative (distinctness rule)
     // pair with, ascending: a pair is linked when its later tuple is
@@ -124,28 +130,20 @@ class IncrementalIdentifier {
     }
   };
 
-  /// A blocking plan (one rule orientation) with its attributes resolved
-  /// to extended-row columns once, in Create. Arrays are indexed by side
-  /// (0 = R, 1 = S).
-  struct StagedPlan {
-    bool impossible = false;  // can never evaluate kTrue
-    bool has_join = false;
-    std::array<size_t, 2> join_col{};
-    std::array<std::vector<std::pair<size_t, Value>>, 2> const_eq;
-  };
-
-  /// One (rule, orientation): the plan that picks an insert's candidates
-  /// and the compiled antecedent evaluated on each of them.
+  /// One (rule, orientation), lowered as the batch sweep lowers it: the
+  /// plan resolved to world columns and session ids, and the residual of
+  /// the conjuncts the plan does not enforce (unset when impossible).
   struct RuleOrientation {
-    StagedPlan plan;
-    compile::CompiledConjunction program;
+    exec::ColumnPlan plan;
+    compile::StagedConjunction residual;
   };
 
   /// One source relation's session state; sides_[0] is R, sides_[1] S.
   struct SideState {
-    Relation proto;  // empty schema/key carrier
-    Schema ext_schema;
-    std::vector<size_t> ext_key_cols;  // K_ext positions in ext_schema
+    Relation proto;     // empty base relation: schema, keys, CheckRow
+    Relation extended;  // empty R' (S'): extended schema, CheckRow
+    // The world's id column per extended column, one id per stable id.
+    std::vector<const std::vector<uint32_t>*> columns;
     // Compiled derivation over config_->ilfds, which sits at a stable
     // heap address, so the program's borrowed knowledge base and the
     // evaluator's pointer to it survive moves of the identifier. The
@@ -162,22 +160,27 @@ class IncrementalIdentifier {
     // Fingerprints of the live rows under each declared key, parallel to
     // proto.keys().
     std::vector<std::unordered_set<std::string>> live_keys;
-    // ext-key fingerprint -> live ids, ascending.
-    std::unordered_map<std::string, std::vector<size_t>> ext_index;
-    // Live ids by value, per extended column; only the columns the plans
-    // bucket on (tracked_cols) are maintained.
+    // Per extended column, the live ids holding each value id, ascending;
+    // only the columns the plans probe or seed candidates from
+    // (tracked_cols) are maintained.
     std::vector<size_t> tracked_cols;
-    std::vector<std::unordered_map<Value, std::vector<size_t>, ValueHash>>
-        value_index;
+    std::vector<std::unordered_map<uint32_t, std::vector<size_t>>> buckets;
     // Matched partner per id (kNoMatch when unmatched), refreshed by
     // RebuildMatching.
     mutable std::vector<size_t> match;
 
+    /// The id of `column` on row `id`.
+    uint32_t Id(size_t column, size_t id) const {
+      return (*columns[column])[id];
+    }
+    /// Whether row `id` holds every filter's id.
+    bool Passes(const std::vector<exec::ColumnFilter>& filters,
+                size_t id) const;
+    /// The live ids holding `value` in tracked column `column`.
+    const std::vector<size_t>& Bucket(size_t column, uint32_t value) const;
     /// The matched partner of `id`; nullopt for unmatched, dead and
     /// unknown ids.
     std::optional<size_t> MatchOf(size_t id) const;
-    /// The live extended rows in id order.
-    Relation Live() const;
   };
 
   Result<size_t> Insert(Side side, Row row);
@@ -187,19 +190,24 @@ class IncrementalIdentifier {
   /// identity-only ones, each in (r_id, s_id) order — batch Identify's
   /// insertion order.
   void RebuildMatching() const;
+  /// Extended row `id` of `side`, decoded from the world.
+  Row Decode(const SideState& side, size_t id) const;
+  /// The live extended rows of `side` in id order.
+  Relation Live(const SideState& side) const;
 
   // On the heap so the derivation programs can borrow its ILFD set
   // across moves of the identifier.
   std::unique_ptr<const IdentifierConfig> config_;
-  DerivationOptions derivation_;  // targets default to the extended key
-  std::vector<DistinctnessRule> all_distinctness_;
+  // Every inserted row as ids, R' under kRExtended and S' under
+  // kSExtended. On the heap: the residuals and SideState::columns point
+  // into it across moves of the identifier.
+  std::unique_ptr<exec::ColumnarWorld> world_;
   std::array<SideState, 2> sides_;
 
-  // Rule orientations, rule-major: identity rule k is entry k (direct
-  // only); distinctness rule k is entries 2k (direct) and 2k+1
-  // (flipped). An insert consults only the other side's join/const
-  // bucket per orientation instead of every live tuple.
-  std::vector<RuleOrientation> identity_rules_, distinct_rules_;
+  // Rule orientations: the extended key's equivalence rule (none without
+  // a key), the identity rules (direct only) and the distinctness rules,
+  // explicit then Proposition 1, each direct then flipped.
+  std::vector<RuleOrientation> key_rule_, identity_rules_, distinct_rules_;
 
   // Live candidates, sorted: pairs the extended-key join certifies, and
   // pairs only an identity rule certifies.

@@ -1,6 +1,5 @@
 #include "eid/matcher.h"
 
-#include "analysis/analyzer.h"
 #include "compile/pair_program.h"
 #include "eid/identifier.h"
 
@@ -61,17 +60,6 @@ Result<MatcherResult> BuildMatchingTable(const Relation& r, const Relation& s,
       return Status::NotFound("extended-key attribute '" + a +
                               "' unknown to the attribute correspondence");
     }
-  }
-
-  if (options.analyze) {
-    IdentifierConfig program;
-    program.correspondence = corr;
-    program.extended_key = ext_key;
-    program.ilfds = ilfds;
-    program.matcher_options = options;
-    program.matcher_options.analyze = false;
-    EID_RETURN_IF_ERROR(
-        analysis::PreflightCheck(r.schema(), s.schema(), program));
   }
 
   MatcherResult result;

@@ -53,13 +53,6 @@ struct MatcherResult {
 /// Options for BuildMatchingTable.
 struct MatcherOptions {
   ExtensionOptions extension;
-  /// Pre-flight: statically analyze the rule program (correspondence,
-  /// extended key, ILFDs, identity/distinctness rules) against the input
-  /// schemas before touching any tuple, and fail with FailedPrecondition
-  /// carrying the diagnostic list when it has error-severity findings
-  /// (see analysis/analyzer.h). Warnings never fail the pre-flight. Off
-  /// by default: analysis costs a closure computation per ILFD.
-  bool analyze = false;
   /// Parallelism for the whole build (extension, key join, and — when
   /// driven from EntityIdentifier — the rule sweeps). 0 resolves via
   /// EID_THREADS, then hardware concurrency; 1 is the serial engine.

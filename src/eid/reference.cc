@@ -5,8 +5,6 @@
 #include <optional>
 #include <unordered_map>
 
-#include "analysis/analyzer.h"
-
 namespace eid {
 namespace reference {
 
@@ -152,17 +150,6 @@ Result<MatcherResult> BuildMatchingTable(const Relation& r, const Relation& s,
                               "' unknown to the attribute correspondence");
     }
   }
-  if (options.analyze) {
-    IdentifierConfig program;
-    program.correspondence = corr;
-    program.extended_key = ext_key;
-    program.ilfds = ilfds;
-    program.matcher_options = options;
-    program.matcher_options.analyze = false;
-    EID_RETURN_IF_ERROR(
-        analysis::PreflightCheck(r.schema(), s.schema(), program));
-  }
-
   MatcherResult result;
   EID_ASSIGN_OR_RETURN(result.r_extension,
                        reference::ExtendRelation(r, Side::kR, corr, ext_key,
@@ -185,22 +172,16 @@ Result<IdentificationResult> Identify(const IdentifierConfig& config,
   const MatcherOptions& options = config.matcher_options;
   IdentificationResult out;
   EID_RETURN_IF_ERROR(config.correspondence.ValidateAgainst(r, s));
-  if (options.analyze) {
-    EID_RETURN_IF_ERROR(
-        analysis::PreflightCheck(r.schema(), s.schema(), config));
-  }
 
   // Extension and extended-key matching; without an extended key every
   // derivable attribute is derived, so the rules see the richest tuples.
   out.uniqueness = Status::Ok();
   if (config.extended_key.has_value()) {
-    MatcherOptions matcher = options;
-    matcher.analyze = false;  // the pre-flight above already ran
     EID_ASSIGN_OR_RETURN(
         MatcherResult m,
         reference::BuildMatchingTable(r, s, config.correspondence,
                                       *config.extended_key, config.ilfds,
-                                      matcher));
+                                      options));
     out.r_extended = std::move(m.r_extension.extended);
     out.s_extended = std::move(m.s_extension.extended);
     out.r_traces = std::move(m.r_extension.traces);

@@ -20,7 +20,7 @@
 // It uses no columnar world, no blocking plan, no compiled code and no
 // threads, so it costs O(|R|·|S|·rules). It honours every option that can
 // change a result or an error: derivation mode and conflict policy,
-// derive_all, distinctness_from_ilfds and the analyze pre-flight.
+// derive_all and distinctness_from_ilfds.
 // Options that only change speed (threads, columnar_seeds) are ignored.
 // Production must equal it bit for bit — rows, derivation traces, pair
 // order, certificates, verdicts and error statuses; tests and the

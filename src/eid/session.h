@@ -57,8 +57,8 @@ class PrototypeSession {
   /// The full identification result backing the printers.
   Result<const IdentificationResult*> result() const;
 
-  /// Engine options forwarded into every SetupExtendedKey run (e.g. set
-  /// `analyze` for the static rule-program pre-flight, or `threads`).
+  /// Engine options forwarded into every SetupExtendedKey run (e.g.
+  /// `threads`).
   /// The session always forces kFirstMatch derivation on top of these.
   MatcherOptions& matcher_options() { return matcher_options_; }
   const MatcherOptions& matcher_options() const { return matcher_options_; }

@@ -124,6 +124,43 @@ ColumnFilter ResolveFilter(ColumnarWorld& world, WorldRel slot,
   return ColumnFilter{column, world.dict().Find(constant, hash)};
 }
 
+ColumnPlan ResolvePlan(const BlockingPlan& plan, const Relation& r_ext,
+                       const Relation& s_ext, ColumnarWorld& world) {
+  ColumnPlan resolved;
+  resolved.impossible = plan.impossible;
+  auto resolve = [&](bool r_side,
+                     const std::vector<std::pair<std::string, Value>>& filters,
+                     std::vector<ColumnFilter>* out) {
+    const Relation& rel = r_side ? r_ext : s_ext;
+    for (const auto& [attribute, constant] : filters) {
+      std::optional<size_t> column = rel.schema().IndexOf(attribute);
+      if (!column.has_value()) return false;  // absent: nothing passes
+      out->push_back(ResolveFilter(
+          world, r_side ? WorldRel::kRExtended : WorldRel::kSExtended, rel,
+          *column, constant, constant.Hash()));
+    }
+    return true;
+  };
+  if (!resolved.impossible) {
+    resolved.impossible =
+        !resolve(/*r_side=*/true, plan.r_const_eq, &resolved.r_const_eq) ||
+        !resolve(/*r_side=*/false, plan.s_const_eq, &resolved.s_const_eq);
+  }
+  // The caller picks the probe among the joins (ChooseProbe) before
+  // compiling the residual, which skips the probed conjunct.
+  if (!resolved.impossible) {
+    EID_CHECK(plan.joins.empty() != plan.probe.has_value());
+    if (plan.probe.has_value()) {
+      const BlockingPlan::Join& join = plan.joins[*plan.probe];
+      std::optional<size_t> r_col = r_ext.schema().IndexOf(join.r_attr);
+      std::optional<size_t> s_col = s_ext.schema().IndexOf(join.s_attr);
+      EID_CHECK(r_col.has_value() && s_col.has_value());
+      resolved.probe = std::pair{*r_col, *s_col};
+    }
+  }
+  return resolved;
+}
+
 std::vector<uint32_t> FilteredRows(ColumnarWorld& world, WorldRel slot,
                                    const Relation& rel,
                                    const std::vector<ColumnFilter>& filters) {

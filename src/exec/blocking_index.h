@@ -115,9 +115,10 @@ struct ColumnFilter {
 };
 
 /// A rule orientation resolved to columns and session ids: what
-/// CandidateGenerator registers. A BlockingPlan resolves to one through
-/// its attribute names (CandidateGenerator::AddRule); a Proposition 1
-/// rule is built as one straight from its ILFD's atoms.
+/// CandidateGenerator registers and an incremental session probes with.
+/// A BlockingPlan resolves to one through its attribute names
+/// (ResolvePlan); a Proposition 1 rule is built as one straight from its
+/// ILFD's atoms.
 struct ColumnPlan {
   /// Some conjunct can never be kTrue: an attribute absent from its
   /// side, a NULL constant. Such an orientation matches nothing.
@@ -136,6 +137,15 @@ struct ColumnPlan {
 ColumnFilter ResolveFilter(ColumnarWorld& world, WorldRel slot,
                            const Relation& rel, size_t column,
                            const Value& constant, uint64_t hash);
+
+/// Resolves `plan` against `r_ext`/`s_ext`, bound to the kRExtended /
+/// kSExtended slots of `world`: attribute names become columns and
+/// constants session ids (ResolveFilter, so a constant `world` does not
+/// hold yet resolves to kNullId). `plan` must have its probe chosen
+/// (ChooseProbe) when it has joins. A filter on an attribute absent from
+/// its side makes the result impossible.
+ColumnPlan ResolvePlan(const BlockingPlan& plan, const Relation& r_ext,
+                       const Relation& s_ext, ColumnarWorld& world);
 
 /// Rows of `rel`, bound to `slot` in `world`, passing every resolved
 /// filter (at least one), ascending. The first filter's posting range

@@ -335,43 +335,6 @@ uint32_t CandidateGenerator::SColumnOf(size_t column, bool with_index) {
   return slot;
 }
 
-void CandidateGenerator::AddRule(const BlockingPlan& plan,
-                                 const StagedEvaluator* residual) {
-  ColumnPlan resolved;
-  resolved.impossible = plan.impossible;
-  auto resolve = [&](bool r_side,
-                     const std::vector<std::pair<std::string, Value>>& filters,
-                     std::vector<ColumnFilter>* out) {
-    const Relation& rel = r_side ? *r_ : *s_;
-    for (const auto& [attribute, constant] : filters) {
-      std::optional<size_t> column = rel.schema().IndexOf(attribute);
-      if (!column.has_value()) return false;  // absent: nothing passes
-      out->push_back(ResolveFilter(
-          *world_, r_side ? WorldRel::kRExtended : WorldRel::kSExtended, rel,
-          *column, constant, constant.Hash()));
-    }
-    return true;
-  };
-  if (!resolved.impossible) {
-    resolved.impossible =
-        !resolve(/*r_side=*/true, plan.r_const_eq, &resolved.r_const_eq) ||
-        !resolve(/*r_side=*/false, plan.s_const_eq, &resolved.s_const_eq);
-  }
-  // The sweep's caller picks the probe among the joins (ChooseProbe)
-  // before compiling the residual, which skips the probed conjunct.
-  if (!resolved.impossible) {
-    EID_CHECK(plan.joins.empty() != plan.probe.has_value());
-    if (plan.probe.has_value()) {
-      const BlockingPlan::Join& join = plan.joins[*plan.probe];
-      std::optional<size_t> r_col = r_->schema().IndexOf(join.r_attr);
-      std::optional<size_t> s_col = s_->schema().IndexOf(join.s_attr);
-      EID_CHECK(r_col.has_value() && s_col.has_value());
-      resolved.probe = std::pair{*r_col, *s_col};
-    }
-  }
-  AddRule(resolved, residual);
-}
-
 void CandidateGenerator::AddRule(const ColumnPlan& plan,
                                  const StagedEvaluator* residual) {
   // Every call consumes one priority slot, dead rules included, so

@@ -7,13 +7,12 @@
 //
 //   1. *Blocking intersection.* Each (rule, orientation) contributes a
 //      ColumnPlan (exec/blocking_index.h): a BlockingPlan with its names
-//      resolved, or a Proposition 1 rule built straight from its ILFD's
-//      atoms. Its const-eq filters prune the r rows an entry is
-//      consulted for (the per-row entry lists below are that
+//      resolved (ResolvePlan), or a Proposition 1 rule built straight
+//      from its ILFD's atoms. Its const-eq filters prune the r rows an
+//      entry is consulted for (the per-row entry lists below are that
 //      intersection), and its probed join conjunct (ChooseProbe) turns
-//      the inner loop into one posting-range read:
-//      the r row's id in the shared id column selects the s rows from
-//      the column's CSR index (exec::ColumnIndex, owned by the session's
+//      the inner loop into one posting-range read: the r row's id in the
+//      shared id column selects the s rows from the column's CSR index (exec::ColumnIndex, owned by the session's
 //      ColumnarWorld). No Value is hashed inside the sweep. A const-eq
 //      conjunct whose constant its column does not hold — never
 //      interned, or an empty posting range — kills the whole orientation
@@ -394,20 +393,12 @@ class CandidateGenerator {
   CandidateGenerator(const Relation* r_ext, const Relation* s_ext,
                      ColumnarWorld& world);
 
-  /// Registers the next (rule, orientation). `plan` must be the
-  /// PlanBlocking result for the same predicates/orientation, its probe
-  /// chosen by ChooseProbe when it has joins, and `residual` (maybe null
-  /// only for impossible plans) must outlive Run. Resolves the plan's
-  /// attribute names and constants (ResolveFilter) and registers the
-  /// result as the ColumnPlan overload does.
-  void AddRule(const BlockingPlan& plan, const StagedEvaluator* residual);
-
-  /// Registers the next (rule, orientation) from its resolved plan: the
-  /// one registration body. `residual` (maybe null only for impossible
-  /// plans) must evaluate exactly the conjuncts the plan does not
-  /// enforce and outlive Run. Every call consumes one priority slot —
-  /// dead rules included — so callers can always recover (rule,
-  /// orientation) from a priority.
+  /// Registers the next (rule, orientation) from its resolved plan
+  /// (ResolvePlan, or a Proposition 1 rule's atoms). `residual` (maybe
+  /// null only for impossible plans) must evaluate exactly the conjuncts
+  /// the plan does not enforce and outlive Run. Every call consumes one
+  /// priority slot — dead rules included — so callers can always recover
+  /// (rule, orientation) from a priority.
   void AddRule(const ColumnPlan& plan, const StagedEvaluator* residual);
 
   /// Sweeps all registered rules. Returns every row's fired set in its

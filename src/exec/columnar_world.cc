@@ -119,6 +119,18 @@ void ColumnarWorld::Adopt(WorldRel slot_id, size_t c,
   slot.has_null[c].reset();
 }
 
+void ColumnarWorld::Append(WorldRel slot_id, const Row& row) {
+  Slot& slot = slots_[static_cast<size_t>(slot_id)];
+  EID_CHECK(slot.columns.size() == row.size());
+  for (size_t c = 0; c < row.size(); ++c) {
+    EID_CHECK(slot.present[c]);
+    slot.columns[c].push_back(row[c].is_null() ? kNullId
+                                               : dict_.GetOrIntern(row[c]));
+    slot.indexes[c].reset();
+    slot.has_null[c].reset();
+  }
+}
+
 void ColumnarWorld::Seed(const ColumnarSeeds& seeds) {
   dict_.Preload(seeds.dictionary);
   reuse_hits_ += seeds.dictionary.size();

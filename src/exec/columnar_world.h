@@ -149,6 +149,13 @@ class ColumnarWorld {
   /// previous encoding of the column and drops its index.
   void Adopt(WorldRel slot, size_t c, std::vector<uint32_t> ids);
 
+  /// Appends `row` to `slot`, every column of which must be encoded and
+  /// one per cell of `row`: one id per column, NULL as kNullId, interned
+  /// on first use. Drops the slot's posting indexes and NULL flags, which
+  /// no longer describe the columns. How an incremental session grows
+  /// its world one inserted row at a time.
+  void Append(WorldRel slot, const Row& row);
+
   /// Seeds the session from a snapshot: preloads the dictionary (ids
   /// stay byte-identical to the saved world) and adopts the source
   /// relation id matrices into the kR / kS slots. Every seeded id counts

@@ -1,7 +1,7 @@
 // The deliberately-defective-rule-program table: every diagnostic code the
 // analyzer can emit has a minimal program that triggers exactly it, plus
 // zero-diagnostics assertions over every shipped fixture and a generated
-// workload, and pre-flight integration through the engine.
+// workload, and the pre-flight a caller runs before identifying.
 
 #include <gtest/gtest.h>
 
@@ -432,7 +432,7 @@ TEST(AnalyzerBlockingTest, KeyAttributeMissingOnOneSideIsW008) {
 }
 
 // ---------------------------------------------------------------------
-// Report plumbing and the engine pre-flight.
+// Report plumbing and the pre-flight.
 // ---------------------------------------------------------------------
 
 TEST(AnalyzerReportTest, ToStringCarriesCodeProvenanceAndSummary) {
@@ -531,70 +531,29 @@ TEST(AnalyzerSarifTest, HintLandsInPropertiesAndStringsAreEscaped) {
       << sarif;
 }
 
-TEST(AnalyzerPreflightTest, ErrorsFailIdentifyWhenAnalyzeIsSet) {
+TEST(AnalyzerPreflightTest, PreflightCheckFailsOnErrors) {
   Playground pg;
   pg.config.ilfds = ParseIlfds(
       "street=Wash.Ave. -> city=Mpls\n"
       "street=Wash.Ave. -> city=St.Paul\n");
-  pg.config.matcher_options.analyze = true;
-  EntityIdentifier identifier(pg.config);
-  Result<IdentificationResult> result = identifier.Identify(pg.r, pg.s);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(result.status().message().find("EID-E003"), std::string::npos)
-      << result.status().message();
+  const Status status =
+      analysis::PreflightCheck(pg.r.schema(), pg.s.schema(), pg.config);
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(status.message().find("EID-E003"), std::string::npos)
+      << status.message();
 }
 
-TEST(AnalyzerPreflightTest, WarningsDoNotFailIdentify) {
+TEST(AnalyzerPreflightTest, PreflightCheckPassesWithWarningsOnly) {
   Playground pg;
   pg.config.ilfds = ParseIlfds(
       "street=Wash.Ave. -> city=Mpls\n"
       "cuisine=Chinese & street=Wash.Ave. -> city=Mpls\n");  // W001+W002 only
   pg.config.extended_key = fixtures::Example1ExtendedKey();
-  pg.config.matcher_options.analyze = true;
-  EntityIdentifier identifier(pg.config);
-  EID_EXPECT_OK(identifier.Identify(pg.r, pg.s).status());
-}
-
-TEST(AnalyzerPreflightTest, CleanProgramIdentifiesIdentically) {
-  Playground pg;
-  pg.config.extended_key = fixtures::Example1ExtendedKey();
-  pg.config.ilfds = fixtures::Example1Ilfds();
-  EID_ASSERT_OK_AND_ASSIGN(IdentificationResult plain,
-                           EntityIdentifier(pg.config).Identify(pg.r, pg.s));
-  pg.config.matcher_options.analyze = true;
-  EID_ASSERT_OK_AND_ASSIGN(IdentificationResult checked,
-                           EntityIdentifier(pg.config).Identify(pg.r, pg.s));
-  EXPECT_EQ(plain.matching.pairs(), checked.matching.pairs());
-  EXPECT_EQ(plain.negative.table.pairs(), checked.negative.table.pairs());
-}
-
-TEST(AnalyzerPreflightTest, BuildMatchingTableHonorsAnalyze) {
-  Playground pg;
-  pg.config.ilfds = ParseIlfds(
-      "street=Wash.Ave. -> city=Mpls\n"
-      "street=Wash.Ave. -> city=St.Paul\n");
-  MatcherOptions options;
-  options.analyze = true;
-  Result<MatcherResult> result = BuildMatchingTable(
-      pg.r, pg.s, pg.config.correspondence, fixtures::Example1ExtendedKey(),
-      pg.config.ilfds, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(AnalyzerPreflightTest, SessionForwardsMatcherOptions) {
-  PrototypeSession session(
-      fixtures::Table1R(), fixtures::Table1S(),
-      AttributeCorrespondence::Identity(fixtures::Table1R(),
-                                        fixtures::Table1S()),
-      ParseIlfds("street=Wash.Ave. -> city=Mpls\n"
-                 "street=Wash.Ave. -> city=St.Paul\n"));
-  session.matcher_options().analyze = true;
-  // Candidate 0 is `name` (the only attribute common to both sides).
-  Result<std::string> outcome = session.SetupExtendedKey({0});
-  ASSERT_FALSE(outcome.ok());
-  EXPECT_EQ(outcome.status().code(), StatusCode::kFailedPrecondition);
+  const AnalysisReport report = pg.Analyze();
+  EXPECT_FALSE(report.diagnostics.empty());
+  EXPECT_FALSE(report.HasErrors());
+  EID_EXPECT_OK(
+      analysis::PreflightCheck(pg.r.schema(), pg.s.schema(), pg.config));
 }
 
 TEST(AnalyzerOptionsTest, FamiliesCanBeDisabledIndependently) {

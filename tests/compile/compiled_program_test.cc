@@ -1,64 +1,15 @@
-// Unit tests for the compiled execution layer (src/compile/): compiled
-// pair programs against the predicate interpreter, and compiled
-// derivation programs against DeriveTuple.
+// Unit tests for the compiled derivation layer (src/compile/): compiled
+// derivation programs against DeriveTuple. Compiled pair programs are
+// checked against eid::reference by the differential suites.
 
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
 #include "compile/derivation_program.h"
-#include "compile/pair_program.h"
 #include "workload/fixtures.h"
 
 namespace eid {
 namespace {
-
-Schema TwoColumnSchema(const std::string& a, const std::string& b) {
-  return Schema(std::vector<Attribute>{Attribute{a, ValueType::kString},
-                                       Attribute{b, ValueType::kString}});
-}
-
-TEST(CompiledConjunctionTest, MatchesInterpreterIncludingNullsAndAbsent) {
-  Schema r_schema = TwoColumnSchema("name", "street");
-  Schema s_schema = TwoColumnSchema("name", "city");
-  std::vector<Predicate> preds;
-  preds.push_back(Predicate{Operand::Attr(1, "name"), CompareOp::kEq,
-                            Operand::Attr(2, "name")});
-  preds.push_back(Predicate{Operand::Attr(1, "street"), CompareOp::kNe,
-                            Operand::Const(Value::String("Main St."))});
-  // "city" is absent from the R schema: resolves to NULL in the direct
-  // orientation, exactly as TupleView::GetOrNull does.
-  preds.push_back(Predicate{Operand::Attr(1, "city"), CompareOp::kEq,
-                            Operand::Attr(2, "city")});
-
-  std::vector<Row> r_rows = {
-      {Value::String("Kwan's"), Value::String("Wash. Ave.")},
-      {Value::String("Kwan's"), Value::String("Main St.")},
-      {Value::Null(), Value::String("Wash. Ave.")},
-      {Value::String("Hunan"), Value::Null()},
-  };
-  std::vector<Row> s_rows = {
-      {Value::String("Kwan's"), Value::String("Mpls.")},
-      {Value::String("Hunan"), Value::Null()},
-      {Value::Null(), Value::Null()},
-  };
-
-  for (bool flipped : {false, true}) {
-    SCOPED_TRACE(flipped ? "flipped" : "direct");
-    compile::CompiledConjunction program = compile::CompiledConjunction::
-        Compile(preds, r_schema, s_schema, flipped);
-    EXPECT_EQ(program.size(), preds.size());
-    for (const Row& r_row : r_rows) {
-      for (const Row& s_row : s_rows) {
-        TupleView r_view(&r_schema, &r_row);
-        TupleView s_view(&s_schema, &s_row);
-        const TupleView& e1 = flipped ? s_view : r_view;
-        const TupleView& e2 = flipped ? r_view : s_view;
-        EXPECT_EQ(program.Evaluate(r_row, s_row),
-                  EvaluateConjunction(preds, e1, e2));
-      }
-    }
-  }
-}
 
 /// A small program with a derivation chain: street determines city,
 /// city+name determines speciality (so kExhaustive has a two-step

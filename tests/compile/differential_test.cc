@@ -387,8 +387,8 @@ TEST(DifferentialIncrementalTest, CompiledMatchesInterpreterUnderUpdates) {
 }
 
 TEST(DifferentialIncrementalTest, StagedMatchesExhaustiveUnderUpdates) {
-  // The per-insert sweep (value-index buckets over the other side) under
-  // a different world and deletion spread.
+  // The per-insert sweep (id buckets over the other side) under a
+  // different world and deletion spread.
   GeneratedWorld world = MakeWorld(/*coverage=*/0.6, /*seed=*/37);
   IdentifierConfig config = WorldConfig(world);
   config.matcher_options.threads = 1;
@@ -397,7 +397,7 @@ TEST(DifferentialIncrementalTest, StagedMatchesExhaustiveUnderUpdates) {
 
 // Signed zeros and NaNs. Double equality is the bit pattern everywhere:
 // the engine's dictionary and id columns, the reference's CompareValues,
-// the incremental session's value indexes and every key fingerprint. R
+// the incremental session's world and every key fingerprint. R
 // holds +0.0 and a NaN, S holds -0.0 and a NaN with the same bits, so
 // only the NaN rows hold equal values.
 struct SpecialDoubles {
@@ -510,6 +510,39 @@ TEST(DifferentialRowPartTest, RowOnlyOrderingConjunctEqualsReference) {
             (std::vector<TuplePair>{{0, 0}, {2, 2}, {4, 3}}));
   EXPECT_EQ(ref.negative.table.certificates(),
             (std::vector<uint32_t>{0, 0, 1}));
+
+  // The same rows replayed into a session, which reads the ordering
+  // conjunct's values through its world's dictionary. carl (R id 2) is
+  // deleted and re-inserted as id 5, so the live R rows in id order are
+  // anna, bob, dana, erik, carl.
+  EID_ASSERT_OK_AND_ASSIGN(
+      IncrementalIdentifier inc,
+      IncrementalIdentifier::Create(config, EmptyLike(r), EmptyLike(s)));
+  for (const Row& row : r.rows()) EID_ASSERT_OK(inc.InsertR(row).status());
+  for (const Row& row : s.rows()) EID_ASSERT_OK(inc.InsertS(row).status());
+  EID_ASSERT_OK(inc.DeleteR(2));
+  EID_ASSERT_OK_AND_ASSIGN(size_t carl, inc.InsertR(r.row(2)));
+  EXPECT_EQ(carl, 5u);
+  const std::vector<size_t> r_ids = {0, 1, 3, 4, 5};
+  Relation live_r = EmptyLike(r);
+  for (size_t row : {0, 1, 3, 4, 2}) EID_ASSERT_OK(live_r.Insert(r.row(row)));
+  EID_ASSERT_OK_AND_ASSIGN(IdentificationResult live,
+                           reference::Identify(config, live_r, s));
+  for (size_t i = 0; i < r_ids.size(); ++i) {
+    for (size_t j = 0; j < s.size(); ++j) {
+      EXPECT_EQ(inc.Decide(r_ids[i], j), live.Decide(i, j))
+          << "r_id " << r_ids[i] << " s_id " << j;
+    }
+  }
+  EID_ASSERT_OK_AND_ASSIGN(Relation mt, inc.MatchingRelation());
+  EID_ASSERT_OK_AND_ASSIGN(Relation live_mt, live.MatchingRelation());
+  EXPECT_EQ(mt.rows(), live_mt.rows());
+  const PairPartition p = inc.Partition();
+  EXPECT_EQ(p.matched, live.partition.matched);
+  EXPECT_EQ(p.non_matched, live.partition.non_matched);
+  EXPECT_EQ(p.undetermined, live.partition.undetermined);
+  EXPECT_EQ(p.total, live.partition.total);
+  EXPECT_EQ(p.non_matched, 3u);
 }
 
 }  // namespace

@@ -319,6 +319,40 @@ TEST(IncrementalTest, DerivationConflictRejectedWithoutStateChange) {
   EXPECT_EQ(inc.r_size(), r.size());
 }
 
+TEST(IncrementalTest, WronglyTypedDerivedValueRejectedLikeBatch) {
+  // The ILFD derives the int 7 into the string column `code`. Batch
+  // extension rejects the run; the session rejects the insert with the
+  // same status, and the rejected row leaves no trace.
+  const Schema schema({Attribute{"name", ValueType::kString},
+                       Attribute{"code", ValueType::kString}});
+  Relation r("R", schema);
+  Relation s("S", schema);
+  IdentifierConfig config;
+  config.correspondence = AttributeCorrespondence::Identity(r, s);
+  config.extended_key = ExtendedKey({"name", "code"});
+  EID_ASSERT_OK_AND_ASSIGN(Ilfd seven, ParseIlfd("name=X -> code=7"));
+  config.ilfds.Add(seven);
+  EID_ASSERT_OK_AND_ASSIGN(
+      IncrementalIdentifier inc,
+      IncrementalIdentifier::Create(config, EmptyLike(r), EmptyLike(s)));
+  const Row bad{Value::Str("X"), Value::Null()};
+  EID_ASSERT_OK(r.Insert(bad));
+  const Result<IdentificationResult> batch =
+      EntityIdentifier(config).Identify(r, s);
+  ASSERT_FALSE(batch.ok());
+  EXPECT_EQ(batch.status(), reference::Identify(config, r, s).status());
+
+  const Result<size_t> rejected = inc.InsertR(bad);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status(), batch.status());
+  EXPECT_EQ(inc.r_size(), 0u);
+  EXPECT_EQ(inc.LiveR().size(), 0u);
+  EID_ASSERT_OK_AND_ASSIGN(size_t id,
+                           inc.InsertR(Row{Value::Str("Y"), Value::Null()}));
+  EXPECT_EQ(id, 0u);
+  EXPECT_EQ(inc.r_size(), 1u);
+}
+
 TEST(IncrementalTest, NegativePairsTrackDistinctnessRules) {
   EID_ASSERT_OK_AND_ASSIGN(IncrementalIdentifier inc,
                            MakeExample3Incremental());
@@ -764,6 +798,71 @@ TEST(IncrementalPropertyTest, KeyedSessionsWithCompetingRulesEqualBatch) {
                   /*every=*/12);
     EXPECT_EQ(failure, "") << "seed " << seed;
   }
+}
+
+TEST(IncrementalPropertyTest, SessionMovedAfterInsertsEqualsBatch) {
+  // The rules' residuals read the session's columnar world, which must
+  // survive moving the session once it holds rows: move-construct, then
+  // move-assign, writing between the moves.
+  const GeneratedWorld world = HomonymWorld(/*per_side=*/40, /*seed=*/5);
+  const IdentifierConfig config = CompetingKeyedConfig(world);
+  StreamSide sides[2];
+  sides[0].rows = &world.r;
+  sides[1].rows = &world.s;
+  for (StreamSide& side : sides) side.live_id.assign(side.rows->size(), {});
+  auto insert = [&](IncrementalIdentifier& inc, size_t k, size_t row) {
+    StreamSide& side = sides[k];
+    Result<size_t> id = k == 0 ? inc.InsertR(side.rows->row(row))
+                               : inc.InsertS(side.rows->row(row));
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ASSERT_EQ(*id, side.row_of_id.size());
+    side.row_of_id.push_back(row);
+    side.alive.push_back(true);
+    side.live_id[row] = *id;
+  };
+  auto erase = [&](IncrementalIdentifier& inc, size_t k, size_t id) {
+    StreamSide& side = sides[k];
+    EID_ASSERT_OK(k == 0 ? inc.DeleteR(id) : inc.DeleteS(id));
+    side.alive[id] = false;
+    side.live_id[side.row_of_id[id]].reset();
+  };
+  auto create = [&] {
+    return IncrementalIdentifier::Create(config, EmptyLike(world.r),
+                                         EmptyLike(world.s));
+  };
+
+  EID_ASSERT_OK_AND_ASSIGN(IncrementalIdentifier first, create());
+  for (size_t k = 0; k < 2; ++k) {
+    for (size_t row = 0; row < sides[k].rows->size() / 2; ++row) {
+      insert(first, k, row);
+    }
+  }
+  IncrementalIdentifier moved(std::move(first));
+  for (size_t k = 0; k < 2; ++k) {
+    for (size_t row = sides[k].rows->size() / 2; row < sides[k].rows->size();
+         ++row) {
+      insert(moved, k, row);
+    }
+    for (size_t id = 0; id < sides[k].alive.size(); id += 3) {
+      erase(moved, k, id);
+    }
+  }
+  EXPECT_EQ(CompareWithBatch(moved, config, sides[0], sides[1]), "");
+
+  EID_ASSERT_OK_AND_ASSIGN(IncrementalIdentifier assigned, create());
+  assigned = std::move(moved);
+  for (size_t k = 0; k < 2; ++k) {
+    // Re-insert every deleted row under a fresh id, then delete others.
+    for (size_t row = 0; row < sides[k].rows->size(); ++row) {
+      if (!sides[k].live_id[row].has_value()) insert(assigned, k, row);
+    }
+    for (size_t id = 1; id < sides[k].alive.size(); id += 4) {
+      if (sides[k].alive[id]) erase(assigned, k, id);
+    }
+  }
+  EXPECT_EQ(CompareWithBatch(assigned, config, sides[0], sides[1]), "");
+  EXPECT_GT(assigned.Partition().matched, 0u);
+  EXPECT_GT(assigned.Partition().non_matched, 0u);
 }
 
 TEST(IncrementalPropertyTest, StreamsExerciseEveryRegion) {

@@ -98,7 +98,7 @@ StagedRun RunStaged(const Relation& r, const Relation& s, const RuleSet& rules,
   }
   CandidateGenerator gen(&r, &s, world);
   for (size_t i = 0; i < plans.size(); ++i) {
-    gen.AddRule(plans[i], evaluators[i].get());
+    gen.AddRule(ResolvePlan(plans[i], r, s, world), evaluators[i].get());
   }
   ThreadPool pool(threads);
   StagedRun out;
